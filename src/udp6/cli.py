@@ -22,7 +22,7 @@ from .families import FAMILY_IDS, FamilySpec, LinearAnsatz, detect_asymptotic_li
 from .generate import random_constrained_params
 from .qoracle import EpsSchedule, ud_limit_compare
 from .riccati import riccati_evolve, riccati_failures
-from .system import ParityPair, StatePair, load_params, params_to_obj
+from .system import ParityPair, StatePair, load_params, params_to_obj, parse_rational
 from .tables import SolutionTable, branches_to_json_obj
 
 __all__ = ["main"]
@@ -54,7 +54,7 @@ def _parse_pair(text: str) -> ParityPair:
     if not amp_s:
         raise ValueError(f"expected sign:amplitude, got {text!r}")
     sign = int(sign_s)
-    return ParityPair(sign, Fraction(amp_s))
+    return ParityPair(sign, parse_rational(amp_s, "amplitude"))
 
 
 def _parse_window(text: str) -> Tuple[int, int]:
@@ -165,11 +165,15 @@ def _cmd_families(args) -> int:
     if args.alpha is not None or args.beta is not None or args.gamma is not None:
         if None in (args.alpha, args.beta, args.gamma):
             raise ValueError("--alpha, --beta, --gamma must be given together")
-        ansatz = LinearAnsatz(Fraction(args.alpha), Fraction(args.beta), Fraction(args.gamma))
+        ansatz = LinearAnsatz(
+            parse_rational(args.alpha, "--alpha"),
+            parse_rational(args.beta, "--beta"),
+            parse_rational(args.gamma, "--gamma"),
+        )
     spec = FamilySpec(
         family=args.id,
-        c=Fraction(args.c) if args.c is not None else None,
-        c_prime=Fraction(args.cprime) if args.cprime is not None else None,
+        c=parse_rational(args.c, "--c") if args.c is not None else None,
+        c_prime=parse_rational(args.cprime, "--cprime") if args.cprime is not None else None,
         m0=args.m0,
         ansatz=ansatz,
     )
@@ -314,7 +318,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m0", type=int, default=0)
     sp.add_argument("--window", required=True)
     sp.add_argument("--eps", required=True, help="comma-separated decreasing eps values")
-    sp.add_argument("--precision", type=int, help="working precision in bits (default: derived)")
+    sp.add_argument(
+        "--precision", type=int,
+        help="fixed working precision in bits, used with no check (default: for each eps, "
+             "the smallest verified precision: the first doubling of 256 bits whose run "
+             "agrees with the run at half its bits)",
+    )
     sp.add_argument("--out")
     sp.set_defaults(fn=_cmd_qlimit)
 

@@ -3,7 +3,7 @@ signed log-domain arithmetic, and the ultradiscretization comparator.
 
 Quantities of the q-system scale like exp(X/eps) with eps down to 0.1 and
 amplitudes around 100, far beyond hardware floats, so every value is kept as
-sign * exp(logmag) with ``logmag`` an mpmath float at a configurable working
+sign * exp(logmag) with ``logmag`` an mpmath float at a given working
 precision.  Additions of like signs use log-sum-exp; opposite signs subtract
 magnitudes and raise a cancellation warning when the relative log gap falls
 below 2^(-prec/2).  Warning flags propagate through all operations.
@@ -12,10 +12,20 @@ The comparator seeds the q-system from a max-plus table via
 ``value = sign * exp(amplitude/eps)``, evolves it forward, and reports the
 amplitude error ``|eps*log|v| - V_m|`` and sign agreement per (m, eps); as
 eps decreases the errors must shrink.  No convergence rate is asserted.
+
+Unless a fixed precision is requested, the working precision of each eps is
+chosen by agreement (Ziv's strategy): the run starts at 256 bits and is
+repeated at twice the precision until two successive runs give equal rows and
+aborts, with no cancellation warning and no error below the resolution of the
+higher precision; the higher of the two is accepted.
+``default_precision`` is only the ceiling of that search; a run at the
+ceiling is accepted as it stands.  The report records the precision accepted
+for each eps.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -26,7 +36,7 @@ import mpmath
 
 from .evolution import painleve_failures
 from .riccati import require_riccati_conditions
-from .system import Params, require_constraint
+from .system import Params, parse_rational, require_constraint
 from .tables import SolutionTable
 
 __all__ = [
@@ -145,8 +155,10 @@ def ls_div(x: LogSigned, y: LogSigned) -> LogSigned:
 
 
 def default_precision(eps, amp_bound) -> int:
-    """max(256, 64 + 8*amp_bound/eps) bits: enough to resolve the
-    exp(-gap/eps) corrections that separate the q-system from its limit."""
+    """max(256, 64 + 8*amp_bound/eps) bits: the ceiling of the comparator's
+    precision search, a bound on the bits needed to resolve the exp(-gap/eps)
+    corrections that separate the q-system from its limit.  Runs that agree
+    at a lower precision stop below it."""
     need = 64 + 8 * Fraction(amp_bound) / Fraction(eps)
     return max(256, int(math.ceil(need)))
 
@@ -154,17 +166,11 @@ def default_precision(eps, amp_bound) -> int:
 # --- q-system steps -----------------------------------------------------------
 
 
-def _params_ls(p: Params, eps: Fraction, m: int, prec: int) -> dict:
-    def at(amp) -> LogSigned:
-        return ls_from_amplitude(1, amp, eps, prec)
-
-    mq = m * p.q
-    return {
-        "a": [at(p.a1), at(p.a2), at(p.a3), at(p.a4)],
-        "b": [at(p.b1), at(p.b2), at(p.b3), at(p.b4)],
-        "ta": [at(mq + p.a1), at(mq + p.a2)],
-        "tb": [at(mq + p.b1), at(mq + p.b2)],
-    }
+@functools.lru_cache(maxsize=64)
+def _fixed_images(p: Params, eps: Fraction, prec: int) -> Tuple[LogSigned, ...]:
+    """The m-independent parameter images (a3, a4, b3, b4), built once per
+    (parameters, eps, precision) instead of on every step."""
+    return tuple(ls_from_amplitude(1, amp, eps, prec) for amp in (p.a3, p.a4, p.b3, p.b4))
 
 
 def _nonzero(x: LogSigned, what: str) -> LogSigned:
@@ -188,11 +194,11 @@ def qp6_step(
     require_constraint(p)
     eps = Fraction(eps)
     prec = min(y.prec, z.prec)
-    c = _params_ls(p, eps, m, prec)
-    a1t, a2t = c["ta"]
-    b1t, b2t = c["tb"]
-    a3, a4 = c["a"][2], c["a"][3]
-    b3, b4 = c["b"][2], c["b"][3]
+    a3, a4, b3, b4 = _fixed_images(p, eps, prec)
+    mq = m * p.q
+    a1t, a2t, b1t, b2t = (
+        ls_from_amplitude(1, mq + amp, eps, prec) for amp in (p.a1, p.a2, p.b1, p.b2)
+    )
 
     num = ls_mul(ls_mul(b3, b4), ls_mul(ls_sub(y, a1t), ls_sub(y, a2t)))
     den = ls_mul(
@@ -201,7 +207,7 @@ def qp6_step(
     )
     z_next = ls_div(num, den)
 
-    num2 = ls_mul(ls_mul(c["a"][2], c["a"][3]), ls_mul(ls_sub(z_next, b1t), ls_sub(z_next, b2t)))
+    num2 = ls_mul(ls_mul(a3, a4), ls_mul(ls_sub(z_next, b1t), ls_sub(z_next, b2t)))
     den2 = ls_mul(
         _nonzero(y, "y(t)"),
         ls_mul(
@@ -222,11 +228,9 @@ def qriccati_step(p: Params, eps, m: int, y: LogSigned) -> Tuple[LogSigned, LogS
     require_riccati_conditions(p)
     eps = Fraction(eps)
     prec = y.prec
-    c = _params_ls(p, eps, m, prec)
-    a2t = c["ta"][1]
-    b1t = c["tb"][0]
-    a3, a4 = c["a"][2], c["a"][3]
-    b3, b4 = c["b"][2], c["b"][3]
+    a3, a4, b3, b4 = _fixed_images(p, eps, prec)
+    a2t = ls_from_amplitude(1, m * p.q + p.a2, eps, prec)
+    b1t = ls_from_amplitude(1, m * p.q + p.b1, eps, prec)
 
     z_next = ls_div(ls_mul(b4, ls_sub(y, a2t)), _nonzero(ls_sub(y, a4), "y - a4"))
     y_next = ls_div(
@@ -256,7 +260,7 @@ class EpsSchedule:
 
     @classmethod
     def from_string(cls, text: str) -> "EpsSchedule":
-        return cls(tuple(Fraction(part) for part in text.split(",") if part.strip()))
+        return cls(tuple(parse_rational(part, "eps") for part in text.split(",") if part.strip()))
 
 
 @dataclass(frozen=True)
@@ -284,6 +288,8 @@ class CompareReport:
     schedule: EpsSchedule
     window: Tuple[int, int]
     table_failures: Tuple[Tuple[int, str], ...] = ()
+    # (eps, working precision in bits of the run accepted for it); not in the CSV
+    precisions: Tuple[Tuple[Fraction, int], ...] = ()
 
     def errors_for(self, m: int) -> List[CompareRow]:
         order = {e: i for i, e in enumerate(self.schedule.eps_values)}
@@ -324,6 +330,64 @@ def _amp_bound(p: Params, table: SolutionTable, window: Tuple[int, int]) -> Frac
     return max(vals)
 
 
+# first working precision of the agreement search, in bits
+_START_PRECISION = 256
+
+# rows and aborts of one eps at one working precision
+_Run = Tuple[Tuple[CompareRow, ...], Tuple[CompareAbort, ...]]
+
+
+def _compare_run(
+    p: Params, table: SolutionTable, eps: Fraction, window: Tuple[int, int], prec: int
+) -> _Run:
+    """Rows and aborts of one eps at one working precision."""
+    lo, hi = window
+    y = ls_from_amplitude(table.y(lo).sign, table.y(lo).amp, eps, prec)
+    z = ls_from_amplitude(table.z(lo).sign, table.z(lo).amp, eps, prec)
+
+    def row(m: int, y: LogSigned, z: LogSigned) -> CompareRow:
+        with mpmath.workprec(prec):
+            ey = abs(amplitude_of(y, eps) - _mpf_fraction(table.y(m).amp, prec))
+            ez = abs(amplitude_of(z, eps) - _mpf_fraction(table.z(m).amp, prec))
+        return CompareRow(
+            m=m,
+            eps=eps,
+            err_y=float(ey),
+            err_z=float(ez),
+            sign_ok_y=y.sign == table.y(m).sign,
+            sign_ok_z=z.sign == table.z(m).sign,
+            warned=y.warn or z.warn,
+        )
+
+    rows = [row(lo, y, z)]
+    for m in range(lo, hi):
+        try:
+            y, z = qp6_step(p, eps, m, y, z)
+        except PoleError as exc:
+            return tuple(rows), (CompareAbort(eps=eps, m=m, reason=str(exc)),)
+        if y.sign == 0 or z.sign == 0:
+            return tuple(rows), (CompareAbort(eps=eps, m=m, reason="exact cancellation to zero"),)
+        rows.append(row(m + 1, y, z))
+    return tuple(rows), ()
+
+
+def _settled(run: _Run, last: _Run, prec: int, scale: float) -> bool:
+    """Whether ``run``, at ``prec`` bits, confirms ``last``, the run at half of it.
+
+    Both must give equal rows and aborts with no cancellation warning, and
+    every error past the seed row must be at least 2^(-prec/2) * scale, the
+    accuracy to which the log-domain arithmetic resolves an amplitude at
+    ``prec`` bits (the cancellation flag uses the same threshold).  A smaller
+    error may be a correction lost to rounding in both runs, unless the
+    threshold itself is below the range of a double.
+    """
+    rows = run[0]
+    if run != last or any(r.warned for r in rows):
+        return False
+    resolution = math.ldexp(scale, -(prec // 2))
+    return all(min(r.err_y, r.err_z) >= resolution for r in rows[1:])
+
+
 def ud_limit_compare(
     p: Params,
     table: SolutionTable,
@@ -337,6 +401,13 @@ def ud_limit_compare(
     ``sign * exp(amplitude/eps)`` and is evolved forward only.  Rows report
     ``|eps*log|v| - amplitude|`` and sign agreement per index; poles or exact
     cancellations abort that eps run with a partial report.
+
+    With ``precision`` given, each eps runs once at that many bits, unchecked.
+    Otherwise each eps runs at 256 bits and again at twice the precision
+    until the higher of two successive runs confirms the lower (see
+    ``_settled``) and is accepted.  The doubling stops at
+    ``default_precision(eps, bound)``, whose run is accepted as it stands.
+    The report records the accepted precision of each eps.
     """
     lo, hi = window
     if not (table.m_lo <= lo <= hi <= table.m_hi):
@@ -346,38 +417,25 @@ def ud_limit_compare(
     bad = tuple(painleve_failures(p, table))
 
     bound = _amp_bound(p, table, window)
+    scale = max(1.0, float(bound))
     rows: List[CompareRow] = []
     aborts: List[CompareAbort] = []
+    precisions: List[Tuple[Fraction, int]] = []
     for eps in schedule.eps_values:
-        prec = precision if precision is not None else default_precision(eps, bound)
-        y = ls_from_amplitude(table.y(lo).sign, table.y(lo).amp, eps, prec)
-        z = ls_from_amplitude(table.z(lo).sign, table.z(lo).amp, eps, prec)
-
-        def row(m: int, y: LogSigned, z: LogSigned) -> CompareRow:
-            with mpmath.workprec(prec):
-                ey = abs(amplitude_of(y, eps) - _mpf_fraction(table.y(m).amp, prec))
-                ez = abs(amplitude_of(z, eps) - _mpf_fraction(table.z(m).amp, prec))
-            return CompareRow(
-                m=m,
-                eps=eps,
-                err_y=float(ey),
-                err_z=float(ez),
-                sign_ok_y=y.sign == table.y(m).sign,
-                sign_ok_z=z.sign == table.z(m).sign,
-                warned=y.warn or z.warn,
-            )
-
-        rows.append(row(lo, y, z))
-        for m in range(lo, hi):
-            try:
-                y, z = qp6_step(p, eps, m, y, z)
-            except PoleError as exc:
-                aborts.append(CompareAbort(eps=eps, m=m, reason=str(exc)))
+        if precision is not None:
+            prec = ceiling = precision
+        else:
+            ceiling = default_precision(eps, bound)
+            prec = min(_START_PRECISION, ceiling)
+        run = _compare_run(p, table, eps, window, prec)
+        while prec < ceiling:
+            prec = min(2 * prec, ceiling)
+            last, run = run, _compare_run(p, table, eps, window, prec)
+            if _settled(run, last, prec, scale):
                 break
-            if y.sign == 0 or z.sign == 0:
-                aborts.append(CompareAbort(eps=eps, m=m, reason="exact cancellation to zero"))
-                break
-            rows.append(row(m + 1, y, z))
+        rows.extend(run[0])
+        aborts.extend(run[1])
+        precisions.append((eps, prec))
 
     return CompareReport(
         rows=tuple(rows),
@@ -385,4 +443,5 @@ def ud_limit_compare(
         schedule=schedule,
         window=window,
         table_failures=bad,
+        precisions=tuple(precisions),
     )

@@ -34,6 +34,7 @@ __all__ = [
     "load_params",
     "params_from_obj",
     "params_to_obj",
+    "parse_rational",
     "require_constraint",
     "residual_yy",
     "residual_yy_sides",
@@ -371,10 +372,19 @@ def residual_yy_signed(
 # --- serialization -----------------------------------------------------------
 
 
+def parse_rational(v, what: str) -> Fraction:
+    """Fraction(v) for an integer or rational text; a zero denominator is a
+    ValueError naming ``what``, like any other malformed input."""
+    try:
+        return Fraction(v)
+    except ZeroDivisionError:
+        raise ValueError(f"{what}: zero denominator in {v!r}") from None
+
+
 def _frac_from_json(v, key: str) -> Fraction:
     if isinstance(v, bool) or not isinstance(v, (int, str)):
         raise ValueError(f"{key}: rationals must be integers or 'p/q' strings, got {v!r}")
-    return Fraction(v)
+    return parse_rational(v, key)
 
 
 def _frac_to_json(x: Fraction) -> Union[int, str]:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Tuple
 
-from .system import ParityPair, StatePair
+from .system import ParityPair, StatePair, parse_rational
 
 __all__ = ["SolutionTable", "branches_to_json_obj", "branches_from_json_obj"]
 
@@ -109,8 +109,8 @@ class SolutionTable:
             states.append(
                 StatePair(
                     int(m),
-                    ParityPair(int(sy), Fraction(yv)),
-                    ParityPair(int(sz), Fraction(zv)),
+                    ParityPair(int(sy), parse_rational(yv, "Y")),
+                    ParityPair(int(sz), parse_rational(zv, "Z")),
                 )
             )
         if not states:
@@ -131,8 +131,8 @@ class SolutionTable:
         states = [
             StatePair(
                 int(r["m"]),
-                ParityPair(int(r["sy"]), Fraction(r["Y"])),
-                ParityPair(int(r["sz"]), Fraction(r["Z"])),
+                ParityPair(int(r["sy"]), parse_rational(r["Y"], "Y")),
+                ParityPair(int(r["sz"]), parse_rational(r["Z"], "Z")),
             )
             for r in obj["rows"]
         ]

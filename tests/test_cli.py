@@ -215,6 +215,43 @@ def test_qlimit_subcommand(capsys, p42_file):
     assert len(lines) == 1 + 3 * 3
 
 
+# --- zero denominators in rational inputs ------------------------------------------------
+
+_PAIRS = ("--y0", "-1:43", "--z0", "-1:40")
+_BAD_RATIONAL_CASES = {
+    "params-json": ("evolve", "--params", "{bad_params}", *_PAIRS, "--window", "0:2"),
+    "y0": ("evolve", "--params", "{params}", "--y0", "1:1/0", "--z0", "-1:40", "--window", "0:2"),
+    "z0": ("evolve", "--params", "{params}", "--y0", "-1:43", "--z0", "1:1/0", "--window", "0:2"),
+    "eps": ("qlimit", "--params", "{params}", *_PAIRS, "--window", "0:2", "--eps", "1,1/0"),
+    "alpha": ("families", "--params", "{params}", "--id", "lin", "--alpha", "1/0",
+              "--beta", "1", "--gamma", "1"),
+    "beta": ("families", "--params", "{params}", "--id", "lin", "--alpha", "1",
+             "--beta", "1/0", "--gamma", "1"),
+    "gamma": ("families", "--params", "{params}", "--id", "lin", "--alpha", "1",
+              "--beta", "1", "--gamma", "1/0"),
+    "c": ("families", "--params", "{params}", "--id", "sol0", "--c", "1/0"),
+    "cprime": ("families", "--params", "{params}", "--id", "soln2", "--cprime", "1/0", "--m0", "-1"),
+    "table-cell-verify": ("verify", "--params", "{params}", "--table", "{bad_table}"),
+    "table-cell-qlimit": ("qlimit", "--params", "{params}", "--table", "{bad_table}",
+                          "--window", "0:1", "--eps", "1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_RATIONAL_CASES))
+def test_zero_denominator_is_input_error(case, capsys, tmp_path, p42_file):
+    bad_params = tmp_path / "bad.json"
+    obj = json.loads(open(p42_file).read())
+    obj["a1"] = "1/0"
+    bad_params.write_text(json.dumps(obj))
+    bad_table = tmp_path / "bad.csv"
+    bad_table.write_text("m,sy,Y,sz,Z\n0,-1,43,-1,40\n1,-1,1/0,-1,-28\n")
+    paths = {"params": p42_file, "bad_params": str(bad_params), "bad_table": str(bad_table)}
+    argv = [a.format(**paths) for a in _BAD_RATIONAL_CASES[case]]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ") and "zero denominator" in err
+
+
 def test_unknown_family_is_input_error(capsys, p41_file):
     code, _, err = run(
         capsys, "families", "--params", p41_file, "--id", "sol0", "--window", "-2:2"

@@ -1,11 +1,17 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from udp6.cli import main
 from udp6.evolution import evolve_noparity
+from udp6.generate import random_constrained_params
 from udp6.qoracle import (
+    CompareReport,
     EpsSchedule,
     LogSigned,
     PoleError,
@@ -20,9 +26,10 @@ from udp6.qoracle import (
     ls_zero,
     qp6_step,
     qriccati_step,
+    _amp_bound,
     ud_limit_compare,
 )
-from udp6.system import ParityPair, Params
+from udp6.system import ParityPair, Params, dump_params
 from udp6.tables import SolutionTable
 
 F = Fraction
@@ -259,3 +266,94 @@ def test_compare_window_must_fit(p42):
     table = evolve_noparity(p42, 0, 43, 40, (0, 2))
     with pytest.raises(ValueError):
         ud_limit_compare(p42, table, EpsSchedule.from_string("1"), (0, 5))
+
+
+# --- precision by agreement --------------------------------------------------------------
+
+
+def ceiling_report(p, table, schedule, window) -> CompareReport:
+    """The report of fixed runs at each eps's ceiling, default_precision."""
+    bound = _amp_bound(p, table, window)
+    parts = [
+        ud_limit_compare(p, table, EpsSchedule((eps,)), window,
+                         precision=default_precision(eps, bound))
+        for eps in schedule.eps_values
+    ]
+    return CompareReport(
+        rows=tuple(r for rep in parts for r in rep.rows),
+        aborts=tuple(a for rep in parts for a in rep.aborts),
+        schedule=schedule,
+        window=window,
+        table_failures=parts[0].table_failures,
+        precisions=tuple(pr for rep in parts for pr in rep.precisions),
+    )
+
+
+def test_adaptive_precision_matches_ceiling_on_golden_state(p42):
+    window = (-2, 2)
+    table = evolve_noparity(p42, 0, 43, 40, window)
+    sched = EpsSchedule.from_string("1,1/2")
+    rep = ud_limit_compare(p42, table, sched, window)
+    ref = ceiling_report(p42, table, sched, window)
+    assert (rep.rows, rep.aborts, rep.table_failures) == (ref.rows, ref.aborts, ref.table_failures)
+    assert rep.to_csv_text() == ref.to_csv_text()
+    assert [eps for eps, _ in rep.precisions] == list(sched.eps_values)
+    for (eps, bits), (_, ceiling) in zip(rep.precisions, ref.precisions):
+        assert 256 <= bits < ceiling
+
+
+def test_near_cancellation_escalates_to_ceiling_result(p42):
+    # y at the window's start sits 2^-200 above a3: y - a3 nearly cancels, so
+    # 256 bits raise the cancellation flag and the search must go higher
+    window = (0, 3)
+    table = evolve_noparity(p42, 0, 43, 40, window)
+    ys = (ParityPair(1, p42.a3 + F(1, 2**200)),) + table.ys[1:]
+    table = SolutionTable(table.m_lo, ys, table.zs)
+    sched = EpsSchedule.from_string("1")
+    low = ud_limit_compare(p42, table, sched, window, precision=256)
+    assert any(r.warned for r in low.rows)
+    rep = ud_limit_compare(p42, table, sched, window)
+    ref = ceiling_report(p42, table, sched, window)
+    assert (rep.rows, rep.aborts) == (ref.rows, ref.aborts)
+    assert not any(r.warned for r in rep.rows)
+    [(_, bits)] = rep.precisions
+    assert 512 < bits < ref.precisions[0][1]
+
+
+# at eps=1/4, seeds 6 and 15 have err_Y of about 1e-217 and 1e-170, which the
+# runs at 256 and 512 bits both compute as 0.0; equal rows alone would accept
+# 512 bits, and only the resolution condition of the check goes higher
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=6)
+@example(seed=15)
+def test_adaptive_precision_agrees_with_ceiling_on_random_tables(seed):
+    rng = random.Random(seed)
+    p = random_constrained_params(rng, -100, 100, (1, 100))
+    window = (0, 1)
+    table = evolve_noparity(p, 0, rng.randint(-100, 100), rng.randint(-100, 100), window)
+    sched = EpsSchedule.from_string("1,1/4")
+    rep = ud_limit_compare(p, table, sched, window)
+    ref = ceiling_report(p, table, sched, window)
+    assert rep.aborts == ref.aborts
+    assert len(rep.rows) == len(ref.rows)
+    for r, c in zip(rep.rows, ref.rows):
+        assert (r.m, r.eps, r.sign_ok_y, r.sign_ok_z, r.warned) == (
+            c.m, c.eps, c.sign_ok_y, c.sign_ok_z, c.warned)
+        assert math.isclose(r.err_y, c.err_y, rel_tol=1e-12, abs_tol=0)
+        assert math.isclose(r.err_z, c.err_z, rel_tol=1e-12, abs_tol=0)
+
+
+def test_qlimit_cli_output_equals_fixed_ceiling_run(tmp_path, capsys, p42):
+    params = tmp_path / "p42.json"
+    dump_params(p42, params)
+    window = (-2, 2)
+    table = evolve_noparity(p42, 0, 43, 40, window)
+    ceiling = default_precision(F(1, 2), _amp_bound(p42, table, window))
+    argv = ["qlimit", "--params", str(params), "--y0", "-1:43", "--z0", "-1:40",
+            "--window", "-2:2", "--eps", "1/2"]
+    outs = []
+    for extra in ([], ["--precision", str(ceiling)]):
+        assert main(argv + extra) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0].out == outs[1].out and outs[0].err == outs[1].err
