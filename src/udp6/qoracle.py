@@ -15,11 +15,12 @@ eps decreases the errors must shrink.  No convergence rate is asserted.
 
 Unless a fixed precision is requested, the working precision of each eps is
 chosen by agreement (Ziv's strategy): the run starts at 256 bits and is
-repeated at twice the precision until two successive runs give equal rows and
-aborts, with no cancellation warning and no error below the resolution of the
-higher precision; the higher of the two is accepted.
+repeated at twice the precision until two successive runs give equal rows,
+with no abort, no cancellation warning and no error below the resolution of
+the higher precision; the higher of the two is accepted.
 ``default_precision`` is only the ceiling of that search; a run at the
-ceiling is accepted as it stands.  The report records the precision accepted
+ceiling is accepted as it stands, so a run that aborts (on a pole or an exact
+cancellation) is always the ceiling's.  The report records the precision accepted
 for each eps.
 """
 
@@ -374,15 +375,19 @@ def _compare_run(
 def _settled(run: _Run, last: _Run, prec: int, scale: float) -> bool:
     """Whether ``run``, at ``prec`` bits, confirms ``last``, the run at half of it.
 
-    Both must give equal rows and aborts with no cancellation warning, and
+    Both must give equal rows with no abort and no cancellation warning, and
     every error past the seed row must be at least 2^(-prec/2) * scale, the
     accuracy to which the log-domain arithmetic resolves an amplitude at
     ``prec`` bits (the cancellation flag uses the same threshold).  A smaller
     error may be a correction lost to rounding in both runs, unless the
     threshold itself is below the range of a double.
+
+    An abort never settles: it comes from an exact zero, which the arithmetic
+    only produces when two magnitudes round to the same value, and a gap below
+    2^-prec looks the same at every precision short of resolving it.
     """
-    rows = run[0]
-    if run != last or any(r.warned for r in rows):
+    rows, aborts = run
+    if aborts or run != last or any(r.warned for r in rows):
         return False
     resolution = math.ldexp(scale, -(prec // 2))
     return all(min(r.err_y, r.err_z) >= resolution for r in rows[1:])
@@ -406,7 +411,8 @@ def ud_limit_compare(
     Otherwise each eps runs at 256 bits and again at twice the precision
     until the higher of two successive runs confirms the lower (see
     ``_settled``) and is accepted.  The doubling stops at
-    ``default_precision(eps, bound)``, whose run is accepted as it stands.
+    ``default_precision(eps, bound)``, whose run is accepted as it stands;
+    a run that aborts is only accepted there.
     The report records the accepted precision of each eps.
     """
     lo, hi = window

@@ -302,22 +302,25 @@ def test_adaptive_precision_matches_ceiling_on_golden_state(p42):
         assert 256 <= bits < ceiling
 
 
-def test_near_cancellation_escalates_to_ceiling_result(p42):
-    # y at the window's start sits 2^-200 above a3: y - a3 nearly cancels, so
-    # 256 bits raise the cancellation flag and the search must go higher
+@pytest.mark.parametrize("offset_bits", [200, 600])
+def test_near_cancellation_escalates_to_ceiling_result(p42, offset_bits):
+    # y at the window's start sits 2^-offset_bits above a3, so y - a3 nearly
+    # cancels.  At 2^-200, 256 bits raise the cancellation flag; at 2^-600,
+    # 256 and 512 bits both round y - a3 to zero and abort alike, and only
+    # the ceiling run resolves the gap
     window = (0, 3)
     table = evolve_noparity(p42, 0, 43, 40, window)
-    ys = (ParityPair(1, p42.a3 + F(1, 2**200)),) + table.ys[1:]
+    ys = (ParityPair(1, p42.a3 + F(1, 2**offset_bits)),) + table.ys[1:]
     table = SolutionTable(table.m_lo, ys, table.zs)
     sched = EpsSchedule.from_string("1")
-    low = ud_limit_compare(p42, table, sched, window, precision=256)
-    assert any(r.warned for r in low.rows)
-    rep = ud_limit_compare(p42, table, sched, window)
     ref = ceiling_report(p42, table, sched, window)
-    assert (rep.rows, rep.aborts) == (ref.rows, ref.aborts)
-    assert not any(r.warned for r in rep.rows)
+    low = ud_limit_compare(p42, table, sched, window, precision=256)
+    assert (low.rows, low.aborts) != (ref.rows, ref.aborts)
+    rep = ud_limit_compare(p42, table, sched, window)
+    assert (rep.rows, rep.aborts, rep.table_failures) == (ref.rows, ref.aborts, ref.table_failures)
+    assert not ref.aborts and not any(r.warned for r in ref.rows)
     [(_, bits)] = rep.precisions
-    assert 512 < bits < ref.precisions[0][1]
+    assert 512 < bits <= ref.precisions[0][1]
 
 
 # at eps=1/4, seeds 6 and 15 have err_Y of about 1e-217 and 1e-170, which the
