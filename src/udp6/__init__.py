@@ -14,12 +14,8 @@ from .tropical import (
     LinTerm,
     Sign,
     SolutionSet,
-    exchange_identity_check,
     is_bottom,
-    parity_indicator,
     solve_one_unknown,
-    t_add,
-    t_max,
 )
 from .system import (
     ConstraintViolation,
@@ -31,11 +27,7 @@ from .system import (
     params_from_obj,
     params_to_obj,
     residual_yy,
-    residual_yy_sides,
-    residual_yy_signed,
     residual_zz,
-    residual_zz_sides,
-    residual_zz_signed,
 )
 from .tables import SolutionTable
 from .evolution import (
@@ -54,7 +46,6 @@ from .evolution import (
     step_z_parity,
 )
 from .riccati import (
-    RiccatiConditions,
     RiccatiStepResult,
     check_riccati_conditions,
     residual_riccati1,

@@ -16,22 +16,30 @@ at once, which is precisely where uniqueness fails.  The sign(y) = -1 sector
 is deterministic: the z parity propagates and the amplitude is solved in
 closed form.
 
-Backward stepping reuses the forward solvers: each relation is symmetric in
-its two same-letter variables, so solving for the earlier one is the forward
-solve at index m-1 with the known value in the other slot.
+Only the z-steppers are written out.  A y-stepper is the z-stepper on the
+mirrored parameters (A and B exchanged) with y and z exchanged, as the
+y-relation is the mirrored z-relation.  Backward stepping reuses the forward
+solvers: each relation is symmetric in its two same-letter variables, so
+solving for the earlier one is the forward solve at index m-1 with the known
+value in the other slot.
+
+Steppers check nothing; ``evolve``, ``evolve_noparity`` and
+``painleve_failures`` validate the parameters once on entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from itertools import islice
+from typing import Callable, Iterable, List, Tuple
 
 from .system import (
     ParityPair,
     Params,
     StatePair,
     require_constraint,
+    require_unsigned,
     residual_yy,
     residual_zz,
 )
@@ -53,25 +61,20 @@ __all__ = [
     "step_z_parity",
 ]
 
-BRANCH_ORDER = "sign-then-amplitude"
-
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Window, branch cap and (the single supported) branch ordering rule."""
+    """Window and branch cap."""
 
     m_min: int
     m_max: int
     max_branches: int = 64
-    branch_order: str = BRANCH_ORDER
 
     def __post_init__(self) -> None:
         if self.m_min > self.m_max:
             raise ValueError("m_min must not exceed m_max")
         if self.max_branches < 1:
             raise ValueError("max_branches must be at least 1")
-        if self.branch_order != BRANCH_ORDER:
-            raise ValueError(f"unknown branch order {self.branch_order!r}")
 
 
 @dataclass(frozen=True)
@@ -82,9 +85,37 @@ class BranchTree:
     surviving tables are still complete and valid.
     """
 
-    root: StatePair
     tables: Tuple[SolutionTable, ...]
     truncated: bool
+
+
+def grow_tables(
+    root: dict,
+    steps: List[Callable[[dict], Iterable[dict]]],
+    cap: int,
+    window: Tuple[int, int],
+) -> BranchTree:
+    """The branching frontier shared by ``evolve`` and ``riccati_evolve``.
+
+    A partial table maps ("y", m) and ("z", m) to parity pairs.  Each step
+    maps a partial table to the ordered updates of its children; after each
+    step only the first ``cap`` children are kept, and the result is
+    flagged truncated if any step dropped children.
+    """
+    partials, truncated = [root], False
+    for updates in steps:
+        grown = list(islice(({**t, **u} for t in partials for u in updates(t)), cap + 1))
+        partials, truncated = grown[:cap], truncated or len(grown) > cap
+    lo, hi = window
+    tables = tuple(
+        SolutionTable(
+            lo,
+            tuple(t["y", m] for m in range(lo, hi + 1)),
+            tuple(t["z", m] for m in range(lo, hi + 1)),
+        )
+        for t in partials
+    )
+    return BranchTree(tables, truncated)
 
 
 # --- deterministic closed-form steps (all-minus parity sector) ---------------
@@ -92,7 +123,6 @@ class BranchTree:
 
 def step_z_noparity(p: Params, m: int, y_amp, z_amp) -> Fraction:
     """Unique next z amplitude in the all-minus sector."""
-    require_constraint(p)
     y, z = Fraction(y_amp), Fraction(z_amp)
     mq = m * p.q
     return (
@@ -102,14 +132,8 @@ def step_z_noparity(p: Params, m: int, y_amp, z_amp) -> Fraction:
 
 
 def step_y_noparity(p: Params, m: int, y_amp, z_next_amp) -> Fraction:
-    """Unique next y amplitude in the all-minus sector."""
-    require_constraint(p)
-    y, z1 = Fraction(y_amp), Fraction(z_next_amp)
-    mq = m * p.q
-    return (
-        p.a3 + p.a4 + max(mq + p.b1, z1) + max(mq + p.b2, z1)
-        - y - max(p.b3, z1) - max(p.b4, z1)
-    )
+    """Unique next y amplitude in the all-minus sector (mirrored z-step)."""
+    return step_z_noparity(p.mirrored, m, z_next_amp, y_amp)
 
 
 def step_back_y_noparity(p: Params, m: int, y_amp, z_amp) -> Fraction:
@@ -140,7 +164,6 @@ def step_z_parity(p: Params, m: int, y: ParityPair, z: ParityPair) -> List[Parit
     exists for any input.  Candidates are ordered +1-sign first, then by
     amplitude.
     """
-    require_constraint(p)
     b34 = p.b3 + p.b4
     if y.sign == -1:
         cands = [ParityPair(z.sign, step_z_noparity(p, m, y.amp, z.amp))]
@@ -161,35 +184,14 @@ def step_z_parity(p: Params, m: int, y: ParityPair, z: ParityPair) -> List[Parit
             cands.append(ParityPair(-z.sign, v - u2 + b34 - z.amp))
     valid = [c for c in cands if residual_zz(p, m, y, z, c)]
     if not valid:
-        raise AssertionError("no valid z candidate; existence is guaranteed")
+        raise AssertionError("no valid candidate; existence is guaranteed")
     return _ordered_unique(valid)
 
 
 def step_y_parity(p: Params, m: int, y: ParityPair, z_next: ParityPair) -> List[ParityPair]:
-    """All candidates for (sign, amplitude) of y at index m+1, given z there."""
-    require_constraint(p)
-    a34 = p.a3 + p.a4
-    if z_next.sign == -1:
-        cands = [ParityPair(y.sign, step_y_noparity(p, m, y.amp, z_next.amp))]
-    else:
-        mq = m * p.q
-        u = max(2 * z_next.amp, p.b3 + p.b4)
-        u2 = max(p.b3, p.b4) + z_next.amp
-        v = max(2 * mq + p.b1 + p.b2, 2 * z_next.amp)
-        v2 = max(p.b1, p.b2) + mq + z_next.amp
-        cands = []
-        if u >= u2 and v >= v2:
-            cands.append(ParityPair(y.sign, v - u + a34 - y.amp))
-        if u <= u2 and v <= v2:
-            cands.append(ParityPair(y.sign, v2 - u2 + a34 - y.amp))
-        if u >= u2 and v <= v2:
-            cands.append(ParityPair(-y.sign, v2 - u + a34 - y.amp))
-        if u <= u2 and v >= v2:
-            cands.append(ParityPair(-y.sign, v - u2 + a34 - y.amp))
-    valid = [c for c in cands if residual_yy(p, m, y, c, z_next)]
-    if not valid:
-        raise AssertionError("no valid y candidate; existence is guaranteed")
-    return _ordered_unique(valid)
+    """All candidates for (sign, amplitude) of y at index m+1, given z there
+    (the mirrored z-step)."""
+    return step_z_parity(p.mirrored, m, z_next, y)
 
 
 def step_back_y_parity(p: Params, m: int, y: ParityPair, z: ParityPair) -> List[ParityPair]:
@@ -215,61 +217,39 @@ def evolve(p: Params, initial: StatePair, cfg: EvolutionConfig) -> BranchTree:
     Alternates the z- and y-steppers forward from the initial index and their
     backward mirrors down to the window start.  Every leaf is a complete
     SolutionTable satisfying both residuals at every interior index.  When the
-    number of live branches exceeds ``cfg.max_branches`` the surplus (in
-    deterministic order) is dropped and the result is flagged truncated.
+    number of live branches exceeds ``cfg.max_branches`` after a (z, y) step
+    the surplus (in deterministic order) is dropped and the result is flagged
+    truncated.
     """
-    require_constraint(p)
+    require_unsigned(p)
     if not (cfg.m_min <= initial.m <= cfg.m_max):
         raise ValueError("initial index must lie inside the window")
 
-    truncated = False
-    partials: List[Dict[int, Tuple[ParityPair, ParityPair]]] = [
-        {initial.m: (initial.y, initial.z)}
-    ]
-
-    def capped(branches):
-        nonlocal truncated
-        if len(branches) > cfg.max_branches:
-            truncated = True
-            return branches[: cfg.max_branches]
-        return branches
-
-    for m in range(initial.m, cfg.m_max):
-        grown = []
-        for t in partials:
-            y_m, z_m = t[m]
-            for z1 in step_z_parity(p, m, y_m, z_m):
-                for y1 in step_y_parity(p, m, y_m, z1):
-                    nt = dict(t)
-                    nt[m + 1] = (y1, z1)
-                    grown.append(nt)
-        partials = capped(grown)
-
-    for m in range(initial.m, cfg.m_min, -1):
-        grown = []
-        for t in partials:
-            y_m, z_m = t[m]
-            for y0 in step_back_y_parity(p, m, y_m, z_m):
-                for z0 in step_back_z_parity(p, m, y0, z_m):
-                    nt = dict(t)
-                    nt[m - 1] = (y0, z0)
-                    grown.append(nt)
-        partials = capped(grown)
-
-    tables = tuple(
-        SolutionTable(
-            cfg.m_min,
-            tuple(t[m][0] for m in range(cfg.m_min, cfg.m_max + 1)),
-            tuple(t[m][1] for m in range(cfg.m_min, cfg.m_max + 1)),
+    m0 = initial.m
+    # one step per (z, y) pair, so the cap applies after each pair
+    steps = [
+        lambda t, m=m: (
+            {("z", m + 1): z1, ("y", m + 1): y1}
+            for z1 in step_z_parity(p, m, t["y", m], t["z", m])
+            for y1 in step_y_parity(p, m, t["y", m], z1)
         )
-        for t in partials
-    )
-    return BranchTree(root=initial, tables=tables, truncated=truncated)
+        for m in range(m0, cfg.m_max)
+    ]
+    steps += [
+        lambda t, m=m: (
+            {("y", m - 1): y0, ("z", m - 1): z0}
+            for y0 in step_back_y_parity(p, m, t["y", m], t["z", m])
+            for z0 in step_back_z_parity(p, m, y0, t["z", m])
+        )
+        for m in range(m0, cfg.m_min, -1)
+    ]
+    root = {("y", m0): initial.y, ("z", m0): initial.z}
+    return grow_tables(root, steps, cfg.max_branches, (cfg.m_min, cfg.m_max))
 
 
 def evolve_noparity(p: Params, m0: int, y0, z0, window: Tuple[int, int]) -> SolutionTable:
     """Deterministic all-minus-parity evolution (closed-form steps only)."""
-    require_constraint(p)
+    require_unsigned(p)
     lo, hi = window
     if not (lo <= m0 <= hi):
         raise ValueError("initial index must lie inside the window")
@@ -281,16 +261,19 @@ def evolve_noparity(p: Params, m0: int, y0, z0, window: Tuple[int, int]) -> Solu
     for m in range(m0, lo, -1):
         ys[m - 1] = step_back_y_noparity(p, m, ys[m], zs[m])
         zs[m - 1] = step_back_z_noparity(p, m, ys[m - 1], zs[m])
-    minus = -1
     return SolutionTable(
         lo,
-        tuple(ParityPair(minus, ys[m]) for m in range(lo, hi + 1)),
-        tuple(ParityPair(minus, zs[m]) for m in range(lo, hi + 1)),
+        tuple(ParityPair(-1, ys[m]) for m in range(lo, hi + 1)),
+        tuple(ParityPair(-1, zs[m]) for m in range(lo, hi + 1)),
     )
 
 
 def painleve_failures(p: Params, table: SolutionTable) -> List[Tuple[int, str]]:
-    """All (index, relation) pairs where the table violates a residual."""
+    """All (index, relation) pairs where the table violates a residual.
+
+    Parameter signs are admitted; the constraint is checked on entry.
+    """
+    require_constraint(p)
     bad = []
     for m in range(table.m_lo, table.m_hi):
         if not residual_zz(p, m, table.y(m), table.z(m), table.z(m + 1)):

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
 from .riccati import require_riccati_conditions
-from .system import ParityPair, Params, require_constraint
+from .system import ParityPair, Params, require_unsigned
 from .tables import SolutionTable
 
 __all__ = [
@@ -77,9 +77,6 @@ class LinearAnsatz:
             v = getattr(self, name)
             if not isinstance(v, Fraction):
                 object.__setattr__(self, name, Fraction(v))
-
-    def delta(self, p: Params) -> Fraction:
-        return p.q - self.alpha
 
 
 def ansatz_identity_holds(p: Params, ansatz: LinearAnsatz, primed: bool) -> bool:
@@ -328,7 +325,7 @@ def instantiate_family(
             Condition("(Q-h)*m0 + c >= max(B3+(Q-h), B4)", (q - h) * m0 + c >= max(b3 + q - h, b4)),
         ])
     elif fam in ("lin", "linprime"):
-        require_constraint(p)
+        require_unsigned(p)
         ansatz = _need(spec, "ansatz")
         primed = fam == "linprime"
         al, be, ga = ansatz.alpha, ansatz.beta, ansatz.gamma

@@ -18,9 +18,8 @@ __all__ = [
 ]
 
 
-def random_amplitude(rng: random.Random, lo: int = -150, hi: int = 150, max_den: int = 1) -> Fraction:
-    den = 1 if max_den <= 1 else rng.randint(1, max_den)
-    return Fraction(rng.randint(lo * den, hi * den), den)
+def random_amplitude(rng: random.Random, lo: int = -150, hi: int = 150) -> Fraction:
+    return Fraction(rng.randint(lo, hi))
 
 
 def random_parity_pair(rng: random.Random, lo: int = -150, hi: int = 150) -> ParityPair:

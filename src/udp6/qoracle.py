@@ -37,7 +37,7 @@ import mpmath
 
 from .evolution import painleve_failures
 from .riccati import require_riccati_conditions
-from .system import Params, parse_rational, require_constraint
+from .system import Params, parse_rational, require_unsigned
 from .tables import SolutionTable
 
 __all__ = [
@@ -192,7 +192,7 @@ def qp6_step(
     re-checked exactly on every call.  Poles raise; cancellation warnings
     propagate into the results.
     """
-    require_constraint(p)
+    require_unsigned(p)
     eps = Fraction(eps)
     prec = min(y.prec, z.prec)
     a3, a4, b3, b4 = _fixed_images(p, eps, prec)
@@ -415,6 +415,7 @@ def ud_limit_compare(
     a run that aborts is only accepted there.
     The report records the accepted precision of each eps.
     """
+    require_unsigned(p)
     lo, hi = window
     if not (table.m_lo <= lo <= hi <= table.m_hi):
         raise ValueError("window must lie inside the table")

@@ -2,15 +2,21 @@
 
 Under the two parameter conditions ``B1+A3 == Q+A1+B3`` and
 ``B2+A4 == A2+B4`` the system admits a first-order reduction: one relation
-links y_m to z_{m+1}, the other links y_{m+1} to z_{m+1}.  Both relations are
-parity-filtered identities between maxima, linear in each amplitude, so a
-step is an exact one-unknown tropical solve whose result can be a point, an
-interval, or a union of intervals (degenerate inputs leave a free constant).
+(r2) links y_m to z_{m+1}, the other (r1) links y_{m+1} to z_{m+1}.  Both are
+the same parity-filtered identity between maxima with different
+coefficients, transcribed once in ``_sides``.  It is linear in each
+amplitude, so a step is an exact one-unknown tropical solve whose result can
+be a point, an interval, or a union of intervals (degenerate inputs leave a
+free constant); the four steps are that one solve with a relation, an index
+offset and the unknown slot.
 
 Every solution of this subsystem also solves the full second-order system;
 ``theorem_check`` verifies that implication table by table.  The subsystem
 has no solution at all with both parities -1, so the parity variables are
 essential here.
+
+Residuals and steps check nothing; ``riccati_evolve``, ``riccati_failures``
+and ``theorem_check`` validate the parameters once on entry.
 """
 
 from __future__ import annotations
@@ -19,14 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .evolution import painleve_failures
-from .system import ConstraintViolation, ParityPair, Params, residual_yy, residual_zz
+from .evolution import BranchTree, grow_tables, painleve_failures
+from .system import ConstraintViolation, ParityPair, Params, require_unsigned
 from .tables import SolutionTable
-from .tropical import BOTTOM, LinTerm, SolutionSet, solve_one_unknown
+from .tropical import LinTerm, SolutionSet, solve_one_unknown
 
 __all__ = [
-    "RiccatiConditions",
-    "RiccatiEvolution",
     "RiccatiStepResult",
     "check_riccati_conditions",
     "require_riccati_conditions",
@@ -42,95 +46,54 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RiccatiConditions:
-    """The two linear parameter conditions of the first-order reduction."""
-
-    first: bool  # B1 + A3 == Q + A1 + B3
-    second: bool  # B2 + A4 == A2 + B4
-
-    @property
-    def both(self) -> bool:
-        return self.first and self.second
-
-
-def riccati_conditions(p: Params) -> RiccatiConditions:
-    return RiccatiConditions(
-        first=p.b1 + p.a3 == p.q + p.a1 + p.b3,
-        second=p.b2 + p.a4 == p.a2 + p.b4,
-    )
-
-
 def check_riccati_conditions(p: Params) -> bool:
-    return riccati_conditions(p).both
+    """Whether B1+A3 == Q+A1+B3 and B2+A4 == A2+B4."""
+    return p.b1 + p.a3 == p.q + p.a1 + p.b3 and p.b2 + p.a4 == p.a2 + p.b4
 
 
 def require_riccati_conditions(p: Params) -> None:
+    """The entry check of the subsystem: all parameter signs +1, the
+    constraint (the sum of the two conditions) and both conditions."""
+    require_unsigned(p)
     if not check_riccati_conditions(p):
         raise ConstraintViolation(
             "parameters must satisfy B1+A3 = Q+A1+B3 and B2+A4 = A2+B4"
         )
 
 
-# --- term lists --------------------------------------------------------------
+# --- the relation ----------------------------------------------------------------
 #
-# Each relation is described once; a variable slot holds either a known
-# amplitude or None for the unknown.  Dropped terms (parity factor S(-1))
-# simply do not appear.
+# (constant, y coefficient, z coefficient) of each relation at index m.
+_RELATIONS = {
+    "r1": lambda p, m: (m * p.q + p.a3 + p.b1, p.b3, p.a3),  # z_{m+1} -> y_{m+1}
+    "r2": lambda p, m: (m * p.q + p.a2 + p.b4, p.b4, p.a4),  # y_m -> z_{m+1}
+}
 
 
-def _term(out: list, keep: bool, const: Fraction, *vals: Optional[Fraction]) -> None:
-    if not keep:
-        return
-    slope = 0
-    intercept = const
-    for v in vals:
-        if v is None:
-            slope += 1
-        else:
-            intercept += v
-    out.append(LinTerm(slope, intercept))
-
-
-def _sides_r2(
-    p: Params, m: int, sy: int, sz: int, y: Optional[Fraction], z: Optional[Fraction]
+def _sides(
+    p: Params, rel: str, m: int, sy: int, sz: int, y: Optional[Fraction], z: Optional[Fraction]
 ) -> Tuple[List[LinTerm], List[LinTerm]]:
-    """Sides of the y_m -> z_{m+1} relation at index m."""
-    lhs: List[LinTerm] = []
-    rhs: List[LinTerm] = []
-    _term(lhs, True, m * p.q + p.a2 + p.b4)
-    _term(lhs, sz == -1, p.a4, z)
-    _term(lhs, sy == -1, p.b4, y)
-    _term(lhs, sy * sz == 1, Fraction(0), y, z)
-    _term(rhs, sz == 1, p.a4, z)
-    _term(rhs, sy == 1, p.b4, y)
-    _term(rhs, sy * sz == -1, Fraction(0), y, z)
-    return lhs, rhs
+    """Left and right terms of relation ``rel`` at index m.
+
+    A slot holds a known amplitude or None for the unknown.  As in the parity
+    relations, a term sits on the left when its parity argument is +1 and on
+    the right when it is -1.
+    """
+    const, cy, cz = _RELATIONS[rel](p, m)
+
+    def term(c, *slots):
+        known = [v for v in slots if v is not None]
+        return LinTerm(len(slots) - len(known), c + sum(known))
+
+    terms = ((term(const), 1), (term(cy, y), -sy), (term(cz, z), -sz), (term(0, y, z), sy * sz))
+    return [t for t, s in terms if s == 1], [t for t, s in terms if s == -1]
 
 
-def _sides_r1(
-    p: Params, m: int, sy: int, sz: int, y: Optional[Fraction], z: Optional[Fraction]
-) -> Tuple[List[LinTerm], List[LinTerm]]:
-    """Sides of the z_{m+1} -> y_{m+1} relation at index m."""
-    lhs: List[LinTerm] = []
-    rhs: List[LinTerm] = []
-    _term(lhs, True, m * p.q + p.a3 + p.b1)
-    _term(lhs, sy == -1, p.b3, y)
-    _term(lhs, sz == -1, p.a3, z)
-    _term(lhs, sy * sz == 1, Fraction(0), y, z)
-    _term(rhs, sz == 1, p.a3, z)
-    _term(rhs, sy == 1, p.b3, y)
-    _term(rhs, sy * sz == -1, Fraction(0), y, z)
-    return lhs, rhs
-
-
-def _residual(sides: Tuple[List[LinTerm], List[LinTerm]]) -> bool:
-    lhs_terms, rhs_terms = sides
-    lhs = max((t.intercept for t in lhs_terms), default=BOTTOM)
-    rhs = max((t.intercept for t in rhs_terms), default=BOTTOM)
-    if lhs is BOTTOM or rhs is BOTTOM:
-        return lhs is BOTTOM and rhs is BOTTOM
-    return lhs == rhs
+def _holds(p: Params, rel: str, m: int, y: ParityPair, z: ParityPair) -> bool:
+    lhs, rhs = _sides(p, rel, m, y.sign, z.sign, y.amp, z.amp)
+    if not rhs:  # both parities -1: the right side is minus infinity
+        return False
+    return max(t.intercept for t in lhs) == max(t.intercept for t in rhs)
 
 
 def residual_riccati2(p: Params, m: int, y_m: ParityPair, z_next: ParityPair) -> bool:
@@ -138,14 +101,12 @@ def residual_riccati2(p: Params, m: int, y_m: ParityPair, z_next: ParityPair) ->
 
     Always False when both parities are -1: that sign pair has no solution.
     """
-    require_riccati_conditions(p)
-    return _residual(_sides_r2(p, m, y_m.sign, z_next.sign, y_m.amp, z_next.amp))
+    return _holds(p, "r2", m, y_m, z_next)
 
 
 def residual_riccati1(p: Params, m: int, y_next: ParityPair, z_next: ParityPair) -> bool:
     """Exact check of the z_{m+1} -> y_{m+1} relation."""
-    require_riccati_conditions(p)
-    return _residual(_sides_r1(p, m, y_next.sign, z_next.sign, y_next.amp, z_next.amp))
+    return _holds(p, "r1", m, y_next, z_next)
 
 
 # --- one-unknown steps --------------------------------------------------------
@@ -167,17 +128,17 @@ class RiccatiStepResult:
             out.extend(ParityPair(sign, x) for x in solset.finite_samples(policy))
         return out
 
-    def to_json_obj(self) -> list:
-        return [
-            {"sign": sign, "intervals": solset.to_json_obj()}
-            for sign, solset in self.branches
-        ]
 
-
-def _solve_branches(cases) -> RiccatiStepResult:
+def _solve(p: Params, rel: str, m: int, known: ParityPair, unknown: str) -> RiccatiStepResult:
+    """Solve relation ``rel`` at index m for its ``unknown`` slot ("y" or
+    "z"), one sign at a time, given the other slot."""
     branches = []
-    for sign, (lhs, rhs) in cases:
-        sol = solve_one_unknown(lhs, rhs)
+    for sign in (1,) if known.sign == -1 else (1, -1):
+        if unknown == "z":
+            sides = _sides(p, rel, m, known.sign, sign, known.amp, None)
+        else:
+            sides = _sides(p, rel, m, sign, known.sign, None, known.amp)
+        sol = solve_one_unknown(*sides)
         if not sol.is_empty:
             branches.append((sign, sol))
     return RiccatiStepResult(tuple(branches))
@@ -185,47 +146,25 @@ def _solve_branches(cases) -> RiccatiStepResult:
 
 def riccati_step_z(p: Params, m: int, y_m: ParityPair) -> RiccatiStepResult:
     """Solve the step relation at index m for z_{m+1}, one sign at a time."""
-    require_riccati_conditions(p)
-    signs = (1,) if y_m.sign == -1 else (1, -1)
-    return _solve_branches(
-        (sz, _sides_r2(p, m, y_m.sign, sz, y_m.amp, None)) for sz in signs
-    )
+    return _solve(p, "r2", m, y_m, "z")
 
 
 def riccati_step_y(p: Params, m: int, z_next: ParityPair) -> RiccatiStepResult:
     """Solve the step relation at index m for y_{m+1}, given z_{m+1}."""
-    require_riccati_conditions(p)
-    signs = (1,) if z_next.sign == -1 else (1, -1)
-    return _solve_branches(
-        (sy, _sides_r1(p, m, sy, z_next.sign, None, z_next.amp)) for sy in signs
-    )
+    return _solve(p, "r1", m, z_next, "y")
 
 
 def riccati_close_z(p: Params, m: int, y_m: ParityPair) -> RiccatiStepResult:
     """Solve for z_m given y_m (the y-relation at index m-1, unknown z slot)."""
-    require_riccati_conditions(p)
-    signs = (1,) if y_m.sign == -1 else (1, -1)
-    return _solve_branches(
-        (sz, _sides_r1(p, m - 1, y_m.sign, sz, y_m.amp, None)) for sz in signs
-    )
+    return _solve(p, "r1", m - 1, y_m, "z")
 
 
 def riccati_step_back_y(p: Params, m: int, z_m: ParityPair) -> RiccatiStepResult:
     """Solve for y_{m-1} given z_m (the z-relation at index m-1, unknown y)."""
-    require_riccati_conditions(p)
-    signs = (1,) if z_m.sign == -1 else (1, -1)
-    return _solve_branches(
-        (sy, _sides_r2(p, m - 1, sy, z_m.sign, None, z_m.amp)) for sy in signs
-    )
+    return _solve(p, "r2", m - 1, z_m, "y")
 
 
 # --- window evolution ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RiccatiEvolution:
-    tables: Tuple[SolutionTable, ...]
-    truncated: bool
 
 
 def riccati_evolve(
@@ -235,7 +174,7 @@ def riccati_evolve(
     window: Tuple[int, int],
     sampling: str = "endpoints",
     max_branches: int = 64,
-) -> RiccatiEvolution:
+) -> BranchTree:
     """Build concrete solution tables of the first-order subsystem.
 
     Starting from y at index m0, alternate the one-unknown solves forward to
@@ -249,40 +188,21 @@ def riccati_evolve(
     lo, hi = window
     if not (lo <= m0 <= hi):
         raise ValueError("initial index must lie inside the window")
+    if max_branches < 1:
+        raise ValueError("max_branches must be at least 1")
 
-    truncated = False
+    def fill(slot, step, m, known):
+        # one half step: ``slot`` from each sample of ``step`` at the ``known`` value
+        return lambda t: ({slot: c} for c in step(p, m, t[known]).samples(sampling))
 
-    def expand(branches, key, step):
-        nonlocal truncated
-        grown = []
-        for br in branches:
-            for cand in step(br).samples(sampling):
-                nb = dict(br)
-                nb[key] = cand
-                grown.append(nb)
-        if len(grown) > max_branches:
-            truncated = True
-            grown = grown[:max_branches]
-        return grown
-
-    branches = [{("y", m0): y0}]
-    branches = expand(branches, ("z", m0), lambda br: riccati_close_z(p, m0, br[("y", m0)]))
+    steps = [fill(("z", m0), riccati_close_z, m0, ("y", m0))]
     for m in range(m0, hi):
-        branches = expand(branches, ("z", m + 1), lambda br, m=m: riccati_step_z(p, m, br[("y", m)]))
-        branches = expand(branches, ("y", m + 1), lambda br, m=m: riccati_step_y(p, m, br[("z", m + 1)]))
+        steps.append(fill(("z", m + 1), riccati_step_z, m, ("y", m)))
+        steps.append(fill(("y", m + 1), riccati_step_y, m, ("z", m + 1)))
     for m in range(m0, lo, -1):
-        branches = expand(branches, ("y", m - 1), lambda br, m=m: riccati_step_back_y(p, m, br[("z", m)]))
-        branches = expand(branches, ("z", m - 1), lambda br, m=m: riccati_close_z(p, m - 1, br[("y", m - 1)]))
-
-    tables = tuple(
-        SolutionTable(
-            lo,
-            tuple(br[("y", m)] for m in range(lo, hi + 1)),
-            tuple(br[("z", m)] for m in range(lo, hi + 1)),
-        )
-        for br in branches
-    )
-    return RiccatiEvolution(tables=tables, truncated=truncated)
+        steps.append(fill(("y", m - 1), riccati_step_back_y, m, ("z", m)))
+        steps.append(fill(("z", m - 1), riccati_close_z, m - 1, ("y", m - 1)))
+    return grow_tables({("y", m0): y0}, steps, max_branches, window)
 
 
 def riccati_failures(p: Params, table: SolutionTable) -> List[Tuple[int, str]]:
@@ -291,6 +211,7 @@ def riccati_failures(p: Params, table: SolutionTable) -> List[Tuple[int, str]]:
     The y->z relation is checkable for m in [lo, hi-1]; the z->y relation for
     m in [lo-1, hi-1] (it touches only indexes m+1).
     """
+    require_riccati_conditions(p)
     bad = []
     for m in range(table.m_lo, table.m_hi):
         if not residual_riccati2(p, m, table.y(m), table.z(m + 1)):
@@ -304,7 +225,6 @@ def riccati_failures(p: Params, table: SolutionTable) -> List[Tuple[int, str]]:
 def theorem_check(p: Params, table: SolutionTable) -> bool:
     """Verify on one table that solving the subsystem implies solving the
     full system.  False only on a counterexample, which must never happen."""
-    require_riccati_conditions(p)
     if riccati_failures(p, table):
         return True  # premise fails; implication is vacuous
     return not painleve_failures(p, table)

@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, Tuple
 
 from .system import ParityPair, StatePair, parse_rational
 
-__all__ = ["SolutionTable", "branches_to_json_obj", "branches_from_json_obj"]
+__all__ = ["SolutionTable", "branches_to_json_obj"]
 
 _COLUMNS = ("m", "sy", "Y", "sz", "Z")
 
@@ -147,7 +147,3 @@ def branches_to_json_obj(tables: Iterable[SolutionTable], truncated: bool) -> di
         ],
     }
 
-
-def branches_from_json_obj(obj: dict) -> Tuple[Tuple[SolutionTable, ...], bool]:
-    tables = tuple(SolutionTable.from_json_obj(b) for b in obj["branches"])
-    return tables, bool(obj.get("truncated", False))

@@ -22,14 +22,9 @@ __all__ = [
     "Interval",
     "LinTerm",
     "SolutionSet",
-    "as_amp",
     "check_sign",
-    "exchange_identity_check",
     "is_bottom",
-    "parity_indicator",
     "solve_one_unknown",
-    "t_add",
-    "t_max",
 ]
 
 
@@ -64,69 +59,10 @@ def is_bottom(x: Amp) -> bool:
     return x is BOTTOM
 
 
-def as_amp(x) -> Amp:
-    """Coerce ints/strings/Fractions to an amplitude; BOTTOM passes through."""
-    if x is BOTTOM:
-        return BOTTOM
-    return Fraction(x)
-
-
 def check_sign(s: int) -> int:
     if s not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {s!r}")
     return s
-
-
-def parity_indicator(sign: Sign) -> Amp:
-    """S(+1) = 0 and S(-1) = -inf; a term carrying S(-1) drops out of a max."""
-    check_sign(sign)
-    return Fraction(0) if sign == 1 else BOTTOM
-
-
-def t_add(*terms: Amp) -> Amp:
-    """Sum of amplitudes; BOTTOM absorbs."""
-    total = Fraction(0)
-    for t in terms:
-        if t is BOTTOM:
-            return BOTTOM
-        total += t
-    return total
-
-
-def t_max(terms: Iterable[Amp]) -> Amp:
-    """Exact maximum; BOTTOM only if every entry is BOTTOM.
-
-    An empty collection is an error so that accidentally-empty maxima cannot
-    masquerade as minus infinity.
-    """
-    items = list(terms)
-    if not items:
-        raise ValueError("t_max of an empty collection")
-    finite = [t for t in items if t is not BOTTOM]
-    return max(finite) if finite else BOTTOM
-
-
-def exchange_identity_check(
-    x1: Amp, x2: Amp, x3: Amp, x4: Amp, w1: Amp, w2: Amp, w3: Amp, w4: Amp
-) -> bool:
-    """Exchange identity for a pair of balanced maxima.
-
-    Returns True iff the premises ``max(x1,x2) == max(x3,x4)`` and
-    ``max(w1,w2) == max(w3,w4)`` hold and moreover
-
-        max(x1+w1, x3+w3, x2+w4, x4+w2) == max(x2+w2, x4+w4, x1+w3, x3+w1).
-
-    Under the premises the identity always holds (it is the max-plus image of
-    cross-multiplying two balanced differences), which makes this function a
-    property oracle: on premise-satisfying inputs it must never return False.
-    """
-    if t_max([x1, x2]) != t_max([x3, x4]):
-        return False
-    if t_max([w1, w2]) != t_max([w3, w4]):
-        return False
-    lhs = t_max([t_add(x1, w1), t_add(x3, w3), t_add(x2, w4), t_add(x4, w2)])
-    rhs = t_max([t_add(x2, w2), t_add(x4, w4), t_add(x1, w3), t_add(x3, w1)])
-    return lhs == rhs
 
 
 @dataclass(frozen=True)
@@ -257,12 +193,6 @@ class SolutionSet:
                 else:
                     out.add(Fraction(0))
         return sorted(out)
-
-    def to_json_obj(self) -> list:
-        def enc(e):
-            return None if e is None else str(e)
-
-        return [[enc(iv.lo), enc(iv.hi)] for iv in self.intervals]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SolutionSet):

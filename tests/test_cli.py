@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from udp6.cli import main
-from udp6.system import dump_params
 from udp6.tables import SolutionTable
 
 from goldens import golden1_y, golden1_z, golden2_y, golden2_z
+from oracles import dump_params
 
 
 @pytest.fixture
@@ -240,7 +244,8 @@ _BAD_RATIONAL_CASES = {
 @pytest.mark.parametrize("case", sorted(_BAD_RATIONAL_CASES))
 def test_zero_denominator_is_input_error(case, capsys, tmp_path, p42_file):
     bad_params = tmp_path / "bad.json"
-    obj = json.loads(open(p42_file).read())
+    with open(p42_file, encoding="utf-8") as fh:
+        obj = json.load(fh)
     obj["a1"] = "1/0"
     bad_params.write_text(json.dumps(obj))
     bad_table = tmp_path / "bad.csv"
@@ -258,3 +263,168 @@ def test_unknown_family_is_input_error(capsys, p41_file):
     )
     assert code == 1  # sol0 without --c
     assert "error" in err
+
+
+# --- parameter signs ------------------------------------------------------------------
+
+_SIGNED_CASES = {
+    "evolve": ("evolve", "--params", "{signed}", *_PAIRS, "--window", "-3:3"),
+    "riccati": ("riccati", "--params", "{signed}", "--y0", "-1:69", "--m0", "1", "--window", "1:3"),
+    "families": ("families", "--params", "{signed}", "--id", "sol0", "--c", "31"),
+    "families-lin": ("families", "--params", "{signed}", "--id", "lin", "--alpha", "89",
+                     "--beta", "111", "--gamma", "-117"),
+    "qlimit": ("qlimit", "--params", "{signed}", *_PAIRS, "--window", "0:2", "--eps", "1"),
+    "verify-riccati": ("verify", "--params", "{signed}", "--table", "{table}", "--riccati"),
+}
+
+
+@pytest.fixture
+def signed_file(tmp_path, p42_file):
+    # sa1*sa2*sa3*sa4 = sb1*sb2*sb3*sb4 still holds, so only the signs differ from p42
+    with open(p42_file, encoding="utf-8") as fh:
+        obj = json.load(fh)
+    path = tmp_path / "signed.json"
+    path.write_text(json.dumps({**obj, "sa1": -1, "sb1": -1}))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", sorted(_SIGNED_CASES))
+def test_parameter_signs_rejected_outside_verify(case, capsys, tmp_path, p42_file, signed_file):
+    table_path = tmp_path / "t.csv"
+    run(capsys, "evolve", "--params", p42_file, *_PAIRS, "--window", "-3:3", "--out", str(table_path))
+    argv = [a.format(signed=signed_file, table=table_path) for a in _SIGNED_CASES[case]]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ") and "sa1=-1, sb1=-1" in err
+
+
+def test_verify_honours_parameter_signs(capsys, tmp_path, p42_file, signed_file):
+    table_path = tmp_path / "t.csv"
+    run(capsys, "evolve", "--params", p42_file, *_PAIRS, "--window", "-3:3", "--out", str(table_path))
+    code, out, _ = run(capsys, "verify", "--params", p42_file, "--table", str(table_path))
+    assert code == 0 and "ok: 7 rows verified" in out
+    code, _, err = run(capsys, "verify", "--params", signed_file, "--table", str(table_path))
+    assert code == 3
+    assert "FAIL m=1 relation=zz" in err and "FAIL m=2 relation=zz" in err
+
+
+# --- fuzz: malformed flag values end in an exit code, never a traceback -------------------
+
+_P42 = {"q": 100, "a1": 32, "a2": 33, "a3": 37, "a4": 22, "b1": 53, "b2": 65, "b3": 8, "b4": 4}
+_P41 = {"q": 100, "a1": 25, "a2": 46, "a3": 67, "a4": 23, "b1": 59, "b2": 65, "b3": 1, "b4": 42}
+_FUZZ_PARAMS = {
+    "p42": json.dumps(_P42),
+    "p41": json.dumps(_P41),
+    "array": "[1, 2]",
+    "number": "3",
+    "null": "null",
+    "not-json": "{q: 1",
+    "signed": json.dumps({**_P42, "sa1": -1, "sb1": -1}),
+    "unbalanced-signs": json.dumps({**_P42, "sa1": -1}),
+    "sign-0": json.dumps({**_P42, "sb2": 0}),
+    "sign-2": json.dumps({**_P42, "sa3": 2}),
+    "missing-key": json.dumps({k: v for k, v in _P42.items() if k != "b4"}),
+    "extra-key": json.dumps({**_P42, "c": 1}),
+    "zero-denominator": json.dumps({**_P42, "a1": "1/0"}),
+    "nan": json.dumps({**_P42, "q": "nan"}),
+    "float": json.dumps({**_P42, "q": 1.5}),
+    "constraint": json.dumps({**_P42, "b4": 5}),
+}
+_FUZZ_TABLES = {
+    "golden": "m,sy,Y,sz,Z\n-1,-1,16,-1,-55\n0,-1,43,-1,40\n1,-1,122,-1,-28\n",
+    "empty": "",
+    "header-only": "m,sy,Y,sz,Z\n",
+    "bad-header": "m,sy,Y,sz\n0,-1,43,-1\n",
+    "short-row": "m,sy,Y,sz,Z\n0,-1,43,-1\n",
+    "sign-0": "m,sy,Y,sz,Z\n0,0,43,-1,40\n1,-1,122,-1,-28\n",
+    "sign-2": "m,sy,Y,sz,Z\n0,-1,43,2,40\n1,-1,122,-1,-28\n",
+    "zero-denominator": "m,sy,Y,sz,Z\n0,-1,43,-1,40\n1,-1,1/0,-1,-28\n",
+    "nan": "m,sy,Y,sz,Z\n0,-1,nan,-1,40\n",
+    "non-integer-m": "m,sy,Y,sz,Z\nx,-1,43,-1,40\n",
+    "gap": "m,sy,Y,sz,Z\n0,-1,43,-1,40\n2,-1,122,-1,-28\n",
+    "quoted": 'm,sy,Y,sz,Z\n"0,-1,43,-1,40\n',
+}
+# (well-formed, malformed) values per flag; each draw takes either kind half the time
+_RATIONALS = (("0", "-3", "7/2", "31", "47"), ("", "1/0", "nan", "inf", "x", "0.5"))
+_PAIR_VALUES = (("-1:43", "-1:40", "1:43", "1:-3/4", "-1:69", "1:23"),
+                ("", ":", "1:", ":5", "0:5", "2:5", "-1:1/0", "1:nan", "x:1"))
+_WINDOWS = (("0:0", "-4:4", "-1:1", "1:6", "-8:0"), ("", "3:1", "1/0:2", "a:b", "2"))
+_INTS = (("-1", "0", "1", "2", "-9"), ("", "x", "1.5"))
+_CAPS = (("1", "3", "64"), ("-5", "0", "x"))
+_EPS = (("1", "1,1/2,1/4", "1/4", "1,1/3"), ("", "1,1/0", "nan", "1,1", "1/2,1", "0", "-1"))
+_PRECISIONS = (("2", "64", "300"), ("0", "-5", "1", "x"))
+_PARAMS = (("@params/p42", "@params/p41"),
+           tuple(f"@params/{k}" for k in _FUZZ_PARAMS if k not in ("p42", "p41")) + ("@missing",))
+_TABLES = (("@table/golden",),
+           tuple(f"@table/{k}" for k in _FUZZ_TABLES if k != "golden") + ("@missing",))
+
+
+def _value(pools):
+    return st.one_of(*(st.sampled_from(values) for values in pools))
+
+
+def _req(flag, pools):
+    return _value(pools).map(lambda v: [flag, v])
+
+
+def _opt(flag, pools):
+    # the flag with a value, or the flag left out
+    return st.one_of(st.just([]), _req(flag, pools))
+
+
+def _switch(flag):
+    return st.sampled_from(([], [flag]))
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda ps: [a for part in ps for a in part])
+
+
+_FUZZ_ARGV = st.one_of(
+    _argv(st.just(["evolve"]), _req("--params", _PARAMS), _req("--y0", _PAIR_VALUES),
+          _req("--z0", _PAIR_VALUES), _req("--window", _WINDOWS), _opt("--m0", _INTS),
+          _opt("--branch-cap", _CAPS), _opt("--format", (("csv", "json"), ("xml",)))),
+    _argv(st.just(["verify"]), _req("--params", _PARAMS), _req("--table", _TABLES),
+          _switch("--riccati")),
+    _argv(st.just(["riccati"]), _req("--params", _PARAMS), _req("--y0", _PAIR_VALUES),
+          _req("--window", _WINDOWS), _opt("--m0", _INTS), _opt("--branch-cap", _CAPS),
+          _opt("--sampling", (("endpoints", "midpoint", "all-breakpoints"), ("every",)))),
+    _argv(st.just(["families"]), _opt("--params", _PARAMS),
+          _opt("--id", (("r1", "r3", "sol0", "soln2", "solp", "pconst", "lin", "linprime"), ("r9",))),
+          _opt("--c", _RATIONALS), _opt("--cprime", _RATIONALS), _opt("--m0", _INTS),
+          _opt("--alpha", _RATIONALS), _opt("--beta", _RATIONALS), _opt("--gamma", _RATIONALS),
+          _opt("--window", _WINDOWS), _switch("--list")),
+    _argv(st.just(["conjecture"]), _req("--n", (("0", "1", "2"), ("", "x", "-1"))),
+          _req("--window", _WINDOWS), _req("--seed", _INTS), _opt("--w", _INTS)),
+    _argv(st.just(["qlimit"]), _req("--params", _PARAMS),
+          st.one_of(_req("--table", _TABLES), _argv(_req("--y0", _PAIR_VALUES), _req("--z0", _PAIR_VALUES)),
+                    _argv(_opt("--table", _TABLES), _opt("--y0", _PAIR_VALUES))),
+          _opt("--m0", _INTS), _req("--window", _WINDOWS), _req("--eps", _EPS),
+          _opt("--precision", _PRECISIONS)),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = {"@missing": str(root / "missing")}
+    for kind, texts in (("params", _FUZZ_PARAMS), ("table", _FUZZ_TABLES)):
+        for key, text in texts.items():
+            path = root / f"{kind}-{key}"
+            path.write_text(text)
+            paths[f"@{kind}/{key}"] = str(path)
+    return paths
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(argv=_FUZZ_ARGV)
+def test_cli_fuzz_exits_without_traceback(fuzz_files, argv):
+    argv = [fuzz_files.get(a, a) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

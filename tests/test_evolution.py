@@ -188,6 +188,28 @@ def test_all_minus_sector_is_single_branch(rng):
         assert tree.tables[0] == fast
 
 
+def test_evolve_is_gauge_and_scale_equivariant(rng):
+    # tie-heavy inputs branch, and a cap of 6 truncates some of them
+    truncated = 0
+    for _ in range(60):
+        p = random_constrained_params(rng, -12, 12, (1, 12))
+        st = random_state(rng, rng.randint(-2, 2), -12, 12)
+        cfg = EvolutionConfig(-3, 3, max_branches=6)
+        tree = evolve(p, st, cfg)
+        truncated += tree.truncated
+        c = F(rng.randint(-40, 40), rng.randint(1, 4))
+        shifted = evolve(
+            p.gauge_shifted(c), StatePair(st.m, st.y.shifted(c), st.z.shifted(c)), cfg
+        )
+        assert shifted.tables == tuple(t.gauge_shifted(c) for t in tree.tables)
+        assert shifted.truncated == tree.truncated
+        lam = F(rng.randint(1, 9), rng.randint(1, 4))
+        scaled = evolve(p.scaled(lam), StatePair(st.m, st.y.scaled(lam), st.z.scaled(lam)), cfg)
+        assert scaled.tables == tuple(t.scaled(lam) for t in tree.tables)
+        assert scaled.truncated == tree.truncated
+    assert truncated
+
+
 # --- table serialization ------------------------------------------------------------
 
 

@@ -29,8 +29,10 @@ from udp6.qoracle import (
     _amp_bound,
     ud_limit_compare,
 )
-from udp6.system import ParityPair, Params, dump_params
+from udp6.system import ParityPair, Params
 from udp6.tables import SolutionTable
+
+from oracles import dump_params
 
 F = Fraction
 

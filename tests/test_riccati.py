@@ -17,6 +17,7 @@ from udp6.riccati import (
     theorem_check,
 )
 from udp6.system import ConstraintViolation, ParityPair, Params
+from udp6.tables import SolutionTable
 from udp6.tropical import Interval, SolutionSet
 
 F = Fraction
@@ -39,8 +40,9 @@ def test_conditions_examples(p41):
 
 def test_residuals_require_conditions(p42):
     assert not check_riccati_conditions(p42)
+    table = SolutionTable(0, (pp(1, 0), pp(1, 0)), (pp(1, 0), pp(1, 0)))
     with pytest.raises(ConstraintViolation):
-        residual_riccati2(p42, 0, pp(1, 0), pp(1, 0))
+        riccati_failures(p42, table)
 
 
 # --- residuals ---------------------------------------------------------------------
@@ -216,8 +218,6 @@ def test_riccati_evolve_random_theorem_suite(rng):
 
 def test_theorem_vacuous_on_non_solution(p41):
     # a table violating the subsystem relations cannot be a counterexample
-    from udp6.tables import SolutionTable
-
     t = SolutionTable(
         0,
         (pp(-1, 0), pp(-1, 1)),

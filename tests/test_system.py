@@ -2,7 +2,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from udp6.evolution import painleve_failures
 from udp6.generate import random_constrained_params, random_parity_pair
 from udp6.system import (
     ConstraintViolation,
@@ -12,13 +15,11 @@ from udp6.system import (
     params_from_obj,
     params_to_obj,
     residual_yy,
-    residual_yy_sides,
-    residual_yy_signed,
     residual_zz,
-    residual_zz_sides,
-    residual_zz_signed,
 )
-from udp6.tropical import parity_indicator, t_add, t_max
+from udp6.tables import SolutionTable
+
+from oracles import parity_indicator, t_add, t_max, yy_by_cases, yy_sides, zz_by_cases, zz_sides
 
 F = Fraction
 
@@ -47,8 +48,10 @@ def test_constraint_includes_sign_condition(p42):
 
 def test_residuals_require_constraint(p42):
     bad = Params.make(100, (32, 33, 37, 22), (53, 65, 8, 5))
+    table = SolutionTable(0, (pp(-1, 43), pp(-1, 122)), (pp(-1, 40), pp(-1, -28)))
+    assert not painleve_failures(p42, table)
     with pytest.raises(ConstraintViolation):
-        residual_zz(bad, 0, pp(-1, 43), pp(-1, 40), pp(-1, -28))
+        painleve_failures(bad, table)
 
 
 # --- residual examples -----------------------------------------------------------
@@ -85,11 +88,11 @@ def test_case_reductions_agree_with_filtered_sides(rng):
         p = random_constrained_params(rng)
         m = rng.randint(-6, 6)
         y, z0, z1 = (random_parity_pair(rng) for _ in range(3))
-        lhs, rhs = residual_zz_sides(p, m, y, z0, z1)
-        assert residual_zz(p, m, y, z0, z1) == (lhs == rhs)
+        lhs, rhs = zz_sides(p, m, y, z0, z1)
+        assert zz_by_cases(p, m, y, z0, z1) == (lhs == rhs)
         y1 = random_parity_pair(rng)
-        lhs, rhs = residual_yy_sides(p, m, y, y1, z1)
-        assert residual_yy(p, m, y, y1, z1) == (lhs == rhs)
+        lhs, rhs = yy_sides(p, m, y, y1, z1)
+        assert yy_by_cases(p, m, y, y1, z1) == (lhs == rhs)
 
 
 # --- signed equations --------------------------------------------------------------
@@ -97,14 +100,15 @@ def test_case_reductions_agree_with_filtered_sides(rng):
 
 def test_signed_trivial_identity():
     p = Params.make(0, (0, 0, 0, 0), (0, 0, 0, 0))
-    assert residual_zz_signed(p, 0, pp(1, 0), pp(1, 0), pp(1, 0))
-    assert residual_yy_signed(p, 0, pp(1, 0), pp(1, 0), pp(1, 0))
+    assert residual_zz(p, 0, pp(1, 0), pp(1, 0), pp(1, 0))
+    assert residual_yy(p, 0, pp(1, 0), pp(1, 0), pp(1, 0))
 
 
 def test_signed_requires_sign_constraint(p42):
     bad = Params.make(p42.q, (32, 33, 37, 22), (53, 65, 8, 4), sa=(-1, 1, 1, 1))
+    table = SolutionTable(0, (pp(1, 0), pp(1, 0)), (pp(1, 0), pp(1, 0)))
     with pytest.raises(ConstraintViolation):
-        residual_zz_signed(bad, 0, pp(1, 0), pp(1, 0), pp(1, 0))
+        painleve_failures(bad, table)
 
 
 def test_signed_specializes_to_plain(rng):
@@ -112,8 +116,8 @@ def test_signed_specializes_to_plain(rng):
         p = random_constrained_params(rng)
         m = rng.randint(-6, 6)
         y, z0, z1, y1 = (random_parity_pair(rng) for _ in range(4))
-        assert residual_zz_signed(p, m, y, z0, z1) == residual_zz(p, m, y, z0, z1)
-        assert residual_yy_signed(p, m, y, y1, z1) == residual_yy(p, m, y, y1, z1)
+        assert residual_zz(p, m, y, z0, z1) == zz_by_cases(p, m, y, z0, z1)
+        assert residual_yy(p, m, y, y1, z1) == yy_by_cases(p, m, y, y1, z1)
 
 
 def _S(sign):
@@ -198,8 +202,31 @@ def test_signed_agrees_with_independent_transcription(rng):
         )
         m = rng.randint(-5, 5)
         y, z0, z1, y1 = (random_parity_pair(rng) for _ in range(4))
-        assert residual_zz_signed(p, m, y, z0, z1) == _zz_signed_by_hand(p, m, y, z0, z1)
-        assert residual_yy_signed(p, m, y, y1, z1) == _yy_signed_by_hand(p, m, y, y1, z1)
+        assert residual_zz(p, m, y, z0, z1) == _zz_signed_by_hand(p, m, y, z0, z1)
+        assert residual_yy(p, m, y, y1, z1) == _yy_signed_by_hand(p, m, y, y1, z1)
+
+
+# tie-heavy inputs: small integer amplitudes, so equal terms are frequent
+_amps = st.integers(-12, 12).map(F)
+_signs = st.sampled_from((1, -1))
+_pairs = st.builds(ParityPair, _signs, _amps)
+_signed_params = st.builds(
+    lambda q, amps, signs: Params(q, *amps, *signs),
+    st.integers(1, 12).map(F),
+    st.lists(_amps, min_size=8, max_size=8),
+    st.lists(_signs, min_size=8, max_size=8),
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(p=_signed_params, m=st.integers(-3, 3), y0=_pairs, y1=_pairs, z1=_pairs)
+def test_y_relation_is_the_mirrored_z_relation(p, m, y0, y1, z1):
+    # any signs, no constraint: the exchange is an identity of the relations
+    by_hand = _yy_signed_by_hand(p, m, y0, y1, z1)
+    assert residual_zz(p.mirrored, m, z1, y0, y1) == by_hand
+    assert _zz_signed_by_hand(p.mirrored, m, z1, y0, y1) == by_hand
+    assert residual_yy(p, m, y0, y1, z1) == by_hand
+    assert p.mirrored.mirrored == p
 
 
 # --- invariances ----------------------------------------------------------------

@@ -11,13 +11,11 @@ from udp6.tropical import (
     Interval,
     LinTerm,
     SolutionSet,
-    exchange_identity_check,
     is_bottom,
-    parity_indicator,
     solve_one_unknown,
-    t_add,
-    t_max,
 )
+
+from oracles import exchange_identity_check, parity_indicator, t_add, t_max
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=8)
 signs = st.sampled_from((1, -1))
