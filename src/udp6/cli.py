@@ -190,6 +190,8 @@ def _cmd_families(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
+    if args.n < 1:
+        raise ValueError("--n must be at least 1")
     lo, hi = _parse_window(args.window)
     rng = random.Random(args.seed)
     detected = 0

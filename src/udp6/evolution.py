@@ -23,8 +23,12 @@ solvers: each relation is symmetric in its two same-letter variables, so
 solving for the earlier one is the forward solve at index m-1 with the known
 value in the other slot.
 
-Steppers check nothing; ``evolve``, ``evolve_noparity`` and
-``painleve_failures`` validate the parameters once on entry.
+Steppers check nothing.  ``evolve``, ``evolve_noparity`` and
+``painleve_failures`` validate the parameters once on entry, compute D, the
+lcm of the denominators of the parameters and of the input amplitudes (the
+initial state or the table), and run the kernel and the steppers on the
+integer images of both (see ``udp6.system``); output tables map each
+amplitude n back to ``Fraction(n, D)``.
 """
 
 from __future__ import annotations
@@ -32,16 +36,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterable, List, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from .system import (
     ParityPair,
     Params,
     StatePair,
+    denominator_lcm,
     require_constraint,
     require_unsigned,
     residual_yy,
     residual_zz,
+    scale_to_int,
 )
 from .tables import SolutionTable
 
@@ -89,41 +95,61 @@ class BranchTree:
     truncated: bool
 
 
+class _Partial:
+    """A partial table as its last update and a link to its parent: a child
+    costs its update, not a copy, and a lookup walks up to the key."""
+
+    __slots__ = ("update", "parent")
+
+    def __init__(self, update: dict, parent: Optional["_Partial"]) -> None:
+        self.update, self.parent = update, parent
+
+    def __getitem__(self, key):
+        node = self
+        while key not in node.update:
+            node = node.parent
+        return node.update[key]
+
+
 def grow_tables(
     root: dict,
-    steps: List[Callable[[dict], Iterable[dict]]],
+    steps: List[Callable[[_Partial], Iterable[dict]]],
     cap: int,
     window: Tuple[int, int],
+    d: Optional[int] = None,
 ) -> BranchTree:
     """The branching frontier shared by ``evolve`` and ``riccati_evolve``.
 
     A partial table maps ("y", m) and ("z", m) to parity pairs.  Each step
     maps a partial table to the ordered updates of its children; after each
     step only the first ``cap`` children are kept, and the result is
-    flagged truncated if any step dropped children.
+    flagged truncated if any step dropped children.  The columns of each
+    surviving leaf are assembled at the end; with ``d`` given, amplitudes
+    are integer images and each n becomes ``Fraction(n, d)``.
     """
-    partials, truncated = [root], False
+    partials, truncated = [_Partial(root, None)], False
     for updates in steps:
-        grown = list(islice(({**t, **u} for t in partials for u in updates(t)), cap + 1))
+        grown = list(islice((_Partial(u, t) for t in partials for u in updates(t)), cap + 1))
         partials, truncated = grown[:cap], truncated or len(grown) > cap
     lo, hi = window
-    tables = tuple(
-        SolutionTable(
-            lo,
-            tuple(t["y", m] for m in range(lo, hi + 1)),
-            tuple(t["z", m] for m in range(lo, hi + 1)),
-        )
-        for t in partials
-    )
-    return BranchTree(tables, truncated)
+    back = (lambda c: c) if d is None else (lambda c: ParityPair(c.sign, Fraction(c.amp, d)))
+    tables = []
+    for leaf in partials:
+        cells = {}
+        while leaf:
+            cells.update(leaf.update)
+            leaf = leaf.parent
+        ys, zs = (tuple(back(cells[k, m]) for m in range(lo, hi + 1)) for k in "yz")
+        tables.append(SolutionTable(lo, ys, zs))
+    return BranchTree(tuple(tables), truncated)
 
 
 # --- deterministic closed-form steps (all-minus parity sector) ---------------
 
 
-def step_z_noparity(p: Params, m: int, y_amp, z_amp) -> Fraction:
+def step_z_noparity(p: Params, m: int, y_amp, z_amp):
     """Unique next z amplitude in the all-minus sector."""
-    y, z = Fraction(y_amp), Fraction(z_amp)
+    y, z = y_amp, z_amp
     mq = m * p.q
     return (
         p.b3 + p.b4 + max(mq + p.a1, y) + max(mq + p.a2, y)
@@ -131,17 +157,17 @@ def step_z_noparity(p: Params, m: int, y_amp, z_amp) -> Fraction:
     )
 
 
-def step_y_noparity(p: Params, m: int, y_amp, z_next_amp) -> Fraction:
+def step_y_noparity(p: Params, m: int, y_amp, z_next_amp):
     """Unique next y amplitude in the all-minus sector (mirrored z-step)."""
     return step_z_noparity(p.mirrored, m, z_next_amp, y_amp)
 
 
-def step_back_y_noparity(p: Params, m: int, y_amp, z_amp) -> Fraction:
+def step_back_y_noparity(p: Params, m: int, y_amp, z_amp):
     """Previous y amplitude; the y-relation at m-1 read for its earlier slot."""
     return step_y_noparity(p, m - 1, y_amp, z_amp)
 
 
-def step_back_z_noparity(p: Params, m: int, y_prev_amp, z_amp) -> Fraction:
+def step_back_z_noparity(p: Params, m: int, y_prev_amp, z_amp):
     """Previous z amplitude; the z-relation at m-1 read for its earlier slot."""
     return step_z_noparity(p, m - 1, y_prev_amp, z_amp)
 
@@ -225,6 +251,8 @@ def evolve(p: Params, initial: StatePair, cfg: EvolutionConfig) -> BranchTree:
     if not (cfg.m_min <= initial.m <= cfg.m_max):
         raise ValueError("initial index must lie inside the window")
 
+    d = denominator_lcm(p, (initial.y.amp, initial.z.amp))
+    p = p.integer_image(d)  # the steps below run on integer images
     m0 = initial.m
     # one step per (z, y) pair, so the cap applies after each pair
     steps = [
@@ -243,8 +271,8 @@ def evolve(p: Params, initial: StatePair, cfg: EvolutionConfig) -> BranchTree:
         )
         for m in range(m0, cfg.m_min, -1)
     ]
-    root = {("y", m0): initial.y, ("z", m0): initial.z}
-    return grow_tables(root, steps, cfg.max_branches, (cfg.m_min, cfg.m_max))
+    root = {("y", m0): initial.y.integer_image(d), ("z", m0): initial.z.integer_image(d)}
+    return grow_tables(root, steps, cfg.max_branches, (cfg.m_min, cfg.m_max), d)
 
 
 def evolve_noparity(p: Params, m0: int, y0, z0, window: Tuple[int, int]) -> SolutionTable:
@@ -253,8 +281,11 @@ def evolve_noparity(p: Params, m0: int, y0, z0, window: Tuple[int, int]) -> Solu
     lo, hi = window
     if not (lo <= m0 <= hi):
         raise ValueError("initial index must lie inside the window")
-    ys = {m0: Fraction(y0)}
-    zs = {m0: Fraction(z0)}
+    y0, z0 = Fraction(y0), Fraction(z0)
+    d = denominator_lcm(p, (y0, z0))
+    p = p.integer_image(d)
+    ys = {m0: scale_to_int(y0, d)}
+    zs = {m0: scale_to_int(z0, d)}
     for m in range(m0, hi):
         zs[m + 1] = step_z_noparity(p, m, ys[m], zs[m])
         ys[m + 1] = step_y_noparity(p, m, ys[m], zs[m + 1])
@@ -263,8 +294,8 @@ def evolve_noparity(p: Params, m0: int, y0, z0, window: Tuple[int, int]) -> Solu
         zs[m - 1] = step_back_z_noparity(p, m, ys[m - 1], zs[m])
     return SolutionTable(
         lo,
-        tuple(ParityPair(-1, ys[m]) for m in range(lo, hi + 1)),
-        tuple(ParityPair(-1, zs[m]) for m in range(lo, hi + 1)),
+        tuple(ParityPair(-1, Fraction(ys[m], d)) for m in range(lo, hi + 1)),
+        tuple(ParityPair(-1, Fraction(zs[m], d)) for m in range(lo, hi + 1)),
     )
 
 
@@ -274,10 +305,14 @@ def painleve_failures(p: Params, table: SolutionTable) -> List[Tuple[int, str]]:
     Parameter signs are admitted; the constraint is checked on entry.
     """
     require_constraint(p)
+    d = denominator_lcm(p, (c.amp for c in table.ys + table.zs))
+    p = p.integer_image(d)
+    ys = [c.integer_image(d) for c in table.ys]
+    zs = [c.integer_image(d) for c in table.zs]
     bad = []
-    for m in range(table.m_lo, table.m_hi):
-        if not residual_zz(p, m, table.y(m), table.z(m), table.z(m + 1)):
+    for i, m in enumerate(range(table.m_lo, table.m_hi)):
+        if not residual_zz(p, m, ys[i], zs[i], zs[i + 1]):
             bad.append((m, "zz"))
-        if not residual_yy(p, m, table.y(m), table.y(m + 1), table.z(m + 1)):
+        if not residual_yy(p, m, ys[i], ys[i + 1], zs[i + 1]):
             bad.append((m, "yy"))
     return bad

@@ -403,6 +403,45 @@ def _affine_on(vals: List[Fraction]) -> bool:
     return all(vals[i + 2] - 2 * vals[i + 1] + vals[i] == 0 for i in range(len(vals) - 2))
 
 
+def _end_fit(p: Params, table: SolutionTable, w: int, forward: bool) -> Optional[AffineFit]:
+    """The exact affine tail at one end of the table, or None: the last
+    ``w`` steps against the unprimed ansatz (``forward``), or the first ``w``
+    against the primed one.  ``inward`` is the direction from that end into
+    the table."""
+    lo, hi = table.m_lo, table.m_hi
+    edge, inward = (hi, -1) if forward else (lo, 1)
+    ms = range(edge, edge + inward * (w + 1), inward)
+    ys = [table.y(m).amp for m in ms]
+    zs = [table.z(m).amp for m in ms]
+    if not (_affine_on(ys) and _affine_on(zs)):
+        return None
+    slope_y, slope_z = inward * (ys[1] - ys[0]), inward * (zs[1] - zs[0])
+    beta, gamma = ys[0] - slope_y * edge, zs[0] - slope_z * edge
+    m_edge = ms[-1]
+    while lo <= m_edge + inward <= hi and (
+        table.y(m_edge + inward).amp == slope_y * (m_edge + inward) + beta
+        and table.z(m_edge + inward).amp == slope_z * (m_edge + inward) + gamma
+    ):
+        m_edge += inward
+    alpha = slope_z if forward else slope_y
+    fit = LinearAnsatz(alpha, beta, gamma)
+    return AffineFit(
+        m_edge=m_edge,
+        slope_y=slope_y,
+        slope_z=slope_z,
+        alpha=alpha,
+        beta=beta,
+        gamma=gamma,
+        slopes_ok=slope_y + slope_z == p.q if forward else slope_y == slope_z,
+        range_ok=0 <= alpha <= p.q,
+        identity_ok=ansatz_identity_holds(p, fit, primed=not forward),
+        inequalities_ok=all(
+            _ansatz_inequalities(p, fit, m, primed=not forward)
+            for m in (range(m_edge, hi) if forward else range(lo, m_edge))
+        ),
+    )
+
+
 def detect_asymptotic_linearity(p: Params, table: SolutionTable, w: int) -> LinearityReport:
     """Detect exact affine behaviour at both ends of a computed table.
 
@@ -418,69 +457,7 @@ def detect_asymptotic_linearity(p: Params, table: SolutionTable, w: int) -> Line
         raise ValueError("window length w must be at least 2")
     if len(table) < 2 * w + 2:
         raise ValueError(f"table too short: need at least {2 * w + 2} points")
-    lo, hi = table.m_lo, table.m_hi
-
-    def on_line(m: int, slope_y, off_y, slope_z, off_z) -> bool:
-        return (
-            table.y(m).amp == slope_y * m + off_y
-            and table.z(m).amp == slope_z * m + off_z
-        )
-
-    forward = None
-    tail_y = [table.y(m).amp for m in range(hi - w, hi + 1)]
-    tail_z = [table.z(m).amp for m in range(hi - w, hi + 1)]
-    if _affine_on(tail_y) and _affine_on(tail_z):
-        slope_y = tail_y[-1] - tail_y[-2]
-        slope_z = tail_z[-1] - tail_z[-2]
-        beta = table.y(hi).amp - slope_y * hi
-        gamma = table.z(hi).amp - slope_z * hi
-        m_edge = hi - w
-        while m_edge > lo and on_line(m_edge - 1, slope_y, beta, slope_z, gamma):
-            m_edge -= 1
-        alpha = slope_z
-        fit = LinearAnsatz(alpha, beta, gamma)
-        forward = AffineFit(
-            m_edge=m_edge,
-            slope_y=slope_y,
-            slope_z=slope_z,
-            alpha=alpha,
-            beta=beta,
-            gamma=gamma,
-            slopes_ok=slope_y + slope_z == p.q,
-            range_ok=0 <= alpha <= p.q,
-            identity_ok=ansatz_identity_holds(p, fit, primed=False),
-            inequalities_ok=all(
-                _ansatz_inequalities(p, fit, m, primed=False) for m in range(m_edge, hi)
-            ),
-        )
-
-    backward = None
-    head_y = [table.y(m).amp for m in range(lo, lo + w + 1)]
-    head_z = [table.z(m).amp for m in range(lo, lo + w + 1)]
-    if _affine_on(head_y) and _affine_on(head_z):
-        slope_y = head_y[1] - head_y[0]
-        slope_z = head_z[1] - head_z[0]
-        beta = table.y(lo).amp - slope_y * lo
-        gamma = table.z(lo).amp - slope_z * lo
-        m_edge = lo + w
-        while m_edge < hi and on_line(m_edge + 1, slope_y, beta, slope_z, gamma):
-            m_edge += 1
-        alpha = slope_y
-        fit = LinearAnsatz(alpha, beta, gamma)
-        backward = AffineFit(
-            m_edge=m_edge,
-            slope_y=slope_y,
-            slope_z=slope_z,
-            alpha=alpha,
-            beta=beta,
-            gamma=gamma,
-            slopes_ok=slope_y == slope_z,
-            range_ok=0 <= alpha <= p.q,
-            identity_ok=ansatz_identity_holds(p, fit, primed=True),
-            inequalities_ok=all(
-                _ansatz_inequalities(p, fit, m, primed=True)
-                for m in range(lo, m_edge)
-            ),
-        )
-
-    return LinearityReport(forward=forward, backward=backward)
+    return LinearityReport(
+        forward=_end_fit(p, table, w, forward=True),
+        backward=_end_fit(p, table, w, forward=False),
+    )

@@ -8,6 +8,17 @@ fixed, each relation reduces to an exact identity between two maxima of
 rationals.  A residual check decides that identity exactly; there is no
 numeric tolerance anywhere.
 
+Amplitudes are rationals (``Fraction``) where they enter and leave, and ints
+inside.  Every term of both relations is an integer combination of Q, the
+amplitudes and the state, so multiplying all of them by D, the lcm of their
+denominators (``denominator_lcm``), gives an integer problem with the same
+verdicts: the ``integer_image`` of the parameters and of the state.  The
+kernel only adds, takes maxima and compares, so the same code runs on either
+kind; ``evolve``, ``evolve_noparity`` and ``painleve_failures`` compute D on
+entry, run on ints and map amplitudes back with ``Fraction(n, D)`` only when
+they build an output table.  Constructors keep ints as they are and turn
+anything else into a ``Fraction``.
+
 The library holds one transcription, the eight-term z-relation with
 parameter signs.  The y-relation is that kernel mirrored: A and B (amplitudes
 and signs) exchanged, y and z exchanged; ``Params.mirrored`` builds the
@@ -22,7 +33,8 @@ import json
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Union
+from math import lcm
+from typing import Iterable, Union
 
 from .tropical import check_sign
 
@@ -32,6 +44,7 @@ __all__ = [
     "Params",
     "StatePair",
     "check_constraint",
+    "denominator_lcm",
     "load_params",
     "params_from_obj",
     "params_to_obj",
@@ -40,11 +53,19 @@ __all__ = [
     "require_unsigned",
     "residual_yy",
     "residual_zz",
+    "scale_to_int",
 ]
 
 
 class ConstraintViolation(ValueError):
     """A parameter constraint required by an operation does not hold."""
+
+
+def scale_to_int(x, d: int) -> int:
+    """x * d as an int; d must be a multiple of the denominator of x."""
+    k, r = divmod(d, x.denominator)
+    assert r == 0, f"{x} * {d} is not an integer"
+    return x.numerator * k
 
 
 @dataclass(frozen=True)
@@ -56,8 +77,12 @@ class ParityPair:
 
     def __post_init__(self) -> None:
         check_sign(self.sign)
-        if not isinstance(self.amp, Fraction):
+        if not isinstance(self.amp, (int, Fraction)):
             object.__setattr__(self, "amp", Fraction(self.amp))
+
+    def integer_image(self, d: int) -> "ParityPair":
+        """The sign and the amplitude times d, as an int."""
+        return ParityPair(self.sign, scale_to_int(self.amp, d))
 
     def shifted(self, c) -> "ParityPair":
         return ParityPair(self.sign, self.amp + Fraction(c))
@@ -113,7 +138,7 @@ class Params:
             v = getattr(self, f.name)
             if f.name in _SIGN_KEYS:
                 check_sign(v)
-            elif not isinstance(v, Fraction):
+            elif not isinstance(v, (int, Fraction)):
                 object.__setattr__(self, f.name, Fraction(v))
 
     @classmethod
@@ -143,6 +168,10 @@ class Params:
         b34 = self.b3 + self.b4
         return self.a1 + self.a2 + b34, b34, self.a1 + b34, self.a2 + b34, self.a3 + self.a4
 
+    def integer_image(self, d: int) -> "Params":
+        """Q and every amplitude times d, as ints; the signs are kept."""
+        return replace(self, **{k: scale_to_int(getattr(self, k), d) for k in _AMP_KEYS})
+
     def gauge_shifted(self, c) -> "Params":
         """Shift every amplitude by c, keeping Q and the signs."""
         c = Fraction(c)
@@ -154,6 +183,11 @@ class Params:
         if lam <= 0:
             raise ValueError("scale factor must be positive")
         return replace(self, **{k: getattr(self, k) * lam for k in _AMP_KEYS})
+
+
+def denominator_lcm(p: Params, amps: Iterable) -> int:
+    """D: the lcm of the denominators of Q, the amplitudes of p and ``amps``."""
+    return lcm(*(getattr(p, k).denominator for k in _AMP_KEYS), *(a.denominator for a in amps))
 
 
 def check_constraint(p: Params) -> bool:

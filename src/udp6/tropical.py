@@ -1,9 +1,13 @@
 """Exact max-plus primitives.
 
-Amplitudes are exact :class:`fractions.Fraction` values extended with a unique
-bottom element ``BOTTOM`` standing for minus infinity: the identity of ``max``
-and absorbing for ``+``.  Exactness is load-bearing: downstream branching is
-triggered by exact ties between amplitudes, which floats would miss.
+Amplitudes are exact rationals, never floats: ``Fraction`` values where they
+enter and leave the library, ints where the parity relations, steppers and
+window drivers run on the integer image of their inputs (see
+``udp6.system``).  The one-unknown solver here stays on Fractions, since its
+breakpoints divide by slope differences.  A unique bottom element ``BOTTOM``
+stands for minus infinity: the identity of ``max`` and absorbing for ``+``.
+Exactness is load-bearing: downstream branching is triggered by exact ties
+between amplitudes, which floats would miss.
 
 Everything here is immutable and pure.
 """

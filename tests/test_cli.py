@@ -208,6 +208,12 @@ def test_conjecture_deterministic_output(tmp_path, capsys):
     assert 0 <= doc["linear_detected"] <= 8
 
 
+@pytest.mark.parametrize("n", ["-1", "0"])
+def test_conjecture_rejects_n_below_one(n, capsys):
+    code, out, err = run(capsys, "conjecture", "--n", n, "--window", "-4:4", "--seed", "1")
+    assert (code, out, err) == (1, "", "error: --n must be at least 1\n")
+
+
 def test_qlimit_subcommand(capsys, p42_file):
     code, out, _ = run(
         capsys, "qlimit", "--params", p42_file,

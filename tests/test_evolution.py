@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import udp6.evolution as evolution
 from udp6.evolution import (
     EvolutionConfig,
     evolve,
@@ -19,6 +22,7 @@ from udp6.system import ParityPair, Params, StatePair, residual_yy, residual_zz
 from udp6.tables import SolutionTable
 
 from goldens import golden1_y, golden1_z, golden2_y, golden2_z
+from oracles import yy_by_cases, zz_by_cases
 
 F = Fraction
 
@@ -208,6 +212,97 @@ def test_evolve_is_gauge_and_scale_equivariant(rng):
         assert scaled.tables == tuple(t.scaled(lam) for t in tree.tables)
         assert scaled.truncated == tree.truncated
     assert truncated
+
+
+def test_forward_then_backward_recovers_initial_state(rng):
+    # evolve over [m0, m0+k], then back from each leaf's end state over the
+    # same window: some branch must pass through the initial state again
+    tables = 0
+    for _ in range(400):
+        p = random_constrained_params(rng, -12, 12, (1, 12))
+        m0, k = rng.randint(-3, 3), rng.randint(1, 3)
+        start = random_state(rng, m0, -12, 12)
+        cfg = EvolutionConfig(m0, m0 + k, max_branches=256)
+        forward = evolve(p, start, cfg)
+        for t in () if forward.truncated else forward.tables:
+            backward = evolve(p, t.state(m0 + k), cfg)
+            if not backward.truncated:
+                assert start in [b.state(m0) for b in backward.tables]
+                tables += 1
+    assert tables >= 400
+
+
+# --- rational inputs: the integer image ---------------------------------------------
+
+
+def _oracle_failures(p, t):
+    bad = []
+    for m in range(t.m_lo, t.m_hi):
+        if not zz_by_cases(p, m, t.y(m), t.z(m), t.z(m + 1)):
+            bad.append((m, "zz"))
+        if not yy_by_cases(p, m, t.y(m), t.y(m + 1), t.z(m + 1)):
+            bad.append((m, "yy"))
+    return bad
+
+
+_RATIONAL = st.builds(F, st.integers(-24, 24), st.integers(1, 12))
+
+
+@st.composite
+def _rational_case(draw):
+    """Constrained parameters and a state, all with denominators in 1..12."""
+    q = draw(st.builds(F, st.integers(1, 24), st.integers(1, 12)))
+    a = [draw(_RATIONAL) for _ in range(4)]
+    b1, b2, b3 = (draw(_RATIONAL) for _ in range(3))
+    b4 = b1 + b2 + a[2] + a[3] - q - a[0] - a[1] - b3
+    y, z = (ParityPair(draw(st.sampled_from((1, -1))), draw(_RATIONAL)) for _ in range(2))
+    return Params.make(q, a, (b1, b2, b3, b4)), StatePair(draw(st.integers(-2, 2)), y, z)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    case=_rational_case(),
+    cell=st.tuples(st.integers(-3, 3), st.sampled_from("yz"), st.integers(1, 12)),
+)
+def test_rational_inputs_agree_with_case_oracles(case, cell):
+    p, start = case
+    tree = evolve(p, start, EvolutionConfig(-3, 3, max_branches=16))
+    flat = evolve_noparity(p, start.m, start.y.amp, start.z.amp, (-3, 3))
+    for t in tree.tables + (flat,):
+        assert not _oracle_failures(p, t)
+        assert not painleve_failures(p, t)
+    assert all(t.state(start.m) == start for t in tree.tables)
+    # one cell moved by 1/k: its denominator need not divide the parameters'
+    m, which, k = cell
+    for t in tree.tables[:2] + (flat,):
+        cols = {"y": list(t.ys), "z": list(t.zs)}
+        cols[which][m + 3] = cols[which][m + 3].shifted(F(1, k))
+        moved = SolutionTable(t.m_lo, tuple(cols["y"]), tuple(cols["z"]))
+        assert painleve_failures(p, moved) == _oracle_failures(p, moved)
+
+
+def test_kernel_runs_on_ints(monkeypatch):
+    # evolve, evolve_noparity and painleve_failures hand the kernel and the
+    # steppers the integer image of rational inputs, never Fractions
+    seen = []
+
+    def only_ints(fn):
+        def wrapper(p, m, *args):
+            amps = [getattr(p, k) for k in ("q", "a1", "a2", "a3", "a4", "b1", "b2", "b3", "b4")]
+            amps += [a.amp if isinstance(a, ParityPair) else a for a in args]
+            assert all(type(a) is int for a in amps), (fn.__name__, amps)
+            seen.append(fn.__name__)
+            return fn(p, m, *args)
+        return wrapper
+
+    for name in ("residual_zz", "residual_yy", "step_z_parity", "step_z_noparity"):
+        monkeypatch.setattr(evolution, name, only_ints(getattr(evolution, name)))
+    p = Params.make(F(7, 2), (F(1, 3), 2, F(-5, 4), 0), (F(2, 3), F(1, 6), 1, F(-29, 4)))
+    start = StatePair(0, pp(1, F(5, 7)), pp(1, F(-1, 9)))
+    tree = evolve(p, start, EvolutionConfig(-3, 3))
+    table = evolve_noparity(p, 0, F(5, 7), F(-1, 9), (-3, 3))
+    assert all(not painleve_failures(p, t) for t in tree.tables + (table,))
+    assert set(seen) == {"residual_zz", "residual_yy", "step_z_parity", "step_z_noparity"}
 
 
 # --- table serialization ------------------------------------------------------------
