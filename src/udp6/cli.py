@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: evolve, verify, riccati, families, conjecture, qlimit.
-Exit codes: 0 ok, 1 input/validation error, 2 branch-cap truncation,
-3 verification failure.  Identical inputs and seed produce byte-identical
-outputs; files are written atomically with LF line endings.
+Exit codes: 0 ok, 1 input/validation error (usage errors included),
+2 branch-cap truncation, 3 verification failure.  Identical inputs and seed
+produce byte-identical outputs; files are written atomically with LF line
+endings.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .families import FAMILY_IDS, FamilySpec, LinearAnsatz, detect_asymptotic_li
 from .generate import random_constrained_params
 from .qoracle import EpsSchedule, ud_limit_compare
 from .riccati import riccati_evolve, riccati_failures
-from .system import ParityPair, StatePair, load_params, params_to_obj, parse_rational
-from .tables import SolutionTable, branches_to_json_obj
+from .system import ParityPair, StatePair, load_params, params_to_obj, parse_pair, parse_rational
+from .tables import SolutionTable, branches_json_text, branches_to_json_obj
 
 __all__ = ["main"]
 
@@ -53,8 +54,7 @@ def _parse_pair(text: str) -> ParityPair:
     sign_s, _, amp_s = text.partition(":")
     if not amp_s:
         raise ValueError(f"expected sign:amplitude, got {text!r}")
-    sign = int(sign_s)
-    return ParityPair(sign, parse_rational(amp_s, "amplitude"))
+    return parse_pair(sign_s, amp_s, "amplitude")
 
 
 def _parse_window(text: str) -> Tuple[int, int]:
@@ -93,7 +93,7 @@ def _json_text(obj) -> str:
 
 def _tables_text(tables, truncated: bool, fmt: str) -> str:
     if fmt == "json":
-        return _json_text(branches_to_json_obj(tables, truncated))
+        return branches_json_text(branches_to_json_obj(tables, truncated))
     parts = []
     if len(tables) > 1:
         for i, t in enumerate(tables):
@@ -154,8 +154,14 @@ def _cmd_riccati(args) -> int:
     return 0
 
 
+_FAMILY_OPTIONS = ("params", "id", "c", "cprime", "m0", "alpha", "beta", "gamma", "window", "out")
+
+
 def _cmd_families(args) -> int:
     if args.list:
+        given = [f"--{k}" for k in _FAMILY_OPTIONS if getattr(args, k) is not None]
+        if given:
+            raise ValueError(f"--list takes no other options, got {', '.join(given)}")
         sys.stdout.write("\n".join(FAMILY_IDS) + "\n")
         return 0
     if not args.params or not args.id:
@@ -177,7 +183,7 @@ def _cmd_families(args) -> int:
         m0=args.m0,
         ansatz=ansatz,
     )
-    lo, hi = _parse_window(args.window)
+    lo, hi = _parse_window("-10:10" if args.window is None else args.window)
     result = instantiate_family(spec, p, (lo, hi))
     report = result.to_json_obj()
     if args.format == "json":
@@ -232,7 +238,9 @@ def _cmd_qlimit(args) -> int:
     p = load_params(args.params)
     lo, hi = _parse_window(args.window)
     schedule = EpsSchedule.from_string(args.eps)
-    if args.table:
+    if args.table is not None:
+        if args.y0 is not None or args.z0 is not None:
+            raise ValueError("qlimit takes either --table or --y0/--z0, not both")
         with open(args.table, "r", encoding="utf-8") as fh:
             table = SolutionTable.from_csv_text(fh.read())
     else:
@@ -299,8 +307,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha")
     sp.add_argument("--beta")
     sp.add_argument("--gamma")
-    sp.add_argument("--window", default="-10:10")
-    sp.add_argument("--list", action="store_true", help="list family ids and exit")
+    sp.add_argument("--window", help="lo:hi inclusive (default -10:10)")
+    sp.add_argument("--list", action="store_true", help="list family ids and exit; takes no other option")
     common_out(sp)
     sp.set_defaults(fn=_cmd_families)
 
@@ -334,9 +342,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_glue_values(argv))
+        args = _build_parser().parse_args(_glue_values(argv))
+    except SystemExit as exc:  # --help exits 0; a usage error is an input error, not 2
+        return 1 if exc.code else 0
+    try:
         return args.fn(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,8 +27,10 @@ Steppers check nothing.  ``evolve``, ``evolve_noparity`` and
 ``painleve_failures`` validate the parameters once on entry, compute D, the
 lcm of the denominators of the parameters and of the input amplitudes (the
 initial state or the table), and run the kernel and the steppers on the
-integer images of both (see ``udp6.system``); output tables map each
-amplitude n back to ``Fraction(n, D)``.
+integer images of both (see ``udp6.system``).  Output tables map each
+amplitude n back to ``Fraction(n, D)`` only when D > 1; with D = 1 the
+integer cells are the output cells, and branches share the cells of the
+steps they have in common.
 """
 
 from __future__ import annotations
@@ -111,12 +113,18 @@ class _Partial:
         return node.update[key]
 
 
+def _from_image(cells: Iterable[ParityPair], d: int) -> Tuple[ParityPair, ...]:
+    """Output cells from integer-image cells of scale d: amplitudes
+    ``Fraction(n, d)`` when d > 1, the integer cells themselves when d = 1."""
+    return tuple(cells) if d == 1 else tuple(ParityPair(s, Fraction(n, d)) for s, n in cells)
+
+
 def grow_tables(
     root: dict,
     steps: List[Callable[[_Partial], Iterable[dict]]],
     cap: int,
     window: Tuple[int, int],
-    d: Optional[int] = None,
+    d: int = 1,
 ) -> BranchTree:
     """The branching frontier shared by ``evolve`` and ``riccati_evolve``.
 
@@ -124,22 +132,21 @@ def grow_tables(
     maps a partial table to the ordered updates of its children; after each
     step only the first ``cap`` children are kept, and the result is
     flagged truncated if any step dropped children.  The columns of each
-    surviving leaf are assembled at the end; with ``d`` given, amplitudes
-    are integer images and each n becomes ``Fraction(n, d)``.
+    surviving leaf are assembled at the end, through ``_from_image`` when
+    the cells are integer images of scale ``d``.
     """
     partials, truncated = [_Partial(root, None)], False
     for updates in steps:
         grown = list(islice((_Partial(u, t) for t in partials for u in updates(t)), cap + 1))
         partials, truncated = grown[:cap], truncated or len(grown) > cap
     lo, hi = window
-    back = (lambda c: c) if d is None else (lambda c: ParityPair(c.sign, Fraction(c.amp, d)))
     tables = []
     for leaf in partials:
         cells = {}
         while leaf:
             cells.update(leaf.update)
             leaf = leaf.parent
-        ys, zs = (tuple(back(cells[k, m]) for m in range(lo, hi + 1)) for k in "yz")
+        ys, zs = (_from_image((cells[k, m] for m in range(lo, hi + 1)), d) for k in "yz")
         tables.append(SolutionTable(lo, ys, zs))
     return BranchTree(tuple(tables), truncated)
 
@@ -175,14 +182,6 @@ def step_back_z_noparity(p: Params, m: int, y_prev_amp, z_amp):
 # --- parity steps with branch enumeration ------------------------------------
 
 
-def _ordered_unique(cands: List[ParityPair]) -> List[ParityPair]:
-    out = []
-    for c in sorted(cands, key=lambda c: (-c.sign, c.amp)):
-        if c not in out:
-            out.append(c)
-    return out
-
-
 def step_z_parity(p: Params, m: int, y: ParityPair, z: ParityPair) -> List[ParityPair]:
     """All candidates for (sign, amplitude) of z at index m+1.
 
@@ -211,7 +210,7 @@ def step_z_parity(p: Params, m: int, y: ParityPair, z: ParityPair) -> List[Parit
     valid = [c for c in cands if residual_zz(p, m, y, z, c)]
     if not valid:
         raise AssertionError("no valid candidate; existence is guaranteed")
-    return _ordered_unique(valid)
+    return sorted(set(valid), key=lambda c: (-c.sign, c.amp))
 
 
 def step_y_parity(p: Params, m: int, y: ParityPair, z_next: ParityPair) -> List[ParityPair]:
@@ -292,10 +291,11 @@ def evolve_noparity(p: Params, m0: int, y0, z0, window: Tuple[int, int]) -> Solu
     for m in range(m0, lo, -1):
         ys[m - 1] = step_back_y_noparity(p, m, ys[m], zs[m])
         zs[m - 1] = step_back_z_noparity(p, m, ys[m - 1], zs[m])
+    ms = range(lo, hi + 1)
     return SolutionTable(
         lo,
-        tuple(ParityPair(-1, Fraction(ys[m], d)) for m in range(lo, hi + 1)),
-        tuple(ParityPair(-1, Fraction(zs[m], d)) for m in range(lo, hi + 1)),
+        _from_image((ParityPair(-1, ys[m]) for m in ms), d),
+        _from_image((ParityPair(-1, zs[m]) for m in ms), d),
     )
 
 

@@ -8,16 +8,19 @@ fixed, each relation reduces to an exact identity between two maxima of
 rationals.  A residual check decides that identity exactly; there is no
 numeric tolerance anywhere.
 
-Amplitudes are rationals (``Fraction``) where they enter and leave, and ints
-inside.  Every term of both relations is an integer combination of Q, the
-amplitudes and the state, so multiplying all of them by D, the lcm of their
-denominators (``denominator_lcm``), gives an integer problem with the same
-verdicts: the ``integer_image`` of the parameters and of the state.  The
-kernel only adds, takes maxima and compares, so the same code runs on either
-kind; ``evolve``, ``evolve_noparity`` and ``painleve_failures`` compute D on
-entry, run on ints and map amplitudes back with ``Fraction(n, D)`` only when
-they build an output table.  Constructors keep ints as they are and turn
-anything else into a ``Fraction``.
+Amplitudes are rationals (``Fraction``) where they enter, ints inside, and
+either where they leave.  Every term of both relations is an integer
+combination of Q, the amplitudes and the state, so multiplying all of them by
+D, the lcm of their denominators (``denominator_lcm``), gives an integer
+problem with the same verdicts: the ``integer_image`` of the parameters and
+of the state.  The kernel only adds, takes maxima and compares, so the same
+code runs on either kind; ``evolve``, ``evolve_noparity`` and
+``painleve_failures`` compute D on entry and run on ints.  Output tables keep
+the int amplitudes when D = 1 and hold ``Fraction(n, D)`` only when D > 1;
+``str`` writes both alike.  ``Params`` keeps ints as they are and turns
+anything else into a ``Fraction``.  A ``ParityPair`` is a plain tuple that
+converts and checks nothing: its sign is checked once, where the pair enters
+the system (``parse_pair``, used by the CLI and the table readers).
 
 The library holds one transcription, the eight-term z-relation with
 parameter signs.  The y-relation is that kernel mirrored: A and B (amplitudes
@@ -34,7 +37,7 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .tropical import check_sign
 
@@ -48,6 +51,7 @@ __all__ = [
     "load_params",
     "params_from_obj",
     "params_to_obj",
+    "parse_pair",
     "parse_rational",
     "require_constraint",
     "require_unsigned",
@@ -68,27 +72,18 @@ def scale_to_int(x, d: int) -> int:
     return x.numerator * k
 
 
-@dataclass(frozen=True)
-class ParityPair:
-    """A sign in {+1, -1} together with a finite rational amplitude."""
+class ParityPair(NamedTuple):
+    """A sign in {+1, -1} and a finite amplitude, an int or a Fraction.  A
+    plain tuple that checks nothing: signs are checked where a pair enters
+    the system (``parse_pair``), and library code builds pairs only from
+    signs it has derived."""
 
     sign: int
-    amp: Fraction
-
-    def __post_init__(self) -> None:
-        check_sign(self.sign)
-        if not isinstance(self.amp, (int, Fraction)):
-            object.__setattr__(self, "amp", Fraction(self.amp))
+    amp: Union[int, Fraction]
 
     def integer_image(self, d: int) -> "ParityPair":
         """The sign and the amplitude times d, as an int."""
         return ParityPair(self.sign, scale_to_int(self.amp, d))
-
-    def shifted(self, c) -> "ParityPair":
-        return ParityPair(self.sign, self.amp + Fraction(c))
-
-    def scaled(self, lam) -> "ParityPair":
-        return ParityPair(self.sign, self.amp * Fraction(lam))
 
 
 @dataclass(frozen=True)
@@ -171,18 +166,6 @@ class Params:
     def integer_image(self, d: int) -> "Params":
         """Q and every amplitude times d, as ints; the signs are kept."""
         return replace(self, **{k: scale_to_int(getattr(self, k), d) for k in _AMP_KEYS})
-
-    def gauge_shifted(self, c) -> "Params":
-        """Shift every amplitude by c, keeping Q and the signs."""
-        c = Fraction(c)
-        return replace(self, **{k: getattr(self, k) + c for k in _AMP_KEYS if k != "q"})
-
-    def scaled(self, lam) -> "Params":
-        """Multiply Q and every amplitude by a positive rational."""
-        lam = Fraction(lam)
-        if lam <= 0:
-            raise ValueError("scale factor must be positive")
-        return replace(self, **{k: getattr(self, k) * lam for k in _AMP_KEYS})
 
 
 def denominator_lcm(p: Params, amps: Iterable) -> int:
@@ -273,6 +256,12 @@ def parse_rational(v, what: str) -> Fraction:
         return Fraction(v)
     except ZeroDivisionError:
         raise ValueError(f"{what}: zero denominator in {v!r}") from None
+
+
+def parse_pair(sign, amp, what: str) -> ParityPair:
+    """A pair as it enters the system: the sign must be +1 or -1 and the
+    amplitude an integer or rational text (``parse_rational``)."""
+    return ParityPair(check_sign(int(sign)), parse_rational(amp, what))
 
 
 def _frac_from_json(v, key: str) -> Fraction:

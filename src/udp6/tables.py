@@ -7,12 +7,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Tuple
 
-from .system import ParityPair, StatePair, parse_rational
+from .system import ParityPair, StatePair, parse_pair
 
-__all__ = ["SolutionTable", "branches_to_json_obj"]
+__all__ = ["SolutionTable", "branches_json_text", "branches_to_json_obj"]
 
 _COLUMNS = ("m", "sy", "Y", "sz", "Z")
 
@@ -68,22 +67,6 @@ class SolutionTable:
             raise ValueError("table window must be contiguous")
         return cls(ss[0].m, tuple(s.y for s in ss), tuple(s.z for s in ss))
 
-    def gauge_shifted(self, c) -> "SolutionTable":
-        c = Fraction(c)
-        return SolutionTable(
-            self.m_lo,
-            tuple(y.shifted(c) for y in self.ys),
-            tuple(z.shifted(c) for z in self.zs),
-        )
-
-    def scaled(self, lam) -> "SolutionTable":
-        lam = Fraction(lam)
-        return SolutionTable(
-            self.m_lo,
-            tuple(y.scaled(lam) for y in self.ys),
-            tuple(z.scaled(lam) for z in self.zs),
-        )
-
     # -- serialization --------------------------------------------------------
 
     def to_csv_text(self) -> str:
@@ -106,13 +89,7 @@ class SolutionTable:
             if len(row) != 5:
                 raise ValueError(f"malformed row: {row!r}")
             m, sy, yv, sz, zv = row
-            states.append(
-                StatePair(
-                    int(m),
-                    ParityPair(int(sy), parse_rational(yv, "Y")),
-                    ParityPair(int(sz), parse_rational(zv, "Z")),
-                )
-            )
+            states.append(StatePair(int(m), parse_pair(sy, yv, "Y"), parse_pair(sz, zv, "Z")))
         if not states:
             raise ValueError("table has no rows")
         return cls.from_states(states)
@@ -129,11 +106,7 @@ class SolutionTable:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SolutionTable":
         states = [
-            StatePair(
-                int(r["m"]),
-                ParityPair(int(r["sy"]), parse_rational(r["Y"], "Y")),
-                ParityPair(int(r["sz"]), parse_rational(r["Z"], "Z")),
-            )
+            StatePair(int(r["m"]), parse_pair(r["sy"], r["Y"], "Y"), parse_pair(r["sz"], r["Z"], "Z"))
             for r in obj["rows"]
         ]
         return cls.from_states(states)
@@ -147,3 +120,25 @@ def branches_to_json_obj(tables: Iterable[SolutionTable], truncated: bool) -> di
         ],
     }
 
+
+_ROW_JSON = (
+    '        {{\n          "Y": "{Y}",\n          "Z": "{Z}",\n          "m": {m},\n'
+    '          "sy": {sy},\n          "sz": {sz}\n        }}'
+)
+
+
+def _json_list(items: list, indent: str) -> str:
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+
+
+def branches_json_text(obj: dict) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` for the fixed schema
+    of ``branches_to_json_obj``, whose rational strings need no escaping;
+    with an indent, the standard encoder runs in pure Python."""
+    branches = [
+        '    {\n      "id": %d,\n      "m_lo": %d,\n      "rows": %s\n    }'
+        % (b["id"], b["m_lo"], _json_list([_ROW_JSON.format_map(r) for r in b["rows"]], "      "))
+        for b in obj["branches"]
+    ]
+    truncated = "true" if obj["truncated"] else "false"
+    return '{\n  "branches": %s,\n  "truncated": %s\n}\n' % (_json_list(branches, "  "), truncated)

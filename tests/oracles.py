@@ -9,10 +9,12 @@ explicit minus infinity.
 """
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 from typing import Iterable, Tuple
 
 from udp6.system import ParityPair, Params, params_to_obj
+from udp6.tables import SolutionTable
 from udp6.tropical import BOTTOM, Amp, Sign, check_sign, is_bottom
 
 
@@ -20,6 +22,34 @@ def dump_params(p: Params, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(params_to_obj(p), fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+# --- gauge and scale transforms, for the equivariance properties -------------------
+
+
+def _amps_mapped(x, f, with_q: bool):
+    if isinstance(x, Params):
+        keys = ("a1", "a2", "a3", "a4", "b1", "b2", "b3", "b4") + (("q",) if with_q else ())
+        return replace(x, **{k: f(getattr(x, k)) for k in keys})
+    if isinstance(x, ParityPair):
+        return ParityPair(x.sign, f(x.amp))
+    cols = (tuple(ParityPair(c.sign, f(c.amp)) for c in col) for col in (x.ys, x.zs))
+    return SolutionTable(x.m_lo, *cols)
+
+
+def gauge(x, c):
+    """Params, a ParityPair or a SolutionTable with every amplitude moved by
+    c; Q and the signs are kept."""
+    c = Fraction(c)
+    return _amps_mapped(x, lambda a: a + c, with_q=False)
+
+
+def scale(x, lam):
+    """Params, a ParityPair or a SolutionTable with Q and every amplitude
+    multiplied by the positive rational lam."""
+    lam = Fraction(lam)
+    assert lam > 0
+    return _amps_mapped(x, lambda a: a * lam, with_q=True)
 
 
 # --- max-plus primitives with an explicit minus infinity ------------------------

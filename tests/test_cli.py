@@ -271,6 +271,45 @@ def test_unknown_family_is_input_error(capsys, p41_file):
     assert "error" in err
 
 
+# --- pair signs are checked where pairs enter ---------------------------------------------
+
+_GOLDEN_ROWS = "m,sy,Y,sz,Z\n0,-1,43,-1,40\n1,-1,122,-1,-28\n"
+_BAD_SIGN_CASES = {
+    "y0-sign-2": ("evolve", "--params", "{params}", "--y0", "2:5", "--z0", "-1:40", "--window", "0:2"),
+    "y0-sign-0": ("evolve", "--params", "{params}", "--y0", "0:5", "--z0", "-1:40", "--window", "0:2"),
+    "verify-sy-0": ("verify", "--params", "{params}", "--table", "{sy0}"),
+    "qlimit-sz-2": ("qlimit", "--params", "{params}", "--table", "{sz2}", "--window", "0:1", "--eps", "1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SIGN_CASES))
+def test_bad_pair_sign_is_input_error(case, capsys, tmp_path, p42_file):
+    sy0, sz2 = tmp_path / "sy0.csv", tmp_path / "sz2.csv"
+    sy0.write_text(_GOLDEN_ROWS.replace("0,-1,43", "0,0,43"))
+    sz2.write_text(_GOLDEN_ROWS.replace("43,-1,40", "43,2,40"))
+    argv = [a.format(params=p42_file, sy0=sy0, sz2=sz2) for a in _BAD_SIGN_CASES[case]]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ") and "sign must be +1 or -1" in err
+    assert "Traceback" not in err
+
+
+_IGNORED_FLAG_CASES = {
+    "qlimit-table-and-y0": ("qlimit", "--params", "{params}", "--table", "{table}", "--y0", "2:5",
+                            "--window", "0:1", "--eps", "1"),
+    "families-list-and-c": ("families", "--list", "--c", "x"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_IGNORED_FLAG_CASES))
+def test_flags_that_would_be_ignored_are_input_errors(case, capsys, tmp_path, p42_file):
+    table = tmp_path / "t.csv"
+    table.write_text(_GOLDEN_ROWS)
+    argv = [a.format(params=p42_file, table=table) for a in _IGNORED_FLAG_CASES[case]]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and err.startswith("error: ") and not out
+
+
 # --- parameter signs ------------------------------------------------------------------
 
 _SIGNED_CASES = {
@@ -350,7 +389,8 @@ _FUZZ_TABLES = {
     "gap": "m,sy,Y,sz,Z\n0,-1,43,-1,40\n2,-1,122,-1,-28\n",
     "quoted": 'm,sy,Y,sz,Z\n"0,-1,43,-1,40\n',
 }
-# (well-formed, malformed) values per flag; each draw takes either kind half the time
+# (well-formed, malformed) values per flag; each draw takes either kind half the time.
+# Every malformed value is an input error (exit 1) except those in _NOT_INPUT_ERRORS.
 _RATIONALS = (("0", "-3", "7/2", "31", "47"), ("", "1/0", "nan", "inf", "x", "0.5"))
 _PAIR_VALUES = (("-1:43", "-1:40", "1:43", "1:-3/4", "-1:69", "1:23"),
                 ("", ":", "1:", ":5", "0:5", "2:5", "-1:1/0", "1:nan", "x:1"))
@@ -361,48 +401,64 @@ _EPS = (("1", "1,1/2,1/4", "1/4", "1,1/3"), ("", "1,1/0", "nan", "1,1", "1/2,1",
 _PRECISIONS = (("2", "64", "300"), ("0", "-5", "1", "x"))
 _PARAMS = (("@params/p42", "@params/p41"),
            tuple(f"@params/{k}" for k in _FUZZ_PARAMS if k not in ("p42", "p41")) + ("@missing",))
+# plain verify admits parameter signs, so there the signed parameters are well-formed
+_VERIFY_PARAMS = (_PARAMS[0] + ("@params/signed",), tuple(v for v in _PARAMS[1] if v != "@params/signed"))
 _TABLES = (("@table/golden",),
            tuple(f"@table/{k}" for k in _FUZZ_TABLES if k != "golden") + ("@missing",))
+# malformed values that are still valid input: a decimal rational, read exactly as 1/2
+_NOT_INPUT_ERRORS = {"0.5"}
 
 
+# each strategy below draws (argv fragment, whether it holds a malformed value that is
+# an input error)
 def _value(pools):
-    return st.one_of(*(st.sampled_from(values) for values in pools))
+    good, bad = pools
+    return st.one_of(
+        st.sampled_from(good).map(lambda v: (v, False)),
+        st.sampled_from(bad).map(lambda v: (v, v not in _NOT_INPUT_ERRORS)),
+    )
 
 
 def _req(flag, pools):
-    return _value(pools).map(lambda v: [flag, v])
+    return _value(pools).map(lambda vb: ([flag, vb[0]], vb[1]))
 
 
 def _opt(flag, pools):
     # the flag with a value, or the flag left out
-    return st.one_of(st.just([]), _req(flag, pools))
+    return st.one_of(st.just(([], False)), _req(flag, pools))
 
 
 def _switch(flag):
-    return st.sampled_from(([], [flag]))
+    return st.sampled_from((([], False), ([flag], False)))
+
+
+def _cmd(name):
+    return st.just(([name], False))
 
 
 def _argv(*parts):
-    return st.tuples(*parts).map(lambda ps: [a for part in ps for a in part])
+    return st.tuples(*parts).map(
+        lambda ps: ([a for argv, _ in ps for a in argv], any(bad for _, bad in ps))
+    )
 
 
 _FUZZ_ARGV = st.one_of(
-    _argv(st.just(["evolve"]), _req("--params", _PARAMS), _req("--y0", _PAIR_VALUES),
+    _argv(_cmd("evolve"), _req("--params", _PARAMS), _req("--y0", _PAIR_VALUES),
           _req("--z0", _PAIR_VALUES), _req("--window", _WINDOWS), _opt("--m0", _INTS),
           _opt("--branch-cap", _CAPS), _opt("--format", (("csv", "json"), ("xml",)))),
-    _argv(st.just(["verify"]), _req("--params", _PARAMS), _req("--table", _TABLES),
+    _argv(_cmd("verify"), _req("--params", _VERIFY_PARAMS), _req("--table", _TABLES),
           _switch("--riccati")),
-    _argv(st.just(["riccati"]), _req("--params", _PARAMS), _req("--y0", _PAIR_VALUES),
+    _argv(_cmd("riccati"), _req("--params", _PARAMS), _req("--y0", _PAIR_VALUES),
           _req("--window", _WINDOWS), _opt("--m0", _INTS), _opt("--branch-cap", _CAPS),
           _opt("--sampling", (("endpoints", "midpoint", "all-breakpoints"), ("every",)))),
-    _argv(st.just(["families"]), _opt("--params", _PARAMS),
+    _argv(_cmd("families"), _opt("--params", _PARAMS),
           _opt("--id", (("r1", "r3", "sol0", "soln2", "solp", "pconst", "lin", "linprime"), ("r9",))),
           _opt("--c", _RATIONALS), _opt("--cprime", _RATIONALS), _opt("--m0", _INTS),
           _opt("--alpha", _RATIONALS), _opt("--beta", _RATIONALS), _opt("--gamma", _RATIONALS),
           _opt("--window", _WINDOWS), _switch("--list")),
-    _argv(st.just(["conjecture"]), _req("--n", (("0", "1", "2"), ("", "x", "-1"))),
+    _argv(_cmd("conjecture"), _req("--n", (("0", "1", "2"), ("", "x", "-1"))),
           _req("--window", _WINDOWS), _req("--seed", _INTS), _opt("--w", _INTS)),
-    _argv(st.just(["qlimit"]), _req("--params", _PARAMS),
+    _argv(_cmd("qlimit"), _req("--params", _PARAMS),
           st.one_of(_req("--table", _TABLES), _argv(_req("--y0", _PAIR_VALUES), _req("--z0", _PAIR_VALUES)),
                     _argv(_opt("--table", _TABLES), _opt("--y0", _PAIR_VALUES))),
           _opt("--m0", _INTS), _req("--window", _WINDOWS), _req("--eps", _EPS),
@@ -423,14 +479,15 @@ def fuzz_files(tmp_path_factory):
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
-@given(argv=_FUZZ_ARGV)
-def test_cli_fuzz_exits_without_traceback(fuzz_files, argv):
+@given(case=_FUZZ_ARGV)
+def test_cli_fuzz_exits_without_traceback(fuzz_files, case):
+    argv, malformed = case
     argv = [fuzz_files.get(a, a) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
-    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+        code = main(argv)
+    if malformed:
+        assert code == 1 and "error: " in err.getvalue(), (argv, code, err.getvalue())
+    else:
+        assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv

@@ -18,11 +18,11 @@ from udp6.evolution import (
     step_z_parity,
 )
 from udp6.generate import random_constrained_params, random_state
-from udp6.system import ParityPair, Params, StatePair, residual_yy, residual_zz
+from udp6.system import ParityPair, Params, StatePair, denominator_lcm, residual_yy, residual_zz
 from udp6.tables import SolutionTable
 
 from goldens import golden1_y, golden1_z, golden2_y, golden2_z
-from oracles import yy_by_cases, zz_by_cases
+from oracles import gauge, scale, yy_by_cases, zz_by_cases
 
 F = Fraction
 
@@ -45,7 +45,7 @@ def test_step_y_noparity_examples(p42):
 
 
 def test_step_gauge_shift(p42):
-    shifted = p42.gauge_shifted(7)
+    shifted = gauge(p42, 7)
     assert step_z_noparity(shifted, 0, 43 + 7, 40 + 7) == F(-28 + 7)
 
 
@@ -89,7 +89,7 @@ def test_step_z_parity_degenerate_tie(p41):
 
 def test_step_z_parity_gauge_equivariant(p41):
     cands = step_z_parity(p41, 1, pp(1, 67), pp(1, 42))
-    shifted = step_z_parity(p41.gauge_shifted(5), 1, pp(1, 72), pp(1, 47))
+    shifted = step_z_parity(gauge(p41, 5), 1, pp(1, 72), pp(1, 47))
     assert shifted == [ParityPair(c.sign, c.amp + 5) for c in cands]
 
 
@@ -203,13 +203,13 @@ def test_evolve_is_gauge_and_scale_equivariant(rng):
         truncated += tree.truncated
         c = F(rng.randint(-40, 40), rng.randint(1, 4))
         shifted = evolve(
-            p.gauge_shifted(c), StatePair(st.m, st.y.shifted(c), st.z.shifted(c)), cfg
+            gauge(p, c), StatePair(st.m, gauge(st.y, c), gauge(st.z, c)), cfg
         )
-        assert shifted.tables == tuple(t.gauge_shifted(c) for t in tree.tables)
+        assert shifted.tables == tuple(gauge(t, c) for t in tree.tables)
         assert shifted.truncated == tree.truncated
         lam = F(rng.randint(1, 9), rng.randint(1, 4))
-        scaled = evolve(p.scaled(lam), StatePair(st.m, st.y.scaled(lam), st.z.scaled(lam)), cfg)
-        assert scaled.tables == tuple(t.scaled(lam) for t in tree.tables)
+        scaled = evolve(scale(p, lam), StatePair(st.m, scale(st.y, lam), scale(st.z, lam)), cfg)
+        assert scaled.tables == tuple(scale(t, lam) for t in tree.tables)
         assert scaled.truncated == tree.truncated
     assert truncated
 
@@ -272,13 +272,32 @@ def test_rational_inputs_agree_with_case_oracles(case, cell):
         assert not _oracle_failures(p, t)
         assert not painleve_failures(p, t)
     assert all(t.state(start.m) == start for t in tree.tables)
+    _assert_amp_type(p, start, tree.tables + (flat,))
     # one cell moved by 1/k: its denominator need not divide the parameters'
     m, which, k = cell
     for t in tree.tables[:2] + (flat,):
         cols = {"y": list(t.ys), "z": list(t.zs)}
-        cols[which][m + 3] = cols[which][m + 3].shifted(F(1, k))
+        cols[which][m + 3] = gauge(cols[which][m + 3], F(1, k))
         moved = SolutionTable(t.m_lo, tuple(cols["y"]), tuple(cols["z"]))
         assert painleve_failures(p, moved) == _oracle_failures(p, moved)
+
+
+def _assert_amp_type(p, start, tables):
+    # the integer cells are the output when D = 1; otherwise each is Fraction(n, D)
+    d = denominator_lcm(p, (start.y.amp, start.z.amp))
+    kind = int if d == 1 else Fraction
+    assert all(type(c.amp) is kind for t in tables for c in t.ys + t.zs), d
+
+
+@pytest.mark.parametrize(
+    "y0, z0", [(43, 40), (F(43), F(40)), (F(1, 3), F(-2, 7)), (F(86, 2), F(5, 5))]
+)
+def test_output_amplitudes_are_ints_exactly_when_d_is_1(p42, y0, z0):
+    for sign in (1, -1):
+        start = StatePair(0, ParityPair(sign, y0), ParityPair(sign, z0))
+        tree = evolve(p42, start, EvolutionConfig(-3, 3))
+        flat = evolve_noparity(p42, 0, y0, z0, (-3, 3))
+        _assert_amp_type(p42, start, tree.tables + (flat,))
 
 
 def test_kernel_runs_on_ints(monkeypatch):

@@ -17,6 +17,7 @@ from udp6.system import ParityPair, residual_yy, residual_zz
 from udp6.tables import SolutionTable
 
 from goldens import golden2_y, golden2_z
+from oracles import gauge, scale
 
 F = Fraction
 
@@ -39,9 +40,9 @@ def test_compute_h_degenerate_and_invariances(p41):
     flat = Params.make(0, (5, 5, 5, 5), (5, 5, 5, 5))
     k = compute_h(flat)
     assert k.h == 0 and k.h_prime == 0
-    shifted = compute_h(p41.gauge_shifted(9))
+    shifted = compute_h(gauge(p41, 9))
     assert (shifted.h, shifted.h_prime) == (38, 85)
-    scaled = compute_h(p41.scaled(F(3, 2)))
+    scaled = compute_h(scale(p41, F(3, 2)))
     assert (scaled.h, scaled.h_prime) == (57, F(255, 2))
 
 

@@ -32,7 +32,7 @@ from udp6.qoracle import (
 from udp6.system import ParityPair, Params
 from udp6.tables import SolutionTable
 
-from oracles import dump_params
+from oracles import dump_params, gauge
 
 F = Fraction
 
@@ -245,10 +245,10 @@ def test_compare_flags_wrong_table_value(p42):
 def test_compare_gauge_consistency(p42):
     # a uniform shift moves every log-magnitude by c/eps; errors are unchanged
     table = evolve_noparity(p42, 0, 43, 40, (0, 2))
-    shifted = table.gauge_shifted(9)
+    shifted = gauge(table, 9)
     rep = ud_limit_compare(p42, table, EpsSchedule.from_string("1,0.5"), (0, 2))
     rep_s = ud_limit_compare(
-        p42.gauge_shifted(9), shifted, EpsSchedule.from_string("1,0.5"), (0, 2)
+        gauge(p42, 9), shifted, EpsSchedule.from_string("1,0.5"), (0, 2)
     )
     for r, rs in zip(rep.rows, rep_s.rows):
         assert math.isclose(r.err_y, rs.err_y, rel_tol=0, abs_tol=1e-9)

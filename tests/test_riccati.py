@@ -20,6 +20,8 @@ from udp6.system import ConstraintViolation, ParityPair, Params
 from udp6.tables import SolutionTable
 from udp6.tropical import Interval, SolutionSet
 
+from oracles import gauge
+
 F = Fraction
 
 
@@ -163,7 +165,7 @@ def test_step_samples_satisfy_residuals(rng):
 
 def test_step_gauge_equivariance(p41):
     res = riccati_step_z(p41, 1, pp(-1, 69))
-    shifted = riccati_step_z(p41.gauge_shifted(3), 1, pp(-1, 72))
+    shifted = riccati_step_z(gauge(p41, 3), 1, pp(-1, 72))
     assert shifted.branches == tuple(
         (s, SolutionSet([Interval(
             None if iv.lo is None else iv.lo + 3,

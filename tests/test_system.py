@@ -19,7 +19,7 @@ from udp6.system import (
 )
 from udp6.tables import SolutionTable
 
-from oracles import parity_indicator, t_add, t_max, yy_by_cases, yy_sides, zz_by_cases, zz_sides
+from oracles import gauge, parity_indicator, scale, t_add, t_max, yy_by_cases, yy_sides, zz_by_cases, zz_sides
 
 F = Fraction
 
@@ -240,13 +240,13 @@ def test_gauge_and_scale_preserve_verdicts(rng):
         vzz = residual_zz(p, m, y, z0, z1)
         vyy = residual_yy(p, m, y, y1, z1)
         c = F(rng.randint(-40, 40), rng.randint(1, 4))
-        pg = p.gauge_shifted(c)
-        assert residual_zz(pg, m, y.shifted(c), z0.shifted(c), z1.shifted(c)) == vzz
-        assert residual_yy(pg, m, y.shifted(c), y1.shifted(c), z1.shifted(c)) == vyy
+        pg = gauge(p, c)
+        assert residual_zz(pg, m, gauge(y, c), gauge(z0, c), gauge(z1, c)) == vzz
+        assert residual_yy(pg, m, gauge(y, c), gauge(y1, c), gauge(z1, c)) == vyy
         lam = F(rng.randint(1, 9), rng.randint(1, 4))
-        ps = p.scaled(lam)
-        assert residual_zz(ps, m, y.scaled(lam), z0.scaled(lam), z1.scaled(lam)) == vzz
-        assert residual_yy(ps, m, y.scaled(lam), y1.scaled(lam), z1.scaled(lam)) == vyy
+        ps = scale(p, lam)
+        assert residual_zz(ps, m, scale(y, lam), scale(z0, lam), scale(z1, lam)) == vzz
+        assert residual_yy(ps, m, scale(y, lam), scale(y1, lam), scale(z1, lam)) == vyy
 
 
 # --- serialization ---------------------------------------------------------------
