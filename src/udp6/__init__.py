@@ -8,7 +8,6 @@ rational; the q-side oracle runs in signed log-domain arbitrary precision.
 The package re-exports the ``__all__`` of each module below.
 """
 
-from .tropical import *  # noqa: F401,F403
 from .system import *  # noqa: F401,F403
 from .tables import *  # noqa: F401,F403
 from .evolution import *  # noqa: F401,F403

@@ -18,7 +18,7 @@ import tempfile
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .evolution import EvolutionConfig, evolve, evolve_noparity, painleve_failures
+from .evolution import evolve, evolve_noparity, painleve_failures
 from .families import FAMILY_IDS, FamilySpec, LinearAnsatz, detect_asymptotic_linearity, instantiate_family
 from .generate import random_constrained_params
 from .qoracle import EpsSchedule, ud_limit_compare
@@ -111,9 +111,8 @@ def _cmd_evolve(args) -> int:
     p = load_params(args.params)
     y0 = _parse_pair(args.y0)
     z0 = _parse_pair(args.z0)
-    lo, hi = _parse_window(args.window)
-    cfg = EvolutionConfig(m_min=lo, m_max=hi, max_branches=args.branch_cap)
-    tree = evolve(p, StatePair(args.m0, y0, z0), cfg)
+    window = _parse_window(args.window)
+    tree = evolve(p, StatePair(args.m0, y0, z0), window, max_branches=args.branch_cap)
     _emit(_tables_text(tree.tables, tree.truncated, args.format), args.out)
     if tree.truncated:
         print(f"branch cap {args.branch_cap} hit; output truncated", file=sys.stderr)

@@ -55,7 +55,6 @@ from .tables import SolutionTable
 
 __all__ = [
     "BranchTree",
-    "EvolutionConfig",
     "evolve",
     "evolve_noparity",
     "painleve_failures",
@@ -68,21 +67,6 @@ __all__ = [
     "step_z_noparity",
     "step_z_parity",
 ]
-
-
-@dataclass(frozen=True)
-class EvolutionConfig:
-    """Window and branch cap."""
-
-    m_min: int
-    m_max: int
-    max_branches: int = 64
-
-    def __post_init__(self) -> None:
-        if self.m_min > self.m_max:
-            raise ValueError("m_min must not exceed m_max")
-        if self.max_branches < 1:
-            raise ValueError("max_branches must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -236,18 +220,23 @@ def step_back_z_parity(p: Params, m: int, y_prev: ParityPair, z: ParityPair) -> 
 # --- window evolution ---------------------------------------------------------
 
 
-def evolve(p: Params, initial: StatePair, cfg: EvolutionConfig) -> BranchTree:
-    """Enumerate solutions through ``initial`` over [cfg.m_min, cfg.m_max].
+def evolve(
+    p: Params, initial: StatePair, window: Tuple[int, int], max_branches: int = 64
+) -> BranchTree:
+    """Enumerate solutions through ``initial`` over the window [lo, hi].
 
     Alternates the z- and y-steppers forward from the initial index and their
     backward mirrors down to the window start.  Every leaf is a complete
     SolutionTable satisfying both residuals at every interior index.  When the
-    number of live branches exceeds ``cfg.max_branches`` after a (z, y) step
-    the surplus (in deterministic order) is dropped and the result is flagged
+    number of live branches exceeds ``max_branches`` after a (z, y) step the
+    surplus (in deterministic order) is dropped and the result is flagged
     truncated.
     """
+    if max_branches < 1:
+        raise ValueError("max_branches must be at least 1")
     require_unsigned(p)
-    if not (cfg.m_min <= initial.m <= cfg.m_max):
+    lo, hi = window
+    if not (lo <= initial.m <= hi):
         raise ValueError("initial index must lie inside the window")
 
     d = denominator_lcm(p, (initial.y.amp, initial.z.amp))
@@ -260,7 +249,7 @@ def evolve(p: Params, initial: StatePair, cfg: EvolutionConfig) -> BranchTree:
             for z1 in step_z_parity(p, m, t["y", m], t["z", m])
             for y1 in step_y_parity(p, m, t["y", m], z1)
         )
-        for m in range(m0, cfg.m_max)
+        for m in range(m0, hi)
     ]
     steps += [
         lambda t, m=m: (
@@ -268,10 +257,10 @@ def evolve(p: Params, initial: StatePair, cfg: EvolutionConfig) -> BranchTree:
             for y0 in step_back_y_parity(p, m, t["y", m], t["z", m])
             for z0 in step_back_z_parity(p, m, y0, t["z", m])
         )
-        for m in range(m0, cfg.m_min, -1)
+        for m in range(m0, lo, -1)
     ]
     root = {("y", m0): initial.y.integer_image(d), ("z", m0): initial.z.integer_image(d)}
-    return grow_tables(root, steps, cfg.max_branches, (cfg.m_min, cfg.m_max), d)
+    return grow_tables(root, steps, max_branches, window, d)
 
 
 def evolve_noparity(p: Params, m0: int, y0, z0, window: Tuple[int, int]) -> SolutionTable:

@@ -5,10 +5,16 @@ Under the two parameter conditions ``B1+A3 == Q+A1+B3`` and
 (r2) links y_m to z_{m+1}, the other (r1) links y_{m+1} to z_{m+1}.  Both are
 the same parity-filtered identity between maxima with different
 coefficients, transcribed once in ``_sides``.  It is linear in each
-amplitude, so a step is an exact one-unknown tropical solve whose result can
-be a point, an interval, or a union of intervals (degenerate inputs leave a
-free constant); the four steps are that one solve with a relation, an index
-offset and the unknown slot.
+amplitude, so a step is an exact one-unknown solve; the four steps are that
+one solve with a relation, an index offset and the unknown slot.
+
+Every term holds the unknown at most once, so with the other slot known each
+side is ``max(a, x + b)``: lines of slope 0 and 1 only, and neither side is
+ever empty for the sign pairs a step tries.  The difference of two such sides
+is monotone in x, so the solution set is one closed interval: a point, a ray
+(degenerate inputs leave a free constant), the whole line, or empty.  A
+finite end is where a slope-0 line meets a slope-1 line, an intercept
+difference ``c - d``; the solve never divides.
 
 Every solution of this subsystem also solves the full second-order system;
 ``theorem_check`` verifies that implication table by table.  The subsystem
@@ -28,7 +34,6 @@ from typing import List, Optional, Tuple
 from .evolution import BranchTree, grow_tables, painleve_failures
 from .system import ConstraintViolation, ParityPair, Params, require_unsigned
 from .tables import SolutionTable
-from .tropical import LinTerm, SolutionSet, solve_one_unknown
 
 __all__ = [
     "RiccatiStepResult",
@@ -42,8 +47,11 @@ __all__ = [
     "riccati_step_back_y",
     "riccati_step_y",
     "riccati_step_z",
+    "solve_one_unknown",
     "theorem_check",
 ]
+
+_SAMPLINGS = ("endpoints", "midpoint", "all-breakpoints")
 
 
 def check_riccati_conditions(p: Params) -> bool:
@@ -70,20 +78,24 @@ _RELATIONS = {
 }
 
 
+Term = Tuple[int, Fraction]  # (slope, intercept): slope * x + intercept
+Interval = Tuple[Optional[Fraction], Optional[Fraction]]  # (lo, hi); None is unbounded
+
+
 def _sides(
     p: Params, rel: str, m: int, sy: int, sz: int, y: Optional[Fraction], z: Optional[Fraction]
-) -> Tuple[List[LinTerm], List[LinTerm]]:
-    """Left and right terms of relation ``rel`` at index m.
+) -> Tuple[List[Term], List[Term]]:
+    """Left and right (slope, intercept) terms of relation ``rel`` at index m.
 
-    A slot holds a known amplitude or None for the unknown.  As in the parity
-    relations, a term sits on the left when its parity argument is +1 and on
-    the right when it is -1.
+    A slot holds a known amplitude or None for the unknown, so every slope is
+    0 or 1.  As in the parity relations, a term sits on the left when its
+    parity argument is +1 and on the right when it is -1.
     """
     const, cy, cz = _RELATIONS[rel](p, m)
 
     def term(c, *slots):
         known = [v for v in slots if v is not None]
-        return LinTerm(len(slots) - len(known), c + sum(known))
+        return len(slots) - len(known), c + sum(known)
 
     terms = ((term(const), 1), (term(cy, y), -sy), (term(cz, z), -sz), (term(0, y, z), sy * sz))
     return [t for t, s in terms if s == 1], [t for t, s in terms if s == -1]
@@ -93,7 +105,7 @@ def _holds(p: Params, rel: str, m: int, y: ParityPair, z: ParityPair) -> bool:
     lhs, rhs = _sides(p, rel, m, y.sign, z.sign, y.amp, z.amp)
     if not rhs:  # both parities -1: the right side is minus infinity
         return False
-    return max(t.intercept for t in lhs) == max(t.intercept for t in rhs)
+    return max(c for _, c in lhs) == max(c for _, c in rhs)
 
 
 def residual_riccati2(p: Params, m: int, y_m: ParityPair, z_next: ParityPair) -> bool:
@@ -112,21 +124,66 @@ def residual_riccati1(p: Params, m: int, y_next: ParityPair, z_next: ParityPair)
 # --- one-unknown steps --------------------------------------------------------
 
 
+def solve_one_unknown(lhs: List[Term], rhs: List[Term]) -> Optional[Interval]:
+    """The exact solution set of ``max(lhs) == max(rhs)``: one closed interval
+    ``(lo, hi)``, or None when empty.
+
+    Terms have slope 0 or 1 and neither side is empty.  The difference of
+    the sides is monotone and affine between the candidate ends (slope-0
+    intercept minus slope-1 intercept), and a zero of a non-constant piece is
+    itself a candidate.  So the set is empty when no candidate solves, a
+    bounded end is the first (last) solving candidate, and an end is
+    unbounded when the sides still agree past the first (last) candidate.
+    """
+    flat = [c for s, c in lhs + rhs if s == 0]
+    steep = [d for s, d in lhs + rhs if s == 1]
+    cands = sorted({c - d for c in flat for d in steep})
+
+    def agrees(x) -> bool:
+        return max(s * x + c for s, c in lhs) == max(s * x + c for s, c in rhs)
+
+    if not cands:  # all lines parallel: the difference of the sides is constant
+        return (None, None) if agrees(0) else None
+    hits = [x for x in cands if agrees(x)]
+    if not hits:
+        return None
+    lo = None if agrees(cands[0] - 1) else hits[0]
+    hi = None if agrees(cands[-1] + 1) else hits[-1]
+    return lo, hi
+
+
+def _samples(interval: Interval, policy: str) -> list:
+    """Concrete members of an interval, sorted, per sampling policy.
+
+    ``endpoints``: the finite ends (0 for the whole line); ``midpoint``: one
+    interior witness, the mean of two finite ends or one step in from a
+    single end; ``all-breakpoints``: both.  Exact: never a float.
+    """
+    lo, hi = interval
+    if lo is None and hi is None:
+        return [0]
+    if lo is None:
+        ends, mid = [hi], hi - 1
+    elif hi is None:
+        ends, mid = [lo], lo + 1
+    else:
+        ends, mid = [lo, hi], Fraction(lo + hi, 2)  # (lo + hi) / 2 is a float on ints
+    picks = {"endpoints": ends, "midpoint": [mid], "all-breakpoints": ends + [mid]}
+    return sorted(set(picks[policy]))
+
+
 @dataclass(frozen=True)
 class RiccatiStepResult:
-    """Admissible (sign, solution set) branches for the next variable.
+    """Admissible (sign, (lo, hi)) branches for the next variable.
 
-    Entries with an empty solution set are omitted; the sign pair that admits
+    Signs whose solution set is empty are omitted; the sign pair that admits
     no solution is never attempted, so a double-minus branch cannot appear.
     """
 
-    branches: Tuple[Tuple[int, SolutionSet], ...]
+    branches: Tuple[Tuple[int, Interval], ...]
 
     def samples(self, policy: str = "endpoints") -> List[ParityPair]:
-        out = []
-        for sign, solset in self.branches:
-            out.extend(ParityPair(sign, x) for x in solset.finite_samples(policy))
-        return out
+        return [ParityPair(sign, x) for sign, iv in self.branches for x in _samples(iv, policy)]
 
 
 def _solve(p: Params, rel: str, m: int, known: ParityPair, unknown: str) -> RiccatiStepResult:
@@ -139,7 +196,7 @@ def _solve(p: Params, rel: str, m: int, known: ParityPair, unknown: str) -> Ricc
         else:
             sides = _sides(p, rel, m, sign, known.sign, None, known.amp)
         sol = solve_one_unknown(*sides)
-        if not sol.is_empty:
+        if sol is not None:
             branches.append((sign, sol))
     return RiccatiStepResult(tuple(branches))
 
@@ -179,7 +236,8 @@ def riccati_evolve(
 
     Starting from y at index m0, alternate the one-unknown solves forward to
     the window end and backward to its start; interval-valued solution sets
-    are made concrete by the sampling policy (default: finite endpoints).
+    are made concrete by the ``sampling`` policy of ``_samples``:
+    ``endpoints`` (the default), ``midpoint`` or ``all-breakpoints``.
     Every emitted table satisfies both subsystem relations at every checkable
     index.  Branch counts beyond ``max_branches`` are pruned deterministically
     and flagged.
@@ -190,6 +248,8 @@ def riccati_evolve(
         raise ValueError("initial index must lie inside the window")
     if max_branches < 1:
         raise ValueError("max_branches must be at least 1")
+    if sampling not in _SAMPLINGS:
+        raise ValueError(f"unknown sampling policy {sampling!r}")
 
     def fill(slot, step, m, known):
         # one half step: ``slot`` from each sample of ``step`` at the ``known`` value

@@ -19,8 +19,9 @@ code runs on either kind; ``evolve``, ``evolve_noparity`` and
 the int amplitudes when D = 1 and hold ``Fraction(n, D)`` only when D > 1;
 ``str`` writes both alike.  ``Params`` keeps ints as they are and turns
 anything else into a ``Fraction``.  A ``ParityPair`` is a plain tuple that
-converts and checks nothing: its sign is checked once, where the pair enters
-the system (``parse_pair``, used by the CLI and the table readers).
+converts and checks nothing: ``check_sign`` checks its sign once, where the
+pair enters the system (``parse_pair``, used by the CLI and the table
+readers), as ``Params`` checks the parameter signs.
 
 The library holds one transcription, the eight-term z-relation with
 parameter signs.  The y-relation is that kernel mirrored: A and B (amplitudes
@@ -39,14 +40,13 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, NamedTuple, Union
 
-from .tropical import check_sign
-
 __all__ = [
     "ConstraintViolation",
     "ParityPair",
     "Params",
     "StatePair",
     "check_constraint",
+    "check_sign",
     "denominator_lcm",
     "load_params",
     "params_from_obj",
@@ -63,6 +63,14 @@ __all__ = [
 
 class ConstraintViolation(ValueError):
     """A parameter constraint required by an operation does not hold."""
+
+
+def check_sign(s: int) -> int:
+    """s itself if it is +1 or -1; anything else is a ValueError.  Run where
+    a sign enters the system: parameter signs and ``parse_pair``."""
+    if s not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {s!r}")
+    return s
 
 
 def scale_to_int(x, d: int) -> int:

@@ -5,17 +5,32 @@ The library transcribes each parity relation once (the signed eight-term
 z-relation, mirrored for y).  The four-case reductions and the
 parity-filtered side lists below are the other two transcriptions, kept here
 only to be compared against it; so are the tropical primitives with an
-explicit minus infinity.
+explicit minus infinity ``BOTTOM``, which the library does without (its sides
+are never empty), and the grid oracle of the first-order solver.
 """
 
 import json
 from dataclasses import replace
 from fractions import Fraction
-from typing import Iterable, Tuple
+from typing import Iterable, Tuple, Union
 
-from udp6.system import ParityPair, Params, params_to_obj
+from udp6.system import ParityPair, Params, check_sign, params_to_obj
 from udp6.tables import SolutionTable
-from udp6.tropical import BOTTOM, Amp, Sign, check_sign, is_bottom
+
+
+class _MinusInfinity:
+    """The max-plus zero: the identity of ``max`` and absorbing for ``+``."""
+
+    def __repr__(self) -> str:
+        return "-inf"
+
+
+BOTTOM = _MinusInfinity()
+Amp = Union[Fraction, _MinusInfinity]
+
+
+def is_bottom(x) -> bool:
+    return x is BOTTOM
 
 
 def dump_params(p: Params, path) -> None:
@@ -55,7 +70,7 @@ def scale(x, lam):
 # --- max-plus primitives with an explicit minus infinity ------------------------
 
 
-def parity_indicator(sign: Sign) -> Amp:
+def parity_indicator(sign: int) -> Amp:
     """S(+1) = 0 and S(-1) = -inf; a term carrying S(-1) drops out of a max."""
     check_sign(sign)
     return Fraction(0) if sign == 1 else BOTTOM
@@ -259,13 +274,20 @@ def premise_quadruple(rng, tie: bool):
     return v1, v2, v3, v4
 
 
+def _member(sol, x) -> bool:
+    if sol is None:
+        return False
+    lo, hi = sol
+    return (lo is None or lo <= x) and (hi is None or x <= hi)
+
+
 def solve_grid_check(lhs, rhs, sol) -> None:
-    """Membership oracle for the one-unknown solver: pointwise equality on the
-    breakpoint grid, the midpoints between consecutive breakpoints, points
-    beyond both ends, and a guard that reported endpoints come from the grid."""
-    active_l = [t for t in lhs if not is_bottom(t.intercept)]
-    active_r = [t for t in rhs if not is_bottom(t.intercept)]
-    lines = sorted({(t.slope, t.intercept) for t in active_l + active_r})
+    """Membership oracle for the one-unknown solver on (slope, intercept)
+    sides: at every breakpoint, every midpoint between consecutive
+    breakpoints and points beyond both ends, equality of the sides must
+    decide membership of ``sol``, one interval (lo, hi) or None; a guard
+    checks that reported ends come from the grid."""
+    lines = sorted(set(lhs + rhs))
     pts = set()
     for i, (s, c) in enumerate(lines):
         for t, d in lines[i + 1 :]:
@@ -281,11 +303,13 @@ def solve_grid_check(lhs, rhs, sol) -> None:
         samples += [Fraction(0), Fraction(5), Fraction(-7, 3)]
 
     def value(terms, x):
-        return max(t.slope * x + t.intercept for t in terms)
+        return max(s * x + c for s, c in terms)
 
     for x in samples:
-        pointwise = value(active_l, x) == value(active_r, x)
-        assert pointwise == sol.contains(x), (lhs, rhs, x)
-    for iv in sol.intervals:
-        for e in (iv.lo, iv.hi):
+        pointwise = value(lhs, x) == value(rhs, x)
+        assert pointwise == _member(sol, x), (lhs, rhs, x)
+    if sol is not None:
+        lo, hi = sol
+        assert lo is None or hi is None or lo <= hi, sol
+        for e in sol:
             assert e is None or e in pts or not pts

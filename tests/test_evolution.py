@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 import udp6.evolution as evolution
 from udp6.evolution import (
-    EvolutionConfig,
     evolve,
     evolve_noparity,
     painleve_failures,
@@ -18,6 +17,7 @@ from udp6.evolution import (
     step_z_parity,
 )
 from udp6.generate import random_constrained_params, random_state
+from udp6.riccati import riccati_evolve
 from udp6.system import ParityPair, Params, StatePair, denominator_lcm, residual_yy, residual_zz
 from udp6.tables import SolutionTable
 
@@ -123,11 +123,7 @@ def test_parity_steps_validate_candidates_random(rng):
 
 
 def test_evolve_golden_first_table(p42):
-    tree = evolve(
-        p42,
-        StatePair(0, pp(-1, 43), pp(-1, 40)),
-        EvolutionConfig(-10, 10),
-    )
+    tree = evolve(p42, StatePair(0, pp(-1, 43), pp(-1, 40)), (-10, 10))
     assert not tree.truncated
     assert len(tree.tables) == 1
     t = tree.tables[0]
@@ -137,11 +133,7 @@ def test_evolve_golden_first_table(p42):
 
 
 def test_evolve_golden_second_table(p42):
-    tree = evolve(
-        p42,
-        StatePair(0, pp(-1, 43), pp(-1, 50)),
-        EvolutionConfig(-12, 15),
-    )
+    tree = evolve(p42, StatePair(0, pp(-1, 43), pp(-1, 50)), (-12, 15))
     assert len(tree.tables) == 1
     t = tree.tables[0]
     for m in t.indexes():
@@ -149,19 +141,37 @@ def test_evolve_golden_second_table(p42):
 
 
 def test_evolve_window_of_size_zero(p42):
-    tree = evolve(p42, StatePair(0, pp(-1, 43), pp(-1, 40)), EvolutionConfig(0, 0))
+    tree = evolve(p42, StatePair(0, pp(-1, 43), pp(-1, 40)), (0, 0))
     assert len(tree.tables) == 1 and len(tree.tables[0]) == 1
 
 
 def test_evolve_initial_outside_window_rejected(p42):
     with pytest.raises(ValueError):
-        evolve(p42, StatePair(3, pp(-1, 0), pp(-1, 0)), EvolutionConfig(-2, 2))
+        evolve(p42, StatePair(3, pp(-1, 0), pp(-1, 0)), (-2, 2))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda p, m0, window, cap: evolve(p, StatePair(m0, pp(1, 0), pp(-1, 0)), window, cap),
+        lambda p, m0, window, cap: riccati_evolve(p, m0, pp(1, 0), window, max_branches=cap),
+    ],
+    ids=["evolve", "riccati_evolve"],
+)
+def test_evolutions_reject_bad_window_and_cap(p41, run):
+    # both evolutions take (window, max_branches) and check them on entry
+    assert run(p41, 0, (-2, 2), 1).tables
+    with pytest.raises(ValueError, match="max_branches"):
+        run(p41, 0, (-2, 2), 0)
+    for m0 in (-3, 3):
+        with pytest.raises(ValueError, match="window"):
+            run(p41, m0, (-2, 2), 64)
 
 
 def test_evolve_branch_cap_flags_truncation():
     # all-zero parameters tie every case split; plus parities branch heavily
     p = Params.make(0, (0, 0, 0, 0), (0, 0, 0, 0))
-    tree = evolve(p, StatePair(0, pp(1, 0), pp(1, 0)), EvolutionConfig(0, 6, max_branches=4))
+    tree = evolve(p, StatePair(0, pp(1, 0), pp(1, 0)), (0, 6), max_branches=4)
     assert tree.truncated
     assert len(tree.tables) == 4
     for t in tree.tables:
@@ -172,7 +182,7 @@ def test_evolve_random_soundness_and_existence(rng):
     for _ in range(150):
         p = random_constrained_params(rng)
         st = random_state(rng, rng.randint(-3, 3))
-        tree = evolve(p, st, EvolutionConfig(-6, 6))
+        tree = evolve(p, st, (-6, 6))
         assert tree.tables
         for t in tree.tables:
             assert not painleve_failures(p, t)
@@ -184,9 +194,7 @@ def test_all_minus_sector_is_single_branch(rng):
         p = random_constrained_params(rng)
         y0 = F(rng.randint(-120, 120))
         z0 = F(rng.randint(-120, 120))
-        tree = evolve(
-            p, StatePair(0, pp(-1, y0), pp(-1, z0)), EvolutionConfig(-6, 6)
-        )
+        tree = evolve(p, StatePair(0, pp(-1, y0), pp(-1, z0)), (-6, 6))
         assert len(tree.tables) == 1
         fast = evolve_noparity(p, 0, y0, z0, (-6, 6))
         assert tree.tables[0] == fast
@@ -198,17 +206,18 @@ def test_evolve_is_gauge_and_scale_equivariant(rng):
     for _ in range(60):
         p = random_constrained_params(rng, -12, 12, (1, 12))
         st = random_state(rng, rng.randint(-2, 2), -12, 12)
-        cfg = EvolutionConfig(-3, 3, max_branches=6)
-        tree = evolve(p, st, cfg)
+        tree = evolve(p, st, (-3, 3), max_branches=6)
         truncated += tree.truncated
         c = F(rng.randint(-40, 40), rng.randint(1, 4))
         shifted = evolve(
-            gauge(p, c), StatePair(st.m, gauge(st.y, c), gauge(st.z, c)), cfg
+            gauge(p, c), StatePair(st.m, gauge(st.y, c), gauge(st.z, c)), (-3, 3), max_branches=6
         )
         assert shifted.tables == tuple(gauge(t, c) for t in tree.tables)
         assert shifted.truncated == tree.truncated
         lam = F(rng.randint(1, 9), rng.randint(1, 4))
-        scaled = evolve(scale(p, lam), StatePair(st.m, scale(st.y, lam), scale(st.z, lam)), cfg)
+        scaled = evolve(
+            scale(p, lam), StatePair(st.m, scale(st.y, lam), scale(st.z, lam)), (-3, 3), max_branches=6
+        )
         assert scaled.tables == tuple(scale(t, lam) for t in tree.tables)
         assert scaled.truncated == tree.truncated
     assert truncated
@@ -222,10 +231,10 @@ def test_forward_then_backward_recovers_initial_state(rng):
         p = random_constrained_params(rng, -12, 12, (1, 12))
         m0, k = rng.randint(-3, 3), rng.randint(1, 3)
         start = random_state(rng, m0, -12, 12)
-        cfg = EvolutionConfig(m0, m0 + k, max_branches=256)
-        forward = evolve(p, start, cfg)
+        window = (m0, m0 + k)
+        forward = evolve(p, start, window, max_branches=256)
         for t in () if forward.truncated else forward.tables:
-            backward = evolve(p, t.state(m0 + k), cfg)
+            backward = evolve(p, t.state(m0 + k), window, max_branches=256)
             if not backward.truncated:
                 assert start in [b.state(m0) for b in backward.tables]
                 tables += 1
@@ -266,7 +275,7 @@ def _rational_case(draw):
 )
 def test_rational_inputs_agree_with_case_oracles(case, cell):
     p, start = case
-    tree = evolve(p, start, EvolutionConfig(-3, 3, max_branches=16))
+    tree = evolve(p, start, (-3, 3), max_branches=16)
     flat = evolve_noparity(p, start.m, start.y.amp, start.z.amp, (-3, 3))
     for t in tree.tables + (flat,):
         assert not _oracle_failures(p, t)
@@ -295,7 +304,7 @@ def _assert_amp_type(p, start, tables):
 def test_output_amplitudes_are_ints_exactly_when_d_is_1(p42, y0, z0):
     for sign in (1, -1):
         start = StatePair(0, ParityPair(sign, y0), ParityPair(sign, z0))
-        tree = evolve(p42, start, EvolutionConfig(-3, 3))
+        tree = evolve(p42, start, (-3, 3))
         flat = evolve_noparity(p42, 0, y0, z0, (-3, 3))
         _assert_amp_type(p42, start, tree.tables + (flat,))
 
@@ -318,7 +327,7 @@ def test_kernel_runs_on_ints(monkeypatch):
         monkeypatch.setattr(evolution, name, only_ints(getattr(evolution, name)))
     p = Params.make(F(7, 2), (F(1, 3), 2, F(-5, 4), 0), (F(2, 3), F(1, 6), 1, F(-29, 4)))
     start = StatePair(0, pp(1, F(5, 7)), pp(1, F(-1, 9)))
-    tree = evolve(p, start, EvolutionConfig(-3, 3))
+    tree = evolve(p, start, (-3, 3))
     table = evolve_noparity(p, 0, F(5, 7), F(-1, 9), (-3, 3))
     assert all(not painleve_failures(p, t) for t in tree.tables + (table,))
     assert set(seen) == {"residual_zz", "residual_yy", "step_z_parity", "step_z_noparity"}

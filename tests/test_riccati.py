@@ -18,7 +18,6 @@ from udp6.riccati import (
 )
 from udp6.system import ConstraintViolation, ParityPair, Params
 from udp6.tables import SolutionTable
-from udp6.tropical import Interval, SolutionSet
 
 from oracles import gauge
 
@@ -107,22 +106,20 @@ def test_residuals_agree_with_case_reductions(rng):
 
 def test_step_z_point_solution(p41):
     res = riccati_step_z(p41, 1, pp(-1, 69))
-    assert res.branches == ((1, SolutionSet.point(119)),)
+    assert res.branches == ((1, (119, 119)),)
 
 
 def test_step_z_degenerate_interval(p41):
     # y amplitude at A4 leaves a half-line of valid next values
     res = riccati_step_z(p41, 0, pp(1, 23))
-    expected = SolutionSet([Interval(F(65), None)])
-    assert (1, expected) in res.branches
-    for sign, solset in res.branches:
-        for amp in solset.finite_samples("all-breakpoints"):
-            assert residual_riccati2(p41, 0, pp(1, 23), ParityPair(sign, amp))
+    assert (1, (65, None)) in res.branches
+    for cand in res.samples("all-breakpoints"):
+        assert residual_riccati2(p41, 0, pp(1, 23), cand)
 
 
 def test_step_y_point_solution(p41):
     res = riccati_step_y(p41, 1, pp(1, 119))
-    assert (-1, SolutionSet.point(107)) in res.branches
+    assert (-1, (107, 107)) in res.branches
 
 
 def test_steps_never_emit_forbidden_sign_pair(rng):
@@ -167,11 +164,7 @@ def test_step_gauge_equivariance(p41):
     res = riccati_step_z(p41, 1, pp(-1, 69))
     shifted = riccati_step_z(gauge(p41, 3), 1, pp(-1, 72))
     assert shifted.branches == tuple(
-        (s, SolutionSet([Interval(
-            None if iv.lo is None else iv.lo + 3,
-            None if iv.hi is None else iv.hi + 3,
-        ) for iv in ss.intervals]))
-        for s, ss in res.branches
+        (s, tuple(None if e is None else e + 3 for e in iv)) for s, iv in res.branches
     )
 
 
@@ -204,6 +197,25 @@ def test_riccati_evolve_sampling_policies(p41):
         assert res.tables
         for t in res.tables:
             assert not riccati_failures(p41, t)
+
+
+@pytest.mark.parametrize("window", [(0, 0), (-2, 3)])
+def test_riccati_evolve_rejects_unknown_sampling(p41, window):
+    # checked on entry, before any step: a window of one point runs one step
+    with pytest.raises(ValueError, match="sampling"):
+        riccati_evolve(p41, 0, pp(1, 23), window, sampling="nope")
+
+
+@pytest.mark.parametrize("policy", ["endpoints", "midpoint", "all-breakpoints"])
+def test_riccati_evolve_is_exact_on_int_params(p41, policy):
+    # int parameters and an int y0 make every interval end an int; a midpoint
+    # must still be a Fraction, never a float
+    res = riccati_evolve(p41, 0, ParityPair(1, 23), (-2, 3), sampling=policy)
+    assert res.tables
+    amps = [c.amp for t in res.tables for c in t.ys + t.zs]
+    assert all(type(a) in (int, Fraction) for a in amps), amps
+    for t in res.tables:
+        assert not riccati_failures(p41, t)
 
 
 def test_riccati_evolve_random_theorem_suite(rng):

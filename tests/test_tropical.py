@@ -1,22 +1,14 @@
-import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from udp6.tropical import (
-    BOTTOM,
-    DegenerateEquation,
-    Interval,
-    LinTerm,
-    SolutionSet,
-    is_bottom,
-    solve_one_unknown,
-)
+from udp6.riccati import _samples, solve_one_unknown
 
-from oracles import exchange_identity_check, parity_indicator, t_add, t_max
+from oracles import BOTTOM, exchange_identity_check, is_bottom, parity_indicator, t_add, t_max
 
+F = Fraction
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=8)
 signs = st.sampled_from((1, -1))
 
@@ -98,107 +90,58 @@ def test_exchange_identity_random_premise_suite(rng):
         assert exchange_identity_check(*xs, *ws), (xs, ws)
 
 
-# --- intervals and solution sets ---------------------------------------------------
-
-
-def test_interval_contains_and_validation():
-    iv = Interval(Fraction(1), Fraction(3))
-    assert iv.contains(Fraction(1)) and iv.contains(Fraction(3))
-    assert not iv.contains(Fraction(4))
-    assert Interval(None, Fraction(0)).contains(Fraction(-1000))
-    with pytest.raises(ValueError):
-        Interval(Fraction(2), Fraction(1))
-
-
-def test_solution_set_canonicalizes_touching_intervals():
-    s = SolutionSet(
-        [
-            Interval(Fraction(2), Fraction(3)),
-            Interval(Fraction(0), Fraction(1)),
-            Interval(Fraction(1), Fraction(2)),
-        ]
-    )
-    assert s.intervals == (Interval(Fraction(0), Fraction(3)),)
-    assert s == SolutionSet([Interval(Fraction(0), Fraction(3))])
-
-
-def test_solution_set_point_absorbed_by_interval():
-    s = SolutionSet([Interval(Fraction(1), Fraction(1)), Interval(Fraction(1), Fraction(4))])
-    assert s.intervals == (Interval(Fraction(1), Fraction(4)),)
+# --- the first-order solver: slope-0/1 sides, one interval ---------------------------
 
 
 def test_solution_set_samples_policies():
-    s = SolutionSet([Interval(Fraction(0), Fraction(2)), Interval(Fraction(5), None)])
-    assert s.finite_samples("endpoints") == [Fraction(0), Fraction(2), Fraction(5)]
-    assert s.finite_samples("midpoint") == [Fraction(1), Fraction(6)]
-    assert set(s.finite_samples("all-breakpoints")) >= {Fraction(0), Fraction(1), Fraction(2)}
-    assert SolutionSet.full().finite_samples("endpoints") == [Fraction(0)]
-    with pytest.raises(ValueError):
-        s.finite_samples("nope")
-
-
-# --- the one-unknown solver ---------------------------------------------------------
+    assert _samples((F(0), F(2)), "endpoints") == [0, 2]
+    assert _samples((F(0), F(2)), "midpoint") == [1]
+    assert _samples((F(0), F(2)), "all-breakpoints") == [0, 1, 2]
+    assert _samples((F(5), None), "midpoint") == [6]
+    assert _samples((None, F(5)), "all-breakpoints") == [4, 5]
+    assert _samples((F(3), F(3)), "all-breakpoints") == [3]
+    assert _samples((None, None), "endpoints") == [0]
+    [mid] = _samples((3, 4), "midpoint")  # int ends: still exact
+    assert mid == F(7, 2) and type(mid) is Fraction
 
 
 def _t(slope, intercept):
-    return LinTerm(slope, intercept if intercept is BOTTOM else Fraction(intercept))
+    return slope, F(intercept)
 
 
 def test_solver_identical_sides_is_full_line():
     lhs = [_t(1, 0), _t(0, 0)]
-    assert solve_one_unknown(lhs, lhs) == SolutionSet.full()
+    assert solve_one_unknown(lhs, lhs) == (None, None)
 
 
 def test_solver_single_point():
     # max(5, x) = max(x+2, 3)  ->  {3}
     sol = solve_one_unknown([_t(0, 5), _t(1, 0)], [_t(1, 2), _t(0, 3)])
-    assert sol == SolutionSet.point(3)
+    assert sol == (3, 3)
 
 
 def test_solver_half_line():
     # max(0, x) = max(x, -1)  ->  [0, +inf)
     sol = solve_one_unknown([_t(0, 0), _t(1, 0)], [_t(1, 0), _t(0, -1)])
-    assert sol == SolutionSet([Interval(Fraction(0), None)])
+    assert sol == (0, None)
 
 
 def test_solver_empty_solution():
-    sol = solve_one_unknown([_t(0, 0)], [_t(0, 1)])
-    assert sol.is_empty
-
-
-def test_solver_inert_terms_dropped_and_degenerate_raises():
-    sol = solve_one_unknown([_t(0, 5), _t(1, BOTTOM)], [_t(0, 5)])
-    assert sol == SolutionSet.full()
-    with pytest.raises(DegenerateEquation):
-        solve_one_unknown([_t(1, BOTTOM)], [_t(0, 0)])
+    assert solve_one_unknown([_t(0, 0)], [_t(0, 1)]) is None
 
 
 def test_solver_against_grid_oracle_random(rng):
     from oracles import solve_grid_check
 
-    for _ in range(1500):
-        def side():
-            n = rng.randint(1, 4)
-            out = []
-            for _ in range(n):
-                if rng.random() < 0.1:
-                    out.append(LinTerm(rng.randint(0, 2), BOTTOM))
-                else:
-                    out.append(
-                        LinTerm(
-                            rng.randint(0, 2),
-                            Fraction(rng.randint(-30, 30), rng.randint(1, 3)),
-                        )
-                    )
-            return out
+    def side():
+        return [
+            (rng.randint(0, 1), F(rng.randint(-30, 30), rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 4))
+        ]
 
+    for _ in range(1500):
         lhs, rhs = side(), side()
-        if all(is_bottom(t.intercept) for t in lhs) or all(
-            is_bottom(t.intercept) for t in rhs
-        ):
-            continue
-        sol = solve_one_unknown(lhs, rhs)
-        solve_grid_check(lhs, rhs, sol)
+        solve_grid_check(lhs, rhs, solve_one_unknown(lhs, rhs))
 
 
 @given(data=st.data())
@@ -206,11 +149,7 @@ def test_solver_members_satisfy_equation(data):
     def side(label):
         return data.draw(
             st.lists(
-                st.builds(
-                    LinTerm,
-                    st.integers(min_value=0, max_value=2),
-                    fractions,
-                ),
+                st.tuples(st.integers(min_value=0, max_value=1), fractions),
                 min_size=1,
                 max_size=3,
             ),
@@ -221,7 +160,7 @@ def test_solver_members_satisfy_equation(data):
     sol = solve_one_unknown(lhs, rhs)
 
     def value(terms, x):
-        return t_max([t.at(x) for t in terms])
+        return max(s * x + c for s, c in terms)
 
-    for x in sol.finite_samples("all-breakpoints"):
+    for x in [] if sol is None else _samples(sol, "all-breakpoints"):
         assert value(lhs, x) == value(rhs, x)
