@@ -296,8 +296,9 @@ def painleve_failures(p: Params, table: SolutionTable) -> List[Tuple[int, str]]:
     require_constraint(p)
     d = denominator_lcm(p, (c.amp for c in table.ys + table.zs))
     p = p.integer_image(d)
-    ys = [c.integer_image(d) for c in table.ys]
-    zs = [c.integer_image(d) for c in table.zs]
+    ys, zs = table.ys, table.zs
+    if d > 1 or any(type(c.amp) is not int for c in ys + zs):  # int cells are their own images
+        ys, zs = ([c.integer_image(d) for c in col] for col in (ys, zs))
     bad = []
     for i, m in enumerate(range(table.m_lo, table.m_hi)):
         if not residual_zz(p, m, ys[i], zs[i], zs[i + 1]):

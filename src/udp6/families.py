@@ -11,6 +11,12 @@ verdict; ``detect_asymptotic_linearity`` recognises exact affine tails of a
 computed table (exact second differences, no fitting tolerance) and verifies
 the ansatz identities against the parameters.
 
+Every condition quantified over a range of m (those of r1-r4 and pconst,
+and the four ansatz inequalities) is a conjunction of inequalities affine in
+m, and an affine inequality holds on an integer range iff it holds at both
+ends: ``_holds_on`` decides it there, exactly.  Ints stay ints, so the
+detector does int arithmetic on the conjecture scan's integer inputs.
+
 The identity check uses the evolution constraint
 ``B1+B2+A3+A4 = Q+A1+A2+B3+B4``; a brute-force test confirms the ansatz
 equalities hold exactly under it (see tests/test_families.py).
@@ -35,7 +41,6 @@ __all__ = [
     "FamilySpec",
     "LinearAnsatz",
     "LinearityReport",
-    "check_linear_ansatz",
     "compute_h",
     "detect_asymptotic_linearity",
     "instantiate_family",
@@ -66,7 +71,8 @@ def compute_h(p: Params) -> DerivedConstants:
 @dataclass(frozen=True)
 class LinearAnsatz:
     """Affine tail coefficients: Y = (Q-alpha)m + beta, Z = alpha*m + gamma
-    (unprimed), or Y = alpha*m + beta, Z = alpha*m + gamma (primed)."""
+    (unprimed), or Y = alpha*m + beta, Z = alpha*m + gamma (primed).  Ints
+    are kept, as ``Params`` keeps them; anything else becomes a Fraction."""
 
     alpha: Fraction
     beta: Fraction
@@ -75,7 +81,7 @@ class LinearAnsatz:
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma"):
             v = getattr(self, name)
-            if not isinstance(v, Fraction):
+            if not isinstance(v, (int, Fraction)):
                 object.__setattr__(self, name, Fraction(v))
 
 
@@ -103,17 +109,11 @@ def _ansatz_inequalities(p: Params, ansatz: LinearAnsatz, m: int, primed: bool) 
     )
 
 
-def check_linear_ansatz(p: Params, ansatz: LinearAnsatz, m: int, primed: bool = False) -> bool:
-    """True iff the four m-dependent ansatz inequalities hold at m.
-
-    The slope must lie in [0, Q] (False otherwise); a violated exact identity
-    is a malformed ansatz and raises.
-    """
-    if not ansatz_identity_holds(p, ansatz, primed):
-        raise ValueError("ansatz identity does not hold for these parameters")
-    if not (0 <= ansatz.alpha <= p.q):
-        return False
-    return _ansatz_inequalities(p, ansatz, m, primed)
+def _holds_on(rng: range, pred: Callable[[int], bool]) -> bool:
+    """``pred`` at every m of ``rng``, for a conjunction of inequalities
+    affine in m: decided at the two ends of the range, True when it is
+    empty."""
+    return not rng or (pred(rng[0]) and pred(rng[-1]))
 
 
 # --- family catalogue ----------------------------------------------------------
@@ -185,7 +185,7 @@ def _need(spec: FamilySpec, field: str):
 
 def _quantified(label: str, rng: range, pred: Callable[[int], bool]) -> Condition:
     lo, hi = rng.start, rng.stop - 1
-    return Condition(f"{label} for m in [{lo}, {hi}]", all(pred(m) for m in rng))
+    return Condition(f"{label} for m in [{lo}, {hi}]", _holds_on(rng, pred))
 
 
 def instantiate_family(
@@ -435,9 +435,9 @@ def _end_fit(p: Params, table: SolutionTable, w: int, forward: bool) -> Optional
         slopes_ok=slope_y + slope_z == p.q if forward else slope_y == slope_z,
         range_ok=0 <= alpha <= p.q,
         identity_ok=ansatz_identity_holds(p, fit, primed=not forward),
-        inequalities_ok=all(
-            _ansatz_inequalities(p, fit, m, primed=not forward)
-            for m in (range(m_edge, hi) if forward else range(lo, m_edge))
+        inequalities_ok=_holds_on(
+            range(m_edge, hi) if forward else range(lo, m_edge),
+            lambda m: _ansatz_inequalities(p, fit, m, primed=not forward),
         ),
     )
 
@@ -450,8 +450,10 @@ def detect_asymptotic_linearity(p: Params, table: SolutionTable, w: int) -> Line
     inward as far as they hold, then verified: forward tails against the
     unprimed ansatz (slopes summing to Q, the intercept identity, and the four
     inequalities on the pure-tail step indexes), backward tails against the
-    primed ansatz (equal slopes).  A missing or unverified tail is reported,
-    never raised; only a too-short table is an error.
+    primed ansatz (equal slopes), the inequalities at the two ends of the
+    tail's step indexes.  Int parameters and tables give an int fit.  A
+    missing or unverified tail is reported, never raised; only a too-short
+    table is an error.
     """
     if w < 2:
         raise ValueError("window length w must be at least 2")

@@ -1,19 +1,28 @@
 """Solution tables: m -> (y, z) over a contiguous integer window, with exact
 CSV and JSON round-trips (columns m, sy, Y, sz, Z; amplitudes as rational
-strings)."""
+strings).  The CSV reader keeps an amplitude written as an integer as an
+int, as the evolutions keep integer cells."""
 
 from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Tuple
 
-from .system import ParityPair, StatePair, parse_pair
+from .system import ParityPair, StatePair, check_sign, parse_pair, parse_rational
 
 __all__ = ["SolutionTable", "branches_json_text", "branches_to_json_obj"]
 
 _COLUMNS = ("m", "sy", "Y", "sz", "Z")
+_INT_TEXT = re.compile(r"-?[0-9]+")
+
+
+def _read_amp(text: str, what: str):
+    """An amplitude as written: ASCII integer text as an int, any other text
+    through ``parse_rational``."""
+    return int(text) if _INT_TEXT.fullmatch(text) else parse_rational(text, what)
 
 
 @dataclass(frozen=True)
@@ -60,12 +69,20 @@ class SolutionTable:
 
     @classmethod
     def from_states(cls, states: Iterable[StatePair]) -> "SolutionTable":
-        ss = sorted(states, key=lambda s: s.m)
+        ss = list(states)
         if not ss:
             raise ValueError("empty table")
-        if [s.m for s in ss] != list(range(ss[0].m, ss[0].m + len(ss))):
+        return cls._from_rows([s.m for s in ss], [s.y for s in ss], [s.z for s in ss])
+
+    @classmethod
+    def _from_rows(cls, ms: list, ys: list, zs: list) -> "SolutionTable":
+        """The table of the rows (ms[i], ys[i], zs[i]), at least one, in any
+        order; the indexes must be contiguous."""
+        order = sorted(range(len(ms)), key=ms.__getitem__)
+        m_lo = ms[order[0]]
+        if [ms[i] for i in order] != list(range(m_lo, m_lo + len(ms))):
             raise ValueError("table window must be contiguous")
-        return cls(ss[0].m, tuple(s.y for s in ss), tuple(s.z for s in ss))
+        return cls(m_lo, tuple(ys[i] for i in order), tuple(zs[i] for i in order))
 
     # -- serialization --------------------------------------------------------
 
@@ -79,20 +96,24 @@ class SolutionTable:
 
     @classmethod
     def from_csv_text(cls, text: str) -> "SolutionTable":
+        """The table written by ``to_csv_text``, rows in any order; signs are
+        checked and zero denominators rejected as in ``parse_pair``."""
         rows = list(csv.reader(io.StringIO(text)))
         if not rows or tuple(rows[0]) != _COLUMNS:
             raise ValueError(f"expected header {','.join(_COLUMNS)}")
-        states = []
+        ms, ys, zs = [], [], []
         for row in rows[1:]:
             if not row:
                 continue
             if len(row) != 5:
                 raise ValueError(f"malformed row: {row!r}")
             m, sy, yv, sz, zv = row
-            states.append(StatePair(int(m), parse_pair(sy, yv, "Y"), parse_pair(sz, zv, "Z")))
-        if not states:
+            ms.append(int(m))
+            ys.append(ParityPair(check_sign(int(sy)), _read_amp(yv, "Y")))
+            zs.append(ParityPair(check_sign(int(sz)), _read_amp(zv, "Z")))
+        if not ms:
             raise ValueError("table has no rows")
-        return cls.from_states(states)
+        return cls._from_rows(ms, ys, zs)
 
     def to_json_obj(self) -> dict:
         return {

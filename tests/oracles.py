@@ -6,15 +6,20 @@ z-relation, mirrored for y).  The four-case reductions and the
 parity-filtered side lists below are the other two transcriptions, kept here
 only to be compared against it; so are the tropical primitives with an
 explicit minus infinity ``BOTTOM``, which the library does without (its sides
-are never empty), and the grid oracle of the first-order solver.
+are never empty), and the grid oracle of the first-order solver.  The affine
+tail ansatz is checked here index by index, against the library's decision at
+the ends of a range.  The seeded generators of random states and
+first-order parameters serve the property suites only.
 """
 
 import json
+import random
 from dataclasses import replace
 from fractions import Fraction
-from typing import Iterable, Tuple, Union
+from typing import Callable, Iterable, Tuple, Union
 
-from udp6.system import ParityPair, Params, check_sign, params_to_obj
+from udp6.families import Condition, LinearAnsatz
+from udp6.system import ParityPair, Params, StatePair, check_sign, params_to_obj
 from udp6.tables import SolutionTable
 
 
@@ -313,3 +318,75 @@ def solve_grid_check(lhs, rhs, sol) -> None:
         assert lo is None or hi is None or lo <= hi, sol
         for e in sol:
             assert e is None or e in pts or not pts
+
+
+# --- seeded generators of states and first-order parameters -----------------------
+
+
+def random_amplitude(rng: random.Random, lo: int = -150, hi: int = 150) -> Fraction:
+    return Fraction(rng.randint(lo, hi))
+
+
+def random_parity_pair(rng: random.Random, lo: int = -150, hi: int = 150) -> ParityPair:
+    return ParityPair(rng.choice((1, -1)), random_amplitude(rng, lo, hi))
+
+
+def random_state(rng: random.Random, m: int = 0, lo: int = -150, hi: int = 150) -> StatePair:
+    return StatePair(m, random_parity_pair(rng, lo, hi), random_parity_pair(rng, lo, hi))
+
+
+def random_riccati_params(
+    rng: random.Random, lo: int = -100, hi: int = 100, q_range: Tuple[int, int] = (1, 150)
+) -> Params:
+    """Integer parameters satisfying both first-order reduction conditions
+    (and therefore the evolution constraint, which is their sum)."""
+    q = Fraction(rng.randint(*q_range))
+    a = [random_amplitude(rng, lo, hi) for _ in range(4)]
+    b3, b4 = (random_amplitude(rng, lo, hi) for _ in range(2))
+    b1 = q + a[0] + b3 - a[2]
+    b2 = a[1] + b4 - a[3]
+    return Params.make(q, a, (b1, b2, b3, b4))
+
+
+# --- the affine tail ansatz, index by index -----------------------------------------
+
+
+def ansatz_inequalities_at(p: Params, ansatz: LinearAnsatz, m: int, primed: bool) -> bool:
+    """The m-dependent inequalities of the unprimed (or primed) ansatz at one
+    index, each max or min written out as two inequalities."""
+    a, b, g = ansatz.alpha, ansatz.beta, ansatz.gamma
+    am, rest = a * m, (p.q - a) * m
+    if primed:
+        return (
+            am + a + g <= p.b3 and am + a + g <= p.b4 and am + b <= p.a3 and am + b <= p.a4
+            and rest + p.b1 <= a + g and rest + p.b2 <= a + g
+            and rest + p.a1 <= b and rest + p.a2 <= b
+        )
+    return (
+        am + a + g >= p.b3 and am + a + g >= p.b4 and am + p.a1 >= b and am + p.a2 >= b
+        and rest + b >= p.a3 and rest + b >= p.a4
+        and rest + p.b1 >= a + g and rest + p.b2 >= a + g
+    )
+
+
+def check_linear_ansatz(p: Params, ansatz: LinearAnsatz, m: int, primed: bool = False) -> bool:
+    """True iff the four m-dependent ansatz inequalities hold at m.
+
+    The slope must lie in [0, Q] (False otherwise); a violated exact identity
+    is a malformed ansatz and raises.
+    """
+    a, b, g = ansatz.alpha, ansatz.beta, ansatz.gamma
+    if primed:
+        identity = a + 2 * (g - b) == p.b3 + p.b4 - p.a3 - p.a4
+    else:
+        identity = 2 * (b + g) + a == p.b3 + p.b4 + p.a1 + p.a2
+    if not identity:
+        raise ValueError("ansatz identity does not hold for these parameters")
+    if not (0 <= a <= p.q):
+        return False
+    return ansatz_inequalities_at(p, ansatz, m, primed)
+
+
+def quantified_per_index(label: str, rng: range, pred: Callable[[int], bool]) -> Condition:
+    """``udp6.families._quantified`` evaluated at every index of the range."""
+    return Condition(f"{label} for m in [{rng.start}, {rng.stop - 1}]", all(pred(m) for m in rng))

@@ -16,13 +16,13 @@ from udp6.evolution import (
     step_z_noparity,
     step_z_parity,
 )
-from udp6.generate import random_constrained_params, random_state
+from udp6.generate import random_constrained_params
 from udp6.riccati import riccati_evolve
 from udp6.system import ParityPair, Params, StatePair, denominator_lcm, residual_yy, residual_zz
 from udp6.tables import SolutionTable
 
 from goldens import golden1_y, golden1_z, golden2_y, golden2_z
-from oracles import gauge, scale, yy_by_cases, zz_by_cases
+from oracles import gauge, random_state, scale, yy_by_cases, zz_by_cases
 
 F = Fraction
 

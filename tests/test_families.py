@@ -1,23 +1,27 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import udp6.families as families
 from udp6.evolution import evolve_noparity, painleve_failures
 from udp6.families import (
+    FAMILY_IDS,
     FamilySpec,
     LinearAnsatz,
-    check_linear_ansatz,
     compute_h,
     detect_asymptotic_linearity,
     instantiate_family,
 )
 from udp6.generate import random_constrained_params
 from udp6.riccati import riccati_failures, theorem_check
-from udp6.system import ParityPair, residual_yy, residual_zz
+from udp6.system import ParityPair, Params, residual_yy, residual_zz
 from udp6.tables import SolutionTable
 
 from goldens import golden2_y, golden2_z
-from oracles import gauge, scale
+from oracles import ansatz_inequalities_at, check_linear_ansatz, gauge, quantified_per_index, scale
 
 F = Fraction
 
@@ -263,3 +267,95 @@ def test_detector_validation(p42):
         detect_asymptotic_linearity(p42, table, 4)
     with pytest.raises(ValueError):
         detect_asymptotic_linearity(p42, table, 1)
+
+
+# --- affine conditions decided at the ends of their range ----------------------------------
+
+
+@st.composite
+def _rationals(draw, lo, hi, d):
+    """An int in [lo, hi] when d = 1, else a Fraction with denominator dividing d."""
+    n = draw(st.integers(lo * d, hi * d))
+    return n if d == 1 else F(n, d)
+
+
+@st.composite
+def _constrained_params(draw, d):
+    q = draw(_rationals(1, 12, d))
+    a = [draw(_rationals(-12, 12, d)) for _ in range(4)]
+    b1, b2, b3 = (draw(_rationals(-12, 12, d)) for _ in range(3))
+    return Params.make(q, a, (b1, b2, b3, b1 + b2 + a[2] + a[3] - q - a[0] - a[1] - b3))
+
+
+@st.composite
+def _fit_cases(draw):
+    """Parameters, an ansatz and a primed flag, all int (d = 1) or rational."""
+    d = draw(st.sampled_from((1, 1, 2, 3)))
+    p = draw(_constrained_params(d))
+    alpha = draw(_rationals(-2, int(p.q) + 2, d))
+    beta, gamma = draw(_rationals(-24, 24, d)), draw(_rationals(-24, 24, d))
+    return p, LinearAnsatz(alpha, beta, gamma), draw(st.booleans())
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(case=_fit_cases(), lo=st.integers(-24, 24), n=st.integers(0, 12))
+def test_endpoint_rule_equals_per_index_verdict(case, lo, n):
+    p, fit, primed = case
+    rng = range(lo, lo + n)
+    at_ends = families._holds_on(rng, lambda m: families._ansatz_inequalities(p, fit, m, primed))
+    assert at_ends == all(ansatz_inequalities_at(p, fit, m, primed) for m in rng)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=_fit_cases(), lo=st.integers(-24, 12), tail=st.integers(3, 12), rest=st.integers(0, 6),
+       w=st.integers(2, 3))
+def test_end_fit_inequalities_equal_per_index_verdicts(case, lo, tail, rest, w):
+    """A table whose tail (the last ``tail`` points forward, the first ones
+    backward) follows the ansatz and bends just before it: the endpoint
+    verdict of ``_end_fit`` on the tail's step indexes is the per-index one."""
+    p, fit, primed = case
+    forward = not primed
+    hi = lo + tail + rest - 1
+    m_edge = hi - tail + 1 if forward else lo + tail - 1
+    a, b, g = fit.alpha, fit.beta, fit.gamma
+    slope_y = p.q - a if forward else a
+
+    def cell(slope, icpt, m):
+        bend = max(m_edge - m, 0) if forward else max(m - m_edge, 0)
+        return ParityPair(-1, slope * m + icpt + bend)
+
+    ms = range(lo, hi + 1)
+    table = SolutionTable(lo, tuple(cell(slope_y, b, m) for m in ms), tuple(cell(a, g, m) for m in ms))
+    got = families._end_fit(p, table, min(w, tail - 1), forward)
+    assert (got.m_edge, got.alpha, got.beta, got.gamma) == (m_edge, a, b, g)
+    steps = range(m_edge, hi) if forward else range(lo, m_edge)
+    assert got.inequalities_ok == all(ansatz_inequalities_at(p, fit, m, primed) for m in steps)
+
+
+@st.composite
+def _family_cases(draw):
+    """A family spec on parameters meeting both reduction conditions, and a
+    window of 1 to 8 points."""
+    d = draw(st.sampled_from((1, 1, 2)))
+    q = draw(_rationals(1, 12, d))
+    a = [draw(_rationals(-12, 12, d)) for _ in range(4)]
+    b3, b4 = draw(_rationals(-12, 12, d)), draw(_rationals(-12, 12, d))
+    p = Params.make(q, a, (q + a[0] + b3 - a[2], a[1] + b4 - a[3], b3, b4))
+    fam = draw(st.sampled_from(FAMILY_IDS))
+    c = draw(_rationals(-60, 60, d))
+    m0 = draw(st.integers(-4, -1) if fam == "soln2" else st.integers(1, 4))
+    ansatz = LinearAnsatz(*(draw(_rationals(lo, hi, d)) for lo, hi in ((-1, 13), (-24, 24), (-24, 24))))
+    spec = FamilySpec(fam, c=c, c_prime=c, m0=m0, ansatz=ansatz)
+    lo = draw(st.integers(-12, 12))
+    return spec, p, (lo, lo + draw(st.integers(0, 7)))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(case=_family_cases())
+def test_instantiate_family_verdicts_equal_per_index_verdicts(case):
+    spec, p, window = case
+    at_ends = instantiate_family(spec, p, window)
+    with mock.patch.object(families, "_quantified", quantified_per_index):
+        per_index = instantiate_family(spec, p, window)
+    assert at_ends.valid == per_index.valid
+    assert at_ends.conditions == per_index.conditions

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from udp6.evolution import painleve_failures
-from udp6.generate import random_parity_pair, random_riccati_params
 from udp6.riccati import (
     check_riccati_conditions,
     residual_riccati1,
@@ -19,7 +18,7 @@ from udp6.riccati import (
 from udp6.system import ConstraintViolation, ParityPair, Params
 from udp6.tables import SolutionTable
 
-from oracles import gauge
+from oracles import gauge, random_parity_pair, random_riccati_params
 
 F = Fraction
 

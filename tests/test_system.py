@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from udp6.evolution import painleve_failures
-from udp6.generate import random_constrained_params, random_parity_pair
+from udp6.generate import random_constrained_params
 from udp6.system import (
     ConstraintViolation,
     ParityPair,
@@ -19,7 +19,18 @@ from udp6.system import (
 )
 from udp6.tables import SolutionTable
 
-from oracles import gauge, parity_indicator, scale, t_add, t_max, yy_by_cases, yy_sides, zz_by_cases, zz_sides
+from oracles import (
+    gauge,
+    parity_indicator,
+    random_parity_pair,
+    scale,
+    t_add,
+    t_max,
+    yy_by_cases,
+    yy_sides,
+    zz_by_cases,
+    zz_sides,
+)
 
 F = Fraction
 

@@ -39,3 +39,42 @@ def test_from_json_obj_rejects_bad_sign(sign):
     row = {"m": 0, "sy": -1, "Y": "43", "sz": sign, "Z": "40"}
     with pytest.raises(ValueError, match="sign must be"):
         SolutionTable.from_json_obj({"m_lo": 0, "rows": [row]})
+
+
+# --- CSV reader -------------------------------------------------------------------
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(table=_tables(), order=st.randoms(use_true_random=False))
+def test_csv_reader_reads_back_shuffled_rows_cell_by_cell(table, order):
+    header, *rows = table.to_csv_text().splitlines()
+    order.shuffle(rows)
+    got = SolutionTable.from_csv_text("\n".join([header] + rows) + "\n")
+    assert got.m_lo == table.m_lo and len(got) == len(table)
+    for mine, theirs in zip(got.ys + got.zs, table.ys + table.zs):
+        assert mine == theirs
+        # integer text reads back as an int, any other text as a Fraction
+        assert type(mine.amp) is (int if str(theirs.amp).lstrip("-").isdigit() else Fraction)
+
+
+def test_csv_reader_keeps_integer_text_as_int_and_parses_the_rest():
+    got = SolutionTable.from_csv_text("m,sy,Y,sz,Z\n0,1,-0,-1,007\n1,1,+3,-1,7/2\n2,1, 4,1,1.5\n")
+    assert [type(c.amp) for c in got.ys] == [int, Fraction, Fraction]
+    assert [type(c.amp) for c in got.zs] == [int, Fraction, Fraction]
+    assert [c.amp for c in got.ys + got.zs] == [0, 3, 4, 7, Fraction(7, 2), Fraction(3, 2)]
+
+
+@pytest.mark.parametrize("rows,message", [
+    (["0,0,43,-1,40"], "sign must be +1 or -1, got 0"),
+    (["0,-1,43,2,40"], "sign must be +1 or -1, got 2"),
+    (["0,-1,1/0,-1,40"], "Y: zero denominator in '1/0'"),
+    (["0,-1,43,-1,x"], "Invalid literal for Fraction: 'x'"),
+    (["0,-1,43,-1,40", "2,-1,43,-1,40"], "table window must be contiguous"),
+    (["0,-1,43,-1,40", "0,-1,43,-1,40"], "table window must be contiguous"),
+    (["0,-1,43,-1"], "malformed row: ['0', '-1', '43', '-1']"),
+    ([], "table has no rows"),
+])
+def test_csv_reader_rejects_bad_tables(rows, message):
+    with pytest.raises(ValueError) as exc:
+        SolutionTable.from_csv_text("\n".join(["m,sy,Y,sz,Z"] + rows) + "\n")
+    assert str(exc.value) == message
