@@ -23,26 +23,22 @@ from .families import FAMILY_IDS, FamilySpec, LinearAnsatz, detect_asymptotic_li
 from .generate import random_constrained_params
 from .qoracle import EpsSchedule, ud_limit_compare
 from .riccati import riccati_evolve, riccati_failures
-from .system import ParityPair, StatePair, load_params, params_to_obj, parse_pair, parse_rational
+from .system import ParityPair, load_params, params_to_obj, parse_pair, parse_rational
 from .tables import SolutionTable, branches_json_text, branches_to_json_obj
 
 __all__ = ["main"]
 
-# flags that may take dash-prefixed values ("-1:43"); glued to --flag=value so
-# argparse never mistakes the value for an option
-_VALUE_FLAGS = {
-    "--y0", "--z0", "--window", "--eps", "--c", "--cprime", "--m0",
-    "--alpha", "--beta", "--gamma", "--w",
-}
-
-
 def _glue_values(argv: List[str]) -> List[str]:
+    """argv with each dash-digit value ("-1:43") glued to the ``--flag``
+    before it as ``--flag=value``, so argparse never mistakes it for an
+    option."""
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv) and "=" not in tok:
-            out.append(f"{tok}={argv[i + 1]}")
+        nxt = argv[i + 1] if i + 1 < len(argv) else ""
+        if tok.startswith("--") and "=" not in tok and nxt[:1] == "-" and nxt[1:2].isdecimal():
+            out.append(f"{tok}={nxt}")
             i += 2
         else:
             out.append(tok)
@@ -112,7 +108,7 @@ def _cmd_evolve(args) -> int:
     y0 = _parse_pair(args.y0)
     z0 = _parse_pair(args.z0)
     window = _parse_window(args.window)
-    tree = evolve(p, StatePair(args.m0, y0, z0), window, max_branches=args.branch_cap)
+    tree = evolve(p, args.m0, y0, z0, window, max_branches=args.branch_cap)
     _emit(_tables_text(tree.tables, tree.truncated, args.format), args.out)
     if tree.truncated:
         print(f"branch cap {args.branch_cap} hit; output truncated", file=sys.stderr)
@@ -125,7 +121,7 @@ def _cmd_verify(args) -> int:
     with open(args.table, "r", encoding="utf-8") as fh:
         text = fh.read()
     table = SolutionTable.from_csv_text(text)
-    failures = [(m, rel) for m, rel in painleve_failures(p, table)]
+    failures = painleve_failures(p, table)
     if args.riccati:
         failures += riccati_failures(p, table)
     if failures:

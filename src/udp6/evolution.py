@@ -43,7 +43,6 @@ from typing import Callable, Iterable, List, Optional, Tuple
 from .system import (
     ParityPair,
     Params,
-    StatePair,
     denominator_lcm,
     require_constraint,
     require_unsigned,
@@ -221,12 +220,18 @@ def step_back_z_parity(p: Params, m: int, y_prev: ParityPair, z: ParityPair) -> 
 
 
 def evolve(
-    p: Params, initial: StatePair, window: Tuple[int, int], max_branches: int = 64
+    p: Params,
+    m0: int,
+    y0: ParityPair,
+    z0: ParityPair,
+    window: Tuple[int, int],
+    max_branches: int = 64,
 ) -> BranchTree:
-    """Enumerate solutions through ``initial`` over the window [lo, hi].
+    """Enumerate solutions through (y0, z0) at index m0 over the window
+    [lo, hi].
 
-    Alternates the z- and y-steppers forward from the initial index and their
-    backward mirrors down to the window start.  Every leaf is a complete
+    Alternates the z- and y-steppers forward from m0 and their backward
+    mirrors down to the window start.  Every leaf is a complete
     SolutionTable satisfying both residuals at every interior index.  When the
     number of live branches exceeds ``max_branches`` after a (z, y) step the
     surplus (in deterministic order) is dropped and the result is flagged
@@ -236,12 +241,11 @@ def evolve(
         raise ValueError("max_branches must be at least 1")
     require_unsigned(p)
     lo, hi = window
-    if not (lo <= initial.m <= hi):
+    if not (lo <= m0 <= hi):
         raise ValueError("initial index must lie inside the window")
 
-    d = denominator_lcm(p, (initial.y.amp, initial.z.amp))
+    d = denominator_lcm(p, (y0.amp, z0.amp))
     p = p.integer_image(d)  # the steps below run on integer images
-    m0 = initial.m
     # one step per (z, y) pair, so the cap applies after each pair
     steps = [
         lambda t, m=m: (
@@ -253,13 +257,13 @@ def evolve(
     ]
     steps += [
         lambda t, m=m: (
-            {("y", m - 1): y0, ("z", m - 1): z0}
-            for y0 in step_back_y_parity(p, m, t["y", m], t["z", m])
-            for z0 in step_back_z_parity(p, m, y0, t["z", m])
+            {("y", m - 1): yp, ("z", m - 1): zp}
+            for yp in step_back_y_parity(p, m, t["y", m], t["z", m])
+            for zp in step_back_z_parity(p, m, yp, t["z", m])
         )
         for m in range(m0, lo, -1)
     ]
-    root = {("y", m0): initial.y.integer_image(d), ("z", m0): initial.z.integer_image(d)}
+    root = {("y", m0): y0.integer_image(d), ("z", m0): z0.integer_image(d)}
     return grow_tables(root, steps, max_branches, window, d)
 
 

@@ -35,7 +35,6 @@ from .tables import SolutionTable
 __all__ = [
     "AffineFit",
     "Condition",
-    "DerivedConstants",
     "FAMILY_IDS",
     "FamilyResult",
     "FamilySpec",
@@ -49,20 +48,10 @@ __all__ = [
 FAMILY_IDS = ("r1", "r2", "r3", "r4", "pconst", "sol0", "soln2", "solp", "lin", "linprime")
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
-    """The two step constants of the affine subsystem families."""
-
-    h: Fraction
-    h_prime: Fraction
-
-
-def compute_h(p: Params) -> DerivedConstants:
-    """h = A3+B1-A2-B4 and h' = A3-A4-B3+B4 (gauge invariant)."""
-    return DerivedConstants(
-        h=p.a3 + p.b1 - p.a2 - p.b4,
-        h_prime=p.a3 - p.a4 - p.b3 + p.b4,
-    )
+def compute_h(p: Params) -> Tuple[Fraction, Fraction]:
+    """The step constants (h, h') of the affine subsystem families:
+    h = A3+B1-A2-B4 and h' = A3-A4-B3+B4 (gauge invariant)."""
+    return p.a3 + p.b1 - p.a2 - p.b4, p.a3 - p.a4 - p.b3 + p.b4
 
 
 # --- linear ansatz ------------------------------------------------------------
@@ -162,18 +151,15 @@ class FamilyResult:
         }
 
 
-Piece = Tuple[Callable[[int], bool], int, Callable[[int], Fraction]]
+# (first index, sign, amplitude); the first piece of a list starts at None
+Piece = Tuple[Optional[int], int, Callable[[int], Fraction]]
 
 
 def _piecewise(pieces: List[Piece], m: int) -> ParityPair:
-    got = [(sign, amp_fn(m)) for pred, sign, amp_fn in pieces if pred(m)]
-    if not got:
-        raise ValueError(f"no piece covers index {m}")
-    for other in got[1:]:
-        # overlapping display ranges must agree where they meet
-        if other != got[0]:
-            raise ValueError(f"pieces disagree at index {m}: {got[0]} vs {other}")
-    return ParityPair(*got[0])
+    """The cell at m of the last piece that starts at or before m; pieces are
+    listed by first index, so each covers the indexes up to the next one's."""
+    sign, amp_fn = next((s, f) for first, s, f in reversed(pieces) if first is None or first <= m)
+    return ParityPair(sign, amp_fn(m))
 
 
 def _need(spec: FamilySpec, field: str):
@@ -201,12 +187,10 @@ def instantiate_family(
     lo, hi = window
     if lo > hi:
         raise ValueError("empty window")
-    k = compute_h(p)
-    h, hp = k.h, k.h_prime
+    h, hp = compute_h(p)
     q = p.q
     a1, a2, a3, a4 = p.a1, p.a2, p.a3, p.a4
     b1, b2, b3, b4 = p.b1, p.b2, p.b3, p.b4
-    always = lambda m: True
     conds: List[Condition] = []
 
     # step relations checkable inside the window: the y->z relation at
@@ -220,39 +204,39 @@ def instantiate_family(
 
     if fam == "r1":
         c = _need(spec, "c")
-        ys = [(always, -1, lambda m: h * m + c)]
-        zs = [(always, +1, lambda n: (q - h) * (n - 1) + a2 + b4 - c)]
+        ys = [(None, -1, lambda m: h * m + c)]
+        zs = [(None, +1, lambda n: (q - h) * (n - 1) + a2 + b4 - c)]
         conds.append(_quantified("h*m >= A4-c and (Q-h)*m >= c-A2", r2_range,
                                  lambda m: h * m >= a4 - c and (q - h) * m >= c - a2))
         conds.append(_quantified("h*(m+1) >= A3-c and (Q-h)*(m+1) >= c-A1", r1_range,
                                  lambda m: h * (m + 1) >= a3 - c and (q - h) * (m + 1) >= c - a1))
     elif fam == "r2":
         c = _need(spec, "c")
-        ys = [(always, +1, lambda m: h * m + a2 + b4 - c)]
-        zs = [(always, -1, lambda n: (q - h) * (n - 1) + c)]
+        ys = [(None, +1, lambda m: h * m + a2 + b4 - c)]
+        zs = [(None, -1, lambda n: (q - h) * (n - 1) + c)]
         conds.append(_quantified("(Q-h)*m >= B4-c and h*m >= c-B2", r2_range,
                                  lambda m: (q - h) * m >= b4 - c and h * m >= c - b2))
         conds.append(_quantified("(Q-h)*m >= B3-c and h*m >= c-B1", r1_range,
                                  lambda m: (q - h) * m >= b3 - c and h * m >= c - b1))
     elif fam == "r3":
         cp = _need(spec, "c_prime")
-        ys = [(always, -1, lambda m: hp * m + cp)]
-        zs = [(always, +1, lambda n: hp * (n - 1) + cp + b4 - a4)]
+        ys = [(None, -1, lambda m: hp * m + cp)]
+        zs = [(None, +1, lambda n: hp * (n - 1) + cp + b4 - a4)]
         conds.append(_quantified("h'*m <= A4-c' and (Q-h')*m <= c'-A2", r2_range,
                                  lambda m: hp * m <= a4 - cp and (q - hp) * m <= cp - a2))
         conds.append(_quantified("h'*(m+1) <= A3-c' and (Q-h')*(m+1) <= c'-A1", r1_range,
                                  lambda m: hp * (m + 1) <= a3 - cp and (q - hp) * (m + 1) <= cp - a1))
     elif fam == "r4":
         cp = _need(spec, "c_prime")
-        ys = [(always, +1, lambda m: hp * m + cp - b4 + a4)]
-        zs = [(always, -1, lambda n: hp * (n - 1) + cp)]
+        ys = [(None, +1, lambda m: hp * m + cp - b4 + a4)]
+        zs = [(None, -1, lambda n: hp * (n - 1) + cp)]
         conds.append(_quantified("h'*m <= B4-c' and (Q-h')*m <= c'-B2", r2_range,
                                  lambda m: hp * m <= b4 - cp and (q - hp) * m <= cp - b2))
         conds.append(_quantified("h'*m <= B3-c' and (Q-h')*m <= c'-B1", r1_range,
                                  lambda m: hp * m <= b3 - cp and (q - hp) * m <= cp - b1))
     elif fam == "pconst":
-        ys = [(always, -1, lambda m: a2 + b4 - b1)]
-        zs = [(always, +1, lambda n: (n - 1) * q + b1)]
+        ys = [(None, -1, lambda m: a2 + b4 - b1)]
+        zs = [(None, +1, lambda n: (n - 1) * q + b1)]
         conds.append(Condition("A2+B4 <= A3+B1", a2 + b4 <= a3 + b1))
         conds.append(Condition("B1 <= B2", b1 <= b2))
         conds.append(_quantified("m*Q >= max(A2+B4-A1-B1, B4-B1)", r1_range,
@@ -260,12 +244,12 @@ def instantiate_family(
     elif fam == "sol0":
         c = _need(spec, "c")
         ys = [
-            (lambda m: m <= 0, -1, lambda m: hp * m + c),
-            (lambda m: m >= 1, -1, lambda m: h * m + c),
+            (None, -1, lambda m: hp * m + c),
+            (1, -1, lambda m: h * m + c),
         ]
         zs = [
-            (lambda m: m <= 0, +1, lambda m: hp * m + b3 - a3 + c),
-            (lambda m: m >= 1, +1, lambda m: (q - h) * m + a1 + b3 - c),
+            (None, +1, lambda m: hp * m + b3 - a3 + c),
+            (1, +1, lambda m: (q - h) * m + a1 + b3 - c),
         ]
         lower = max(a1, a4, a2 + b4 - b1, a1 - b1 + b2)
         upper = min(a2, a3, a3 - b3 + b4, a2 + b4 - b3)
@@ -277,14 +261,14 @@ def instantiate_family(
         if m0 >= 0:
             raise ValueError("soln2 requires m0 < 0")
         ys = [
-            (lambda m: m <= m0, -1, lambda m: hp * m + cp),
-            (lambda m: m0 + 1 <= m <= 0, +1, lambda m: a3),
-            (lambda m: m >= 1, -1, lambda m: h * m + a2),
+            (None, -1, lambda m: hp * m + cp),
+            (m0 + 1, +1, lambda m: a3),
+            (1, -1, lambda m: h * m + a2),
         ]
         zs = [
-            (lambda m: m <= m0, +1, lambda m: hp * m + b3 - a3 + cp),
-            (lambda m: m0 + 1 <= m <= 1, +1, lambda m: b4),
-            (lambda m: m >= 2, +1, lambda m: (q - h) * (m - 1) + b4),
+            (None, +1, lambda m: hp * m + b3 - a3 + cp),
+            (m0 + 1, +1, lambda m: b4),
+            (2, +1, lambda m: (q - h) * (m - 1) + b4),
         ]
         conds.extend([
             Condition("0 <= h <= Q", 0 <= h <= q),
@@ -302,15 +286,15 @@ def instantiate_family(
         if m0 <= 0:
             raise ValueError("solp requires m0 > 0")
         ys = [
-            (lambda m: m <= -1, +1, lambda m: hp * m + a1 - b1 + b2),
-            (lambda m: 0 <= m <= m0 - 1, -1, lambda m: a2 + b4 - b1),
-            (lambda m: m >= m0, +1, lambda m: h * m + a2 + b4 - c),
+            (None, +1, lambda m: hp * m + a1 - b1 + b2),
+            (0, -1, lambda m: a2 + b4 - b1),
+            (m0, +1, lambda m: h * m + a2 + b4 - c),
         ]
         zs = [
-            (lambda m: m <= -1, -1, lambda m: hp * m + b2 - q),
-            (lambda m: m == 0, +1, lambda m: a2 + b4 - a1 - q),
-            (lambda m: 1 <= m <= m0, +1, lambda m: (m - 1) * q + b1),
-            (lambda m: m >= m0 + 1, -1, lambda m: (q - h) * (m - 1) + c),
+            (None, -1, lambda m: hp * m + b2 - q),
+            (0, +1, lambda m: a2 + b4 - a1 - q),
+            (1, +1, lambda m: (m - 1) * q + b1),
+            (m0 + 1, -1, lambda m: (q - h) * (m - 1) + c),
         ]
         conds.extend([
             Condition("0 <= h <= Q", 0 <= h <= q),
@@ -330,13 +314,13 @@ def instantiate_family(
         primed = fam == "linprime"
         al, be, ga = ansatz.alpha, ansatz.beta, ansatz.gamma
         if primed:
-            ys = [(always, -1, lambda m: al * m + be)]
-            zs = [(always, -1, lambda m: al * m + ga)]
+            ys = [(None, -1, lambda m: al * m + be)]
+            zs = [(None, -1, lambda m: al * m + ga)]
             conds.append(Condition("alpha' + 2*(gamma'-beta') = B3+B4-A3-A4",
                                    ansatz_identity_holds(p, ansatz, True)))
         else:
-            ys = [(always, -1, lambda m: (q - al) * m + be)]
-            zs = [(always, -1, lambda m: al * m + ga)]
+            ys = [(None, -1, lambda m: (q - al) * m + be)]
+            zs = [(None, -1, lambda m: al * m + ga)]
             conds.append(Condition("2*(beta+gamma) + alpha = B3+B4+A1+A2",
                                    ansatz_identity_holds(p, ansatz, False)))
         conds.append(Condition("0 <= alpha <= Q", 0 <= al <= q))

@@ -36,7 +36,6 @@ from typing import List, Optional, Tuple
 import mpmath
 
 from .evolution import painleve_failures
-from .riccati import require_riccati_conditions
 from .system import Params, parse_rational, require_unsigned
 from .tables import SolutionTable
 
@@ -55,7 +54,6 @@ __all__ = [
     "ls_sub",
     "ls_zero",
     "qp6_step",
-    "qriccati_step",
     "ud_limit_compare",
 ]
 
@@ -218,26 +216,6 @@ def qp6_step(
     )
     y_next = ls_div(num2, den2)
     return y_next, z_next
-
-
-def qriccati_step(p: Params, eps, m: int, y: LogSigned) -> Tuple[LogSigned, LogSigned]:
-    """One step of the first-order q-map: y(t) -> (z(qt), y(qt)).
-
-    z' = b4 (y - t a2)/(y - a4),  y' = a3 (z' - t b1)/(z' - b3).
-    Requires the exact rational reduction conditions on the parameters.
-    """
-    require_riccati_conditions(p)
-    eps = Fraction(eps)
-    prec = y.prec
-    a3, a4, b3, b4 = _fixed_images(p, eps, prec)
-    a2t = ls_from_amplitude(1, m * p.q + p.a2, eps, prec)
-    b1t = ls_from_amplitude(1, m * p.q + p.b1, eps, prec)
-
-    z_next = ls_div(ls_mul(b4, ls_sub(y, a2t)), _nonzero(ls_sub(y, a4), "y - a4"))
-    y_next = ls_div(
-        ls_mul(a3, ls_sub(z_next, b1t)), _nonzero(ls_sub(z_next, b3), "z(qt) - b3")
-    )
-    return z_next, y_next
 
 
 # --- the ultradiscretization comparator ----------------------------------------

@@ -17,26 +17,24 @@ finite end is where a slope-0 line meets a slope-1 line, an intercept
 difference ``c - d``; the solve never divides.
 
 Every solution of this subsystem also solves the full second-order system;
-``theorem_check`` verifies that implication table by table.  The subsystem
-has no solution at all with both parities -1, so the parity variables are
-essential here.
+the tests check that implication table by table (``theorem_check`` in
+``tests/oracles.py``).  The subsystem has no solution at all with both
+parities -1, so the parity variables are essential here.
 
-Residuals and steps check nothing; ``riccati_evolve``, ``riccati_failures``
-and ``theorem_check`` validate the parameters once on entry.
+Residuals and steps check nothing; ``riccati_evolve`` and
+``riccati_failures`` validate the parameters once on entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .evolution import BranchTree, grow_tables, painleve_failures
+from .evolution import BranchTree, grow_tables
 from .system import ConstraintViolation, ParityPair, Params, require_unsigned
 from .tables import SolutionTable
 
 __all__ = [
-    "RiccatiStepResult",
     "check_riccati_conditions",
     "require_riccati_conditions",
     "residual_riccati1",
@@ -48,7 +46,6 @@ __all__ = [
     "riccati_step_y",
     "riccati_step_z",
     "solve_one_unknown",
-    "theorem_check",
 ]
 
 _SAMPLINGS = ("endpoints", "midpoint", "all-breakpoints")
@@ -80,6 +77,7 @@ _RELATIONS = {
 
 Term = Tuple[int, Fraction]  # (slope, intercept): slope * x + intercept
 Interval = Tuple[Optional[Fraction], Optional[Fraction]]  # (lo, hi); None is unbounded
+Branches = Tuple[Tuple[int, Interval], ...]  # the (sign, interval) branches of a step
 
 
 def _sides(
@@ -172,23 +170,10 @@ def _samples(interval: Interval, policy: str) -> list:
     return sorted(set(picks[policy]))
 
 
-@dataclass(frozen=True)
-class RiccatiStepResult:
-    """Admissible (sign, (lo, hi)) branches for the next variable.
-
-    Signs whose solution set is empty are omitted; the sign pair that admits
-    no solution is never attempted, so a double-minus branch cannot appear.
-    """
-
-    branches: Tuple[Tuple[int, Interval], ...]
-
-    def samples(self, policy: str = "endpoints") -> List[ParityPair]:
-        return [ParityPair(sign, x) for sign, iv in self.branches for x in _samples(iv, policy)]
-
-
-def _solve(p: Params, rel: str, m: int, known: ParityPair, unknown: str) -> RiccatiStepResult:
+def _solve(p: Params, rel: str, m: int, known: ParityPair, unknown: str) -> Branches:
     """Solve relation ``rel`` at index m for its ``unknown`` slot ("y" or
-    "z"), one sign at a time, given the other slot."""
+    "z"), one sign at a time, given the other slot.  A sign with no solution
+    is left out, and the double-minus pair, which has none, is never tried."""
     branches = []
     for sign in (1,) if known.sign == -1 else (1, -1):
         if unknown == "z":
@@ -198,25 +183,25 @@ def _solve(p: Params, rel: str, m: int, known: ParityPair, unknown: str) -> Ricc
         sol = solve_one_unknown(*sides)
         if sol is not None:
             branches.append((sign, sol))
-    return RiccatiStepResult(tuple(branches))
+    return tuple(branches)
 
 
-def riccati_step_z(p: Params, m: int, y_m: ParityPair) -> RiccatiStepResult:
+def riccati_step_z(p: Params, m: int, y_m: ParityPair) -> Branches:
     """Solve the step relation at index m for z_{m+1}, one sign at a time."""
     return _solve(p, "r2", m, y_m, "z")
 
 
-def riccati_step_y(p: Params, m: int, z_next: ParityPair) -> RiccatiStepResult:
+def riccati_step_y(p: Params, m: int, z_next: ParityPair) -> Branches:
     """Solve the step relation at index m for y_{m+1}, given z_{m+1}."""
     return _solve(p, "r1", m, z_next, "y")
 
 
-def riccati_close_z(p: Params, m: int, y_m: ParityPair) -> RiccatiStepResult:
+def riccati_close_z(p: Params, m: int, y_m: ParityPair) -> Branches:
     """Solve for z_m given y_m (the y-relation at index m-1, unknown z slot)."""
     return _solve(p, "r1", m - 1, y_m, "z")
 
 
-def riccati_step_back_y(p: Params, m: int, z_m: ParityPair) -> RiccatiStepResult:
+def riccati_step_back_y(p: Params, m: int, z_m: ParityPair) -> Branches:
     """Solve for y_{m-1} given z_m (the z-relation at index m-1, unknown y)."""
     return _solve(p, "r2", m - 1, z_m, "y")
 
@@ -253,7 +238,11 @@ def riccati_evolve(
 
     def fill(slot, step, m, known):
         # one half step: ``slot`` from each sample of ``step`` at the ``known`` value
-        return lambda t: ({slot: c} for c in step(p, m, t[known]).samples(sampling))
+        return lambda t: (
+            {slot: ParityPair(sign, x)}
+            for sign, iv in step(p, m, t[known])
+            for x in _samples(iv, sampling)
+        )
 
     steps = [fill(("z", m0), riccati_close_z, m0, ("y", m0))]
     for m in range(m0, hi):
@@ -280,11 +269,3 @@ def riccati_failures(p: Params, table: SolutionTable) -> List[Tuple[int, str]]:
         if not residual_riccati1(p, m, table.y(m + 1), table.z(m + 1)):
             bad.append((m, "r1"))
     return bad
-
-
-def theorem_check(p: Params, table: SolutionTable) -> bool:
-    """Verify on one table that solving the subsystem implies solving the
-    full system.  False only on a counterexample, which must never happen."""
-    if riccati_failures(p, table):
-        return True  # premise fails; implication is vacuous
-    return not painleve_failures(p, table)

@@ -20,8 +20,8 @@ the int amplitudes when D = 1 and hold ``Fraction(n, D)`` only when D > 1;
 ``str`` writes both alike.  ``Params`` keeps ints as they are and turns
 anything else into a ``Fraction``.  A ``ParityPair`` is a plain tuple that
 converts and checks nothing: ``check_sign`` checks its sign once, where the
-pair enters the system (``parse_pair``, used by the CLI and the table
-readers), as ``Params`` checks the parameter signs.
+pair enters the system (``parse_pair`` in the CLI, the CSV table reader),
+as ``Params`` checks the parameter signs.
 
 The library holds one transcription, the eight-term z-relation with
 parameter signs.  The y-relation is that kernel mirrored: A and B (amplitudes
@@ -44,7 +44,6 @@ __all__ = [
     "ConstraintViolation",
     "ParityPair",
     "Params",
-    "StatePair",
     "check_constraint",
     "check_sign",
     "denominator_lcm",
@@ -92,15 +91,6 @@ class ParityPair(NamedTuple):
     def integer_image(self, d: int) -> "ParityPair":
         """The sign and the amplitude times d, as an int."""
         return ParityPair(self.sign, scale_to_int(self.amp, d))
-
-
-@dataclass(frozen=True)
-class StatePair:
-    """One column of a solution table: (y, z) at index m."""
-
-    m: int
-    y: ParityPair
-    z: ParityPair
 
 
 _AMP_KEYS = ("q", "a1", "a2", "a3", "a4", "b1", "b2", "b3", "b4")

@@ -1,7 +1,8 @@
-"""Solution tables: m -> (y, z) over a contiguous integer window, with exact
-CSV and JSON round-trips (columns m, sy, Y, sz, Z; amplitudes as rational
+"""Solution tables: m -> (y, z) over a contiguous integer window, with an
+exact CSV round-trip (columns m, sy, Y, sz, Z; amplitudes as rational
 strings).  The CSV reader keeps an amplitude written as an integer as an
-int, as the evolutions keep integer cells."""
+int, as the evolutions keep integer cells.  JSON is an output format only:
+``to_json_obj`` and the branch writers have no reader."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Tuple
 
-from .system import ParityPair, StatePair, check_sign, parse_pair, parse_rational
+from .system import ParityPair, check_sign, parse_rational
 
 __all__ = ["SolutionTable", "branches_json_text", "branches_to_json_obj"]
 
@@ -60,19 +61,9 @@ class SolutionTable:
     def z(self, m: int) -> ParityPair:
         return self.zs[self._at(m)]
 
-    def state(self, m: int) -> StatePair:
-        return StatePair(m, self.y(m), self.z(m))
-
     def rows(self) -> Iterator[Tuple[int, ParityPair, ParityPair]]:
         for i, m in enumerate(self.indexes()):
             yield m, self.ys[i], self.zs[i]
-
-    @classmethod
-    def from_states(cls, states: Iterable[StatePair]) -> "SolutionTable":
-        ss = list(states)
-        if not ss:
-            raise ValueError("empty table")
-        return cls._from_rows([s.m for s in ss], [s.y for s in ss], [s.z for s in ss])
 
     @classmethod
     def _from_rows(cls, ms: list, ys: list, zs: list) -> "SolutionTable":
@@ -97,8 +88,13 @@ class SolutionTable:
     @classmethod
     def from_csv_text(cls, text: str) -> "SolutionTable":
         """The table written by ``to_csv_text``, rows in any order; signs are
-        checked and zero denominators rejected as in ``parse_pair``."""
-        rows = list(csv.reader(io.StringIO(text)))
+        checked and zero denominators rejected as in ``parse_pair``; text the
+        csv module cannot read (a field over its size limit) is a ValueError
+        too."""
+        try:
+            rows = list(csv.reader(io.StringIO(text)))
+        except csv.Error as exc:
+            raise ValueError(f"malformed CSV: {exc}") from None
         if not rows or tuple(rows[0]) != _COLUMNS:
             raise ValueError(f"expected header {','.join(_COLUMNS)}")
         ms, ys, zs = [], [], []
@@ -123,14 +119,6 @@ class SolutionTable:
                 for m, y, z in self.rows()
             ],
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "SolutionTable":
-        states = [
-            StatePair(int(r["m"]), parse_pair(r["sy"], r["Y"], "Y"), parse_pair(r["sz"], r["Z"], "Z"))
-            for r in obj["rows"]
-        ]
-        return cls.from_states(states)
 
 
 def branches_to_json_obj(tables: Iterable[SolutionTable], truncated: bool) -> dict:

@@ -9,7 +9,9 @@ explicit minus infinity ``BOTTOM``, which the library does without (its sides
 are never empty), and the grid oracle of the first-order solver.  The affine
 tail ansatz is checked here index by index, against the library's decision at
 the ends of a range.  The seeded generators of random states and
-first-order parameters serve the property suites only.
+first-order parameters serve the property suites only, as do the check that
+a first-order solution solves the full system and the first-order step of
+the q-system.
 """
 
 import json
@@ -18,8 +20,11 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, Iterable, Tuple, Union
 
+from udp6.evolution import painleve_failures
 from udp6.families import Condition, LinearAnsatz
-from udp6.system import ParityPair, Params, StatePair, check_sign, params_to_obj
+from udp6.qoracle import LogSigned, _fixed_images, _nonzero, ls_div, ls_from_amplitude, ls_mul, ls_sub
+from udp6.riccati import require_riccati_conditions, riccati_failures
+from udp6.system import ParityPair, Params, check_sign, params_to_obj
 from udp6.tables import SolutionTable
 
 
@@ -331,8 +336,11 @@ def random_parity_pair(rng: random.Random, lo: int = -150, hi: int = 150) -> Par
     return ParityPair(rng.choice((1, -1)), random_amplitude(rng, lo, hi))
 
 
-def random_state(rng: random.Random, m: int = 0, lo: int = -150, hi: int = 150) -> StatePair:
-    return StatePair(m, random_parity_pair(rng, lo, hi), random_parity_pair(rng, lo, hi))
+def random_state(
+    rng: random.Random, m: int = 0, lo: int = -150, hi: int = 150
+) -> Tuple[int, ParityPair, ParityPair]:
+    """A start (m, y, z) for ``evolve``."""
+    return m, random_parity_pair(rng, lo, hi), random_parity_pair(rng, lo, hi)
 
 
 def random_riccati_params(
@@ -390,3 +398,35 @@ def check_linear_ansatz(p: Params, ansatz: LinearAnsatz, m: int, primed: bool = 
 def quantified_per_index(label: str, rng: range, pred: Callable[[int], bool]) -> Condition:
     """``udp6.families._quantified`` evaluated at every index of the range."""
     return Condition(f"{label} for m in [{rng.start}, {rng.stop - 1}]", all(pred(m) for m in rng))
+
+
+# --- the first-order subsystem ------------------------------------------------------
+
+
+def theorem_check(p: Params, table: SolutionTable) -> bool:
+    """Verify on one table that solving the first-order subsystem implies
+    solving the full system.  False only on a counterexample, which must
+    never happen."""
+    if riccati_failures(p, table):
+        return True  # premise fails; implication is vacuous
+    return not painleve_failures(p, table)
+
+
+def qriccati_step(p: Params, eps, m: int, y: LogSigned) -> Tuple[LogSigned, LogSigned]:
+    """One step of the first-order q-map: y(t) -> (z(qt), y(qt)).
+
+    z' = b4 (y - t a2)/(y - a4),  y' = a3 (z' - t b1)/(z' - b3).
+    Requires the exact rational reduction conditions on the parameters.
+    """
+    require_riccati_conditions(p)
+    eps = Fraction(eps)
+    prec = y.prec
+    a3, a4, b3, b4 = _fixed_images(p, eps, prec)
+    a2t = ls_from_amplitude(1, m * p.q + p.a2, eps, prec)
+    b1t = ls_from_amplitude(1, m * p.q + p.b1, eps, prec)
+
+    z_next = ls_div(ls_mul(b4, ls_sub(y, a2t)), _nonzero(ls_sub(y, a4), "y - a4"))
+    y_next = ls_div(
+        ls_mul(a3, ls_sub(z_next, b1t)), _nonzero(ls_sub(z_next, b3), "z(qt) - b3")
+    )
+    return z_next, y_next

@@ -141,6 +141,18 @@ def test_verify_empty_table_is_input_error(tmp_path, capsys, p42_file):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize(
+    "cmd", [("verify",), ("qlimit", "--window", "0:0", "--eps", "1")], ids=["verify", "qlimit"]
+)
+def test_oversized_csv_field_is_input_error(tmp_path, capsys, p42_file, cmd):
+    # a field over the csv module's size limit is a message, not a traceback
+    table_path = tmp_path / "big.csv"
+    table_path.write_text("m,sy,Y,sz,Z\n0,-1," + "4" * 200_000 + ",-1,40\n")
+    code, _, err = run(capsys, *cmd, "--params", p42_file, "--table", str(table_path))
+    assert code == 1
+    assert err == "error: malformed CSV: field larger than field limit (131072)\n"
+
+
 # --- riccati / families ------------------------------------------------------------
 
 

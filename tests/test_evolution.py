@@ -18,7 +18,7 @@ from udp6.evolution import (
 )
 from udp6.generate import random_constrained_params
 from udp6.riccati import riccati_evolve
-from udp6.system import ParityPair, Params, StatePair, denominator_lcm, residual_yy, residual_zz
+from udp6.system import ParityPair, Params, denominator_lcm, residual_yy, residual_zz
 from udp6.tables import SolutionTable
 
 from goldens import golden1_y, golden1_z, golden2_y, golden2_z
@@ -112,18 +112,18 @@ def test_parity_steps_validate_candidates_random(rng):
     for _ in range(400):
         p = random_constrained_params(rng)
         m = rng.randint(-6, 6)
-        st = random_state(rng, m)
-        for z1 in step_z_parity(p, m, st.y, st.z):
-            assert residual_zz(p, m, st.y, st.z, z1)
-            for y1 in step_y_parity(p, m, st.y, z1):
-                assert residual_yy(p, m, st.y, y1, z1)
+        _, y, z = random_state(rng, m)
+        for z1 in step_z_parity(p, m, y, z):
+            assert residual_zz(p, m, y, z, z1)
+            for y1 in step_y_parity(p, m, y, z1):
+                assert residual_yy(p, m, y, y1, z1)
 
 
 # --- window evolution ------------------------------------------------------------
 
 
 def test_evolve_golden_first_table(p42):
-    tree = evolve(p42, StatePair(0, pp(-1, 43), pp(-1, 40)), (-10, 10))
+    tree = evolve(p42, 0, pp(-1, 43), pp(-1, 40), (-10, 10))
     assert not tree.truncated
     assert len(tree.tables) == 1
     t = tree.tables[0]
@@ -133,7 +133,7 @@ def test_evolve_golden_first_table(p42):
 
 
 def test_evolve_golden_second_table(p42):
-    tree = evolve(p42, StatePair(0, pp(-1, 43), pp(-1, 50)), (-12, 15))
+    tree = evolve(p42, 0, pp(-1, 43), pp(-1, 50), (-12, 15))
     assert len(tree.tables) == 1
     t = tree.tables[0]
     for m in t.indexes():
@@ -141,19 +141,19 @@ def test_evolve_golden_second_table(p42):
 
 
 def test_evolve_window_of_size_zero(p42):
-    tree = evolve(p42, StatePair(0, pp(-1, 43), pp(-1, 40)), (0, 0))
+    tree = evolve(p42, 0, pp(-1, 43), pp(-1, 40), (0, 0))
     assert len(tree.tables) == 1 and len(tree.tables[0]) == 1
 
 
 def test_evolve_initial_outside_window_rejected(p42):
     with pytest.raises(ValueError):
-        evolve(p42, StatePair(3, pp(-1, 0), pp(-1, 0)), (-2, 2))
+        evolve(p42, 3, pp(-1, 0), pp(-1, 0), (-2, 2))
 
 
 @pytest.mark.parametrize(
     "run",
     [
-        lambda p, m0, window, cap: evolve(p, StatePair(m0, pp(1, 0), pp(-1, 0)), window, cap),
+        lambda p, m0, window, cap: evolve(p, m0, pp(1, 0), pp(-1, 0), window, cap),
         lambda p, m0, window, cap: riccati_evolve(p, m0, pp(1, 0), window, max_branches=cap),
     ],
     ids=["evolve", "riccati_evolve"],
@@ -171,7 +171,7 @@ def test_evolutions_reject_bad_window_and_cap(p41, run):
 def test_evolve_branch_cap_flags_truncation():
     # all-zero parameters tie every case split; plus parities branch heavily
     p = Params.make(0, (0, 0, 0, 0), (0, 0, 0, 0))
-    tree = evolve(p, StatePair(0, pp(1, 0), pp(1, 0)), (0, 6), max_branches=4)
+    tree = evolve(p, 0, pp(1, 0), pp(1, 0), (0, 6), max_branches=4)
     assert tree.truncated
     assert len(tree.tables) == 4
     for t in tree.tables:
@@ -181,12 +181,12 @@ def test_evolve_branch_cap_flags_truncation():
 def test_evolve_random_soundness_and_existence(rng):
     for _ in range(150):
         p = random_constrained_params(rng)
-        st = random_state(rng, rng.randint(-3, 3))
-        tree = evolve(p, st, (-6, 6))
+        m0, y0, z0 = random_state(rng, rng.randint(-3, 3))
+        tree = evolve(p, m0, y0, z0, (-6, 6))
         assert tree.tables
         for t in tree.tables:
             assert not painleve_failures(p, t)
-            assert t.state(st.m) == st
+            assert (t.y(m0), t.z(m0)) == (y0, z0)
 
 
 def test_all_minus_sector_is_single_branch(rng):
@@ -194,7 +194,7 @@ def test_all_minus_sector_is_single_branch(rng):
         p = random_constrained_params(rng)
         y0 = F(rng.randint(-120, 120))
         z0 = F(rng.randint(-120, 120))
-        tree = evolve(p, StatePair(0, pp(-1, y0), pp(-1, z0)), (-6, 6))
+        tree = evolve(p, 0, pp(-1, y0), pp(-1, z0), (-6, 6))
         assert len(tree.tables) == 1
         fast = evolve_noparity(p, 0, y0, z0, (-6, 6))
         assert tree.tables[0] == fast
@@ -205,19 +205,15 @@ def test_evolve_is_gauge_and_scale_equivariant(rng):
     truncated = 0
     for _ in range(60):
         p = random_constrained_params(rng, -12, 12, (1, 12))
-        st = random_state(rng, rng.randint(-2, 2), -12, 12)
-        tree = evolve(p, st, (-3, 3), max_branches=6)
+        m0, y0, z0 = random_state(rng, rng.randint(-2, 2), -12, 12)
+        tree = evolve(p, m0, y0, z0, (-3, 3), max_branches=6)
         truncated += tree.truncated
         c = F(rng.randint(-40, 40), rng.randint(1, 4))
-        shifted = evolve(
-            gauge(p, c), StatePair(st.m, gauge(st.y, c), gauge(st.z, c)), (-3, 3), max_branches=6
-        )
+        shifted = evolve(gauge(p, c), m0, gauge(y0, c), gauge(z0, c), (-3, 3), max_branches=6)
         assert shifted.tables == tuple(gauge(t, c) for t in tree.tables)
         assert shifted.truncated == tree.truncated
         lam = F(rng.randint(1, 9), rng.randint(1, 4))
-        scaled = evolve(
-            scale(p, lam), StatePair(st.m, scale(st.y, lam), scale(st.z, lam)), (-3, 3), max_branches=6
-        )
+        scaled = evolve(scale(p, lam), m0, scale(y0, lam), scale(z0, lam), (-3, 3), max_branches=6)
         assert scaled.tables == tuple(scale(t, lam) for t in tree.tables)
         assert scaled.truncated == tree.truncated
     assert truncated
@@ -232,11 +228,11 @@ def test_forward_then_backward_recovers_initial_state(rng):
         m0, k = rng.randint(-3, 3), rng.randint(1, 3)
         start = random_state(rng, m0, -12, 12)
         window = (m0, m0 + k)
-        forward = evolve(p, start, window, max_branches=256)
+        forward = evolve(p, *start, window, max_branches=256)
         for t in () if forward.truncated else forward.tables:
-            backward = evolve(p, t.state(m0 + k), window, max_branches=256)
+            backward = evolve(p, m0 + k, t.y(m0 + k), t.z(m0 + k), window, max_branches=256)
             if not backward.truncated:
-                assert start in [b.state(m0) for b in backward.tables]
+                assert start in [(m0, b.y(m0), b.z(m0)) for b in backward.tables]
                 tables += 1
     assert tables >= 400
 
@@ -265,7 +261,7 @@ def _rational_case(draw):
     b1, b2, b3 = (draw(_RATIONAL) for _ in range(3))
     b4 = b1 + b2 + a[2] + a[3] - q - a[0] - a[1] - b3
     y, z = (ParityPair(draw(st.sampled_from((1, -1))), draw(_RATIONAL)) for _ in range(2))
-    return Params.make(q, a, (b1, b2, b3, b4)), StatePair(draw(st.integers(-2, 2)), y, z)
+    return Params.make(q, a, (b1, b2, b3, b4)), (draw(st.integers(-2, 2)), y, z)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -274,14 +270,14 @@ def _rational_case(draw):
     cell=st.tuples(st.integers(-3, 3), st.sampled_from("yz"), st.integers(1, 12)),
 )
 def test_rational_inputs_agree_with_case_oracles(case, cell):
-    p, start = case
-    tree = evolve(p, start, (-3, 3), max_branches=16)
-    flat = evolve_noparity(p, start.m, start.y.amp, start.z.amp, (-3, 3))
+    p, (m0, y0, z0) = case
+    tree = evolve(p, m0, y0, z0, (-3, 3), max_branches=16)
+    flat = evolve_noparity(p, m0, y0.amp, z0.amp, (-3, 3))
     for t in tree.tables + (flat,):
         assert not _oracle_failures(p, t)
         assert not painleve_failures(p, t)
-    assert all(t.state(start.m) == start for t in tree.tables)
-    _assert_amp_type(p, start, tree.tables + (flat,))
+    assert all((t.y(m0), t.z(m0)) == (y0, z0) for t in tree.tables)
+    _assert_amp_type(p, y0, z0, tree.tables + (flat,))
     # one cell moved by 1/k: its denominator need not divide the parameters'
     m, which, k = cell
     for t in tree.tables[:2] + (flat,):
@@ -291,9 +287,9 @@ def test_rational_inputs_agree_with_case_oracles(case, cell):
         assert painleve_failures(p, moved) == _oracle_failures(p, moved)
 
 
-def _assert_amp_type(p, start, tables):
+def _assert_amp_type(p, y0, z0, tables):
     # the integer cells are the output when D = 1; otherwise each is Fraction(n, D)
-    d = denominator_lcm(p, (start.y.amp, start.z.amp))
+    d = denominator_lcm(p, (y0.amp, z0.amp))
     kind = int if d == 1 else Fraction
     assert all(type(c.amp) is kind for t in tables for c in t.ys + t.zs), d
 
@@ -303,10 +299,10 @@ def _assert_amp_type(p, start, tables):
 )
 def test_output_amplitudes_are_ints_exactly_when_d_is_1(p42, y0, z0):
     for sign in (1, -1):
-        start = StatePair(0, ParityPair(sign, y0), ParityPair(sign, z0))
-        tree = evolve(p42, start, (-3, 3))
+        y, z = ParityPair(sign, y0), ParityPair(sign, z0)
+        tree = evolve(p42, 0, y, z, (-3, 3))
         flat = evolve_noparity(p42, 0, y0, z0, (-3, 3))
-        _assert_amp_type(p42, start, tree.tables + (flat,))
+        _assert_amp_type(p42, y, z, tree.tables + (flat,))
 
 
 def test_kernel_runs_on_ints(monkeypatch):
@@ -326,8 +322,7 @@ def test_kernel_runs_on_ints(monkeypatch):
     for name in ("residual_zz", "residual_yy", "step_z_parity", "step_z_noparity"):
         monkeypatch.setattr(evolution, name, only_ints(getattr(evolution, name)))
     p = Params.make(F(7, 2), (F(1, 3), 2, F(-5, 4), 0), (F(2, 3), F(1, 6), 1, F(-29, 4)))
-    start = StatePair(0, pp(1, F(5, 7)), pp(1, F(-1, 9)))
-    tree = evolve(p, start, (-3, 3))
+    tree = evolve(p, 0, pp(1, F(5, 7)), pp(1, F(-1, 9)), (-3, 3))
     table = evolve_noparity(p, 0, F(5, 7), F(-1, 9), (-3, 3))
     assert all(not painleve_failures(p, t) for t in tree.tables + (table,))
     assert set(seen) == {"residual_zz", "residual_yy", "step_z_parity", "step_z_noparity"}
@@ -343,20 +338,11 @@ def test_table_csv_roundtrip(p42):
     assert SolutionTable.from_csv_text(text) == t
 
 
-def test_table_json_roundtrip(p42):
-    t = evolve_noparity(p42, 0, F(1, 3), F(-2, 7), (-2, 2))
-    assert SolutionTable.from_json_obj(t.to_json_obj()) == t
-
-
 def test_table_csv_rejects_bad_header():
     with pytest.raises(ValueError):
         SolutionTable.from_csv_text("a,b,c\n1,2,3\n")
 
 
 def test_table_requires_contiguous_window():
-    rows = [
-        StatePair(0, pp(1, 0), pp(1, 0)),
-        StatePair(2, pp(1, 0), pp(1, 0)),
-    ]
-    with pytest.raises(ValueError):
-        SolutionTable.from_states(rows)
+    with pytest.raises(ValueError, match="contiguous"):
+        SolutionTable.from_csv_text("m,sy,Y,sz,Z\n0,1,0,1,0\n2,1,0,1,0\n")

@@ -25,14 +25,13 @@ from udp6.qoracle import (
     ls_sub,
     ls_zero,
     qp6_step,
-    qriccati_step,
     _amp_bound,
     ud_limit_compare,
 )
 from udp6.system import ParityPair, Params
 from udp6.tables import SolutionTable
 
-from oracles import dump_params, gauge
+from oracles import dump_params, gauge, qriccati_step
 
 F = Fraction
 

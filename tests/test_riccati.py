@@ -4,6 +4,7 @@ import pytest
 
 from udp6.evolution import painleve_failures
 from udp6.riccati import (
+    _samples,
     check_riccati_conditions,
     residual_riccati1,
     residual_riccati2,
@@ -13,18 +14,23 @@ from udp6.riccati import (
     riccati_step_back_y,
     riccati_step_y,
     riccati_step_z,
-    theorem_check,
 )
 from udp6.system import ConstraintViolation, ParityPair, Params
 from udp6.tables import SolutionTable
 
-from oracles import gauge, random_parity_pair, random_riccati_params
+from oracles import gauge, random_parity_pair, random_riccati_params, theorem_check
 
 F = Fraction
 
 
 def pp(sign, amp):
     return ParityPair(sign, F(amp))
+
+
+def members(branches):
+    """The pairs a step's (sign, interval) branches offer under the
+    all-breakpoints sampling policy."""
+    return [ParityPair(sign, x) for sign, iv in branches for x in _samples(iv, "all-breakpoints")]
 
 
 # --- conditions -----------------------------------------------------------------
@@ -105,20 +111,20 @@ def test_residuals_agree_with_case_reductions(rng):
 
 def test_step_z_point_solution(p41):
     res = riccati_step_z(p41, 1, pp(-1, 69))
-    assert res.branches == ((1, (119, 119)),)
+    assert res == ((1, (119, 119)),)
 
 
 def test_step_z_degenerate_interval(p41):
     # y amplitude at A4 leaves a half-line of valid next values
     res = riccati_step_z(p41, 0, pp(1, 23))
-    assert (1, (65, None)) in res.branches
-    for cand in res.samples("all-breakpoints"):
+    assert (1, (65, None)) in res
+    for cand in members(res):
         assert residual_riccati2(p41, 0, pp(1, 23), cand)
 
 
 def test_step_y_point_solution(p41):
     res = riccati_step_y(p41, 1, pp(1, 119))
-    assert (-1, (107, 107)) in res.branches
+    assert (-1, (107, 107)) in res
 
 
 def test_steps_never_emit_forbidden_sign_pair(rng):
@@ -126,10 +132,10 @@ def test_steps_never_emit_forbidden_sign_pair(rng):
         p = random_riccati_params(rng)
         m = rng.randint(-4, 4)
         y = random_parity_pair(rng)
-        for sign, _ in riccati_step_z(p, m, y).branches:
+        for sign, _ in riccati_step_z(p, m, y):
             assert not (y.sign == -1 and sign == -1)
         z = random_parity_pair(rng)
-        for sign, _ in riccati_step_y(p, m, z).branches:
+        for sign, _ in riccati_step_y(p, m, z):
             assert not (z.sign == -1 and sign == -1)
 
 
@@ -137,10 +143,10 @@ def test_steps_always_have_a_branch(rng):
     for _ in range(500):
         p = random_riccati_params(rng)
         m = rng.randint(-4, 4)
-        assert riccati_step_z(p, m, random_parity_pair(rng)).branches
-        assert riccati_step_y(p, m, random_parity_pair(rng)).branches
-        assert riccati_close_z(p, m, random_parity_pair(rng)).branches
-        assert riccati_step_back_y(p, m, random_parity_pair(rng)).branches
+        assert riccati_step_z(p, m, random_parity_pair(rng))
+        assert riccati_step_y(p, m, random_parity_pair(rng))
+        assert riccati_close_z(p, m, random_parity_pair(rng))
+        assert riccati_step_back_y(p, m, random_parity_pair(rng))
 
 
 def test_step_samples_satisfy_residuals(rng):
@@ -148,22 +154,22 @@ def test_step_samples_satisfy_residuals(rng):
         p = random_riccati_params(rng)
         m = rng.randint(-4, 4)
         y = random_parity_pair(rng)
-        for cand in riccati_step_z(p, m, y).samples("all-breakpoints"):
+        for cand in members(riccati_step_z(p, m, y)):
             assert residual_riccati2(p, m, y, cand)
         z = random_parity_pair(rng)
-        for cand in riccati_step_y(p, m, z).samples("all-breakpoints"):
+        for cand in members(riccati_step_y(p, m, z)):
             assert residual_riccati1(p, m, cand, z)
-        for cand in riccati_close_z(p, m, y).samples("all-breakpoints"):
+        for cand in members(riccati_close_z(p, m, y)):
             assert residual_riccati1(p, m - 1, y, cand)
-        for cand in riccati_step_back_y(p, m, z).samples("all-breakpoints"):
+        for cand in members(riccati_step_back_y(p, m, z)):
             assert residual_riccati2(p, m - 1, cand, z)
 
 
 def test_step_gauge_equivariance(p41):
     res = riccati_step_z(p41, 1, pp(-1, 69))
     shifted = riccati_step_z(gauge(p41, 3), 1, pp(-1, 72))
-    assert shifted.branches == tuple(
-        (s, tuple(None if e is None else e + 3 for e in iv)) for s, iv in res.branches
+    assert shifted == tuple(
+        (s, tuple(None if e is None else e + 3 for e in iv)) for s, iv in res
     )
 
 

@@ -34,13 +34,6 @@ def test_branches_json_text_without_branches():
     assert branches_json_text(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("sign", [2, 0])
-def test_from_json_obj_rejects_bad_sign(sign):
-    row = {"m": 0, "sy": -1, "Y": "43", "sz": sign, "Z": "40"}
-    with pytest.raises(ValueError, match="sign must be"):
-        SolutionTable.from_json_obj({"m_lo": 0, "rows": [row]})
-
-
 # --- CSV reader -------------------------------------------------------------------
 
 
@@ -73,6 +66,7 @@ def test_csv_reader_keeps_integer_text_as_int_and_parses_the_rest():
     (["0,-1,43,-1,40", "0,-1,43,-1,40"], "table window must be contiguous"),
     (["0,-1,43,-1"], "malformed row: ['0', '-1', '43', '-1']"),
     ([], "table has no rows"),
+    (["0,-1," + "4" * 200_000 + ",-1,40"], "malformed CSV: field larger than field limit (131072)"),
 ])
 def test_csv_reader_rejects_bad_tables(rows, message):
     with pytest.raises(ValueError) as exc:
