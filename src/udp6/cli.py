@@ -10,6 +10,7 @@ endings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -258,6 +259,7 @@ def _cmd_qlimit(args) -> int:
     return 3 if (flagged or report.aborts or report.table_failures) else 0
 
 
+@functools.cache  # one parser per process: it keeps no state between parses
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="udp6", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)

@@ -12,9 +12,12 @@ Every term holds the unknown at most once, so with the other slot known each
 side is ``max(a, x + b)``: lines of slope 0 and 1 only, and neither side is
 ever empty for the sign pairs a step tries.  The difference of two such sides
 is monotone in x, so the solution set is one closed interval: a point, a ray
-(degenerate inputs leave a free constant), the whole line, or empty.  A
-finite end is where a slope-0 line meets a slope-1 line, an intercept
-difference ``c - d``; the solve never divides.
+(degenerate inputs leave a free constant), the whole line, or empty.  It is
+never a bounded segment: where the sides agree on a segment they have one
+slope there, and a side's slope only rises from 0 to 1, so at slope 0 they
+agree all the way down and at slope 1 all the way up.  A finite end is where
+a slope-0 line meets a slope-1 line, an intercept difference ``c - d``; the
+solve never divides.
 
 Every solution of this subsystem also solves the full second-order system;
 the tests check that implication table by table (``theorem_check`` in
@@ -22,16 +25,18 @@ the tests check that implication table by table (``theorem_check`` in
 parities -1, so the parity variables are essential here.
 
 Residuals and steps check nothing; ``riccati_evolve`` and
-``riccati_failures`` validate the parameters once on entry.
+``riccati_failures`` validate the parameters once on entry and run on the
+integer image of scale D (see ``udp6.system``): there every interval end is
+an int, a ray's interior sample lies D from its end, and the mean of two
+finite ends is their one point.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .evolution import BranchTree, grow_tables
-from .system import ConstraintViolation, ParityPair, Params, require_unsigned
+from .system import ConstraintViolation, ParityPair, Params, denominator_lcm, require_unsigned
 from .tables import SolutionTable
 
 __all__ = [
@@ -75,13 +80,13 @@ _RELATIONS = {
 }
 
 
-Term = Tuple[int, Fraction]  # (slope, intercept): slope * x + intercept
-Interval = Tuple[Optional[Fraction], Optional[Fraction]]  # (lo, hi); None is unbounded
+Term = Tuple[int, int]  # (slope, intercept) on the integer image: slope * x + intercept
+Interval = Tuple[Optional[int], Optional[int]]  # (lo, hi) on the image; None is unbounded
 Branches = Tuple[Tuple[int, Interval], ...]  # the (sign, interval) branches of a step
 
 
 def _sides(
-    p: Params, rel: str, m: int, sy: int, sz: int, y: Optional[Fraction], z: Optional[Fraction]
+    p: Params, rel: str, m: int, sy: int, sz: int, y: Optional[int], z: Optional[int]
 ) -> Tuple[List[Term], List[Term]]:
     """Left and right (slope, intercept) terms of relation ``rel`` at index m.
 
@@ -150,22 +155,23 @@ def solve_one_unknown(lhs: List[Term], rhs: List[Term]) -> Optional[Interval]:
     return lo, hi
 
 
-def _samples(interval: Interval, policy: str) -> list:
-    """Concrete members of an interval, sorted, per sampling policy.
+def _samples(interval: Interval, policy: str, unit: int) -> List[int]:
+    """Sorted members of an interval on the image of scale ``unit``, by policy.
 
     ``endpoints``: the finite ends (0 for the whole line); ``midpoint``: one
-    interior witness, the mean of two finite ends or one step in from a
-    single end; ``all-breakpoints``: both.  Exact: never a float.
+    interior witness, the mean of two finite ends or one unit in from a
+    single end; ``all-breakpoints``: both.  Two finite ends are one point
+    (module docstring), so their mean is exact.
     """
     lo, hi = interval
     if lo is None and hi is None:
         return [0]
     if lo is None:
-        ends, mid = [hi], hi - 1
+        ends, mid = [hi], hi - unit
     elif hi is None:
-        ends, mid = [lo], lo + 1
+        ends, mid = [lo], lo + unit
     else:
-        ends, mid = [lo, hi], Fraction(lo + hi, 2)  # (lo + hi) / 2 is a float on ints
+        ends, mid = [lo, hi], (lo + hi) // 2
     picks = {"endpoints": ends, "midpoint": [mid], "all-breakpoints": ends + [mid]}
     return sorted(set(picks[policy]))
 
@@ -235,13 +241,15 @@ def riccati_evolve(
         raise ValueError("max_branches must be at least 1")
     if sampling not in _SAMPLINGS:
         raise ValueError(f"unknown sampling policy {sampling!r}")
+    d = denominator_lcm(p, (y0.amp,))
+    p = p.integer_image(d)
 
     def fill(slot, step, m, known):
         # one half step: ``slot`` from each sample of ``step`` at the ``known`` value
         return lambda t: (
             {slot: ParityPair(sign, x)}
             for sign, iv in step(p, m, t[known])
-            for x in _samples(iv, sampling)
+            for x in _samples(iv, sampling, d)
         )
 
     steps = [fill(("z", m0), riccati_close_z, m0, ("y", m0))]
@@ -251,7 +259,7 @@ def riccati_evolve(
     for m in range(m0, lo, -1):
         steps.append(fill(("y", m - 1), riccati_step_back_y, m, ("z", m)))
         steps.append(fill(("z", m - 1), riccati_close_z, m - 1, ("y", m - 1)))
-    return grow_tables({("y", m0): y0}, steps, max_branches, window)
+    return grow_tables({("y", m0): y0.integer_image(d)}, steps, max_branches, window, d)
 
 
 def riccati_failures(p: Params, table: SolutionTable) -> List[Tuple[int, str]]:
@@ -261,11 +269,14 @@ def riccati_failures(p: Params, table: SolutionTable) -> List[Tuple[int, str]]:
     m in [lo-1, hi-1] (it touches only indexes m+1).
     """
     require_riccati_conditions(p)
+    d = denominator_lcm(p, (c.amp for c in table.ys + table.zs))
+    p = p.integer_image(d)
+    ys, zs = ([c.integer_image(d) for c in col] for col in (table.ys, table.zs))
     bad = []
-    for m in range(table.m_lo, table.m_hi):
-        if not residual_riccati2(p, m, table.y(m), table.z(m + 1)):
+    for i, m in enumerate(range(table.m_lo, table.m_hi)):
+        if not residual_riccati2(p, m, ys[i], zs[i + 1]):
             bad.append((m, "r2"))
-    for m in range(table.m_lo - 1, table.m_hi):
-        if not residual_riccati1(p, m, table.y(m + 1), table.z(m + 1)):
+    for i, m in enumerate(range(table.m_lo - 1, table.m_hi)):
+        if not residual_riccati1(p, m, ys[i], zs[i]):
             bad.append((m, "r1"))
     return bad

@@ -14,8 +14,9 @@ combination of Q, the amplitudes and the state, so multiplying all of them by
 D, the lcm of their denominators (``denominator_lcm``), gives an integer
 problem with the same verdicts: the ``integer_image`` of the parameters and
 of the state.  The kernel only adds, takes maxima and compares, so the same
-code runs on either kind; ``evolve``, ``evolve_noparity`` and
-``painleve_failures`` compute D on entry and run on ints.  Output tables keep
+code runs on either kind; ``evolve``, ``evolve_noparity``,
+``painleve_failures`` and their first-order counterparts in ``udp6.riccati``
+compute D on entry and run on ints.  Output tables keep
 the int amplitudes when D = 1 and hold ``Fraction(n, D)`` only when D > 1;
 ``str`` writes both alike.  ``Params`` keeps ints as they are and turns
 anything else into a ``Fraction``.  A ``ParityPair`` is a plain tuple that

@@ -10,8 +10,9 @@ are never empty), and the grid oracle of the first-order solver.  The affine
 tail ansatz is checked here index by index, against the library's decision at
 the ends of a range.  The seeded generators of random states and
 first-order parameters serve the property suites only, as do the check that
-a first-order solution solves the full system and the first-order step of
-the q-system.
+a first-order solution solves the full system, a Fraction-valued first-order
+evolution to hold the library's integer route against, and the first-order
+step of the q-system.
 """
 
 import json
@@ -23,7 +24,14 @@ from typing import Callable, Iterable, Tuple, Union
 from udp6.evolution import painleve_failures
 from udp6.families import Condition, LinearAnsatz
 from udp6.qoracle import LogSigned, _fixed_images, _nonzero, ls_div, ls_from_amplitude, ls_mul, ls_sub
-from udp6.riccati import require_riccati_conditions, riccati_failures
+from udp6.riccati import (
+    require_riccati_conditions,
+    riccati_close_z,
+    riccati_failures,
+    riccati_step_back_y,
+    riccati_step_y,
+    riccati_step_z,
+)
 from udp6.system import ParityPair, Params, check_sign, params_to_obj
 from udp6.tables import SolutionTable
 
@@ -410,6 +418,54 @@ def theorem_check(p: Params, table: SolutionTable) -> bool:
     if riccati_failures(p, table):
         return True  # premise fails; implication is vacuous
     return not painleve_failures(p, table)
+
+
+def _fraction_samples(interval, policy: str) -> list:
+    # the sampling policies on rational ends, one unit being 1
+    lo, hi = interval
+    if lo is None and hi is None:
+        return [Fraction(0)]
+    if lo is None:
+        ends, mid = [hi], hi - 1
+    elif hi is None:
+        ends, mid = [lo], lo + 1
+    else:
+        ends, mid = [lo, hi], Fraction(lo + hi, 2)
+    picks = {"endpoints": ends, "midpoint": [mid], "all-breakpoints": ends + [mid]}
+    return sorted(set(picks[policy]))
+
+
+def riccati_evolve_fractions(
+    p: Params, m0: int, y0: ParityPair, window: Tuple[int, int], sampling: str, cap: int
+) -> Tuple[Tuple[SolutionTable, ...], bool]:
+    """``riccati_evolve`` on the rational inputs as given: the library's steps
+    run on Fractions, interval members are Fractions (the mean of two ends is
+    ``Fraction(lo + hi, 2)``), and each child copies its parent's whole table.
+    The same step order and cap: close z at m0, then (z, y) forward and
+    (y, z) backward; after each step the first ``cap`` children survive.
+    Returns the tables and whether a step dropped children."""
+    lo, hi = window
+    # (slot, index, step, step index, known slot) of each step
+    plan = [("z", m0, riccati_close_z, m0, ("y", m0))]
+    for m in range(m0, hi):
+        plan.append(("z", m + 1, riccati_step_z, m, ("y", m)))
+        plan.append(("y", m + 1, riccati_step_y, m, ("z", m + 1)))
+    for m in range(m0, lo, -1):
+        plan.append(("y", m - 1, riccati_step_back_y, m, ("z", m)))
+        plan.append(("z", m - 1, riccati_close_z, m - 1, ("y", m - 1)))
+    partials, truncated = [{("y", m0): ParityPair(y0.sign, Fraction(y0.amp))}], False
+    for slot, at, step, m, known in plan:
+        grown = [
+            {**t, (slot, at): ParityPair(sign, x)}
+            for t in partials
+            for sign, interval in step(p, m, t[known])
+            for x in _fraction_samples(interval, sampling)
+        ]
+        partials, truncated = grown[:cap], truncated or len(grown) > cap
+    ms = range(lo, hi + 1)
+    return tuple(
+        SolutionTable(lo, tuple(t["y", k] for k in ms), tuple(t["z", k] for k in ms)) for t in partials
+    ), truncated
 
 
 def qriccati_step(p: Params, eps, m: int, y: LogSigned) -> Tuple[LogSigned, LogSigned]:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from udp6 import cli
 from udp6.cli import main
 from udp6.tables import SolutionTable
 
@@ -173,6 +174,25 @@ def test_riccati_subcommand(tmp_path, capsys, p41_file, p41):
     assert code == 0
 
 
+_P_D6 = {"q": "1/6", "a1": 0, "a2": "5/6", "a3": 1, "a4": "4/3",
+         "b1": "-1/6", "b2": "-5/6", "b3": "2/3", "b4": "-1/3"}
+
+
+def test_verify_riccati_on_rational_table(tmp_path, capsys):
+    # D = 6: riccati and verify --riccati both run on the integer image
+    params = tmp_path / "d6.json"
+    params.write_text(json.dumps(_P_D6))
+    code, out, _ = run(capsys, "riccati", "--params", str(params), "--y0", "1:1/2", "--window", "-3:3")
+    assert code == 0
+    assert "2,1,1/3,1,-2/3\n" in out
+    table = tmp_path / "d6.csv"
+    table.write_text(out)
+    verify = ("verify", "--params", str(params), "--table", str(table), "--riccati")
+    assert run(capsys, *verify) == (0, "ok: 7 rows verified\n", "")
+    table.write_text(out.replace("2,1,1/3,", "2,1,1/2,"))
+    assert run(capsys, *verify) == (3, "", "FAIL m=2 relation=zz\nFAIL m=1 relation=r1\n")
+
+
 def test_families_subcommand(capsys, p41_file):
     code, out, _ = run(
         capsys, "families", "--params", p41_file, "--id", "sol0", "--c", "31",
@@ -201,6 +221,26 @@ def test_families_list(capsys):
     code, out, _ = run(capsys, "families", "--list")
     assert code == 0
     assert "sol0" in out.split()
+
+
+def test_parser_is_reused_without_state(tmp_path, capsys, p42_file, p41_file):
+    # one parser serves every main() call of a process; a second round of the
+    # same calls, usage error and --help included, prints what the first did
+    table = tmp_path / "golden.csv"
+    table.write_text(_FUZZ_TABLES["golden"])
+    calls = [
+        ("evolve", "--window", "0:1"),
+        ("--help",),
+        ("families", "--list"),
+        ("evolve", "--params", p42_file, "--y0", "-1:43", "--z0", "-1:40", "--window", "-2:2"),
+        ("riccati", "--params", p41_file, "--y0", "1:23", "--window", "-2:3", "--sampling", "midpoint"),
+        ("verify", "--params", p42_file, "--table", str(table)),
+    ]
+    first = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in first] == [1, 0, 0, 0, 0, 0]
+    assert "usage: udp6 evolve" in first[0][2] and "usage: udp6" in first[1][1]
+    assert [run(capsys, *argv) for argv in calls] == first
+    assert cli._build_parser() is cli._build_parser()
 
 
 # --- conjecture / qlimit ---------------------------------------------------------------

@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from udp6 import riccati
 from udp6.evolution import painleve_failures
 from udp6.riccati import (
     _samples,
@@ -14,11 +17,18 @@ from udp6.riccati import (
     riccati_step_back_y,
     riccati_step_y,
     riccati_step_z,
+    solve_one_unknown,
 )
 from udp6.system import ConstraintViolation, ParityPair, Params
 from udp6.tables import SolutionTable
 
-from oracles import gauge, random_parity_pair, random_riccati_params, theorem_check
+from oracles import (
+    gauge,
+    random_parity_pair,
+    random_riccati_params,
+    riccati_evolve_fractions,
+    theorem_check,
+)
 
 F = Fraction
 
@@ -29,8 +39,9 @@ def pp(sign, amp):
 
 def members(branches):
     """The pairs a step's (sign, interval) branches offer under the
-    all-breakpoints sampling policy."""
-    return [ParityPair(sign, x) for sign, iv in branches for x in _samples(iv, "all-breakpoints")]
+    all-breakpoints sampling policy; the steps below get integer inputs, their
+    own image of scale 1."""
+    return [ParityPair(sign, x) for sign, iv in branches for x in _samples(iv, "all-breakpoints", 1)]
 
 
 # --- conditions -----------------------------------------------------------------
@@ -213,8 +224,8 @@ def test_riccati_evolve_rejects_unknown_sampling(p41, window):
 
 @pytest.mark.parametrize("policy", ["endpoints", "midpoint", "all-breakpoints"])
 def test_riccati_evolve_is_exact_on_int_params(p41, policy):
-    # int parameters and an int y0 make every interval end an int; a midpoint
-    # must still be a Fraction, never a float
+    # int parameters and an int y0 are their own image (D = 1): every sample,
+    # midpoints included, is exact, never a float
     res = riccati_evolve(p41, 0, ParityPair(1, 23), (-2, 3), sampling=policy)
     assert res.tables
     amps = [c.amp for t in res.tables for c in t.ys + t.zs]
@@ -233,6 +244,105 @@ def test_riccati_evolve_random_theorem_suite(rng):
             assert not riccati_failures(p, t)
             assert theorem_check(p, t)
             assert not painleve_failures(p, t)
+
+
+@st.composite
+def riccati_starts(draw):
+    """Riccati-conditioned parameters, a start index and y0, with amplitudes
+    in [-12, 12] and Q in [1, 12] (small enough for ties, so rays and whole
+    lines occur); a third of them over a denominator 2 or 6."""
+    den = draw(st.sampled_from((1, 1, 1, 1, 2, 6)))
+    small = st.integers(-12, 12).map(lambda n: F(n, den))
+    q = F(draw(st.integers(1, 12)), den)
+    a = draw(st.lists(small, min_size=4, max_size=4))
+    b3, b4 = draw(small), draw(small)
+    p = Params.make(q, a, (q + a[0] + b3 - a[2], a[1] + b4 - a[3], b3, b4))
+    return p, draw(st.integers(-4, 4)), ParityPair(draw(st.sampled_from((1, -1))), draw(small))
+
+
+@pytest.mark.parametrize("policy", ["endpoints", "midpoint", "all-breakpoints"])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(start=riccati_starts(), cap=st.sampled_from((8, 64)))
+def test_riccati_evolve_matches_fraction_reference(policy, start, cap):
+    # the integer route gives the tables and the truncation flag of the same
+    # evolution run on Fractions
+    p, m0, y0 = start
+    tree = riccati_evolve(p, m0, y0, (-4, 4), sampling=policy, max_branches=cap)
+    assert (tree.tables, tree.truncated) == riccati_evolve_fractions(p, m0, y0, (-4, 4), policy, cap)
+    for t in tree.tables:
+        assert not riccati_failures(p, t)
+
+
+# Riccati-conditioned parameters with D = 6
+P_D6 = Params.make(F(1, 6), (0, F(5, 6), 1, F(4, 3)), (F(-1, 6), F(-5, 6), F(2, 3), F(-1, 3)))
+
+
+def test_riccati_evolve_long_midpoint_window_matches_fraction_reference():
+    # 121 steps with D = 6; the rays' interior samples sit one unit D in
+    p = P_D6
+    y0 = ParityPair(-1, F(-1, 3))
+    tree = riccati_evolve(p, 0, y0, (-30, 30), sampling="midpoint")
+    assert (tree.tables, tree.truncated) == riccati_evolve_fractions(p, 0, y0, (-30, 30), "midpoint", 64)
+    assert len(tree.tables) == 8 and not tree.truncated
+    assert tree.tables != riccati_evolve(p, 0, y0, (-30, 30)).tables
+    assert any(c.amp.denominator > 1 for t in tree.tables for c in t.ys + t.zs)
+    for t in tree.tables:
+        assert not riccati_failures(p, t)
+
+
+def _failures_on_fractions(p, table):
+    # the two relations checked on the rational values as given
+    bad = [(m, "r2") for m in range(table.m_lo, table.m_hi)
+           if not residual_riccati2(p, m, table.y(m), table.z(m + 1))]
+    return bad + [(m, "r1") for m in range(table.m_lo - 1, table.m_hi)
+                  if not residual_riccati1(p, m, table.y(m + 1), table.z(m + 1))]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(start=riccati_starts(), data=st.data())
+def test_riccati_failures_match_fraction_check(start, data):
+    # on the integer image, riccati_failures reports the (m, relation) list of
+    # the check on Fractions, for solutions and for tables with cells moved
+    p, m0, y0 = start
+    table = riccati_evolve(p, m0, y0, (-4, 4), max_branches=8).tables[0]
+    moves = st.sampled_from((0, 0, F(1, 6), F(-1, 2), F(1)))
+    flips = st.sampled_from((1, 1, 1, -1))
+    ys, zs = (
+        tuple(ParityPair(c.sign * data.draw(flips), c.amp + data.draw(moves)) for c in col)
+        for col in (table.ys, table.zs)
+    )
+    moved = SolutionTable(table.m_lo, ys, zs)
+    assert riccati_failures(p, table) == [] == _failures_on_fractions(p, table)
+    assert riccati_failures(p, moved) == _failures_on_fractions(p, moved)
+
+
+def test_riccati_runs_on_ints(monkeypatch):
+    # riccati_evolve hands the solver the integer image of rational inputs and
+    # riccati_failures checks the relations on it, never on Fractions
+    seen = []
+
+    def solver(lhs, rhs):
+        assert all(type(c) is int for _, c in lhs + rhs), (lhs, rhs)
+        seen.append("solve_one_unknown")
+        return solve_one_unknown(lhs, rhs)
+
+    def residual(fn):
+        def wrapper(p, m, y, z):
+            amps = [getattr(p, k) for k in ("q", "a1", "a2", "a3", "a4", "b1", "b2", "b3", "b4")]
+            assert all(type(a) is int for a in amps + [y.amp, z.amp]), (fn.__name__, amps, y, z)
+            seen.append(fn.__name__)
+            return fn(p, m, y, z)
+        return wrapper
+
+    monkeypatch.setattr(riccati, "solve_one_unknown", solver)
+    for name in ("residual_riccati1", "residual_riccati2"):
+        monkeypatch.setattr(riccati, name, residual(getattr(riccati, name)))
+    p = P_D6
+    for policy in ("endpoints", "midpoint", "all-breakpoints"):
+        tree = riccati_evolve(p, 0, ParityPair(-1, F(-1, 3)), (-3, 3), sampling=policy)
+        assert tree.tables
+        assert all(not riccati_failures(p, t) for t in tree.tables)
+    assert set(seen) == {"solve_one_unknown", "residual_riccati1", "residual_riccati2"}
 
 
 def test_theorem_vacuous_on_non_solution(p41):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -94,15 +95,17 @@ def test_exchange_identity_random_premise_suite(rng):
 
 
 def test_solution_set_samples_policies():
-    assert _samples((F(0), F(2)), "endpoints") == [0, 2]
-    assert _samples((F(0), F(2)), "midpoint") == [1]
-    assert _samples((F(0), F(2)), "all-breakpoints") == [0, 1, 2]
-    assert _samples((F(5), None), "midpoint") == [6]
-    assert _samples((None, F(5)), "all-breakpoints") == [4, 5]
-    assert _samples((F(3), F(3)), "all-breakpoints") == [3]
-    assert _samples((None, None), "endpoints") == [0]
-    [mid] = _samples((3, 4), "midpoint")  # int ends: still exact
-    assert mid == F(7, 2) and type(mid) is Fraction
+    # on an integer image of scale (unit) 2: the interval [0, 2] is (0, 4)
+    assert _samples((0, 4), "endpoints", 2) == [0, 4]
+    assert _samples((0, 4), "midpoint", 2) == [2]
+    assert _samples((0, 4), "all-breakpoints", 2) == [0, 2, 4]
+    assert _samples((10, None), "midpoint", 2) == [12]  # one unit in from a single end
+    assert _samples((None, 10), "all-breakpoints", 2) == [8, 10]
+    assert _samples((6, 6), "all-breakpoints", 2) == [6]
+    assert _samples((None, None), "endpoints", 2) == [0]
+    assert _samples((5, None), "midpoint", 1) == [6]
+    [mid] = _samples((6, 8), "midpoint", 2)  # the ends 3 and 4: the mean 7/2 is exact
+    assert mid == 7 and type(mid) is int
 
 
 def _t(slope, intercept):
@@ -146,6 +149,8 @@ def test_solver_against_grid_oracle_random(rng):
 
 @given(data=st.data())
 def test_solver_members_satisfy_equation(data):
+    # terms with rational intercepts, solved and sampled on their integer
+    # image of scale 2 * lcm, where the mean of two ends is exact
     def side(label):
         return data.draw(
             st.lists(
@@ -157,10 +162,23 @@ def test_solver_members_satisfy_equation(data):
         )
 
     lhs, rhs = side("lhs"), side("rhs")
+    unit = 2 * math.lcm(*(c.denominator for _, c in lhs + rhs))
+    lhs, rhs = ([(s, int(c * unit)) for s, c in terms] for terms in (lhs, rhs))
     sol = solve_one_unknown(lhs, rhs)
 
     def value(terms, x):
         return max(s * x + c for s, c in terms)
 
-    for x in [] if sol is None else _samples(sol, "all-breakpoints"):
+    for x in [] if sol is None else _samples(sol, "all-breakpoints", unit):
         assert value(lhs, x) == value(rhs, x)
+
+
+sides = st.lists(st.tuples(st.integers(min_value=0, max_value=1), fractions), min_size=1, max_size=3)
+
+
+@given(lhs=sides, rhs=sides)
+def test_bounded_solution_sets_are_points(lhs, rhs):
+    # each side rises from slope 0 to slope 1, so sides that agree on a segment
+    # agree on a ray: the mean of two finite ends never leaves the image
+    sol = solve_one_unknown(lhs, rhs)
+    assert sol is None or None in sol or sol[0] == sol[1], sol
