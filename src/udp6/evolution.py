@@ -31,13 +31,22 @@ integer images of both (see ``udp6.system``).  Output tables map each
 amplitude n back to ``Fraction(n, D)`` only when D > 1; with D = 1 the
 integer cells are the output cells, and branches share the cells of the
 steps they have in common.
+
+The all-minus sector has affine stretches ``Y = (Q-a)m + b, Z = a m + g``
+forward, ``Y = a m + b, Z = a m + g`` backward.  Where a fit (a, b, g) meets
+its identity and its four inequalities at a step index, each max of the step
+takes its affine branch, which the identity makes the fit's next point.  The
+inequalities have slopes a, a, Q-a, Q-a in m (in -m backward): with
+0 <= a <= Q they hold at every later index once they hold at one; otherwise
+``affine_horizon`` finds the last.  ``evolve_noparity`` fills stretches from
+the fit, exactly, since the all-minus step is unique.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice, repeat
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from .system import (
@@ -54,12 +63,11 @@ from .tables import SolutionTable
 
 __all__ = [
     "BranchTree",
+    "affine_horizon",
     "evolve",
     "evolve_noparity",
     "painleve_failures",
-    "step_back_y_noparity",
     "step_back_y_parity",
-    "step_back_z_noparity",
     "step_back_z_parity",
     "step_y_noparity",
     "step_y_parity",
@@ -152,14 +160,45 @@ def step_y_noparity(p: Params, m: int, y_amp, z_next_amp):
     return step_z_noparity(p.mirrored, m, z_next_amp, y_amp)
 
 
-def step_back_y_noparity(p: Params, m: int, y_amp, z_amp):
-    """Previous y amplitude; the y-relation at m-1 read for its earlier slot."""
-    return step_y_noparity(p, m - 1, y_amp, z_amp)
+# --- affine stretches of the all-minus sector --------------------------------
 
 
-def step_back_z_noparity(p: Params, m: int, y_prev_amp, z_amp):
-    """Previous z amplitude; the z-relation at m-1 read for its earlier slot."""
-    return step_z_noparity(p, m - 1, y_prev_amp, z_amp)
+def ansatz_identity_holds(p: Params, fit, primed: bool) -> bool:
+    """The exact identity of the fit (alpha, beta, gamma): 2(beta+gamma) + alpha
+    = B3+B4+A1+A2 unprimed (forward), alpha + 2(gamma-beta) = B3+B4-A3-A4 primed."""
+    a, b, g = fit
+    if primed:
+        return a + 2 * (g - b) == p.b3 + p.b4 - p.a3 - p.a4
+    return 2 * (b + g) + a == p.b3 + p.b4 + p.a1 + p.a2
+
+
+def _ansatz_terms(p: Params, fit, primed: bool):
+    """The four inequalities of the fit at step index m as pairs (s, c), each
+    meaning ``s*k >= c``.  Unprimed, k = m: a(m+1)+g >= max(B3,B4),
+    a m + min(A1,A2) >= b, (Q-a)m + b >= max(A3,A4), (Q-a)m + min(B1,B2) >= a+g.
+    Primed, k = -m: a(m+1)+g <= min(B3,B4), a m + b <= min(A3,A4),
+    (Q-a)m + max(B1,B2) <= a+g, (Q-a)m + max(A1,A2) <= b."""
+    a, b, g = fit
+    if primed:
+        cs = (a + g - min(p.b3, p.b4), b - min(p.a3, p.a4), max(p.b1, p.b2) - a - g, max(p.a1, p.a2) - b)
+    else:
+        cs = (max(p.b3, p.b4) - a - g, b - min(p.a1, p.a2), max(p.a3, p.a4) - b, a + g - min(p.b1, p.b2))
+    return zip((a, a, p.q - a, p.q - a), cs)
+
+
+def _ansatz_inequalities(p: Params, fit, m: int, primed: bool) -> bool:
+    """The four inequalities of the fit at step index m."""
+    k = -m if primed else m
+    return all(s * k >= c for s, c in _ansatz_terms(p, fit, primed))
+
+
+def affine_horizon(p: Params, fit, forward: bool) -> Optional[int]:
+    """The last step index (the first, backward) at which the four
+    inequalities of the fit hold, given that they hold at the current one;
+    None when they hold for ever, that is when 0 <= alpha <= Q.  Exact floor
+    division: ``s*k >= c`` with s < 0 holds iff k <= c // s."""
+    ks = [c // s for s, c in _ansatz_terms(p, fit, not forward) if s < 0]
+    return (min(ks) if forward else -min(ks)) if ks else None
 
 
 # --- parity steps with branch enumeration ------------------------------------
@@ -268,7 +307,8 @@ def evolve(
 
 
 def evolve_noparity(p: Params, m0: int, y0, z0, window: Tuple[int, int]) -> SolutionTable:
-    """Deterministic all-minus-parity evolution (closed-form steps only)."""
+    """Deterministic all-minus-parity evolution: closed-form steps, and a
+    jump across each affine stretch whose fit is certified."""
     require_unsigned(p)
     lo, hi = window
     if not (lo <= m0 <= hi):
@@ -276,20 +316,49 @@ def evolve_noparity(p: Params, m0: int, y0, z0, window: Tuple[int, int]) -> Solu
     y0, z0 = Fraction(y0), Fraction(z0)
     d = denominator_lcm(p, (y0, z0))
     p = p.integer_image(d)
-    ys = {m0: scale_to_int(y0, d)}
-    zs = {m0: scale_to_int(z0, d)}
-    for m in range(m0, hi):
-        zs[m + 1] = step_z_noparity(p, m, ys[m], zs[m])
-        ys[m + 1] = step_y_noparity(p, m, ys[m], zs[m + 1])
-    for m in range(m0, lo, -1):
-        ys[m - 1] = step_back_y_noparity(p, m, ys[m], zs[m])
-        zs[m - 1] = step_back_z_noparity(p, m, ys[m - 1], zs[m])
-    ms = range(lo, hi + 1)
-    return SolutionTable(
-        lo,
-        _from_image((ParityPair(-1, ys[m]) for m in ms), d),
-        _from_image((ParityPair(-1, zs[m]) for m in ms), d),
-    )
+    pm, q = p.mirrored, p.q
+    ys, zs = [scale_to_int(y0, d)], [scale_to_int(z0, d)]
+    m = m0
+    while m < hi:
+        y, z = ys[-1], zs[-1]
+        z1 = step_z_noparity(p, m, y, z)
+        y1 = step_z_noparity(pm, m, z1, y)  # the y-step, mirrored
+        ys.append(y1)
+        zs.append(z1)
+        m += 1
+        dy, dz = y1 - y, z1 - z
+        if m - m0 > 1 and dy == y - ys[-3] and dz == z - zs[-3] and dy + dz == q:
+            fit = (dz, y1 - dy * m, z1 - dz * m)
+            if ansatz_identity_holds(p, fit, False) and _ansatz_inequalities(p, fit, m, False):
+                end = affine_horizon(p, fit, True)
+                stop = hi if end is None else min(end + 1, hi)
+                ys += islice(count(y1 + dy, dy), stop - m)
+                zs += islice(count(z1 + dz, dz), stop - m)
+                m = stop
+    bys, bzs = [ys[0]], [zs[0]]
+    m = m0
+    while m > lo:
+        y, z = bys[-1], bzs[-1]
+        y1 = step_z_noparity(pm, m - 1, z, y)  # the y-relation at m-1 read for its earlier slot
+        z1 = step_z_noparity(p, m - 1, y1, z)
+        bys.append(y1)
+        bzs.append(z1)
+        m -= 1
+        dy, dz = y - y1, z - z1
+        if m0 - m > 1 and dy == bys[-3] - y and dz == bzs[-3] - z and dy == dz:
+            fit = (dy, y1 - dy * m, z1 - dz * m)
+            if ansatz_identity_holds(p, fit, True) and _ansatz_inequalities(p, fit, m - 1, True):
+                end = affine_horizon(p, fit, False)
+                stop = lo if end is None else max(end, lo)
+                bys += islice(count(y1 - dy, -dy), m - stop)
+                bzs += islice(count(z1 - dz, -dz), m - stop)
+                m = stop
+    cols = (bys[:0:-1] + ys, bzs[:0:-1] + zs)
+    if d > 1:
+        cols = ([Fraction(n, d) for n in col] for col in cols)
+    # tuple.__new__ builds each all-minus pair in C, as ParityPair._make does
+    ys, zs = (tuple(map(tuple.__new__, repeat(ParityPair), zip(repeat(-1), col))) for col in cols)
+    return SolutionTable(lo, ys, zs)
 
 
 def painleve_failures(p: Params, table: SolutionTable) -> List[Tuple[int, str]]:

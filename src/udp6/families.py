@@ -17,7 +17,9 @@ m, and an affine inequality holds on an integer range iff it holds at both
 ends: ``_holds_on`` decides it there, exactly.  Ints stay ints, so the
 detector does int arithmetic on the conjecture scan's integer inputs.
 
-The identity check uses the evolution constraint
+The ansatz identity and inequalities are transcribed once, in
+``udp6.evolution``, next to the jump across the stretches they certify.
+The identity uses the evolution constraint
 ``B1+B2+A3+A4 = Q+A1+A2+B3+B4``; a brute-force test confirms the ansatz
 equalities hold exactly under it (see tests/test_families.py).
 """
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
+from .evolution import _ansatz_inequalities, affine_horizon, ansatz_identity_holds
 from .riccati import require_riccati_conditions
 from .system import ParityPair, Params, require_unsigned
 from .tables import SolutionTable
@@ -72,30 +75,6 @@ class LinearAnsatz:
             v = getattr(self, name)
             if not isinstance(v, (int, Fraction)):
                 object.__setattr__(self, name, Fraction(v))
-
-
-def ansatz_identity_holds(p: Params, ansatz: LinearAnsatz, primed: bool) -> bool:
-    a, b, g = ansatz.alpha, ansatz.beta, ansatz.gamma
-    if primed:
-        return a + 2 * (g - b) == p.b3 + p.b4 - p.a3 - p.a4
-    return 2 * (b + g) + a == p.b3 + p.b4 + p.a1 + p.a2
-
-
-def _ansatz_inequalities(p: Params, ansatz: LinearAnsatz, m: int, primed: bool) -> bool:
-    a, b, g = ansatz.alpha, ansatz.beta, ansatz.gamma
-    if primed:
-        return (
-            a * (m + 1) + g <= min(p.b3, p.b4)
-            and a * m + b <= min(p.a3, p.a4)
-            and (p.q - a) * m + max(p.b1, p.b2) <= a + g
-            and (p.q - a) * m + max(p.a1, p.a2) <= b
-        )
-    return (
-        a * (m + 1) + g >= max(p.b3, p.b4)
-        and a * m + min(p.a1, p.a2) >= b
-        and (p.q - a) * m + b >= max(p.a3, p.a4)
-        and (p.q - a) * m + min(p.b1, p.b2) >= a + g
-    )
 
 
 def _holds_on(rng: range, pred: Callable[[int], bool]) -> bool:
@@ -312,20 +291,20 @@ def instantiate_family(
         require_unsigned(p)
         ansatz = _need(spec, "ansatz")
         primed = fam == "linprime"
-        al, be, ga = ansatz.alpha, ansatz.beta, ansatz.gamma
+        fit = al, be, ga = ansatz.alpha, ansatz.beta, ansatz.gamma
         if primed:
             ys = [(None, -1, lambda m: al * m + be)]
             zs = [(None, -1, lambda m: al * m + ga)]
             conds.append(Condition("alpha' + 2*(gamma'-beta') = B3+B4-A3-A4",
-                                   ansatz_identity_holds(p, ansatz, True)))
+                                   ansatz_identity_holds(p, fit, True)))
         else:
             ys = [(None, -1, lambda m: (q - al) * m + be)]
             zs = [(None, -1, lambda m: al * m + ga)]
             conds.append(Condition("2*(beta+gamma) + alpha = B3+B4+A1+A2",
-                                   ansatz_identity_holds(p, ansatz, False)))
+                                   ansatz_identity_holds(p, fit, False)))
         conds.append(Condition("0 <= alpha <= Q", 0 <= al <= q))
         conds.append(_quantified("ansatz inequalities", range(lo, hi),
-                                 lambda m: _ansatz_inequalities(p, ansatz, m, primed)))
+                                 lambda m: _ansatz_inequalities(p, fit, m, primed)))
     else:  # pragma: no cover - guarded by FamilySpec validation
         raise ValueError(f"unhandled family {fam!r}")
 
@@ -408,7 +387,10 @@ def _end_fit(p: Params, table: SolutionTable, w: int, forward: bool) -> Optional
     ):
         m_edge += inward
     alpha = slope_z if forward else slope_y
-    fit = LinearAnsatz(alpha, beta, gamma)
+    fit = (alpha, beta, gamma)
+    # the tail's step indexes, outward: inequalities at the first, horizon past the last
+    steps = range(m_edge, hi) if forward else range(m_edge - 1, lo - 1, -1)
+    end = affine_horizon(p, fit, forward)
     return AffineFit(
         m_edge=m_edge,
         slope_y=slope_y,
@@ -419,9 +401,9 @@ def _end_fit(p: Params, table: SolutionTable, w: int, forward: bool) -> Optional
         slopes_ok=slope_y + slope_z == p.q if forward else slope_y == slope_z,
         range_ok=0 <= alpha <= p.q,
         identity_ok=ansatz_identity_holds(p, fit, primed=not forward),
-        inequalities_ok=_holds_on(
-            range(m_edge, hi) if forward else range(lo, m_edge),
-            lambda m: _ansatz_inequalities(p, fit, m, primed=not forward),
+        inequalities_ok=not steps or (
+            _ansatz_inequalities(p, fit, steps[0], primed=not forward)
+            and (end is None or (end >= steps[-1] if forward else end <= steps[-1]))
         ),
     )
 

@@ -27,13 +27,13 @@ for each eps.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import io
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
-
-import mpmath
 
 from .evolution import painleve_failures
 from .system import Params, parse_rational, require_unsigned
@@ -56,6 +56,15 @@ __all__ = [
     "qp6_step",
     "ud_limit_compare",
 ]
+
+
+# mpmath runs on its first attribute access (LazyLoader): importing udp6 loads none of it
+if "mpmath" not in sys.modules:
+    _spec = importlib.util.find_spec("mpmath")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    sys.modules["mpmath"] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(sys.modules["mpmath"])
+mpmath = sys.modules["mpmath"]
 
 
 class PoleError(ZeroDivisionError):

@@ -8,7 +8,9 @@ only to be compared against it; so are the tropical primitives with an
 explicit minus infinity ``BOTTOM``, which the library does without (its sides
 are never empty), and the grid oracle of the first-order solver.  The affine
 tail ansatz is checked here index by index, against the library's decision at
-the ends of a range.  The seeded generators of random states and
+the ends of a range, and the all-minus evolution is stepped index by index
+(with the backward steps read off the forward ones), against the library's
+jumps across affine stretches.  The seeded generators of random states and
 first-order parameters serve the property suites only, as do the check that
 a first-order solution solves the full system, a Fraction-valued first-order
 evolution to hold the library's integer route against, and the first-order
@@ -21,7 +23,7 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, Iterable, Tuple, Union
 
-from udp6.evolution import painleve_failures
+from udp6.evolution import painleve_failures, step_y_noparity, step_z_noparity
 from udp6.families import Condition, LinearAnsatz
 from udp6.qoracle import LogSigned, _fixed_images, _nonzero, ls_div, ls_from_amplitude, ls_mul, ls_sub
 from udp6.riccati import (
@@ -401,6 +403,33 @@ def check_linear_ansatz(p: Params, ansatz: LinearAnsatz, m: int, primed: bool = 
     if not (0 <= a <= p.q):
         return False
     return ansatz_inequalities_at(p, ansatz, m, primed)
+
+
+def step_back_y_noparity(p: Params, m: int, y_amp, z_amp):
+    """Previous y amplitude in the all-minus sector; the y-relation at m-1
+    read for its earlier slot."""
+    return step_y_noparity(p, m - 1, y_amp, z_amp)
+
+
+def step_back_z_noparity(p: Params, m: int, y_prev_amp, z_amp):
+    """Previous z amplitude in the all-minus sector; the z-relation at m-1
+    read for its earlier slot."""
+    return step_z_noparity(p, m - 1, y_prev_amp, z_amp)
+
+
+def evolve_noparity_stepping(p: Params, m0: int, y0, z0, window: Tuple[int, int]) -> SolutionTable:
+    """The all-minus evolution stepped at every index on the rational inputs,
+    with no jump across affine stretches."""
+    lo, hi = window
+    ys, zs = {m0: Fraction(y0)}, {m0: Fraction(z0)}
+    for m in range(m0, hi):
+        zs[m + 1] = step_z_noparity(p, m, ys[m], zs[m])
+        ys[m + 1] = step_y_noparity(p, m, ys[m], zs[m + 1])
+    for m in range(m0, lo, -1):
+        ys[m - 1] = step_back_y_noparity(p, m, ys[m], zs[m])
+        zs[m - 1] = step_back_z_noparity(p, m, ys[m - 1], zs[m])
+    ms = range(lo, hi + 1)
+    return SolutionTable(lo, tuple(ParityPair(-1, ys[m]) for m in ms), tuple(ParityPair(-1, zs[m]) for m in ms))
 
 
 def quantified_per_index(label: str, rng: range, pred: Callable[[int], bool]) -> Condition:

@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -221,6 +225,22 @@ def test_families_list(capsys):
     code, out, _ = run(capsys, "families", "--list")
     assert code == 0
     assert "sol0" in out.split()
+
+
+def test_cli_import_leaves_mpmath_unexecuted():
+    # the q-oracle executes mpmath on first use: a fresh interpreter that
+    # imports the CLI and lists the families never loads mpmath's internals
+    code = (
+        "import contextlib, io, sys\n"
+        "import udp6.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = udp6.cli.main(['families', '--list'])\n"
+        "print(rc, 'mpmath.libmp' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "False"]
 
 
 def test_parser_is_reused_without_state(tmp_path, capsys, p42_file, p41_file):

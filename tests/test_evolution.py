@@ -1,28 +1,31 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import udp6.evolution as evolution
 from udp6.evolution import (
+    affine_horizon,
     evolve,
     evolve_noparity,
     painleve_failures,
-    step_back_y_noparity,
-    step_back_z_noparity,
     step_y_noparity,
     step_y_parity,
     step_z_noparity,
     step_z_parity,
 )
+from udp6.families import LinearAnsatz
 from udp6.generate import random_constrained_params
 from udp6.riccati import riccati_evolve
 from udp6.system import ParityPair, Params, denominator_lcm, residual_yy, residual_zz
 from udp6.tables import SolutionTable
 
 from goldens import golden1_y, golden1_z, golden2_y, golden2_z
-from oracles import gauge, random_state, scale, yy_by_cases, zz_by_cases
+from oracles import (
+    ansatz_inequalities_at, evolve_noparity_stepping, gauge, random_state, scale, step_back_y_noparity,
+    step_back_z_noparity, yy_by_cases, zz_by_cases,
+)
 
 F = Fraction
 
@@ -326,6 +329,105 @@ def test_kernel_runs_on_ints(monkeypatch):
     table = evolve_noparity(p, 0, F(5, 7), F(-1, 9), (-3, 3))
     assert all(not painleve_failures(p, t) for t in tree.tables + (table,))
     assert set(seen) == {"residual_zz", "residual_yy", "step_z_parity", "step_z_noparity"}
+
+
+# --- affine stretches of the all-minus sector ---------------------------------------
+
+
+def _rat(draw, lo, hi, d):
+    """An int in [lo, hi] when d = 1, else a Fraction with denominator dividing d."""
+    n = draw(st.integers(lo * d, hi * d))
+    return n if d == 1 else F(n, d)
+
+
+def _scan_params(draw, d):
+    """Constrained parameters in the conjecture scan's ranges, on the grid 1/d."""
+    q = _rat(draw, 1, 150, d)
+    a = [_rat(draw, -100, 100, d) for _ in range(4)]
+    b1, b2, b3 = (_rat(draw, -100, 100, d) for _ in range(3))
+    return Params.make(q, a, (b1, b2, b3, b1 + b2 + a[2] + a[3] - q - a[0] - a[1] - b3))
+
+
+@st.composite
+def _noparity_runs(draw):
+    """A start of the all-minus evolution: an off-centre m0 and a window of up
+    to 300 steps on each side."""
+    d = draw(st.sampled_from((1, 2, 6)))
+    m0 = draw(st.integers(-40, 40))
+    window = (m0 - draw(st.integers(0, 300)), m0 + draw(st.integers(0, 300)))
+    return _scan_params(draw, d), m0, _rat(draw, -150, 150, d), _rat(draw, -150, 150, d), window
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(run=_noparity_runs())
+def test_noparity_jumps_equal_stepping(run):
+    assert evolve_noparity(*run) == evolve_noparity_stepping(*run)
+
+
+def test_noparity_jumps_across_certified_stretches(monkeypatch, p42):
+    # the golden state leaves the window on lasting stretches at both ends:
+    # most of its 600 steps are filled from the fit, not stepped
+    stepped = evolve_noparity_stepping(p42, 0, 43, 40, (-300, 300))
+    calls = []
+    step = evolution.step_z_noparity
+    monkeypatch.setattr(evolution, "step_z_noparity", lambda *a: calls.append(a[1]) or step(*a))
+    assert evolve_noparity(p42, 0, 43, 40, (-300, 300)) == stepped
+    assert 0 < len(calls) < 40
+
+
+@st.composite
+def _certified_fits(draw, transient):
+    """Parameters, a fit meeting its identity, a primed flag and the first
+    step index of its stretch: the first (last, primed) index of [-200, 200]
+    at which its inequalities hold.  ``transient`` draws alpha outside [0, Q]."""
+    d = draw(st.sampled_from((1, 1, 2, 3)))
+    p = _scan_params(draw, d)
+    primed = draw(st.booleans())
+    k = _rat(draw, 1, 30, d)
+    if transient:
+        alpha = draw(st.sampled_from((-k, p.q + k)))
+    else:
+        alpha = draw(st.sampled_from((-k, p.q + k, F(_rat(draw, 0, 150, d)) * p.q / 150)))
+    beta = _rat(draw, -300, 300, d)
+    if primed:
+        gamma = F(p.b3 + p.b4 - p.a3 - p.a4 - alpha) / 2 + beta
+    else:
+        gamma = F(p.b3 + p.b4 + p.a1 + p.a2 - alpha) / 2 - beta
+    fit = LinearAnsatz(alpha, beta, gamma)
+    holds = [m for m in range(-200, 201) if ansatz_inequalities_at(p, fit, m, primed)]
+    assume(holds)
+    return p, fit, primed, holds[-1] if primed else holds[0]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(case=_certified_fits(transient=True))
+def test_finite_horizon_is_tight(case):
+    p, fit, primed, first = case
+    end = affine_horizon(p, (fit.alpha, fit.beta, fit.gamma), not primed)
+    out = -1 if primed else 1
+    assert end is not None and (end - first) * out >= 0
+    assert all(ansatz_inequalities_at(p, fit, m, primed) for m in range(first, end + out, out))
+    assert not ansatz_inequalities_at(p, fit, end + out, primed)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(case=_certified_fits(transient=False))
+def test_certified_stretch_is_residual_clean(case):
+    # every point of the fit from the first certified step index to one past
+    # the horizon (or 60 steps on, when the stretch never ends) solves both
+    # relations
+    p, fit, primed, first = case
+    a, b, g = fit.alpha, fit.beta, fit.gamma
+    end = affine_horizon(p, (a, b, g), not primed)
+    if primed:
+        lo, hi = end if end is not None else first - 60, first + 1
+    else:
+        lo, hi = first, end + 1 if end is not None else first + 60
+    ms = range(lo, hi + 1)
+    slope_y = a if primed else p.q - a
+    table = SolutionTable(lo, tuple(ParityPair(-1, slope_y * m + b) for m in ms),
+                          tuple(ParityPair(-1, a * m + g) for m in ms))
+    assert painleve_failures(p, table) == []
 
 
 # --- table serialization ------------------------------------------------------------

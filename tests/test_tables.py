@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from fractions import Fraction
 
@@ -27,6 +29,16 @@ def _tables(draw):
 def test_branches_json_text_equals_json_dumps(tables, truncated):
     obj = branches_to_json_obj(tables, truncated)
     assert branches_json_text(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(table=_tables())
+def test_to_csv_text_equals_csv_writer(table):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("m", "sy", "Y", "sz", "Z"))
+    writer.writerows((m, y.sign, y.amp, z.sign, z.amp) for m, y, z in zip(table.indexes(), table.ys, table.zs))
+    assert table.to_csv_text() == buf.getvalue()
 
 
 def test_branches_json_text_without_branches():
