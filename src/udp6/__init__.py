@@ -3,7 +3,7 @@
 Exact evolution with branch enumeration, the first-order (Riccati-type)
 subsystem, closed-form solution families, and an independent q-difference
 oracle for the ultradiscretization limit.  All max-plus arithmetic is exact
-rational; the q-side oracle runs in signed log-domain arbitrary precision.
+rational; the q-side oracle runs on signed arbitrary-precision floats.
 
 The package re-exports the ``__all__`` of each module below.
 """

@@ -1,12 +1,13 @@
-"""Independent numerical oracle: the q-difference Painleve VI system in
-signed log-domain arithmetic, and the ultradiscretization comparator.
+"""Independent numerical oracle: the q-difference Painleve VI system in signed
+arbitrary-precision arithmetic, and the ultradiscretization comparator.
 
-Quantities of the q-system scale like exp(X/eps) with eps down to 0.1 and
-amplitudes around 100, far beyond hardware floats, so every value is kept as
-sign * exp(logmag) with ``logmag`` an mpmath float at a given working
-precision.  Additions of like signs use log-sum-exp; opposite signs subtract
-magnitudes and raise a cancellation warning when the relative log gap falls
-below 2^(-prec/2).  Warning flags propagate through all operations.
+Values of the q-system scale like exp(X/eps), far beyond hardware floats, but an
+mpmath float's binary exponent is an unbounded int that cannot overflow, so each
+value is a plain ``sign * mag``.  A seed exp(amp/eps), amp/eps = num/den, is the
+power exp(1/den)^num of a cached base.  Opposite signs warn of cancellation when
+ln(hi/lo) < 2^(-prec/2) * max(1, |ln hi|), and warnings propagate.  The ``ls_*``
+names are the former log-domain arithmetic's: the benchmark's ``qoracle.ls_op``
+layer wraps them by name, until a benchmark change renames that group.
 
 The comparator seeds the q-system from a max-plus table via
 ``value = sign * exp(amplitude/eps)``, evolves it forward, and reports the
@@ -31,7 +32,7 @@ import importlib.util
 import io
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -43,8 +44,8 @@ __all__ = [
     "CompareReport",
     "CompareRow",
     "EpsSchedule",
-    "LogSigned",
     "PoleError",
+    "SignedMag",
     "default_precision",
     "ls_add",
     "ls_div",
@@ -72,94 +73,113 @@ class PoleError(ZeroDivisionError):
 
 
 @dataclass(frozen=True)
-class LogSigned:
-    """sign * exp(logmag) with explicit zero and a sticky cancellation flag."""
+class SignedMag:
+    """sign * mag with explicit zero and a sticky cancellation flag."""
 
-    sign: int  # +1, -1, or 0 (exact zero; logmag is then meaningless)
-    logmag: mpmath.mpf
+    sign: int  # +1, -1, or 0 (exact zero; mag is then 0)
+    mag: mpmath.mpf  # positive, rounded to prec bits
     prec: int
     warn: bool = False
 
     def __post_init__(self) -> None:
-        if self.sign not in (1, -1, 0):
-            raise ValueError("sign must be +1, -1 or 0")
-        if self.prec < 2:
-            raise ValueError("precision must be at least 2 bits")
+        if self.sign not in (1, -1, 0) or self.prec < 2:
+            raise ValueError("sign must be +1, -1 or 0, and precision at least 2 bits")
 
 
-def ls_zero(prec: int, warn: bool = False) -> LogSigned:
-    return LogSigned(0, mpmath.mpf(0), prec, warn)
+def ls_zero(prec: int, warn: bool = False) -> SignedMag:
+    return SignedMag(0, mpmath.mpf(0), prec, warn)
 
 
 def _mpf_fraction(x: Fraction, prec: int) -> mpmath.mpf:
+    return mpmath.fdiv(x.numerator, x.denominator, prec=prec)
+
+
+@functools.lru_cache(maxsize=32)
+def _exp_inverse(den: int, prec: int) -> mpmath.mpf:
+    """exp(1/den) at ``prec`` bits: the base of the seeds of denominator den."""
+    return mpmath.exp(mpmath.fdiv(1, den, prec=prec), prec=prec)
+
+
+def _exp_power(num: int, den: int, prec: int) -> mpmath.mpf:
+    """exp(num/den) = exp(1/den)^num.  The power grows the base's relative error by
+    bitlen(num) bits, so the base has bitlen(num) + 8 guard bits, rounded up to 64s."""
+    base = _exp_inverse(den, prec + (num.bit_length() + 71) // 64 * 64)
     with mpmath.workprec(prec):
-        return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
+        return base ** num
 
 
-def ls_from_amplitude(sign: int, amp, eps, prec: int) -> LogSigned:
+def ls_from_amplitude(sign: int, amp, eps, prec: int) -> SignedMag:
     """The q-side image of a parity pair: sign * exp(amp/eps)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return LogSigned(sign, _mpf_fraction(Fraction(amp) / Fraction(eps), prec), prec)
+    r = Fraction(amp) / Fraction(eps)
+    return SignedMag(sign, _exp_power(r.numerator, r.denominator, prec), prec)
 
 
-def amplitude_of(x: LogSigned, eps) -> mpmath.mpf:
-    """eps * log|x|, the quantity that ultradiscretizes to the amplitude."""
+def amplitude_of(x: SignedMag, eps) -> mpmath.mpf:
+    """eps * log|x|, the quantity that ultradiscretizes to the amplitude: eps * (k + log r),
+    r = |x|/e^k for the int k nearest log|x|.  r nears 1 as errors shrink; log r to 2^-(prec+8)
+    absolute, finer than r's rounding, keeps its cost and mpmath's log-argument cache small."""
     if x.sign == 0:
         raise ValueError("amplitude of exact zero is undefined")
+    m, e = mpmath.frexp(x.mag)
+    k = round(math.log(m) + e * math.log(2))
     with mpmath.workprec(x.prec):
-        return _mpf_fraction(Fraction(eps), x.prec) * x.logmag
+        r = x.mag / _exp_power(k, 1, x.prec)
+        near = mpmath.mag(r - 1) if r != 1 else 0
+        return _mpf_fraction(Fraction(eps), x.prec) * (k + mpmath.ln(r, prec=x.prec + 8 + near))
 
 
-def ls_neg(x: LogSigned) -> LogSigned:
-    return LogSigned(-x.sign, x.logmag, x.prec, x.warn)
+def ls_neg(x: SignedMag) -> SignedMag:
+    return SignedMag(-x.sign, x.mag, x.prec, x.warn)
 
 
-def ls_add(x: LogSigned, y: LogSigned) -> LogSigned:
+def _cancels(hi: mpmath.mpf, lo: mpmath.mpf, diff: mpmath.mpf, prec: int) -> bool:
+    """The flag of diff = hi - lo, ln(hi/lo) < 2^(-prec//2) * max(1, |ln hi|); its logs are
+    taken only if diff < hi * 2^(k+1-prec//2), which it implies: ln(hi/lo) >= diff/hi,
+    2^k > |mag(hi)| + 1 > max(1, |ln hi|), and the factor 2 covers the rounding of diff."""
+    half = prec // 2
+    k = (abs(mpmath.mag(hi)) + 1).bit_length()
+    if diff >= mpmath.ldexp(hi, k + 1 - half):
+        return False
+    with mpmath.workprec(prec):
+        return mpmath.log1p(diff / lo) < mpmath.ldexp(max(1, abs(mpmath.log(hi))), -half)
+
+
+def ls_add(x: SignedMag, y: SignedMag) -> SignedMag:
     prec = min(x.prec, y.prec)
     warn = x.warn or y.warn
-    if x.sign == 0:
-        return LogSigned(y.sign, y.logmag, prec, warn)
-    if y.sign == 0:
-        return LogSigned(x.sign, x.logmag, prec, warn)
-    with mpmath.workprec(prec):
-        hi, lo = (x, y) if x.logmag >= y.logmag else (y, x)
-        if hi.sign == lo.sign:
-            mag = hi.logmag + mpmath.log1p(mpmath.exp(lo.logmag - hi.logmag))
-            return LogSigned(hi.sign, mag, prec, warn)
-        if hi.logmag == lo.logmag:
-            return ls_zero(prec, warn=True)
-        gap = hi.logmag - lo.logmag
-        scale = abs(hi.logmag)
-        if scale < 1:
-            scale = mpmath.mpf(1)
-        close = gap < mpmath.mpf(2) ** (-(prec // 2)) * scale
-        mag = hi.logmag + mpmath.log1p(-mpmath.exp(lo.logmag - hi.logmag))
-        return LogSigned(hi.sign, mag, prec, warn or bool(close))
+    if x.sign == 0 or y.sign == 0:
+        return replace(y if x.sign == 0 else x, prec=prec, warn=warn)
+    if x.sign == y.sign:
+        return SignedMag(x.sign, mpmath.fadd(x.mag, y.mag, prec=prec), prec, warn)
+    hi, lo = (x, y) if x.mag >= y.mag else (y, x)
+    if hi.mag == lo.mag:
+        return ls_zero(prec, warn=True)
+    diff = mpmath.fsub(hi.mag, lo.mag, prec=prec)
+    return SignedMag(hi.sign, diff, prec, warn or _cancels(hi.mag, lo.mag, diff, prec))
 
 
-def ls_sub(x: LogSigned, y: LogSigned) -> LogSigned:
+def ls_sub(x: SignedMag, y: SignedMag) -> SignedMag:
     return ls_add(x, ls_neg(y))
 
 
-def ls_mul(x: LogSigned, y: LogSigned) -> LogSigned:
+def ls_mul(x: SignedMag, y: SignedMag) -> SignedMag:
     prec = min(x.prec, y.prec)
     warn = x.warn or y.warn
     if x.sign == 0 or y.sign == 0:
         return ls_zero(prec, warn)
-    with mpmath.workprec(prec):
-        return LogSigned(x.sign * y.sign, x.logmag + y.logmag, prec, warn)
+    return SignedMag(x.sign * y.sign, mpmath.fmul(x.mag, y.mag, prec=prec), prec, warn)
 
 
-def ls_div(x: LogSigned, y: LogSigned) -> LogSigned:
+def ls_div(x: SignedMag, y: SignedMag) -> SignedMag:
     if y.sign == 0:
         raise PoleError("division by zero value")
     prec = min(x.prec, y.prec)
     warn = x.warn or y.warn
     if x.sign == 0:
         return ls_zero(prec, warn)
-    with mpmath.workprec(prec):
-        return LogSigned(x.sign * y.sign, x.logmag - y.logmag, prec, warn)
+    return SignedMag(x.sign * y.sign, mpmath.fdiv(x.mag, y.mag, prec=prec), prec, warn)
 
 
 def default_precision(eps, amp_bound) -> int:
@@ -175,31 +195,29 @@ def default_precision(eps, amp_bound) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def _fixed_images(p: Params, eps: Fraction, prec: int) -> Tuple[LogSigned, ...]:
-    """The m-independent parameter images (a3, a4, b3, b4), built once per
-    (parameters, eps, precision) instead of on every step."""
+def _fixed_images(p: Params, eps: Fraction, prec: int) -> Tuple[SignedMag, ...]:
+    """The m-independent images of a3, a4, b3, b4, built once per key after the parameter check."""
+    require_unsigned(p)
     return tuple(ls_from_amplitude(1, amp, eps, prec) for amp in (p.a3, p.a4, p.b3, p.b4))
 
 
-def _nonzero(x: LogSigned, what: str) -> LogSigned:
+def _nonzero(x: SignedMag, what: str) -> SignedMag:
     if x.sign == 0:
         raise PoleError(f"pole: {what} vanished")
     return x
 
 
 def qp6_step(
-    p: Params, eps, m: int, y: LogSigned, z: LogSigned
-) -> Tuple[LogSigned, LogSigned]:
+    p: Params, eps, m: int, y: SignedMag, z: SignedMag
+) -> Tuple[SignedMag, SignedMag]:
     """One step of the q-Painleve VI map at t = q^m: (y, z) -> (y', z').
 
     z' = b3 b4 (y - t a1)(y - t a2) / (z (y - a3)(y - a4)),
     y' = a3 a4 (z' - t b1)(z' - t b2) / (y (z' - b3)(z' - b4)).
 
-    The parameter constraint is an identity on the rational inputs and is
-    re-checked exactly on every call.  Poles raise; cancellation warnings
-    propagate into the results.
+    The parameter constraint is checked exactly where the parameter images are
+    built.  Poles raise; cancellation warnings propagate into the results.
     """
-    require_unsigned(p)
     eps = Fraction(eps)
     prec = min(y.prec, z.prec)
     a3, a4, b3, b4 = _fixed_images(p, eps, prec)
@@ -333,7 +351,7 @@ def _compare_run(
     y = ls_from_amplitude(table.y(lo).sign, table.y(lo).amp, eps, prec)
     z = ls_from_amplitude(table.z(lo).sign, table.z(lo).amp, eps, prec)
 
-    def row(m: int, y: LogSigned, z: LogSigned) -> CompareRow:
+    def row(m: int, y: SignedMag, z: SignedMag) -> CompareRow:
         with mpmath.workprec(prec):
             ey = abs(amplitude_of(y, eps) - _mpf_fraction(table.y(m).amp, prec))
             ez = abs(amplitude_of(z, eps) - _mpf_fraction(table.z(m).amp, prec))

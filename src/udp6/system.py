@@ -163,7 +163,9 @@ class Params:
         return self.a1 + self.a2 + b34, b34, self.a1 + b34, self.a2 + b34, self.a3 + self.a4
 
     def integer_image(self, d: int) -> "Params":
-        """Q and every amplitude times d, as ints; the signs are kept."""
+        """Q and every amplitude times d, as ints (self if d = 1 and they are); signs kept."""
+        if d == 1 and all(isinstance(getattr(self, k), int) for k in _AMP_KEYS):
+            return self
         return replace(self, **{k: scale_to_int(getattr(self, k), d) for k in _AMP_KEYS})
 
 

@@ -14,18 +14,32 @@ jumps across affine stretches.  The seeded generators of random states and
 first-order parameters serve the property suites only, as do the check that
 a first-order solution solves the full system, a Fraction-valued first-order
 evolution to hold the library's integer route against, and the first-order
-step of the q-system.
+step of the q-system.  The q-system step is transcribed a second time in
+signed log-domain arithmetic (every value sign * exp(logmag), like signs added
+by log-sum-exp), the library's former representation, to hold its plain
+signed floats against.
 """
 
 import json
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Tuple, Union
 
+import mpmath
+
 from udp6.evolution import painleve_failures, step_y_noparity, step_z_noparity
 from udp6.families import Condition, LinearAnsatz
-from udp6.qoracle import LogSigned, _fixed_images, _nonzero, ls_div, ls_from_amplitude, ls_mul, ls_sub
+from udp6.qoracle import (
+    PoleError,
+    SignedMag,
+    _fixed_images,
+    _nonzero,
+    ls_div,
+    ls_from_amplitude,
+    ls_mul,
+    ls_sub,
+)
 from udp6.riccati import (
     require_riccati_conditions,
     riccati_close_z,
@@ -34,7 +48,7 @@ from udp6.riccati import (
     riccati_step_y,
     riccati_step_z,
 )
-from udp6.system import ParityPair, Params, check_sign, params_to_obj
+from udp6.system import ParityPair, Params, check_sign, params_to_obj, require_unsigned
 from udp6.tables import SolutionTable
 
 
@@ -497,7 +511,7 @@ def riccati_evolve_fractions(
     ), truncated
 
 
-def qriccati_step(p: Params, eps, m: int, y: LogSigned) -> Tuple[LogSigned, LogSigned]:
+def qriccati_step(p: Params, eps, m: int, y: SignedMag) -> Tuple[SignedMag, SignedMag]:
     """One step of the first-order q-map: y(t) -> (z(qt), y(qt)).
 
     z' = b4 (y - t a2)/(y - a4),  y' = a3 (z' - t b1)/(z' - b3).
@@ -515,3 +529,119 @@ def qriccati_step(p: Params, eps, m: int, y: LogSigned) -> Tuple[LogSigned, LogS
         ls_mul(a3, ls_sub(z_next, b1t)), _nonzero(ls_sub(z_next, b3), "z(qt) - b3")
     )
     return z_next, y_next
+
+
+# --- the q-system in signed log-domain arithmetic --------------------------------
+
+
+@dataclass(frozen=True)
+class LogSigned:
+    """sign * exp(logmag) with explicit zero and a sticky cancellation flag."""
+
+    sign: int  # +1, -1, or 0 (exact zero; logmag is then meaningless)
+    logmag: object  # an mpmath float
+    prec: int
+    warn: bool = False
+
+
+def log_zero(prec: int, warn: bool = False) -> LogSigned:
+    return LogSigned(0, mpmath.mpf(0), prec, warn)
+
+
+def _log_fraction(x: Fraction, prec: int):
+    with mpmath.workprec(prec):
+        return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
+
+
+def log_from_amplitude(sign: int, amp, eps, prec: int) -> LogSigned:
+    """sign * exp(amp/eps), as the log-magnitude amp/eps rounded to prec bits."""
+    return LogSigned(sign, _log_fraction(Fraction(amp) / Fraction(eps), prec), prec)
+
+
+def log_amplitude_of(x: LogSigned, eps):
+    """eps * logmag."""
+    with mpmath.workprec(x.prec):
+        return _log_fraction(Fraction(eps), x.prec) * x.logmag
+
+
+def log_neg(x: LogSigned) -> LogSigned:
+    return LogSigned(-x.sign, x.logmag, x.prec, x.warn)
+
+
+def log_add(x: LogSigned, y: LogSigned) -> LogSigned:
+    """Log-sum-exp for like signs; for opposite signs the magnitudes subtract and
+    the flag is raised when the log gap is below 2^(-prec//2) * max(1, |logmag|)."""
+    prec = min(x.prec, y.prec)
+    warn = x.warn or y.warn
+    if x.sign == 0:
+        return LogSigned(y.sign, y.logmag, prec, warn)
+    if y.sign == 0:
+        return LogSigned(x.sign, x.logmag, prec, warn)
+    with mpmath.workprec(prec):
+        hi, lo = (x, y) if x.logmag >= y.logmag else (y, x)
+        if hi.sign == lo.sign:
+            mag = hi.logmag + mpmath.log1p(mpmath.exp(lo.logmag - hi.logmag))
+            return LogSigned(hi.sign, mag, prec, warn)
+        if hi.logmag == lo.logmag:
+            return log_zero(prec, warn=True)
+        gap = hi.logmag - lo.logmag
+        close = gap < mpmath.mpf(2) ** (-(prec // 2)) * max(1, abs(hi.logmag))
+        mag = hi.logmag + mpmath.log1p(-mpmath.exp(lo.logmag - hi.logmag))
+        return LogSigned(hi.sign, mag, prec, warn or bool(close))
+
+
+def log_sub(x: LogSigned, y: LogSigned) -> LogSigned:
+    return log_add(x, log_neg(y))
+
+
+def log_mul(x: LogSigned, y: LogSigned) -> LogSigned:
+    prec = min(x.prec, y.prec)
+    warn = x.warn or y.warn
+    if x.sign == 0 or y.sign == 0:
+        return log_zero(prec, warn)
+    with mpmath.workprec(prec):
+        return LogSigned(x.sign * y.sign, x.logmag + y.logmag, prec, warn)
+
+
+def log_div(x: LogSigned, y: LogSigned) -> LogSigned:
+    if y.sign == 0:
+        raise PoleError("division by zero value")
+    prec = min(x.prec, y.prec)
+    warn = x.warn or y.warn
+    if x.sign == 0:
+        return log_zero(prec, warn)
+    with mpmath.workprec(prec):
+        return LogSigned(x.sign * y.sign, x.logmag - y.logmag, prec, warn)
+
+
+def _log_nonzero(x: LogSigned, what: str) -> LogSigned:
+    if x.sign == 0:
+        raise PoleError(f"pole: {what} vanished")
+    return x
+
+
+def log_qp6_step(p: Params, eps, m: int, y: LogSigned, z: LogSigned) -> Tuple[LogSigned, LogSigned]:
+    """The library's ``qp6_step`` in log-domain arithmetic, checking the
+    parameters on every call."""
+    require_unsigned(p)
+    eps = Fraction(eps)
+    prec = min(y.prec, z.prec)
+    a3, a4, b3, b4 = (log_from_amplitude(1, a, eps, prec) for a in (p.a3, p.a4, p.b3, p.b4))
+    a1t, a2t, b1t, b2t = (
+        log_from_amplitude(1, m * p.q + a, eps, prec) for a in (p.a1, p.a2, p.b1, p.b2)
+    )
+    num = log_mul(log_mul(b3, b4), log_mul(log_sub(y, a1t), log_sub(y, a2t)))
+    den = log_mul(
+        _log_nonzero(z, "z(t)"),
+        log_mul(_log_nonzero(log_sub(y, a3), "y - a3"), _log_nonzero(log_sub(y, a4), "y - a4")),
+    )
+    z_next = log_div(num, den)
+    num2 = log_mul(log_mul(a3, a4), log_mul(log_sub(z_next, b1t), log_sub(z_next, b2t)))
+    den2 = log_mul(
+        _log_nonzero(y, "y(t)"),
+        log_mul(
+            _log_nonzero(log_sub(z_next, b3), "z(qt) - b3"),
+            _log_nonzero(log_sub(z_next, b4), "z(qt) - b4"),
+        ),
+    )
+    return log_div(num2, den2), z_next

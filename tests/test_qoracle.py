@@ -13,8 +13,8 @@ from udp6.generate import random_constrained_params
 from udp6.qoracle import (
     CompareReport,
     EpsSchedule,
-    LogSigned,
     PoleError,
+    SignedMag,
     amplitude_of,
     default_precision,
     ls_add,
@@ -31,27 +31,36 @@ from udp6.qoracle import (
 from udp6.system import ParityPair, Params
 from udp6.tables import SolutionTable
 
-from oracles import dump_params, gauge, qriccati_step
+from oracles import (
+    LogSigned,
+    dump_params,
+    gauge,
+    log_amplitude_of,
+    log_from_amplitude,
+    log_qp6_step,
+    qriccati_step,
+)
 
 F = Fraction
 
 
-def mk(sign, logmag, prec=256):
+def mk(sign, mag, prec=256):
     with mpmath.workprec(prec):
-        return LogSigned(sign, mpmath.mpf(logmag), prec)
+        return SignedMag(sign, mpmath.mpf(mag), prec)
 
 
-# --- log-signed arithmetic -----------------------------------------------------
+def rel_err(got, exact):
+    return abs(got / exact - 1)
+
+
+# --- signed arithmetic -----------------------------------------------------------
 
 
 def test_ls_add_like_signs():
-    prec = 256
-    with mpmath.workprec(prec):
-        x = LogSigned(1, mpmath.log(2), prec)
-        y = LogSigned(1, mpmath.log(3), prec)
-        out = ls_add(x, y)
-        assert out.sign == 1
-        assert abs(out.logmag - mpmath.log(5)) < mpmath.mpf(2) ** -245
+    out = ls_add(mk(1, 2), mk(1, 3))
+    assert out.sign == 1 and out.mag == 5
+    out = ls_add(mk(-1, 2), mk(-1, 3))
+    assert out.sign == -1 and out.mag == 5
 
 
 def test_ls_add_exact_cancellation_warns():
@@ -63,22 +72,22 @@ def test_ls_add_exact_cancellation_warns():
 def test_ls_add_zero_identity():
     x = mk(-1, 3)
     assert ls_add(x, ls_zero(256)).sign == -1
-    assert ls_add(ls_zero(256), x).logmag == x.logmag
+    assert ls_add(ls_zero(256), x).mag == x.mag
 
 
 def test_ls_mul_and_div():
     x = mk(-1, 5)
     y = mk(-1, 2)
     assert ls_mul(x, y).sign == 1
-    assert ls_mul(x, y).logmag == 7  # exact on logmags
-    assert ls_div(x, y).logmag == 3
+    assert ls_mul(x, y).mag == 10  # exact on these mags
+    assert ls_div(x, y).mag == 2.5
     with pytest.raises(PoleError):
         ls_div(x, ls_zero(256))
     assert ls_div(ls_zero(256), x).sign == 0
 
 
 def test_warn_flag_propagates():
-    warned = LogSigned(1, mpmath.mpf(1), 256, warn=True)
+    warned = SignedMag(1, mpmath.mpf(1), 256, warn=True)
     assert ls_mul(warned, mk(1, 1)).warn
     assert ls_add(warned, mk(1, 1)).warn
     assert ls_sub(mk(1, 1), warned).warn
@@ -92,10 +101,9 @@ def test_ls_add_matches_higher_precision_oracle(rng):
         l2 = F(rng.randint(-4000, 4000), rng.randint(1, 7))
         if s1 != s2 and l1 == l2:
             continue
-        x, y = mk(s1, 0, prec), mk(s2, 0, prec)
         with mpmath.workprec(prec):
-            x = LogSigned(s1, mpmath.mpf(l1.numerator) / l1.denominator, prec)
-            y = LogSigned(s2, mpmath.mpf(l2.numerator) / l2.denominator, prec)
+            x = SignedMag(s1, mpmath.exp(mpmath.mpf(l1.numerator) / l1.denominator), prec)
+            y = SignedMag(s2, mpmath.exp(mpmath.mpf(l2.numerator) / l2.denominator), prec)
         got = ls_add(x, y)
         with mpmath.workprec(4 * prec):
             exact = s1 * mpmath.exp(mpmath.mpf(l1.numerator) / l1.denominator) + \
@@ -104,9 +112,69 @@ def test_ls_add_matches_higher_precision_oracle(rng):
                 assert abs(exact) < mpmath.exp(max(l1, l2)) * mpmath.mpf(2) ** (-prec // 2)
                 continue
             assert got.sign == (1 if exact > 0 else -1)
-            rel = abs(got.logmag - mpmath.log(abs(exact)))
+            rel = abs(mpmath.log(got.mag) - mpmath.log(abs(exact)))
             scale = max(1, abs(mpmath.log(abs(exact))))
             assert rel < mpmath.mpf(2) ** (-prec // 2) * scale
+
+
+def _seed_cases(rng):
+    """(amp, eps) pairs: small ones, and amp/eps with 600-bit and larger terms."""
+    for _ in range(60):
+        yield F(rng.randint(-500, 500), rng.randint(1, 6)), F(1, rng.randint(1, 8))
+    for bits in (600, 640, 1000):
+        for _ in range(8):
+            den = rng.getrandbits(bits) | (1 << (bits - 1))
+            amp = F(rng.randint(-400, 400) * den + rng.getrandbits(bits), den)
+            yield amp, F(rng.randint(1, 4), rng.randint(1, 4))
+    yield F(37) + F(1, 2**600), F(1)  # the near-cancelling seed of the escalation test
+
+
+@pytest.mark.parametrize("prec", [64, 256, 1024])
+def test_ls_from_amplitude_matches_exp(rng, prec):
+    # the power exp(1/den)^num is good to 2^-(prec-2) relative, also when num
+    # and den have hundreds of bits: the base carries bitlen(num) guard bits;
+    # amplitude_of inverts it, whether or not amp/eps is an integer
+    for amp, eps in _seed_cases(rng):
+        r = amp / eps
+        got = ls_from_amplitude(-1, amp, eps, prec)
+        assert got.sign == -1 and got.prec == prec
+        with mpmath.workprec(2 * prec + r.numerator.bit_length()):
+            exact = mpmath.exp(mpmath.mpf(r.numerator) / r.denominator)
+            assert rel_err(got.mag, exact) <= mpmath.ldexp(1, -(prec - 2)), (amp, eps)
+            amp_mpf = mpmath.mpf(amp.numerator) / amp.denominator
+            back = abs(amplitude_of(got, eps) - amp_mpf)
+            assert back <= mpmath.ldexp(max(1, abs(amp_mpf)), -(prec - 4)), (amp, eps)
+
+
+def _flag_by_two_logs(hi, lo, prec):
+    """The cancellation flag of hi - lo by its definition, at twice the precision."""
+    with mpmath.workprec(2 * prec):
+        scale = max(1, abs(mpmath.log(hi)))
+        return mpmath.log(hi / lo) < mpmath.ldexp(scale, -(prec // 2))
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256, 1024])
+def test_cancellation_pretest_never_suppresses_flag(rng, prec):
+    # near-equal opposite-signed pairs: ratios hi/lo of 1 + r * 2^-(prec//2) *
+    # max(1, |ln hi|), r across both sides of the flag's threshold, and hi from
+    # far below 1 to far above it, so |ln hi| crosses powers of 2
+    flagged = 0
+    for _ in range(400):
+        log_hi = rng.choice((rng.uniform(-1, 1), rng.uniform(-60, 60), rng.uniform(-5e4, 5e4)))
+        r = rng.choice((rng.uniform(0, 2), rng.uniform(0.9, 1.1), 2.0 ** rng.randint(-20, 20)))
+        with mpmath.workprec(prec):
+            hi = mpmath.exp(log_hi)
+            step = mpmath.ldexp(r * max(1, abs(log_hi)), -(prec // 2))
+            lo = hi / (1 + step)
+        if lo == hi:
+            continue
+        want = _flag_by_two_logs(hi, lo, prec)
+        sign = rng.choice((1, -1))
+        x, y = SignedMag(sign, hi, prec), SignedMag(-sign, lo, prec)
+        for out in (ls_add(x, y), ls_add(y, x), ls_sub(x, ls_neg(y))):
+            assert out.sign == sign and out.warn == want, (prec, log_hi, r)
+        flagged += want
+    assert 50 < flagged < 350
 
 
 # --- q-system steps ---------------------------------------------------------------
@@ -135,7 +203,47 @@ def test_qp6_step_telescopes_when_factors_match():
     _, z1 = qp6_step(p, eps, 0, y, z)
     assert z1.sign == 1
     expected = ls_from_amplitude(1, 4 + 4 - 7, eps, prec)
-    assert z1.logmag == expected.logmag
+    with mpmath.workprec(2 * prec):
+        assert rel_err(z1.mag, expected.mag) < mpmath.ldexp(1, -(prec - 8))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    eps=st.sampled_from([F(1), F(1, 2), F(1, 4)]),
+    prec=st.sampled_from([256, 512]),
+    near=st.sampled_from([None, "a3", "a4"]),
+)
+def test_plain_step_agrees_with_log_domain_oracle(seed, eps, prec, near):
+    # qp6_step against its log-domain transcription in tests/oracles.py: the
+    # same poles, signs and cancellation flags, and amplitudes within
+    # 2^-(prec//2) * scale.  ``near`` seeds y just above a parameter image, so
+    # that y - a3 or y - a4 nearly cancels and the flags get exercised
+    rng = random.Random(seed)
+    p = random_constrained_params(rng, -100, 100, (1, 100))
+    m = rng.randint(-3, 3)
+    ys, zs = rng.choice((1, -1)), rng.choice((1, -1))
+    ya, za = F(rng.randint(-150, 150), rng.randint(1, 3)), F(rng.randint(-150, 150))
+    if near is not None:
+        ys, ya = 1, getattr(p, near) + F(1, 2 ** rng.randint(prec // 2 - 40, prec // 2 + 40))
+    scale = max(1, *(abs(v) for v in (p.q * (abs(m) + 1), p.a1, p.a2, p.a3, p.a4,
+                                       p.b1, p.b2, p.b3, p.b4, ya, za)))
+    outs = []
+    for seed_of, step in ((ls_from_amplitude, qp6_step), (log_from_amplitude, log_qp6_step)):
+        try:
+            outs.append(step(p, eps, m, seed_of(ys, ya, eps, prec), seed_of(zs, za, eps, prec)))
+        except PoleError as exc:
+            outs.append(str(exc))
+    plain, oracle = outs
+    if isinstance(plain, str) or isinstance(oracle, str):
+        assert plain == oracle
+        return
+    for got, ref in zip(plain, oracle):
+        assert (got.sign, got.warn) == (ref.sign, ref.warn)
+        if got.sign and not got.warn:
+            with mpmath.workprec(prec):
+                gap = abs(amplitude_of(got, eps) - log_amplitude_of(ref, eps))
+                assert gap < mpmath.ldexp(scale, -(prec // 2))
 
 
 def test_qp6_step_requires_constraint():
@@ -197,8 +305,8 @@ def test_qriccati_trajectory_satisfies_full_relation(p41):
     rhs = ls_div(num, den)
     assert lhs.sign == rhs.sign
     with mpmath.workprec(prec):
-        scale = max(1, abs(lhs.logmag))
-        assert abs(lhs.logmag - rhs.logmag) < mpmath.mpf(2) ** (-prec // 4) * scale
+        scale = max(1, abs(mpmath.log(lhs.mag)))
+        assert abs(mpmath.log(lhs.mag) - mpmath.log(rhs.mag)) < mpmath.mpf(2) ** (-prec // 4) * scale
 
 
 # --- comparator ----------------------------------------------------------------------

@@ -289,3 +289,18 @@ def test_params_json_rejections():
         params_from_obj({**base, "sa1": 2})
     with pytest.raises(ValueError):
         params_from_obj({**base, "sa1": True})
+
+
+def test_integer_image_of_int_parameters_at_d_1_is_self(p42):
+    signed = Params.make(100, (32, 33, 37, 22), (53, 65, 8, 4), sa=(-1, -1, 1, 1))
+    for p in (p42, signed):
+        assert p.integer_image(1) is p
+    for d in (2, 3):
+        image = p42.integer_image(d)
+        assert image is not p42 and image.q == 100 * d and image.b4 == 4 * d
+    # an amplitude held as a Fraction, even with denominator 1, gets an int image
+    frac = Params.make(100, (32, 33, 37, Fraction(22)), (53, 65, 8, 4))
+    image = frac.integer_image(1)
+    assert image is not frac and image == frac and type(image.a4) is int
+    half = Params.make(Fraction(201, 2), (32, Fraction(67, 2), 37, 22), (53, 66, 8, 4))
+    assert half.integer_image(2).a2 == 67
