@@ -32,6 +32,13 @@ amplitude n back to ``Fraction(n, D)`` only when D > 1; with D = 1 the
 integer cells are the output cells, and branches share the cells of the
 steps they have in common.
 
+Branches split at a tie and often meet again at the same state.  A step's
+children are a function of the cells it reads alone (``evolve``'s steps read
+(y_m, z_m), ``riccati_evolve``'s the one known cell), so ``grow_tables``
+expands each distinct state read once per step and hands the same update
+dicts to every partial table in that state; update dicts are shared and never
+mutated.
+
 The all-minus sector has affine stretches ``Y = (Q-a)m + b, Z = a m + g``
 forward, ``Y = a m + b, Z = a m + g`` backward.  Where a fit (a, b, g) meets
 its identity and its four inequalities at a step index, each max of the step
@@ -47,6 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice, repeat
+from operator import itemgetter
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from .system import (
@@ -110,25 +118,48 @@ def _from_image(cells: Iterable[ParityPair], d: int) -> Tuple[ParityPair, ...]:
     return tuple(cells) if d == 1 else tuple(ParityPair(s, Fraction(n, d)) for s, n in cells)
 
 
+def table_image(p: Params, table: SolutionTable) -> tuple:
+    """The parameters and the two columns of a table on their integer image of
+    scale D, the lcm of the denominators of both.  Int cells at D = 1 are
+    their own images and are returned as they are."""
+    ys, zs = table.ys, table.zs
+    d = denominator_lcm(p, (c.amp for c in ys + zs))
+    if d > 1 or any(type(c.amp) is not int for c in ys + zs):
+        ys, zs = ([c.integer_image(d) for c in col] for col in (ys, zs))
+    return p.integer_image(d), ys, zs
+
+
 def grow_tables(
     root: dict,
-    steps: List[Callable[[_Partial], Iterable[dict]]],
+    steps: List[Tuple[itemgetter, Callable[..., Iterable[dict]]]],
     cap: int,
     window: Tuple[int, int],
     d: int = 1,
 ) -> BranchTree:
     """The branching frontier shared by ``evolve`` and ``riccati_evolve``.
 
-    A partial table maps ("y", m) and ("z", m) to parity pairs.  Each step
-    maps a partial table to the ordered updates of its children; after each
-    step only the first ``cap`` children are kept, and the result is
-    flagged truncated if any step dropped children.  The columns of each
-    surviving leaf are assembled at the end, through ``_from_image`` when
-    the cells are integer images of scale ``d``.
+    A partial table maps ("y", m) and ("z", m) to parity pairs.  A step is a
+    pair ``(reads, expand)``: ``reads`` picks the cells the step reads from a
+    partial table, and ``expand`` maps that state to the ordered updates of
+    its children.  The children must be a function of the state alone: each
+    distinct state is expanded once per step, and every partial table in it
+    gets the same update dicts, which are therefore never mutated.  Children
+    keep the frontier's order; after each step only the first ``cap`` are
+    kept, and the result is flagged truncated if any step dropped children.
+    The columns of each surviving leaf are assembled at the end, through
+    ``_from_image`` when the cells are integer images of scale ``d``.
     """
     partials, truncated = [_Partial(root, None)], False
-    for updates in steps:
-        grown = list(islice((_Partial(u, t) for t in partials for u in updates(t)), cap + 1))
+    for reads, expand in steps:
+        children, grown = {}, []
+        for t in partials:
+            state = reads(t)
+            updates = children.get(state)
+            if updates is None:
+                updates = children[state] = list(expand(state))
+            grown += [_Partial(u, t) for u in updates]
+            if len(grown) > cap:
+                break
         partials, truncated = grown[:cap], truncated or len(grown) > cap
     lo, hi = window
     tables = []
@@ -230,6 +261,8 @@ def step_z_parity(p: Params, m: int, y: ParityPair, z: ParityPair) -> List[Parit
         if u <= u2 and v >= v2:
             cands.append(ParityPair(-z.sign, v - u2 + b34 - z.amp))
     valid = [c for c in cands if residual_zz(p, m, y, z, c)]
+    if len(valid) == 1:  # already deduplicated and ordered
+        return valid
     if not valid:
         raise AssertionError("no valid candidate; existence is guaranteed")
     return sorted(set(valid), key=lambda c: (-c.sign, c.amp))
@@ -285,21 +318,23 @@ def evolve(
 
     d = denominator_lcm(p, (y0.amp, z0.amp))
     p = p.integer_image(d)  # the steps below run on integer images
-    # one step per (z, y) pair, so the cap applies after each pair
+    # one step per (z, y) pair, so the cap applies after each pair.  A step
+    # reads yz = (y_m, z_m) and nothing else; it calls the steppers as module
+    # globals, where tracing and tests can replace them.
     steps = [
-        lambda t, m=m: (
+        (itemgetter(("y", m), ("z", m)), lambda yz, m=m: (
             {("z", m + 1): z1, ("y", m + 1): y1}
-            for z1 in step_z_parity(p, m, t["y", m], t["z", m])
-            for y1 in step_y_parity(p, m, t["y", m], z1)
-        )
+            for z1 in step_z_parity(p, m, *yz)
+            for y1 in step_y_parity(p, m, yz[0], z1)
+        ))
         for m in range(m0, hi)
     ]
     steps += [
-        lambda t, m=m: (
+        (itemgetter(("y", m), ("z", m)), lambda yz, m=m: (
             {("y", m - 1): yp, ("z", m - 1): zp}
-            for yp in step_back_y_parity(p, m, t["y", m], t["z", m])
-            for zp in step_back_z_parity(p, m, yp, t["z", m])
-        )
+            for yp in step_back_y_parity(p, m, *yz)
+            for zp in step_back_z_parity(p, m, yp, yz[1])
+        ))
         for m in range(m0, lo, -1)
     ]
     root = {("y", m0): y0.integer_image(d), ("z", m0): z0.integer_image(d)}
@@ -367,11 +402,7 @@ def painleve_failures(p: Params, table: SolutionTable) -> List[Tuple[int, str]]:
     Parameter signs are admitted; the constraint is checked on entry.
     """
     require_constraint(p)
-    d = denominator_lcm(p, (c.amp for c in table.ys + table.zs))
-    p = p.integer_image(d)
-    ys, zs = table.ys, table.zs
-    if d > 1 or any(type(c.amp) is not int for c in ys + zs):  # int cells are their own images
-        ys, zs = ([c.integer_image(d) for c in col] for col in (ys, zs))
+    p, ys, zs = table_image(p, table)
     bad = []
     for i, m in enumerate(range(table.m_lo, table.m_hi)):
         if not residual_zz(p, m, ys[i], zs[i], zs[i + 1]):

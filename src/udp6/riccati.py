@@ -33,9 +33,10 @@ finite ends is their one point.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import List, Optional, Tuple
 
-from .evolution import BranchTree, grow_tables
+from .evolution import BranchTree, grow_tables, table_image
 from .system import ConstraintViolation, ParityPair, Params, denominator_lcm, require_unsigned
 from .tables import SolutionTable
 
@@ -245,10 +246,11 @@ def riccati_evolve(
     p = p.integer_image(d)
 
     def fill(slot, step, m, known):
-        # one half step: ``slot`` from each sample of ``step`` at the ``known`` value
-        return lambda t: (
+        # one half step: ``slot`` from each sample of ``step`` at the value of
+        # the ``known`` cell, the one cell it reads
+        return itemgetter(known), lambda cell: (
             {slot: ParityPair(sign, x)}
-            for sign, iv in step(p, m, t[known])
+            for sign, iv in step(p, m, cell)
             for x in _samples(iv, sampling, d)
         )
 
@@ -269,9 +271,7 @@ def riccati_failures(p: Params, table: SolutionTable) -> List[Tuple[int, str]]:
     m in [lo-1, hi-1] (it touches only indexes m+1).
     """
     require_riccati_conditions(p)
-    d = denominator_lcm(p, (c.amp for c in table.ys + table.zs))
-    p = p.integer_image(d)
-    ys, zs = ([c.integer_image(d) for c in col] for col in (table.ys, table.zs))
+    p, ys, zs = table_image(p, table)
     bad = []
     for i, m in enumerate(range(table.m_lo, table.m_hi)):
         if not residual_riccati2(p, m, ys[i], zs[i + 1]):

@@ -10,7 +10,9 @@ are never empty), and the grid oracle of the first-order solver.  The affine
 tail ansatz is checked here index by index, against the library's decision at
 the ends of a range, and the all-minus evolution is stepped index by index
 (with the backward steps read off the forward ones), against the library's
-jumps across affine stretches.  The seeded generators of random states and
+jumps across affine stretches.  The branching evolution is run one branch
+at a time on Fractions, each child a copy of its parent's table, against the
+library's shared frontier.  The seeded generators of random states and
 first-order parameters serve the property suites only, as do the check that
 a first-order solution solves the full system, a Fraction-valued first-order
 evolution to hold the library's integer route against, and the first-order
@@ -28,7 +30,15 @@ from typing import Callable, Iterable, Tuple, Union
 
 import mpmath
 
-from udp6.evolution import painleve_failures, step_y_noparity, step_z_noparity
+from udp6.evolution import (
+    painleve_failures,
+    step_back_y_parity,
+    step_back_z_parity,
+    step_y_noparity,
+    step_y_parity,
+    step_z_noparity,
+    step_z_parity,
+)
 from udp6.families import Condition, LinearAnsatz
 from udp6.qoracle import (
     PoleError,
@@ -444,6 +454,40 @@ def evolve_noparity_stepping(p: Params, m0: int, y0, z0, window: Tuple[int, int]
         zs[m - 1] = step_back_z_noparity(p, m, ys[m - 1], zs[m])
     ms = range(lo, hi + 1)
     return SolutionTable(lo, tuple(ParityPair(-1, ys[m]) for m in ms), tuple(ParityPair(-1, zs[m]) for m in ms))
+
+
+def evolve_per_branch(
+    p: Params, m0: int, y0: ParityPair, z0: ParityPair, window: Tuple[int, int], cap: int
+) -> Tuple[Tuple[SolutionTable, ...], bool]:
+    """``evolve`` on the rational inputs as given, one branch at a time: the
+    library's steppers run on Fractions for every partial table, with no
+    sharing between tables in the same state, and each child copies its
+    parent's whole table.  The same step order and cap: (z, y) forward, then
+    (y, z) backward; after each step the first ``cap`` children survive.
+    Returns the tables and whether a step dropped children."""
+    lo, hi = window
+    partials, truncated = [{("y", m0): ParityPair(y0.sign, Fraction(y0.amp)),
+                            ("z", m0): ParityPair(z0.sign, Fraction(z0.amp))}], False
+    for m in range(m0, hi):
+        grown = [
+            {**t, ("z", m + 1): z1, ("y", m + 1): y1}
+            for t in partials
+            for z1 in step_z_parity(p, m, t["y", m], t["z", m])
+            for y1 in step_y_parity(p, m, t["y", m], z1)
+        ]
+        partials, truncated = grown[:cap], truncated or len(grown) > cap
+    for m in range(m0, lo, -1):
+        grown = [
+            {**t, ("y", m - 1): yp, ("z", m - 1): zp}
+            for t in partials
+            for yp in step_back_y_parity(p, m, t["y", m], t["z", m])
+            for zp in step_back_z_parity(p, m, yp, t["z", m])
+        ]
+        partials, truncated = grown[:cap], truncated or len(grown) > cap
+    ms = range(lo, hi + 1)
+    return tuple(
+        SolutionTable(lo, tuple(t["y", k] for k in ms), tuple(t["z", k] for k in ms)) for t in partials
+    ), truncated
 
 
 def quantified_per_index(label: str, rng: range, pred: Callable[[int], bool]) -> Condition:

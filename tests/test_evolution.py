@@ -23,8 +23,8 @@ from udp6.tables import SolutionTable
 
 from goldens import golden1_y, golden1_z, golden2_y, golden2_z
 from oracles import (
-    ansatz_inequalities_at, evolve_noparity_stepping, gauge, random_state, scale, step_back_y_noparity,
-    step_back_z_noparity, yy_by_cases, zz_by_cases,
+    ansatz_inequalities_at, evolve_noparity_stepping, evolve_per_branch, gauge, random_state, scale,
+    step_back_y_noparity, step_back_z_noparity, yy_by_cases, zz_by_cases,
 )
 
 F = Fraction
@@ -179,6 +179,61 @@ def test_evolve_branch_cap_flags_truncation():
     assert len(tree.tables) == 4
     for t in tree.tables:
         assert not painleve_failures(p, t)
+
+
+@pytest.mark.parametrize("window, first", [((0, 6), "z"), ((-6, 0), "y")])
+def test_evolve_expands_each_state_once(monkeypatch, window, first):
+    # a step's children depend on (y_m, z_m) alone, so each distinct state is
+    # expanded once per step: the step's first stepper (the z-step forward;
+    # backward the y-step, step_z_parity on the mirrored parameters) never
+    # sees the same input twice, though the frontier holds up to 64 tables.
+    # The second may: two states that share y_m can share a z_{m+1}.
+    p = Params.make(0, (0, 0, 0, 0), (0, 0, 0, 0))
+    step, seen = evolution.step_z_parity, []
+
+    def counting(q, m, y, z):
+        if (q is p) == (first == "z"):
+            seen.append((m, y, z))
+        return step(q, m, y, z)
+
+    monkeypatch.setattr(evolution, "step_z_parity", counting)
+    tree = evolve(p, 0, pp(1, 0), pp(1, 0), window, max_branches=64)
+    assert len(tree.tables) == 64 and tree.truncated
+    assert len(seen) > 6 and len(seen) == len(set(seen))
+
+
+@st.composite
+def _tie_case(draw):
+    """Tie-heavy constrained parameters and a start on the lattice 1/D, D in
+    {1, 2, 6}: amplitudes k/D with k in [-12, 12], Q = k/D with k in [1, 12]
+    (ints when D = 1); m0 in -3..3 and a window up to 6 either side of it."""
+    d = draw(st.sampled_from((1, 2, 6)))
+    small = st.integers(-12, 12).map(lambda k: k if d == 1 else F(k, d))
+    q = F(draw(st.integers(1, 12)), d) if d > 1 else draw(st.integers(1, 12))
+    a = [draw(small) for _ in range(4)]
+    b1, b2, b3 = (draw(small) for _ in range(3))
+    p = Params.make(q, a, (b1, b2, b3, b1 + b2 + a[2] + a[3] - q - a[0] - a[1] - b3))
+    y0, z0 = (ParityPair(draw(st.sampled_from((1, -1))), draw(small)) for _ in range(2))
+    m0 = draw(st.integers(-3, 3))
+    window = (m0 - draw(st.integers(0, 6)), m0 + draw(st.integers(0, 6)))
+    return p, m0, y0, z0, window
+
+
+def test_evolve_equals_per_branch_oracle():
+    # the shared frontier gives the tables and the truncation flag of the
+    # evolution run one branch at a time on Fractions, truncated or not
+    flags = []
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(case=_tie_case(), cap=st.sampled_from((1, 2, 5, 64)))
+    def check(case, cap):
+        p, m0, y0, z0, window = case
+        tree = evolve(p, m0, y0, z0, window, max_branches=cap)
+        assert (tree.tables, tree.truncated) == evolve_per_branch(p, m0, y0, z0, window, cap)
+        flags.append(tree.truncated)
+
+    check()
+    assert any(flags) and not all(flags)
 
 
 def test_evolve_random_soundness_and_existence(rng):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from udp6 import riccati
-from udp6.evolution import painleve_failures
+from udp6.evolution import painleve_failures, table_image
 from udp6.riccati import (
     _samples,
     check_riccati_conditions,
@@ -314,6 +314,46 @@ def test_riccati_failures_match_fraction_check(start, data):
     moved = SolutionTable(table.m_lo, ys, zs)
     assert riccati_failures(p, table) == [] == _failures_on_fractions(p, table)
     assert riccati_failures(p, moved) == _failures_on_fractions(p, moved)
+
+
+def test_riccati_evolve_expands_each_state_once(monkeypatch):
+    # each step reads one cell, so with the frontier expanding each distinct
+    # state once per step no step sees the same (m, known) input twice
+    seen = []
+
+    def counting(name):
+        step = getattr(riccati, name)
+
+        def wrapper(p, m, known):
+            seen.append((name, m, known))
+            return step(p, m, known)
+        return wrapper
+
+    for name in ("riccati_step_z", "riccati_step_y", "riccati_close_z", "riccati_step_back_y"):
+        monkeypatch.setattr(riccati, name, counting(name))
+    p = Params.make(0, (0, 0, 0, 0), (0, 0, 0, 0))
+    tree = riccati_evolve(p, 0, pp(1, 0), (-5, 5), sampling="all-breakpoints")
+    assert len(tree.tables) == 64 and tree.truncated
+    assert len(seen) > 21 and len(seen) == len(set(seen))
+
+
+@pytest.mark.parametrize("move", [0, 1, F(1, 2)], ids=["solution", "int-moved", "rational"])
+def test_int_cells_are_their_own_images(p41, move):
+    # table_image keeps int cells at D = 1 as they are and maps any other
+    # table through integer_image; both failure checks give the verdicts of
+    # the same values held as Fractions, and of the check on Fractions
+    table = riccati_evolve(p41, 0, pp(1, 30), (-4, 4)).tables[0]
+    ys = list(table.ys)
+    ys[5] = ParityPair(ys[5].sign, ys[5].amp + move)
+    t = SolutionTable(table.m_lo, tuple(ys), table.zs)
+    as_fractions = SolutionTable(t.m_lo, *(tuple(pp(c.sign, c.amp) for c in col) for col in (t.ys, t.zs)))
+    image = table_image(p41, t)
+    assert all(type(c.amp) is int for col in image[1:] for c in col)
+    assert (image[1] is t.ys) == (type(move) is int)
+    assert table_image(p41, as_fractions)[1:] == (list(image[1]), list(image[2]))
+    assert riccati_failures(p41, t) == riccati_failures(p41, as_fractions) == _failures_on_fractions(p41, t)
+    assert painleve_failures(p41, t) == painleve_failures(p41, as_fractions)
+    assert bool(riccati_failures(p41, t)) == bool(painleve_failures(p41, t)) == (move != 0)
 
 
 def test_riccati_runs_on_ints(monkeypatch):
