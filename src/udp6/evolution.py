@@ -162,13 +162,14 @@ def grow_tables(
                 break
         partials, truncated = grown[:cap], truncated or len(grown) > cap
     lo, hi = window
+    keys = [[(k, m) for m in range(lo, hi + 1)] for k in "yz"]
     tables = []
     for leaf in partials:
         cells = {}
         while leaf:
             cells.update(leaf.update)
             leaf = leaf.parent
-        ys, zs = (_from_image((cells[k, m] for m in range(lo, hi + 1)), d) for k in "yz")
+        ys, zs = (_from_image(map(cells.__getitem__, ks), d) for ks in keys)
         tables.append(SolutionTable(lo, ys, zs))
     return BranchTree(tuple(tables), truncated)
 

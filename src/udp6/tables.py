@@ -2,7 +2,8 @@
 exact CSV round-trip (columns m, sy, Y, sz, Z; amplitudes as rational
 strings).  The CSV reader keeps an amplitude written as an integer as an
 int, as the evolutions keep integer cells.  JSON is an output format only:
-``to_json_obj`` and the branch writers have no reader."""
+``to_json_obj`` and the branch writers have no reader.  Rows of equal cells
+share one dict in ``branches_to_json_obj``, which must not be mutated."""
 
 from __future__ import annotations
 
@@ -62,8 +63,7 @@ class SolutionTable:
         return self.zs[self._at(m)]
 
     def rows(self) -> Iterator[Tuple[int, ParityPair, ParityPair]]:
-        for i, m in enumerate(self.indexes()):
-            yield m, self.ys[i], self.zs[i]
+        return zip(self.indexes(), self.ys, self.zs)
 
     @classmethod
     def _from_rows(cls, ms: list, ys: list, zs: list) -> "SolutionTable":
@@ -112,20 +112,28 @@ class SolutionTable:
         return cls._from_rows(ms, ys, zs)
 
     def to_json_obj(self) -> dict:
-        return {
-            "m_lo": self.m_lo,
-            "rows": [
-                {"m": m, "sy": y.sign, "Y": str(y.amp), "sz": z.sign, "Z": str(z.amp)}
-                for m, y, z in self.rows()
-            ],
-        }
+        return {"m_lo": self.m_lo, "rows": list(map(_JsonRows().__getitem__, self.rows()))}
+
+
+class _JsonRows(dict):
+    """(m, y, z) -> its JSON row dict, built on the first lookup."""
+
+    def __missing__(self, key):
+        m, y, z = key
+        row = self[key] = {"m": m, "sy": y.sign, "Y": str(y.amp), "sz": z.sign, "Z": str(z.amp)}
+        return row
 
 
 def branches_to_json_obj(tables: Iterable[SolutionTable], truncated: bool) -> dict:
+    """Each table as ``{"id": i, **t.to_json_obj()}``, but rows of equal cells
+    are one shared dict, built once per call, and must not be mutated.  Equal
+    amplitudes print alike (``str(Fraction(3)) == str(3)``)."""
+    rows = _JsonRows()
     return {
         "truncated": truncated,
         "branches": [
-            {"id": i, **t.to_json_obj()} for i, t in enumerate(tables)
+            {"id": i, "m_lo": t.m_lo, "rows": list(map(rows.__getitem__, t.rows()))}
+            for i, t in enumerate(tables)
         ],
     }
 
@@ -136,18 +144,23 @@ _ROW_JSON = (
 )
 
 
-def _json_list(items: list, indent: str) -> str:
-    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+def _json_list(items: list, indent: str) -> list:
+    """A JSON list of rendered items as the parts of its text, to be joined with
+    the text around it: concatenating a text of megabytes copies it each time."""
+    return ["[\n", ",\n".join(items), "\n" + indent + "]"] if items else ["[]"]
 
 
 def branches_json_text(obj: dict) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` for the fixed schema
     of ``branches_to_json_obj``, whose rational strings need no escaping;
-    with an indent, the standard encoder runs in pure Python."""
+    with an indent, the standard encoder runs in pure Python.  Each distinct
+    row object is rendered once, keyed by its id (``obj`` holds every row)."""
+    rows = {id(r): r for b in obj["branches"] for r in b["rows"]}
+    texts = {k: _ROW_JSON.format_map(r) for k, r in rows.items()}
     branches = [
         '    {\n      "id": %d,\n      "m_lo": %d,\n      "rows": %s\n    }'
-        % (b["id"], b["m_lo"], _json_list([_ROW_JSON.format_map(r) for r in b["rows"]], "      "))
+        % (b["id"], b["m_lo"], "".join(_json_list([texts[id(r)] for r in b["rows"]], "      ")))
         for b in obj["branches"]
     ]
-    truncated = "true" if obj["truncated"] else "false"
-    return '{\n  "branches": %s,\n  "truncated": %s\n}\n' % (_json_list(branches, "  "), truncated)
+    tail = ',\n  "truncated": %s\n}\n' % ("true" if obj["truncated"] else "false")
+    return "".join(['{\n  "branches": ', *_json_list(branches, "  "), tail])

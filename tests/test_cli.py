@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,9 @@ from hypothesis import strategies as st
 
 from udp6 import cli
 from udp6.cli import main
+from udp6.evolution import evolve
+from udp6.riccati import riccati_evolve
+from udp6.system import ParityPair, load_params
 from udp6.tables import SolutionTable
 
 from goldens import golden1_y, golden1_z, golden2_y, golden2_z
@@ -96,6 +100,32 @@ def test_evolve_json_format(capsys, p42_file):
     assert doc["truncated"] is False
     assert len(doc["branches"]) == 1
     assert doc["branches"][0]["rows"][0]["m"] == -2
+
+
+_ZERO = {k: 0 for k in ("q", "a1", "a2", "a3", "a4", "b1", "b2", "b3", "b4")}
+_HALF = dict(_ZERO, q="1/2", a3="1/2")
+
+
+@pytest.mark.parametrize("params, argv, branches", [
+    (_ZERO, ["evolve", "--y0", "1:0", "--z0", "1:0", "--window", "-6:6"],
+     lambda p: evolve(p, 0, ParityPair(1, 0), ParityPair(1, 0), (-6, 6))),
+    (_ZERO, ["riccati", "--y0", "1:0", "--window", "-5:5", "--sampling", "all-breakpoints"],
+     lambda p: riccati_evolve(p, 0, ParityPair(1, 0), (-5, 5), sampling="all-breakpoints")),
+    (_HALF, ["riccati", "--y0", "1:1/2", "--window", "-3:3", "--sampling", "all-breakpoints"],
+     lambda p: riccati_evolve(p, 0, ParityPair(1, Fraction(1, 2)), (-3, 3), sampling="all-breakpoints")),
+], ids=["evolve-zero", "riccati-zero", "riccati-d2"])
+def test_branching_json_equals_json_dumps_of_tables(capsys, tmp_path, params, argv, branches):
+    # each case truncates at 64 branches that share most rows; the writer shares
+    # the rows of equal cells, and its text is still json.dumps of each returned
+    # table's own to_json_obj, with the truncation exit code
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(params))
+    tree = branches(load_params(str(path)))
+    per_table = [{"id": i, **t.to_json_obj()} for i, t in enumerate(tree.tables)]
+    obj = {"truncated": tree.truncated, "branches": per_table}
+    code, out, _ = run(capsys, *argv, "--params", str(path), "--format", "json")
+    assert tree.truncated and code == 2
+    assert out == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def test_evolve_writes_file_deterministically(tmp_path, capsys, p42_file):

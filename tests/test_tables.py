@@ -41,6 +41,50 @@ def test_to_csv_text_equals_csv_writer(table):
     assert table.to_csv_text() == buf.getvalue()
 
 
+@st.composite
+def _siblings(draw):
+    """Tables that share most of their cells, as the branches of one evolution
+    do: copies of one drawn table, each with a few cells replaced by a fresh
+    pair or by the same value retyped (``Fraction(3)`` for ``3`` and back)."""
+    base = draw(_tables())
+    cols = base.ys + base.zs
+    tables = []
+    for _ in range(draw(st.integers(1, 6))):
+        cells = list(cols)
+        for i in draw(st.lists(st.integers(0, len(cells) - 1), max_size=2)):
+            s, a = cells[i]
+            retyped = Fraction(a) if type(a) is int else a.numerator if a.denominator == 1 else a
+            cells[i] = draw(st.just(ParityPair(s, retyped)) | _PAIRS)
+        tables.append(SolutionTable(base.m_lo, tuple(cells[:len(base)]), tuple(cells[len(base):])))
+    return tables
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(tables=_siblings(), truncated=st.booleans())
+def test_branches_to_json_obj_shares_rows_of_equal_cells(tables, truncated):
+    obj = branches_to_json_obj(tables, truncated)
+    per_table = [{"id": i, **t.to_json_obj()} for i, t in enumerate(tables)]
+    assert obj == {"truncated": truncated, "branches": per_table}
+    assert per_table == [{"id": i, "m_lo": t.m_lo, "rows": [
+        {"m": m, "sy": y.sign, "Y": str(y.amp), "sz": z.sign, "Z": str(z.amp)}
+        for m, y, z in zip(t.indexes(), t.ys, t.zs)
+    ]} for i, t in enumerate(tables)]
+    rows = [r for b in obj["branches"] for r in b["rows"]]
+    cells = {(m, y, z) for t in tables for m, y, z in t.rows()}
+    assert len({id(r) for r in rows}) == len(cells)
+    assert branches_json_text(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def test_branches_json_text_renders_shared_and_equal_rows():
+    # one row dict in two branches, and two equal but distinct dicts in one
+    shared = {"m": 0, "sy": 1, "Y": "3", "sz": -1, "Z": "-1/2"}
+    obj = {"truncated": True, "branches": [
+        {"id": 0, "m_lo": 0, "rows": [shared, {"m": 1, "sy": -1, "Y": "4", "sz": 1, "Z": "0"}]},
+        {"id": 1, "m_lo": 0, "rows": [shared, dict(shared, m=1), dict(shared, m=1)]},
+    ]}
+    assert branches_json_text(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 def test_branches_json_text_without_branches():
     obj = branches_to_json_obj([], False)
     assert branches_json_text(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
