@@ -51,11 +51,10 @@ the fit, exactly, since the all-minus step is unique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice, repeat
 from operator import itemgetter
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 from .system import (
     ParityPair,
@@ -84,8 +83,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BranchTree:
+class BranchTree(NamedTuple):
     """All enumerated solutions through one initial state.
 
     ``truncated`` is set when the branch cap pruned the enumeration; the

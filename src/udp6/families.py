@@ -26,9 +26,9 @@ equalities hold exactly under it (see tests/test_families.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .evolution import _ansatz_inequalities, affine_horizon, ansatz_identity_holds
 from .riccati import require_riccati_conditions
@@ -60,21 +60,15 @@ def compute_h(p: Params) -> Tuple[Fraction, Fraction]:
 # --- linear ansatz ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearAnsatz:
+class LinearAnsatz(namedtuple("LinearAnsatz", "alpha beta gamma")):
     """Affine tail coefficients: Y = (Q-alpha)m + beta, Z = alpha*m + gamma
     (unprimed), or Y = alpha*m + beta, Z = alpha*m + gamma (primed).  Ints
     are kept, as ``Params`` keeps them; anything else becomes a Fraction."""
 
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, Fraction)):
-                object.__setattr__(self, name, Fraction(v))
+    def __new__(cls, alpha, beta, gamma):
+        return cls._make(v if isinstance(v, (int, Fraction)) else Fraction(v) for v in (alpha, beta, gamma))
 
 
 def _holds_on(rng: range, pred: Callable[[int], bool]) -> bool:
@@ -87,33 +81,25 @@ def _holds_on(rng: range, pred: Callable[[int], bool]) -> bool:
 # --- family catalogue ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     expr: str
     holds: bool
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family id plus its free parameters (whichever apply)."""
+class FamilySpec(namedtuple("FamilySpec", "family c c_prime m0 ansatz")):
+    """A family id plus its free parameters (whichever apply): ``c`` and
+    ``c_prime`` become Fractions, an unknown family is a ValueError."""
 
-    family: str
-    c: Optional[Fraction] = None
-    c_prime: Optional[Fraction] = None
-    m0: Optional[int] = None
-    ansatz: Optional[LinearAnsatz] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family not in FAMILY_IDS:
-            raise ValueError(f"unknown family {self.family!r}; known: {FAMILY_IDS}")
-        for name in ("c", "c_prime"):
-            v = getattr(self, name)
-            if v is not None and not isinstance(v, Fraction):
-                object.__setattr__(self, name, Fraction(v))
+    def __new__(cls, family, c=None, c_prime=None, m0=None, ansatz=None):
+        if family not in FAMILY_IDS:
+            raise ValueError(f"unknown family {family!r}; known: {FAMILY_IDS}")
+        c, c_prime = (v if v is None or isinstance(v, Fraction) else Fraction(v) for v in (c, c_prime))
+        return super().__new__(cls, family, c, c_prime, m0, ansatz)
 
 
-@dataclass(frozen=True)
-class FamilyResult:
+class FamilyResult(NamedTuple):
     spec: FamilySpec
     table: SolutionTable
     valid: bool
@@ -320,8 +306,7 @@ def instantiate_family(
 # --- asymptotic linearity detection --------------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineFit:
+class AffineFit(NamedTuple):
     """An exact affine tail of a table, with its ansatz verification verdicts.
 
     ``m_edge`` is the first (forward) or last (backward) index from which both
@@ -344,8 +329,7 @@ class AffineFit:
         return self.slopes_ok and self.range_ok and self.identity_ok and self.inequalities_ok
 
 
-@dataclass(frozen=True)
-class LinearityReport:
+class LinearityReport(NamedTuple):
     forward: Optional[AffineFit]
     backward: Optional[AffineFit]
 

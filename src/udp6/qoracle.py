@@ -32,9 +32,9 @@ import importlib.util
 import io
 import math
 import sys
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .evolution import painleve_failures
 from .system import Params, parse_rational, require_unsigned
@@ -72,18 +72,19 @@ class PoleError(ZeroDivisionError):
     """The q-evolution hit a zero denominator (a pole of the map)."""
 
 
-@dataclass(frozen=True)
-class SignedMag:
-    """sign * mag with explicit zero and a sticky cancellation flag."""
+class SignedMag(namedtuple("SignedMag", "sign mag prec warn")):
+    """sign * mag with explicit zero and a sticky cancellation flag.
 
-    sign: int  # +1, -1, or 0 (exact zero; mag is then 0)
-    mag: mpmath.mpf  # positive, rounded to prec bits
-    prec: int
-    warn: bool = False
+    ``sign`` is +1, -1 or 0, an exact zero whose ``mag`` is 0; otherwise
+    ``mag`` is a positive mpmath float rounded to ``prec`` bits, and ``prec``
+    is at least 2.  ``warn`` defaults to False."""
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1, 0) or self.prec < 2:
+    __slots__ = ()
+
+    def __new__(cls, sign, mag, prec, warn=False):
+        if sign not in (1, -1, 0) or prec < 2:
             raise ValueError("sign must be +1, -1 or 0, and precision at least 2 bits")
+        return tuple.__new__(cls, (sign, mag, prec, warn))  # built by every q-side operation
 
 
 def ls_zero(prec: int, warn: bool = False) -> SignedMag:
@@ -119,11 +120,17 @@ def ls_from_amplitude(sign: int, amp, eps, prec: int) -> SignedMag:
 def amplitude_of(x: SignedMag, eps) -> mpmath.mpf:
     """eps * log|x|, the quantity that ultradiscretizes to the amplitude: eps * (k + log r),
     r = |x|/e^k for the int k nearest log|x|.  r nears 1 as errors shrink; log r to 2^-(prec+8)
-    absolute, finer than r's rounding, keeps its cost and mpmath's log-argument cache small."""
+    absolute, finer than r's rounding, keeps its cost and mpmath's log-argument cache small.
+    Past |e| = 2^40, the binary exponent e of |x|, a float e * ln 2 would miss log|x| by far
+    more than 1, so it is taken to e.bit_length() + 64 bits there."""
     if x.sign == 0:
         raise ValueError("amplitude of exact zero is undefined")
     m, e = mpmath.frexp(x.mag)
-    k = round(math.log(m) + e * math.log(2))
+    if abs(e) < 1 << 40:
+        k = round(math.log(m) + e * math.log(2))
+    else:
+        with mpmath.workprec(e.bit_length() + 64):
+            k = int(mpmath.nint(math.log(m) + e * mpmath.ln2))
     with mpmath.workprec(x.prec):
         r = x.mag / _exp_power(k, 1, x.prec)
         near = mpmath.mag(r - 1) if r != 1 else 0
@@ -150,7 +157,7 @@ def ls_add(x: SignedMag, y: SignedMag) -> SignedMag:
     prec = min(x.prec, y.prec)
     warn = x.warn or y.warn
     if x.sign == 0 or y.sign == 0:
-        return replace(y if x.sign == 0 else x, prec=prec, warn=warn)
+        return (y if x.sign == 0 else x)._replace(prec=prec, warn=warn)
     if x.sign == y.sign:
         return SignedMag(x.sign, mpmath.fadd(x.mag, y.mag, prec=prec), prec, warn)
     hi, lo = (x, y) if x.mag >= y.mag else (y, x)
@@ -248,29 +255,28 @@ def qp6_step(
 # --- the ultradiscretization comparator ----------------------------------------
 
 
-@dataclass(frozen=True)
-class EpsSchedule:
-    """Strictly decreasing positive eps values, coarse to fine."""
+class EpsSchedule(namedtuple("EpsSchedule", "eps_values")):
+    """Strictly decreasing positive eps values, coarse to fine, as a tuple of
+    Fractions."""
 
-    eps_values: Tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        vals = tuple(Fraction(e) for e in self.eps_values)
-        object.__setattr__(self, "eps_values", vals)
+    def __new__(cls, eps_values):
+        vals = tuple(Fraction(e) for e in eps_values)
         if not vals:
             raise ValueError("schedule must not be empty")
         if any(e <= 0 for e in vals):
             raise ValueError("eps values must be positive")
         if any(a <= b for a, b in zip(vals, vals[1:])):
             raise ValueError("eps values must be strictly decreasing")
+        return super().__new__(cls, vals)
 
     @classmethod
     def from_string(cls, text: str) -> "EpsSchedule":
         return cls(tuple(parse_rational(part, "eps") for part in text.split(",") if part.strip()))
 
 
-@dataclass(frozen=True)
-class CompareRow:
+class CompareRow(NamedTuple):
     m: int
     eps: Fraction
     err_y: float
@@ -280,15 +286,13 @@ class CompareRow:
     warned: bool
 
 
-@dataclass(frozen=True)
-class CompareAbort:
+class CompareAbort(NamedTuple):
     eps: Fraction
     m: int
     reason: str
 
 
-@dataclass(frozen=True)
-class CompareReport:
+class CompareReport(NamedTuple):
     rows: Tuple[CompareRow, ...]
     aborts: Tuple[CompareAbort, ...]
     schedule: EpsSchedule

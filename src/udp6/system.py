@@ -18,11 +18,12 @@ code runs on either kind; ``evolve``, ``evolve_noparity``,
 ``painleve_failures`` and their first-order counterparts in ``udp6.riccati``
 compute D on entry and run on ints.  Output tables keep
 the int amplitudes when D = 1 and hold ``Fraction(n, D)`` only when D > 1;
-``str`` writes both alike.  ``Params`` keeps ints as they are and turns
-anything else into a ``Fraction``.  A ``ParityPair`` is a plain tuple that
-converts and checks nothing: ``check_sign`` checks its sign once, where the
-pair enters the system (``parse_pair`` in the CLI, the CSV table reader),
-as ``Params`` checks the parameter signs.
+``str`` writes both alike.  Both value types are named tuples.  ``Params``
+keeps ints as they are, turns anything else into a ``Fraction`` and checks
+its signs when it is constructed; ``_replace`` and ``_make`` skip that, so
+only checked values go through them.  A ``ParityPair`` converts and checks
+nothing: ``check_sign`` checks its sign once, where the pair enters the
+system (``parse_pair`` in the CLI, the CSV table reader).
 
 The library holds one transcription, the eight-term z-relation with
 parameter signs.  The y-relation is that kernel mirrored: A and B (amplitudes
@@ -35,7 +36,7 @@ validated once where they enter an operation (``require_constraint``,
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -100,40 +101,23 @@ _SIGN_KEYS = ("sa1", "sa2", "sa3", "sa4", "sb1", "sb2", "sb3", "sb4")
 _MIRROR = {k: k.translate(str.maketrans("ab", "ba")) for k in _AMP_KEYS + _SIGN_KEYS}
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(namedtuple("Params", _AMP_KEYS + _SIGN_KEYS, defaults=(1,) * 8)):
     """The step size Q, amplitudes A1..A4, B1..B4 and optional parameter signs.
+
+    A named tuple ``(q, a1..a4, b1..b4, sa1..sa4, sb1..sb4)``, the signs
+    defaulting to +1.  Construction keeps int amplitudes, turns any other
+    into a ``Fraction`` and checks every sign (``check_sign``).  The instance
+    keeps a ``__dict__`` for its cached properties, which are not fields.
 
     Every operation requires the constraint ``B1+B2+A3+A4 == Q+A1+A2+B3+B4``
     (and, with signs, the product condition ``sa1*sa2*sa3*sa4 ==
     sb1*sb2*sb3*sb4``); only the residual checks admit signs other than +1.
     """
 
-    q: Fraction
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
-    a4: Fraction
-    b1: Fraction
-    b2: Fraction
-    b3: Fraction
-    b4: Fraction
-    sa1: int = 1
-    sa2: int = 1
-    sa3: int = 1
-    sa4: int = 1
-    sb1: int = 1
-    sb2: int = 1
-    sb3: int = 1
-    sb4: int = 1
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name in _SIGN_KEYS:
-                check_sign(v)
-            elif not isinstance(v, (int, Fraction)):
-                object.__setattr__(self, f.name, Fraction(v))
+    def __new__(cls, *args, **kw):
+        p = super().__new__(cls, *args, **kw)
+        amps = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in p[:9]]
+        return cls._make(amps + [check_sign(s) for s in p[9:]])
 
     @classmethod
     def make(cls, q, a, b, sa=None, sb=None) -> "Params":
@@ -153,7 +137,7 @@ class Params:
         z-relation on these parameters.  They need not satisfy the
         constraint, which is not symmetric under the exchange.
         """
-        return Params(**{k: getattr(self, v) for k, v in _MIRROR.items()})
+        return self._make(getattr(self, _MIRROR[k]) for k in self._fields)
 
     @cached_property
     def _zz_parts(self) -> tuple:
@@ -166,7 +150,7 @@ class Params:
         """Q and every amplitude times d, as ints (self if d = 1 and they are); signs kept."""
         if d == 1 and all(isinstance(getattr(self, k), int) for k in _AMP_KEYS):
             return self
-        return replace(self, **{k: scale_to_int(getattr(self, k), d) for k in _AMP_KEYS})
+        return self._replace(**{k: scale_to_int(getattr(self, k), d) for k in _AMP_KEYS})
 
 
 def denominator_lcm(p: Params, amps: Iterable) -> int:

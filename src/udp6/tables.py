@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Tuple
 
 from .system import ParityPair, check_sign, parse_rational
@@ -27,19 +26,38 @@ def _read_amp(text: str, what: str):
     return int(text) if _INT_TEXT.fullmatch(text) else parse_rational(text, what)
 
 
-@dataclass(frozen=True)
 class SolutionTable:
-    """Immutable mapping m -> (y, z) over [m_lo, m_lo + len - 1]."""
+    """The mapping m -> (y, z) over [m_lo, m_lo + len - 1]: ``m_lo`` and the
+    columns ``ys`` and ``zs``, tuples of equal, nonzero length.  Immutable:
+    its attributes cannot be assigned, and equal tables are equal values
+    that hash alike.  ``len`` counts rows."""
 
-    m_lo: int
-    ys: Tuple[ParityPair, ...]
-    zs: Tuple[ParityPair, ...]
+    __slots__ = ("m_lo", "ys", "zs")
 
-    def __post_init__(self) -> None:
-        if len(self.ys) != len(self.zs):
+    def __init__(self, m_lo: int, ys: Tuple[ParityPair, ...], zs: Tuple[ParityPair, ...]) -> None:
+        if len(ys) != len(zs):
             raise ValueError("y and z columns must have equal length")
-        if not self.ys:
+        if not ys:
             raise ValueError("empty table")
+        for name, value in zip(self.__slots__, (m_lo, ys, zs)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"SolutionTable is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return self.m_lo, self.ys, self.zs
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "SolutionTable(m_lo=%r, ys=%r, zs=%r)" % self._key()
 
     @property
     def m_hi(self) -> int:

@@ -24,7 +24,7 @@ signed floats against.
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Tuple, Union
 
@@ -89,7 +89,7 @@ def dump_params(p: Params, path) -> None:
 def _amps_mapped(x, f, with_q: bool):
     if isinstance(x, Params):
         keys = ("a1", "a2", "a3", "a4", "b1", "b2", "b3", "b4") + (("q",) if with_q else ())
-        return replace(x, **{k: f(getattr(x, k)) for k in keys})
+        return x._replace(**{k: f(getattr(x, k)) for k in keys})
     if isinstance(x, ParityPair):
         return ParityPair(x.sign, f(x.amp))
     cols = (tuple(ParityPair(c.sign, f(c.amp)) for c in col) for col in (x.ys, x.zs))

@@ -273,6 +273,26 @@ def test_cli_import_leaves_mpmath_unexecuted():
     assert out.stdout.split() == ["0", "False"]
 
 
+def test_cli_import_loads_no_dataclasses_inspect_or_mpmath():
+    # value types are named tuples and slotted classes, so start-up generates
+    # no code: against a bare interpreter, importing the CLI and listing the
+    # families adds neither dataclasses nor inspect, and leaves mpmath unexecuted
+    code = (
+        "import contextlib, io, sys\n"
+        "bare = set(sys.modules)\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import udp6.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = udp6.cli.main(['families', '--list'])\n"
+        "print(rc, *sorted(set(sys.modules) - bare))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
+    rc, *added = out.stdout.split()
+    assert rc == "0" and "udp6.cli" in added
+    assert not {"dataclasses", "inspect", "mpmath.libmp"} & set(added), added
+
+
 def test_parser_is_reused_without_state(tmp_path, capsys, p42_file, p41_file):
     # one parser serves every main() call of a process; a second round of the
     # same calls, usage error and --help included, prints what the first did
@@ -325,6 +345,20 @@ def test_qlimit_subcommand(capsys, p42_file):
     lines = out.splitlines()
     assert lines[0] == "m,eps,err_Y,err_Z,sign_ok_Y,sign_ok_Z,cancellation_flag"
     assert len(lines) == 1 + 3 * 3
+
+
+def test_qlimit_tiny_eps_exits_without_traceback(p42_file):
+    # at eps = 10^-50 the seeds' binary exponents pass 2^53, beyond a float's
+    # integer resolution; the run still ends in rows, and the eps = 1 rows are
+    # those of a run without the tiny eps
+    argv = [sys.executable, "-m", "udp6.cli", "qlimit", "--params", p42_file,
+            "--y0", "-1:43", "--z0", "-1:40", "--window", "-2:2", "--eps"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    outs = [subprocess.run(argv + [eps], env=env, capture_output=True, text=True) for eps in (f"1,1/{10**50}", "1")]
+    assert [(o.returncode, o.stderr) for o in outs] == [(0, ""), (0, "")]
+    rows = outs[0].stdout.splitlines()
+    assert len(rows) == 1 + 5 * 2 and all(r.split(",")[1] in ("1", f"1/{10**50}") for r in rows[1:])
+    assert [r for r in rows if r.split(",")[1] != f"1/{10**50}"] == outs[1].stdout.splitlines()
 
 
 # --- zero denominators in rational inputs ------------------------------------------------

@@ -1,4 +1,3 @@
-from dataclasses import astuple
 from fractions import Fraction
 from unittest import mock
 
@@ -123,6 +122,19 @@ def test_r_families_valid_windows_pass_residuals(p41):
         assert res.valid, (spec.family, [c.expr for c in res.violated()])
         assert not riccati_failures(p41, res.table), spec.family
         assert theorem_check(p41, res.table)
+
+
+def test_linear_ansatz_and_family_spec_convert_their_arguments():
+    ansatz = LinearAnsatz(3, "1/2", 0.25)
+    assert ansatz == (3, F(1, 2), F(1, 4)) and type(ansatz.alpha) is int
+    assert type(ansatz.beta) is F and type(ansatz.gamma) is F
+    assert LinearAnsatz(alpha=F(1), beta=2, gamma=F(-3, 4)) == (1, 2, F(-3, 4))
+    spec = FamilySpec("lin", c=3, c_prime="5/2", m0=1, ansatz=ansatz)
+    assert type(spec.c) is F and spec.c == 3 and spec.c_prime == F(5, 2)
+    assert spec.m0 == 1 and spec.ansatz is ansatz
+    assert FamilySpec("pconst") == FamilySpec(family="pconst", c=None, c_prime=None, m0=None, ansatz=None)
+    with pytest.raises(ValueError, match="unknown family 'nope'"):
+        FamilySpec("nope", c=1)
 
 
 def test_family_requires_free_parameter(p41):
@@ -302,7 +314,7 @@ def _fit_cases(draw):
 def test_endpoint_rule_equals_per_index_verdict(case, lo, n):
     p, fit, primed = case
     rng = range(lo, lo + n)
-    at_ends = families._holds_on(rng, lambda m: evolution._ansatz_inequalities(p, astuple(fit), m, primed))
+    at_ends = families._holds_on(rng, lambda m: evolution._ansatz_inequalities(p, tuple(fit), m, primed))
     assert at_ends == all(ansatz_inequalities_at(p, fit, m, primed) for m in rng)
 
 

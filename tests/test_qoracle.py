@@ -75,6 +75,17 @@ def test_ls_add_zero_identity():
     assert ls_add(ls_zero(256), x).mag == x.mag
 
 
+def test_signed_mag_checks_and_replace_keeps_the_type():
+    for sign, prec in ((2, 256), (1, 1), (-2, 64)):
+        with pytest.raises(ValueError, match="precision at least 2 bits"):
+            SignedMag(sign, mpmath.mpf(1), prec)
+    assert SignedMag(0, mpmath.mpf(0), 2) == (0, 0, 2, False)
+    # ls_add returns the nonzero operand through _replace, at the lower precision
+    x = mk(-1, 3, prec=512)
+    out = ls_add(ls_zero(256, warn=True), x)
+    assert type(out) is SignedMag and out == (-1, x.mag, 256, True)
+
+
 def test_ls_mul_and_div():
     x = mk(-1, 5)
     y = mk(-1, 2)
@@ -127,6 +138,10 @@ def _seed_cases(rng):
             amp = F(rng.randint(-400, 400) * den + rng.getrandbits(bits), den)
             yield amp, F(rng.randint(1, 4), rng.randint(1, 4))
     yield F(37) + F(1, 2**600), F(1)  # the near-cancelling seed of the escalation test
+    # binary exponents past 2^53, where a float e * ln 2 no longer finds the int nearest log|x|
+    for amp in (F(43), F(-40), F(7, 3)):
+        yield amp, F(1, 10**50)
+        yield amp, F(1, 10**400)
 
 
 @pytest.mark.parametrize("prec", [64, 256, 1024])
@@ -319,6 +334,15 @@ def test_schedule_validation():
         EpsSchedule((F(1), F(-1, 2)))
     sched = EpsSchedule.from_string("1,0.5,0.2")
     assert sched.eps_values == (F(1), F(1, 2), F(1, 5))
+
+
+def test_schedule_normalises_and_rejects():
+    sched = EpsSchedule([1, "1/2", 0.25])
+    assert sched.eps_values == (F(1), F(1, 2), F(1, 4))
+    assert all(type(e) is F for e in sched.eps_values) and sched == EpsSchedule(eps_values=sched.eps_values)
+    for bad in ((), (F(1, 2), F(1, 2)), (F(1), F(0)), (F(-1),), (F(1, 4), F(1, 2))):
+        with pytest.raises(ValueError):
+            EpsSchedule(bad)
 
 
 def test_compare_golden_window_monotone(p42):

@@ -304,3 +304,42 @@ def test_integer_image_of_int_parameters_at_d_1_is_self(p42):
     assert image is not frac and image == frac and type(image.a4) is int
     half = Params.make(Fraction(201, 2), (32, Fraction(67, 2), 37, 22), (53, 66, 8, 4))
     assert half.integer_image(2).a2 == 67
+
+
+# --- the Params value type ------------------------------------------------------
+
+
+def test_params_keeps_ints_and_turns_the_rest_into_fractions():
+    p = Params(7, "7/2", 1.5, 0, F(0), 0, 0, 0, 0)
+    assert type(p.q) is int and type(p.a3) is int and type(p.a4) is F
+    assert type(p.a1) is F and p.a1 == F(7, 2)
+    assert type(p.a2) is F and p.a2 == F(3, 2)
+    assert (p.sa1, p.sb4) == (1, 1)
+    assert Params(*p) == p and Params(**p._asdict()) == p
+
+
+@pytest.mark.parametrize("sign", [0, 2])
+def test_params_rejects_signs_other_than_plus_or_minus_one(sign):
+    with pytest.raises(ValueError, match="sign must be"):
+        Params.make(1, (0, 0, 0, 0), (0, 0, 0, 0), sa=(1, 1, sign, 1))
+    with pytest.raises(ValueError, match="sign must be"):
+        Params(1, 0, 0, 0, 0, 0, 0, 0, 0, sb4=sign)
+
+
+def test_params_mirrored_is_cached_and_equals_the_explicit_mirror():
+    p = Params.make(100, (32, 33, 37, 22), (53, 65, 8, 4), sa=(-1, 1, 1, -1), sb=(1, -1, 1, -1))
+    mirrored = p.mirrored
+    assert mirrored is p.mirrored and type(mirrored) is Params
+    assert mirrored == Params.make(100, (53, 65, 8, 4), (32, 33, 37, 22), sa=(1, -1, 1, -1), sb=(-1, 1, 1, -1))
+    assert mirrored.mirrored == p
+    # the cache is per instance and not a field: equality and hashing ignore it
+    twin = Params(*p)
+    assert "mirrored" not in vars(twin) and twin == p and hash(twin) == hash(p)
+
+
+def test_equal_params_hash_alike(p42):
+    # the q-oracle caches per-parameter images under an lru_cache keyed on Params
+    twin = Params.make(F(100), (F(32), 33, F(74, 2), 22), (53, 65, 8, 4))
+    assert twin == p42 and hash(twin) == hash(p42)
+    assert p42.integer_image(2) == Params.make(200, (64, 66, 74, 44), (106, 130, 16, 8))
+    assert len({p42, twin, p42.integer_image(1)}) == 1

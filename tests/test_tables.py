@@ -128,3 +128,24 @@ def test_csv_reader_rejects_bad_tables(rows, message):
     with pytest.raises(ValueError) as exc:
         SolutionTable.from_csv_text("\n".join(["m,sy,Y,sz,Z"] + rows) + "\n")
     assert str(exc.value) == message
+
+
+def test_solution_table_is_an_immutable_value():
+    ys = (ParityPair(1, 2), ParityPair(-1, Fraction(1, 3)))
+    zs = (ParityPair(-1, 0), ParityPair(1, 5))
+    table = SolutionTable(-1, ys, zs)
+    for name in ("m_lo", "ys", "other"):
+        with pytest.raises(AttributeError):
+            setattr(table, name, 0)
+    with pytest.raises(AttributeError):
+        del table.zs
+    assert (table.m_lo, table.ys, table.zs) == (-1, ys, zs)
+    twin = SolutionTable(-1, tuple(ys), tuple(zs))
+    assert twin == table and hash(twin) == hash(table) and len({twin, table}) == 1
+    assert table != SolutionTable(0, ys, zs) and table != (-1, ys, zs)
+    assert len(table) == 2 and table.m_hi == 0
+    assert repr(table) == f"SolutionTable(m_lo=-1, ys={ys!r}, zs={zs!r})"
+    with pytest.raises(ValueError, match="equal length"):
+        SolutionTable(0, ys, zs[:1])
+    with pytest.raises(ValueError, match="empty table"):
+        SolutionTable(0, (), ())
