@@ -268,7 +268,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="output path (default: stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    sp = sub.add_parser("evolve", help="evolve an initial state over a window")
+    sp = sub.add_parser(
+        "evolve", help="evolve an initial state over a window: one table per path through "
+                       "the finite ends (corner solutions) of each step's solution interval")
     sp.add_argument("--params", required=True)
     sp.add_argument("--y0", required=True, help="sign:amplitude, e.g. -1:43")
     sp.add_argument("--z0", required=True, help="sign:amplitude")

@@ -1,12 +1,16 @@
-"""Initial-value evolution of the parity system with branch enumeration.
+"""Initial-value evolution of the parity system through corner solutions.
 
 A solution of the initial value problem always exists but is not always
-unique: when the y amplitude hits one of {A3, A4, A1+mQ, A2+mQ} (or the z
-amplitude one of the B analogues) several next states satisfy the step
-relation.  The steppers here emit every candidate produced by the
-constructive case split, validate each against the exact residual, and
-deduplicate; ``evolve`` expands the candidates into a branch tree whose
-leaves are complete solution tables over the requested window.
+unique.  Each term of a step relation has slope 0 or 1 in the unknown, so
+for each sign of the next cell the solution set is an interval: a point, a
+ray or the whole line (the argument of ``udp6.riccati``), more than a point
+only when the y amplitude hits one of {A3, A4, A1+mQ, A2+mQ} (or the z
+amplitude one of the B analogues).  The steppers return its finite ends, the
+corner solutions, from the constructive case split, validated against the
+exact residual and deduplicated; at a double tie (Y in both sets) the
+relation holds everywhere and the split gives one amplitude with each sign.
+``evolve`` follows the corners into a branch tree of complete solution
+tables over the window; it never visits the interior of a ray.
 
 The case split for the sign(y) = +1 sector compares
 ``U = max(2Y, A3+A4)`` with ``U' = max(A3,A4)+Y`` and
@@ -35,9 +39,9 @@ steps they have in common.
 Branches split at a tie and often meet again at the same state.  A step's
 children are a function of the cells it reads alone (``evolve``'s steps read
 (y_m, z_m), ``riccati_evolve``'s the one known cell), so ``grow_tables``
-expands each distinct state read once per step and hands the same update
-dicts to every partial table in that state; update dicts are shared and never
-mutated.
+expands each distinct state read once per step.  Every partial table is a
+flat list of its cells in the order the steps wrote them, the same order in
+all of them, so one map from key to position reads any of them.
 
 The all-minus sector has affine stretches ``Y = (Q-a)m + b, Z = a m + g``
 forward, ``Y = a m + b, Z = a m + g`` backward.  Where a fit (a, b, g) meets
@@ -54,7 +58,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count, islice, repeat
 from operator import itemgetter
-from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .system import (
     ParityPair,
@@ -84,30 +88,15 @@ __all__ = [
 
 
 class BranchTree(NamedTuple):
-    """All enumerated solutions through one initial state.
+    """The corner solutions through one initial state: one table per path
+    through the finite ends of the steps' solution intervals.
 
-    ``truncated`` is set when the branch cap pruned the enumeration; the
-    surviving tables are still complete and valid.
+    ``truncated`` is set when the branch cap dropped paths; the surviving
+    tables are still complete and valid.
     """
 
     tables: Tuple[SolutionTable, ...]
     truncated: bool
-
-
-class _Partial:
-    """A partial table as its last update and a link to its parent: a child
-    costs its update, not a copy, and a lookup walks up to the key."""
-
-    __slots__ = ("update", "parent")
-
-    def __init__(self, update: dict, parent: Optional["_Partial"]) -> None:
-        self.update, self.parent = update, parent
-
-    def __getitem__(self, key):
-        node = self
-        while key not in node.update:
-            node = node.parent
-        return node.update[key]
 
 
 def _from_image(cells: Iterable[ParityPair], d: int) -> Tuple[ParityPair, ...]:
@@ -128,46 +117,49 @@ def table_image(p: Params, table: SolutionTable) -> tuple:
 
 
 def grow_tables(
-    root: dict,
-    steps: List[Tuple[itemgetter, Callable[..., Iterable[dict]]]],
-    cap: int,
-    window: Tuple[int, int],
-    d: int = 1,
+    root: dict, steps: Iterable[tuple], cap: int, window: Tuple[int, int], d: int = 1
 ) -> BranchTree:
     """The branching frontier shared by ``evolve`` and ``riccati_evolve``.
 
-    A partial table maps ("y", m) and ("z", m) to parity pairs.  A step is a
-    pair ``(reads, expand)``: ``reads`` picks the cells the step reads from a
-    partial table, and ``expand`` maps that state to the ordered updates of
-    its children.  The children must be a function of the state alone: each
-    distinct state is expanded once per step, and every partial table in it
-    gets the same update dicts, which are therefore never mutated.  Children
-    keep the frontier's order; after each step only the first ``cap`` are
-    kept, and the result is flagged truncated if any step dropped children.
-    The columns of each surviving leaf are assembled at the end, through
-    ``_from_image`` when the cells are integer images of scale ``d``.
+    A partial table is a flat list of cells in the order they were written,
+    and ``where`` maps each ("y", m) or ("z", m) key to its position in every
+    one.  ``root`` maps the first keys to their cells.  A step is ``(reads,
+    writes, expand)``: the keys it reads and writes, and a map from the state
+    read to its children, each a list of cells in ``writes`` order.  The
+    children must be a function of the state alone: each distinct state is
+    expanded once per step.  A partial table with no children is dropped;
+    the others are copied for all their children but the last, which extends
+    them in place, as no other frontier entry holds them.  Children keep the
+    frontier's order; after each step only the first ``cap`` are kept, and
+    the result is flagged truncated if any step dropped children.  Leaf
+    columns are read by position, through ``_from_image`` when the cells are
+    integer images of scale ``d``.
     """
-    partials, truncated = [_Partial(root, None)], False
-    for reads, expand in steps:
+    where = dict(zip(root, count()))
+    partials, truncated = [list(root.values())], False
+    for reads, writes, expand in steps:
+        state_of = itemgetter(*map(where.__getitem__, reads))
+        where.update(zip(writes, count(len(where))))
         children, grown = {}, []
         for t in partials:
-            state = reads(t)
-            updates = children.get(state)
-            if updates is None:
-                updates = children[state] = list(expand(state))
-            grown += [_Partial(u, t) for u in updates]
+            state = state_of(t)
+            kids = children.get(state)
+            if kids is None:
+                kids = children[state] = list(expand(state))
+            if not kids:
+                continue
+            if len(kids) > 1:
+                grown += [t + c for c in kids[:-1]]
+            t += kids[-1]
+            grown.append(t)
             if len(grown) > cap:
                 break
         partials, truncated = grown[:cap], truncated or len(grown) > cap
     lo, hi = window
-    keys = [[(k, m) for m in range(lo, hi + 1)] for k in "yz"]
+    cols = [[where[k, m] for m in range(lo, hi + 1)] for k in "yz"]
     tables = []
-    for leaf in partials:
-        cells = {}
-        while leaf:
-            cells.update(leaf.update)
-            leaf = leaf.parent
-        ys, zs = (_from_image(map(cells.__getitem__, ks), d) for ks in keys)
+    for t in partials:
+        ys, zs = (_from_image(map(t.__getitem__, col), d) for col in cols)
         tables.append(SolutionTable(lo, ys, zs))
     return BranchTree(tuple(tables), truncated)
 
@@ -231,15 +223,16 @@ def affine_horizon(p: Params, fit, forward: bool) -> Optional[int]:
     return (min(ks) if forward else -min(ks)) if ks else None
 
 
-# --- parity steps with branch enumeration ------------------------------------
+# --- parity steps: the finite ends of each sign's solution interval ---------
 
 
 def step_z_parity(p: Params, m: int, y: ParityPair, z: ParityPair) -> List[ParityPair]:
-    """All candidates for (sign, amplitude) of z at index m+1.
+    """The corner solutions for (sign, amplitude) of z at index m+1: for each
+    sign the finite ends of the interval where the z-step relation holds, or
+    at a double tie, where it holds everywhere, v - u + B3 + B4 - Z.
 
-    Every emitted candidate satisfies the exact z-step residual; at least one
-    exists for any input.  Candidates are ordered +1-sign first, then by
-    amplitude.
+    Every returned pair satisfies the exact z-step residual; at least one
+    exists for any input.  They are ordered +1-sign first, then by amplitude.
     """
     b34 = p.b3 + p.b4
     if y.sign == -1:
@@ -268,13 +261,13 @@ def step_z_parity(p: Params, m: int, y: ParityPair, z: ParityPair) -> List[Parit
 
 
 def step_y_parity(p: Params, m: int, y: ParityPair, z_next: ParityPair) -> List[ParityPair]:
-    """All candidates for (sign, amplitude) of y at index m+1, given z there
-    (the mirrored z-step)."""
+    """The corner solutions for (sign, amplitude) of y at index m+1, given z
+    there (the mirrored z-step)."""
     return step_z_parity(p.mirrored, m, z_next, y)
 
 
 def step_back_y_parity(p: Params, m: int, y: ParityPair, z: ParityPair) -> List[ParityPair]:
-    """Candidates for y at index m-1, given (y, z) at m.
+    """The corner solutions for y at index m-1, given (y, z) at m.
 
     The y-relation at index m-1 is symmetric in its two y slots, so this is
     the forward y solver with the known pair in the other slot.
@@ -283,7 +276,7 @@ def step_back_y_parity(p: Params, m: int, y: ParityPair, z: ParityPair) -> List[
 
 
 def step_back_z_parity(p: Params, m: int, y_prev: ParityPair, z: ParityPair) -> List[ParityPair]:
-    """Candidates for z at index m-1, given y at m-1 and z at m."""
+    """The corner solutions for z at index m-1, given y at m-1 and z at m."""
     return step_z_parity(p, m - 1, y_prev, z)
 
 
@@ -298,8 +291,8 @@ def evolve(
     window: Tuple[int, int],
     max_branches: int = 64,
 ) -> BranchTree:
-    """Enumerate solutions through (y0, z0) at index m0 over the window
-    [lo, hi].
+    """The corner solutions through (y0, z0) at index m0 over the window
+    [lo, hi]: each step takes the finite ends of its solution intervals.
 
     Alternates the z- and y-steppers forward from m0 and their backward
     mirrors down to the window start.  Every leaf is a complete
@@ -318,19 +311,19 @@ def evolve(
     d = denominator_lcm(p, (y0.amp, z0.amp))
     p = p.integer_image(d)  # the steps below run on integer images
     # one step per (z, y) pair, so the cap applies after each pair.  A step
-    # reads yz = (y_m, z_m) and nothing else; it calls the steppers as module
+    # reads (y_m, z_m) and nothing else; it calls the steppers as module
     # globals, where tracing and tests can replace them.
     steps = [
-        (itemgetter(("y", m), ("z", m)), lambda yz, m=m: (
-            {("z", m + 1): z1, ("y", m + 1): y1}
+        ((("y", m), ("z", m)), (("z", m + 1), ("y", m + 1)), lambda yz, m=m: (
+            [z1, y1]
             for z1 in step_z_parity(p, m, *yz)
             for y1 in step_y_parity(p, m, yz[0], z1)
         ))
         for m in range(m0, hi)
     ]
     steps += [
-        (itemgetter(("y", m), ("z", m)), lambda yz, m=m: (
-            {("y", m - 1): yp, ("z", m - 1): zp}
+        ((("y", m), ("z", m)), (("y", m - 1), ("z", m - 1)), lambda yz, m=m: (
+            [yp, zp]
             for yp in step_back_y_parity(p, m, *yz)
             for zp in step_back_z_parity(p, m, yp, yz[1])
         ))

@@ -425,6 +425,8 @@ def ud_limit_compare(
     The report records the accepted precision of each eps.
     """
     require_unsigned(p)
+    if precision is not None and precision < 2:
+        raise ValueError("precision must be at least 2 bits")
     lo, hi = window
     if not (table.m_lo <= lo <= hi <= table.m_hi):
         raise ValueError("window must lie inside the table")

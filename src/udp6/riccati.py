@@ -33,7 +33,6 @@ finite ends is their one point.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import List, Optional, Tuple
 
 from .evolution import BranchTree, grow_tables, table_image
@@ -248,8 +247,8 @@ def riccati_evolve(
     def fill(slot, step, m, known):
         # one half step: ``slot`` from each sample of ``step`` at the value of
         # the ``known`` cell, the one cell it reads
-        return itemgetter(known), lambda cell: (
-            {slot: ParityPair(sign, x)}
+        return (known,), (slot,), lambda cell: (
+            [ParityPair(sign, x)]
             for sign, iv in step(p, m, cell)
             for x in _samples(iv, sampling, d)
         )

@@ -361,6 +361,16 @@ def test_qlimit_tiny_eps_exits_without_traceback(p42_file):
     assert [r for r in rows if r.split(",")[1] != f"1/{10**50}"] == outs[1].stdout.splitlines()
 
 
+@pytest.mark.parametrize("precision", ["1", "0", "-5"])
+def test_qlimit_precision_below_two_bits_is_input_error(capsys, p42_file, precision):
+    # the message names the precision alone: the user gave no sign
+    code, out, err = run(
+        capsys, "qlimit", "--params", p42_file, "--y0", "-1:43", "--z0", "-1:40",
+        "--window", "0:2", "--eps", "1", "--precision", precision,
+    )
+    assert (code, out, err) == (1, "", "error: precision must be at least 2 bits\n")
+
+
 # --- zero denominators in rational inputs ------------------------------------------------
 
 _PAIRS = ("--y0", "-1:43", "--z0", "-1:40")

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import udp6.evolution as evolution
@@ -9,6 +9,7 @@ from udp6.evolution import (
     affine_horizon,
     evolve,
     evolve_noparity,
+    grow_tables,
     painleve_failures,
     step_y_noparity,
     step_y_parity,
@@ -120,6 +121,67 @@ def test_parity_steps_validate_candidates_random(rng):
             assert residual_zz(p, m, y, z, z1)
             for y1 in step_y_parity(p, m, y, z1):
                 assert residual_yy(p, m, y, y1, z1)
+
+
+def test_step_z_parity_e1_ray_regression():
+    # panel structure e1, z-step at m = 3: for both signs the relation holds
+    # on the upward ray from -2, and the stepper returns its one finite end
+    p = Params.make(3, (-1, 7, 11, 12), (6, 4, -9, 33))
+    y, z = ParityPair(1, 11), ParityPair(1, 30)
+    assert step_z_parity(p, 3, y, z) == [ParityPair(1, -2), ParityPair(-1, -2)]
+    for sign in (1, -1):
+        assert not residual_zz(p, 3, y, z, ParityPair(sign, -3))
+        assert all(residual_zz(p, 3, y, z, ParityPair(sign, x)) for x in range(-2, 60))
+
+
+def _is_double_tie(p, m, y):
+    mq = m * p.q
+    return y.sign == 1 and y.amp in (p.a3, p.a4) and y.amp in (p.a1 + mq, p.a2 + mq)
+
+
+@st.composite
+def _small_z_states(draw, r=4):
+    """Constrained int parameters within +-r (Q in 1..r), m in -3..3, and a
+    state (y, z) within +-3r whose y amplitude is often one of A3, A4, A1+mQ,
+    A2+mQ, so that ties and double ties occur."""
+    q = draw(st.integers(1, r))
+    a = [draw(st.integers(-r, r)) for _ in range(4)]
+    b1, b2, b3 = (draw(st.integers(-r, r)) for _ in range(3))
+    p = Params.make(q, a, (b1, b2, b3, b1 + b2 + a[2] + a[3] - q - a[0] - a[1] - b3))
+    m = draw(st.integers(-3, 3))
+    ties = (a[2], a[3], a[0] + m * q, a[1] + m * q)
+    y_amp = draw(st.one_of(st.integers(-3 * r, 3 * r), st.sampled_from(ties)))
+    sign = st.sampled_from((1, -1))
+    return p, m, ParityPair(draw(sign), y_amp), ParityPair(draw(sign), draw(st.integers(-3 * r, 3 * r)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=_small_z_states())
+@example(case=(Params.make(1, (0, 0, 0, 0), (0, 0, 0, -1)), 0, ParityPair(1, 0), ParityPair(-1, 5)))
+def test_step_z_parity_returns_the_finite_ends_of_each_sign(case):
+    # for each sign of z_{m+1} the solution set is an interval; its finite
+    # ends lie within k of 0, as each is the difference of a slope-0 and a
+    # slope-1 term's constant, so a scan over [-k, k] finds them, and a set
+    # that reaches an end of the scan is a ray or the whole line
+    p, m, y, z = case
+    mq, b34 = m * p.q, p.b3 + p.b4
+    flat = (2 * mq + p.a1 + p.a2 + b34, 2 * y.amp + b34, y.amp + mq + p.a1 + b34, y.amp + mq + p.a2 + b34)
+    steep = (2 * y.amp + z.amp, z.amp + p.a3 + p.a4, y.amp + z.amp + p.a3, y.amp + z.amp + p.a4)
+    k = max(map(abs, flat)) + max(map(abs, steep)) + 1
+    cands = step_z_parity(p, m, y, z)
+    holds = {s: [x for x in range(-k, k + 1) if residual_zz(p, m, y, z, ParityPair(s, x))] for s in (1, -1)}
+    if _is_double_tie(p, m, y):
+        # the relation holds everywhere, and the split gives one amplitude
+        assert all(len(xs) == 2 * k + 1 for xs in holds.values())
+        amp = max(2 * mq + p.a1 + p.a2, 2 * y.amp) - max(2 * y.amp, p.a3 + p.a4) + b34 - z.amp
+        assert cands == [ParityPair(1, amp), ParityPair(-1, amp)]
+        return
+    ends = set()
+    for s, xs in holds.items():
+        if xs:
+            assert xs == list(range(xs[0], xs[-1] + 1))  # an interval
+            ends |= {ParityPair(s, x) for x in (xs[0], xs[-1]) if -k < x < k}
+    assert len(cands) == len(set(cands)) and set(cands) == ends
 
 
 # --- window evolution ------------------------------------------------------------
@@ -293,6 +355,119 @@ def test_forward_then_backward_recovers_initial_state(rng):
                 assert start in [(m0, b.y(m0), b.z(m0)) for b in backward.tables]
                 tables += 1
     assert tables >= 400
+
+
+# --- the frontier engine on synthetic steps ---------------------------------------
+
+
+def _cell(n):
+    return ParityPair(1, n)
+
+
+_ROOT = {("y", 0): _cell(0), ("z", 0): _cell(0)}
+
+
+def _forward(m, children, calls=None):
+    """A synthetic forward step at m: the state (y_m, z_m), read as the pair of
+    amplitudes, has the children ``children[state]``, (z, y) amplitude pairs
+    of index m+1.  ``calls`` collects the states expanded."""
+    def expand(yz):
+        state = (yz[0].amp, yz[1].amp)
+        if calls is not None:
+            calls.append(state)
+        return ([_cell(z), _cell(y)] for z, y in children[state])
+    return (("y", m), ("z", m)), (("z", m + 1), ("y", m + 1)), expand
+
+
+def _rows(tree):
+    """Each table as its (y, z) amplitude rows."""
+    return [[(y.amp, z.amp) for y, z in zip(t.ys, t.zs)] for t in tree.tables]
+
+
+def test_grow_tables_drops_only_the_childless_partials():
+    # two partial tables end in the dead state (2, 2), one from each parent;
+    # their siblings and cousins live on
+    steps = [
+        _forward(0, {(0, 0): [(1, 1), (2, 2)]}),
+        _forward(1, {(1, 1): [(3, 3), (2, 2)], (2, 2): [(2, 2), (4, 4)]}),
+        _forward(2, {(3, 3): [(5, 5)], (2, 2): [], (4, 4): [(6, 6)]}),
+    ]
+    tree = grow_tables(_ROOT, steps, 64, (0, 3))
+    assert _rows(tree) == [
+        [(0, 0), (1, 1), (3, 3), (5, 5)],
+        [(0, 0), (2, 2), (4, 4), (6, 6)],
+    ]
+    assert not tree.truncated
+
+
+def test_grow_tables_keeps_truncated_after_a_later_dead_end():
+    # the first step has three children for a cap of two; the next leaves one
+    steps = [
+        _forward(0, {(0, 0): [(1, 1), (2, 2), (3, 3)]}),
+        _forward(1, {(1, 1): [], (2, 2): [(4, 4)]}),
+    ]
+    tree = grow_tables(_ROOT, steps, 2, (0, 2))
+    assert _rows(tree) == [[(0, 0), (2, 2), (4, 4)]]
+    assert tree.truncated
+    # every state a dead end: no table, and still truncated
+    tree = grow_tables(_ROOT, steps[:1] + [_forward(1, {(1, 1): [], (2, 2): []})], 2, (0, 2))
+    assert tree.tables == () and tree.truncated
+
+
+def test_grow_tables_siblings_keep_separate_cells():
+    # the last child of a partial table extends it in place; its siblings are
+    # copies, and two partial tables in one state share that state's children
+    # without changing them
+    calls = []
+    steps = [
+        _forward(0, {(0, 0): [(1, 1), (1, 1), (2, 2)]}),
+        _forward(1, {(1, 1): [(5, 5), (6, 6)], (2, 2): [(7, 7)]}, calls),
+        _forward(2, {(5, 5): [(8, 8)], (6, 6): [(9, 9), (10, 10)], (7, 7): [(11, 11)]}),
+    ]
+    tree = grow_tables(_ROOT, steps, 64, (0, 3))
+    assert _rows(tree) == [
+        [(0, 0), (1, 1), (5, 5), (8, 8)],
+        [(0, 0), (1, 1), (6, 6), (9, 9)],
+        [(0, 0), (1, 1), (6, 6), (10, 10)],
+        [(0, 0), (1, 1), (5, 5), (8, 8)],
+        [(0, 0), (1, 1), (6, 6), (9, 9)],
+        [(0, 0), (1, 1), (6, 6), (10, 10)],
+        [(0, 0), (2, 2), (7, 7), (11, 11)],
+    ]
+    assert calls == [(1, 1), (2, 2)]
+
+
+def test_grow_tables_children_keep_the_frontier_order():
+    # children follow their parents' order, not their states' order, and the
+    # cap keeps the first of them
+    steps = [
+        _forward(0, {(0, 0): [(3, 3), (1, 1), (2, 2)]}),
+        _forward(1, {(n, n): [(10 * n, 10 * n), (10 * n + 1, 10 * n + 1)] for n in (1, 2, 3)}),
+    ]
+    tree = grow_tables(_ROOT, steps, 64, (0, 2))
+    assert [rows[-1][0] for rows in _rows(tree)] == [30, 31, 10, 11, 20, 21]
+    capped = grow_tables(_ROOT, steps, 4, (0, 2))
+    assert capped.tables == tree.tables[:4] and capped.truncated
+
+
+def test_grow_tables_backward_and_one_cell_steps():
+    # a riccati-style half step reads one cell, and a backward step writes
+    # cells below the root; the columns are read by key, not by write order
+    steps = [
+        ((("y", 0),), (("z", 1),), lambda y: ([_cell(y.amp + k)] for k in (1, 2))),
+        ((("y", 0),), (("y", 1),), lambda y: [[_cell(y.amp - 1)]]),
+        ((("y", 0), ("z", 0)), (("y", -1), ("z", -1)), lambda yz: [[_cell(7), _cell(8)]]),
+    ]
+    tree = grow_tables(_ROOT, steps, 64, (-1, 1))
+    assert _rows(tree) == [[(7, 8), (0, 0), (-1, 1)], [(7, 8), (0, 0), (-1, 2)]]
+
+
+@pytest.mark.parametrize("d, amp", [(1, 3), (2, F(3, 2))])
+def test_grow_tables_one_point_window(d, amp):
+    # no step: the root is the one leaf, its cells mapped back from scale d
+    tree = grow_tables({("y", 5): _cell(3), ("z", 5): _cell(-3)}, [], 1, (5, 5), d)
+    assert tree == ((SolutionTable(5, (_cell(amp),), (_cell(-amp),)),), False)
+    assert type(tree.tables[0].ys[0].amp) is type(amp)
 
 
 # --- rational inputs: the integer image ---------------------------------------------
