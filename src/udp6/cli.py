@@ -140,9 +140,6 @@ def _cmd_riccati(args) -> int:
     res = riccati_evolve(
         p, args.m0, y0, (lo, hi), sampling=args.sampling, max_branches=args.branch_cap
     )
-    if not res.tables:
-        print("no finite trajectory through the given state", file=sys.stderr)
-        return 1
     _emit(_tables_text(res.tables, res.truncated, args.format), args.out)
     if res.truncated:
         print(f"branch cap {args.branch_cap} hit; output truncated", file=sys.stderr)

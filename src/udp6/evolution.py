@@ -1,24 +1,24 @@
 """Initial-value evolution of the parity system through corner solutions.
 
 A solution of the initial value problem always exists but is not always
-unique.  Each term of a step relation has slope 0 or 1 in the unknown, so
-for each sign of the next cell the solution set is an interval: a point, a
-ray or the whole line (the argument of ``udp6.riccati``), more than a point
-only when the y amplitude hits one of {A3, A4, A1+mQ, A2+mQ} (or the z
-amplitude one of the B analogues).  The steppers return its finite ends, the
-corner solutions, from the constructive case split, validated against the
-exact residual and deduplicated; at a double tie (Y in both sets) the
-relation holds everywhere and the split gives one amplitude with each sign.
-``evolve`` follows the corners into a branch tree of complete solution
-tables over the window; it never visits the interior of a ray.
+unique.  With the signs fixed, a step relation is ``max(c, x + b) = max(c',
+x + b')`` in the next amplitude, so for each sign of the next cell the
+solution set is one interval (``udp6.system.solve_lines``): a point, a ray or
+the whole line, more than a point only when the y amplitude hits one of {A3,
+A4, A1+mQ, A2+mQ} (or the z amplitude one of the B analogues).  The steppers
+return its finite end, the corner solution, validated against the exact
+residual; at a double tie (Y in both sets) the relation holds everywhere and
+the step gives one amplitude with each sign.  ``evolve`` follows the corners
+into a branch tree of complete solution tables over the window; it never
+visits the interior of a ray.
 
-The case split for the sign(y) = +1 sector compares
-``U = max(2Y, A3+A4)`` with ``U' = max(A3,A4)+Y`` and
-``V = max(2mQ+A1+A2, 2Y)`` with ``V' = max(A1,A2)+mQ+Y``;
-non-strict comparisons on both sides make exact ties activate several cases
-at once, which is precisely where uniqueness fails.  The sign(y) = -1 sector
-is deterministic: the z parity propagates and the amplitude is solved in
-closed form.
+In the sign(y) = +1 sector the four numbers are ``U = max(2Y, A3+A4)``,
+``U' = max(A3,A4)+Y``, ``V = max(2mQ+A1+A2, 2Y)`` and ``V' =
+max(A1,A2)+mQ+Y``, with B3+B4-Z folded into V and V'.  The relation is
+``max(V', x + U) = max(V, x + U')`` for the next z amplitude x with the sign
+of z, and the same with U and U' exchanged for the other sign.  The
+sign(y) = -1 sector is deterministic: the z parity propagates and the
+amplitude is solved in closed form.
 
 Only the z-steppers are written out.  A y-stepper is the z-stepper on the
 mirrored parameters (A and B exchanged) with y and z exchanged, as the
@@ -69,6 +69,7 @@ from .system import (
     residual_yy,
     residual_zz,
     scale_to_int,
+    solve_lines,
 )
 from .tables import SolutionTable
 
@@ -223,41 +224,37 @@ def affine_horizon(p: Params, fit, forward: bool) -> Optional[int]:
     return (min(ks) if forward else -min(ks)) if ks else None
 
 
-# --- parity steps: the finite ends of each sign's solution interval ---------
+# --- parity steps: the finite end of each sign's solution interval ----------
 
 
 def step_z_parity(p: Params, m: int, y: ParityPair, z: ParityPair) -> List[ParityPair]:
     """The corner solutions for (sign, amplitude) of z at index m+1: for each
-    sign the finite ends of the interval where the z-step relation holds, or
-    at a double tie, where it holds everywhere, v - u + B3 + B4 - Z.
+    sign the finite end of the interval where the z-step relation holds (a
+    point or the end of a ray), or at a double tie, where it holds
+    everywhere, V - U.
 
     Every returned pair satisfies the exact z-step residual; at least one
-    exists for any input.  They are ordered +1-sign first, then by amplitude.
+    exists for any input.  There is at most one per sign, +1 first.
     """
-    b34 = p.b3 + p.b4
     if y.sign == -1:
         cands = [ParityPair(z.sign, step_z_noparity(p, m, y.amp, z.amp))]
     else:
         mq = m * p.q
+        fold = p.b3 + p.b4 - z.amp
         u = max(2 * y.amp, p.a3 + p.a4)
         u2 = max(p.a3, p.a4) + y.amp
-        v = max(2 * mq + p.a1 + p.a2, 2 * y.amp)
-        v2 = max(p.a1, p.a2) + mq + y.amp
+        v = max(2 * mq + p.a1 + p.a2, 2 * y.amp) + fold
+        v2 = max(p.a1, p.a2) + mq + y.amp + fold
         cands = []
-        if u >= u2 and v >= v2:
-            cands.append(ParityPair(z.sign, v - u + b34 - z.amp))
-        if u <= u2 and v <= v2:
-            cands.append(ParityPair(z.sign, v2 - u2 + b34 - z.amp))
-        if u >= u2 and v <= v2:
-            cands.append(ParityPair(-z.sign, v2 - u + b34 - z.amp))
-        if u <= u2 and v >= v2:
-            cands.append(ParityPair(-z.sign, v - u2 + b34 - z.amp))
+        for sign in (1, -1):
+            sol = solve_lines(v2, u, v, u2) if sign == z.sign else solve_lines(v2, u2, v, u)
+            if sol is not None:
+                lo, hi = sol
+                cands.append(ParityPair(sign, lo if lo is not None else hi if hi is not None else v - u))
     valid = [c for c in cands if residual_zz(p, m, y, z, c)]
-    if len(valid) == 1:  # already deduplicated and ordered
-        return valid
     if not valid:
         raise AssertionError("no valid candidate; existence is guaranteed")
-    return sorted(set(valid), key=lambda c: (-c.sign, c.amp))
+    return valid
 
 
 def step_y_parity(p: Params, m: int, y: ParityPair, z_next: ParityPair) -> List[ParityPair]:

@@ -30,7 +30,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from .evolution import _ansatz_inequalities, affine_horizon, ansatz_identity_holds
+from .evolution import _ansatz_inequalities, ansatz_identity_holds
 from .riccati import require_riccati_conditions
 from .system import ParityPair, Params, require_unsigned
 from .tables import SolutionTable
@@ -372,9 +372,7 @@ def _end_fit(p: Params, table: SolutionTable, w: int, forward: bool) -> Optional
         m_edge += inward
     alpha = slope_z if forward else slope_y
     fit = (alpha, beta, gamma)
-    # the tail's step indexes, outward: inequalities at the first, horizon past the last
-    steps = range(m_edge, hi) if forward else range(m_edge - 1, lo - 1, -1)
-    end = affine_horizon(p, fit, forward)
+    steps = range(m_edge, hi) if forward else range(m_edge - 1, lo - 1, -1)  # the tail's step indexes
     return AffineFit(
         m_edge=m_edge,
         slope_y=slope_y,
@@ -385,10 +383,7 @@ def _end_fit(p: Params, table: SolutionTable, w: int, forward: bool) -> Optional
         slopes_ok=slope_y + slope_z == p.q if forward else slope_y == slope_z,
         range_ok=0 <= alpha <= p.q,
         identity_ok=ansatz_identity_holds(p, fit, primed=not forward),
-        inequalities_ok=not steps or (
-            _ansatz_inequalities(p, fit, steps[0], primed=not forward)
-            and (end is None or (end >= steps[-1] if forward else end <= steps[-1]))
-        ),
+        inequalities_ok=_holds_on(steps, lambda m: _ansatz_inequalities(p, fit, m, primed=not forward)),
     )
 
 

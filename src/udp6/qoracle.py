@@ -214,6 +214,18 @@ def _nonzero(x: SignedMag, what: str) -> SignedMag:
     return x
 
 
+def _half_step(u, v, c1t, c2t, c3, c4, d3, d4, names) -> SignedMag:
+    """d3 d4 (u - c1t)(u - c2t) / (v (u - c3)(u - c4)), the pole checks of v,
+    u - c3 and u - c4 named by ``names``: the z-update of ``qp6_step``, and
+    its y-update with A and B exchanged and y and z exchanged."""
+    num = ls_mul(ls_mul(d3, d4), ls_mul(ls_sub(u, c1t), ls_sub(u, c2t)))
+    den = ls_mul(
+        _nonzero(v, names[0]),
+        ls_mul(_nonzero(ls_sub(u, c3), names[1]), _nonzero(ls_sub(u, c4), names[2])),
+    )
+    return ls_div(num, den)
+
+
 def qp6_step(
     p: Params, eps, m: int, y: SignedMag, z: SignedMag
 ) -> Tuple[SignedMag, SignedMag]:
@@ -232,23 +244,8 @@ def qp6_step(
     a1t, a2t, b1t, b2t = (
         ls_from_amplitude(1, mq + amp, eps, prec) for amp in (p.a1, p.a2, p.b1, p.b2)
     )
-
-    num = ls_mul(ls_mul(b3, b4), ls_mul(ls_sub(y, a1t), ls_sub(y, a2t)))
-    den = ls_mul(
-        _nonzero(z, "z(t)"),
-        ls_mul(_nonzero(ls_sub(y, a3), "y - a3"), _nonzero(ls_sub(y, a4), "y - a4")),
-    )
-    z_next = ls_div(num, den)
-
-    num2 = ls_mul(ls_mul(a3, a4), ls_mul(ls_sub(z_next, b1t), ls_sub(z_next, b2t)))
-    den2 = ls_mul(
-        _nonzero(y, "y(t)"),
-        ls_mul(
-            _nonzero(ls_sub(z_next, b3), "z(qt) - b3"),
-            _nonzero(ls_sub(z_next, b4), "z(qt) - b4"),
-        ),
-    )
-    y_next = ls_div(num2, den2)
+    z_next = _half_step(y, z, a1t, a2t, a3, a4, b3, b4, ("z(t)", "y - a3", "y - a4"))
+    y_next = _half_step(z_next, y, b1t, b2t, b3, b4, a3, a4, ("y(t)", "z(qt) - b3", "z(qt) - b4"))
     return y_next, z_next
 
 

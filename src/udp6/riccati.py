@@ -4,20 +4,22 @@ Under the two parameter conditions ``B1+A3 == Q+A1+B3`` and
 ``B2+A4 == A2+B4`` the system admits a first-order reduction: one relation
 (r2) links y_m to z_{m+1}, the other (r1) links y_{m+1} to z_{m+1}.  Both are
 the same parity-filtered identity between maxima with different
-coefficients, transcribed once in ``_sides``.  It is linear in each
-amplitude, so a step is an exact one-unknown solve; the four steps are that
-one solve with a relation, an index offset and the unknown slot.
+coefficients, transcribed once in ``_sides``: a constant C, a y term, a z
+term and a y+z term.  It is linear in each amplitude, so a step is an exact
+one-unknown solve; the four steps are that one solve with a relation, an
+index offset and the unknown slot.
 
-Every term holds the unknown at most once, so with the other slot known each
-side is ``max(a, x + b)``: lines of slope 0 and 1 only, and neither side is
-ever empty for the sign pairs a step tries.  The difference of two such sides
-is monotone in x, so the solution set is one closed interval: a point, a ray
-(degenerate inputs leave a free constant), the whole line, or empty.  It is
-never a bounded segment: where the sides agree on a segment they have one
-slope there, and a side's slope only rises from 0 to 1, so at slope 0 they
-agree all the way down and at slope 1 all the way up.  A finite end is where
-a slope-0 line meets a slope-1 line, an intercept difference ``c - d``; the
-solve never divides.
+Every term holds the unknown at most once, so with the other slot known a
+step is ``udp6.system.solve_lines`` on the highest line of each slope on each
+side: a point, a ray (a free constant), the whole line, or empty.
+
+Every step has a solution for at least one sign it tries.  With the known
+parity -1 only the unknown parity +1 is tried, and the flat lines (C and the
+known term) are on one side, the slope-1 lines on the other: they meet at a
+point.  With the known parity +1 the difference of the sides is monotone in
+the unknown; far down it is C minus the known term for both unknown signs,
+far up the difference of the slope-1 intercepts, with opposite signs for the
+two.  So for one sign it changes sign or vanishes, and has a zero.
 
 Every solution of this subsystem also solves the full second-order system;
 the tests check that implication table by table (``theorem_check`` in
@@ -36,7 +38,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from .evolution import BranchTree, grow_tables, table_image
-from .system import ConstraintViolation, ParityPair, Params, denominator_lcm, require_unsigned
+from .system import ConstraintViolation, ParityPair, Params, denominator_lcm, require_unsigned, solve_lines
 from .tables import SolutionTable
 
 __all__ = [
@@ -128,31 +130,10 @@ def residual_riccati1(p: Params, m: int, y_next: ParityPair, z_next: ParityPair)
 
 
 def solve_one_unknown(lhs: List[Term], rhs: List[Term]) -> Optional[Interval]:
-    """The exact solution set of ``max(lhs) == max(rhs)``: one closed interval
-    ``(lo, hi)``, or None when empty.
-
-    Terms have slope 0 or 1 and neither side is empty.  The difference of
-    the sides is monotone and affine between the candidate ends (slope-0
-    intercept minus slope-1 intercept), and a zero of a non-constant piece is
-    itself a candidate.  So the set is empty when no candidate solves, a
-    bounded end is the first (last) solving candidate, and an end is
-    unbounded when the sides still agree past the first (last) candidate.
-    """
-    flat = [c for s, c in lhs + rhs if s == 0]
-    steep = [d for s, d in lhs + rhs if s == 1]
-    cands = sorted({c - d for c in flat for d in steep})
-
-    def agrees(x) -> bool:
-        return max(s * x + c for s, c in lhs) == max(s * x + c for s, c in rhs)
-
-    if not cands:  # all lines parallel: the difference of the sides is constant
-        return (None, None) if agrees(0) else None
-    hits = [x for x in cands if agrees(x)]
-    if not hits:
-        return None
-    lo = None if agrees(cands[0] - 1) else hits[0]
-    hi = None if agrees(cands[-1] + 1) else hits[-1]
-    return lo, hi
+    """The exact solution set of ``max(lhs) == max(rhs)``, terms of slope 0
+    and 1: ``solve_lines`` on the highest line of each slope on each side."""
+    tops = [max((c for s, c in side if s == k), default=None) for side in (lhs, rhs) for k in (0, 1)]
+    return solve_lines(*tops)
 
 
 def _samples(interval: Interval, policy: str, unit: int) -> List[int]:

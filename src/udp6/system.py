@@ -30,7 +30,8 @@ parameter signs.  The y-relation is that kernel mirrored: A and B (amplitudes
 and signs) exchanged, y and z exchanged; ``Params.mirrored`` builds the
 exchanged parameters once.  The kernel checks nothing: parameters are
 validated once where they enter an operation (``require_constraint``,
-``require_unsigned``), not on every call.
+``require_unsigned``), not on every call.  The parity steps with a plus y
+sign and the first-order steps solve one closed form, ``solve_lines``.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ __all__ = [
     "residual_yy",
     "residual_zz",
     "scale_to_int",
+    "solve_lines",
 ]
 
 
@@ -229,6 +231,36 @@ def residual_yy(
     """Exact check of the (y_m, y_{m+1}, z_{m+1}) relation at index m: the
     z-relation with A and B exchanged and the roles of y and z exchanged."""
     return residual_zz(p.mirrored, m, z_next, y_m, y_next)
+
+
+def solve_lines(cl, bl, cr, br):
+    """The solution set of ``max(cl, x + bl) == max(cr, x + br)`` in x, None
+    standing for minus infinity: ``(lo, hi)``, None for an unbounded end, or
+    None when it is empty.
+
+    Each side is flat, then rises with slope 1, so their difference is
+    monotone and the set is one closed interval, never a bounded segment:
+    where the sides agree on a segment they share a slope there, and at
+    slope 0 they agree all the way down, at slope 1 all the way up.  Equal
+    slope-1 lines agree from where they pass both flat lines, and everywhere
+    when the flat lines are equal too.  Otherwise the sides agree only where
+    the side with the lower slope-1 line is flat and the other meets it: at a
+    point, on a downward ray when the flat lines are equal, or nowhere when
+    the other flat line is higher.  An end is a flat minus a slope-1 intercept.
+    """
+    if bl == br:
+        if cl == cr:
+            return None, None
+        if bl is None:
+            return None
+        return (cl if cr is None or (cl is not None and cl > cr) else cr) - bl, None
+    if br is None or (bl is not None and bl > br):
+        cl, cr, br = cr, cl, bl  # exchange the sides; bl is not read again
+    # x + br is the higher slope-1 line: where they agree, both sides are at cl
+    if cl is None or (cr is not None and cr > cl):
+        return None
+    x = cl - br
+    return (None, x) if cl == cr else (x, x)
 
 
 # --- serialization -----------------------------------------------------------

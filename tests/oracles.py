@@ -6,7 +6,10 @@ z-relation, mirrored for y).  The four-case reductions and the
 parity-filtered side lists below are the other two transcriptions, kept here
 only to be compared against it; so are the tropical primitives with an
 explicit minus infinity ``BOTTOM``, which the library does without (its sides
-are never empty), and the grid oracle of the first-order solver.  The affine
+are never empty), and the grid oracle of the first-order solver.  The
+library's one closed form for a step, ``solve_lines``, is held against two
+former solvers: the four-case U/U'/V/V' split of the parity z-step and the
+candidate scan of the first-order solver.  The affine
 tail ansatz is checked here index by index, against the library's decision at
 the ends of a range, and the all-minus evolution is stepped index by index
 (with the backward steps read off the forward ones), against the library's
@@ -58,7 +61,7 @@ from udp6.riccati import (
     riccati_step_y,
     riccati_step_z,
 )
-from udp6.system import ParityPair, Params, check_sign, params_to_obj, require_unsigned
+from udp6.system import ParityPair, Params, check_sign, params_to_obj, require_unsigned, residual_zz
 from udp6.tables import SolutionTable
 
 
@@ -357,6 +360,61 @@ def solve_grid_check(lhs, rhs, sol) -> None:
         assert lo is None or hi is None or lo <= hi, sol
         for e in sol:
             assert e is None or e in pts or not pts
+
+
+# --- the former step solvers ---------------------------------------------------------
+
+
+def step_z_parity_by_cases(p: Params, m: int, y: ParityPair, z: ParityPair) -> list:
+    """The parity z-step by the four-case split: with sign(y) = +1 compare
+    U = max(2Y, A3+A4) with U' = max(A3,A4)+Y and V = max(2mQ+A1+A2, 2Y) with
+    V' = max(A1,A2)+mQ+Y; non-strict comparisons make a tie activate several
+    cases.  Candidates are validated by the residual, deduplicated and
+    ordered +1-sign first, then by amplitude."""
+    b34 = p.b3 + p.b4
+    if y.sign == -1:
+        cands = [ParityPair(z.sign, step_z_noparity(p, m, y.amp, z.amp))]
+    else:
+        mq = m * p.q
+        u = max(2 * y.amp, p.a3 + p.a4)
+        u2 = max(p.a3, p.a4) + y.amp
+        v = max(2 * mq + p.a1 + p.a2, 2 * y.amp)
+        v2 = max(p.a1, p.a2) + mq + y.amp
+        cands = []
+        if u >= u2 and v >= v2:
+            cands.append(ParityPair(z.sign, v - u + b34 - z.amp))
+        if u <= u2 and v <= v2:
+            cands.append(ParityPair(z.sign, v2 - u2 + b34 - z.amp))
+        if u >= u2 and v <= v2:
+            cands.append(ParityPair(-z.sign, v2 - u + b34 - z.amp))
+        if u <= u2 and v >= v2:
+            cands.append(ParityPair(-z.sign, v - u2 + b34 - z.amp))
+    valid = [c for c in cands if residual_zz(p, m, y, z, c)]
+    assert valid, "no valid candidate; existence is guaranteed"
+    return sorted(set(valid), key=lambda c: (-c.sign, c.amp))
+
+
+def solve_by_candidate_scan(lhs, rhs):
+    """The solution set of ``max(lhs) == max(rhs)`` over (slope, intercept)
+    terms of slope 0 or 1, neither side empty, by scanning the candidate ends
+    (slope-0 intercept minus slope-1 intercept): empty when no candidate
+    solves, a bounded end the first (last) solving candidate, and an end
+    unbounded when the sides still agree past the first (last) candidate."""
+    flat = [c for s, c in lhs + rhs if s == 0]
+    steep = [d for s, d in lhs + rhs if s == 1]
+    cands = sorted({c - d for c in flat for d in steep})
+
+    def agrees(x) -> bool:
+        return max(s * x + c for s, c in lhs) == max(s * x + c for s, c in rhs)
+
+    if not cands:  # all lines parallel: the difference of the sides is constant
+        return (None, None) if agrees(0) else None
+    hits = [x for x in cands if agrees(x)]
+    if not hits:
+        return None
+    lo = None if agrees(cands[0] - 1) else hits[0]
+    hi = None if agrees(cands[-1] + 1) else hits[-1]
+    return lo, hi
 
 
 # --- seeded generators of states and first-order parameters -----------------------

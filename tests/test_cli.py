@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from udp6 import cli
 from udp6.cli import main
 from udp6.evolution import evolve
+from udp6.qoracle import CompareReport, CompareRow, EpsSchedule
 from udp6.riccati import riccati_evolve
 from udp6.system import ParityPair, load_params
 from udp6.tables import SolutionTable
@@ -369,6 +370,30 @@ def test_qlimit_precision_below_two_bits_is_input_error(capsys, p42_file, precis
         "--window", "0:2", "--eps", "1", "--precision", precision,
     )
     assert (code, out, err) == (1, "", "error: precision must be at least 2 bits\n")
+
+
+def test_qlimit_start_outside_the_all_minus_sector_is_input_error(capsys, p42_file):
+    code, out, err = run(
+        capsys, "qlimit", "--params", p42_file, "--y0", "1:43", "--z0", "-1:40", "--window", "0:2", "--eps", "1",
+    )
+    assert (code, out, err) == (1, "", "error: --y0/--z0 evolution uses the all-minus sector; signs must be -1\n")
+
+
+def test_qlimit_reports_nonmonotone_errors_with_exit_3(capsys, monkeypatch, p42_file):
+    # a report whose Y error rises along the schedule at m = 1: the CSV is
+    # written and each flag gets one stderr line
+    def row(m, eps, err):
+        return CompareRow(m=m, eps=Fraction(eps), err_y=err, err_z=0.0, sign_ok_y=True, sign_ok_z=True, warned=False)
+
+    report = CompareReport(
+        rows=(row(0, 1, 0.5), row(0, "1/2", 0.25), row(1, 1, 0.25), row(1, "1/2", 0.5)),
+        aborts=(), schedule=EpsSchedule([1, Fraction(1, 2)]), window=(0, 1),
+    )
+    monkeypatch.setattr(cli, "ud_limit_compare", lambda *args, **kw: report)
+    code, out, err = run(
+        capsys, "qlimit", "--params", p42_file, "--y0", "-1:43", "--z0", "-1:40", "--window", "0:1", "--eps", "1,1/2",
+    )
+    assert (code, out, err) == (3, report.to_csv_text(), "non-monotone amplitude error at m=1 (Y)\n")
 
 
 # --- zero denominators in rational inputs ------------------------------------------------

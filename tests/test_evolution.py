@@ -25,7 +25,7 @@ from udp6.tables import SolutionTable
 from goldens import golden1_y, golden1_z, golden2_y, golden2_z
 from oracles import (
     ansatz_inequalities_at, evolve_noparity_stepping, evolve_per_branch, gauge, random_state, scale,
-    step_back_y_noparity, step_back_z_noparity, yy_by_cases, zz_by_cases,
+    step_back_y_noparity, step_back_z_noparity, step_z_parity_by_cases, yy_by_cases, zz_by_cases,
 )
 
 F = Fraction
@@ -182,6 +182,18 @@ def test_step_z_parity_returns_the_finite_ends_of_each_sign(case):
             assert xs == list(range(xs[0], xs[-1] + 1))  # an interval
             ends |= {ParityPair(s, x) for x in (xs[0], xs[-1]) if -k < x < k}
     assert len(cands) == len(set(cands)) and set(cands) == ends
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(case=st.one_of(_small_z_states(2), _small_z_states(4), _small_z_states(8)))
+def test_parity_steps_equal_the_case_split(case):
+    # the closed form gives the former four-case split's candidates, in its
+    # order, for the z-step and for the y-step (the mirrored split)
+    p, m, y, z = case
+    zs = step_z_parity(p, m, y, z)
+    assert zs == step_z_parity_by_cases(p, m, y, z)
+    for z1 in zs:
+        assert step_y_parity(p, m, y, z1) == step_z_parity_by_cases(p.mirrored, m, z1, y)
 
 
 # --- window evolution ------------------------------------------------------------

@@ -2,7 +2,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import udp6.evolution as evolution
@@ -321,6 +321,9 @@ def test_endpoint_rule_equals_per_index_verdict(case, lo, n):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(case=_fit_cases(), lo=st.integers(-24, 12), tail=st.integers(3, 12), rest=st.integers(0, 6),
        w=st.integers(2, 3))
+# alpha < 0: the inequalities hold at the tail's first step index and fail before its last
+@example(case=(Params.make(5, (3, -4, -6, -3), (1, 4, -3, -5)), LinearAnsatz(-2, -12, 9), False),
+         lo=-1, tail=5, rest=3, w=2)
 def test_end_fit_inequalities_equal_per_index_verdicts(case, lo, tail, rest, w):
     """A table whose tail (the last ``tail`` points forward, the first ones
     backward) follows the ansatz and bends just before it: the endpoint

@@ -11,7 +11,9 @@ from udp6.cli import main
 from udp6.evolution import evolve_noparity
 from udp6.generate import random_constrained_params
 from udp6.qoracle import (
+    CompareAbort,
     CompareReport,
+    CompareRow,
     EpsSchedule,
     PoleError,
     SignedMag,
@@ -270,12 +272,26 @@ def test_qp6_step_requires_constraint():
 
 
 def test_qp6_step_pole_detection(p42):
-    eps = F(1)
-    prec = 512
-    y = ls_from_amplitude(1, p42.a3, eps, prec)  # y = +a3 exactly
-    z = ls_from_amplitude(-1, 40, eps, prec)
-    with pytest.raises(PoleError):
-        qp6_step(p42, eps, 0, y, z)
+    # each pole check names its factor, in the order z(t), y - a3, y - a4,
+    # y(t), z(qt) - b3, z(qt) - b4; amplitude 0 has the exact image 1, so
+    # with the last two parameter sets z(qt) lands exactly on b3 or on b4
+    eps, prec = F(1), 512
+
+    def at(sign, amp):
+        return ls_from_amplitude(sign, amp, eps, prec)
+
+    cases = [
+        (p42, at(1, 50), ls_zero(prec), "z(t)"),
+        (p42, at(1, p42.a3), at(-1, 40), "y - a3"),  # y = +a3 exactly
+        (p42, at(1, p42.a4), at(-1, 40), "y - a4"),
+        (p42, ls_zero(prec), at(-1, 40), "y(t)"),
+        (Params.make(0, (0, 0, 0, 0), (0, 0, 0, 0)), mk(1, 2, prec), at(1, 0), "z(qt) - b3"),
+        (Params.make(0, (0, 0, 0, 0), (1, 0, 1, 0)), mk(1, 2, prec), at(1, 1), "z(qt) - b4"),
+    ]
+    for p, y, z, what in cases:
+        with pytest.raises(PoleError) as exc:
+            qp6_step(p, eps, 0, y, z)
+        assert str(exc.value) == f"pole: {what} vanished"
 
 
 def test_qriccati_step_amplitude_sweep(p41):
@@ -354,6 +370,33 @@ def test_compare_golden_window_monotone(p42):
     for m in (1, 2, 3):
         rows = rep.errors_for(m)
         assert rows[0].err_z > rows[-1].err_z
+
+
+def _row(m, eps, err_y, err_z):
+    return CompareRow(m=m, eps=F(eps), err_y=err_y, err_z=err_z, sign_ok_y=True, sign_ok_z=True, warned=False)
+
+
+def test_nonmonotone_flags_each_rise_along_the_schedule():
+    # hand-built rows, not in schedule order: a rise at any refinement step
+    # flags its (m, variable); a fall or a tie does not
+    rows = (
+        _row(0, 1, 0.5, 0.5), _row(0, F(1, 2), 0.25, 0.5), _row(0, F(1, 4), 0.125, 0.25),
+        _row(1, F(1, 4), 0.3, 0.1), _row(1, 1, 0.5, 0.4), _row(1, F(1, 2), 0.2, 0.2),
+        _row(2, 1, 0.1, 0.1), _row(2, F(1, 2), 0.2, 0.3), _row(2, F(1, 4), 0.05, 0.05),
+    )
+    rep = CompareReport(rows=rows, aborts=(), schedule=EpsSchedule([1, F(1, 2), F(1, 4)]), window=(0, 2))
+    assert rep.nonmonotone() == [(1, "Y"), (2, "Y"), (2, "Z")]
+
+
+@pytest.mark.parametrize("precision", [None, 256])
+def test_compare_aborts_on_exact_cancellation_to_zero(precision):
+    # at m = 0, t = 1 and y(0) = exp(A1/eps) exactly, so y - t a1 is an exact
+    # zero and so is z(qt): the run stops there with its seed row
+    p = Params.make(3, (1, 2, 5, 4), (6, -6, 2, 1))
+    table = SolutionTable(0, (ParityPair(1, 1), ParityPair(1, 1)), (ParityPair(1, 0), ParityPair(1, 0)))
+    rep = ud_limit_compare(p, table, EpsSchedule([1]), (0, 1), precision=precision)
+    assert rep.aborts == (CompareAbort(eps=F(1), m=0, reason="exact cancellation to zero"),)
+    assert [r.m for r in rep.rows] == [0] and rep.precisions[0][1] <= 256
 
 
 def test_compare_flags_wrong_table_value(p42):

@@ -273,6 +273,32 @@ def test_riccati_evolve_matches_fraction_reference(policy, start, cap):
         assert not riccati_failures(p, t)
 
 
+@st.composite
+def small_riccati_states(draw, r=4):
+    """Int parameters within +-r meeting both first-order conditions, with Q
+    in -r..r (zero and negative included), an index, and a known cell within
+    +-3r."""
+    q = draw(st.integers(-r, r))
+    a = draw(st.lists(st.integers(-r, r), min_size=4, max_size=4))
+    b3, b4 = draw(st.integers(-r, r)), draw(st.integers(-r, r))
+    p = Params.make(q, a, (q + a[0] + b3 - a[2], a[1] + b4 - a[3], b3, b4))
+    known = ParityPair(draw(st.sampled_from((1, -1))), draw(st.integers(-3 * r, 3 * r)))
+    return p, draw(st.integers(-3, 3)), known
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(state=small_riccati_states(), policy=st.sampled_from(("endpoints", "midpoint", "all-breakpoints")))
+def test_every_riccati_step_has_a_child(state, policy):
+    # each of the four steps has a non-empty interval for some sign it tries
+    # (the existence argument of the module docstring), so a run with cap 1
+    # keeps one table under every sampling policy
+    p, m, known = state
+    for step in (riccati_step_z, riccati_step_y, riccati_close_z, riccati_step_back_y):
+        assert step(p, m, known), step.__name__
+    tree = riccati_evolve(p, m, known, (m - 3, m + 3), sampling=policy, max_branches=1)
+    assert len(tree.tables) == 1
+
+
 # Riccati-conditioned parameters with D = 6
 P_D6 = Params.make(F(1, 6), (0, F(5, 6), 1, F(4, 3)), (F(-1, 6), F(-5, 6), F(2, 3), F(-1, 3)))
 

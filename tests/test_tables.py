@@ -113,6 +113,15 @@ def test_csv_reader_keeps_integer_text_as_int_and_parses_the_rest():
     assert [c.amp for c in got.ys + got.zs] == [0, 3, 4, 7, Fraction(7, 2), Fraction(3, 2)]
 
 
+def test_csv_reader_skips_blank_lines():
+    plain = "m,sy,Y,sz,Z\n0,-1,43,-1,40\n1,-1,122,-1,-28\n"
+    assert SolutionTable.from_csv_text("m,sy,Y,sz,Z\n\n0,-1,43,-1,40\n\n\n1,-1,122,-1,-28\n\n") == (
+        SolutionTable.from_csv_text(plain)
+    )
+    with pytest.raises(ValueError, match="table has no rows"):
+        SolutionTable.from_csv_text("m,sy,Y,sz,Z\n\n\n")
+
+
 @pytest.mark.parametrize("rows,message", [
     (["0,0,43,-1,40"], "sign must be +1 or -1, got 0"),
     (["0,-1,43,2,40"], "sign must be +1 or -1, got 2"),

@@ -2,12 +2,15 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from udp6.riccati import _samples, solve_one_unknown
+from udp6.system import solve_lines
 
-from oracles import BOTTOM, exchange_identity_check, is_bottom, parity_indicator, t_add, t_max
+from oracles import (
+    BOTTOM, exchange_identity_check, is_bottom, parity_indicator, solve_by_candidate_scan, t_add, t_max,
+)
 
 F = Fraction
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=8)
@@ -182,3 +185,39 @@ def test_bounded_solution_sets_are_points(lhs, rhs):
     # agree on a ray: the mean of two finite ends never leaves the image
     sol = solve_one_unknown(lhs, rhs)
     assert sol is None or None in sol or sol[0] == sol[1], sol
+
+
+# --- the closed form against the former candidate scan ------------------------------
+
+# small ints make ties between the four lines common; None is minus infinity
+tie_heavy = st.one_of(st.integers(-4, 4).map(F), fractions)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(cl=st.none() | tie_heavy, bl=st.none() | tie_heavy, cr=st.none() | tie_heavy, br=st.none() | tie_heavy)
+@example(cl=F(0), bl=F(0), cr=F(0), br=F(0))  # the whole line
+@example(cl=F(0), bl=F(1), cr=F(0), br=F(0))  # a downward ray
+@example(cl=None, bl=F(1), cr=F(3), br=None)  # a point
+@example(cl=F(1), bl=F(2), cr=None, br=F(2))  # an upward ray
+@example(cl=F(1), bl=None, cr=F(1), br=None)  # two equal flat sides
+def test_solve_lines_equals_the_candidate_scan(cl, bl, cr, br):
+    lhs, rhs = ([(k, c) for k, c in ((0, c0), (1, c1)) if c is not None] for c0, c1 in ((cl, bl), (cr, br)))
+    assume(lhs and rhs)
+    assert solve_lines(cl, bl, cr, br) == solve_by_candidate_scan(lhs, rhs)
+
+
+def test_solve_lines_with_a_side_at_minus_infinity():
+    # a side with no line is minus infinity, which no finite side equals
+    assert solve_lines(None, None, F(3), None) is None
+    assert solve_lines(None, None, None, F(3)) is None
+    assert solve_lines(F(3), F(0), None, None) is None
+
+
+tie_heavy_sides = st.lists(st.tuples(st.integers(0, 1), tie_heavy), min_size=1, max_size=4)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(lhs=tie_heavy_sides, rhs=tie_heavy_sides)
+def test_solve_one_unknown_equals_the_candidate_scan(lhs, rhs):
+    # rational intercepts, and sides with one slope class among them
+    assert solve_one_unknown(lhs, rhs) == solve_by_candidate_scan(lhs, rhs)
