@@ -88,17 +88,19 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _tables_text(tables, truncated: bool, fmt: str) -> str:
-    if fmt == "json":
-        return branches_json_text(branches_to_json_obj(tables, truncated))
-    parts = []
-    if len(tables) > 1:
-        for i, t in enumerate(tables):
-            parts.append(f"# branch {i} of {len(tables)}\n")
-            parts.append(t.to_csv_text())
+def _emit_tree(tree, args) -> int:
+    """Write a branch tree's tables; the exit code, 2 when the branch cap truncated the tree."""
+    tables, n = tree.tables, len(tree.tables)
+    if args.format == "json":
+        text = branches_json_text(branches_to_json_obj(tables, tree.truncated))
+    elif n == 1:
+        text = tables[0].to_csv_text()
     else:
-        parts.append(tables[0].to_csv_text())
-    return "".join(parts)
+        text = "".join(f"# branch {i} of {n}\n" + t.to_csv_text() for i, t in enumerate(tables))
+    _emit(text, args.out)
+    if tree.truncated:
+        print(f"branch cap {args.branch_cap} hit; output truncated", file=sys.stderr)
+    return 2 if tree.truncated else 0
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -109,12 +111,7 @@ def _cmd_evolve(args) -> int:
     y0 = _parse_pair(args.y0)
     z0 = _parse_pair(args.z0)
     window = _parse_window(args.window)
-    tree = evolve(p, args.m0, y0, z0, window, max_branches=args.branch_cap)
-    _emit(_tables_text(tree.tables, tree.truncated, args.format), args.out)
-    if tree.truncated:
-        print(f"branch cap {args.branch_cap} hit; output truncated", file=sys.stderr)
-        return 2
-    return 0
+    return _emit_tree(evolve(p, args.m0, y0, z0, window, max_branches=args.branch_cap), args)
 
 
 def _cmd_verify(args) -> int:
@@ -137,14 +134,8 @@ def _cmd_riccati(args) -> int:
     p = load_params(args.params)
     y0 = _parse_pair(args.y0)
     lo, hi = _parse_window(args.window)
-    res = riccati_evolve(
-        p, args.m0, y0, (lo, hi), sampling=args.sampling, max_branches=args.branch_cap
-    )
-    _emit(_tables_text(res.tables, res.truncated, args.format), args.out)
-    if res.truncated:
-        print(f"branch cap {args.branch_cap} hit; output truncated", file=sys.stderr)
-        return 2
-    return 0
+    tree = riccati_evolve(p, args.m0, y0, (lo, hi), sampling=args.sampling, max_branches=args.branch_cap)
+    return _emit_tree(tree, args)
 
 
 _FAMILY_OPTIONS = ("params", "id", "c", "cprime", "m0", "alpha", "beta", "gamma", "window", "out")

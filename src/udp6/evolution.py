@@ -108,11 +108,12 @@ def _from_image(cells: Iterable[ParityPair], d: int) -> Tuple[ParityPair, ...]:
 
 def table_image(p: Params, table: SolutionTable) -> tuple:
     """The parameters and the two columns of a table on their integer image of
-    scale D, the lcm of the denominators of both.  Int cells at D = 1 are
-    their own images and are returned as they are."""
+    scale D, the lcm of the denominators of both (of the parameters when every
+    cell is an int).  Int cells at D = 1 are returned as they are."""
     ys, zs = table.ys, table.zs
-    d = denominator_lcm(p, (c.amp for c in ys + zs))
-    if d > 1 or any(type(c.amp) is not int for c in ys + zs):
+    ints = all(type(a) is int for _, a in ys + zs)
+    d = denominator_lcm(p, () if ints else (a for _, a in ys + zs))
+    if d > 1 or not ints:
         ys, zs = ([c.integer_image(d) for c in col] for col in (ys, zs))
     return p.integer_image(d), ys, zs
 

@@ -14,16 +14,9 @@ combination of Q, the amplitudes and the state, so multiplying all of them by
 D, the lcm of their denominators (``denominator_lcm``), gives an integer
 problem with the same verdicts: the ``integer_image`` of the parameters and
 of the state.  The kernel only adds, takes maxima and compares, so the same
-code runs on either kind; ``evolve``, ``evolve_noparity``,
-``painleve_failures`` and their first-order counterparts in ``udp6.riccati``
-compute D on entry and run on ints.  Output tables keep
-the int amplitudes when D = 1 and hold ``Fraction(n, D)`` only when D > 1;
-``str`` writes both alike.  Both value types are named tuples.  ``Params``
-keeps ints as they are, turns anything else into a ``Fraction`` and checks
-its signs when it is constructed; ``_replace`` and ``_make`` skip that, so
-only checked values go through them.  A ``ParityPair`` converts and checks
-nothing: ``check_sign`` checks its sign once, where the pair enters the
-system (``parse_pair`` in the CLI, the CSV table reader).
+code runs on either kind; the drivers in ``udp6.evolution`` and
+``udp6.riccati`` compute D on entry and run on ints.  Both value types are
+named tuples: ``Params`` checks its fields when built, ``ParityPair`` nothing.
 
 The library holds one transcription, the eight-term z-relation with
 parameter signs.  The y-relation is that kernel mirrored: A and B (amplitudes
@@ -32,6 +25,13 @@ exchanged parameters once.  The kernel checks nothing: parameters are
 validated once where they enter an operation (``require_constraint``,
 ``require_unsigned``), not on every call.  The parity steps with a plus y
 sign and the first-order steps solve one closed form, ``solve_lines``.
+A term's side in the z-relation (left where its parity argument is +1) is a
+product of parameter signs and of the state's sector (sign y_m, sign z_m
+z_{m+1}), placed once per sign pattern by ``_sign_sectors``.  With every
+parameter sign +1 the eight terms, in its order, sit as follows:
+
+    (+1, +1): left 2 3 4 5, right 0 1 6 7   (-1, +1): left 4 5 6 7, right 0 1 2 3
+    (+1, -1): left 2 3 6 7, right 0 1 4 5   (-1, -1): left none, right all
 """
 
 from __future__ import annotations
@@ -39,8 +39,9 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Union
 
 __all__ = [
@@ -143,10 +144,9 @@ class Params(namedtuple("Params", _AMP_KEYS + _SIGN_KEYS, defaults=(1,) * 8)):
 
     @cached_property
     def _zz_parts(self) -> tuple:
-        """A1+A2+B3+B4, B3+B4, A1+B3+B4, A2+B3+B4 and A3+A4: the parameter
-        sums of ``residual_zz``, built once per instance."""
-        b34 = self.b3 + self.b4
-        return self.a1 + self.a2 + b34, b34, self.a1 + b34, self.a2 + b34, self.a3 + self.a4
+        """``residual_zz``'s sign sectors, Q, A3, A4 and parameter sums, built once per instance."""
+        a1, a2, a3, a4, b34 = self.a1, self.a2, self.a3, self.a4, self.b3 + self.b4
+        return _sign_sectors(self[9:]), self.q, a1 + a2 + b34, b34, a1 + b34, a2 + b34, a3, a4, a3 + a4
 
     def integer_image(self, d: int) -> "Params":
         """Q and every amplitude times d, as ints (self if d = 1 and they are); signs kept."""
@@ -192,42 +192,53 @@ def require_unsigned(p: Params) -> None:
 # --- the relations -------------------------------------------------------------
 
 
-def residual_zz(
-    p: Params, m: int, y_m: ParityPair, z_m: ParityPair, z_next: ParityPair
-) -> bool:
+@lru_cache(maxsize=256)
+def _sign_sectors(signs: tuple) -> dict:
+    """State sector (sign y_m, sign z_m z_{m+1}) -> the getters of the left and
+    the right terms of ``residual_zz``, None for a side with none, for signs sa1..sb4."""
+    sa1, sa2, sa3, sa4, _, _, sb3, sb4 = signs
+    sectors = {}
+    for sy, szz in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        term_signs = (
+            -sa1 * sa2 * sb3 * sb4,  # 2mQ + A1 + A2 + B3 + B4
+            -sb3 * sb4,  # 2Y + B3 + B4
+            sa1 * sb3 * sb4 * sy,  # Y + mQ + A1 + B3 + B4
+            sa2 * sb3 * sb4 * sy,  # Y + mQ + A2 + B3 + B4
+            szz,  # 2Y + ZZ
+            sa3 * sa4 * szz,  # ZZ + A3 + A4
+            -sa3 * sy * szz,  # Y + ZZ + A3
+            -sa4 * sy * szz,  # Y + ZZ + A4
+        )
+        sides = ([i for i, s in enumerate(term_signs) if s == side] for side in (1, -1))
+        # the first index repeated, as a one-index itemgetter returns a term, not a tuple
+        sectors[sy, szz] = tuple(itemgetter(*ix, ix[0]) if ix else None for ix in sides)
+    return sectors
+
+
+def residual_zz(p: Params, m: int, y_m: ParityPair, z_m: ParityPair, z_next: ParityPair) -> bool:
     """Exact check of the (y_m, z_m, z_{m+1}) relation at index m.
 
     Each of the eight terms sits on the left side when its parity argument is
     +1 and on the right side when it is -1, because the right side carries
     the same amplitudes with negated arguments; a side with no term is minus
-    infinity.  With sign(y_m) = -1 and sign(z_m z_{m+1}) = -1 every term lies
-    on the right, so that sector has no solution.
+    infinity.  With every parameter sign +1 the sectors (sign y_m, sign z_m
+    z_{m+1}) place the terms, in ``_sign_sectors``' order, as follows:
+
+        (+1, +1): left 2 3 4 5, right 0 1 6 7   (-1, +1): left 4 5 6 7, right 0 1 2 3
+        (+1, -1): left 2 3 6 7, right 0 1 4 5   (-1, -1): none left: no solution
     """
-    a12b34, b34, a1b34, a2b34, a34 = p._zz_parts
-    sb34 = p.sb3 * p.sb4
-    sy = y_m.sign
-    szz = z_m.sign * z_next.sign
+    sectors, q, a12b34, b34, a1b34, a2b34, a3, a4, a34 = p._zz_parts
+    left, right = sectors[y_m.sign, z_m.sign * z_next.sign]
+    if left is None or right is None:
+        return False
     y, zz = y_m.amp, z_m.amp + z_next.amp
-    mq = m * p.q
+    mq = m * q
     y2, ymq, yzz = y + y, y + mq, y + zz
-    lhs, rhs = [], []
-    for amp, s in (
-        (mq + mq + a12b34, -p.sa1 * p.sa2 * sb34),
-        (y2 + b34, -sb34),
-        (ymq + a1b34, p.sa1 * sb34 * sy),
-        (ymq + a2b34, p.sa2 * sb34 * sy),
-        (y2 + zz, szz),
-        (zz + a34, p.sa3 * p.sa4 * szz),
-        (yzz + p.a3, -p.sa3 * sy * szz),
-        (yzz + p.a4, -p.sa4 * sy * szz),
-    ):
-        (lhs if s == 1 else rhs).append(amp)
-    return bool(lhs) and bool(rhs) and max(lhs) == max(rhs)
+    terms = (mq + mq + a12b34, y2 + b34, ymq + a1b34, ymq + a2b34, y2 + zz, zz + a34, yzz + a3, yzz + a4)
+    return max(left(terms)) == max(right(terms))
 
 
-def residual_yy(
-    p: Params, m: int, y_m: ParityPair, y_next: ParityPair, z_next: ParityPair
-) -> bool:
+def residual_yy(p: Params, m: int, y_m: ParityPair, y_next: ParityPair, z_next: ParityPair) -> bool:
     """Exact check of the (y_m, y_{m+1}, z_{m+1}) relation at index m: the
     z-relation with A and B exchanged and the roles of y and z exchanged."""
     return residual_zz(p.mirrored, m, z_next, y_m, y_next)

@@ -96,12 +96,9 @@ class SolutionTable:
     # -- serialization --------------------------------------------------------
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(_COLUMNS)
-        for m, y, z in self.rows():
-            w.writerow([m, y.sign, str(y.amp), z.sign, str(z.amp)])
-        return buf.getvalue()
+        """The text ``csv.writer`` writes, which quotes none of these fields."""
+        rows = ["%d,%d,%s,%d,%s\n" % (m, sy, y, sz, z) for m, (sy, y), (sz, z) in self.rows()]
+        return ",".join(_COLUMNS) + "\n" + "".join(rows)
 
     @classmethod
     def from_csv_text(cls, text: str) -> "SolutionTable":

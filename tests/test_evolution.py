@@ -15,6 +15,7 @@ from udp6.evolution import (
     step_y_parity,
     step_z_noparity,
     step_z_parity,
+    table_image,
 )
 from udp6.families import LinearAnsatz
 from udp6.generate import random_constrained_params
@@ -571,6 +572,44 @@ def test_kernel_runs_on_ints(monkeypatch):
     table = evolve_noparity(p, 0, F(5, 7), F(-1, 9), (-3, 3))
     assert all(not painleve_failures(p, t) for t in tree.tables + (table,))
     assert set(seen) == {"residual_zz", "residual_yy", "step_z_parity", "step_z_noparity"}
+
+
+def _golden_slice(p42):
+    table = evolve(p42, 0, pp(-1, 43), pp(-1, 40), (-3, 3)).tables[0]
+    assert all(type(c.amp) is int for c in table.ys + table.zs)
+    return table
+
+
+def _scaled(col, d):
+    return [ParityPair(c.sign, int(c.amp * d)) for c in col]
+
+
+def test_table_image_of_an_int_table_with_fractional_parameters(p42):
+    # every cell is an int, so D is the parameters' lcm, here 2, and the
+    # cells are scaled by it all the same
+    half = Params.make(F(201, 2), (32, F(67, 2), 37, 22), (53, 66, 8, 4))
+    table = _golden_slice(p42)
+    p, ys, zs = table_image(half, table)
+    assert p == half.integer_image(2) and type(p.q) is int
+    assert (ys, zs) == (_scaled(table.ys, 2), _scaled(table.zs, 2))
+    assert painleve_failures(half, table) == _oracle_failures(half, table)
+
+
+@pytest.mark.parametrize("amp", [F(40), F(121, 3)], ids=["denominator-1", "denominator-3"])
+def test_table_image_of_a_table_with_a_single_fraction_cell(p42, amp):
+    # one Fraction cell sends the whole table through integer_image, at the
+    # lcm of its denominator and the parameters'; F(40) is z_0's own value
+    table = _golden_slice(p42)
+    zs = list(table.zs)
+    zs[3] = ParityPair(zs[3].sign, amp)
+    t = SolutionTable(table.m_lo, table.ys, tuple(zs))
+    d = amp.denominator
+    p, ys, zs = table_image(p42, t)
+    assert p == p42.integer_image(d)
+    assert all(type(c.amp) is int for c in ys + zs)
+    assert (ys, zs) == (_scaled(t.ys, d), _scaled(t.zs, d))
+    failures = painleve_failures(p42, t)
+    assert failures == _oracle_failures(p42, t) and bool(failures) == (d > 1)
 
 
 # --- affine stretches of the all-minus sector ---------------------------------------

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -238,6 +239,44 @@ def test_y_relation_is_the_mirrored_z_relation(p, m, y0, y1, z1):
     assert _zz_signed_by_hand(p.mirrored, m, z1, y0, y1) == by_hand
     assert residual_yy(p, m, y0, y1, z1) == by_hand
     assert p.mirrored.mirrored == p
+
+
+_SIGN_PATTERNS = list(product((1, -1), repeat=8))
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(
+    amps=st.lists(st.integers(-3, 3), min_size=9, max_size=9),
+    m=st.integers(-2, 2),
+    cells=st.lists(st.tuples(_signs, st.integers(-4, 4)), min_size=4, max_size=4),
+)
+def test_every_sign_pattern_and_state_sector_agrees_with_by_hand(amps, m, cells):
+    # all 256 parameter sign tuples with no constraint (the kernel checks
+    # none), each in the four state sectors, on tie-heavy small-int amplitudes:
+    # this reaches every sector where a side has no term
+    (s0, a0), (s1, a1), (s2, a2), (_, a3) = cells
+    for signs in _SIGN_PATTERNS:
+        p = Params(*amps, *signs)
+        for s, ss in product((1, -1), repeat=2):
+            # z-relation sector (sign y_m, sign z_m z_{m+1}) = (s, ss)
+            y, z0, z1 = ParityPair(s, a0), ParityPair(s1, a1), ParityPair(ss * s1, a2)
+            assert residual_zz(p, m, y, z0, z1) == _zz_signed_by_hand(p, m, y, z0, z1)
+            # y-relation sector (sign z_{m+1}, sign y_m y_{m+1}) = (s, ss)
+            y0, y1, z1 = ParityPair(s2, a3), ParityPair(ss * s2, a1), ParityPair(s, a2)
+            assert residual_yy(p, m, y0, y1, z1) == _yy_signed_by_hand(p, m, y0, y1, z1)
+
+
+def test_params_with_equal_signs_share_the_sector_memo_with_independent_verdicts():
+    signs = {"sa": (-1, 1, 1, -1), "sb": (1, -1, 1, -1)}
+    p = Params.make(100, (32, 33, 37, 22), (53, 65, 8, 4), **signs)
+    zero = Params.make(1, (0, 0, 0, 0), (0, 0, 0, 0), **signs)
+    assert p._zz_parts[0] is zero._zz_parts[0]
+    for state, verdicts in (
+        ((pp(1, 35), pp(1, 10), pp(1, 0)), (True, False)),
+        ((pp(1, 0), pp(1, 0), pp(1, 0)), (False, True)),
+    ):
+        assert tuple(residual_zz(q, 0, *state) for q in (p, zero)) == verdicts
+        assert tuple(_zz_signed_by_hand(q, 0, *state) for q in (p, zero)) == verdicts
 
 
 # --- invariances ----------------------------------------------------------------
