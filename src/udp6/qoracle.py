@@ -4,7 +4,11 @@ arbitrary-precision arithmetic, and the ultradiscretization comparator.
 Values of the q-system scale like exp(X/eps), far beyond hardware floats, but an
 mpmath float's binary exponent is an unbounded int that cannot overflow, so each
 value is a plain ``sign * mag``.  A seed exp(amp/eps), amp/eps = num/den, is the
-power exp(1/den)^num of a cached base.  Opposite signs warn of cancellation when
+power exp(1/den)^num of a cached base.  A step takes one such power, t = exp(mQ/eps);
+its t-dependent images are t times cached images exp(A/eps).  The operations call
+``mpmath.libmp`` on the mags' raw values, rounding to nearest at ``prec`` bits, as
+mpmath's ``fadd(..., prec=prec)`` and its kin do, without their per-call context
+overhead.  Opposite signs warn of cancellation when
 ln(hi/lo) < 2^(-prec/2) * max(1, |ln hi|), and warnings propagate.  The ``ls_*``
 names are the former log-domain arithmetic's: the benchmark's ``qoracle.ls_op``
 layer wraps them by name, until a benchmark change renames that group.
@@ -91,8 +95,8 @@ def ls_zero(prec: int, warn: bool = False) -> SignedMag:
     return SignedMag(0, mpmath.mpf(0), prec, warn)
 
 
-def _mpf_fraction(x: Fraction, prec: int) -> mpmath.mpf:
-    return mpmath.fdiv(x.numerator, x.denominator, prec=prec)
+def _mpf(raw) -> mpmath.mpf:
+    return mpmath.mp.make_mpf(raw)
 
 
 @functools.lru_cache(maxsize=32)
@@ -105,8 +109,7 @@ def _exp_power(num: int, den: int, prec: int) -> mpmath.mpf:
     """exp(num/den) = exp(1/den)^num.  The power grows the base's relative error by
     bitlen(num) bits, so the base has bitlen(num) + 8 guard bits, rounded up to 64s."""
     base = _exp_inverse(den, prec + (num.bit_length() + 71) // 64 * 64)
-    with mpmath.workprec(prec):
-        return base ** num
+    return _mpf(mpmath.libmp.mpf_pow_int(base._mpf_, num, prec, "n"))
 
 
 def ls_from_amplitude(sign: int, amp, eps, prec: int) -> SignedMag:
@@ -125,16 +128,20 @@ def amplitude_of(x: SignedMag, eps) -> mpmath.mpf:
     more than 1, so it is taken to e.bit_length() + 64 bits there."""
     if x.sign == 0:
         raise ValueError("amplitude of exact zero is undefined")
-    m, e = mpmath.frexp(x.mag)
+    lib, prec = mpmath.libmp, x.prec
+    m, e = lib.mpf_frexp(x.mag._mpf_)
+    log_m = math.log(lib.to_float(m, rnd="n"))
     if abs(e) < 1 << 40:
-        k = round(math.log(m) + e * math.log(2))
+        k = round(log_m + e * math.log(2))
     else:
         with mpmath.workprec(e.bit_length() + 64):
-            k = int(mpmath.nint(math.log(m) + e * mpmath.ln2))
-    with mpmath.workprec(x.prec):
-        r = x.mag / _exp_power(k, 1, x.prec)
-        near = mpmath.mag(r - 1) if r != 1 else 0
-        return _mpf_fraction(Fraction(eps), x.prec) * (k + mpmath.ln(r, prec=x.prec + 8 + near))
+            k = int(mpmath.nint(log_m + e * mpmath.ln2))
+    r = lib.mpf_div(x.mag._mpf_, _exp_power(k, 1, prec)._mpf_, prec, "n")
+    _, man, exp, bc = lib.mpf_sub(r, lib.fone, prec, "n")
+    log_r = lib.mpf_log(r, prec + 8 + (exp + bc if man else 0), "n")
+    log_x = lib.mpf_add(log_r, lib.from_int(k), prec, "n")
+    eps = Fraction(eps)
+    return _mpf(lib.mpf_mul(lib.from_rational(eps.numerator, eps.denominator, prec, "n"), log_x, prec, "n"))
 
 
 def ls_neg(x: SignedMag) -> SignedMag:
@@ -158,12 +165,14 @@ def ls_add(x: SignedMag, y: SignedMag) -> SignedMag:
     warn = x.warn or y.warn
     if x.sign == 0 or y.sign == 0:
         return (y if x.sign == 0 else x)._replace(prec=prec, warn=warn)
+    lib = mpmath.libmp
     if x.sign == y.sign:
-        return SignedMag(x.sign, mpmath.fadd(x.mag, y.mag, prec=prec), prec, warn)
-    hi, lo = (x, y) if x.mag >= y.mag else (y, x)
-    if hi.mag == lo.mag:
+        return SignedMag(x.sign, _mpf(lib.mpf_add(x.mag._mpf_, y.mag._mpf_, prec, "n")), prec, warn)
+    order = lib.mpf_cmp(x.mag._mpf_, y.mag._mpf_)
+    if order == 0:
         return ls_zero(prec, warn=True)
-    diff = mpmath.fsub(hi.mag, lo.mag, prec=prec)
+    hi, lo = (x, y) if order > 0 else (y, x)
+    diff = _mpf(lib.mpf_sub(hi.mag._mpf_, lo.mag._mpf_, prec, "n"))
     return SignedMag(hi.sign, diff, prec, warn or _cancels(hi.mag, lo.mag, diff, prec))
 
 
@@ -171,22 +180,23 @@ def ls_sub(x: SignedMag, y: SignedMag) -> SignedMag:
     return ls_add(x, ls_neg(y))
 
 
-def ls_mul(x: SignedMag, y: SignedMag) -> SignedMag:
+def _scale(x: SignedMag, y: SignedMag, op) -> SignedMag:
+    """x * y or x / y by the libmp product or quotient ``op``; y is nonzero for a quotient."""
     prec = min(x.prec, y.prec)
     warn = x.warn or y.warn
     if x.sign == 0 or y.sign == 0:
         return ls_zero(prec, warn)
-    return SignedMag(x.sign * y.sign, mpmath.fmul(x.mag, y.mag, prec=prec), prec, warn)
+    return SignedMag(x.sign * y.sign, _mpf(op(x.mag._mpf_, y.mag._mpf_, prec, "n")), prec, warn)
+
+
+def ls_mul(x: SignedMag, y: SignedMag) -> SignedMag:
+    return _scale(x, y, mpmath.libmp.mpf_mul)
 
 
 def ls_div(x: SignedMag, y: SignedMag) -> SignedMag:
     if y.sign == 0:
         raise PoleError("division by zero value")
-    prec = min(x.prec, y.prec)
-    warn = x.warn or y.warn
-    if x.sign == 0:
-        return ls_zero(prec, warn)
-    return SignedMag(x.sign * y.sign, mpmath.fdiv(x.mag, y.mag, prec=prec), prec, warn)
+    return _scale(x, y, mpmath.libmp.mpf_div)
 
 
 def default_precision(eps, amp_bound) -> int:
@@ -202,10 +212,11 @@ def default_precision(eps, amp_bound) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def _fixed_images(p: Params, eps: Fraction, prec: int) -> Tuple[SignedMag, ...]:
-    """The m-independent images of a3, a4, b3, b4, built once per key after the parameter check."""
+def _fixed_images(p: Params, eps: Fraction, prec: int, names: str = "a3 a4 b3 b4") -> Tuple[SignedMag, ...]:
+    """The images exp(X/eps) of the parameters ``names``, once per key after the parameter check;
+    ``qp6_step`` takes all eight in one lookup and multiplies a1's to b2's by t = exp(mQ/eps)."""
     require_unsigned(p)
-    return tuple(ls_from_amplitude(1, amp, eps, prec) for amp in (p.a3, p.a4, p.b3, p.b4))
+    return tuple(ls_from_amplitude(1, getattr(p, name), eps, prec) for name in names.split())
 
 
 def _nonzero(x: SignedMag, what: str) -> SignedMag:
@@ -239,11 +250,9 @@ def qp6_step(
     """
     eps = Fraction(eps)
     prec = min(y.prec, z.prec)
-    a3, a4, b3, b4 = _fixed_images(p, eps, prec)
-    mq = m * p.q
-    a1t, a2t, b1t, b2t = (
-        ls_from_amplitude(1, mq + amp, eps, prec) for amp in (p.a1, p.a2, p.b1, p.b2)
-    )
+    a3, a4, b3, b4, *factors = _fixed_images(p, eps, prec, "a3 a4 b3 b4 a1 a2 b1 b2")
+    t = ls_from_amplitude(1, m * p.q, eps, prec)
+    a1t, a2t, b1t, b2t = (ls_mul(t, c) for c in factors)
     z_next = _half_step(y, z, a1t, a2t, a3, a4, b3, b4, ("z(t)", "y - a3", "y - a4"))
     y_next = _half_step(z_next, y, b1t, b2t, b3, b4, a3, a4, ("y(t)", "z(qt) - b3", "z(qt) - b4"))
     return y_next, z_next
@@ -352,15 +361,18 @@ def _compare_run(
     y = ls_from_amplitude(table.y(lo).sign, table.y(lo).amp, eps, prec)
     z = ls_from_amplitude(table.z(lo).sign, table.z(lo).amp, eps, prec)
 
+    def err(x: SignedMag, amp: Fraction) -> float:
+        lib = mpmath.libmp
+        exact = lib.from_rational(amp.numerator, amp.denominator, prec, "n")
+        diff = lib.mpf_sub(amplitude_of(x, eps)._mpf_, exact, prec, "n")
+        return lib.to_float(lib.mpf_abs(diff), rnd="n")
+
     def row(m: int, y: SignedMag, z: SignedMag) -> CompareRow:
-        with mpmath.workprec(prec):
-            ey = abs(amplitude_of(y, eps) - _mpf_fraction(table.y(m).amp, prec))
-            ez = abs(amplitude_of(z, eps) - _mpf_fraction(table.z(m).amp, prec))
         return CompareRow(
             m=m,
             eps=eps,
-            err_y=float(ey),
-            err_z=float(ez),
+            err_y=err(y, table.y(m).amp),
+            err_z=err(z, table.z(m).amp),
             sign_ok_y=y.sign == table.y(m).sign,
             sign_ok_z=z.sign == table.z(m).sign,
             warned=y.warn or z.warn,

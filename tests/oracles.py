@@ -22,10 +22,14 @@ evolution to hold the library's integer route against, and the first-order
 step of the q-system.  The q-system step is transcribed a second time in
 signed log-domain arithmetic (every value sign * exp(logmag), like signs added
 by log-sum-exp), the library's former representation, to hold its plain
-signed floats against.
+signed floats against.  Those signed floats' operations and ``amplitude_of``
+are transcribed a second time at mpmath's context level (``fadd`` and its kin
+with ``prec=``, ``workprec``), their former form, to hold the library's direct
+``mpmath.libmp`` calls against bit for bit.
 """
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,12 +50,15 @@ from udp6.families import Condition, LinearAnsatz
 from udp6.qoracle import (
     PoleError,
     SignedMag,
+    _cancels,
+    _exp_inverse,
     _fixed_images,
     _nonzero,
     ls_div,
     ls_from_amplitude,
     ls_mul,
     ls_sub,
+    ls_zero,
 )
 from udp6.riccati import (
     require_riccati_conditions,
@@ -747,3 +754,57 @@ def log_qp6_step(p: Params, eps, m: int, y: LogSigned, z: LogSigned) -> Tuple[Lo
         ),
     )
     return log_div(num2, den2), z_next
+
+
+# --- the signed floats' operations at mpmath's context level ----------------------
+
+
+def mpf_ls_add(x: SignedMag, y: SignedMag) -> SignedMag:
+    """``ls_add`` through ``mpmath.fadd``/``fsub`` at ``prec`` and mpf comparisons."""
+    prec = min(x.prec, y.prec)
+    warn = x.warn or y.warn
+    if x.sign == 0 or y.sign == 0:
+        return (y if x.sign == 0 else x)._replace(prec=prec, warn=warn)
+    if x.sign == y.sign:
+        return SignedMag(x.sign, mpmath.fadd(x.mag, y.mag, prec=prec), prec, warn)
+    hi, lo = (x, y) if x.mag >= y.mag else (y, x)
+    if hi.mag == lo.mag:
+        return ls_zero(prec, warn=True)
+    diff = mpmath.fsub(hi.mag, lo.mag, prec=prec)
+    return SignedMag(hi.sign, diff, prec, warn or _cancels(hi.mag, lo.mag, diff, prec))
+
+
+def mpf_ls_mul(x: SignedMag, y: SignedMag) -> SignedMag:
+    prec = min(x.prec, y.prec)
+    warn = x.warn or y.warn
+    if x.sign == 0 or y.sign == 0:
+        return ls_zero(prec, warn)
+    return SignedMag(x.sign * y.sign, mpmath.fmul(x.mag, y.mag, prec=prec), prec, warn)
+
+
+def mpf_ls_div(x: SignedMag, y: SignedMag) -> SignedMag:
+    if y.sign == 0:
+        raise PoleError("division by zero value")
+    prec = min(x.prec, y.prec)
+    warn = x.warn or y.warn
+    if x.sign == 0:
+        return ls_zero(prec, warn)
+    return SignedMag(x.sign * y.sign, mpmath.fdiv(x.mag, y.mag, prec=prec), prec, warn)
+
+
+def mpf_amplitude_of(x: SignedMag, eps):
+    """``amplitude_of`` through mpf operators under ``workprec`` and ``mpmath.ln``."""
+    if x.sign == 0:
+        raise ValueError("amplitude of exact zero is undefined")
+    m, e = mpmath.frexp(x.mag)
+    if abs(e) < 1 << 40:
+        k = round(math.log(m) + e * math.log(2))
+    else:
+        with mpmath.workprec(e.bit_length() + 64):
+            k = int(mpmath.nint(math.log(m) + e * mpmath.ln2))
+    eps = Fraction(eps)
+    with mpmath.workprec(x.prec):
+        r = x.mag / _exp_inverse(1, x.prec + (k.bit_length() + 71) // 64 * 64) ** k
+        near = mpmath.mag(r - 1) if r != 1 else 0
+        eps_mpf = mpmath.fdiv(eps.numerator, eps.denominator, prec=x.prec)
+        return eps_mpf * (k + mpmath.ln(r, prec=x.prec + 8 + near))

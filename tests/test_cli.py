@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -346,6 +347,28 @@ def test_qlimit_subcommand(capsys, p42_file):
     lines = out.splitlines()
     assert lines[0] == "m,eps,err_Y,err_Z,sign_ok_Y,sign_ok_Z,cancellation_flag"
     assert len(lines) == 1 + 3 * 3
+
+
+_QLIMIT_DIGESTS = json.loads(Path(__file__).with_name("qlimit_digests.json").read_text())
+_GOLDEN_STARTS = {"minus": ("-1:43", "-1:40"), "plus": ("1:43", "1:40")}
+
+
+@pytest.mark.parametrize("case", list(_QLIMIT_DIGESTS["cases"]))
+def test_qlimit_output_matches_pinned_digests(case, tmp_path, capsys, p42_file):
+    # qlimit's CSV, stderr and exit code, byte for byte as recorded in
+    # qlimit_digests.json; the tables are the golden evolve outputs over -10:10
+    spec = _QLIMIT_DIGESTS["cases"][case]
+    files = {}
+    for sector, (y0, z0) in _GOLDEN_STARTS.items():
+        files[sector] = str(tmp_path / f"{sector}.csv")
+        argv = ["evolve", "--params", p42_file, "--y0", y0, "--z0", z0, "--window", "-10:10"]
+        assert run(capsys, *argv, "--out", files[sector])[0] == 0
+    code, out, err = run(capsys, "qlimit", "--params", p42_file, *(a.format(**files) for a in spec["argv"]))
+
+    def digest(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert (code, digest(out), digest(err)) == (spec["rc"], spec["stdout"], spec["stderr"])
 
 
 def test_qlimit_tiny_eps_exits_without_traceback(p42_file):

@@ -28,6 +28,7 @@ from udp6.qoracle import (
     ls_zero,
     qp6_step,
     _amp_bound,
+    _fixed_images,
     ud_limit_compare,
 )
 from udp6.system import ParityPair, Params
@@ -40,6 +41,10 @@ from oracles import (
     log_amplitude_of,
     log_from_amplitude,
     log_qp6_step,
+    mpf_amplitude_of,
+    mpf_ls_add,
+    mpf_ls_div,
+    mpf_ls_mul,
     qriccati_step,
 )
 
@@ -194,6 +199,87 @@ def test_cancellation_pretest_never_suppresses_flag(rng, prec):
     assert 50 < flagged < 350
 
 
+def _rounded(rng, prec, exponent):
+    """A random positive mpf of ``prec`` bits near 2^exponent."""
+    with mpmath.workprec(prec):
+        return +mpmath.ldexp(rng.getrandbits(prec + 8) | 1, exponent - prec - 8)
+
+
+def _operands(rng, prec):
+    """Two SignedMags, the first at ``prec`` bits: free mags, equal mags (exact
+    cancellation), or mags a ratio 1 + 2^-j * max(1, |ln mag|) apart with j about
+    prec//2 (the flag's threshold, the ``_cancels`` path); like or opposite signs;
+    a zero and a warning now and then."""
+    kind = rng.choice(("free", "equal", "near"))
+    py = prec if kind == "equal" else rng.choice((prec, max(2, prec // 2), 2 * prec))
+    a = _rounded(rng, prec, rng.randint(-3000, 3000))
+    if kind == "free":
+        b = _rounded(rng, py, rng.randint(-3000, 3000))
+    elif kind == "equal":
+        b = a
+    else:
+        with mpmath.workprec(4 * prec + 64):
+            j = rng.randint(max(1, prec // 2 - 6), prec // 2 + 6)
+            step = mpmath.ldexp(max(1, abs(mpmath.log(a))), -j)
+            ratio = 1 - step if step < 0.5 and rng.random() < 0.5 else 1 + step  # b stays positive
+            with mpmath.workprec(py):
+                b = +(a * ratio)
+    signs = (rng.choice((1, -1)), rng.choice((1, -1)))
+    out = []
+    for sign, mag, bits in zip(signs, (a, b), (prec, py)):
+        warn = rng.random() < 0.2
+        out.append(ls_zero(bits, warn) if rng.random() < 0.1 else SignedMag(sign, mag, bits, warn))
+    return out
+
+
+def _bits(x):
+    return x.sign, x.mag._mpf_, x.prec, x.warn
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), prec=st.sampled_from([2, 3, 8, 53, 64, 100, 256, 1024, 4096]))
+def test_libmp_operations_equal_context_level_oracle_bit_for_bit(seed, prec):
+    # ls_add, ls_sub, ls_mul and ls_div call libmp directly; mpmath's fadd/fsub/
+    # fmul/fdiv with prec= give the same sign, raw mag, precision and flag
+    rng = random.Random(seed)
+    x, y = _operands(rng, prec)
+    ops = (
+        (ls_add, mpf_ls_add),
+        (ls_sub, lambda u, v: mpf_ls_add(u, ls_neg(v))),
+        (ls_mul, mpf_ls_mul),
+        (ls_div, mpf_ls_div),
+    )
+    for u, v in ((x, y), (y, x)):
+        for new, old in ops:
+            if new is ls_div and v.sign == 0:
+                with pytest.raises(PoleError):
+                    new(u, v)
+                continue
+            got, want = new(u, v), old(u, v)
+            assert type(got) is SignedMag and type(got.mag) is mpmath.mpf
+            assert _bits(got) == _bits(want), (new.__name__, u, v)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    prec=st.sampled_from([2, 3, 53, 256, 1024, 4096]),
+    eps=st.sampled_from([F(1), F(1, 2), F(1, 3), F(1, 8), F(7, 5), F(1, 10**50)]),
+    huge=st.booleans(),
+)
+def test_amplitude_of_equals_context_level_oracle_bit_for_bit(seed, prec, eps, huge):
+    # both paths of amplitude_of: binary exponents below 2^40, where a float
+    # finds the int nearest log|x|, and past 2^40, where it is taken at e's size
+    rng = random.Random(seed)
+    exponents = [rng.randint(-3000, 3000), rng.choice((1, -1)) * rng.randint(1, 2**40 - 1)]
+    if huge:
+        exponents = [rng.choice((1, -1)) * (2**40 + rng.getrandbits(rng.randint(0, 120)))]
+    for e in exponents + [2**40 - 1, 2**40, -(2**40)]:
+        x = SignedMag(rng.choice((1, -1)), _rounded(rng, prec, e), prec)
+        got = amplitude_of(x, eps)
+        assert type(got) is mpmath.mpf and got._mpf_ == mpf_amplitude_of(x, eps)._mpf_, (e, x)
+
+
 # --- q-system steps ---------------------------------------------------------------
 
 
@@ -261,6 +347,23 @@ def test_plain_step_agrees_with_log_domain_oracle(seed, eps, prec, near):
             with mpmath.workprec(prec):
                 gap = abs(amplitude_of(got, eps) - log_amplitude_of(ref, eps))
                 assert gap < mpmath.ldexp(scale, -(prec // 2))
+
+
+@pytest.mark.parametrize("prec", [64, 256, 1024])
+def test_t_images_are_one_power_times_cached_factors(p42, prec):
+    # qp6_step takes t = exp(mQ/eps) and multiplies it by the cached images of
+    # a1, a2, b1, b2; each product is the direct image exp((mQ + A)/eps) to 2^-(prec-4)
+    amps = (p42.a1, p42.a2, p42.b1, p42.b2)
+    for eps in (F(1), F(1, 2), F(1, 3), F(1, 8)):
+        factors = _fixed_images(p42, eps, prec, "a1 a2 b1 b2")
+        for m in range(-50, 51):
+            t = ls_from_amplitude(1, m * p42.q, eps, prec)
+            for amp, factor in zip(amps, factors):
+                got = ls_mul(t, factor)
+                want = ls_from_amplitude(1, m * p42.q + amp, eps, prec)
+                assert (got.sign, got.prec, got.warn) == (1, prec, False)
+                with mpmath.workprec(2 * prec):
+                    assert rel_err(got.mag, want.mag) <= mpmath.ldexp(1, -(prec - 4)), (eps, m, amp)
 
 
 def test_qp6_step_requires_constraint():
@@ -436,6 +539,15 @@ def test_compare_csv_layout(p42):
     assert lines[0] == "m,eps,err_Y,err_Z,sign_ok_Y,sign_ok_Z,cancellation_flag"
     assert len(lines) == 1 + 2 * 2
     assert lines[1].startswith("0,1,")
+
+
+def test_golden_window_accepts_pinned_precisions(p42):
+    # the precisions the agreement search accepts on the benchmark's golden
+    # case, as recorded before the q-oracle's operations called libmp directly
+    window = (-5, 5)
+    table = evolve_noparity(p42, 0, 43, 40, window)
+    rep = ud_limit_compare(p42, table, EpsSchedule.from_string("1,1/2,1/4"), window)
+    assert rep.precisions == ((1, 512), (F(1, 2), 1024), (F(1, 4), 2048))
 
 
 def test_compare_window_must_fit(p42):
