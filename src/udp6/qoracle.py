@@ -95,10 +95,6 @@ def ls_zero(prec: int, warn: bool = False) -> SignedMag:
     return SignedMag(0, mpmath.mpf(0), prec, warn)
 
 
-def _mpf(raw) -> mpmath.mpf:
-    return mpmath.mp.make_mpf(raw)
-
-
 @functools.lru_cache(maxsize=32)
 def _exp_inverse(den: int, prec: int) -> mpmath.mpf:
     """exp(1/den) at ``prec`` bits: the base of the seeds of denominator den."""
@@ -109,7 +105,7 @@ def _exp_power(num: int, den: int, prec: int) -> mpmath.mpf:
     """exp(num/den) = exp(1/den)^num.  The power grows the base's relative error by
     bitlen(num) bits, so the base has bitlen(num) + 8 guard bits, rounded up to 64s."""
     base = _exp_inverse(den, prec + (num.bit_length() + 71) // 64 * 64)
-    return _mpf(mpmath.libmp.mpf_pow_int(base._mpf_, num, prec, "n"))
+    return mpmath.mp.make_mpf(mpmath.libmp.mpf_pow_int(base._mpf_, num, prec, "n"))
 
 
 def ls_from_amplitude(sign: int, amp, eps, prec: int) -> SignedMag:
@@ -128,7 +124,7 @@ def amplitude_of(x: SignedMag, eps) -> mpmath.mpf:
     more than 1, so it is taken to e.bit_length() + 64 bits there."""
     if x.sign == 0:
         raise ValueError("amplitude of exact zero is undefined")
-    lib, prec = mpmath.libmp, x.prec
+    lib, mpf, prec = mpmath.libmp, mpmath.mp.make_mpf, x.prec
     m, e = lib.mpf_frexp(x.mag._mpf_)
     log_m = math.log(lib.to_float(m, rnd="n"))
     if abs(e) < 1 << 40:
@@ -141,7 +137,7 @@ def amplitude_of(x: SignedMag, eps) -> mpmath.mpf:
     log_r = lib.mpf_log(r, prec + 8 + (exp + bc if man else 0), "n")
     log_x = lib.mpf_add(log_r, lib.from_int(k), prec, "n")
     eps = Fraction(eps)
-    return _mpf(lib.mpf_mul(lib.from_rational(eps.numerator, eps.denominator, prec, "n"), log_x, prec, "n"))
+    return mpf(lib.mpf_mul(lib.from_rational(eps.numerator, eps.denominator, prec, "n"), log_x, prec, "n"))
 
 
 def ls_neg(x: SignedMag) -> SignedMag:
@@ -165,14 +161,14 @@ def ls_add(x: SignedMag, y: SignedMag) -> SignedMag:
     warn = x.warn or y.warn
     if x.sign == 0 or y.sign == 0:
         return (y if x.sign == 0 else x)._replace(prec=prec, warn=warn)
-    lib = mpmath.libmp
+    lib, mpf = mpmath.libmp, mpmath.mp.make_mpf
     if x.sign == y.sign:
-        return SignedMag(x.sign, _mpf(lib.mpf_add(x.mag._mpf_, y.mag._mpf_, prec, "n")), prec, warn)
+        return SignedMag(x.sign, mpf(lib.mpf_add(x.mag._mpf_, y.mag._mpf_, prec, "n")), prec, warn)
     order = lib.mpf_cmp(x.mag._mpf_, y.mag._mpf_)
     if order == 0:
         return ls_zero(prec, warn=True)
     hi, lo = (x, y) if order > 0 else (y, x)
-    diff = _mpf(lib.mpf_sub(hi.mag._mpf_, lo.mag._mpf_, prec, "n"))
+    diff = mpf(lib.mpf_sub(hi.mag._mpf_, lo.mag._mpf_, prec, "n"))
     return SignedMag(hi.sign, diff, prec, warn or _cancels(hi.mag, lo.mag, diff, prec))
 
 
@@ -186,7 +182,7 @@ def _scale(x: SignedMag, y: SignedMag, op) -> SignedMag:
     warn = x.warn or y.warn
     if x.sign == 0 or y.sign == 0:
         return ls_zero(prec, warn)
-    return SignedMag(x.sign * y.sign, _mpf(op(x.mag._mpf_, y.mag._mpf_, prec, "n")), prec, warn)
+    return SignedMag(x.sign * y.sign, mpmath.mp.make_mpf(op(x.mag._mpf_, y.mag._mpf_, prec, "n")), prec, warn)
 
 
 def ls_mul(x: SignedMag, y: SignedMag) -> SignedMag:
@@ -212,11 +208,17 @@ def default_precision(eps, amp_bound) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def _fixed_images(p: Params, eps: Fraction, prec: int, names: str = "a3 a4 b3 b4") -> Tuple[SignedMag, ...]:
-    """The images exp(X/eps) of the parameters ``names``, once per key after the parameter check;
-    ``qp6_step`` takes all eight in one lookup and multiplies a1's to b2's by t = exp(mQ/eps)."""
+def _fixed_images(p: Params, eps: Fraction, prec: int) -> Tuple[SignedMag, ...]:
+    """The m-independent images of a3, a4, b3, b4, built once per key after the parameter check."""
     require_unsigned(p)
-    return tuple(ls_from_amplitude(1, getattr(p, name), eps, prec) for name in names.split())
+    return tuple(ls_from_amplitude(1, amp, eps, prec) for amp in (p.a3, p.a4, p.b3, p.b4))
+
+
+@functools.lru_cache(maxsize=64)
+def _step_images(p: Params, eps: Fraction, prec: int) -> Tuple[SignedMag, ...]:
+    """``_fixed_images`` and the images of a1, a2, b1, b2, which ``qp6_step`` multiplies by t."""
+    fixed = _fixed_images(p, eps, prec)
+    return fixed + tuple(ls_from_amplitude(1, amp, eps, prec) for amp in (p.a1, p.a2, p.b1, p.b2))
 
 
 def _nonzero(x: SignedMag, what: str) -> SignedMag:
@@ -250,7 +252,7 @@ def qp6_step(
     """
     eps = Fraction(eps)
     prec = min(y.prec, z.prec)
-    a3, a4, b3, b4, *factors = _fixed_images(p, eps, prec, "a3 a4 b3 b4 a1 a2 b1 b2")
+    a3, a4, b3, b4, *factors = _step_images(p, eps, prec)
     t = ls_from_amplitude(1, m * p.q, eps, prec)
     a1t, a2t, b1t, b2t = (ls_mul(t, c) for c in factors)
     z_next = _half_step(y, z, a1t, a2t, a3, a4, b3, b4, ("z(t)", "y - a3", "y - a4"))
