@@ -21,10 +21,9 @@ from typing import List, Optional, Tuple
 
 from .evolution import evolve, evolve_noparity, painleve_failures
 from .families import FAMILY_IDS, FamilySpec, LinearAnsatz, detect_asymptotic_linearity, instantiate_family
-from .generate import random_constrained_params
 from .qoracle import EpsSchedule, ud_limit_compare
-from .riccati import riccati_evolve, riccati_failures
-from .system import ParityPair, load_params, params_to_obj, parse_pair, parse_rational
+from .riccati import SAMPLINGS, riccati_evolve, riccati_failures
+from .system import ParityPair, load_params, params_to_obj, parse_pair, parse_rational, random_constrained_params
 from .tables import SolutionTable, branches_json_text, branches_to_json_obj
 
 __all__ = ["main"]
@@ -279,8 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--y0", required=True, help="sign:amplitude")
     sp.add_argument("--m0", type=int, default=0)
     sp.add_argument("--window", required=True)
-    sp.add_argument("--sampling", choices=("endpoints", "midpoint", "all-breakpoints"),
-                    default="endpoints")
+    sp.add_argument("--sampling", choices=SAMPLINGS, default="endpoints")
     sp.add_argument("--branch-cap", type=int, default=64)
     common_out(sp)
     sp.set_defaults(fn=_cmd_riccati)

@@ -4,8 +4,9 @@ arbitrary-precision arithmetic, and the ultradiscretization comparator.
 Values of the q-system scale like exp(X/eps), far beyond hardware floats, but an
 mpmath float's binary exponent is an unbounded int that cannot overflow, so each
 value is a plain ``sign * mag``.  A seed exp(amp/eps), amp/eps = num/den, is the
-power exp(1/den)^num of a cached base.  A step takes one such power, t = exp(mQ/eps);
-its t-dependent images are t times cached images exp(A/eps).  The operations call
+power exp(1/den)^num of a cached base.  A step takes one such power, t = exp(mQ/eps),
+and one lookup of ``_images``, the images exp(A/eps) cached per (params, eps, prec):
+a3, a4, b3, b4 enter as they are and a1, a2, b1, b2 times t.  The operations call
 ``mpmath.libmp`` on the mags' raw values, rounding to nearest at ``prec`` bits, as
 mpmath's ``fadd(..., prec=prec)`` and its kin do, without their per-call context
 overhead.  Opposite signs warn of cancellation when
@@ -208,17 +209,11 @@ def default_precision(eps, amp_bound) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def _fixed_images(p: Params, eps: Fraction, prec: int) -> Tuple[SignedMag, ...]:
-    """The m-independent images of a3, a4, b3, b4, built once per key after the parameter check."""
+def _images(p: Params, eps, prec: int) -> Tuple[SignedMag, ...]:
+    """exp(A/eps) for A = a3, a4, b3, b4, a1, a2, b1, b2, built once per key after the parameter check."""
     require_unsigned(p)
-    return tuple(ls_from_amplitude(1, amp, eps, prec) for amp in (p.a3, p.a4, p.b3, p.b4))
-
-
-@functools.lru_cache(maxsize=64)
-def _step_images(p: Params, eps: Fraction, prec: int) -> Tuple[SignedMag, ...]:
-    """``_fixed_images`` and the images of a1, a2, b1, b2, which ``qp6_step`` multiplies by t."""
-    fixed = _fixed_images(p, eps, prec)
-    return fixed + tuple(ls_from_amplitude(1, amp, eps, prec) for amp in (p.a1, p.a2, p.b1, p.b2))
+    amps = (p.a3, p.a4, p.b3, p.b4, p.a1, p.a2, p.b1, p.b2)
+    return tuple(ls_from_amplitude(1, amp, eps, prec) for amp in amps)
 
 
 def _nonzero(x: SignedMag, what: str) -> SignedMag:
@@ -250,9 +245,8 @@ def qp6_step(
     The parameter constraint is checked exactly where the parameter images are
     built.  Poles raise; cancellation warnings propagate into the results.
     """
-    eps = Fraction(eps)
     prec = min(y.prec, z.prec)
-    a3, a4, b3, b4, *factors = _step_images(p, eps, prec)
+    a3, a4, b3, b4, *factors = _images(p, eps, prec)
     t = ls_from_amplitude(1, m * p.q, eps, prec)
     a1t, a2t, b1t, b2t = (ls_mul(t, c) for c in factors)
     z_next = _half_step(y, z, a1t, a2t, a3, a4, b3, b4, ("z(t)", "y - a3", "y - a4"))

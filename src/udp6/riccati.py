@@ -42,6 +42,7 @@ from .system import ConstraintViolation, ParityPair, Params, denominator_lcm, re
 from .tables import SolutionTable
 
 __all__ = [
+    "SAMPLINGS",
     "check_riccati_conditions",
     "require_riccati_conditions",
     "residual_riccati1",
@@ -55,7 +56,7 @@ __all__ = [
     "solve_one_unknown",
 ]
 
-_SAMPLINGS = ("endpoints", "midpoint", "all-breakpoints")
+SAMPLINGS = ("endpoints", "midpoint", "all-breakpoints")
 
 
 def check_riccati_conditions(p: Params) -> bool:
@@ -220,7 +221,7 @@ def riccati_evolve(
         raise ValueError("initial index must lie inside the window")
     if max_branches < 1:
         raise ValueError("max_branches must be at least 1")
-    if sampling not in _SAMPLINGS:
+    if sampling not in SAMPLINGS:
         raise ValueError(f"unknown sampling policy {sampling!r}")
     d = denominator_lcm(p, (y0.amp,))
     p = p.integer_image(d)

@@ -8,15 +8,16 @@ fixed, each relation reduces to an exact identity between two maxima of
 rationals.  A residual check decides that identity exactly; there is no
 numeric tolerance anywhere.
 
-Amplitudes are rationals (``Fraction``) where they enter, ints inside, and
-either where they leave.  Every term of both relations is an integer
-combination of Q, the amplitudes and the state, so multiplying all of them by
-D, the lcm of their denominators (``denominator_lcm``), gives an integer
-problem with the same verdicts: the ``integer_image`` of the parameters and
-of the state.  The kernel only adds, takes maxima and compares, so the same
-code runs on either kind; the drivers in ``udp6.evolution`` and
-``udp6.riccati`` compute D on entry and run on ints.  Both value types are
-named tuples: ``Params`` checks its fields when built, ``ParityPair`` nothing.
+Amplitudes enter (JSON, CSV, ``--y0/--z0``) by one rule, ``parse_amp``: an int
+or ASCII integer text stays an int, other text becomes a ``Fraction``.  Every
+term of both relations is an integer combination of Q, the amplitudes and the
+state, so multiplying all of them by D, the lcm of their denominators
+(``denominator_lcm``), gives an integer problem with the same verdicts: the
+``integer_image`` of the parameters and of the state.  The kernel only adds,
+takes maxima and compares, so the same code runs on either kind; the drivers
+in ``udp6.evolution`` and ``udp6.riccati`` compute D on entry and run on ints.
+Both value types are named tuples: ``Params`` checks its fields when built,
+``ParityPair`` nothing.
 
 The library holds one transcription, the eight-term z-relation with
 parameter signs.  The y-relation is that kernel mirrored: A and B (amplitudes
@@ -27,22 +28,21 @@ validated once where they enter an operation (``require_constraint``,
 sign and the first-order steps solve one closed form, ``solve_lines``.
 A term's side in the z-relation (left where its parity argument is +1) is a
 product of parameter signs and of the state's sector (sign y_m, sign z_m
-z_{m+1}), placed once per sign pattern by ``_sign_sectors``.  With every
-parameter sign +1 the eight terms, in its order, sit as follows:
-
-    (+1, +1): left 2 3 4 5, right 0 1 6 7   (-1, +1): left 4 5 6 7, right 0 1 2 3
-    (+1, -1): left 2 3 6 7, right 0 1 4 5   (-1, -1): left none, right all
+z_{m+1}), placed once per sign pattern by ``_sign_sectors``; ``residual_zz``
+lists the sides.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Union
+from random import Random
+from typing import Iterable, NamedTuple, Tuple, Union
 
 __all__ = [
     "ConstraintViolation",
@@ -54,8 +54,10 @@ __all__ = [
     "load_params",
     "params_from_obj",
     "params_to_obj",
+    "parse_amp",
     "parse_pair",
     "parse_rational",
+    "random_constrained_params",
     "require_constraint",
     "require_unsigned",
     "residual_yy",
@@ -165,6 +167,18 @@ def check_constraint(p: Params) -> bool:
     amp_ok = p.b1 + p.b2 + p.a3 + p.a4 == p.q + p.a1 + p.a2 + p.b3 + p.b4
     sign_ok = p.sa1 * p.sa2 * p.sa3 * p.sa4 == p.sb1 * p.sb2 * p.sb3 * p.sb4
     return amp_ok and sign_ok
+
+
+def random_constrained_params(
+    rng: Random, lo: int = -100, hi: int = 100, q_range: Tuple[int, int] = (1, 150)
+) -> Params:
+    """Seeded integer parameters satisfying B1+B2+A3+A4 = Q+A1+A2+B3+B4, with Q > 0,
+    for the conjecture scanner: B4 is solved from the other eight draws."""
+    q = rng.randint(*q_range)
+    a = [rng.randint(lo, hi) for _ in range(4)]
+    b1, b2, b3 = (rng.randint(lo, hi) for _ in range(3))
+    b4 = b1 + b2 + a[2] + a[3] - q - a[0] - a[1] - b3
+    return Params.make(q, a, (b1, b2, b3, b4))
 
 
 def require_constraint(p: Params) -> None:
@@ -286,16 +300,23 @@ def parse_rational(v, what: str) -> Fraction:
         raise ValueError(f"{what}: zero denominator in {v!r}") from None
 
 
+_INT_TEXT = re.compile(r"-?[0-9]+")
+
+
+def parse_amp(v, what: str) -> Union[int, Fraction]:
+    """An amplitude as it enters: an int or ASCII integer text as an int, other text
+    through ``parse_rational``; anything else (a bool, a float) is a ValueError."""
+    if isinstance(v, str):
+        return int(v) if _INT_TEXT.fullmatch(v) else parse_rational(v, what)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise ValueError(f"{what}: rationals must be integers or 'p/q' strings, got {v!r}")
+
+
 def parse_pair(sign, amp, what: str) -> ParityPair:
     """A pair as it enters the system: the sign must be +1 or -1 and the
-    amplitude an integer or rational text (``parse_rational``)."""
-    return ParityPair(check_sign(int(sign)), parse_rational(amp, what))
-
-
-def _frac_from_json(v, key: str) -> Fraction:
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise ValueError(f"{key}: rationals must be integers or 'p/q' strings, got {v!r}")
-    return parse_rational(v, key)
+    amplitude is read by ``parse_amp``."""
+    return ParityPair(check_sign(int(sign)), parse_amp(amp, what))
 
 
 def _frac_to_json(x: Fraction) -> Union[int, str]:
@@ -312,7 +333,7 @@ def params_from_obj(obj: dict) -> Params:
     missing = [k for k in _AMP_KEYS if k not in obj]
     if missing:
         raise ValueError(f"missing parameter keys: {missing}")
-    kw = {k: _frac_from_json(obj[k], k) for k in _AMP_KEYS}
+    kw = {k: parse_amp(obj[k], k) for k in _AMP_KEYS}
     for k in _SIGN_KEYS:
         if k in obj:
             v = obj[k]
@@ -333,4 +354,7 @@ def params_to_obj(p: Params) -> dict:
 
 def load_params(path) -> Params:
     with open(path, "r", encoding="utf-8") as fh:
-        return params_from_obj(json.load(fh))
+        try:
+            return params_from_obj(json.load(fh))
+        except RecursionError:  # the decoder recurses once per level of nesting
+            raise ValueError(f"{path}: params JSON is nested too deeply") from None

@@ -1,29 +1,21 @@
 """Solution tables: m -> (y, z) over a contiguous integer window, with an
 exact CSV round-trip (columns m, sy, Y, sz, Z; amplitudes as rational
-strings).  The CSV reader keeps an amplitude written as an integer as an
-int, as the evolutions keep integer cells.  JSON is an output format only:
-``to_json_obj`` and the branch writers have no reader.  Rows of equal cells
-share one dict in ``branches_to_json_obj``, which must not be mutated."""
+strings).  The CSV reader reads amplitudes by ``parse_amp``, so integer text
+stays an int, as the evolutions keep integer cells.  JSON is an output format
+only: ``to_json_obj`` and the branch writers have no reader.  Rows of equal
+cells share one dict in ``branches_to_json_obj``, which must not be mutated."""
 
 from __future__ import annotations
 
 import csv
 import io
-import re
 from typing import Iterable, Iterator, Tuple
 
-from .system import ParityPair, check_sign, parse_rational
+from .system import ParityPair, check_sign, parse_amp
 
 __all__ = ["SolutionTable", "branches_json_text", "branches_to_json_obj"]
 
 _COLUMNS = ("m", "sy", "Y", "sz", "Z")
-_INT_TEXT = re.compile(r"-?[0-9]+")
-
-
-def _read_amp(text: str, what: str):
-    """An amplitude as written: ASCII integer text as an int, any other text
-    through ``parse_rational``."""
-    return int(text) if _INT_TEXT.fullmatch(text) else parse_rational(text, what)
 
 
 class SolutionTable:
@@ -120,8 +112,8 @@ class SolutionTable:
                 raise ValueError(f"malformed row: {row!r}")
             m, sy, yv, sz, zv = row
             ms.append(int(m))
-            ys.append(ParityPair(check_sign(int(sy)), _read_amp(yv, "Y")))
-            zs.append(ParityPair(check_sign(int(sz)), _read_amp(zv, "Z")))
+            ys.append(ParityPair(check_sign(int(sy)), parse_amp(yv, "Y")))
+            zs.append(ParityPair(check_sign(int(sz)), parse_amp(zv, "Z")))
         if not ms:
             raise ValueError("table has no rows")
         return cls._from_rows(ms, ys, zs)

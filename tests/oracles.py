@@ -52,7 +52,7 @@ from udp6.qoracle import (
     SignedMag,
     _cancels,
     _exp_inverse,
-    _fixed_images,
+    _images,
     _nonzero,
     ls_div,
     ls_from_amplitude,
@@ -629,7 +629,7 @@ def qriccati_step(p: Params, eps, m: int, y: SignedMag) -> Tuple[SignedMag, Sign
     require_riccati_conditions(p)
     eps = Fraction(eps)
     prec = y.prec
-    a3, a4, b3, b4 = _fixed_images(p, eps, prec)
+    a3, a4, b3, b4, *_ = _images(p, eps, prec)
     a2t = ls_from_amplitude(1, m * p.q + p.a2, eps, prec)
     b1t = ls_from_amplitude(1, m * p.q + p.b1, eps, prec)
 

@@ -469,6 +469,16 @@ def test_zero_denominator_is_input_error(case, capsys, tmp_path, p42_file):
     assert err.startswith("error: ") and "zero denominator" in err
 
 
+def test_deeply_nested_params_json_is_input_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, _, err = run(capsys, "evolve", "--params", str(path), "--y0", "-1:43", "--z0", "-1:40",
+                       "--window", "0:2")
+    assert code == 1
+    assert err == f"error: {path}: params JSON is nested too deeply\n"
+    assert "Traceback" not in err
+
+
 def test_unknown_family_is_input_error(capsys, p41_file):
     code, _, err = run(
         capsys, "families", "--params", p41_file, "--id", "sol0", "--window", "-2:2"

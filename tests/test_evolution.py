@@ -18,9 +18,15 @@ from udp6.evolution import (
     table_image,
 )
 from udp6.families import LinearAnsatz
-from udp6.generate import random_constrained_params
 from udp6.riccati import riccati_evolve
-from udp6.system import ParityPair, Params, denominator_lcm, residual_yy, residual_zz
+from udp6.system import (
+    ParityPair,
+    Params,
+    denominator_lcm,
+    random_constrained_params,
+    residual_yy,
+    residual_zz,
+)
 from udp6.tables import SolutionTable
 
 from goldens import golden1_y, golden1_z, golden2_y, golden2_z

@@ -16,9 +16,8 @@ from udp6.families import (
     detect_asymptotic_linearity,
     instantiate_family,
 )
-from udp6.generate import random_constrained_params
 from udp6.riccati import riccati_failures
-from udp6.system import ParityPair, Params, residual_yy, residual_zz
+from udp6.system import ParityPair, Params, random_constrained_params, residual_yy, residual_zz
 from udp6.tables import SolutionTable
 
 from goldens import golden2_y, golden2_z

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from udp6.cli import main
 from udp6.evolution import evolve_noparity
-from udp6.generate import random_constrained_params
 from udp6.qoracle import (
     CompareAbort,
     CompareReport,
@@ -28,10 +27,10 @@ from udp6.qoracle import (
     ls_zero,
     qp6_step,
     _amp_bound,
-    _step_images,
+    _images,
     ud_limit_compare,
 )
-from udp6.system import ParityPair, Params
+from udp6.system import ParityPair, Params, random_constrained_params
 from udp6.tables import SolutionTable
 
 from oracles import (
@@ -295,6 +294,22 @@ def test_qp6_step_reference_point(p42):
     assert abs(float(amplitude_of(y1, eps)) - 122) < 1.0
 
 
+@pytest.mark.parametrize("eps,twin", [(1, F(1)), (0.5, F(1, 2))])
+def test_qp6_step_reads_equal_eps_of_any_type_alike(p42, eps, twin):
+    # qp6_step passes eps on unconverted: the image table and ls_from_amplitude
+    # convert it, and equal values share one image-table key
+    def run(e):
+        _images.cache_clear()
+        y, z = ls_from_amplitude(-1, 43, e, 256), ls_from_amplitude(-1, 40, e, 256)
+        steps = []
+        for m in range(-2, 3):
+            y, z = qp6_step(p42, e, m, y, z)
+            steps += [y, z]
+        return [(v.sign, v.mag._mpf_, v.prec, v.warn) for v in steps]
+
+    assert run(eps) == run(twin)
+
+
 def test_qp6_step_telescopes_when_factors_match():
     # all a_i equal and y in the positive sector: the y-fraction is exactly 1,
     # so z' = b3*b4/z with no residue at all
@@ -355,7 +370,7 @@ def test_t_images_are_one_power_times_cached_factors(p42, prec):
     # a1, a2, b1, b2; each product is the direct image exp((mQ + A)/eps) to 2^-(prec-4)
     amps = (p42.a1, p42.a2, p42.b1, p42.b2)
     for eps in (F(1), F(1, 2), F(1, 3), F(1, 8)):
-        factors = _step_images(p42, eps, prec)[4:]
+        factors = _images(p42, eps, prec)[4:]
         for m in range(-50, 51):
             t = ls_from_amplitude(1, m * p42.q, eps, prec)
             for amp, factor in zip(amps, factors):

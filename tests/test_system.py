@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from udp6.evolution import painleve_failures
-from udp6.generate import random_constrained_params
 from udp6.system import (
     ConstraintViolation,
     ParityPair,
@@ -15,6 +14,7 @@ from udp6.system import (
     check_constraint,
     params_from_obj,
     params_to_obj,
+    random_constrained_params,
     residual_yy,
     residual_zz,
 )
@@ -316,6 +316,15 @@ def test_params_json_fraction_strings():
     assert params_to_obj(p)["q"] == "1/2"
 
 
+def test_params_json_keeps_integers_as_ints_and_reads_other_text_as_fractions(p42):
+    base = {k: 0 for k in ("q", "a1", "a2", "a3", "a4", "b1", "b2", "b3", "b4")}
+    p = params_from_obj({**base, "q": 100, "a1": "100", "a2": "1/2", "a3": "-0"})
+    assert [(type(v), v) for v in (p.q, p.a1, p.a2, p.a3)] == [(int, 100), (int, 100), (F, F(1, 2)), (int, 0)]
+    # int parameters from JSON are their own integer image: drivers keep them as they are
+    loaded = params_from_obj(json.loads(json.dumps(params_to_obj(p42))))
+    assert loaded.integer_image(1) is loaded
+
+
 def test_params_json_rejections():
     base = {k: 0 for k in ("q", "a1", "a2", "a3", "a4", "b1", "b2", "b3", "b4")}
     with pytest.raises(ValueError):
@@ -324,6 +333,8 @@ def test_params_json_rejections():
         params_from_obj({k: v for k, v in base.items() if k != "q"})
     with pytest.raises(ValueError):
         params_from_obj({**base, "q": 0.5})
+    with pytest.raises(ValueError, match="a1: rationals must be integers"):
+        params_from_obj({**base, "a1": True})
     with pytest.raises(ValueError):
         params_from_obj({**base, "sa1": 2})
     with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udp6.system import ParityPair
+from udp6.system import ParityPair, parse_pair
 from udp6.tables import SolutionTable, branches_json_text, branches_to_json_obj
 
 _AMPS = st.one_of(
@@ -111,6 +111,17 @@ def test_csv_reader_keeps_integer_text_as_int_and_parses_the_rest():
     assert [type(c.amp) for c in got.ys] == [int, Fraction, Fraction]
     assert [type(c.amp) for c in got.zs] == [int, Fraction, Fraction]
     assert [c.amp for c in got.ys + got.zs] == [0, 3, 4, 7, Fraction(7, 2), Fraction(3, 2)]
+
+
+@pytest.mark.parametrize("text,amp", [
+    ("43", 43), ("-7", -7), ("43/2", Fraction(43, 2)), (" 43", Fraction(43)), ("+43", Fraction(43)),
+])
+def test_csv_reader_and_parse_pair_read_amplitudes_alike(text, amp):
+    # one entry rule: ASCII integer text is an int, any other text a Fraction
+    cell = SolutionTable.from_csv_text(f"m,sy,Y,sz,Z\n0,-1,{text},1,0\n").y(0)
+    pair = parse_pair("-1", text, "Y")
+    assert cell == pair == ParityPair(-1, amp)
+    assert type(cell.amp) is type(pair.amp) is type(amp)
 
 
 def test_csv_reader_skips_blank_lines():
