@@ -16,7 +16,6 @@ import os
 import random
 import sys
 import tempfile
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .evolution import evolve, evolve_noparity, painleve_failures
@@ -187,8 +186,8 @@ def _cmd_conjecture(args) -> int:
     candidates = []
     for i in range(args.n):
         p = random_constrained_params(rng)
-        y0 = Fraction(rng.randint(-150, 150))
-        z0 = Fraction(rng.randint(-150, 150))
+        y0 = rng.randint(-150, 150)
+        z0 = rng.randint(-150, 150)
         table = evolve_noparity(p, 0, y0, z0, (lo, hi))
         report = detect_asymptotic_linearity(p, table, args.w)
         if report.detected and report.verified:

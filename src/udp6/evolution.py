@@ -28,13 +28,10 @@ solving for the earlier one is the forward solve at index m-1 with the known
 value in the other slot.
 
 Steppers check nothing.  ``evolve``, ``evolve_noparity`` and
-``painleve_failures`` validate the parameters once on entry, compute D, the
-lcm of the denominators of the parameters and of the input amplitudes (the
-initial state or the table), and run the kernel and the steppers on the
-integer images of both (see ``udp6.system``).  Output tables map each
-amplitude n back to ``Fraction(n, D)`` only when D > 1; with D = 1 the
-integer cells are the output cells, and branches share the cells of the
-steps they have in common.
+``painleve_failures`` validate the parameters once on entry and run the
+kernel and the steppers on the amplitudes as they entered, ints or
+Fractions, never floats (see ``udp6.system``): integer inputs give integer
+tables.  Branches share the cells of the steps they have in common.
 
 Branches split at a tie and often meet again at the same state.  A step's
 children are a function of the cells it reads alone (``evolve``'s steps read
@@ -55,7 +52,6 @@ the fit, exactly, since the all-minus step is unique.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import count, islice, repeat
 from operator import itemgetter
 from typing import Iterable, List, NamedTuple, Optional, Tuple
@@ -63,12 +59,10 @@ from typing import Iterable, List, NamedTuple, Optional, Tuple
 from .system import (
     ParityPair,
     Params,
-    denominator_lcm,
     require_constraint,
     require_unsigned,
     residual_yy,
     residual_zz,
-    scale_to_int,
     solve_lines,
 )
 from .tables import SolutionTable
@@ -100,27 +94,7 @@ class BranchTree(NamedTuple):
     truncated: bool
 
 
-def _from_image(cells: Iterable[ParityPair], d: int) -> Tuple[ParityPair, ...]:
-    """Output cells from integer-image cells of scale d: amplitudes
-    ``Fraction(n, d)`` when d > 1, the integer cells themselves when d = 1."""
-    return tuple(cells) if d == 1 else tuple(ParityPair(s, Fraction(n, d)) for s, n in cells)
-
-
-def table_image(p: Params, table: SolutionTable) -> tuple:
-    """The parameters and the two columns of a table on their integer image of
-    scale D, the lcm of the denominators of both (of the parameters when every
-    cell is an int).  Int cells at D = 1 are returned as they are."""
-    ys, zs = table.ys, table.zs
-    ints = all(type(a) is int for _, a in ys + zs)
-    d = denominator_lcm(p, () if ints else (a for _, a in ys + zs))
-    if d > 1 or not ints:
-        ys, zs = ([c.integer_image(d) for c in col] for col in (ys, zs))
-    return p.integer_image(d), ys, zs
-
-
-def grow_tables(
-    root: dict, steps: Iterable[tuple], cap: int, window: Tuple[int, int], d: int = 1
-) -> BranchTree:
+def grow_tables(root: dict, steps: Iterable[tuple], cap: int, window: Tuple[int, int]) -> BranchTree:
     """The branching frontier shared by ``evolve`` and ``riccati_evolve``.
 
     A partial table is a flat list of cells in the order they were written,
@@ -134,8 +108,7 @@ def grow_tables(
     them in place, as no other frontier entry holds them.  Children keep the
     frontier's order; after each step only the first ``cap`` are kept, and
     the result is flagged truncated if any step dropped children.  Leaf
-    columns are read by position, through ``_from_image`` when the cells are
-    integer images of scale ``d``.
+    columns are read by position.
     """
     where = dict(zip(root, count()))
     partials, truncated = [list(root.values())], False
@@ -161,7 +134,7 @@ def grow_tables(
     cols = [[where[k, m] for m in range(lo, hi + 1)] for k in "yz"]
     tables = []
     for t in partials:
-        ys, zs = (_from_image(map(t.__getitem__, col), d) for col in cols)
+        ys, zs = (tuple(map(t.__getitem__, col)) for col in cols)
         tables.append(SolutionTable(lo, ys, zs))
     return BranchTree(tuple(tables), truncated)
 
@@ -306,8 +279,6 @@ def evolve(
     if not (lo <= m0 <= hi):
         raise ValueError("initial index must lie inside the window")
 
-    d = denominator_lcm(p, (y0.amp, z0.amp))
-    p = p.integer_image(d)  # the steps below run on integer images
     # one step per (z, y) pair, so the cap applies after each pair.  A step
     # reads (y_m, z_m) and nothing else; it calls the steppers as module
     # globals, where tracing and tests can replace them.
@@ -327,22 +298,19 @@ def evolve(
         ))
         for m in range(m0, lo, -1)
     ]
-    root = {("y", m0): y0.integer_image(d), ("z", m0): z0.integer_image(d)}
-    return grow_tables(root, steps, max_branches, window, d)
+    return grow_tables({("y", m0): y0, ("z", m0): z0}, steps, max_branches, window)
 
 
 def evolve_noparity(p: Params, m0: int, y0, z0, window: Tuple[int, int]) -> SolutionTable:
     """Deterministic all-minus-parity evolution: closed-form steps, and a
-    jump across each affine stretch whose fit is certified."""
+    jump across each affine stretch whose fit is certified.  The amplitudes
+    y0 and z0 are ints or Fractions, as in a ``ParityPair``."""
     require_unsigned(p)
     lo, hi = window
     if not (lo <= m0 <= hi):
         raise ValueError("initial index must lie inside the window")
-    y0, z0 = Fraction(y0), Fraction(z0)
-    d = denominator_lcm(p, (y0, z0))
-    p = p.integer_image(d)
     pm, q = p.mirrored, p.q
-    ys, zs = [scale_to_int(y0, d)], [scale_to_int(z0, d)]
+    ys, zs = [y0], [z0]
     m = m0
     while m < hi:
         y, z = ys[-1], zs[-1]
@@ -379,8 +347,6 @@ def evolve_noparity(p: Params, m0: int, y0, z0, window: Tuple[int, int]) -> Solu
                 bzs += islice(count(z1 - dz, -dz), m - stop)
                 m = stop
     cols = (bys[:0:-1] + ys, bzs[:0:-1] + zs)
-    if d > 1:
-        cols = ([Fraction(n, d) for n in col] for col in cols)
     # tuple.__new__ builds each all-minus pair in C, as ParityPair._make does
     ys, zs = (tuple(map(tuple.__new__, repeat(ParityPair), zip(repeat(-1), col))) for col in cols)
     return SolutionTable(lo, ys, zs)
@@ -392,7 +358,7 @@ def painleve_failures(p: Params, table: SolutionTable) -> List[Tuple[int, str]]:
     Parameter signs are admitted; the constraint is checked on entry.
     """
     require_constraint(p)
-    p, ys, zs = table_image(p, table)
+    ys, zs = table.ys, table.zs
     bad = []
     for i, m in enumerate(range(table.m_lo, table.m_hi)):
         if not residual_zz(p, m, ys[i], zs[i], zs[i + 1]):

@@ -28,17 +28,17 @@ parities -1, so the parity variables are essential here.
 
 Residuals and steps check nothing; ``riccati_evolve`` and
 ``riccati_failures`` validate the parameters once on entry and run on the
-integer image of scale D (see ``udp6.system``): there every interval end is
-an int, a ray's interior sample lies D from its end, and the mean of two
-finite ends is their one point.
+amplitudes as they entered, ints or Fractions, never floats (see
+``udp6.system``): integer inputs give integer interval ends and samples.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from fractions import Fraction
+from typing import List, Optional, Tuple, Union
 
-from .evolution import BranchTree, grow_tables, table_image
-from .system import ConstraintViolation, ParityPair, Params, denominator_lcm, require_unsigned, solve_lines
+from .evolution import BranchTree, grow_tables
+from .system import ConstraintViolation, ParityPair, Params, require_unsigned, solve_lines
 from .tables import SolutionTable
 
 __all__ = [
@@ -83,13 +83,14 @@ _RELATIONS = {
 }
 
 
-Term = Tuple[int, int]  # (slope, intercept) on the integer image: slope * x + intercept
-Interval = Tuple[Optional[int], Optional[int]]  # (lo, hi) on the image; None is unbounded
+Amp = Union[int, Fraction]
+Term = Tuple[int, Amp]  # (slope, intercept): slope * x + intercept
+Interval = Tuple[Optional[Amp], Optional[Amp]]  # (lo, hi); None is unbounded
 Branches = Tuple[Tuple[int, Interval], ...]  # the (sign, interval) branches of a step
 
 
 def _sides(
-    p: Params, rel: str, m: int, sy: int, sz: int, y: Optional[int], z: Optional[int]
+    p: Params, rel: str, m: int, sy: int, sz: int, y: Optional[Amp], z: Optional[Amp]
 ) -> Tuple[List[Term], List[Term]]:
     """Left and right (slope, intercept) terms of relation ``rel`` at index m.
 
@@ -137,23 +138,22 @@ def solve_one_unknown(lhs: List[Term], rhs: List[Term]) -> Optional[Interval]:
     return solve_lines(*tops)
 
 
-def _samples(interval: Interval, policy: str, unit: int) -> List[int]:
-    """Sorted members of an interval on the image of scale ``unit``, by policy.
+def _samples(interval: Interval, policy: str) -> List[Amp]:
+    """Sorted members of a solution set of ``solve_one_unknown``, by policy.
 
     ``endpoints``: the finite ends (0 for the whole line); ``midpoint``: one
-    interior witness, the mean of two finite ends or one unit in from a
-    single end; ``all-breakpoints``: both.  Two finite ends are one point
-    (module docstring), so their mean is exact.
+    interior witness, 1 in from the end of a ray; ``all-breakpoints``: both.
+    Two finite ends are one point (``solve_lines``), which is its own witness.
     """
     lo, hi = interval
     if lo is None and hi is None:
         return [0]
     if lo is None:
-        ends, mid = [hi], hi - unit
+        ends, mid = [hi], hi - 1
     elif hi is None:
-        ends, mid = [lo], lo + unit
+        ends, mid = [lo], lo + 1
     else:
-        ends, mid = [lo, hi], (lo + hi) // 2
+        ends, mid = [lo], lo
     picks = {"endpoints": ends, "midpoint": [mid], "all-breakpoints": ends + [mid]}
     return sorted(set(picks[policy]))
 
@@ -223,8 +223,6 @@ def riccati_evolve(
         raise ValueError("max_branches must be at least 1")
     if sampling not in SAMPLINGS:
         raise ValueError(f"unknown sampling policy {sampling!r}")
-    d = denominator_lcm(p, (y0.amp,))
-    p = p.integer_image(d)
 
     def fill(slot, step, m, known):
         # one half step: ``slot`` from each sample of ``step`` at the value of
@@ -232,7 +230,7 @@ def riccati_evolve(
         return (known,), (slot,), lambda cell: (
             [ParityPair(sign, x)]
             for sign, iv in step(p, m, cell)
-            for x in _samples(iv, sampling, d)
+            for x in _samples(iv, sampling)
         )
 
     steps = [fill(("z", m0), riccati_close_z, m0, ("y", m0))]
@@ -242,7 +240,7 @@ def riccati_evolve(
     for m in range(m0, lo, -1):
         steps.append(fill(("y", m - 1), riccati_step_back_y, m, ("z", m)))
         steps.append(fill(("z", m - 1), riccati_close_z, m - 1, ("y", m - 1)))
-    return grow_tables({("y", m0): y0.integer_image(d)}, steps, max_branches, window, d)
+    return grow_tables({("y", m0): y0}, steps, max_branches, window)
 
 
 def riccati_failures(p: Params, table: SolutionTable) -> List[Tuple[int, str]]:
@@ -252,7 +250,7 @@ def riccati_failures(p: Params, table: SolutionTable) -> List[Tuple[int, str]]:
     m in [lo-1, hi-1] (it touches only indexes m+1).
     """
     require_riccati_conditions(p)
-    p, ys, zs = table_image(p, table)
+    ys, zs = table.ys, table.zs
     bad = []
     for i, m in enumerate(range(table.m_lo, table.m_hi)):
         if not residual_riccati2(p, m, ys[i], zs[i + 1]):

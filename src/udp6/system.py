@@ -8,15 +8,13 @@ fixed, each relation reduces to an exact identity between two maxima of
 rationals.  A residual check decides that identity exactly; there is no
 numeric tolerance anywhere.
 
-Amplitudes enter (JSON, CSV, ``--y0/--z0``) by one rule, ``parse_amp``: an int
-or ASCII integer text stays an int, other text becomes a ``Fraction``.  Every
-term of both relations is an integer combination of Q, the amplitudes and the
-state, so multiplying all of them by D, the lcm of their denominators
-(``denominator_lcm``), gives an integer problem with the same verdicts: the
-``integer_image`` of the parameters and of the state.  The kernel only adds,
-takes maxima and compares, so the same code runs on either kind; the drivers
-in ``udp6.evolution`` and ``udp6.riccati`` compute D on entry and run on ints.
-Both value types are named tuples: ``Params`` checks its fields when built,
+Amplitudes are ints or ``Fraction``s, never floats.  They enter (JSON, CSV,
+``--y0/--z0``) by one rule, ``parse_amp``: an int or ASCII integer text stays
+an int, other text becomes a ``Fraction``.  Every term of both relations is an
+integer combination of Q, the amplitudes and the state, and the kernel only
+adds, takes maxima and compares, so it decides the relations exactly on
+either kind and runs on the amplitudes as they entered: ints stay ints.  Both
+value types are named tuples: ``Params`` checks its fields when built,
 ``ParityPair`` nothing.
 
 The library holds one transcription, the eight-term z-relation with
@@ -39,10 +37,9 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
 from operator import itemgetter
 from random import Random
-from typing import Iterable, NamedTuple, Tuple, Union
+from typing import NamedTuple, Tuple, Union
 
 __all__ = [
     "ConstraintViolation",
@@ -50,7 +47,6 @@ __all__ = [
     "Params",
     "check_constraint",
     "check_sign",
-    "denominator_lcm",
     "load_params",
     "params_from_obj",
     "params_to_obj",
@@ -62,7 +58,6 @@ __all__ = [
     "require_unsigned",
     "residual_yy",
     "residual_zz",
-    "scale_to_int",
     "solve_lines",
 ]
 
@@ -79,13 +74,6 @@ def check_sign(s: int) -> int:
     return s
 
 
-def scale_to_int(x, d: int) -> int:
-    """x * d as an int; d must be a multiple of the denominator of x."""
-    k, r = divmod(d, x.denominator)
-    assert r == 0, f"{x} * {d} is not an integer"
-    return x.numerator * k
-
-
 class ParityPair(NamedTuple):
     """A sign in {+1, -1} and a finite amplitude, an int or a Fraction.  A
     plain tuple that checks nothing: signs are checked where a pair enters
@@ -94,10 +82,6 @@ class ParityPair(NamedTuple):
 
     sign: int
     amp: Union[int, Fraction]
-
-    def integer_image(self, d: int) -> "ParityPair":
-        """The sign and the amplitude times d, as an int."""
-        return ParityPair(self.sign, scale_to_int(self.amp, d))
 
 
 _AMP_KEYS = ("q", "a1", "a2", "a3", "a4", "b1", "b2", "b3", "b4")
@@ -149,17 +133,6 @@ class Params(namedtuple("Params", _AMP_KEYS + _SIGN_KEYS, defaults=(1,) * 8)):
         """``residual_zz``'s sign sectors, Q, A3, A4 and parameter sums, built once per instance."""
         a1, a2, a3, a4, b34 = self.a1, self.a2, self.a3, self.a4, self.b3 + self.b4
         return _sign_sectors(self[9:]), self.q, a1 + a2 + b34, b34, a1 + b34, a2 + b34, a3, a4, a3 + a4
-
-    def integer_image(self, d: int) -> "Params":
-        """Q and every amplitude times d, as ints (self if d = 1 and they are); signs kept."""
-        if d == 1 and all(isinstance(getattr(self, k), int) for k in _AMP_KEYS):
-            return self
-        return self._replace(**{k: scale_to_int(getattr(self, k), d) for k in _AMP_KEYS})
-
-
-def denominator_lcm(p: Params, amps: Iterable) -> int:
-    """D: the lcm of the denominators of Q, the amplitudes of p and ``amps``."""
-    return lcm(*(getattr(p, k).denominator for k in _AMP_KEYS), *(a.denominator for a in amps))
 
 
 def check_constraint(p: Params) -> bool:

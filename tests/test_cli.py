@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udp6 import cli
+from udp6 import cli, evolution, riccati
 from udp6.cli import main
-from udp6.evolution import evolve
+from udp6.evolution import evolve, evolve_noparity, painleve_failures
 from udp6.qoracle import CompareReport, CompareRow, EpsSchedule
-from udp6.riccati import riccati_evolve
-from udp6.system import ParityPair, Params, load_params
+from udp6.riccati import SAMPLINGS, riccati_evolve
+from udp6.system import ParityPair, Params, load_params, parse_pair
 from udp6.tables import SolutionTable
 
 from goldens import golden1_y, golden1_z, golden2_y, golden2_z
@@ -215,7 +215,7 @@ _P_D6 = {"q": "1/6", "a1": 0, "a2": "5/6", "a3": 1, "a4": "4/3",
 
 
 def test_verify_riccati_on_rational_table(tmp_path, capsys):
-    # D = 6: riccati and verify --riccati both run on the integer image
+    # denominators up to 6: riccati and verify --riccati run on the Fractions as given
     params = tmp_path / "d6.json"
     params.write_text(json.dumps(_P_D6))
     code, out, _ = run(capsys, "riccati", "--params", str(params), "--y0", "1:1/2", "--window", "-3:3")
@@ -332,6 +332,49 @@ def test_conjecture_deterministic_output(tmp_path, capsys):
     assert 0 <= doc["linear_detected"] <= 8
 
 
+def test_integer_inputs_stay_ints_from_entry_to_kernel(monkeypatch, capsys, p42_file, p41_file):
+    # integer parameters and states, read as they enter, reach the kernel, the
+    # steppers and the first-order solver as ints, never as Fractions: the
+    # speed of the integer workloads rests on it
+    seen = set()
+
+    def ints_only(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            amps = []
+            for a in args:
+                if isinstance(a, Params):
+                    amps += a[:9]
+                elif isinstance(a, ParityPair):
+                    amps.append(a.amp)
+                elif isinstance(a, list):  # the (slope, intercept) terms of solve_one_unknown
+                    amps += [c for _, c in a]
+                else:  # the index m or a bare amplitude
+                    amps.append(a)
+            assert all(type(a) is int for a in amps), (name, args)
+            seen.add(name)
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("residual_zz", "residual_yy", "step_z_parity", "step_z_noparity"):
+        ints_only(evolution, name)
+    ints_only(riccati, "solve_one_unknown")
+    p42, p41 = load_params(p42_file), load_params(p41_file)
+    for sign in ("1", "-1"):
+        y0, z0 = parse_pair(sign, "43", "y0"), parse_pair(sign, "40", "z0")
+        for t in evolve(p42, 0, y0, z0, (-5, 5)).tables:
+            assert not painleve_failures(p42, SolutionTable.from_csv_text(t.to_csv_text()))
+    assert not painleve_failures(p42, evolve_noparity(p42, 0, y0.amp, z0.amp, (-5, 5)))
+    for policy in SAMPLINGS:
+        assert riccati_evolve(p41, 0, parse_pair("1", "23", "y0"), (-3, 3), sampling=policy).tables
+    assert seen == {"residual_zz", "residual_yy", "step_z_parity", "step_z_noparity", "solve_one_unknown"}
+    # the conjecture scan draws its states as ints too
+    seen.clear()
+    assert run(capsys, "conjecture", "--n", "3", "--window", "-6:6", "--seed", "1")[0] == 0
+    assert seen == {"step_z_noparity"}
+
+
 @pytest.mark.parametrize("n", ["-1", "0"])
 def test_conjecture_rejects_n_below_one(n, capsys):
     code, out, err = run(capsys, "conjecture", "--n", n, "--window", "-4:4", "--seed", "1")
@@ -380,6 +423,61 @@ def test_qlimit_output_matches_pinned_digests(case, request, capsys, p42_file):
         return hashlib.sha256(text.encode()).hexdigest()
 
     spec = _QLIMIT_DIGESTS["cases"][case]
+    assert (code, digest(out), digest(err)) == (spec["rc"], spec["stdout"], spec["stderr"])
+
+
+_FRACTIONAL_DIGESTS = json.loads(Path(__file__).with_name("fractional_digests.json").read_text())
+
+# integer parameter sets, divided by 2-6 to make the fractional inputs
+_P42, _P41 = Params.make(100, (32, 33, 37, 22), (53, 65, 8, 4)), Params.make(100, (25, 46, 67, 23), (59, 65, 1, 42))
+_DIVIDED = {
+    "p42_2": (_P42, 2),
+    "p42_3": (_P42, 3),
+    "p41_4": (_P41, 4),
+    "p41_6": (_P41, 6),
+    "tie_4": (Params.make(3, (-10, 8, -8, 11), (10, -3, 3, 6)), 4),  # ties on both signs: 16+ branches over -8:8
+}
+
+
+def write_fractional_inputs(root: Path) -> dict:
+    """The files that ``fractional_digests.json`` names: the parameter sets of
+    ``_DIVIDED``, an all-minus p42/3 table over -10:10 from ``evolve``, that
+    table with one y amplitude moved by 1/7, and a p41/6 table from ``riccati``."""
+    files = {}
+    for name, (p, d) in _DIVIDED.items():
+        files[name] = str(root / f"{name}.json")
+        dump_params(Params(*(Fraction(v, d) for v in p[:9])), files[name])
+    files["p42_3_table"] = str(root / "p42_3.csv")
+    files["p41_6_table"] = str(root / "p41_6.csv")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["evolve", "--params", files["p42_3"], "--y0", "-1:43/3", "--z0", "-1:40/3",
+                     "--window", "-10:10", "--out", files["p42_3_table"]]) == 0
+        assert main(["riccati", "--params", files["p41_6"], "--y0", "-1:5", "--window", "-6:6",
+                     "--out", files["p41_6_table"]]) == 0
+    table = SolutionTable.from_csv_text(Path(files["p42_3_table"]).read_text())
+    ys = list(table.ys)
+    ys[4] = ParityPair(ys[4].sign, ys[4].amp + Fraction(1, 7))
+    files["p42_3_moved"] = str(root / "p42_3_moved.csv")
+    Path(files["p42_3_moved"]).write_text(SolutionTable(table.m_lo, tuple(ys), table.zs).to_csv_text())
+    return files
+
+
+@pytest.fixture(scope="module")
+def fractional_files(tmp_path_factory):
+    return write_fractional_inputs(tmp_path_factory.mktemp("fractional"))
+
+
+@pytest.mark.parametrize("case", list(_FRACTIONAL_DIGESTS["cases"]))
+def test_fractional_input_output_matches_pinned_digests(case, capsys, fractional_files):
+    # the CLI on parameters and states with denominators 2-6, byte for byte as
+    # recorded in fractional_digests.json: the kernel decides the relations on
+    # Fractions as it does on ints
+    spec = _FRACTIONAL_DIGESTS["cases"][case]
+    code, out, err = run(capsys, *(a.format(**fractional_files) for a in spec["argv"]))
+
+    def digest(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()
+
     assert (code, digest(out), digest(err)) == (spec["rc"], spec["stdout"], spec["stderr"])
 
 

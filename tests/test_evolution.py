@@ -15,14 +15,12 @@ from udp6.evolution import (
     step_y_parity,
     step_z_noparity,
     step_z_parity,
-    table_image,
 )
 from udp6.families import LinearAnsatz
 from udp6.riccati import riccati_evolve
 from udp6.system import (
     ParityPair,
     Params,
-    denominator_lcm,
     random_constrained_params,
     residual_yy,
     residual_zz,
@@ -483,13 +481,14 @@ def test_grow_tables_backward_and_one_cell_steps():
 
 @pytest.mark.parametrize("d, amp", [(1, 3), (2, F(3, 2))])
 def test_grow_tables_one_point_window(d, amp):
-    # no step: the root is the one leaf, its cells mapped back from scale d
-    tree = grow_tables({("y", 5): _cell(3), ("z", 5): _cell(-3)}, [], 1, (5, 5), d)
+    # no step: the root is the one leaf, its cells as they entered, an int or
+    # a Fraction of denominator d
+    tree = grow_tables({("y", 5): _cell(amp), ("z", 5): _cell(-amp)}, [], 1, (5, 5))
     assert tree == ((SolutionTable(5, (_cell(amp),), (_cell(-amp),)),), False)
-    assert type(tree.tables[0].ys[0].amp) is type(amp)
+    assert type(tree.tables[0].ys[0].amp) is type(amp) and amp.denominator == d
 
 
-# --- rational inputs: the integer image ---------------------------------------------
+# --- rational inputs ----------------------------------------------------------------
 
 
 def _oracle_failures(p, t):
@@ -529,7 +528,7 @@ def test_rational_inputs_agree_with_case_oracles(case, cell):
         assert not _oracle_failures(p, t)
         assert not painleve_failures(p, t)
     assert all((t.y(m0), t.z(m0)) == (y0, z0) for t in tree.tables)
-    _assert_amp_type(p, y0, z0, tree.tables + (flat,))
+    assert all(type(c.amp) is F for t in tree.tables + (flat,) for c in t.ys + t.zs)
     # one cell moved by 1/k: its denominator need not divide the parameters'
     m, which, k = cell
     for t in tree.tables[:2] + (flat,):
@@ -539,83 +538,28 @@ def test_rational_inputs_agree_with_case_oracles(case, cell):
         assert painleve_failures(p, moved) == _oracle_failures(p, moved)
 
 
-def _assert_amp_type(p, y0, z0, tables):
-    # the integer cells are the output when D = 1; otherwise each is Fraction(n, D)
-    d = denominator_lcm(p, (y0.amp, z0.amp))
-    kind = int if d == 1 else Fraction
-    assert all(type(c.amp) is kind for t in tables for c in t.ys + t.zs), d
-
-
-@pytest.mark.parametrize(
-    "y0, z0", [(43, 40), (F(43), F(40)), (F(1, 3), F(-2, 7)), (F(86, 2), F(5, 5))]
-)
-def test_output_amplitudes_are_ints_exactly_when_d_is_1(p42, y0, z0):
-    for sign in (1, -1):
-        y, z = ParityPair(sign, y0), ParityPair(sign, z0)
-        tree = evolve(p42, 0, y, z, (-3, 3))
-        flat = evolve_noparity(p42, 0, y0, z0, (-3, 3))
-        _assert_amp_type(p42, y, z, tree.tables + (flat,))
-
-
-def test_kernel_runs_on_ints(monkeypatch):
-    # evolve, evolve_noparity and painleve_failures hand the kernel and the
-    # steppers the integer image of rational inputs, never Fractions
-    seen = []
-
-    def only_ints(fn):
-        def wrapper(p, m, *args):
-            amps = [getattr(p, k) for k in ("q", "a1", "a2", "a3", "a4", "b1", "b2", "b3", "b4")]
-            amps += [a.amp if isinstance(a, ParityPair) else a for a in args]
-            assert all(type(a) is int for a in amps), (fn.__name__, amps)
-            seen.append(fn.__name__)
-            return fn(p, m, *args)
-        return wrapper
-
-    for name in ("residual_zz", "residual_yy", "step_z_parity", "step_z_noparity"):
-        monkeypatch.setattr(evolution, name, only_ints(getattr(evolution, name)))
-    p = Params.make(F(7, 2), (F(1, 3), 2, F(-5, 4), 0), (F(2, 3), F(1, 6), 1, F(-29, 4)))
-    tree = evolve(p, 0, pp(1, F(5, 7)), pp(1, F(-1, 9)), (-3, 3))
-    table = evolve_noparity(p, 0, F(5, 7), F(-1, 9), (-3, 3))
-    assert all(not painleve_failures(p, t) for t in tree.tables + (table,))
-    assert set(seen) == {"residual_zz", "residual_yy", "step_z_parity", "step_z_noparity"}
-
-
 def _golden_slice(p42):
-    table = evolve(p42, 0, pp(-1, 43), pp(-1, 40), (-3, 3)).tables[0]
+    table = evolve(p42, 0, ParityPair(-1, 43), ParityPair(-1, 40), (-3, 3)).tables[0]
     assert all(type(c.amp) is int for c in table.ys + table.zs)
     return table
 
 
-def _scaled(col, d):
-    return [ParityPair(c.sign, int(c.amp * d)) for c in col]
-
-
 def test_table_image_of_an_int_table_with_fractional_parameters(p42):
-    # every cell is an int, so D is the parameters' lcm, here 2, and the
-    # cells are scaled by it all the same
+    # int cells against Fraction parameters: the kernel mixes the two kinds
     half = Params.make(F(201, 2), (32, F(67, 2), 37, 22), (53, 66, 8, 4))
     table = _golden_slice(p42)
-    p, ys, zs = table_image(half, table)
-    assert p == half.integer_image(2) and type(p.q) is int
-    assert (ys, zs) == (_scaled(table.ys, 2), _scaled(table.zs, 2))
     assert painleve_failures(half, table) == _oracle_failures(half, table)
 
 
 @pytest.mark.parametrize("amp", [F(40), F(121, 3)], ids=["denominator-1", "denominator-3"])
 def test_table_image_of_a_table_with_a_single_fraction_cell(p42, amp):
-    # one Fraction cell sends the whole table through integer_image, at the
-    # lcm of its denominator and the parameters'; F(40) is z_0's own value
+    # one Fraction cell among int cells; F(40) is z_0's own value
     table = _golden_slice(p42)
     zs = list(table.zs)
     zs[3] = ParityPair(zs[3].sign, amp)
     t = SolutionTable(table.m_lo, table.ys, tuple(zs))
-    d = amp.denominator
-    p, ys, zs = table_image(p42, t)
-    assert p == p42.integer_image(d)
-    assert all(type(c.amp) is int for c in ys + zs)
-    assert (ys, zs) == (_scaled(t.ys, d), _scaled(t.zs, d))
     failures = painleve_failures(p42, t)
-    assert failures == _oracle_failures(p42, t) and bool(failures) == (d > 1)
+    assert failures == _oracle_failures(p42, t) and bool(failures) == (amp.denominator > 1)
 
 
 # --- affine stretches of the all-minus sector ---------------------------------------

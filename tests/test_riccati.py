@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from udp6 import riccati
-from udp6.evolution import painleve_failures, table_image
+from udp6.evolution import painleve_failures
 from udp6.riccati import (
     _samples,
     check_riccati_conditions,
@@ -39,9 +39,8 @@ def pp(sign, amp):
 
 def members(branches):
     """The pairs a step's (sign, interval) branches offer under the
-    all-breakpoints sampling policy; the steps below get integer inputs, their
-    own image of scale 1."""
-    return [ParityPair(sign, x) for sign, iv in branches for x in _samples(iv, "all-breakpoints", 1)]
+    all-breakpoints sampling policy."""
+    return [ParityPair(sign, x) for sign, iv in branches for x in _samples(iv, "all-breakpoints")]
 
 
 # --- conditions -----------------------------------------------------------------
@@ -224,12 +223,12 @@ def test_riccati_evolve_rejects_unknown_sampling(p41, window):
 
 @pytest.mark.parametrize("policy", ["endpoints", "midpoint", "all-breakpoints"])
 def test_riccati_evolve_is_exact_on_int_params(p41, policy):
-    # int parameters and an int y0 are their own image (D = 1): every sample,
-    # midpoints included, is exact, never a float
+    # int parameters and an int y0: every sample, midpoints included, is an
+    # exact int, never a float or a Fraction
     res = riccati_evolve(p41, 0, ParityPair(1, 23), (-2, 3), sampling=policy)
     assert res.tables
     amps = [c.amp for t in res.tables for c in t.ys + t.zs]
-    assert all(type(a) in (int, Fraction) for a in amps), amps
+    assert all(type(a) is int for a in amps), amps
     for t in res.tables:
         assert not riccati_failures(p41, t)
 
@@ -299,12 +298,12 @@ def test_every_riccati_step_has_a_child(state, policy):
     assert len(tree.tables) == 1
 
 
-# Riccati-conditioned parameters with D = 6
+# Riccati-conditioned parameters with denominators up to 6
 P_D6 = Params.make(F(1, 6), (0, F(5, 6), 1, F(4, 3)), (F(-1, 6), F(-5, 6), F(2, 3), F(-1, 3)))
 
 
 def test_riccati_evolve_long_midpoint_window_matches_fraction_reference():
-    # 121 steps with D = 6; the rays' interior samples sit one unit D in
+    # 121 steps on Fractions; the rays' interior samples sit 1 in from their ends
     p = P_D6
     y0 = ParityPair(-1, F(-1, 3))
     tree = riccati_evolve(p, 0, y0, (-30, 30), sampling="midpoint")
@@ -327,8 +326,8 @@ def _failures_on_fractions(p, table):
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(start=riccati_starts(), data=st.data())
 def test_riccati_failures_match_fraction_check(start, data):
-    # on the integer image, riccati_failures reports the (m, relation) list of
-    # the check on Fractions, for solutions and for tables with cells moved
+    # riccati_failures reports the (m, relation) list of the check on
+    # Fractions, for solutions and for tables with cells moved
     p, m0, y0 = start
     table = riccati_evolve(p, m0, y0, (-4, 4), max_branches=8).tables[0]
     moves = st.sampled_from((0, 0, F(1, 6), F(-1, 2), F(1)))
@@ -365,50 +364,16 @@ def test_riccati_evolve_expands_each_state_once(monkeypatch):
 
 @pytest.mark.parametrize("move", [0, 1, F(1, 2)], ids=["solution", "int-moved", "rational"])
 def test_int_cells_are_their_own_images(p41, move):
-    # table_image keeps int cells at D = 1 as they are and maps any other
-    # table through integer_image; both failure checks give the verdicts of
-    # the same values held as Fractions, and of the check on Fractions
-    table = riccati_evolve(p41, 0, pp(1, 30), (-4, 4)).tables[0]
+    # both failure checks give on int cells the verdicts of the same values
+    # held as Fractions, and of the check on Fractions
+    table = riccati_evolve(p41, 0, ParityPair(1, 30), (-4, 4)).tables[0]
     ys = list(table.ys)
     ys[5] = ParityPair(ys[5].sign, ys[5].amp + move)
     t = SolutionTable(table.m_lo, tuple(ys), table.zs)
     as_fractions = SolutionTable(t.m_lo, *(tuple(pp(c.sign, c.amp) for c in col) for col in (t.ys, t.zs)))
-    image = table_image(p41, t)
-    assert all(type(c.amp) is int for col in image[1:] for c in col)
-    assert (image[1] is t.ys) == (type(move) is int)
-    assert table_image(p41, as_fractions)[1:] == (list(image[1]), list(image[2]))
     assert riccati_failures(p41, t) == riccati_failures(p41, as_fractions) == _failures_on_fractions(p41, t)
     assert painleve_failures(p41, t) == painleve_failures(p41, as_fractions)
     assert bool(riccati_failures(p41, t)) == bool(painleve_failures(p41, t)) == (move != 0)
-
-
-def test_riccati_runs_on_ints(monkeypatch):
-    # riccati_evolve hands the solver the integer image of rational inputs and
-    # riccati_failures checks the relations on it, never on Fractions
-    seen = []
-
-    def solver(lhs, rhs):
-        assert all(type(c) is int for _, c in lhs + rhs), (lhs, rhs)
-        seen.append("solve_one_unknown")
-        return solve_one_unknown(lhs, rhs)
-
-    def residual(fn):
-        def wrapper(p, m, y, z):
-            amps = [getattr(p, k) for k in ("q", "a1", "a2", "a3", "a4", "b1", "b2", "b3", "b4")]
-            assert all(type(a) is int for a in amps + [y.amp, z.amp]), (fn.__name__, amps, y, z)
-            seen.append(fn.__name__)
-            return fn(p, m, y, z)
-        return wrapper
-
-    monkeypatch.setattr(riccati, "solve_one_unknown", solver)
-    for name in ("residual_riccati1", "residual_riccati2"):
-        monkeypatch.setattr(riccati, name, residual(getattr(riccati, name)))
-    p = P_D6
-    for policy in ("endpoints", "midpoint", "all-breakpoints"):
-        tree = riccati_evolve(p, 0, ParityPair(-1, F(-1, 3)), (-3, 3), sampling=policy)
-        assert tree.tables
-        assert all(not riccati_failures(p, t) for t in tree.tables)
-    assert set(seen) == {"solve_one_unknown", "residual_riccati1", "residual_riccati2"}
 
 
 def test_theorem_vacuous_on_non_solution(p41):

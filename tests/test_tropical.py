@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -98,17 +97,18 @@ def test_exchange_identity_random_premise_suite(rng):
 
 
 def test_solution_set_samples_policies():
-    # on an integer image of scale (unit) 2: the interval [0, 2] is (0, 4)
-    assert _samples((0, 4), "endpoints", 2) == [0, 4]
-    assert _samples((0, 4), "midpoint", 2) == [2]
-    assert _samples((0, 4), "all-breakpoints", 2) == [0, 2, 4]
-    assert _samples((10, None), "midpoint", 2) == [12]  # one unit in from a single end
-    assert _samples((None, 10), "all-breakpoints", 2) == [8, 10]
-    assert _samples((6, 6), "all-breakpoints", 2) == [6]
-    assert _samples((None, None), "endpoints", 2) == [0]
-    assert _samples((5, None), "midpoint", 1) == [6]
-    [mid] = _samples((6, 8), "midpoint", 2)  # the ends 3 and 4: the mean 7/2 is exact
-    assert mid == 7 and type(mid) is int
+    # solve_one_unknown returns a point, a ray or the whole line
+    # (test_bounded_solution_sets_are_points); a ray's witness is 1 in from its end
+    for policy in ("endpoints", "midpoint", "all-breakpoints"):
+        assert _samples((6, 6), policy) == [6]
+        assert _samples((None, None), policy) == [0]
+    assert _samples((10, None), "endpoints") == [10]
+    assert _samples((10, None), "midpoint") == [11]
+    assert _samples((None, 10), "midpoint") == [9]
+    assert _samples((None, 10), "all-breakpoints") == [9, 10]
+    assert _samples((F(5, 2), None), "all-breakpoints") == [F(5, 2), F(7, 2)]
+    # ints stay ints
+    assert all(type(x) is int for iv in ((6, 6), (10, None), (None, 10)) for x in _samples(iv, "all-breakpoints"))
 
 
 def _t(slope, intercept):
@@ -152,8 +152,7 @@ def test_solver_against_grid_oracle_random(rng):
 
 @given(data=st.data())
 def test_solver_members_satisfy_equation(data):
-    # terms with rational intercepts, solved and sampled on their integer
-    # image of scale 2 * lcm, where the mean of two ends is exact
+    # terms with rational intercepts, solved and sampled on the Fractions
     def side(label):
         return data.draw(
             st.lists(
@@ -165,14 +164,12 @@ def test_solver_members_satisfy_equation(data):
         )
 
     lhs, rhs = side("lhs"), side("rhs")
-    unit = 2 * math.lcm(*(c.denominator for _, c in lhs + rhs))
-    lhs, rhs = ([(s, int(c * unit)) for s, c in terms] for terms in (lhs, rhs))
     sol = solve_one_unknown(lhs, rhs)
 
     def value(terms, x):
         return max(s * x + c for s, c in terms)
 
-    for x in [] if sol is None else _samples(sol, "all-breakpoints", unit):
+    for x in [] if sol is None else _samples(sol, "all-breakpoints"):
         assert value(lhs, x) == value(rhs, x)
 
 
@@ -182,7 +179,7 @@ sides = st.lists(st.tuples(st.integers(min_value=0, max_value=1), fractions), mi
 @given(lhs=sides, rhs=sides)
 def test_bounded_solution_sets_are_points(lhs, rhs):
     # each side rises from slope 0 to slope 1, so sides that agree on a segment
-    # agree on a ray: the mean of two finite ends never leaves the image
+    # agree on a ray: two finite ends are one point, its own witness
     sol = solve_one_unknown(lhs, rhs)
     assert sol is None or None in sol or sol[0] == sol[1], sol
 
