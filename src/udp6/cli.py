@@ -233,7 +233,7 @@ def _cmd_qlimit(args) -> int:
         if y0.sign != -1 or z0.sign != -1:
             raise ValueError("--y0/--z0 evolution uses the all-minus sector; signs must be -1")
         table = evolve_noparity(p, args.m0, y0.amp, z0.amp, (lo, hi))
-    report = ud_limit_compare(p, table, schedule, (lo, hi), precision=args.precision)
+    report = ud_limit_compare(p, table, schedule, (lo, hi))
     _emit(report.to_csv_text(), args.out)
     flagged = report.nonmonotone()
     for m, which in flagged:
@@ -304,7 +304,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(fn=_cmd_conjecture)
 
-    sp = sub.add_parser("qlimit", help="compare a table against the q-system oracle")
+    text = ("compare a table against the q-system oracle; each eps's precision doubles from "
+            "256 bits until two successive runs agree, up to a ceiling")
+    sp = sub.add_parser("qlimit", help=text, description=text)
     sp.add_argument("--params", required=True)
     sp.add_argument("--table", help="CSV table to compare (alternative to --y0/--z0)")
     sp.add_argument("--y0", help="sign:amplitude (all-minus evolution seed)")
@@ -312,12 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m0", type=int, default=0)
     sp.add_argument("--window", required=True)
     sp.add_argument("--eps", required=True, help="comma-separated decreasing eps values")
-    sp.add_argument(
-        "--precision", type=int,
-        help="fixed working precision in bits, used with no check (default: for each eps, "
-             "the smallest verified precision: the first doubling of 256 bits whose run "
-             "agrees with the run at half its bits)",
-    )
     sp.add_argument("--out")
     sp.set_defaults(fn=_cmd_qlimit)
 

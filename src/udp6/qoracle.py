@@ -19,8 +19,8 @@ The comparator seeds the q-system from a max-plus table via
 amplitude error ``|eps*log|v| - V_m|`` and sign agreement per (m, eps); as
 eps decreases the errors must shrink.  No convergence rate is asserted.
 
-Unless a fixed precision is requested, the working precision of each eps is
-chosen by agreement (Ziv's strategy): the run starts at 256 bits and is
+The working precision of each eps is always chosen by agreement (Ziv's
+strategy), and no caller can fix it: the run starts at 256 bits and is
 repeated at twice the precision until two successive runs give equal rows,
 with no abort, no cancellation warning and no error below the resolution of
 the higher precision; the higher of the two is accepted.
@@ -39,7 +39,7 @@ import math
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .evolution import painleve_failures
 from .system import Params, parse_rational, require_unsigned
@@ -67,6 +67,8 @@ __all__ = [
 # mpmath runs on its first attribute access (LazyLoader): importing udp6 loads none of it
 if "mpmath" not in sys.modules:
     _spec = importlib.util.find_spec("mpmath")
+    if _spec is None:
+        raise ModuleNotFoundError("udp6's q-oracle needs mpmath, which is not installed", name="mpmath")
     _spec.loader = importlib.util.LazyLoader(_spec.loader)
     sys.modules["mpmath"] = importlib.util.module_from_spec(_spec)
     _spec.loader.exec_module(sys.modules["mpmath"])
@@ -196,13 +198,17 @@ def ls_div(x: SignedMag, y: SignedMag) -> SignedMag:
     return _scale(x, y, mpmath.libmp.mpf_div)
 
 
+# first working precision of the agreement search, in bits, and the floor of its ceiling
+_START_PRECISION = 256
+
+
 def default_precision(eps, amp_bound) -> int:
-    """max(256, 64 + 8*amp_bound/eps) bits: the ceiling of the comparator's
-    precision search, a bound on the bits needed to resolve the exp(-gap/eps)
-    corrections that separate the q-system from its limit.  Runs that agree
-    at a lower precision stop below it."""
+    """max(_START_PRECISION, 64 + 8*amp_bound/eps) bits: the ceiling of the
+    comparator's precision search, a bound on the bits needed to resolve the
+    exp(-gap/eps) corrections that separate the q-system from its limit.  Runs
+    that agree at a lower precision stop below it."""
     need = 64 + 8 * Fraction(amp_bound) / Fraction(eps)
-    return max(256, int(math.ceil(need)))
+    return max(_START_PRECISION, int(math.ceil(need)))
 
 
 # --- q-system steps -----------------------------------------------------------
@@ -342,9 +348,6 @@ def _amp_bound(p: Params, table: SolutionTable, window: Tuple[int, int]) -> Frac
     return max(vals)
 
 
-# first working precision of the agreement search, in bits
-_START_PRECISION = 256
-
 # rows and aborts of one eps at one working precision
 _Run = Tuple[Tuple[CompareRow, ...], Tuple[CompareAbort, ...]]
 
@@ -412,7 +415,6 @@ def ud_limit_compare(
     table: SolutionTable,
     schedule: EpsSchedule,
     window: Tuple[int, int],
-    precision: Optional[int] = None,
 ) -> CompareReport:
     """Seed the q-system from the table head and compare along the window.
 
@@ -421,17 +423,13 @@ def ud_limit_compare(
     ``|eps*log|v| - amplitude|`` and sign agreement per index; poles or exact
     cancellations abort that eps run with a partial report.
 
-    With ``precision`` given, each eps runs once at that many bits, unchecked.
-    Otherwise each eps runs at 256 bits and again at twice the precision
-    until the higher of two successive runs confirms the lower (see
-    ``_settled``) and is accepted.  The doubling stops at
-    ``default_precision(eps, bound)``, whose run is accepted as it stands;
-    a run that aborts is only accepted there.
-    The report records the accepted precision of each eps.
+    Every eps runs at 256 bits and again at twice the precision until the
+    higher of two successive runs confirms the lower (see ``_settled``) and
+    is accepted.  The doubling stops at ``default_precision(eps, bound)``,
+    whose run is accepted as it stands; a run that aborts is only accepted
+    there.  The report records the accepted precision of each eps.
     """
     require_unsigned(p)
-    if precision is not None and precision < 2:
-        raise ValueError("precision must be at least 2 bits")
     lo, hi = window
     if not (table.m_lo <= lo <= hi <= table.m_hi):
         raise ValueError("window must lie inside the table")
@@ -445,11 +443,8 @@ def ud_limit_compare(
     aborts: List[CompareAbort] = []
     precisions: List[Tuple[Fraction, int]] = []
     for eps in schedule.eps_values:
-        if precision is not None:
-            prec = ceiling = precision
-        else:
-            ceiling = default_precision(eps, bound)
-            prec = min(_START_PRECISION, ceiling)
+        ceiling = default_precision(eps, bound)
+        prec = _START_PRECISION
         run = _compare_run(p, table, eps, window, prec)
         while prec < ceiling:
             prec = min(2 * prec, ceiling)

@@ -25,7 +25,9 @@ by log-sum-exp), the library's former representation, to hold its plain
 signed floats against.  Those signed floats' operations and ``amplitude_of``
 are transcribed a second time at mpmath's context level (``fadd`` and its kin
 with ``prec=``, ``workprec``), their former form, to hold the library's direct
-``mpmath.libmp`` calls against bit for bit.
+``mpmath.libmp`` calls against bit for bit.  The comparator is run once per eps at
+a precision the caller fixes, unchecked, the reference its agreement search is
+held against.
 """
 
 import json
@@ -48,9 +50,12 @@ from udp6.evolution import (
 )
 from udp6.families import Condition, LinearAnsatz
 from udp6.qoracle import (
+    CompareReport,
+    EpsSchedule,
     PoleError,
     SignedMag,
     _cancels,
+    _compare_run,
     _exp_inverse,
     _images,
     _nonzero,
@@ -638,6 +643,26 @@ def qriccati_step(p: Params, eps, m: int, y: SignedMag) -> Tuple[SignedMag, Sign
         ls_mul(a3, ls_sub(z_next, b1t)), _nonzero(ls_sub(z_next, b3), "z(qt) - b3")
     )
     return z_next, y_next
+
+
+# --- the comparator at a fixed precision -------------------------------------------
+
+
+def compare_at_fixed_precision(
+    p: Params, table: SolutionTable, schedule: EpsSchedule, window: Tuple[int, int],
+    bits: Callable[[Fraction], int],
+) -> CompareReport:
+    """``ud_limit_compare`` without its agreement search: each eps runs once at
+    ``bits(eps)`` bits, and that run is accepted unchecked."""
+    runs = [_compare_run(p, table, eps, window, bits(eps)) for eps in schedule.eps_values]
+    return CompareReport(
+        rows=tuple(r for rows, _ in runs for r in rows),
+        aborts=tuple(a for _, aborts in runs for a in aborts),
+        schedule=schedule,
+        window=window,
+        table_failures=tuple(painleve_failures(p, table)),
+        precisions=tuple((eps, bits(eps)) for eps in schedule.eps_values),
+    )
 
 
 # --- the q-system in signed log-domain arithmetic --------------------------------

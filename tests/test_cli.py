@@ -253,6 +253,41 @@ def test_families_invalid_reports_conditions(capsys, p41_file):
     assert any(not c["holds"] for c in doc["conditions"])
 
 
+_R1_CSV = (
+    "m,sy,Y,sz,Z\n"
+    "-2,-1,-45,1,-129\n"
+    "-1,-1,-7,1,-67\n"
+    "0,-1,31,1,-5\n"
+    "1,-1,69,1,57\n"
+    "2,-1,107,1,119\n"
+)
+_R1_REPORT = """{
+  "conditions": [
+    {
+      "expr": "h*m >= A4-c and (Q-h)*m >= c-A2 for m in [-2, 1]",
+      "holds": false
+    },
+    {
+      "expr": "h*(m+1) >= A3-c and (Q-h)*(m+1) >= c-A1 for m in [-3, 1]",
+      "holds": false
+    }
+  ],
+  "family": "r1",
+  "valid": false
+}
+"""
+
+
+def test_families_csv_format_writes_table_then_report(tmp_path, capsys, p41_file):
+    # in the default CSV format the table goes to --out (stdout without it),
+    # and the report always follows on stdout
+    argv = ("families", "--params", p41_file, "--id", "r1", "--c", "31", "--window", "-2:2")
+    assert run(capsys, *argv) == (0, _R1_CSV + _R1_REPORT, "")
+    out = tmp_path / "r1.csv"
+    assert run(capsys, *argv, "--out", str(out)) == (0, _R1_REPORT, "")
+    assert out.read_bytes() == _R1_CSV.encode()
+
+
 def test_families_list(capsys):
     code, out, _ = run(capsys, "families", "--list")
     assert code == 0
@@ -273,6 +308,24 @@ def test_cli_import_leaves_mpmath_unexecuted():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["0", "False"]
+
+
+def test_import_without_mpmath_names_it():
+    # a fresh interpreter in which mpmath cannot be found: importing udp6
+    # fails with a ModuleNotFoundError that names mpmath
+    code = (
+        "import importlib.util\n"
+        "find_spec = importlib.util.find_spec\n"
+        "importlib.util.find_spec = lambda name, *a: None if name == 'mpmath' else find_spec(name, *a)\n"
+        "try:\n"
+        "    import udp6\n"
+        "except ModuleNotFoundError as exc:\n"
+        "    print(exc.name, exc)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "mpmath udp6's q-oracle needs mpmath, which is not installed\n"
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_mpmath():
@@ -313,6 +366,15 @@ def test_parser_is_reused_without_state(tmp_path, capsys, p42_file, p41_file):
     assert "usage: udp6 evolve" in first[0][2] and "usage: udp6" in first[1][1]
     assert [run(capsys, *argv) for argv in calls] == first
     assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("cmd", ["evolve", "verify", "riccati", "families", "conjecture", "qlimit"])
+def test_subcommand_help(capsys, cmd):
+    code, out, err = run(capsys, cmd, "--help")
+    assert (code, err) == (0, "") and out.startswith(f"usage: udp6 {cmd} ")
+    if cmd == "qlimit":  # the precision is chosen by agreement, never by a flag
+        assert "256 bits until two successive runs agree" in " ".join(out.split())
+        assert "--precision" not in out
 
 
 # --- conjecture / qlimit ---------------------------------------------------------------
@@ -495,14 +557,32 @@ def test_qlimit_tiny_eps_exits_without_traceback(p42_file):
     assert [r for r in rows if r.split(",")[1] != f"1/{10**50}"] == outs[1].stdout.splitlines()
 
 
-@pytest.mark.parametrize("precision", ["1", "0", "-5"])
-def test_qlimit_precision_below_two_bits_is_input_error(capsys, p42_file, precision):
-    # the message names the precision alone: the user gave no sign
+def test_qlimit_precision_flag_is_usage_error(capsys, p42_file):
+    # the working precision is always found by agreement; no flag fixes it
     code, out, err = run(
         capsys, "qlimit", "--params", p42_file, "--y0", "-1:43", "--z0", "-1:40",
-        "--window", "0:2", "--eps", "1", "--precision", precision,
+        "--window", "0:2", "--eps", "1", "--precision", "512",
     )
-    assert (code, out, err) == (1, "", "error: precision must be at least 2 bits\n")
+    assert (code, out) == (1, "") and "Traceback" not in err
+    assert err.endswith("udp6: error: unrecognized arguments: --precision 512\n")
+
+
+def test_qlimit_abort_is_reported_with_exit_3(capsys, tmp_path):
+    # at m = 0, y(0) = exp(A1/eps) exactly, so y - t a1 cancels to an exact zero;
+    # the run stops at its seed row, and the table is not a solution either
+    params, table = tmp_path / "params.json", tmp_path / "table.csv"
+    dump_params(Params.make(3, (1, 2, 5, 4), (6, -6, 2, 1)), params)
+    table.write_text("m,sy,Y,sz,Z\n0,1,1,1,0\n1,1,1,1,0\n")
+    code, out, err = run(
+        capsys, "qlimit", "--params", str(params), "--table", str(table), "--window", "0:1", "--eps", "1",
+    )
+    assert code == 3
+    assert out == "m,eps,err_Y,err_Z,sign_ok_Y,sign_ok_Z,cancellation_flag\n0,1,0.0,0.0,1,1,0\n"
+    assert err.splitlines() == [
+        "aborted at eps=1, m=0: exact cancellation to zero",
+        "input table violates zz at m=0",
+        "input table violates yy at m=0",
+    ]
 
 
 def test_qlimit_start_outside_the_all_minus_sector_is_input_error(capsys, p42_file):
@@ -712,7 +792,6 @@ _WINDOWS = (("0:0", "-4:4", "-1:1", "1:6", "-8:0"), ("", "3:1", "1/0:2", "a:b", 
 _INTS = (("-1", "0", "1", "2", "-9"), ("", "x", "1.5"))
 _CAPS = (("1", "3", "64"), ("-5", "0", "x"))
 _EPS = (("1", "1,1/2,1/4", "1/4", "1,1/3"), ("", "1,1/0", "nan", "1,1", "1/2,1", "0", "-1"))
-_PRECISIONS = (("2", "64", "300"), ("0", "-5", "1", "x"))
 _PARAMS = (("@params/p42", "@params/p41"),
            tuple(f"@params/{k}" for k in _FUZZ_PARAMS if k not in ("p42", "p41")) + ("@missing",))
 # plain verify admits parameter signs, so there the signed parameters are well-formed
@@ -775,8 +854,7 @@ _FUZZ_ARGV = st.one_of(
     _argv(_cmd("qlimit"), _req("--params", _PARAMS),
           st.one_of(_req("--table", _TABLES), _argv(_req("--y0", _PAIR_VALUES), _req("--z0", _PAIR_VALUES)),
                     _argv(_opt("--table", _TABLES), _opt("--y0", _PAIR_VALUES))),
-          _opt("--m0", _INTS), _req("--window", _WINDOWS), _req("--eps", _EPS),
-          _opt("--precision", _PRECISIONS)),
+          _opt("--m0", _INTS), _req("--window", _WINDOWS), _req("--eps", _EPS)),
 )
 
 

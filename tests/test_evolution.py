@@ -232,6 +232,12 @@ def test_evolve_initial_outside_window_rejected(p42):
         evolve(p42, 3, pp(-1, 0), pp(-1, 0), (-2, 2))
 
 
+@pytest.mark.parametrize("m0", [-3, 3])
+def test_evolve_noparity_initial_outside_window_rejected(p42, m0):
+    with pytest.raises(ValueError, match="initial index must lie inside the window"):
+        evolve_noparity(p42, m0, 43, 40, (-2, 2))
+
+
 @pytest.mark.parametrize(
     "run",
     [

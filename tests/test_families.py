@@ -136,6 +136,11 @@ def test_linear_ansatz_and_family_spec_convert_their_arguments():
         FamilySpec("nope", c=1)
 
 
+def test_family_rejects_empty_window(p41):
+    with pytest.raises(ValueError, match="empty window"):
+        instantiate_family(FamilySpec("sol0", c=F(31)), p41, (2, 1))
+
+
 def test_family_requires_free_parameter(p41):
     with pytest.raises(ValueError):
         instantiate_family(FamilySpec("sol0"), p41, (-2, 2))

@@ -35,6 +35,7 @@ from udp6.tables import SolutionTable
 
 from oracles import (
     LogSigned,
+    compare_at_fixed_precision,
     dump_params,
     gauge,
     log_amplitude_of,
@@ -512,7 +513,10 @@ def test_compare_aborts_on_exact_cancellation_to_zero(precision):
     # zero and so is z(qt): the run stops there with its seed row
     p = Params.make(3, (1, 2, 5, 4), (6, -6, 2, 1))
     table = SolutionTable(0, (ParityPair(1, 1), ParityPair(1, 1)), (ParityPair(1, 0), ParityPair(1, 0)))
-    rep = ud_limit_compare(p, table, EpsSchedule([1]), (0, 1), precision=precision)
+    if precision is None:
+        rep = ud_limit_compare(p, table, EpsSchedule([1]), (0, 1))
+    else:
+        rep = compare_at_fixed_precision(p, table, EpsSchedule([1]), (0, 1), lambda eps: precision)
     assert rep.aborts == (CompareAbort(eps=F(1), m=0, reason="exact cancellation to zero"),)
     assert [r.m for r in rep.rows] == [0] and rep.precisions[0][1] <= 256
 
@@ -577,19 +581,7 @@ def test_compare_window_must_fit(p42):
 def ceiling_report(p, table, schedule, window) -> CompareReport:
     """The report of fixed runs at each eps's ceiling, default_precision."""
     bound = _amp_bound(p, table, window)
-    parts = [
-        ud_limit_compare(p, table, EpsSchedule((eps,)), window,
-                         precision=default_precision(eps, bound))
-        for eps in schedule.eps_values
-    ]
-    return CompareReport(
-        rows=tuple(r for rep in parts for r in rep.rows),
-        aborts=tuple(a for rep in parts for a in rep.aborts),
-        schedule=schedule,
-        window=window,
-        table_failures=parts[0].table_failures,
-        precisions=tuple(pr for rep in parts for pr in rep.precisions),
-    )
+    return compare_at_fixed_precision(p, table, schedule, window, lambda eps: default_precision(eps, bound))
 
 
 def test_adaptive_precision_matches_ceiling_on_golden_state(p42):
@@ -617,7 +609,7 @@ def test_near_cancellation_escalates_to_ceiling_result(p42, offset_bits):
     table = SolutionTable(table.m_lo, ys, table.zs)
     sched = EpsSchedule.from_string("1")
     ref = ceiling_report(p42, table, sched, window)
-    low = ud_limit_compare(p42, table, sched, window, precision=256)
+    low = compare_at_fixed_precision(p42, table, sched, window, lambda eps: 256)
     assert (low.rows, low.aborts) != (ref.rows, ref.aborts)
     rep = ud_limit_compare(p42, table, sched, window)
     assert (rep.rows, rep.aborts, rep.table_failures) == (ref.rows, ref.aborts, ref.table_failures)
@@ -651,15 +643,13 @@ def test_adaptive_precision_agrees_with_ceiling_on_random_tables(seed):
 
 
 def test_qlimit_cli_output_equals_fixed_ceiling_run(tmp_path, capsys, p42):
+    # the searched CLI output equals the unchecked run at the ceiling
     params = tmp_path / "p42.json"
     dump_params(p42, params)
     window = (-2, 2)
     table = evolve_noparity(p42, 0, 43, 40, window)
-    ceiling = default_precision(F(1, 2), _amp_bound(p42, table, window))
-    argv = ["qlimit", "--params", str(params), "--y0", "-1:43", "--z0", "-1:40",
-            "--window", "-2:2", "--eps", "1/2"]
-    outs = []
-    for extra in ([], ["--precision", str(ceiling)]):
-        assert main(argv + extra) == 0
-        outs.append(capsys.readouterr())
-    assert outs[0].out == outs[1].out and outs[0].err == outs[1].err
+    ref = ceiling_report(p42, table, EpsSchedule.from_string("1/2"), window)
+    assert main(["qlimit", "--params", str(params), "--y0", "-1:43", "--z0", "-1:40",
+                 "--window", "-2:2", "--eps", "1/2"]) == 0
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (ref.to_csv_text(), "")

@@ -309,6 +309,13 @@ def test_params_json_roundtrip(p42):
     assert params_from_obj(json.loads(json.dumps(obj))) == p42
 
 
+def test_params_json_keeps_signs_other_than_plus_one():
+    signed = Params.make(100, (32, 33, 37, 22), (53, 65, 8, 4), sa=(-1, 1, 1, 1), sb=(1, 1, -1, 1))
+    obj = params_to_obj(signed)
+    assert {k: obj[k] for k in obj if k.startswith("s")} == {"sa1": -1, "sb3": -1}
+    assert params_from_obj(json.loads(json.dumps(obj))) == signed
+
+
 def test_params_json_fraction_strings():
     obj = {"q": "1/2", "a1": 0, "a2": 0, "a3": 0, "a4": 0, "b1": "1/4", "b2": "1/4", "b3": 0, "b4": 0}
     p = params_from_obj(obj)

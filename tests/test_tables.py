@@ -150,6 +150,14 @@ def test_csv_reader_rejects_bad_tables(rows, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("m", [-2, 1])
+def test_solution_table_lookup_outside_its_window_is_key_error(m):
+    table = SolutionTable(-1, (ParityPair(1, 2), ParityPair(-1, 3)), (ParityPair(-1, 0), ParityPair(1, 5)))
+    for column in (table.y, table.z):
+        with pytest.raises(KeyError, match=rf"index {m} outside \[-1, 0\]"):
+            column(m)
+
+
 def test_solution_table_is_an_immutable_value():
     ys = (ParityPair(1, 2), ParityPair(-1, Fraction(1, 3)))
     zs = (ParityPair(-1, 0), ParityPair(1, 5))
