@@ -567,6 +567,22 @@ def test_qlimit_precision_flag_is_usage_error(capsys, p42_file):
     assert err.endswith("udp6: error: unrecognized arguments: --precision 512\n")
 
 
+@pytest.mark.parametrize("precision", ["1", "0", "-5"])
+def test_qlimit_precision_below_two_bits_is_input_error(capsys, p42_file, precision):
+    # the precisions the old flag's 2-bit floor refused are still refused, with
+    # exit 1 and no traceback: no option takes a precision any more
+    code, out, err = run(
+        capsys, "qlimit", "--params", p42_file, "--y0", "-1:43", "--z0", "-1:40",
+        "--window", "0:2", "--eps", "1", "--precision", precision,
+    )
+    assert (code, out) == (1, "") and "Traceback" not in err
+    # main joins a negative value to its option, so "-5" arrives as "--precision=-5"
+    assert err.splitlines()[-1] in (
+        f"udp6: error: unrecognized arguments: --precision {precision}",
+        f"udp6: error: unrecognized arguments: --precision={precision}",
+    )
+
+
 def test_qlimit_abort_is_reported_with_exit_3(capsys, tmp_path):
     # at m = 0, y(0) = exp(A1/eps) exactly, so y - t a1 cancels to an exact zero;
     # the run stops at its seed row, and the table is not a solution either
