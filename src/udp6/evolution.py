@@ -40,6 +40,22 @@ expands each distinct state read once per step.  Every partial table is a
 flat list of its cells in the order the steps wrote them, the same order in
 all of them, so one map from key to position reads any of them.
 
+Solutions are piecewise affine in m, and ``evolve`` jumps the affine
+stretches in every sector by a certificate the steppers compute themselves.
+While its frontier holds one partial table, ``evolve`` steps it on its own,
+as long as each step has one child.  Where the last cells of both columns lie
+on lines with constant signs, it runs the step once more with m and the two
+amplitudes as ``udp6.system.Aff`` values s*t + c in the step count t.  Every
+comparison returns its outcome at t = 0 and lowers a shared horizon to the
+last t at which that outcome still holds, so up to the horizon the steppers
+take the same path at every t and return the affine result.  If the z- and
+the y-step each give one candidate, the fit's next cell with the same signs,
+then the fit is the evolution for horizon + 1 steps, which are filled from
+it.  The candidates' validation ran on the same values: ``step_z_parity``
+decides ``residual_zz`` (and, mirrored, the y-relation) on the fit at every t
+up to the horizon, exactly, so each filled cell passes the residual a stepped
+one passes.  ``painleve_failures`` still checks every index.
+
 The all-minus sector has affine stretches ``Y = (Q-a)m + b, Z = a m + g``
 forward, ``Y = a m + b, Z = a m + g`` backward.  Where a fit (a, b, g) meets
 its identity and its four inequalities at a step index, each max of the step
@@ -52,11 +68,13 @@ the fit, exactly, since the all-minus step is unique.
 
 from __future__ import annotations
 
-from itertools import count, islice, repeat
+from itertools import chain, count, islice, repeat
 from operator import itemgetter
-from typing import Iterable, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .system import (
+    Aff,
+    Horizon,
     ParityPair,
     Params,
     require_constraint,
@@ -94,7 +112,9 @@ class BranchTree(NamedTuple):
     truncated: bool
 
 
-def grow_tables(root: dict, steps: Iterable[tuple], cap: int, window: Tuple[int, int]) -> BranchTree:
+def grow_tables(
+    root: dict, steps: Sequence[tuple], cap: int, window: Tuple[int, int], single=None
+) -> BranchTree:
     """The branching frontier shared by ``evolve`` and ``riccati_evolve``.
 
     A partial table is a flat list of cells in the order they were written,
@@ -109,13 +129,34 @@ def grow_tables(root: dict, steps: Iterable[tuple], cap: int, window: Tuple[int,
     frontier's order; after each step only the first ``cap`` are kept, and
     the result is flagged truncated if any step dropped children.  Leaf
     columns are read by position.
+
+    While one partial table is live, ``single(i, cell)``, if given, may take
+    the steps from index i on itself while each has one child: ``cell``
+    reads the table by key.  It returns the number n of steps it took, their
+    cells as one list in order, and the children of step i + n if it
+    expanded that step and found another number of them (else None), which
+    the frontier then takes as that step's expansion.
     """
     where = dict(zip(root, count()))
     partials, truncated = [list(root.values())], False
-    for reads, writes, expand in steps:
+    i = 0
+    while i < len(steps):
+        known = None
+        if single is not None and len(partials) == 1:
+            t = partials[0]
+            n, cells, known = single(i, lambda key: t[where[key]])
+            if n:
+                where.update(zip(chain.from_iterable(s[1] for s in steps[i:i + n]), count(len(where))))
+                t += cells
+                i += n
+                if known is None:
+                    continue
+        reads, writes, expand = steps[i]
+        i += 1
         state_of = itemgetter(*map(where.__getitem__, reads))
         where.update(zip(writes, count(len(where))))
-        children, grown = {}, []
+        children = {} if known is None else {state_of(partials[0]): known}
+        grown = []
         for t in partials:
             state = state_of(t)
             kids = children.get(state)
@@ -266,11 +307,11 @@ def evolve(
     [lo, hi]: each step takes the finite ends of its solution intervals.
 
     Alternates the z- and y-steppers forward from m0 and their backward
-    mirrors down to the window start.  Every leaf is a complete
-    SolutionTable satisfying both residuals at every interior index.  When the
-    number of live branches exceeds ``max_branches`` after a (z, y) step the
-    surplus (in deterministic order) is dropped and the result is flagged
-    truncated.
+    mirrors down to the window start, jumping the certified affine stretches
+    of a single live branch.  Every leaf is a complete SolutionTable
+    satisfying both residuals at every interior index.  When the number of
+    live branches exceeds ``max_branches`` after a (z, y) step the surplus (in
+    deterministic order) is dropped and the result is flagged truncated.
     """
     if max_branches < 1:
         raise ValueError("max_branches must be at least 1")
@@ -290,6 +331,7 @@ def evolve(
         ))
         for m in range(m0, hi)
     ]
+    ahead = len(steps)
     steps += [
         ((("y", m), ("z", m)), (("y", m - 1), ("z", m - 1)), lambda yz, m=m: (
             [yp, zp]
@@ -298,7 +340,92 @@ def evolve(
         ))
         for m in range(m0, lo, -1)
     ]
-    return grow_tables({("y", m0): y0, ("z", m0): z0}, steps, max_branches, window)
+
+    def single(i, cell):
+        # the steps of one direction from step i while each has one child,
+        # jumping the stretches the steppers certify; step i starts at m, and
+        # the table holds m0..m forward and m..hi backward
+        d, m, stop = (1, m0 + i, ahead) if i < ahead else (-1, m0 + ahead - i, len(steps))
+        back = min(_FIT_CELLS - 1, (m - (m0 if d > 0 else hi)) * d)
+        ys = [cell(("y", m - d * k)) for k in range(back, -1, -1)]  # the last cells, oldest first
+        zs = [cell(("z", m - d * k)) for k in range(back, -1, -1)]
+        taken, j, jumped = [], i, False
+        while j < stop:
+            n = 0
+            # the step after a jump, which stopped at its horizon, is concrete
+            if not jumped and len(ys) >= _FIT_CELLS and stop - j >= _MIN_STEPS:
+                n, cells = _affine_jump(p, m, d, stop - j, ys[-_FIT_CELLS:], zs[-_FIT_CELLS:])
+            jumped = n > 0
+            if not n:
+                kids = list(steps[j][2]((ys[-1], zs[-1])))
+                if len(kids) != 1:
+                    return j - i, taken, kids
+                n, cells = 1, kids[0]
+            taken += cells
+            # forward steps write (z, y), backward ones (y, z)
+            ys += cells[1::2] if d > 0 else cells[::2]
+            zs += cells[::2] if d > 0 else cells[1::2]
+            j, m = j + n, m + d * n
+        return j - i, taken, None
+
+    return grow_tables({("y", m0): y0, ("z", m0): z0}, steps, max_branches, window, single)
+
+
+# An attempt costs about five concrete steps.  It waits for five cells on a
+# line, which the concrete step from four gives: most lines of four do not
+# reach a fifth cell.  And it is not made when fewer steps than it costs are left.
+_FIT_CELLS = 5
+_MIN_STEPS = 4
+
+
+def _fit(cells: List[ParityPair]) -> Optional[tuple]:
+    """(sign, step, last amplitude) of five cells, oldest first, that share a
+    sign and lie on a line; else None."""
+    f, e, c, b, a = cells
+    step = a.amp - b.amp
+    if a.sign == b.sign == c.sign == e.sign == f.sign and step == b.amp - c.amp == c.amp - e.amp == e.amp - f.amp:
+        return a.sign, step, a.amp
+    return None
+
+
+def _continues(cands: List[ParityPair], sign: int, step, amp) -> bool:
+    """Whether the step gave one candidate, the fit's next cell after (sign, amp):
+    a structural test of the ``Aff``, as ``==`` would record a comparison."""
+    return len(cands) == 1 and cands[0].sign == sign and (cands[0].amp.s, cands[0].amp.c) == (step, amp + step)
+
+
+def _affine_jump(p: Params, m: int, d: int, left: int, ys: list, zs: list) -> Tuple[int, list]:
+    """The number of the steps from index m in direction d (+1 forward, -1
+    backward), up to ``left``, that the steppers certify, and their cells in
+    ``evolve``'s write order; none unless the cells ``ys`` and ``zs`` of each
+    column up to m, oldest first, share a sign and lie on a line.
+
+    The steppers run once on the fits, ``Aff`` values in t = (m' - m)*d: if
+    each gives one candidate, the fit's next cell, then every step from t = 0
+    to the horizon does, as its comparisons all go the same way."""
+    fy = _fit(ys)
+    fz = fy and _fit(zs)
+    if not fz:
+        return 0, ()
+    (sy, dy, y0), (sz, dz, z0) = fy, fz
+    h = Horizon()
+    y, z, mt = ParityPair(sy, Aff(dy, y0, h)), ParityPair(sz, Aff(dz, z0, h)), Aff(d, m, h)
+    if d > 0:
+        z1 = step_z_parity(p, mt, y, z)
+        lines = (sz, dz, z0), (sy, dy, y0)
+        ok = _continues(z1, sz, dz, z0) and _continues(step_y_parity(p, mt, y, z1[0]), sy, dy, y0)
+    else:
+        y1 = step_back_y_parity(p, mt, y, z)
+        lines = (sy, dy, y0), (sz, dz, z0)
+        ok = _continues(y1, sy, dy, y0) and _continues(step_back_z_parity(p, mt, y1[0], z), sz, dz, z0)
+    if not ok:
+        return 0, ()
+    n = left if h.t is None else min(h.t + 1, left)
+    cells = [None] * (2 * n)
+    # tuple.__new__ builds each pair in C, as ParityPair._make does
+    for k, (sign, step, amp) in enumerate(lines):
+        cells[k::2] = map(tuple.__new__, repeat(ParityPair), zip(repeat(sign), islice(count(amp + step, step), n)))
+    return n, cells
 
 
 def evolve_noparity(p: Params, m0: int, y0, z0, window: Tuple[int, int]) -> SolutionTable:

@@ -115,19 +115,30 @@ def ls_from_amplitude(sign: int, amp, eps, prec: int) -> SignedMag:
     """The q-side image of a parity pair: sign * exp(amp/eps)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    r = Fraction(amp) / Fraction(eps)
+    # the comparator's eps is a Fraction already: one division, no conversion
+    r = amp / (eps if type(eps) is Fraction else Fraction(eps))
     return SignedMag(sign, _exp_power(r.numerator, r.denominator, prec), prec)
 
 
 def amplitude_of(x: SignedMag, eps) -> mpmath.mpf:
-    """eps * log|x|, the quantity that ultradiscretizes to the amplitude: eps * (k + log r),
-    r = |x|/e^k for the int k nearest log|x|.  r nears 1 as errors shrink; log r to 2^-(prec+8)
-    absolute, finer than r's rounding, keeps its cost and mpmath's log-argument cache small.
-    Past |e| = 2^40, the binary exponent e of |x|, a float e * ln 2 would miss log|x| by far
-    more than 1, so it is taken to e.bit_length() + 64 bits there."""
+    """eps * log|x|, the quantity that ultradiscretizes to the amplitude."""
+    return mpmath.mp.make_mpf(mpmath.libmp.mpf_mul(_rational(Fraction(eps), x.prec), _log_abs(x), x.prec, "n"))
+
+
+def _rational(r: Fraction, prec: int) -> tuple:
+    """The raw mpf of r rounded to ``prec`` bits."""
+    return mpmath.libmp.from_rational(r.numerator, r.denominator, prec, "n")
+
+
+def _log_abs(x: SignedMag) -> tuple:
+    """log|x| as a raw mpf: k + log r, r = |x|/e^k for the int k nearest log|x|.  r nears
+    1 as errors shrink; log r to 2^-(prec+8) absolute, finer than r's rounding, keeps its
+    cost and mpmath's log-argument cache small.  Past |e| = 2^40, the binary exponent e
+    of |x|, a float e * ln 2 would miss log|x| by far more than 1, so it is taken to
+    e.bit_length() + 64 bits there."""
     if x.sign == 0:
         raise ValueError("amplitude of exact zero is undefined")
-    lib, mpf, prec = mpmath.libmp, mpmath.mp.make_mpf, x.prec
+    lib, prec = mpmath.libmp, x.prec
     m, e = lib.mpf_frexp(x.mag._mpf_)
     log_m = math.log(lib.to_float(m, rnd="n"))
     if abs(e) < 1 << 40:
@@ -138,9 +149,7 @@ def amplitude_of(x: SignedMag, eps) -> mpmath.mpf:
     r = lib.mpf_div(x.mag._mpf_, _exp_power(k, 1, prec)._mpf_, prec, "n")
     _, man, exp, bc = lib.mpf_sub(r, lib.fone, prec, "n")
     log_r = lib.mpf_log(r, prec + 8 + (exp + bc if man else 0), "n")
-    log_x = lib.mpf_add(log_r, lib.from_int(k), prec, "n")
-    eps = Fraction(eps)
-    return mpf(lib.mpf_mul(lib.from_rational(eps.numerator, eps.denominator, prec, "n"), log_x, prec, "n"))
+    return lib.mpf_add(log_r, lib.from_int(k), prec, "n")
 
 
 def ls_neg(x: SignedMag) -> SignedMag:
@@ -360,10 +369,10 @@ def _compare_run(
     y = ls_from_amplitude(table.y(lo).sign, table.y(lo).amp, eps, prec)
     z = ls_from_amplitude(table.z(lo).sign, table.z(lo).amp, eps, prec)
 
+    lib, eps_mpf = mpmath.libmp, _rational(eps, prec)  # amplitude_of's eps, converted once
+
     def err(x: SignedMag, amp: Fraction) -> float:
-        lib = mpmath.libmp
-        exact = lib.from_rational(amp.numerator, amp.denominator, prec, "n")
-        diff = lib.mpf_sub(amplitude_of(x, eps)._mpf_, exact, prec, "n")
+        diff = lib.mpf_sub(lib.mpf_mul(eps_mpf, _log_abs(x), prec, "n"), _rational(amp, prec), prec, "n")
         return lib.to_float(lib.mpf_abs(diff), rnd="n")
 
     def row(m: int, y: SignedMag, z: SignedMag) -> CompareRow:

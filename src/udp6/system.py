@@ -27,7 +27,9 @@ sign and the first-order steps solve one closed form, ``solve_lines``.
 A term's side in the z-relation (left where its parity argument is +1) is a
 product of parameter signs and of the state's sector (sign y_m, sign z_m
 z_{m+1}), placed once per sign pattern by ``_sign_sectors``; ``residual_zz``
-lists the sides.
+lists the sides.  ``Aff`` values, affine in a step count, run through the
+same kernel and steppers when ``udp6.evolution.evolve`` certifies an affine
+stretch.
 """
 
 from __future__ import annotations
@@ -42,7 +44,9 @@ from random import Random
 from typing import NamedTuple, Tuple, Union
 
 __all__ = [
+    "Aff",
     "ConstraintViolation",
+    "Horizon",
     "ParityPair",
     "Params",
     "check_constraint",
@@ -259,6 +263,109 @@ def solve_lines(cl, bl, cr, br):
         return None
     x = cl - br
     return (None, x) if cl == cr else (x, x)
+
+
+class Horizon:
+    """The last step count t at which every comparison made so far by the
+    ``Aff`` values of one attempt keeps its outcome at t = 0; None while no
+    comparison bounds it."""
+
+    __slots__ = ("t",)
+
+    def __init__(self):
+        self.t = None
+
+    def lower(self, t: int) -> None:
+        if self.t is None or t < self.t:
+            self.t = t
+
+
+class Aff:
+    """The value ``s*t + c``, t >= 0 counting steps in the current direction.
+
+    Run through the kernel and the steppers in place of an amplitude and of
+    m, it evaluates a step at every t at once.  Sums, differences, negation
+    and products with an int or a Fraction stay affine and share the
+    ``Horizon`` of their operands.  A comparison returns its outcome at t = 0
+    and lowers the horizon to the last t at which that outcome still holds,
+    found by exact floor division (``!=`` is the inverse of ``==``).  Up to
+    the horizon every comparison goes the same way, so the code takes the
+    same path and its result is the affine result at each t.  Not hashable;
+    fits are compared by (s, c).
+    """
+
+    __slots__ = ("s", "c", "horizon")
+    __hash__ = None
+
+    def __init__(self, s, c, horizon: Horizon):
+        self.s, self.c, self.horizon = s, c, horizon
+
+    def _minus(self, other):
+        """(slope, intercept) of self - other, None for an operand that is not
+        an Aff, an int or a Fraction."""
+        if type(other) is Aff:
+            return self.s - other.s, self.c - other.c
+        return (self.s, self.c - other) if isinstance(other, (int, Fraction)) else None
+
+    def __add__(self, other):
+        if type(other) is Aff:
+            return Aff(self.s + other.s, self.c + other.c, self.horizon)
+        return Aff(self.s, self.c + other, self.horizon) if isinstance(other, (int, Fraction)) else NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        d = self._minus(other)
+        return NotImplemented if d is None else Aff(*d, self.horizon)
+
+    def __rsub__(self, other):
+        return Aff(-self.s, other - self.c, self.horizon) if isinstance(other, (int, Fraction)) else NotImplemented
+
+    def __neg__(self):
+        return Aff(-self.s, -self.c, self.horizon)
+
+    def __mul__(self, k):
+        return Aff(self.s * k, self.c * k, self.horizon) if isinstance(k, (int, Fraction)) else NotImplemented
+
+    __rmul__ = __mul__
+
+    def _positive(self, other, sign: int, strict: bool):
+        """Whether e = sign*(self - other) is > 0 (>= 0 unless strict) at t = 0."""
+        d = self._minus(other)
+        if d is None:
+            return NotImplemented
+        s, c = sign * d[0], sign * d[1]
+        holds = c > 0 if strict else c >= 0
+        if not holds:  # the outcome lasts while -e >= 0 (> 0 after a non-strict test)
+            s, c, strict = -s, -c, not strict
+        if s < 0:  # s*t + c >= 0 iff t <= c / -s; > 0 iff t < c / -s
+            self.horizon.lower(-(-c // -s) - 1 if strict else c // -s)
+        return holds
+
+    def __gt__(self, other):
+        return self._positive(other, 1, True)
+
+    def __ge__(self, other):
+        return self._positive(other, 1, False)
+
+    def __lt__(self, other):
+        return self._positive(other, -1, True)
+
+    def __le__(self, other):
+        return self._positive(other, -1, False)
+
+    def __eq__(self, other):
+        d = self._minus(other)
+        if d is None:
+            return NotImplemented
+        s, c = d
+        if s != 0:  # equal at the root -c/s alone: at t = 0, or unequal up to it
+            root, rest = divmod(-c, s)
+            if c == 0:
+                self.horizon.lower(0)
+            elif rest == 0 and root > 0:
+                self.horizon.lower(root - 1)
+        return c == 0
 
 
 # --- serialization -----------------------------------------------------------

@@ -15,7 +15,9 @@ the ends of a range, and the all-minus evolution is stepped index by index
 (with the backward steps read off the forward ones), against the library's
 jumps across affine stretches.  The branching evolution is run one branch
 at a time on Fractions, each child a copy of its parent's table, against the
-library's shared frontier.  The seeded generators of random states and
+library's shared frontier, and the shared frontier stepped at every index,
+the engine before the jumps across certified affine stretches, against
+those jumps.  The seeded generators of random states and
 first-order parameters serve the property suites only, as do the check that
 a first-order solution solves the full system, a Fraction-valued first-order
 evolution to hold the library's integer route against, and the first-order
@@ -40,6 +42,8 @@ from typing import Callable, Iterable, Tuple, Union
 import mpmath
 
 from udp6.evolution import (
+    BranchTree,
+    grow_tables,
     painleve_failures,
     step_back_y_parity,
     step_back_z_parity,
@@ -524,6 +528,31 @@ def evolve_noparity_stepping(p: Params, m0: int, y0, z0, window: Tuple[int, int]
         zs[m - 1] = step_back_z_noparity(p, m, ys[m - 1], zs[m])
     ms = range(lo, hi + 1)
     return SolutionTable(lo, tuple(ParityPair(-1, ys[m]) for m in ms), tuple(ParityPair(-1, zs[m]) for m in ms))
+
+
+def evolve_stepping(
+    p: Params, m0: int, y0: ParityPair, z0: ParityPair, window: Tuple[int, int], max_branches: int = 64
+) -> BranchTree:
+    """``evolve`` with no jump: the shared frontier runs the steppers at every
+    index, (z, y) forward, then (y, z) backward, with the same cap."""
+    lo, hi = window
+    steps = [
+        ((("y", m), ("z", m)), (("z", m + 1), ("y", m + 1)), lambda yz, m=m: (
+            [z1, y1]
+            for z1 in step_z_parity(p, m, *yz)
+            for y1 in step_y_parity(p, m, yz[0], z1)
+        ))
+        for m in range(m0, hi)
+    ]
+    steps += [
+        ((("y", m), ("z", m)), (("y", m - 1), ("z", m - 1)), lambda yz, m=m: (
+            [yp, zp]
+            for yp in step_back_y_parity(p, m, *yz)
+            for zp in step_back_z_parity(p, m, yp, yz[1])
+        ))
+        for m in range(m0, lo, -1)
+    ]
+    return grow_tables({("y", m0): y0, ("z", m0): z0}, steps, max_branches, window)
 
 
 def evolve_per_branch(

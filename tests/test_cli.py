@@ -17,7 +17,7 @@ from udp6.cli import main
 from udp6.evolution import evolve, evolve_noparity, painleve_failures
 from udp6.qoracle import CompareReport, CompareRow, EpsSchedule
 from udp6.riccati import SAMPLINGS, riccati_evolve
-from udp6.system import ParityPair, Params, load_params, parse_pair
+from udp6.system import Aff, ParityPair, Params, load_params, parse_pair
 from udp6.tables import SolutionTable
 
 from goldens import golden1_y, golden1_z, golden2_y, golden2_z
@@ -146,6 +146,30 @@ def test_evolve_writes_file_deterministically(tmp_path, capsys, p42_file):
 
 
 # --- verify ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_failed_out_write_names_the_out_path(capsys, tmp_path, p42_file, target):
+    # the error names --out and the OS reason, not the temporary file, which
+    # is gone: nothing is left beside the target and nothing is written
+    out = tmp_path / "taken"
+    if target == "directory":
+        out.mkdir()
+        reason = "Is a directory"
+    else:
+        out = out / "table.csv"
+        reason = "No such file or directory"
+    before = sorted(os.listdir(tmp_path))
+    code, stdout, err = run(
+        capsys, "evolve", "--params", p42_file,
+        "--y0", "-1:43", "--z0", "-1:40", "--window", "-5:5", "--out", str(out),
+    )
+    assert code == 1 and stdout == ""
+    assert err == f"error: cannot write {out}: {reason}\n"
+    assert ".tmp-udp6-" not in err and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == before
+    if target == "directory":
+        assert os.listdir(out) == []
 
 
 def test_verify_roundtrip(tmp_path, capsys, p42_file):
@@ -414,6 +438,8 @@ def test_integer_inputs_stay_ints_from_entry_to_kernel(monkeypatch, capsys, p42_
                     amps += [c for _, c in a]
                 else:  # the index m or a bare amplitude
                     amps.append(a)
+            # a jump's affine values in the step count have int slopes and intercepts
+            amps = [c for a in amps for c in ((a.s, a.c) if isinstance(a, Aff) else (a,))]
             assert all(type(a) is int for a in amps), (name, args)
             seen.add(name)
             return fn(*args)
@@ -599,6 +625,14 @@ def test_qlimit_abort_is_reported_with_exit_3(capsys, tmp_path):
         "input table violates zz at m=0",
         "input table violates yy at m=0",
     ]
+
+
+@pytest.mark.parametrize("start", [(), ("--y0", "-1:43"), ("--z0", "-1:40")], ids=["none", "y0-only", "z0-only"])
+def test_qlimit_without_a_start_is_input_error(capsys, p42_file, start):
+    code, out, err = run(
+        capsys, "qlimit", "--params", p42_file, "--window", "-2:2", "--eps", "1", *start,
+    )
+    assert (code, out, err) == (1, "", "error: qlimit needs either --table or --y0/--z0\n")
 
 
 def test_qlimit_start_outside_the_all_minus_sector_is_input_error(capsys, p42_file):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -19,6 +20,8 @@ from udp6.evolution import (
 from udp6.families import LinearAnsatz
 from udp6.riccati import riccati_evolve
 from udp6.system import (
+    Aff,
+    Horizon,
     ParityPair,
     Params,
     random_constrained_params,
@@ -29,7 +32,8 @@ from udp6.tables import SolutionTable
 
 from goldens import golden1_y, golden1_z, golden2_y, golden2_z
 from oracles import (
-    ansatz_inequalities_at, evolve_noparity_stepping, evolve_per_branch, gauge, random_state, scale,
+    ansatz_inequalities_at, evolve_noparity_stepping, evolve_per_branch, evolve_stepping, gauge,
+    random_state, scale,
     step_back_y_noparity, step_back_z_noparity, step_z_parity_by_cases, yy_by_cases, zz_by_cases,
 )
 
@@ -380,6 +384,157 @@ def test_forward_then_backward_recovers_initial_state(rng):
     assert tables >= 400
 
 
+# --- jumps across certified affine stretches -----------------------------------------
+
+
+class _Jump(NamedTuple):
+    m: int
+    d: int
+    signs: tuple
+    amp_type: type
+    steps: int
+    horizon: object
+    left: int
+
+
+def _record_jumps(monkeypatch) -> list:
+    """Patch ``evolve``'s jump attempts to log each one as a ``_Jump``: where
+    it starts, the signs and amplitude type there, the steps it took, the
+    horizon of its ``Aff`` values (absent when no stepper ran) and the steps left."""
+    log, horizons = [], []
+
+    class Recorded(Horizon):
+        def __init__(self):
+            super().__init__()
+            horizons.append(self)
+
+    attempt = evolution._affine_jump
+
+    def recording(p, m, d, left, ys, zs):
+        horizons.clear()
+        n, cells = attempt(p, m, d, left, ys, zs)
+        y, z = ys[-1], zs[-1]
+        log.append(_Jump(m, d, (y.sign, z.sign), type(y.amp), n, horizons[0].t if horizons else "none", left))
+        return n, cells
+
+    monkeypatch.setattr(evolution, "Horizon", Recorded)
+    monkeypatch.setattr(evolution, "_affine_jump", recording)
+    return log
+
+
+@st.composite
+def _jump_case(draw):
+    """Constrained parameters with amplitudes k/D in [-R, R] (ints when D = 1),
+    R in {3, 6, 12, 30, 100}, D in 1..3; a start of any parities at m0 in
+    -5..5 and a window up to 40 either side of it."""
+    r, d = draw(st.sampled_from((3, 6, 12, 30, 100))), draw(st.integers(1, 3))
+    amp = st.integers(-r * d, r * d).map(lambda k: k if d == 1 else F(k, d))
+    q = draw(st.integers(1, r * d).map(lambda k: k if d == 1 else F(k, d)))
+    a = [draw(amp) for _ in range(4)]
+    b1, b2, b3 = (draw(amp) for _ in range(3))
+    p = Params.make(q, a, (b1, b2, b3, b1 + b2 + a[2] + a[3] - q - a[0] - a[1] - b3))
+    y0, z0 = (ParityPair(draw(st.sampled_from((1, -1))), draw(amp)) for _ in range(2))
+    m0 = draw(st.integers(-5, 5))
+    return p, m0, y0, z0, (m0 - draw(st.integers(0, 40)), m0 + draw(st.integers(0, 40)))
+
+
+def test_jumps_equal_stepping_in_every_sector_and_direction(monkeypatch):
+    # the same tables and truncation flag as the frontier stepped at every
+    # index; jumps are taken forward and backward in all four sign sectors,
+    # on int and Fraction amplitudes, and in cap-1 runs the cap truncated
+    log = _record_jumps(monkeypatch)
+    truncated_with_jumps = []
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(case=_jump_case(), cap=st.sampled_from((1, 1, 2, 8)))
+    def check(case, cap):
+        p, m0, y0, z0, window = case
+        start = len(log)
+        tree = evolve(p, m0, y0, z0, window, max_branches=cap)
+        assert (tree.tables, tree.truncated) == evolve_stepping(p, m0, y0, z0, window, cap)
+        if cap == 1 and tree.truncated and any(j.steps for j in log[start:]):
+            truncated_with_jumps.append(case)
+
+    check()
+    jumps = [j for j in log if j.steps]
+    assert {(j.d, j.signs) for j in jumps} == {(d, (sy, sz)) for d in (1, -1) for sy in (1, -1) for sz in (1, -1)}
+    assert {j.amp_type for j in jumps} == {int, F}
+    assert truncated_with_jumps
+    assert sum(j.steps for j in jumps) > 3 * len(jumps) and max(j.steps for j in jumps) >= 30
+
+
+@pytest.mark.parametrize("p, y0, z0, at, steps, leaves", [
+    (Params.make(3, (3, 1, -2, 0), (1, -1, 3, -12)), pp(-1, 0), pp(-1, 2), 9, 1, "y"),
+    (Params.make(6, (1, 6, 6, -4), (2, -1, 1, -11)), pp(-1, -5), pp(1, 3), 10, 2, "y"),
+    (Params.make(4, (-2, 3, -6, -6), (6, -1, -4, -8)), pp(1, 4), pp(1, -5), 7, 1, "y"),
+    (Params.make(6, (5, 6, 2, -2), (3, 10, 0, -4)), pp(1, -7), pp(1, 5), 9, 1, "y"),
+], ids=["minus-minus", "minus-plus", "plus-minus", "plus-plus"])
+def test_jump_stops_exactly_at_its_horizon(monkeypatch, p, y0, z0, at, steps, leaves):
+    # the jump takes horizon + 1 steps though more are left, and the table
+    # leaves the fit at the next index: one step further would be wrong.
+    # The step after it is concrete, with no attempt.
+    log = _record_jumps(monkeypatch)
+    window = (0, 14)
+    tree = evolve(p, 0, y0, z0, window, max_branches=1)
+    assert (tree.tables, tree.truncated) == evolve_stepping(p, 0, y0, z0, window, 1)
+    (jump,) = [j for j in log if j.steps]
+    assert (jump.m, jump.d, jump.steps) == (at, 1, steps)
+    assert jump.steps == jump.horizon + 1 < jump.left
+    (t,) = tree.tables
+    end = at + steps
+    col = t.y if leaves == "y" else t.z
+    assert col(end).sign == col(end - 1).sign and col(end).amp - col(end - 1).amp == col(end - 1).amp - col(end - 2).amp
+    assert col(end + 1).sign != col(end).sign or col(end + 1).amp - col(end).amp != col(end).amp - col(end - 1).amp
+    assert end not in [j.m for j in log]
+
+
+def test_fit_check_is_structural():
+    # a candidate continues the fit when its sign, slope and intercept are the
+    # fit's; one that meets the fit's next cell at t = 0 with another slope
+    # leaves it after one step.  The check compares no Aff, so it records nothing.
+    h = Horizon()
+    assert evolution._continues([ParityPair(1, Aff(3, 7, h))], 1, 3, 4)
+    for cands in ([ParityPair(1, Aff(2, 7, h))], [ParityPair(-1, Aff(3, 7, h))],
+                  [ParityPair(1, Aff(3, 8, h))], [ParityPair(1, Aff(3, 7, h))] * 2):
+        assert not evolution._continues(cands, 1, 3, 4)
+    assert h.t is None
+
+
+def test_golden_jumps_take_the_window_in_few_steps(monkeypatch, p42):
+    # from the golden state both columns are affine on m >= 1 and on m <= -1
+    # in either sector: five concrete steps each way reach five cells on a
+    # line, then one jump each way fills the rest of the window
+    log = _record_jumps(monkeypatch)
+    calls = []
+    step = evolution.step_z_parity
+
+    def counting(*args):
+        calls.append(args[1])
+        return step(*args)
+
+    monkeypatch.setattr(evolution, "step_z_parity", counting)
+    for sign in (1, -1):
+        del log[:], calls[:]
+        tree = evolve(p42, 0, pp(sign, 43), pp(sign, 40), (-400, 400))
+        assert [(j.m, j.d, j.steps, j.horizon) for j in log if j.steps] == [(5, 1, 395, None), (-5, -1, 395, None)]
+        assert len(calls) == 2 * (10 + 2)  # a z- and a y-step each, as step_y_parity mirrors step_z_parity
+        assert tree == evolve_stepping(p42, 0, pp(sign, 43), pp(sign, 40), (-400, 400))
+
+
+def test_no_jump_is_attempted_while_two_tables_are_live(monkeypatch):
+    # all-zero parameters tie every step from a plus state: the frontier holds
+    # two or more tables from the first step on, so no step runs on Aff values
+    p = Params.make(0, (0, 0, 0, 0), (0, 0, 0, 0))
+    log = _record_jumps(monkeypatch)
+    seen = []
+    step = evolution.step_z_parity
+    monkeypatch.setattr(evolution, "step_z_parity", lambda q, m, y, z: seen.append(m) or step(q, m, y, z))
+    for window in ((0, 8), (-8, 0), (-8, 8)):
+        tree = evolve(p, 0, pp(1, 0), pp(1, 0), window, max_branches=64)
+        assert len(tree.tables) > 1
+    assert log == [] and all(type(m) is int for m in seen)
+
+
 # --- the frontier engine on synthetic steps ---------------------------------------
 
 
@@ -483,6 +638,37 @@ def test_grow_tables_backward_and_one_cell_steps():
     ]
     tree = grow_tables(_ROOT, steps, 64, (-1, 1))
     assert _rows(tree) == [[(7, 8), (0, 0), (-1, 1)], [(7, 8), (0, 0), (-1, 2)]]
+
+
+def test_grow_tables_offers_single_runs_only_while_one_table_is_live():
+    # two tables from step 0 on; one dies at step 3, so the hook is offered
+    # step 4: it takes it, expands step 5 and hands its two children over, and
+    # the frontier grows from them without expanding step 5 again
+    calls = []
+    steps = [
+        _forward(0, {(0, 0): [(1, 1), (2, 2)]}, calls),
+        _forward(1, {(1, 1): [(1, 1)], (2, 2): [(2, 2)]}, calls),
+        _forward(2, {(1, 1): [(1, 1)], (2, 2): [(2, 2)]}, calls),
+        _forward(3, {(1, 1): [(4, 4)], (2, 2): []}, calls),
+        _forward(4, {}, calls),
+        _forward(5, {}, calls),
+        _forward(6, {(6, 6): [(8, 8)], (7, 7): [(9, 9)]}, calls),
+        _forward(7, {(8, 8): [(10, 10)], (9, 9): [(11, 11)]}, calls),
+    ]
+    offered = []
+
+    def single(i, cell):
+        offered.append((i, cell(("y", i)).amp))
+        if i != 4:
+            return 0, [], None
+        return 1, [_cell(5), _cell(5)], [[_cell(6), _cell(6)], [_cell(7), _cell(7)]]
+
+    tree = grow_tables(_ROOT, steps, 64, (0, 8), single)
+    assert offered == [(0, 0), (4, 4)]
+    assert calls == [(0, 0), (1, 1), (2, 2), (1, 1), (2, 2), (1, 1), (2, 2), (6, 6), (7, 7), (8, 8), (9, 9)]
+    head = [(0, 0), (1, 1), (1, 1), (1, 1), (4, 4), (5, 5)]
+    assert _rows(tree) == [head + [(6, 6), (8, 8), (10, 10)], head + [(7, 7), (9, 9), (11, 11)]]
+    assert not tree.truncated
 
 
 @pytest.mark.parametrize("d, amp", [(1, 3), (2, F(3, 2))])

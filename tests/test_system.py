@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from udp6.evolution import painleve_failures
 from udp6.system import (
+    Aff,
     ConstraintViolation,
+    Horizon,
     ParityPair,
     Params,
     check_constraint,
@@ -17,6 +19,7 @@ from udp6.system import (
     random_constrained_params,
     residual_yy,
     residual_zz,
+    solve_lines,
 )
 from udp6.tables import SolutionTable
 
@@ -384,3 +387,103 @@ def test_equal_params_hash_alike(p42):
     twin = Params.make(F(100), (F(32), 33, F(74, 2), 22), (53, 65, 8, 4))
     assert twin == p42 and hash(twin) == hash(p42)
     assert len({p42, twin}) == 1
+
+
+# --- values affine in the step count ------------------------------------------------
+
+
+def _at(x, t):
+    """An Aff or a plain number at step count t."""
+    return x.s * t + x.c if isinstance(x, Aff) else x
+
+
+def test_aff_arithmetic_is_affine_and_shares_the_horizon():
+    h = Horizon()
+    x, y = Aff(3, F(1, 2), h), Aff(-1, 4, h)
+    results = [x + y, x + 2, 2 + x, x + F(1, 3), x - y, x - 5, 5 - x, F(7, 2) - x, -x,
+               x * 4, 4 * x, x * F(-2, 3), F(-2, 3) * x, 2 * x - 3 * y + 1]
+    wanted = [lambda t: _at(x, t) + _at(y, t), lambda t: _at(x, t) + 2, lambda t: 2 + _at(x, t),
+              lambda t: _at(x, t) + F(1, 3), lambda t: _at(x, t) - _at(y, t), lambda t: _at(x, t) - 5,
+              lambda t: 5 - _at(x, t), lambda t: F(7, 2) - _at(x, t), lambda t: -_at(x, t),
+              lambda t: 4 * _at(x, t), lambda t: 4 * _at(x, t), lambda t: F(-2, 3) * _at(x, t),
+              lambda t: F(-2, 3) * _at(x, t), lambda t: 2 * _at(x, t) - 3 * _at(y, t) + 1]
+    for r, f in zip(results, wanted):
+        assert isinstance(r, Aff) and r.horizon is h
+        assert [_at(r, t) for t in range(5)] == [f(t) for t in range(5)]
+    assert h.t is None  # arithmetic compares nothing
+
+
+def test_aff_is_unhashable_and_takes_no_nonlinear_or_float_operands():
+    x = Aff(1, 0, Horizon())
+    with pytest.raises(TypeError):
+        hash(x)
+    for bad in (lambda: x * x, lambda: x * 0.5, lambda: x + 0.5, lambda: 0.5 - x, lambda: x > 0.5):
+        with pytest.raises(TypeError):
+            bad()
+
+
+_OPS = {
+    ">": lambda a, b: a > b, ">=": lambda a, b: a >= b, "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b, "==": lambda a, b: a == b, "!=": lambda a, b: a != b,
+}
+
+
+# (slope, intercept) of the difference, then per operator (outcome at t = 0, horizon)
+@pytest.mark.parametrize("line, expected", [
+    ((-1, 3), {">": (True, 2), ">=": (True, 3), "<": (False, 3), "<=": (False, 2),
+               "==": (False, 2), "!=": (True, 2)}),  # falls through 0 at t = 3
+    ((2, -6), {">": (False, 3), ">=": (False, 2), "<": (True, 2), "<=": (True, 3),
+               "==": (False, 2), "!=": (True, 2)}),  # rises through 0 at t = 3
+    ((-2, 5), {">": (True, 2), ">=": (True, 2), "<": (False, 2), "<=": (False, 2),
+               "==": (False, None), "!=": (True, None)}),  # falls through 0 at t = 5/2
+    ((F(3, 2), F(-7, 3)), {">": (False, 1), ">=": (False, 1), "<": (True, 1), "<=": (True, 1),
+                           "==": (False, None), "!=": (True, None)}),  # rises through 0 at t = 14/9
+    ((1, 0), {">": (False, 0), ">=": (True, None), "<": (False, None), "<=": (True, 0),
+              "==": (True, 0), "!=": (False, 0)}),  # leaves 0 at t = 0
+    ((0, -1), {op: (_OPS[op](-1, 0), None) for op in _OPS}),  # constant
+], ids=["integer-root-falling", "integer-root-rising", "half-root", "fraction-root", "root-at-0", "flat"])
+@pytest.mark.parametrize("op", sorted(_OPS))
+def test_aff_comparison_horizon_at_each_kind_of_root(line, expected, op):
+    # the difference x - other is the line; other is an int, a Fraction or an Aff
+    s, c = line
+    for make_other in (lambda h: 4, lambda h: F(-5, 7), lambda h: Aff(F(1, 3), 2, h)):
+        h = Horizon()
+        other = make_other(h)
+        x = Aff(s, c, h) + other
+        assert _OPS[op](x, other) is expected[op][0] and h.t == expected[op][1]
+        h.t = None
+        assert _OPS[op](x - other, 0) is expected[op][0] and h.t == expected[op][1]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    s=st.fractions(-4, 4, max_denominator=3), c=st.fractions(-12, 12, max_denominator=3),
+    other=st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=4)),
+    op=st.sampled_from(sorted(_OPS)), reflected=st.booleans(),
+)
+def test_aff_comparison_outcome_lasts_exactly_to_the_horizon(s, c, other, op, reflected):
+    # the outcome at t = 0 is the plain comparison there; it holds at every t
+    # up to the horizon and fails at the next, or holds for ever (here up to
+    # t = 200, past every root of these lines) when there is no horizon
+    h = Horizon()
+    x = Aff(s, c, h)
+    got = _OPS[op](other, x) if reflected else _OPS[op](x, other)
+    plain = (lambda t: _OPS[op](other, _at(x, t))) if reflected else (lambda t: _OPS[op](_at(x, t), other))
+    assert got is plain(0)
+    last = 200 if h.t is None else h.t
+    assert all(plain(t) is got for t in range(last + 1))
+    if h.t is not None:
+        assert plain(h.t + 1) is not got
+
+
+def test_max_and_solve_lines_run_on_aff():
+    # the builtins and the closed form take the same path up to the horizon
+    h = Horizon()
+    x, y = Aff(1, 0, h), Aff(-1, 5, h)
+    assert max(x, y) is y and h.t == 2
+    h.t = None
+    # max(3, x + t) == max(1, x + 2): the point x = 1 while t < 2, where the
+    # slope-1 lines meet and the set becomes the ray x >= 1
+    lo, hi = solve_lines(Aff(0, 3, h), Aff(1, 0, h), 1, 2)
+    assert (lo.s, lo.c) == (hi.s, hi.c) == (0, 1) and h.t == 1
+    assert solve_lines(3, 2, 1, 2) == (1, None)
