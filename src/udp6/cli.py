@@ -45,11 +45,11 @@ def _glue_values(argv: List[str]) -> List[str]:
     return out
 
 
-def _parse_pair(text: str) -> ParityPair:
+def _parse_pair(text: str, flag: str) -> ParityPair:
     sign_s, _, amp_s = text.partition(":")
     if not amp_s:
-        raise ValueError(f"expected sign:amplitude, got {text!r}")
-    return parse_pair(sign_s, amp_s, "amplitude")
+        raise ValueError(f"{flag}: expected sign:amplitude, got {text!r}")
+    return parse_pair(sign_s, amp_s, flag)
 
 
 def _parse_window(text: str) -> Tuple[int, int]:
@@ -110,8 +110,8 @@ def _emit_tree(tree, args) -> int:
 
 def _cmd_evolve(args) -> int:
     p = load_params(args.params)
-    y0 = _parse_pair(args.y0)
-    z0 = _parse_pair(args.z0)
+    y0 = _parse_pair(args.y0, "--y0")
+    z0 = _parse_pair(args.z0, "--z0")
     window = _parse_window(args.window)
     return _emit_tree(evolve(p, args.m0, y0, z0, window, max_branches=args.branch_cap), args)
 
@@ -134,7 +134,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_riccati(args) -> int:
     p = load_params(args.params)
-    y0 = _parse_pair(args.y0)
+    y0 = _parse_pair(args.y0, "--y0")
     lo, hi = _parse_window(args.window)
     tree = riccati_evolve(p, args.m0, y0, (lo, hi), sampling=args.sampling, max_branches=args.branch_cap)
     return _emit_tree(tree, args)
@@ -232,8 +232,8 @@ def _cmd_qlimit(args) -> int:
     else:
         if not (args.y0 and args.z0):
             raise ValueError("qlimit needs either --table or --y0/--z0")
-        y0 = _parse_pair(args.y0)
-        z0 = _parse_pair(args.z0)
+        y0 = _parse_pair(args.y0, "--y0")
+        z0 = _parse_pair(args.z0, "--z0")
         if y0.sign != -1 or z0.sign != -1:
             raise ValueError("--y0/--z0 evolution uses the all-minus sector; signs must be -1")
         table = evolve_noparity(p, args.m0, y0.amp, z0.amp, (lo, hi))

@@ -54,7 +54,22 @@ then the fit is the evolution for horizon + 1 steps, which are filled from
 it.  The candidates' validation ran on the same values: ``step_z_parity``
 decides ``residual_zz`` (and, mirrored, the y-relation) on the fit at every t
 up to the horizon, exactly, so each filled cell passes the residual a stepped
-one passes.  ``painleve_failures`` still checks every index.
+one passes.
+
+``painleve_failures`` decides the relations over the same stretches.  Both
+relations at index m read the rows m and m+1 alone, so it keys each pair of
+neighbouring rows by their four signs and their two steps, and splits the
+pairs into maximal runs of equal keys.  Every index is one pair, so the runs
+partition the relations: no relation reads rows of two runs, and none needs
+a check of its own.  Along a run of two or more pairs the signs are constant
+and the cells affine in t = m - m_k from its first index m_k.  So the
+residuals run once on m and the cells as ``Aff`` values with one horizon:
+every comparison returns its outcome at t = 0 and lowers the horizon to the
+last t at which that outcome still holds, so up to the horizon the kernel
+takes the same path at every t, and its True or False is the verdict at
+every index from m_k to m_k plus the horizon.  The run goes on after it; as
+the terms are affine, their order changes, and the run splits, only where
+two of them cross.
 
 The all-minus sector has affine stretches ``Y = (Q-a)m + b, Z = a m + g``
 forward, ``Y = a m + b, Z = a m + g`` backward.  Where a fit (a, b, g) meets
@@ -68,8 +83,8 @@ the fit, exactly, since the all-minus step is unique.
 
 from __future__ import annotations
 
-from itertools import chain, count, islice, repeat
-from operator import itemgetter
+from itertools import chain, count, groupby, islice, repeat
+from operator import itemgetter, sub
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .system import (
@@ -480,16 +495,45 @@ def evolve_noparity(p: Params, m0: int, y0, z0, window: Tuple[int, int]) -> Solu
 
 
 def painleve_failures(p: Params, table: SolutionTable) -> List[Tuple[int, str]]:
-    """All (index, relation) pairs where the table violates a residual.
+    """All (index, relation) pairs where the table violates a residual, by
+    index, with "zz" before "yy" at an index.
 
-    Parameter signs are admitted; the constraint is checked on entry.
+    Parameter signs are admitted; the constraint is checked on entry.  The
+    pairs of neighbouring rows split into maximal runs of equal signs and
+    equal steps (see the module docstring).  While ``_MIN_RUN`` or more pairs
+    of a run are left, ``residual_zz`` and ``residual_yy`` run once each on
+    ``Aff`` values and decide their relation at every index up to the
+    horizon; the rest of the run is checked index by index, on the cells.
     """
     require_constraint(p)
-    ys, zs = table.ys, table.zs
-    bad = []
-    for i, m in enumerate(range(table.m_lo, table.m_hi)):
-        if not residual_zz(p, m, ys[i], zs[i], zs[i + 1]):
-            bad.append((m, "zz"))
-        if not residual_yy(p, m, ys[i], ys[i + 1], zs[i + 1]):
-            bad.append((m, "yy"))
+    ys, zs, m_lo = table.ys, table.zs, table.m_lo
+    sy, ay = zip(*ys)
+    sz, az = zip(*zs)
+    # both relations at index m read the rows m and m+1 alone
+    keys = zip(sy, sy[1:], sz, sz[1:], map(sub, ay[1:], ay), map(sub, az[1:], az))
+    bad, k = [], 0
+    for (s_y, _, s_z, _, dy, dz), run in groupby(keys):
+        end = k + sum(1 for _ in run)
+        while end - k >= _MIN_RUN:
+            h = Horizon()
+            m, y, z = Aff(1, m_lo + k, h), ParityPair(s_y, Aff(dy, ay[k], h)), ParityPair(s_z, Aff(dz, az[k], h))
+            z1 = ParityPair(s_z, z.amp + dz)
+            zz, yy = residual_zz(p, m, y, z, z1), residual_yy(p, m, y, ParityPair(s_y, y.amp + dy), z1)
+            n = end - k if h.t is None else min(h.t + 1, end - k)
+            failed = [rel for rel, ok in (("zz", zz), ("yy", yy)) if not ok]
+            if failed:
+                bad += [(i, rel) for i in range(m_lo + k, m_lo + k + n) for rel in failed]
+            k += n
+        for k in range(k, end):
+            m = m_lo + k
+            if not residual_zz(p, m, ys[k], zs[k], zs[k + 1]):
+                bad.append((m, "zz"))
+            if not residual_yy(p, m, ys[k], ys[k + 1], zs[k + 1]):
+                bad.append((m, "yy"))
+        k = end
     return bad
+
+
+# A decision on Aff values costs about seven index checks on ints (four to
+# five on Fractions), so a run of fewer than eight pairs is checked index by index.
+_MIN_RUN = 8

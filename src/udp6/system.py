@@ -29,7 +29,7 @@ product of parameter signs and of the state's sector (sign y_m, sign z_m
 z_{m+1}), placed once per sign pattern by ``_sign_sectors``; ``residual_zz``
 lists the sides.  ``Aff`` values, affine in a step count, run through the
 same kernel and steppers when ``udp6.evolution.evolve`` certifies an affine
-stretch.
+stretch, and through the kernel when ``painleve_failures`` decides one.
 """
 
 from __future__ import annotations
@@ -372,10 +372,12 @@ class Aff:
 
 
 def parse_rational(v, what: str) -> Fraction:
-    """Fraction(v) for an integer or rational text; a zero denominator is a
-    ValueError naming ``what``, like any other malformed input."""
+    """Fraction(v) for an integer or rational text; malformed text and a zero
+    denominator are ValueErrors naming ``what``."""
     try:
         return Fraction(v)
+    except ValueError:
+        raise ValueError(f"{what}: malformed rational {v!r}") from None
     except ZeroDivisionError:
         raise ValueError(f"{what}: zero denominator in {v!r}") from None
 

@@ -17,8 +17,9 @@ jumps across affine stretches.  The branching evolution is run one branch
 at a time on Fractions, each child a copy of its parent's table, against the
 library's shared frontier, and the shared frontier stepped at every index,
 the engine before the jumps across certified affine stretches, against
-those jumps.  The seeded generators of random states and
-first-order parameters serve the property suites only, as do the check that
+those jumps.  Both residuals are checked at every index of a table, against
+the library's one decision per affine run.  The seeded generators of random
+states and first-order parameters serve the property suites only, as do the check that
 a first-order solution solves the full system, a Fraction-valued first-order
 evolution to hold the library's integer route against, and the first-order
 step of the q-system.  The q-system step is transcribed a second time in
@@ -77,7 +78,16 @@ from udp6.riccati import (
     riccati_step_y,
     riccati_step_z,
 )
-from udp6.system import ParityPair, Params, check_sign, params_to_obj, require_unsigned, residual_zz
+from udp6.system import (
+    ParityPair,
+    Params,
+    check_sign,
+    params_to_obj,
+    require_constraint,
+    require_unsigned,
+    residual_yy,
+    residual_zz,
+)
 from udp6.tables import SolutionTable
 
 
@@ -589,6 +599,20 @@ def evolve_per_branch(
     ), truncated
 
 
+def painleve_failures_per_index(p: Params, table: SolutionTable) -> list:
+    """``painleve_failures`` with no run split: both residuals at every index
+    of the table, on its cells, in the library's order."""
+    require_constraint(p)
+    ys, zs = table.ys, table.zs
+    bad = []
+    for i, m in enumerate(range(table.m_lo, table.m_hi)):
+        if not residual_zz(p, m, ys[i], zs[i], zs[i + 1]):
+            bad.append((m, "zz"))
+        if not residual_yy(p, m, ys[i], ys[i + 1], zs[i + 1]):
+            bad.append((m, "yy"))
+    return bad
+
+
 def quantified_per_index(label: str, rng: range, pred: Callable[[int], bool]) -> Condition:
     """``udp6.families._quantified`` evaluated at every index of the range."""
     return Condition(f"{label} for m in [{rng.start}, {rng.stop - 1}]", all(pred(m) for m in rng))
@@ -682,14 +706,15 @@ def compare_at_fixed_precision(
     bits: Callable[[Fraction], int],
 ) -> CompareReport:
     """``ud_limit_compare`` without its agreement search: each eps runs once at
-    ``bits(eps)`` bits, and that run is accepted unchecked."""
+    ``bits(eps)`` bits, and that run is accepted unchecked.  The table's
+    failures come from the per-index check."""
     runs = [_compare_run(p, table, eps, window, bits(eps)) for eps in schedule.eps_values]
     return CompareReport(
         rows=tuple(r for rows, _ in runs for r in rows),
         aborts=tuple(a for _, aborts in runs for a in aborts),
         schedule=schedule,
         window=window,
-        table_failures=tuple(painleve_failures(p, table)),
+        table_failures=tuple(painleve_failures_per_index(p, table)),
         precisions=tuple((eps, bits(eps)) for eps in schedule.eps_values),
     )
 

@@ -659,7 +659,7 @@ def test_qlimit_reports_nonmonotone_errors_with_exit_3(capsys, monkeypatch, p42_
     assert (code, out, err) == (3, report.to_csv_text(), "non-monotone amplitude error at m=1 (Y)\n")
 
 
-# --- zero denominators in rational inputs ------------------------------------------------
+# --- zero denominators and malformed text in rational inputs -----------------------------
 
 _PAIRS = ("--y0", "-1:43", "--z0", "-1:40")
 _BAD_RATIONAL_CASES = {
@@ -681,20 +681,47 @@ _BAD_RATIONAL_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_BAD_RATIONAL_CASES))
-def test_zero_denominator_is_input_error(case, capsys, tmp_path, p42_file):
+def _bad_input_paths(tmp_path, p42_file, text: str) -> dict:
+    """The p42 params file, and a params file and a table with ``text`` in
+    one amplitude: a1, and Z at m = 1."""
     bad_params = tmp_path / "bad.json"
     with open(p42_file, encoding="utf-8") as fh:
         obj = json.load(fh)
-    obj["a1"] = "1/0"
+    obj["a1"] = text
     bad_params.write_text(json.dumps(obj))
     bad_table = tmp_path / "bad.csv"
-    bad_table.write_text("m,sy,Y,sz,Z\n0,-1,43,-1,40\n1,-1,1/0,-1,-28\n")
-    paths = {"params": p42_file, "bad_params": str(bad_params), "bad_table": str(bad_table)}
+    bad_table.write_text(f"m,sy,Y,sz,Z\n0,-1,43,-1,40\n1,-1,122,-1,{text}\n")
+    return {"params": p42_file, "bad_params": str(bad_params), "bad_table": str(bad_table)}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_RATIONAL_CASES))
+def test_zero_denominator_is_input_error(case, capsys, tmp_path, p42_file):
+    paths = _bad_input_paths(tmp_path, p42_file, "1/0")
     argv = [a.format(**paths) for a in _BAD_RATIONAL_CASES[case]]
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error: ") and "zero denominator" in err
+
+
+_MALFORMED_RATIONAL_CASES = {
+    "params-json": (("evolve", "--params", "{bad_params}", *_PAIRS, "--window", "0:2"), "a1", "x"),
+    "y0": (("evolve", "--params", "{params}", "--y0", "1:4x", "--z0", "-1:40", "--window", "0:2"), "--y0", "4x"),
+    "z0": (("qlimit", "--params", "{params}", "--y0", "-1:43", "--z0", "-1:4/", "--window", "0:2",
+            "--eps", "1"), "--z0", "4/"),
+    "riccati-y0": (("riccati", "--params", "{params}", "--y0", "1:1/x", "--window", "0:2"), "--y0", "1/x"),
+    "eps": (("qlimit", "--params", "{params}", *_PAIRS, "--window", "0:2", "--eps", "1,x"), "eps", "x"),
+    "alpha": (("families", "--params", "{params}", "--id", "lin", "--alpha", "1/x",
+               "--beta", "1", "--gamma", "1"), "--alpha", "1/x"),
+    "table-cell": (("verify", "--params", "{params}", "--table", "{bad_table}"), "Z", "x"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_RATIONAL_CASES))
+def test_malformed_rational_names_its_input(case, capsys, tmp_path, p42_file):
+    paths = _bad_input_paths(tmp_path, p42_file, "x")
+    args, what, text = _MALFORMED_RATIONAL_CASES[case]
+    code, out, err = run(capsys, *[a.format(**paths) for a in args])
+    assert (code, out, err) == (1, "", f"error: {what}: malformed rational {text!r}\n")
 
 
 def test_deeply_nested_params_json_is_input_error(capsys, tmp_path):

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -33,7 +33,7 @@ from udp6.tables import SolutionTable
 from goldens import golden1_y, golden1_z, golden2_y, golden2_z
 from oracles import (
     ansatz_inequalities_at, evolve_noparity_stepping, evolve_per_branch, evolve_stepping, gauge,
-    random_state, scale,
+    painleve_failures_per_index, random_state, scale,
     step_back_y_noparity, step_back_z_noparity, step_z_parity_by_cases, yy_by_cases, zz_by_cases,
 )
 
@@ -724,9 +724,7 @@ def test_rational_inputs_agree_with_case_oracles(case, cell):
     # one cell moved by 1/k: its denominator need not divide the parameters'
     m, which, k = cell
     for t in tree.tables[:2] + (flat,):
-        cols = {"y": list(t.ys), "z": list(t.zs)}
-        cols[which][m + 3] = gauge(cols[which][m + 3], F(1, k))
-        moved = SolutionTable(t.m_lo, tuple(cols["y"]), tuple(cols["z"]))
+        moved = _moved(t, m + 3, which, F(1, k))
         assert painleve_failures(p, moved) == _oracle_failures(p, moved)
 
 
@@ -851,6 +849,174 @@ def test_certified_stretch_is_residual_clean(case):
     table = SolutionTable(lo, tuple(ParityPair(-1, slope_y * m + b) for m in ms),
                           tuple(ParityPair(-1, a * m + g) for m in ms))
     assert painleve_failures(p, table) == []
+
+
+# --- verification by affine runs ------------------------------------------------------
+
+
+def _record_run_checks(monkeypatch) -> Tuple[list, list]:
+    """Patch ``residual_zz`` to log the arguments of each call made while the
+    returned switch list is not empty, so that ``evolve``'s calls go unlogged."""
+    log, on = [], []
+    kernel = evolution.residual_zz
+
+    def recording(*args):
+        if on:
+            log.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(evolution, "residual_zz", recording)
+    return log, on
+
+
+def _moved(t: SolutionTable, i: int, column: str, move=None) -> SolutionTable:
+    """t with the amplitude of one cell moved by ``move``, or its sign flipped when None."""
+    cols = {"y": list(t.ys), "z": list(t.zs)}
+    sign, amp = cols[column][i]
+    cols[column][i] = ParityPair(-sign, amp) if move is None else ParityPair(sign, amp + move)
+    return SolutionTable(t.m_lo, tuple(cols["y"]), tuple(cols["z"]))
+
+
+def test_run_split_verdicts_equal_per_index_on_evolved_tables(monkeypatch):
+    # intact evolved tables and the same tables with one amplitude moved by
+    # +-1 or 1/k or one sign flipped: the same list, in the same order, as the
+    # per-index loop and the case oracles.  Runs are decided on Aff values in
+    # all four sign sectors, on int and Fraction amplitudes.
+    log, on = _record_run_checks(monkeypatch)
+    failing = []
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        case=_jump_case(),
+        cell=st.tuples(st.integers(0, 10**6), st.sampled_from("yz")),
+        move=st.sampled_from((1, -1, F(1, 2), F(-1, 3), F(1, 7), None)),
+    )
+    def check(case, cell, move):
+        p, m0, y0, z0, window = case
+        tables = evolve(p, m0, y0, z0, window, max_branches=8).tables[:2]
+        on.append(True)
+        for t in tables:
+            assert painleve_failures(p, t) == painleve_failures_per_index(p, t) == _oracle_failures(p, t) == []
+            moved = _moved(t, cell[0] % len(t), cell[1], move)
+            failures = painleve_failures(p, moved)
+            assert failures == painleve_failures_per_index(p, moved) == _oracle_failures(p, moved)
+            failing.append(bool(failures))
+        on.clear()
+
+    check()
+    runs = [(y.sign, z.sign, type(y.amp.c)) for _, m, y, z, _ in log if type(m) is Aff]
+    assert {(sy, sz) for sy, sz, _ in runs} == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
+    assert {amp_type for _, _, amp_type in runs} == {int, F}
+    assert sum(failing) > len(failing) // 2
+
+
+@st.composite
+def _affine_tables(draw):
+    """Small constrained parameters, signed half the time (with the product
+    condition met), amplitudes k/D in [-R, R], R in {1, 2, 3, 6}, D in {1, 2}, and a
+    table of one to three affine pieces of 1 to 25 rows: each piece has its own
+    signs and steps and starts a small jump after the last.  Also the pieces'
+    (first row, rows) pairs."""
+    r, d = draw(st.sampled_from((1, 2, 3, 6))), draw(st.sampled_from((1, 1, 2)))
+
+    def amp(bound):
+        return st.integers(-bound * d, bound * d).map(lambda n: n if d == 1 else F(n, d))
+
+    sign = st.sampled_from((1, -1))
+    q = draw(st.integers(1, r * d).map(lambda n: n if d == 1 else F(n, d)))
+    a = [draw(amp(r)) for _ in range(4)]
+    b1, b2, b3 = (draw(amp(r)) for _ in range(3))
+    sa, sb = [draw(sign) for _ in range(4)], [draw(sign) for _ in range(3)]
+    if draw(st.booleans()):
+        sa, sb = None, None
+    else:
+        sb.append(sa[0] * sa[1] * sa[2] * sa[3] * sb[0] * sb[1] * sb[2])
+    p = Params.make(q, a, (b1, b2, b3, b1 + b2 + a[2] + a[3] - q - a[0] - a[1] - b3), sa, sb)
+    ys, zs, pieces = [], [], []
+    y, z = draw(amp(3 * r)), draw(amp(3 * r))
+    for _ in range(draw(st.integers(1, 3))):
+        sy, sz, dy, dz, n = draw(sign), draw(sign), draw(amp(r)), draw(amp(r)), draw(st.integers(1, 25))
+        pieces.append((len(ys), n))
+        for _ in range(n):
+            ys.append(ParityPair(sy, y))
+            zs.append(ParityPair(sz, z))
+            y, z = y + dy, z + dz
+        y, z = y + draw(amp(2)), z + draw(amp(2))
+    return p, SolutionTable(draw(st.integers(-10, 10)), tuple(ys), tuple(zs)), pieces
+
+
+def test_run_split_verdicts_equal_per_index_on_affine_tables():
+    # piecewise affine tables where a relation may hold on part of a piece,
+    # which puts a horizon inside a run; signed parameters too
+    within = {"partly": 0, "at one index": 0, "partly, signed": 0}
+
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(case=_affine_tables())
+    def check(case):
+        p, t, pieces = case
+        failures = painleve_failures(p, t)
+        assert failures == painleve_failures_per_index(p, t)
+        signed = any(s != 1 for s in p[9:])
+        for first, n in pieces:
+            if n - 1 < evolution._MIN_RUN:
+                continue
+            for rel in ("zz", "yy"):
+                holds = [i for i in range(first, first + n - 1) if (t.m_lo + i, rel) not in failures]
+                if 0 < len(holds) < n - 1:
+                    within["partly"] += 1
+                    within["at one index"] += len(holds) == 1
+                    within["partly, signed"] += signed
+
+    check()
+    assert min(within.values()) >= 50, within
+
+
+def test_equality_at_one_index_inside_a_run(monkeypatch):
+    # the z-relation holds at m = 6 alone on a run of 29 pairs, the y-relation
+    # nowhere: an Aff check from m = 6 finds the equality and a horizon of 0,
+    # and every check of the run is made on Aff values
+    p = Params.make(2, (0, 2, -2, 0), (0, 2, 0, -4))
+    t = SolutionTable(0, (ParityPair(-1, 6),) * 30, (ParityPair(-1, 5),) * 30)
+    log, on = _record_run_checks(monkeypatch)
+    on.append(True)
+    failures = painleve_failures(p, t)
+    assert failures == painleve_failures_per_index(p, t)
+    assert failures == [(m, rel) for m in range(29) for rel in ("zz", "yy") if (m, rel) != (6, "zz")]
+    assert all(type(m) is Aff for _, m, *_ in log) and 6 in [m.c for _, m, *_ in log]
+
+
+@pytest.mark.parametrize("p", [
+    Params.make(100, (32, 33, 37, 22), (53, 65, 8, 4)),
+    Params.make(F(201, 2), (32, F(67, 2), 37, 22), (53, 66, 8, 4)),
+    Params.make(100, (32, 33, 37, 22), (53, 65, 8, 4), sa=(-1, 1, 1, 1), sb=(-1, 1, 1, 1)),
+], ids=["p42", "fraction", "signed"])
+def test_one_and_two_row_tables(p):
+    golden = SolutionTable(0, (pp(-1, 43), pp(-1, 122)), (pp(-1, 40), pp(-1, -28)))
+    one = SolutionTable(0, golden.ys[:1], golden.zs[:1])
+    assert painleve_failures(p, one) == [] == painleve_failures_per_index(p, one)
+    for t in (golden, _moved(golden, 1, "z", 1), _moved(golden, 0, "y"), _moved(golden, 1, "y", F(1, 3))):
+        assert painleve_failures(p, t) == painleve_failures_per_index(p, t)
+
+
+def test_golden_verify_decides_each_run_once(monkeypatch, p42):
+    # the golden table over +-400 in either sector is two affine runs and two
+    # single pairs: eight residual calls in place of 1,600, and the bound
+    # leaves twice that.  With one cell moved, the per-index check's list.
+    calls = []
+    for name in ("residual_zz", "residual_yy"):
+        kernel = getattr(evolution, name)
+        monkeypatch.setattr(evolution, name, lambda *a, kernel=kernel: calls.append(a[1]) or kernel(*a))
+    for sign in (1, -1):
+        table = SolutionTable.from_csv_text(
+            evolve(p42, 0, ParityPair(sign, 43), ParityPair(sign, 40), (-400, 400)).tables[0].to_csv_text()
+        )
+        calls.clear()
+        assert painleve_failures(p42, table) == []
+        assert len(calls) <= 16
+        moved = _moved(table, 600, "y", 1)
+        assert painleve_failures(p42, moved) == painleve_failures_per_index(p42, moved) == [
+            (199, "yy"), (200, "zz"), (200, "yy"),
+        ]
 
 
 # --- table serialization ------------------------------------------------------------

@@ -45,6 +45,7 @@ from oracles import (
     mpf_ls_add,
     mpf_ls_div,
     mpf_ls_mul,
+    painleve_failures_per_index,
     qriccati_step,
 )
 
@@ -576,6 +577,20 @@ def test_compare_window_must_fit(p42):
 
 
 # --- precision by agreement --------------------------------------------------------------
+
+
+def test_compare_reports_the_failures_of_the_per_index_check(p42):
+    # a golden slice with long affine runs, one y amplitude moved inside the
+    # run m >= 1 and one z sign flipped inside m <= -1: the report lists the
+    # per-index check's failures, in its order
+    table = evolve_noparity(p42, 0, 43, 40, (-30, 30))
+    ys, zs = list(table.ys), list(table.zs)
+    ys[40] = ParityPair(ys[40].sign, ys[40].amp + 1)
+    zs[10] = ParityPair(-zs[10].sign, zs[10].amp)
+    broken = SolutionTable(table.m_lo, tuple(ys), tuple(zs))
+    rep = ud_limit_compare(p42, broken, EpsSchedule([1]), (0, 1))
+    assert rep.table_failures == tuple(painleve_failures_per_index(p42, broken))
+    assert {m for m, _ in rep.table_failures} == {-21, -20, 9, 10}
 
 
 def ceiling_report(p, table, schedule, window) -> CompareReport:

@@ -137,7 +137,7 @@ def test_csv_reader_skips_blank_lines():
     (["0,0,43,-1,40"], "sign must be +1 or -1, got 0"),
     (["0,-1,43,2,40"], "sign must be +1 or -1, got 2"),
     (["0,-1,1/0,-1,40"], "Y: zero denominator in '1/0'"),
-    (["0,-1,43,-1,x"], "Invalid literal for Fraction: 'x'"),
+    (["0,-1,43,-1,x"], "Z: malformed rational 'x'"),
     (["0,-1,43,-1,40", "2,-1,43,-1,40"], "table window must be contiguous"),
     (["0,-1,43,-1,40", "0,-1,43,-1,40"], "table window must be contiguous"),
     (["0,-1,43,-1"], "malformed row: ['0', '-1', '43', '-1']"),
