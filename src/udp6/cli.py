@@ -22,7 +22,7 @@ from .evolution import evolve, evolve_noparity, painleve_failures
 from .families import FAMILY_IDS, FamilySpec, LinearAnsatz, detect_asymptotic_linearity, instantiate_family
 from .qoracle import EpsSchedule, ud_limit_compare
 from .riccati import SAMPLINGS, riccati_evolve, riccati_failures
-from .system import ParityPair, load_params, params_to_obj, parse_pair, parse_rational, random_constrained_params
+from .system import ParityPair, load_params, params_to_obj, parse_int, parse_pair, parse_rational, random_constrained_params
 from .tables import SolutionTable, branches_json_text, branches_to_json_obj
 
 __all__ = ["main"]
@@ -56,7 +56,7 @@ def _parse_window(text: str) -> Tuple[int, int]:
     lo_s, _, hi_s = text.partition(":")
     if not hi_s:
         raise ValueError(f"expected lo:hi, got {text!r}")
-    lo, hi = int(lo_s), int(hi_s)
+    lo, hi = parse_int(lo_s, "--window"), parse_int(hi_s, "--window")
     if lo > hi:
         raise ValueError(f"window {text!r} is empty")
     return lo, hi

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -55,6 +56,7 @@ __all__ = [
     "params_from_obj",
     "params_to_obj",
     "parse_amp",
+    "parse_int",
     "parse_pair",
     "parse_rational",
     "random_constrained_params",
@@ -385,11 +387,23 @@ def parse_rational(v, what: str) -> Fraction:
 _INT_TEXT = re.compile(r"-?[0-9]+")
 
 
+def parse_int(v: str, what: str) -> int:
+    """int(v); malformed text, and integer text over the interpreter's digit
+    limit for ``int``, are ValueErrors naming ``what``."""
+    try:
+        return int(v)
+    except ValueError:
+        if _INT_TEXT.fullmatch(v):  # only the digit limit refuses such text
+            digits, limit = len(v.lstrip("-")), sys.get_int_max_str_digits()
+            raise ValueError(f"{what}: integer of {digits} digits is over int's limit of {limit} digits") from None
+        raise ValueError(f"{what}: malformed integer {v!r}") from None
+
+
 def parse_amp(v, what: str) -> Union[int, Fraction]:
     """An amplitude as it enters: an int or ASCII integer text as an int, other text
     through ``parse_rational``; anything else (a bool, a float) is a ValueError."""
     if isinstance(v, str):
-        return int(v) if _INT_TEXT.fullmatch(v) else parse_rational(v, what)
+        return parse_int(v, what) if _INT_TEXT.fullmatch(v) else parse_rational(v, what)
     if isinstance(v, int) and not isinstance(v, bool):
         return v
     raise ValueError(f"{what}: rationals must be integers or 'p/q' strings, got {v!r}")
@@ -397,8 +411,8 @@ def parse_amp(v, what: str) -> Union[int, Fraction]:
 
 def parse_pair(sign, amp, what: str) -> ParityPair:
     """A pair as it enters the system: the sign must be +1 or -1 and the
-    amplitude is read by ``parse_amp``."""
-    return ParityPair(check_sign(int(sign)), parse_amp(amp, what))
+    amplitude is read by ``parse_amp``; both name ``what`` in their errors."""
+    return ParityPair(check_sign(parse_int(sign, what)), parse_amp(amp, what))
 
 
 def _frac_to_json(x: Fraction) -> Union[int, str]:

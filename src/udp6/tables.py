@@ -1,21 +1,32 @@
 """Solution tables: m -> (y, z) over a contiguous integer window, with an
 exact CSV round-trip (columns m, sy, Y, sz, Z; amplitudes as rational
 strings).  The CSV reader reads amplitudes by ``parse_amp``, so integer text
-stays an int, as the evolutions keep integer cells.  JSON is an output format
-only: ``to_json_obj`` and the branch writers have no reader.  Rows of equal
-cells share one dict in ``branches_to_json_obj``, which must not be mutated."""
+stays an int, as the evolutions keep integer cells.  The writer's own layout
+of an integer table (the header, then rows of ASCII integers with signs 1 or
+-1, each ended by a newline) is matched by one regular expression and read
+in bulk: one ``int`` map over all its cells.  Any other text, and text whose
+bulk read fails (a cell over ``int``'s digit limit), is read row by row
+through the csv module, the one place that reports errors.  JSON is an
+output format only: ``to_json_obj`` and the branch writers have no reader.
+Rows of equal cells share one dict in ``branches_to_json_obj``, which must
+not be mutated."""
 
 from __future__ import annotations
 
 import csv
 import io
+import re
+from itertools import repeat
 from typing import Iterable, Iterator, Tuple
 
-from .system import ParityPair, check_sign, parse_amp
+from .system import ParityPair, check_sign, parse_amp, parse_int
 
 __all__ = ["SolutionTable", "branches_json_text", "branches_to_json_obj"]
 
 _COLUMNS = ("m", "sy", "Y", "sz", "Z")
+_HEADER = ",".join(_COLUMNS) + "\n"
+# the writer's layout of an integer table: the header and at least one row
+_INT_TABLE = re.compile(re.escape(_HEADER) + r"(?:-?[0-9]+,-?1,-?[0-9]+,-?1,-?[0-9]+\n)+")
 
 
 class SolutionTable:
@@ -90,7 +101,7 @@ class SolutionTable:
     def to_csv_text(self) -> str:
         """The text ``csv.writer`` writes, which quotes none of these fields."""
         rows = ["%d,%d,%s,%d,%s\n" % (m, sy, y, sz, z) for m, (sy, y), (sz, z) in self.rows()]
-        return ",".join(_COLUMNS) + "\n" + "".join(rows)
+        return _HEADER + "".join(rows)
 
     @classmethod
     def from_csv_text(cls, text: str) -> "SolutionTable":
@@ -98,6 +109,16 @@ class SolutionTable:
         checked and zero denominators rejected as in ``parse_pair``; text the
         csv module cannot read (a field over its size limit) is a ValueError
         too."""
+        if _INT_TABLE.fullmatch(text):
+            try:
+                cells = list(map(int, text[len(_HEADER):-1].replace("\n", ",").split(",")))
+            except ValueError:  # a cell over int's digit limit: the row loop names it
+                pass
+            else:
+                # the regex admits signs 1 and -1 only; tuple.__new__ builds each pair in C
+                ys, zs = (list(map(tuple.__new__, repeat(ParityPair), zip(cells[k::5], cells[k + 1::5])))
+                          for k in (1, 3))
+                return cls._from_rows(cells[::5], ys, zs)
         try:
             rows = list(csv.reader(io.StringIO(text)))
         except csv.Error as exc:
@@ -111,9 +132,9 @@ class SolutionTable:
             if len(row) != 5:
                 raise ValueError(f"malformed row: {row!r}")
             m, sy, yv, sz, zv = row
-            ms.append(int(m))
-            ys.append(ParityPair(check_sign(int(sy)), parse_amp(yv, "Y")))
-            zs.append(ParityPair(check_sign(int(sz)), parse_amp(zv, "Z")))
+            ms.append(parse_int(m, "m"))
+            ys.append(ParityPair(check_sign(parse_int(sy, "sy")), parse_amp(yv, "Y")))
+            zs.append(ParityPair(check_sign(parse_int(sz, "sz")), parse_amp(zv, "Z")))
         if not ms:
             raise ValueError("table has no rows")
         return cls._from_rows(ms, ys, zs)

@@ -18,7 +18,9 @@ at a time on Fractions, each child a copy of its parent's table, against the
 library's shared frontier, and the shared frontier stepped at every index,
 the engine before the jumps across certified affine stretches, against
 those jumps.  Both residuals are checked at every index of a table, against
-the library's one decision per affine run.  The seeded generators of random
+the library's one decision per affine run.  A table's CSV text is read
+row by row through the csv module, the reader that the library's bulk read
+of its own integer layout is held against.  The seeded generators of random
 states and first-order parameters serve the property suites only, as do the check that
 a first-order solution solves the full system, a Fraction-valued first-order
 evolution to hold the library's integer route against, and the first-order
@@ -33,6 +35,8 @@ a precision the caller fixes, unchecked, the reference its agreement search is
 held against.
 """
 
+import csv
+import io
 import json
 import math
 import random
@@ -83,6 +87,8 @@ from udp6.system import (
     Params,
     check_sign,
     params_to_obj,
+    parse_amp,
+    parse_int,
     require_constraint,
     require_unsigned,
     residual_yy,
@@ -611,6 +617,35 @@ def painleve_failures_per_index(p: Params, table: SolutionTable) -> list:
         if not residual_yy(p, m, ys[i], ys[i + 1], zs[i + 1]):
             bad.append((m, "yy"))
     return bad
+
+
+def table_from_csv_rows(text: str) -> SolutionTable:
+    """``SolutionTable.from_csv_text`` by the csv module, row by row, with
+    its messages: each row's cells are read in column order, and the rows
+    are sorted and checked for a contiguous window once all are read."""
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise ValueError(f"malformed CSV: {exc}") from None
+    if not rows or rows[0] != ["m", "sy", "Y", "sz", "Z"]:
+        raise ValueError("expected header m,sy,Y,sz,Z")
+    cells = []
+    for row in rows[1:]:
+        if not row:
+            continue
+        if len(row) != 5:
+            raise ValueError(f"malformed row: {row!r}")
+        m, sy, y, sz, z = row
+        m = parse_int(m, "m")
+        y = ParityPair(check_sign(parse_int(sy, "sy")), parse_amp(y, "Y"))
+        cells.append((m, y, ParityPair(check_sign(parse_int(sz, "sz")), parse_amp(z, "Z"))))
+    if not cells:
+        raise ValueError("table has no rows")
+    cells.sort(key=lambda cell: cell[0])
+    m_lo = cells[0][0]
+    if [cell[0] for cell in cells] != list(range(m_lo, m_lo + len(cells))):
+        raise ValueError("table window must be contiguous")
+    return SolutionTable(m_lo, tuple(cell[1] for cell in cells), tuple(cell[2] for cell in cells))
 
 
 def quantified_per_index(label: str, rng: range, pred: Callable[[int], bool]) -> Condition:

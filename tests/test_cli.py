@@ -724,6 +724,38 @@ def test_malformed_rational_names_its_input(case, capsys, tmp_path, p42_file):
     assert (code, out, err) == (1, "", f"error: {what}: malformed rational {text!r}\n")
 
 
+_LONG = "4" * 5000  # over int's default limit of 4300 digits
+_TOO_LONG = "integer of 5000 digits is over int's limit of 4300 digits"
+# (argv, the table's one row, the message after "error: ")
+_BAD_INTEGER_CASES = {
+    "y0-sign": (("evolve", "--params", "{params}", "--y0", "x:5", "--z0", "-1:40", "--window", "0:2"), None,
+                "--y0: malformed integer 'x'"),
+    "z0-sign": (("qlimit", "--params", "{params}", "--y0", "-1:43", "--z0", "1.5:40", "--window", "0:2",
+                 "--eps", "1"), None, "--z0: malformed integer '1.5'"),
+    "window": (("evolve", "--params", "{params}", *_PAIRS, "--window", "0:x"), None,
+               "--window: malformed integer 'x'"),
+    "window-lo": (("conjecture", "--n", "1", "--window", "a:3", "--seed", "1"), None,
+                  "--window: malformed integer 'a'"),
+    "table-m": (("verify", "--params", "{params}", "--table", "{table}"), "x,-1,43,-1,40", "m: malformed integer 'x'"),
+    "table-sy": (("verify", "--params", "{params}", "--table", "{table}"), "0,x,43,-1,40", "sy: malformed integer 'x'"),
+    "table-sz": (("qlimit", "--params", "{params}", "--table", "{table}", "--window", "0:0", "--eps", "1"),
+                 "0,-1,43,1/1,40", "sz: malformed integer '1/1'"),
+    "y0-long": (("evolve", "--params", "{params}", "--y0", "-1:" + _LONG, "--z0", "-1:40", "--window", "0:2"),
+                None, "--y0: " + _TOO_LONG),
+    "table-Y-long": (("verify", "--params", "{params}", "--table", "{table}"), f"0,-1,{_LONG},-1,40",
+                     "Y: " + _TOO_LONG),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INTEGER_CASES))
+def test_malformed_integer_names_its_input(case, capsys, tmp_path, p42_file):
+    args, row, message = _BAD_INTEGER_CASES[case]
+    table = tmp_path / "bad.csv"
+    table.write_text(f"m,sy,Y,sz,Z\n{row}\n")
+    code, out, err = run(capsys, *[a.format(params=p42_file, table=table) for a in args])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_deeply_nested_params_json_is_input_error(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000)

@@ -7,20 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from udp6.evolution import evolve
 from udp6.system import ParityPair, parse_pair
 from udp6.tables import SolutionTable, branches_json_text, branches_to_json_obj
+
+from oracles import table_from_csv_rows
 
 _AMPS = st.one_of(
     st.integers(-10**6, 10**6),
     st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 12)),
 )
 _PAIRS = st.builds(ParityPair, st.sampled_from((1, -1)), _AMPS)
+_INT_PAIRS = st.builds(ParityPair, st.sampled_from((1, -1)), st.integers(-10**6, 10**6))
 
 
 @st.composite
-def _tables(draw):
+def _tables(draw, pairs=_PAIRS):
     n = draw(st.integers(1, 6))
-    cols = [tuple(draw(st.lists(_PAIRS, min_size=n, max_size=n))) for _ in "yz"]
+    cols = [tuple(draw(st.lists(pairs, min_size=n, max_size=n))) for _ in "yz"]
     return SolutionTable(draw(st.integers(-40, 40)), *cols)
 
 
@@ -143,11 +147,88 @@ def test_csv_reader_skips_blank_lines():
     (["0,-1,43,-1"], "malformed row: ['0', '-1', '43', '-1']"),
     ([], "table has no rows"),
     (["0,-1," + "4" * 200_000 + ",-1,40"], "malformed CSV: field larger than field limit (131072)"),
+    (["x,-1,43,-1,40"], "m: malformed integer 'x'"),
+    (["0,x,43,-1,40"], "sy: malformed integer 'x'"),
+    (["0,-1,43,+-1,40"], "sz: malformed integer '+-1'"),
+    (["0,-1," + "4" * 5000 + ",-1,40"], "Y: integer of 5000 digits is over int's limit of 4300 digits"),
+    (["0,-1,43,-1,-" + "9" * 5000], "Z: integer of 5000 digits is over int's limit of 4300 digits"),
+    (["0,-1,43,-1,40", "9" * 5000 + ",-1,43,-1,40"], "m: integer of 5000 digits is over int's limit of 4300 digits"),
 ])
 def test_csv_reader_rejects_bad_tables(rows, message):
     with pytest.raises(ValueError) as exc:
         SolutionTable.from_csv_text("\n".join(["m,sy,Y,sz,Z"] + rows) + "\n")
     assert str(exc.value) == message
+
+
+# edits of one cell v ("{}"): (the columns edited, the new text)
+_CELL_EDITS = (
+    ((1, 3), "0"), ((1, 3), "2"), (range(5), '"{}"'), (range(5), "+{}"), (range(5), " {}"),
+    ((0, 2, 4), "4" * 5000), ((0, 2, 4), "-" + "9" * 5000),
+)
+
+
+@st.composite
+def _csv_texts(draw):
+    """A table's CSV text, rows shuffled, with up to two edits: a character
+    deleted or inserted, a blank line, CRLF line ends, or a cell of a row
+    edited (a sign to 0 or 2; quoted, signed or spaced; 5,000 digits long)."""
+    table = draw(_tables(draw(st.sampled_from((_INT_PAIRS, _PAIRS)))))
+    header, *rows = table.to_csv_text().splitlines()
+    draw(st.randoms(use_true_random=False)).shuffle(rows)
+    text = "\n".join([header] + rows) + "\n"
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(("delete", "insert", "blank", "crlf") + _CELL_EDITS))
+        if kind in ("delete", "insert"):
+            i = draw(st.integers(0, len(text) - 1))
+            new = draw(st.sampled_from('0-1,\n\r"+ /x')) if kind == "insert" else ""
+            text = text[:i] + new + text[i + (kind == "delete"):]
+        elif kind == "crlf":
+            text = text.replace("\n", "\r\n")
+        else:
+            lines = text.split("\n")
+            k = draw(st.integers(min(1, len(lines) - 1), len(lines) - 1))  # a row, if there is one
+            if kind == "blank":
+                lines.insert(k, "")
+            else:
+                columns, new = kind
+                cells, j = lines[k].split(","), draw(st.sampled_from(columns))
+                if j < len(cells):
+                    cells[j] = new.format(cells[j])
+                lines[k] = ",".join(cells)
+            text = "\n".join(lines)
+    return text
+
+
+def _read(reader, text):
+    """The table and its amplitude types, or the ValueError's message."""
+    try:
+        table = reader(text)
+    except ValueError as exc:
+        return str(exc)
+    return table, [type(cell.amp) for cell in table.ys + table.zs]
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(text=_csv_texts())
+def test_csv_reader_reads_as_the_row_by_row_oracle(text):
+    assert _read(SolutionTable.from_csv_text, text) == _read(table_from_csv_rows, text)
+
+
+def test_csv_reader_reads_the_writers_integer_layout_without_the_csv_module(monkeypatch, p42):
+    # the golden +-400 table in the writer's integer layout never reaches the csv module;
+    # one Fraction cell sends the text through it
+    golden = evolve(p42, 0, ParityPair(-1, 43), ParityPair(-1, 40), (-400, 400)).tables[0]
+    text = golden.to_csv_text()
+    calls = []
+    reader = csv.reader
+    monkeypatch.setattr(csv, "reader", lambda *args: calls.append(args) or reader(*args))
+    got = SolutionTable.from_csv_text(text)
+    assert got == golden and len(got) == 801 and not calls
+    assert {type(cell.amp) for cell in got.ys + got.zs} == {int}
+    text = text.replace("\n0,-1,43,", "\n0,-1,86/2,", 1)
+    got = SolutionTable.from_csv_text(text)
+    assert got == golden and len(calls) == 1
+    assert [type(cell.amp) for cell in got.ys].count(Fraction) == 1 and type(got.y(0).amp) is Fraction
 
 
 @pytest.mark.parametrize("m", [-2, 1])
