@@ -36,9 +36,9 @@ tables.  Branches share the cells of the steps they have in common.
 Branches split at a tie and often meet again at the same state.  A step's
 children are a function of the cells it reads alone (``evolve``'s steps read
 (y_m, z_m), ``riccati_evolve``'s the one known cell), so ``grow_tables``
-expands each distinct state read once per step.  Every partial table is a
-flat list of its cells in the order the steps wrote them, the same order in
-all of them, so one map from key to position reads any of them.
+expands each distinct state read once per step.  The steps write their
+cells in one order, so one position rule places each cell in every partial
+table (``grow_tables``).
 
 Solutions are piecewise affine in m, and ``evolve`` jumps the affine
 stretches in every sector by a certificate the steppers compute themselves.
@@ -83,9 +83,9 @@ the fit, exactly, since the all-minus step is unique.
 
 from __future__ import annotations
 
-from itertools import chain, count, groupby, islice, repeat
+from itertools import count, groupby, islice, repeat
 from operator import itemgetter, sub
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .system import (
     Aff,
@@ -127,49 +127,55 @@ class BranchTree(NamedTuple):
     truncated: bool
 
 
-def grow_tables(
-    root: dict, steps: Sequence[tuple], cap: int, window: Tuple[int, int], single=None
-) -> BranchTree:
+def cell_positions(m0: int, hi: int, m: int) -> Tuple[int, int]:
+    """The positions of (y_m, z_m) in the partial tables of ``grow_tables``."""
+    if m > m0:
+        k = 2 * (m - m0)
+        return k + 1, k
+    k = 2 * (hi - m) if m < m0 else 0
+    return k, k + 1
+
+
+def grow_tables(root: list, n: int, step, cap: int, m0: int, window: Tuple[int, int], single=None) -> BranchTree:
     """The branching frontier shared by ``evolve`` and ``riccati_evolve``.
 
-    A partial table is a flat list of cells in the order they were written,
-    and ``where`` maps each ("y", m) or ("z", m) key to its position in every
-    one.  ``root`` maps the first keys to their cells.  A step is ``(reads,
-    writes, expand)``: the keys it reads and writes, and a map from the state
-    read to its children, each a list of cells in ``writes`` order.  The
-    children must be a function of the state alone: each distinct state is
-    expanded once per step.  A partial table with no children is dropped;
-    the others are copied for all their children but the last, which extends
-    them in place, as no other frontier entry holds them.  Children keep the
-    frontier's order; after each step only the first ``cap`` are kept, and
-    the result is flagged truncated if any step dropped children.  Leaf
-    columns are read by position.
+    A partial table is a flat list of cells, each at one position in all of
+    them: y_m0 at 0 and z_m0 at 1; forward, for m > m0, z_m at 2(m-m0) and
+    y_m at 2(m-m0)+1; backward, for m < m0, y_m at 2(hi-m) and z_m at
+    2(hi-m)+1 (``cell_positions``).  ``root`` holds the first one or two.
+    Step i of the n is ``step(i)``, ``(reads, expand)``: the positions it
+    reads, and a map from the state read to its children, each a list of the
+    cells it appends in that order.  The children must be a function of the
+    state alone: each distinct state is expanded once per step.  A partial
+    table with no children is dropped; the others are copied for all their
+    children but the last, which extends them in place, as no other frontier
+    entry holds them.  Children keep the frontier's order; after each step
+    only the first ``cap`` are kept, and the result is flagged truncated if
+    any step dropped children.  A leaf's columns are slices of it: the
+    backward part reversed, the root, the forward part.
 
-    While one partial table is live, ``single(i, cell)``, if given, may take
-    the steps from index i on itself while each has one child: ``cell``
-    reads the table by key.  It returns the number n of steps it took, their
-    cells as one list in order, and the children of step i + n if it
-    expanded that step and found another number of them (else None), which
-    the frontier then takes as that step's expansion.
+    While one partial table is live, ``single(i, table)``, if given, may take
+    the steps from index i on itself while each has one child.  It returns
+    the number k of steps it took, their cells as one list in order, and the
+    children of step i + k if it expanded that step and found another number
+    of them (else None), which the frontier then takes as that step's
+    expansion.
     """
-    where = dict(zip(root, count()))
-    partials, truncated = [list(root.values())], False
+    partials, truncated = [list(root)], False
     i = 0
-    while i < len(steps):
+    while i < n:
         known = None
         if single is not None and len(partials) == 1:
             t = partials[0]
-            n, cells, known = single(i, lambda key: t[where[key]])
-            if n:
-                where.update(zip(chain.from_iterable(s[1] for s in steps[i:i + n]), count(len(where))))
+            k, cells, known = single(i, t)
+            if k:
                 t += cells
-                i += n
+                i += k
                 if known is None:
                     continue
-        reads, writes, expand = steps[i]
+        reads, expand = step(i)
         i += 1
-        state_of = itemgetter(*map(where.__getitem__, reads))
-        where.update(zip(writes, count(len(where))))
+        state_of = itemgetter(*reads)
         children = {} if known is None else {state_of(partials[0]): known}
         grown = []
         for t in partials:
@@ -187,11 +193,9 @@ def grow_tables(
                 break
         partials, truncated = grown[:cap], truncated or len(grown) > cap
     lo, hi = window
-    cols = [[where[k, m] for m in range(lo, hi + 1)] for k in "yz"]
-    tables = []
-    for t in partials:
-        ys, zs = (tuple(map(t.__getitem__, col)) for col in cols)
-        tables.append(SolutionTable(lo, ys, zs))
+    f = 2 * (hi - m0 + 1)  # the end of the forward part
+    tables = [SolutionTable(lo, tuple(t[f::2][::-1] + t[:1] + t[3:f:2]), tuple(t[f + 1::2][::-1] + t[1:2] + t[2:f:2]))
+              for t in partials]
     return BranchTree(tuple(tables), truncated)
 
 
@@ -335,35 +339,29 @@ def evolve(
     if not (lo <= m0 <= hi):
         raise ValueError("initial index must lie inside the window")
 
-    # one step per (z, y) pair, so the cap applies after each pair.  A step
-    # reads (y_m, z_m) and nothing else; it calls the steppers as module
-    # globals, where tracing and tests can replace them.
-    steps = [
-        ((("y", m), ("z", m)), (("z", m + 1), ("y", m + 1)), lambda yz, m=m: (
-            [z1, y1]
-            for z1 in step_z_parity(p, m, *yz)
-            for y1 in step_y_parity(p, m, yz[0], z1)
-        ))
-        for m in range(m0, hi)
-    ]
-    ahead = len(steps)
-    steps += [
-        ((("y", m), ("z", m)), (("y", m - 1), ("z", m - 1)), lambda yz, m=m: (
-            [yp, zp]
-            for yp in step_back_y_parity(p, m, *yz)
-            for zp in step_back_z_parity(p, m, yp, yz[1])
-        ))
-        for m in range(m0, lo, -1)
-    ]
+    ahead = hi - m0
 
-    def single(i, cell):
+    def step(i):
+        # one step per (z, y) pair forward from m0 to hi, then per (y, z) pair
+        # backward to lo, so the cap applies after each pair.  A step reads
+        # (y_m, z_m) and nothing else; it calls the steppers as module
+        # globals, where tracing and tests can replace them.
+        if i < ahead:
+            m = m0 + i
+            return cell_positions(m0, hi, m), lambda yz: (
+                [z1, y1] for z1 in step_z_parity(p, m, *yz) for y1 in step_y_parity(p, m, yz[0], z1))
+        m = hi - i
+        return cell_positions(m0, hi, m), lambda yz: (
+            [yp, zp] for yp in step_back_y_parity(p, m, *yz) for zp in step_back_z_parity(p, m, yp, yz[1]))
+
+    def single(i, t):
         # the steps of one direction from step i while each has one child,
         # jumping the stretches the steppers certify; step i starts at m, and
         # the table holds m0..m forward and m..hi backward
-        d, m, stop = (1, m0 + i, ahead) if i < ahead else (-1, m0 + ahead - i, len(steps))
+        d, m, stop = (1, m0 + i, ahead) if i < ahead else (-1, hi - i, hi - lo)
         back = min(_FIT_CELLS - 1, (m - (m0 if d > 0 else hi)) * d)
-        ys = [cell(("y", m - d * k)) for k in range(back, -1, -1)]  # the last cells, oldest first
-        zs = [cell(("z", m - d * k)) for k in range(back, -1, -1)]
+        at = [cell_positions(m0, hi, m - d * k) for k in range(back, -1, -1)]  # the last rows, oldest first
+        ys, zs = [t[a] for a, _ in at], [t[b] for _, b in at]
         taken, j, jumped = [], i, False
         while j < stop:
             n = 0
@@ -372,7 +370,7 @@ def evolve(
                 n, cells = _affine_jump(p, m, d, stop - j, ys[-_FIT_CELLS:], zs[-_FIT_CELLS:])
             jumped = n > 0
             if not n:
-                kids = list(steps[j][2]((ys[-1], zs[-1])))
+                kids = list(step(j)[1]((ys[-1], zs[-1])))
                 if len(kids) != 1:
                     return j - i, taken, kids
                 n, cells = 1, kids[0]
@@ -383,7 +381,7 @@ def evolve(
             j, m = j + n, m + d * n
         return j - i, taken, None
 
-    return grow_tables({("y", m0): y0, ("z", m0): z0}, steps, max_branches, window, single)
+    return grow_tables([y0, z0], hi - lo, step, max_branches, m0, window, single)
 
 
 # An attempt costs about five concrete steps.  It waits for five cells on a

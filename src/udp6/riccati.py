@@ -35,9 +35,10 @@ amplitudes as they entered, ints or Fractions, never floats (see
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import List, Optional, Tuple, Union
 
-from .evolution import BranchTree, grow_tables
+from .evolution import BranchTree, cell_positions, grow_tables
 from .system import ConstraintViolation, ParityPair, Params, require_unsigned, solve_lines
 from .tables import SolutionTable
 
@@ -224,23 +225,23 @@ def riccati_evolve(
     if sampling not in SAMPLINGS:
         raise ValueError(f"unknown sampling policy {sampling!r}")
 
-    def fill(slot, step, m, known):
-        # one half step: ``slot`` from each sample of ``step`` at the value of
-        # the ``known`` cell, the one cell it reads
-        return (known,), (slot,), lambda cell: (
+    def fill(step, m, known):
+        # one half step: a cell from each sample of ``step`` at the value of
+        # the cell at position ``known``, the one cell it reads
+        return (known,), lambda cell: (
             [ParityPair(sign, x)]
             for sign, iv in step(p, m, cell)
             for x in _samples(iv, sampling)
         )
 
-    steps = [fill(("z", m0), riccati_close_z, m0, ("y", m0))]
+    # z_m0, then (z, y) per index forward and (y, z) backward: ``grow_tables``' order
+    at = partial(cell_positions, m0, hi)
+    steps = [fill(riccati_close_z, m0, 0)]
     for m in range(m0, hi):
-        steps.append(fill(("z", m + 1), riccati_step_z, m, ("y", m)))
-        steps.append(fill(("y", m + 1), riccati_step_y, m, ("z", m + 1)))
+        steps += fill(riccati_step_z, m, at(m)[0]), fill(riccati_step_y, m, at(m + 1)[1])
     for m in range(m0, lo, -1):
-        steps.append(fill(("y", m - 1), riccati_step_back_y, m, ("z", m)))
-        steps.append(fill(("z", m - 1), riccati_close_z, m - 1, ("y", m - 1)))
-    return grow_tables({("y", m0): y0}, steps, max_branches, window)
+        steps += fill(riccati_step_back_y, m, at(m)[1]), fill(riccati_close_z, m - 1, at(m - 1)[0])
+    return grow_tables([y0], len(steps), steps.__getitem__, max_branches, m0, window)
 
 
 def riccati_failures(p: Params, table: SolutionTable) -> List[Tuple[int, str]]:

@@ -373,9 +373,26 @@ class Aff:
 # --- serialization -----------------------------------------------------------
 
 
-def parse_rational(v, what: str) -> Fraction:
-    """Fraction(v) for an integer or rational text; malformed text and a zero
-    denominator are ValueErrors naming ``what``."""
+# Fraction's text forms, underscores taken out: a numerator, then a denominator,
+# or a fractional part and an exponent (its sign, then its digits); compiled by
+# its first use, not at import
+_RATIONAL_TEXT = r"\s*[-+]?(?=\.?\d)(\d*)(?:/(\d+)|(?:\.(\d*))?(?:[eE]([-+]?)0*(\d+))?)\s*"
+
+
+def parse_rational(v: str, what: str) -> Fraction:
+    """Fraction(v) for an integer or rational text; malformed text, a zero
+    denominator, and text whose numerator or denominator has more digits than
+    the interpreter's limit for ``int`` are ValueErrors naming ``what``.  The
+    digits are counted on the text before Fraction runs, as its time grows
+    with the exponent."""
+    parts, limit = re.fullmatch(_RATIONAL_TEXT, v.replace("_", "")), sys.get_int_max_str_digits()
+    if parts and limit:
+        num, den, frac, sign, exp = parts.groups()
+        # an exponent's first 18 digits are read: with more, they alone are over any limit
+        frac, e = frac or "", int(sign + exp[:18]) if exp else 0
+        # a decimal's denominator is 10 to the power of its fraction digits less its exponent
+        if max(len(num) + len(frac) + max(e, 0), len(den) if den else len(frac) + max(-e, 0) + 1) > limit:
+            raise ValueError(f"{what}: rational with a numerator or denominator over int's limit of {limit} digits")
     try:
         return Fraction(v)
     except ValueError:

@@ -48,6 +48,7 @@ import mpmath
 
 from udp6.evolution import (
     BranchTree,
+    cell_positions,
     grow_tables,
     painleve_failures,
     step_back_y_parity,
@@ -552,23 +553,23 @@ def evolve_stepping(
     """``evolve`` with no jump: the shared frontier runs the steppers at every
     index, (z, y) forward, then (y, z) backward, with the same cap."""
     lo, hi = window
-    steps = [
-        ((("y", m), ("z", m)), (("z", m + 1), ("y", m + 1)), lambda yz, m=m: (
-            [z1, y1]
-            for z1 in step_z_parity(p, m, *yz)
-            for y1 in step_y_parity(p, m, yz[0], z1)
-        ))
-        for m in range(m0, hi)
-    ]
-    steps += [
-        ((("y", m), ("z", m)), (("y", m - 1), ("z", m - 1)), lambda yz, m=m: (
+
+    def step(i):
+        if i < hi - m0:
+            m = m0 + i
+            return cell_positions(m0, hi, m), lambda yz: (
+                [z1, y1]
+                for z1 in step_z_parity(p, m, *yz)
+                for y1 in step_y_parity(p, m, yz[0], z1)
+            )
+        m = hi - i
+        return cell_positions(m0, hi, m), lambda yz: (
             [yp, zp]
             for yp in step_back_y_parity(p, m, *yz)
             for zp in step_back_z_parity(p, m, yp, yz[1])
-        ))
-        for m in range(m0, lo, -1)
-    ]
-    return grow_tables({("y", m0): y0, ("z", m0): z0}, steps, max_branches, window)
+        )
+
+    return grow_tables([y0, z0], hi - lo, step, max_branches, m0, window)
 
 
 def evolve_per_branch(

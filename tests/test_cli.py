@@ -756,6 +756,12 @@ def test_malformed_integer_names_its_input(case, capsys, tmp_path, p42_file):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+def test_rational_over_the_digit_limit_is_refused_before_evolving(capsys, p42_file):
+    code, out, err = run(capsys, "evolve", "--params", str(p42_file), "--y0", "-1:1e5000", "--z0", "-1:40",
+                         "--window", "-400:400")
+    assert (code, out) == (1, "") and "--y0" in err and len(err) < 200
+
+
 def test_deeply_nested_params_json_is_input_error(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple, Tuple
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import udp6.evolution as evolution
 from udp6.evolution import (
     affine_horizon,
+    cell_positions,
     evolve,
     evolve_noparity,
     grow_tables,
@@ -542,7 +544,17 @@ def _cell(n):
     return ParityPair(1, n)
 
 
-_ROOT = {("y", 0): _cell(0), ("z", 0): _cell(0)}
+_ROOT = [_cell(0), _cell(0)]
+
+
+def _grow(steps, cap, window, single=None):
+    """``grow_tables`` from ``_ROOT`` at index 0 over the listed steps."""
+    return grow_tables(_ROOT, len(steps), steps.__getitem__, cap, 0, window, single)
+
+
+def _at(m):
+    """The positions of (y_m, z_m), m >= 0, in a frontier rooted at 0."""
+    return (2 * m + 1, 2 * m) if m else (0, 1)
 
 
 def _forward(m, children, calls=None):
@@ -554,7 +566,7 @@ def _forward(m, children, calls=None):
         if calls is not None:
             calls.append(state)
         return ([_cell(z), _cell(y)] for z, y in children[state])
-    return (("y", m), ("z", m)), (("z", m + 1), ("y", m + 1)), expand
+    return _at(m), expand
 
 
 def _rows(tree):
@@ -570,7 +582,7 @@ def test_grow_tables_drops_only_the_childless_partials():
         _forward(1, {(1, 1): [(3, 3), (2, 2)], (2, 2): [(2, 2), (4, 4)]}),
         _forward(2, {(3, 3): [(5, 5)], (2, 2): [], (4, 4): [(6, 6)]}),
     ]
-    tree = grow_tables(_ROOT, steps, 64, (0, 3))
+    tree = _grow(steps, 64, (0, 3))
     assert _rows(tree) == [
         [(0, 0), (1, 1), (3, 3), (5, 5)],
         [(0, 0), (2, 2), (4, 4), (6, 6)],
@@ -584,11 +596,11 @@ def test_grow_tables_keeps_truncated_after_a_later_dead_end():
         _forward(0, {(0, 0): [(1, 1), (2, 2), (3, 3)]}),
         _forward(1, {(1, 1): [], (2, 2): [(4, 4)]}),
     ]
-    tree = grow_tables(_ROOT, steps, 2, (0, 2))
+    tree = _grow(steps, 2, (0, 2))
     assert _rows(tree) == [[(0, 0), (2, 2), (4, 4)]]
     assert tree.truncated
     # every state a dead end: no table, and still truncated
-    tree = grow_tables(_ROOT, steps[:1] + [_forward(1, {(1, 1): [], (2, 2): []})], 2, (0, 2))
+    tree = _grow(steps[:1] + [_forward(1, {(1, 1): [], (2, 2): []})], 2, (0, 2))
     assert tree.tables == () and tree.truncated
 
 
@@ -602,7 +614,7 @@ def test_grow_tables_siblings_keep_separate_cells():
         _forward(1, {(1, 1): [(5, 5), (6, 6)], (2, 2): [(7, 7)]}, calls),
         _forward(2, {(5, 5): [(8, 8)], (6, 6): [(9, 9), (10, 10)], (7, 7): [(11, 11)]}),
     ]
-    tree = grow_tables(_ROOT, steps, 64, (0, 3))
+    tree = _grow(steps, 64, (0, 3))
     assert _rows(tree) == [
         [(0, 0), (1, 1), (5, 5), (8, 8)],
         [(0, 0), (1, 1), (6, 6), (9, 9)],
@@ -622,21 +634,22 @@ def test_grow_tables_children_keep_the_frontier_order():
         _forward(0, {(0, 0): [(3, 3), (1, 1), (2, 2)]}),
         _forward(1, {(n, n): [(10 * n, 10 * n), (10 * n + 1, 10 * n + 1)] for n in (1, 2, 3)}),
     ]
-    tree = grow_tables(_ROOT, steps, 64, (0, 2))
+    tree = _grow(steps, 64, (0, 2))
     assert [rows[-1][0] for rows in _rows(tree)] == [30, 31, 10, 11, 20, 21]
-    capped = grow_tables(_ROOT, steps, 4, (0, 2))
+    capped = _grow(steps, 4, (0, 2))
     assert capped.tables == tree.tables[:4] and capped.truncated
 
 
 def test_grow_tables_backward_and_one_cell_steps():
     # a riccati-style half step reads one cell, and a backward step writes
-    # cells below the root; the columns are read by key, not by write order
+    # cells below the root; the columns are read by position, z_1 before y_1
+    # and y_-1 before z_-1
     steps = [
-        ((("y", 0),), (("z", 1),), lambda y: ([_cell(y.amp + k)] for k in (1, 2))),
-        ((("y", 0),), (("y", 1),), lambda y: [[_cell(y.amp - 1)]]),
-        ((("y", 0), ("z", 0)), (("y", -1), ("z", -1)), lambda yz: [[_cell(7), _cell(8)]]),
+        ((0,), lambda y: ([_cell(y.amp + k)] for k in (1, 2))),
+        ((0,), lambda y: [[_cell(y.amp - 1)]]),
+        ((0, 1), lambda yz: [[_cell(7), _cell(8)]]),
     ]
-    tree = grow_tables(_ROOT, steps, 64, (-1, 1))
+    tree = _grow(steps, 64, (-1, 1))
     assert _rows(tree) == [[(7, 8), (0, 0), (-1, 1)], [(7, 8), (0, 0), (-1, 2)]]
 
 
@@ -657,13 +670,13 @@ def test_grow_tables_offers_single_runs_only_while_one_table_is_live():
     ]
     offered = []
 
-    def single(i, cell):
-        offered.append((i, cell(("y", i)).amp))
+    def single(i, t):
+        offered.append((i, t[_at(i)[0]].amp))
         if i != 4:
             return 0, [], None
         return 1, [_cell(5), _cell(5)], [[_cell(6), _cell(6)], [_cell(7), _cell(7)]]
 
-    tree = grow_tables(_ROOT, steps, 64, (0, 8), single)
+    tree = _grow(steps, 64, (0, 8), single)
     assert offered == [(0, 0), (4, 4)]
     assert calls == [(0, 0), (1, 1), (2, 2), (1, 1), (2, 2), (1, 1), (2, 2), (6, 6), (7, 7), (8, 8), (9, 9)]
     head = [(0, 0), (1, 1), (1, 1), (1, 1), (4, 4), (5, 5)]
@@ -675,9 +688,58 @@ def test_grow_tables_offers_single_runs_only_while_one_table_is_live():
 def test_grow_tables_one_point_window(d, amp):
     # no step: the root is the one leaf, its cells as they entered, an int or
     # a Fraction of denominator d
-    tree = grow_tables({("y", 5): _cell(amp), ("z", 5): _cell(-amp)}, [], 1, (5, 5))
+    tree = grow_tables([_cell(amp), _cell(-amp)], 0, [].__getitem__, 1, 5, (5, 5))
     assert tree == ((SolutionTable(5, (_cell(amp),), (_cell(-amp),)),), False)
     assert type(tree.tables[0].ys[0].amp) is type(amp) and amp.denominator == d
+
+
+def _y(m):
+    return ParityPair(1, m)
+
+
+def _z(m):
+    return ParityPair(-1, m)
+
+
+def _labelled_steps(m0, lo, hi, half):
+    """Synthetic steps over [lo, hi] from m0 whose cells name their column (y
+    sign +1, z sign -1) and index (the amplitude), read by ``cell_positions``:
+    (z, y) pairs forward and (y, z) pairs backward, or with ``half`` the
+    riccati order of one cell a step, z_m0 first.  Each step checks that it
+    reads the cells it names."""
+    at = partial(cell_positions, m0, hi)
+
+    def write(reads, named, cells):
+        def expand(state):
+            assert state == named
+            return [cells]
+        return reads, expand
+
+    steps = [write((at(m0)[0],), _y(m0), [_z(m0)])] if half else []
+    for m in range(m0, hi):
+        if half:
+            steps += write((at(m)[0],), _y(m), [_z(m + 1)]), write((at(m + 1)[1],), _z(m + 1), [_y(m + 1)])
+        else:
+            steps.append(write(at(m), (_y(m), _z(m)), [_z(m + 1), _y(m + 1)]))
+    for m in range(m0, lo, -1):
+        if half:
+            steps += write((at(m)[1],), _z(m), [_y(m - 1)]), write((at(m - 1)[0],), _y(m - 1), [_z(m - 1)])
+        else:
+            steps.append(write(at(m), (_y(m), _z(m)), [_y(m - 1), _z(m - 1)]))
+    return steps
+
+
+@pytest.mark.parametrize("half", [False, True], ids=["two-cell", "one-cell"])
+@pytest.mark.parametrize("m0, lo, hi", [(-3, -3, 2), (0, -3, 2), (2, -3, 2), (4, 4, 4)],
+                         ids=["m0-at-lo", "m0-inside", "m0-at-hi", "one-point"])
+def test_grow_tables_leaf_holds_each_cell_at_its_row(m0, lo, hi, half):
+    # the position rule at the window's edges: the leaf holds y_m and z_m at
+    # row m, whichever end of the window the root is at
+    steps = _labelled_steps(m0, lo, hi, half)
+    root = [_y(m0)] if half else [_y(m0), _z(m0)]
+    tree = grow_tables(root, len(steps), steps.__getitem__, 1, m0, (lo, hi))
+    rows = range(lo, hi + 1)
+    assert tree == ((SolutionTable(lo, tuple(map(_y, rows)), tuple(map(_z, rows))),), False)
 
 
 # --- rational inputs ----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -16,6 +17,7 @@ from udp6.system import (
     check_constraint,
     params_from_obj,
     params_to_obj,
+    parse_rational,
     random_constrained_params,
     residual_yy,
     residual_zz,
@@ -349,6 +351,28 @@ def test_params_json_rejections():
         params_from_obj({**base, "sa1": 2})
     with pytest.raises(ValueError):
         params_from_obj({**base, "sa1": True})
+
+
+@pytest.mark.parametrize("text", ["4" * 5000 + "/3", "3/" + "7" * 5000, "1e5000", "1e-5000", "1e99999999"],
+                         ids=["numerator", "denominator", "exponent", "negative-exponent", "huge-exponent"])
+def test_parse_rational_refuses_text_over_the_digit_limit_at_once(text):
+    # refused before Fraction runs, which takes seconds to build 10**10000000;
+    # the message names the input and the limit, and does not echo the text
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as info:
+        parse_rational(text, "Y")
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == "Y: rational with a numerator or denominator over int's limit of 4300 digits"
+
+
+def test_parse_rational_reads_text_at_the_digit_limit():
+    # a numerator or denominator of 4300 digits still prints; one of 4301 would not
+    for text in ("9" * 4300 + "/7", "7/" + "9" * 4300, "1e4299", "1e-4299", "0." + "1" * 4299, "1_0e4298"):
+        value = parse_rational(text, "Y")
+        assert value == Fraction(text) and str(value)
+    for text in ("1e4300", "1e-4300", "0." + "1" * 4300, "1_0e4299"):
+        with pytest.raises(ValueError, match="over int's limit"):
+            parse_rational(text, "Y")
 
 
 # --- the Params value type ------------------------------------------------------
