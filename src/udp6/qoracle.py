@@ -23,7 +23,10 @@ The working precision of each eps is always chosen by agreement (Ziv's
 strategy), and no caller can fix it: the run starts at 256 bits and is
 repeated at twice the precision until two successive runs give equal rows,
 with no abort, no cancellation warning and no error below the resolution of
-the higher precision; the higher of the two is accepted.
+the higher precision; the higher of the two is accepted.  A comparison is
+decided in row order and stops at the first row that fails, and a run is
+computed only as far as a comparison reads it: two runs that agree have both
+been read to their end, and a run at the ceiling is completed for the report.
 ``default_precision`` is only the ceiling of that search; a run at the
 ceiling is accepted as it stands, so a run that aborts (on a pole or an exact
 cancellation) is always the ceiling's.  The report records the precision accepted
@@ -35,11 +38,12 @@ from __future__ import annotations
 import functools
 import importlib.util
 import io
+import itertools
 import math
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from typing import List, NamedTuple, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Tuple, Union
 
 from .evolution import painleve_failures
 from .system import Params, parse_rational, require_unsigned
@@ -357,14 +361,14 @@ def _amp_bound(p: Params, table: SolutionTable, window: Tuple[int, int]) -> Frac
     return max(vals)
 
 
-# rows and aborts of one eps at one working precision
-_Run = Tuple[Tuple[CompareRow, ...], Tuple[CompareAbort, ...]]
-
-
-def _compare_run(
+def _compare_rows(
     p: Params, table: SolutionTable, eps: Fraction, window: Tuple[int, int], prec: int
-) -> _Run:
-    """Rows and aborts of one eps at one working precision."""
+) -> Iterator[Union[CompareRow, CompareAbort]]:
+    """The rows of one eps at one working precision, in index order, each
+    computed when it is read; a pole or an exact zero ends them with a
+    ``CompareAbort``.  Past the seed row, a row can raise nothing but the
+    ``PoleError`` caught here (a row's ``_log_abs`` only reads nonzero
+    values), so a run read only in part hides no exception of a full run."""
     lo, hi = window
     y = ls_from_amplitude(table.y(lo).sign, table.y(lo).amp, eps, prec)
     z = ls_from_amplitude(table.z(lo).sign, table.z(lo).amp, eps, prec)
@@ -386,19 +390,20 @@ def _compare_run(
             warned=y.warn or z.warn,
         )
 
-    rows = [row(lo, y, z)]
+    yield row(lo, y, z)
     for m in range(lo, hi):
         try:
             y, z = qp6_step(p, eps, m, y, z)
         except PoleError as exc:
-            return tuple(rows), (CompareAbort(eps=eps, m=m, reason=str(exc)),)
+            yield CompareAbort(eps=eps, m=m, reason=str(exc))
+            return
         if y.sign == 0 or z.sign == 0:
-            return tuple(rows), (CompareAbort(eps=eps, m=m, reason="exact cancellation to zero"),)
-        rows.append(row(m + 1, y, z))
-    return tuple(rows), ()
+            yield CompareAbort(eps=eps, m=m, reason="exact cancellation to zero")
+            return
+        yield row(m + 1, y, z)
 
 
-def _settled(run: _Run, last: _Run, prec: int, scale: float) -> bool:
+def _settled(run: Iterable, last: Iterable, prec: int, scale: float) -> bool:
     """Whether ``run``, at ``prec`` bits, confirms ``last``, the run at half of it.
 
     Both must give equal rows with no abort and no cancellation warning, and
@@ -406,17 +411,21 @@ def _settled(run: _Run, last: _Run, prec: int, scale: float) -> bool:
     accuracy to which the log-domain arithmetic resolves an amplitude at
     ``prec`` bits (the cancellation flag uses the same threshold).  A smaller
     error may be a correction lost to rounding in both runs, unless the
-    threshold itself is below the range of a double.
+    threshold itself is below the range of a double.  The conditions are
+    tested row by row, one row of each run at a time, and the first row that
+    fails one decides: neither run is read past it.
 
     An abort never settles: it comes from an exact zero, which the arithmetic
     only produces when two magnitudes round to the same value, and a gap below
     2^-prec looks the same at every precision short of resolving it.
     """
-    rows, aborts = run
-    if aborts or run != last or any(r.warned for r in rows):
-        return False
     resolution = math.ldexp(scale, -(prec // 2))
-    return all(min(r.err_y, r.err_z) >= resolution for r in rows[1:])
+    for i, (row, twin) in enumerate(zip(run, last)):
+        if row != twin or type(row) is CompareAbort or row.warned:
+            return False
+        if i and min(row.err_y, row.err_z) < resolution:
+            return False
+    return True
 
 
 def ud_limit_compare(
@@ -436,7 +445,11 @@ def ud_limit_compare(
     higher of two successive runs confirms the lower (see ``_settled``) and
     is accepted.  The doubling stops at ``default_precision(eps, bound)``,
     whose run is accepted as it stands; a run that aborts is only accepted
-    there.  The report records the accepted precision of each eps.
+    there.  The report records the accepted precision of each eps.  Each
+    comparison reads the two runs row by row and stops at the first row that
+    fails, so a rejected run is computed only as far as its comparisons read
+    it; the accepted run was read to its end when it confirmed the run below
+    it, and a run at the ceiling is completed for the report.
     """
     require_unsigned(p)
     lo, hi = window
@@ -454,14 +467,15 @@ def ud_limit_compare(
     for eps in schedule.eps_values:
         ceiling = default_precision(eps, bound)
         prec = _START_PRECISION
-        run = _compare_run(p, table, eps, window, prec)
+        run = _compare_rows(p, table, eps, window, prec)
         while prec < ceiling:
             prec = min(2 * prec, ceiling)
-            last, run = run, _compare_run(p, table, eps, window, prec)
-            if _settled(run, last, prec, scale):
+            # the check reads one copy; the other replays what it read and computes on
+            last, (fresh, run) = run, itertools.tee(_compare_rows(p, table, eps, window, prec))
+            if _settled(fresh, last, prec, scale):
                 break
-        rows.extend(run[0])
-        aborts.extend(run[1])
+        for item in run:  # the accepted run, completed
+            (aborts if type(item) is CompareAbort else rows).append(item)
         precisions.append((eps, prec))
 
     return CompareReport(

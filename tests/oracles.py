@@ -32,7 +32,9 @@ are transcribed a second time at mpmath's context level (``fadd`` and its kin
 with ``prec=``, ``workprec``), their former form, to hold the library's direct
 ``mpmath.libmp`` calls against bit for bit.  The comparator is run once per eps at
 a precision the caller fixes, unchecked, the reference its agreement search is
-held against.
+held against; and its agreement search is run with every run computed in full
+before two runs are compared, the reference of the library's search, which
+decides row by row and stops a run at its first failing row.
 """
 
 import csv
@@ -60,20 +62,27 @@ from udp6.evolution import (
 )
 from udp6.families import Condition, LinearAnsatz
 from udp6.qoracle import (
+    _START_PRECISION,
+    CompareAbort,
     CompareReport,
+    CompareRow,
     EpsSchedule,
     PoleError,
     SignedMag,
+    _amp_bound,
     _cancels,
-    _compare_run,
     _exp_inverse,
     _images,
+    _log_abs,
     _nonzero,
+    _rational,
+    default_precision,
     ls_div,
     ls_from_amplitude,
     ls_mul,
     ls_sub,
     ls_zero,
+    qp6_step,
 )
 from udp6.riccati import (
     require_riccati_conditions,
@@ -734,7 +743,94 @@ def qriccati_step(p: Params, eps, m: int, y: SignedMag) -> Tuple[SignedMag, Sign
     return z_next, y_next
 
 
-# --- the comparator at a fixed precision -------------------------------------------
+# --- the comparator by full runs -----------------------------------------------------
+
+# rows and aborts of one eps at one working precision
+_Run = Tuple[Tuple[CompareRow, ...], Tuple[CompareAbort, ...]]
+
+
+def _compare_run(
+    p: Params, table: SolutionTable, eps: Fraction, window: Tuple[int, int], prec: int
+) -> _Run:
+    """Rows and aborts of one eps at one working precision, every row computed
+    before the run returns."""
+    lo, hi = window
+    y = ls_from_amplitude(table.y(lo).sign, table.y(lo).amp, eps, prec)
+    z = ls_from_amplitude(table.z(lo).sign, table.z(lo).amp, eps, prec)
+
+    lib, eps_mpf = mpmath.libmp, _rational(eps, prec)  # amplitude_of's eps, converted once
+
+    def err(x: SignedMag, amp: Fraction) -> float:
+        diff = lib.mpf_sub(lib.mpf_mul(eps_mpf, _log_abs(x), prec, "n"), _rational(amp, prec), prec, "n")
+        return lib.to_float(lib.mpf_abs(diff), rnd="n")
+
+    def row(m: int, y: SignedMag, z: SignedMag) -> CompareRow:
+        return CompareRow(
+            m=m,
+            eps=eps,
+            err_y=err(y, table.y(m).amp),
+            err_z=err(z, table.z(m).amp),
+            sign_ok_y=y.sign == table.y(m).sign,
+            sign_ok_z=z.sign == table.z(m).sign,
+            warned=y.warn or z.warn,
+        )
+
+    rows = [row(lo, y, z)]
+    for m in range(lo, hi):
+        try:
+            y, z = qp6_step(p, eps, m, y, z)
+        except PoleError as exc:
+            return tuple(rows), (CompareAbort(eps=eps, m=m, reason=str(exc)),)
+        if y.sign == 0 or z.sign == 0:
+            return tuple(rows), (CompareAbort(eps=eps, m=m, reason="exact cancellation to zero"),)
+        rows.append(row(m + 1, y, z))
+    return tuple(rows), ()
+
+
+def _settled_runs(run: _Run, last: _Run, prec: int, scale: float) -> bool:
+    """The library's ``_settled`` on two full runs, its conditions tested on
+    whole runs: equal rows and aborts, no abort, no cancellation warning, and
+    every error past the seed row at least 2^(-prec/2) * scale."""
+    rows, aborts = run
+    if aborts or run != last or any(r.warned for r in rows):
+        return False
+    resolution = math.ldexp(scale, -(prec // 2))
+    return all(min(r.err_y, r.err_z) >= resolution for r in rows[1:])
+
+
+def _report(p, table, schedule, window, runs, precisions) -> CompareReport:
+    return CompareReport(
+        rows=tuple(r for rows, _ in runs for r in rows),
+        aborts=tuple(a for _, aborts in runs for a in aborts),
+        schedule=schedule,
+        window=window,
+        table_failures=tuple(painleve_failures_per_index(p, table)),
+        precisions=tuple(precisions),
+    )
+
+
+def compare_by_full_runs(
+    p: Params, table: SolutionTable, schedule: EpsSchedule, window: Tuple[int, int]
+) -> CompareReport:
+    """``ud_limit_compare``'s agreement search with every run computed in
+    full before two runs are compared: 256 bits, doubled up to the ceiling
+    ``default_precision``, until a run confirms the one at half its
+    precision.  The table's failures come from the per-index check."""
+    bound = _amp_bound(p, table, window)
+    scale = max(1.0, float(bound))
+    runs, precisions = [], []
+    for eps in schedule.eps_values:
+        ceiling = default_precision(eps, bound)
+        prec = _START_PRECISION
+        run = _compare_run(p, table, eps, window, prec)
+        while prec < ceiling:
+            prec = min(2 * prec, ceiling)
+            last, run = run, _compare_run(p, table, eps, window, prec)
+            if _settled_runs(run, last, prec, scale):
+                break
+        runs.append(run)
+        precisions.append((eps, prec))
+    return _report(p, table, schedule, window, runs, precisions)
 
 
 def compare_at_fixed_precision(
@@ -745,14 +841,7 @@ def compare_at_fixed_precision(
     ``bits(eps)`` bits, and that run is accepted unchecked.  The table's
     failures come from the per-index check."""
     runs = [_compare_run(p, table, eps, window, bits(eps)) for eps in schedule.eps_values]
-    return CompareReport(
-        rows=tuple(r for rows, _ in runs for r in rows),
-        aborts=tuple(a for _, aborts in runs for a in aborts),
-        schedule=schedule,
-        window=window,
-        table_failures=tuple(painleve_failures_per_index(p, table)),
-        precisions=tuple((eps, bits(eps)) for eps in schedule.eps_values),
-    )
+    return _report(p, table, schedule, window, runs, ((eps, bits(eps)) for eps in schedule.eps_values))
 
 
 # --- the q-system in signed log-domain arithmetic --------------------------------

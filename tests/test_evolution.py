@@ -1060,6 +1060,30 @@ def test_one_and_two_row_tables(p):
         assert painleve_failures(p, t) == painleve_failures_per_index(p, t)
 
 
+@pytest.mark.parametrize("rows", range(1, 10))
+def test_short_tables_equal_per_index_check(monkeypatch, p42, rows):
+    # tables of 1-9 rows, intact and with each cell moved or its sign flipped:
+    # the per-index list, in its order.  Below _MIN_RUN pairs no check runs on
+    # Aff values; the constant table is one run, decided on Aff values at 8 pairs.
+    const = Params.make(2, (0, 2, -2, 0), (0, 2, 0, -4))
+    window = (-(rows // 2), rows - 1 - rows // 2)
+    cases = [
+        (p42, evolve_noparity(p42, 0, 43, 40, window)),
+        (p42, evolve(p42, 0, pp(1, 43), pp(1, 40), window).tables[0]),
+        (const, SolutionTable(0, (ParityPair(-1, 6),) * rows, (ParityPair(-1, 5),) * rows)),
+    ]
+    log, on = _record_run_checks(monkeypatch)
+    on.append(True)
+    for p, t in cases:
+        variants = [t] + [
+            _moved(t, i, column, move)
+            for i in range(rows) for column in "yz" for move in (1, -1, F(1, 3), None)
+        ]
+        for v in variants:
+            assert painleve_failures(p, v) == painleve_failures_per_index(p, v)
+    assert any(type(m) is Aff for _, m, *_ in log) == (rows - 1 >= evolution._MIN_RUN)
+
+
 def test_golden_verify_decides_each_run_once(monkeypatch, p42):
     # the golden table over +-400 in either sector is two affine runs and two
     # single pairs: eight residual calls in place of 1,600, and the bound

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import udp6.qoracle as qoracle
 from udp6.cli import main
-from udp6.evolution import evolve_noparity
+from udp6.evolution import evolve, evolve_noparity
 from udp6.qoracle import (
     CompareAbort,
     CompareReport,
@@ -36,6 +38,7 @@ from udp6.tables import SolutionTable
 from oracles import (
     LogSigned,
     compare_at_fixed_precision,
+    compare_by_full_runs,
     dump_params,
     gauge,
     log_amplitude_of,
@@ -47,6 +50,7 @@ from oracles import (
     mpf_ls_mul,
     painleve_failures_per_index,
     qriccati_step,
+    scale,
 )
 
 F = Fraction
@@ -668,3 +672,134 @@ def test_qlimit_cli_output_equals_fixed_ceiling_run(tmp_path, capsys, p42):
                  "--window", "-2:2", "--eps", "1/2"]) == 0
     out = capsys.readouterr()
     assert (out.out, out.err) == (ref.to_csv_text(), "")
+
+
+# --- the search row by row against full runs -------------------------------------------
+
+# the benchmark's qlimit inputs on p42 over -5:5: six all-minus --y0/--z0
+# states, and the golden tables of both sectors
+_QLIMIT_STATES = ((43, 40), (44, 40), (43, 41), (41, 43), (48, 36), (38, 45))
+
+
+def _qlimit_variant(p, i, window=(-5, 5)) -> SolutionTable:
+    if i < len(_QLIMIT_STATES):
+        return evolve_noparity(p, 0, *_QLIMIT_STATES[i], window)
+    sign = (-1, 1)[i - len(_QLIMIT_STATES)]
+    return evolve(p, 0, ParityPair(sign, 43), ParityPair(sign, 40), window).tables[0]
+
+
+def _assert_search_equals_full_runs(p, table, sched, window) -> CompareReport:
+    rep = ud_limit_compare(p, table, sched, window)
+    assert rep == compare_by_full_runs(p, table, sched, window)
+    return rep
+
+
+@pytest.mark.parametrize("variant", range(8))
+def test_search_equals_full_runs_on_benchmark_inputs(p42, variant):
+    _assert_search_equals_full_runs(p42, _qlimit_variant(p42, variant), EpsSchedule.from_string("1,1/2,1/4"), (-5, 5))
+
+
+_EPS = (F(1), F(1, 2), F(1, 3), F(1, 4), F(1, 8), F(1, 10**9), F(1, 10**50))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    dy=st.integers(-6, 6), dz=st.integers(-6, 6), c=st.integers(-20, 20),
+    lam=st.sampled_from((F(1), F(2), F(1, 2), F(3, 5))),
+    lo=st.integers(-3, 0), hi=st.integers(0, 3),
+    eps=st.lists(st.sampled_from(_EPS), min_size=1, max_size=4, unique=True),
+)
+@example(dy=0, dz=0, c=0, lam=F(1), lo=-2, hi=2, eps=[F(1), F(1, 10**50)])
+@example(dy=2, dz=-3, c=7, lam=F(3, 5), lo=-3, hi=3, eps=[F(1, 10**9), F(1, 3), F(1), F(1, 8)])
+def test_search_equals_full_runs_on_p42_family(dy, dz, c, lam, lo, hi, eps):
+    # the p42 state moved, then gauged and scaled with its table: schedules of
+    # one to four eps, down to 1e-50
+    p42 = Params.make(100, (32, 33, 37, 22), (53, 65, 8, 4))
+    p = scale(gauge(p42, c), lam)
+    table = scale(gauge(evolve_noparity(p42, 0, 43 + dy, 40 + dz, (lo, hi)), c), lam)
+    _assert_search_equals_full_runs(p, table, EpsSchedule(sorted(eps, reverse=True)), (lo, hi))
+
+
+def test_search_equals_full_runs_when_an_abort_is_accepted_at_the_ceiling(p42):
+    # an exact zero at m = 0 (see test_compare_aborts_on_exact_cancellation_to_zero),
+    # and a pole: y(0) = +a3 exactly.  Each eps aborts at every precision, and
+    # its run at the ceiling (256 bits at eps 1, above 256 at 1/8 and 1/4) is accepted
+    exact = Params.make(3, (1, 2, 5, 4), (6, -6, 2, 1))
+    zero = SolutionTable(0, (ParityPair(1, 1), ParityPair(1, 1)), (ParityPair(1, 0), ParityPair(1, 0)))
+    pole = SolutionTable(0, (ParityPair(1, 37),) * 3, (ParityPair(-1, 40),) * 3)
+    for p, table, window, sched, reason in (
+        (exact, zero, (0, 1), "1,1/8", "exact cancellation to zero"),
+        (p42, pole, (0, 2), "1,1/4", "pole: y - a3 vanished"),
+    ):
+        sched = EpsSchedule.from_string(sched)
+        rep = _assert_search_equals_full_runs(p, table, sched, window)
+        bound = _amp_bound(p, table, window)
+        assert rep.aborts == tuple(CompareAbort(eps=e, m=0, reason=reason) for e in sched.eps_values)
+        assert rep.precisions == tuple((e, default_precision(e, bound)) for e in sched.eps_values)
+        assert [r.m for r in rep.rows] == [0, 0]
+    assert rep.precisions[1][1] > 256
+
+
+@pytest.mark.parametrize("offset_bits,eps", [(200, "1,1/2"), (300, "1e-50")])
+def test_search_equals_full_runs_past_a_cancellation_warning(p42, offset_bits, eps):
+    # y(0) 2^-offset_bits above a3.  At 2^-200 the run at 256 bits warns and
+    # the one at 512 does not.  At 2^-300 and eps 1e-50 both warn and give
+    # equal rows, errors past the resolution included, so only the warning
+    # keeps 512 bits from confirming 256
+    window = (0, 3)
+    table = evolve_noparity(p42, 0, 43, 40, window)
+    table = SolutionTable(0, (ParityPair(1, p42.a3 + F(1, 2**offset_bits)),) + table.ys[1:], table.zs)
+    sched = EpsSchedule.from_string(eps)
+    low, mid = (compare_at_fixed_precision(p42, table, sched, window, lambda eps, bits=bits: bits) for bits in (256, 512))
+    assert any(r.warned for r in low.rows)
+    assert (low.rows == mid.rows) == (offset_bits == 300)
+    rep = _assert_search_equals_full_runs(p42, table, sched, window)
+    assert all(bits > 512 for _, bits in rep.precisions)
+
+
+def test_search_equals_full_runs_when_the_ceiling_is_256_bits(p42):
+    # p42 and its table scaled by 1/10: at eps 1 the bound 12.2 puts the
+    # ceiling at 256 bits, so its run is accepted as it stands; at 1/2 the
+    # ceiling is 260 bits, one comparison above 256
+    p, window = scale(p42, F(1, 10)), (-1, 1)
+    table = scale(evolve_noparity(p42, 0, 43, 40, window), F(1, 10))
+    rep = _assert_search_equals_full_runs(p, table, EpsSchedule.from_string("1,1/2"), window)
+    assert rep.precisions == ((1, 256), (F(1, 2), 260))
+    assert not rep.aborts and len(rep.rows) == 6
+
+
+def _count_steps(monkeypatch) -> Counter:
+    """Count qp6_step calls by (eps, precision) from here on."""
+    counts, step = Counter(), qoracle.qp6_step
+
+    def counting(p, eps, m, y, z):
+        counts[eps, min(y.prec, z.prec)] += 1
+        return step(p, eps, m, y, z)
+
+    monkeypatch.setattr(qoracle, "qp6_step", counting)
+    return counts
+
+
+def test_golden_qlimit_takes_at_most_66_steps(monkeypatch, tmp_path, capsys, p42):
+    # the benchmark's golden -5:5 --y0/--z0 job: 90 steps when every run is
+    # computed in full, 60 for the six runs that must be complete
+    params = tmp_path / "p42.json"
+    dump_params(p42, params)
+    counts = _count_steps(monkeypatch)
+    assert main(["qlimit", "--params", str(params), "--y0", "-1:43", "--z0", "-1:40",
+                 "--window", "-5:5", "--eps", "1,1/2,1/4"]) == 0
+    capsys.readouterr()
+    assert 60 <= sum(counts.values()) <= 66
+
+
+def test_rejected_runs_stop_at_their_first_failing_row(monkeypatch, p42):
+    # at eps 1/4 the runs at 256 and 512 bits are rejected within their first
+    # four rows; 1024 bits is read in full when 2048 confirms it
+    window = (-5, 5)
+    table = evolve_noparity(p42, 0, 43, 40, window)
+    counts = _count_steps(monkeypatch)
+    rep = ud_limit_compare(p42, table, EpsSchedule([F(1, 4)]), window)
+    assert rep.precisions == ((F(1, 4), 2048),)
+    steps = {bits: n for (_, bits), n in counts.items()}
+    assert steps[256] <= 4 and steps[512] <= 4
+    assert steps[1024] == steps[2048] == 10
