@@ -502,24 +502,17 @@ def painleve_failures(p: Params, table: SolutionTable) -> List[Tuple[int, str]]:
     of a run are left, ``residual_zz`` and ``residual_yy`` run once each on
     ``Aff`` values and decide their relation at every index up to the
     horizon; the rest of the run is checked index by index, on the cells.
-    A table of fewer than ``_MIN_RUN`` pairs builds no run keys: it is
-    checked index by index.
     """
     require_constraint(p)
     ys, zs, m_lo = table.ys, table.zs, table.m_lo
-    if len(ys) - 1 < _MIN_RUN:  # no run can reach _MIN_RUN: one run, checked index by index
-        runs = [(None, len(ys) - 1)]
-    else:
-        sy, ay = zip(*ys)
-        sz, az = zip(*zs)
-        # both relations at index m read the rows m and m+1 alone
-        keys = zip(sy, sy[1:], sz, sz[1:], map(sub, ay[1:], ay), map(sub, az[1:], az))
-        runs = ((key, sum(1 for _ in run)) for key, run in groupby(keys))
+    sy, ay = zip(*ys)
+    sz, az = zip(*zs)
+    # both relations at index m read the rows m and m+1 alone
+    keys = zip(sy, sy[1:], sz, sz[1:], map(sub, ay[1:], ay), map(sub, az[1:], az))
     bad, k = [], 0
-    for key, length in runs:
-        end = k + length
+    for (s_y, _, s_z, _, dy, dz), run in groupby(keys):
+        end = k + sum(1 for _ in run)
         while end - k >= _MIN_RUN:
-            s_y, _, s_z, _, dy, dz = key
             h = Horizon()
             m, y, z = Aff(1, m_lo + k, h), ParityPair(s_y, Aff(dy, ay[k], h)), ParityPair(s_z, Aff(dz, az[k], h))
             z1 = ParityPair(s_z, z.amp + dz)

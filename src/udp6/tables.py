@@ -89,16 +89,12 @@ class SolutionTable:
     @classmethod
     def _from_rows(cls, ms: list, ys: list, zs: list) -> "SolutionTable":
         """The table of the rows (ms[i], ys[i], zs[i]), at least one, in any
-        order; the indexes must be contiguous.  Rows already in index order,
-        as ``to_csv_text`` writes them, are taken as given."""
-        m_lo = ms[0]
-        if ms != list(range(m_lo, m_lo + len(ms))):
-            order = sorted(range(len(ms)), key=ms.__getitem__)
-            m_lo = ms[order[0]]
-            if [ms[i] for i in order] != list(range(m_lo, m_lo + len(ms))):
-                raise ValueError("table window must be contiguous")
-            ys, zs = [ys[i] for i in order], [zs[i] for i in order]
-        return cls(m_lo, tuple(ys), tuple(zs))
+        order; the indexes must be contiguous."""
+        order = sorted(range(len(ms)), key=ms.__getitem__)
+        m_lo = ms[order[0]]
+        if [ms[i] for i in order] != list(range(m_lo, m_lo + len(ms))):
+            raise ValueError("table window must be contiguous")
+        return cls(m_lo, tuple(ys[i] for i in order), tuple(zs[i] for i in order))
 
     # -- serialization --------------------------------------------------------
 

@@ -110,27 +110,6 @@ def test_csv_reader_reads_back_shuffled_rows_cell_by_cell(table, order):
         assert type(mine.amp) is (int if str(theirs.amp).lstrip("-").isdigit() else Fraction)
 
 
-@pytest.mark.parametrize("ms", [[0, 1, 3], [0, 1, 1], [-2, -1, -1, 0], [5, 6, 7, 7, 8]])
-def test_rows_in_order_with_a_gap_or_a_repeat_are_refused(ms):
-    # rows in ascending order are taken as given only when their indexes run
-    # m_lo, m_lo + 1, ...: a gap or a repeat still fails, read in bulk or by row
-    cells = [ParityPair(-1, 43)] * len(ms)
-    with pytest.raises(ValueError, match="^table window must be contiguous$"):
-        SolutionTable._from_rows(ms, cells, cells)
-    for y in ("43", "43/2"):
-        text = "m,sy,Y,sz,Z\n" + "".join(f"{m},-1,{y},-1,40\n" for m in ms)
-        with pytest.raises(ValueError, match="^table window must be contiguous$"):
-            SolutionTable.from_csv_text(text)
-
-
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(table=_tables())
-def test_rows_in_order_and_reversed_give_one_table(table):
-    ms, ys, zs = list(table.indexes()), list(table.ys), list(table.zs)
-    assert SolutionTable._from_rows(ms, ys, zs) == table
-    assert SolutionTable._from_rows(ms[::-1], ys[::-1], zs[::-1]) == table
-
-
 def test_csv_reader_keeps_integer_text_as_int_and_parses_the_rest():
     got = SolutionTable.from_csv_text("m,sy,Y,sz,Z\n0,1,-0,-1,007\n1,1,+3,-1,7/2\n2,1, 4,1,1.5\n")
     assert [type(c.amp) for c in got.ys] == [int, Fraction, Fraction]
