@@ -18,7 +18,7 @@ import sys
 import tempfile
 from typing import List, Optional, Tuple
 
-from .evolution import evolve, evolve_noparity, painleve_failures
+from .evolution import evolve, evolve_noparity, noparity_amplitudes, painleve_failures
 from .families import FAMILY_IDS, FamilySpec, LinearAnsatz, detect_asymptotic_linearity, instantiate_family
 from .qoracle import EpsSchedule, ud_limit_compare
 from .riccati import SAMPLINGS, riccati_evolve, riccati_failures
@@ -192,8 +192,8 @@ def _cmd_conjecture(args) -> int:
         p = random_constrained_params(rng)
         y0 = rng.randint(-150, 150)
         z0 = rng.randint(-150, 150)
-        table = evolve_noparity(p, 0, y0, z0, (lo, hi))
-        report = detect_asymptotic_linearity(p, table, args.w)
+        ys, zs = noparity_amplitudes(p, 0, y0, z0, (lo, hi))
+        report = detect_asymptotic_linearity(p, lo, ys, zs, args.w)
         if report.detected and report.verified:
             detected += 1
         else:

@@ -27,7 +27,7 @@ solvers: each relation is symmetric in its two same-letter variables, so
 solving for the earlier one is the forward solve at index m-1 with the known
 value in the other slot.
 
-Steppers check nothing.  ``evolve``, ``evolve_noparity`` and
+Steppers check nothing.  ``evolve``, ``noparity_amplitudes`` and
 ``painleve_failures`` validate the parameters once on entry and run the
 kernel and the steppers on the amplitudes as they entered, ints or
 Fractions, never floats (see ``udp6.system``): integer inputs give integer
@@ -77,8 +77,9 @@ its identity and its four inequalities at a step index, each max of the step
 takes its affine branch, which the identity makes the fit's next point.  The
 inequalities have slopes a, a, Q-a, Q-a in m (in -m backward): with
 0 <= a <= Q they hold at every later index once they hold at one; otherwise
-``affine_horizon`` finds the last.  ``evolve_noparity`` fills stretches from
-the fit, exactly, since the all-minus step is unique.
+``affine_horizon`` finds the last.  ``noparity_amplitudes`` fills stretches
+from the fit, exactly, since the all-minus step is unique, and returns the two
+amplitude columns, which ``evolve_noparity`` makes a table of all-minus pairs.
 """
 
 from __future__ import annotations
@@ -105,6 +106,7 @@ __all__ = [
     "affine_horizon",
     "evolve",
     "evolve_noparity",
+    "noparity_amplitudes",
     "painleve_failures",
     "step_back_y_parity",
     "step_back_z_parity",
@@ -441,10 +443,10 @@ def _affine_jump(p: Params, m: int, d: int, left: int, ys: list, zs: list) -> Tu
     return n, cells
 
 
-def evolve_noparity(p: Params, m0: int, y0, z0, window: Tuple[int, int]) -> SolutionTable:
-    """Deterministic all-minus-parity evolution: closed-form steps, and a
-    jump across each affine stretch whose fit is certified.  The amplitudes
-    y0 and z0 are ints or Fractions, as in a ``ParityPair``."""
+def noparity_amplitudes(p: Params, m0: int, y0, z0, window: Tuple[int, int]) -> Tuple[list, list]:
+    """The amplitude lists (ys, zs) of the all-minus evolution over the window,
+    from its first index: closed-form steps, and a jump across each affine
+    stretch whose fit is certified.  y0 and z0 are ints or Fractions."""
     require_unsigned(p)
     lo, hi = window
     if not (lo <= m0 <= hi):
@@ -486,10 +488,15 @@ def evolve_noparity(p: Params, m0: int, y0, z0, window: Tuple[int, int]) -> Solu
                 bys += islice(count(y1 - dy, -dy), m - stop)
                 bzs += islice(count(z1 - dz, -dz), m - stop)
                 m = stop
-    cols = (bys[:0:-1] + ys, bzs[:0:-1] + zs)
+    return bys[:0:-1] + ys, bzs[:0:-1] + zs
+
+
+def evolve_noparity(p: Params, m0: int, y0, z0, window: Tuple[int, int]) -> SolutionTable:
+    """The all-minus evolution's table: ``noparity_amplitudes`` as all-minus pairs."""
+    cols = noparity_amplitudes(p, m0, y0, z0, window)
     # tuple.__new__ builds each all-minus pair in C, as ParityPair._make does
     ys, zs = (tuple(map(tuple.__new__, repeat(ParityPair), zip(repeat(-1), col))) for col in cols)
-    return SolutionTable(lo, ys, zs)
+    return SolutionTable(window[0], ys, zs)
 
 
 def painleve_failures(p: Params, table: SolutionTable) -> List[Tuple[int, str]]:

@@ -8,8 +8,9 @@ patched global solutions; the all-minus sector admits affine tails
 m-dependent inequalities.  ``instantiate_family`` builds a table verbatim
 from the chosen display and reports every validity condition with its
 verdict; ``detect_asymptotic_linearity`` recognises exact affine tails of a
-computed table (exact second differences, no fitting tolerance) and verifies
-the ansatz identities against the parameters.
+computed solution (exact second differences, no fitting tolerance) and verifies
+the ansatz identities against the parameters.  It reads amplitude columns,
+lists such as ``udp6.evolution.noparity_amplitudes`` returns, not a table.
 
 Every condition quantified over a range of m (those of r1-r4 and pconst,
 and the four ansatz inequalities) is a conjunction of inequalities affine in
@@ -346,30 +347,26 @@ class LinearityReport(NamedTuple):
         )
 
 
-def _affine_on(vals: List[Fraction]) -> bool:
-    return all(vals[i + 2] - 2 * vals[i + 1] + vals[i] == 0 for i in range(len(vals) - 2))
-
-
-def _end_fit(p: Params, table: SolutionTable, w: int, forward: bool) -> Optional[AffineFit]:
-    """The exact affine tail at one end of the table, or None: the last
-    ``w`` steps against the unprimed ansatz (``forward``), or the first ``w``
-    against the primed one.  ``inward`` is the direction from that end into
-    the table."""
-    lo, hi = table.m_lo, table.m_hi
-    edge, inward = (hi, -1) if forward else (lo, 1)
-    ms = range(edge, edge + inward * (w + 1), inward)
-    ys = [table.y(m).amp for m in ms]
-    zs = [table.z(m).amp for m in ms]
-    if not (_affine_on(ys) and _affine_on(zs)):
+def _end_fit(p: Params, m_lo: int, ys: list, zs: list, w: int, forward: bool) -> Optional[AffineFit]:
+    """The exact affine tail at one end of the amplitude columns from index
+    ``m_lo``, or None: the last ``w`` steps against the unprimed ansatz
+    (``forward``), or the first ``w`` against the primed one.  Read from that
+    end (``inward``), a cell lies on its column's line through the edge's two
+    cells iff every step up to it equals theirs, so one walk finds the tail."""
+    lo, hi = m_lo, m_lo + len(ys) - 1
+    if forward:
+        edge, inward, ys, zs = hi, -1, ys[::-1], zs[::-1]
+    else:
+        edge, inward = lo, 1
+    dy, dz = ys[1] - ys[0], zs[1] - zs[0]
+    k = 1  # the cells ys[:k + 1] and zs[:k + 1] lie on the lines
+    while k + 1 < len(ys) and ys[k + 1] - ys[k] == dy and zs[k + 1] - zs[k] == dz:
+        k += 1
+    if k < w:
         return None
-    slope_y, slope_z = inward * (ys[1] - ys[0]), inward * (zs[1] - zs[0])
+    slope_y, slope_z = inward * dy, inward * dz
     beta, gamma = ys[0] - slope_y * edge, zs[0] - slope_z * edge
-    m_edge = ms[-1]
-    while lo <= m_edge + inward <= hi and (
-        table.y(m_edge + inward).amp == slope_y * (m_edge + inward) + beta
-        and table.z(m_edge + inward).amp == slope_z * (m_edge + inward) + gamma
-    ):
-        m_edge += inward
+    m_edge = edge + inward * k
     alpha = slope_z if forward else slope_y
     fit = (alpha, beta, gamma)
     steps = range(m_edge, hi) if forward else range(m_edge - 1, lo - 1, -1)  # the tail's step indexes
@@ -387,8 +384,9 @@ def _end_fit(p: Params, table: SolutionTable, w: int, forward: bool) -> Optional
     )
 
 
-def detect_asymptotic_linearity(p: Params, table: SolutionTable, w: int) -> LinearityReport:
-    """Detect exact affine behaviour at both ends of a computed table.
+def detect_asymptotic_linearity(p: Params, m_lo: int, ys: list, zs: list, w: int) -> LinearityReport:
+    """Detect exact affine behaviour at both ends of a computed solution: its
+    amplitude columns ``ys`` and ``zs``, of equal lengths, from index ``m_lo``.
 
     The last and first ``w`` steps must have identically zero second
     differences (exact arithmetic, no tolerance).  Detected tails are extended
@@ -396,15 +394,17 @@ def detect_asymptotic_linearity(p: Params, table: SolutionTable, w: int) -> Line
     unprimed ansatz (slopes summing to Q, the intercept identity, and the four
     inequalities on the pure-tail step indexes), backward tails against the
     primed ansatz (equal slopes), the inequalities at the two ends of the
-    tail's step indexes.  Int parameters and tables give an int fit.  A
-    missing or unverified tail is reported, never raised; only a too-short
-    table is an error.
+    tail's step indexes.  Int parameters and amplitudes give an int fit.  A
+    missing or unverified tail is reported, never raised; only columns of
+    unequal or too short a length are an error.
     """
     if w < 2:
         raise ValueError("window length w must be at least 2")
-    if len(table) < 2 * w + 2:
+    if len(ys) != len(zs):
+        raise ValueError("y and z columns must have equal length")
+    if len(ys) < 2 * w + 2:
         raise ValueError(f"table too short: need at least {2 * w + 2} points")
     return LinearityReport(
-        forward=_end_fit(p, table, w, forward=True),
-        backward=_end_fit(p, table, w, forward=False),
+        forward=_end_fit(p, m_lo, ys, zs, w, forward=True),
+        backward=_end_fit(p, m_lo, ys, zs, w, forward=False),
     )

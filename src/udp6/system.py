@@ -9,8 +9,8 @@ rationals.  A residual check decides that identity exactly; there is no
 numeric tolerance anywhere.
 
 Amplitudes are ints or ``Fraction``s, never floats.  They enter (JSON, CSV,
-``--y0/--z0``) by one rule, ``parse_amp``: an int or ASCII integer text stays
-an int, other text becomes a ``Fraction``.  Every term of both relations is an
+``--y0/--z0``) by one rule, ``parse_amp``: an integral value ("43", "43/1")
+is an int, any other a ``Fraction``.  Every term of both relations is an
 integer combination of Q, the amplitudes and the state, and the kernel only
 adds, takes maxima and compares, so it decides the relations exactly on
 either kind and runs on the amplitudes as they entered: ints stay ints.  Both
@@ -417,10 +417,12 @@ def parse_int(v: str, what: str) -> int:
 
 
 def parse_amp(v, what: str) -> Union[int, Fraction]:
-    """An amplitude as it enters: an int or ASCII integer text as an int, other text
-    through ``parse_rational``; anything else (a bool, a float) is a ValueError."""
+    """An amplitude as it enters: an int, or text (read by ``parse_int`` or
+    ``parse_rational``) as an int where its value is integral ("43/1", "4.3e1"),
+    else as a Fraction; anything else (a bool, a float) is a ValueError."""
     if isinstance(v, str):
-        return parse_int(v, what) if _INT_TEXT.fullmatch(v) else parse_rational(v, what)
+        x = parse_int(v, what) if _INT_TEXT.fullmatch(v) else parse_rational(v, what)
+        return x.numerator if x.denominator == 1 else x
     if isinstance(v, int) and not isinstance(v, bool):
         return v
     raise ValueError(f"{what}: rationals must be integers or 'p/q' strings, got {v!r}")

@@ -11,7 +11,8 @@ library's one closed form for a step, ``solve_lines``, is held against two
 former solvers: the four-case U/U'/V/V' split of the parity z-step and the
 candidate scan of the first-order solver.  The affine
 tail ansatz is checked here index by index, against the library's decision at
-the ends of a range, and the all-minus evolution is stepped index by index
+the ends of a range, and the affine tail detector reads a table index by
+index, against the library's one walk along amplitude columns; the all-minus evolution is stepped index by index
 (with the backward steps read off the forward ones), against the library's
 jumps across affine stretches.  The branching evolution is run one branch
 at a time on Fractions, each child a copy of its parent's table, against the
@@ -44,12 +45,14 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Tuple, Union
+from typing import Callable, Iterable, Optional, Tuple, Union
 
 import mpmath
 
 from udp6.evolution import (
     BranchTree,
+    _ansatz_inequalities,
+    ansatz_identity_holds,
     cell_positions,
     grow_tables,
     painleve_failures,
@@ -60,7 +63,7 @@ from udp6.evolution import (
     step_z_noparity,
     step_z_parity,
 )
-from udp6.families import Condition, LinearAnsatz
+from udp6.families import AffineFit, Condition, LinearAnsatz, LinearityReport, _holds_on
 from udp6.qoracle import (
     _START_PRECISION,
     CompareAbort,
@@ -527,6 +530,57 @@ def check_linear_ansatz(p: Params, ansatz: LinearAnsatz, m: int, primed: bool = 
     if not (0 <= a <= p.q):
         return False
     return ansatz_inequalities_at(p, ansatz, m, primed)
+
+
+def _affine_on(vals: list) -> bool:
+    return all(vals[i + 2] - 2 * vals[i + 1] + vals[i] == 0 for i in range(len(vals) - 2))
+
+
+def end_fit_per_index(p: Params, table: SolutionTable, w: int, forward: bool) -> Optional[AffineFit]:
+    """``udp6.families._end_fit`` read from a table index by index: the
+    ``w + 1`` edge cells by ``table.y(m)`` and ``table.z(m)``, their second
+    differences, and the tail extended inward one index at a time while both
+    cells lie on the fitted lines."""
+    lo, hi = table.m_lo, table.m_hi
+    edge, inward = (hi, -1) if forward else (lo, 1)
+    ms = range(edge, edge + inward * (w + 1), inward)
+    ys = [table.y(m).amp for m in ms]
+    zs = [table.z(m).amp for m in ms]
+    if not (_affine_on(ys) and _affine_on(zs)):
+        return None
+    slope_y, slope_z = inward * (ys[1] - ys[0]), inward * (zs[1] - zs[0])
+    beta, gamma = ys[0] - slope_y * edge, zs[0] - slope_z * edge
+    m_edge = ms[-1]
+    while lo <= m_edge + inward <= hi and (
+        table.y(m_edge + inward).amp == slope_y * (m_edge + inward) + beta
+        and table.z(m_edge + inward).amp == slope_z * (m_edge + inward) + gamma
+    ):
+        m_edge += inward
+    alpha = slope_z if forward else slope_y
+    fit = (alpha, beta, gamma)
+    steps = range(m_edge, hi) if forward else range(m_edge - 1, lo - 1, -1)  # the tail's step indexes
+    return AffineFit(
+        m_edge=m_edge,
+        slope_y=slope_y,
+        slope_z=slope_z,
+        alpha=alpha,
+        beta=beta,
+        gamma=gamma,
+        slopes_ok=slope_y + slope_z == p.q if forward else slope_y == slope_z,
+        range_ok=0 <= alpha <= p.q,
+        identity_ok=ansatz_identity_holds(p, fit, primed=not forward),
+        inequalities_ok=_holds_on(steps, lambda m: _ansatz_inequalities(p, fit, m, primed=not forward)),
+    )
+
+
+def detect_per_index(p: Params, table: SolutionTable, w: int) -> LinearityReport:
+    """``udp6.families.detect_asymptotic_linearity`` on a table, each end by
+    ``end_fit_per_index``, with the same two errors."""
+    if w < 2:
+        raise ValueError("window length w must be at least 2")
+    if len(table) < 2 * w + 2:
+        raise ValueError(f"table too short: need at least {2 * w + 2} points")
+    return LinearityReport(end_fit_per_index(p, table, w, True), end_fit_per_index(p, table, w, False))
 
 
 def step_back_y_noparity(p: Params, m: int, y_amp, z_amp):

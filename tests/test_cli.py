@@ -17,7 +17,7 @@ from udp6.cli import main
 from udp6.evolution import evolve, evolve_noparity, painleve_failures
 from udp6.qoracle import CompareReport, CompareRow, EpsSchedule
 from udp6.riccati import SAMPLINGS, riccati_evolve
-from udp6.system import Aff, ParityPair, Params, load_params, parse_pair
+from udp6.system import Aff, ParityPair, Params, load_params, params_to_obj, parse_pair
 from udp6.tables import SolutionTable
 
 from goldens import golden1_y, golden1_z, golden2_y, golden2_z
@@ -143,6 +143,26 @@ def test_evolve_writes_file_deterministically(tmp_path, capsys, p42_file):
     table = SolutionTable.from_csv_text(out1.read_text())
     for m in range(-12, 16):
         assert (table.y(m).amp, table.z(m).amp) == (golden2_y(m), golden2_z(m))
+
+
+def test_integral_rational_text_enters_as_int(tmp_path, capsys, p42):
+    # "43/1" and "4.0e1", as --y0/--z0, as a CSV cell and as params values, read as the ints
+    # they equal: the golden evolve from them is the integer one, cell for cell and type for type
+    golden = evolve(p42, 0, ParityPair(-1, 43), ParityPair(-1, 40), (-400, 400)).tables[0]
+    y0, z0 = parse_pair("-1", "43/1", "--y0"), parse_pair("-1", "4.0e1", "--z0")
+    assert (y0, z0) == ((-1, 43), (-1, 40)) and type(y0.amp) is type(z0.amp) is int
+    got = evolve(p42, 0, y0, z0, (-400, 400)).tables[0]
+    assert got == golden and {type(c.amp) for c in got.ys + got.zs} == {int}
+    text = golden.to_csv_text()
+    got = SolutionTable.from_csv_text(text.replace("\n0,-1,43,-1,40\n", "\n0,-1,43/1,-1,4.0e1\n"))
+    assert got == golden and {type(c.amp) for c in got.ys + got.zs} == {int}
+    params = tmp_path / "p42.json"
+    params.write_text(json.dumps({**params_to_obj(p42), "q": "100/1", "a1": "3.2e1", "b4": "4.0"}))
+    loaded = load_params(params)
+    assert loaded == p42 and {type(v) for v in loaded} == {int}
+    code, out, _ = run(capsys, "evolve", "--params", str(params), "--y0", "-1:43/1", "--z0", "-1:4.0e1",
+                       "--window", "-400:400")
+    assert (code, out) == (0, text)
 
 
 # --- verify ---------------------------------------------------------------------
@@ -512,6 +532,17 @@ def test_qlimit_output_matches_pinned_digests(case, request, capsys, p42_file):
 
     spec = _QLIMIT_DIGESTS["cases"][case]
     assert (code, digest(out), digest(err)) == (spec["rc"], spec["stdout"], spec["stderr"])
+
+
+_SCAN_DIGESTS = json.loads(Path(__file__).with_name("scan_digests.json").read_text())
+
+
+@pytest.mark.parametrize("case", list(_SCAN_DIGESTS["cases"]))
+def test_conjecture_output_matches_pinned_digests(case, capsys):
+    # the scan's JSON summary, byte for byte as recorded in scan_digests.json
+    code, out, err = run(capsys, "conjecture", *_SCAN_DIGESTS["cases"][case]["argv"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _SCAN_DIGESTS["cases"][case]["stdout"]
 
 
 _FRACTIONAL_DIGESTS = json.loads(Path(__file__).with_name("fractional_digests.json").read_text())

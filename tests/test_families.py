@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import accumulate
 from unittest import mock
 
 import pytest
@@ -22,7 +24,8 @@ from udp6.tables import SolutionTable
 
 from goldens import golden2_y, golden2_z
 from oracles import (
-    ansatz_inequalities_at, check_linear_ansatz, gauge, quantified_per_index, scale, theorem_check,
+    ansatz_inequalities_at, check_linear_ansatz, detect_per_index, gauge, quantified_per_index, scale,
+    theorem_check,
 )
 
 F = Fraction
@@ -235,9 +238,14 @@ def test_lin_families_instantiate(p42):
 # --- asymptotic linearity detection -----------------------------------------------------
 
 
+def _columns(table):
+    """A table as the detector reads it: its first index and its two amplitude columns."""
+    return table.m_lo, [c.amp for c in table.ys], [c.amp for c in table.zs]
+
+
 def test_detector_on_first_golden_table(p42):
     table = evolve_noparity(p42, 0, 43, 40, (-10, 10))
-    rep = detect_asymptotic_linearity(p42, table, 4)
+    rep = detect_asymptotic_linearity(p42, *_columns(table), 4)
     f, b = rep.forward, rep.backward
     assert f is not None and b is not None
     assert (f.m_edge, f.alpha, f.beta, f.gamma) == (1, 89, 111, -117)
@@ -250,7 +258,7 @@ def test_detector_on_first_golden_table(p42):
 
 def test_detector_on_second_golden_table(p42):
     table = evolve_noparity(p42, 0, 43, 50, (-12, 15))
-    rep = detect_asymptotic_linearity(p42, table, 2)
+    rep = detect_asymptotic_linearity(p42, *_columns(table), 2)
     f, b = rep.forward, rep.backward
     assert (f.m_edge, f.slope_y, f.slope_z) == (13, 9, 91)
     assert f.alpha == 91 and f.verified
@@ -265,7 +273,7 @@ def test_detector_on_exactly_affine_table(p42):
     rows_y = tuple(pp(-1, 11 * m + 111) for m in range(1, 12))
     rows_z = tuple(pp(-1, 89 * m - 117) for m in range(1, 12))
     table = SolutionTable(1, rows_y, rows_z)
-    rep = detect_asymptotic_linearity(p42, table, 3)
+    rep = detect_asymptotic_linearity(p42, *_columns(table), 3)
     assert rep.forward is not None and rep.forward.m_edge == 1
     assert rep.backward is not None and rep.backward.m_edge == 11
 
@@ -273,16 +281,122 @@ def test_detector_on_exactly_affine_table(p42):
 def test_detector_window_too_large_fails_affinity(p42):
     # w = 3 straddles the second golden table's corner at m = 12
     table = evolve_noparity(p42, 0, 43, 50, (-12, 15))
-    rep = detect_asymptotic_linearity(p42, table, 3)
+    rep = detect_asymptotic_linearity(p42, *_columns(table), 3)
     assert rep.forward is None
 
 
 def test_detector_validation(p42):
     table = evolve_noparity(p42, 0, 43, 40, (-2, 2))
     with pytest.raises(ValueError):
-        detect_asymptotic_linearity(p42, table, 4)
+        detect_asymptotic_linearity(p42, *_columns(table), 4)
     with pytest.raises(ValueError):
-        detect_asymptotic_linearity(p42, table, 1)
+        detect_asymptotic_linearity(p42, *_columns(table), 1)
+
+
+def test_detector_rejects_columns_of_unequal_length(p42):
+    lo, ys, zs = _columns(evolve_noparity(p42, 0, 43, 40, (-10, 10)))
+    for cols in ((ys, zs[1:]), (ys[1:], zs), (ys, zs + [zs[-1]])):
+        with pytest.raises(ValueError, match="^y and z columns must have equal length$"):
+            detect_asymptotic_linearity(p42, lo, *cols, 4)
+
+
+def _detects_as_per_index(p, table, w):
+    """The column detector's report on the table, asserted to be the per-index
+    reference's, value and type for value; or, when the reference raises,
+    asserted to raise the same message (None)."""
+    try:
+        want = detect_per_index(p, table, w)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            detect_asymptotic_linearity(p, *_columns(table), w)
+        assert str(got.value) == str(exc)
+        return None
+    got = detect_asymptotic_linearity(p, *_columns(table), w)
+    assert got == want
+    assert [[type(v) for v in fit] for fit in got if fit] == [[type(v) for v in fit] for fit in want if fit]
+    return got
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_column_detector_equals_per_index_reference_on_scan_draws(seed):
+    # the conjecture scan's draws at -30:30 (seeds 0-7, all 40 runs of each)
+    rng, detected = random.Random(seed), 0
+    for _ in range(40):
+        p = random_constrained_params(rng)
+        y0, z0 = rng.randint(-150, 150), rng.randint(-150, 150)
+        table = evolve_noparity(p, 0, y0, z0, (-30, 30))
+        for w in (2, 4, 8):
+            detected += _detects_as_per_index(p, table, w).detected
+    assert 0 < detected < 3 * 40
+
+
+@pytest.mark.parametrize("third", [False, True])
+@pytest.mark.parametrize("w", [2, 3, 5])
+def test_column_detector_equals_per_index_reference_on_affine_tables(p42, w, third):
+    # affine end to end, in ints and, divided by 3, in Fractions: each tail runs to the far edge
+    ms = range(1, 14)
+    table = SolutionTable(1, tuple(ParityPair(-1, 11 * m + 111) for m in ms), tuple(ParityPair(-1, 89 * m - 117) for m in ms))
+    p = p42
+    if third:
+        p, table = scale(p42, F(1, 3)), scale(table, F(1, 3))
+    rep = _detects_as_per_index(p, table, w)
+    assert (rep.forward.m_edge, rep.backward.m_edge) == (1, 13)
+    assert rep.forward.verified and isinstance(rep.forward.beta, F if third else int)
+
+
+@pytest.mark.parametrize("w", [2, 3, 4])
+@pytest.mark.parametrize("off", [0, 1])
+def test_column_detector_equals_per_index_reference_at_a_break_near_the_edge(p42, w, off):
+    # one cell off the line w + off rows in from each edge (w + 1 points from it, off = 1):
+    # a tail of exactly w steps when off = 1, none when off = 0
+    lo, n = -4, 2 * w + 5
+    ms = range(lo, lo + n)
+    bend = {lo + w + off, lo + n - 1 - w - off}
+
+    def col(slope, icpt):
+        return tuple(ParityPair(-1, slope * m + icpt + (m in bend)) for m in ms)
+
+    for ys, zs in ((col(11, 111), col(89, -117)), (col(11, 111), col(89, F(-351, 3))), (col(F(7, 2), 1), col(0, 0))):
+        rep = _detects_as_per_index(p42, SolutionTable(lo, ys, zs), w)
+        if off:
+            assert (rep.forward.m_edge, rep.backward.m_edge) == (lo + n - 1 - w, lo + w)
+        else:
+            assert rep.forward is None and rep.backward is None
+
+
+@pytest.mark.parametrize("w", [0, 1, 2, 3, 4])
+def test_column_detector_equals_per_index_reference_on_short_tables(p42, w):
+    # every length below 2w + 2 points, and the shortest accepted one
+    for n in range(1, 2 * w + 3):
+        ms = range(n)
+        table = SolutionTable(0, tuple(ParityPair(-1, 11 * m) for m in ms), tuple(ParityPair(-1, 89 * m) for m in ms))
+        rep = _detects_as_per_index(p42, table, w)
+        assert (rep is None) == (w < 2 or n < 2 * w + 2)
+
+
+@st.composite
+def _hand_tables(draw):
+    """Parameters, a table over up to 20 points, int (d = 1) or rational, whose
+    two columns each step by one value over a head and a tail of random
+    lengths and at random between them, and a w."""
+    d = draw(st.sampled_from((1, 2, 3)))
+    p = draw(_constrained_params(d))
+    lo, n = draw(st.integers(-12, 12)), draw(st.integers(1, 20))
+    cols = []
+    for _ in range(2):
+        steps = [draw(_rationals(-6, 6, d)) for _ in range(n - 1)]
+        head, tail = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        steps[:head] = [draw(_rationals(-6, 6, d))] * head
+        steps[n - 1 - tail:] = [draw(_rationals(-6, 6, d))] * tail
+        sign = draw(st.sampled_from((-1, 1)))
+        cols.append(tuple(ParityPair(sign, v) for v in accumulate([draw(_rationals(-24, 24, d))] + steps)))
+    return p, SolutionTable(lo, *cols), draw(st.integers(1, 5))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(case=_hand_tables())
+def test_column_detector_equals_per_index_reference_on_hand_built_tables(case):
+    _detects_as_per_index(*case)
 
 
 # --- affine conditions decided at the ends of their range ----------------------------------
@@ -345,7 +459,7 @@ def test_end_fit_inequalities_equal_per_index_verdicts(case, lo, tail, rest, w):
 
     ms = range(lo, hi + 1)
     table = SolutionTable(lo, tuple(cell(slope_y, b, m) for m in ms), tuple(cell(a, g, m) for m in ms))
-    got = families._end_fit(p, table, min(w, tail - 1), forward)
+    got = families._end_fit(p, *_columns(table), min(w, tail - 1), forward)
     assert (got.m_edge, got.alpha, got.beta, got.gamma) == (m_edge, a, b, g)
     steps = range(m_edge, hi) if forward else range(lo, m_edge)
     assert got.inequalities_ok == all(ansatz_inequalities_at(p, fit, m, primed) for m in steps)

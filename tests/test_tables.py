@@ -112,7 +112,7 @@ def test_csv_reader_reads_back_shuffled_rows_cell_by_cell(table, order):
 
 def test_csv_reader_keeps_integer_text_as_int_and_parses_the_rest():
     got = SolutionTable.from_csv_text("m,sy,Y,sz,Z\n0,1,-0,-1,007\n1,1,+3,-1,7/2\n2,1, 4,1,1.5\n")
-    assert [type(c.amp) for c in got.ys] == [int, Fraction, Fraction]
+    assert [type(c.amp) for c in got.ys] == [int, int, int]  # "+3" and " 4" are integral
     assert [type(c.amp) for c in got.zs] == [int, Fraction, Fraction]
     assert [c.amp for c in got.ys + got.zs] == [0, 3, 4, 7, Fraction(7, 2), Fraction(3, 2)]
 
@@ -121,11 +121,11 @@ def test_csv_reader_keeps_integer_text_as_int_and_parses_the_rest():
     ("43", 43), ("-7", -7), ("43/2", Fraction(43, 2)), (" 43", Fraction(43)), ("+43", Fraction(43)),
 ])
 def test_csv_reader_and_parse_pair_read_amplitudes_alike(text, amp):
-    # one entry rule: ASCII integer text is an int, any other text a Fraction
+    # one entry rule: text of an integral value is an int, any other text a Fraction
     cell = SolutionTable.from_csv_text(f"m,sy,Y,sz,Z\n0,-1,{text},1,0\n").y(0)
     pair = parse_pair("-1", text, "Y")
     assert cell == pair == ParityPair(-1, amp)
-    assert type(cell.amp) is type(pair.amp) is type(amp)
+    assert type(cell.amp) is type(pair.amp) is (int if amp.denominator == 1 else Fraction)
 
 
 def test_csv_reader_skips_blank_lines():
@@ -216,7 +216,7 @@ def test_csv_reader_reads_as_the_row_by_row_oracle(text):
 
 def test_csv_reader_reads_the_writers_integer_layout_without_the_csv_module(monkeypatch, p42):
     # the golden +-400 table in the writer's integer layout never reaches the csv module;
-    # one Fraction cell sends the text through it
+    # one cell in rational text sends the text through it, and its integral value reads as an int
     golden = evolve(p42, 0, ParityPair(-1, 43), ParityPair(-1, 40), (-400, 400)).tables[0]
     text = golden.to_csv_text()
     calls = []
@@ -228,7 +228,7 @@ def test_csv_reader_reads_the_writers_integer_layout_without_the_csv_module(monk
     text = text.replace("\n0,-1,43,", "\n0,-1,86/2,", 1)
     got = SolutionTable.from_csv_text(text)
     assert got == golden and len(calls) == 1
-    assert [type(cell.amp) for cell in got.ys].count(Fraction) == 1 and type(got.y(0).amp) is Fraction
+    assert {type(cell.amp) for cell in got.ys + got.zs} == {int}
 
 
 @pytest.mark.parametrize("m", [-2, 1])
