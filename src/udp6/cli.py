@@ -185,6 +185,8 @@ def _cmd_conjecture(args) -> int:
     if args.n < 1:
         raise ValueError("--n must be at least 1")
     lo, hi = _parse_window(args.window)
+    if not lo <= 0 <= hi:
+        raise ValueError(f"--window {args.window!r} must contain 0, the scan's initial index")
     rng = random.Random(args.seed)
     detected = 0
     candidates = []

@@ -61,15 +61,15 @@ relations at index m read the rows m and m+1 alone, so it keys each pair of
 neighbouring rows by their four signs and their two steps, and splits the
 pairs into maximal runs of equal keys.  Every index is one pair, so the runs
 partition the relations: no relation reads rows of two runs, and none needs
-a check of its own.  Along a run of two or more pairs the signs are constant
-and the cells affine in t = m - m_k from its first index m_k.  So the
-residuals run once on m and the cells as ``Aff`` values with one horizon:
-every comparison returns its outcome at t = 0 and lowers the horizon to the
-last t at which that outcome still holds, so up to the horizon the kernel
-takes the same path at every t, and its True or False is the verdict at
-every index from m_k to m_k plus the horizon.  The run goes on after it; as
-the terms are affine, their order changes, and the run splits, only where
-two of them cross.
+a check of its own.  Along a run the cells are affine in t = m - m_k from its
+first index m_k, with the signs of its key: constant along two or more pairs,
+each row's own in a run of one pair.  So the residuals run once on m and the
+cells as ``Aff`` values with one horizon: every comparison returns its outcome
+at t = 0 and lowers the horizon to the last t at which that outcome still
+holds, so up to the horizon the kernel takes the same path at every t, and its
+True or False is the verdict at every index from m_k to m_k plus the horizon.
+The run goes on after it; as the terms are affine, their order changes, and
+the run splits, only where two of them cross.
 
 The all-minus sector has affine stretches ``Y = (Q-a)m + b, Z = a m + g``
 forward, ``Y = a m + b, Z = a m + g`` backward.  Where a fit (a, b, g) meets
@@ -77,9 +77,10 @@ its identity and its four inequalities at a step index, each max of the step
 takes its affine branch, which the identity makes the fit's next point.  The
 inequalities have slopes a, a, Q-a, Q-a in m (in -m backward): with
 0 <= a <= Q they hold at every later index once they hold at one; otherwise
-``affine_horizon`` finds the last.  ``noparity_amplitudes`` fills stretches
-from the fit, exactly, since the all-minus step is unique, and returns the two
-amplitude columns, which ``evolve_noparity`` makes a table of all-minus pairs.
+``affine_horizon`` finds the last.  ``noparity_amplitudes`` walks both ways in
+one loop and fills stretches from the fit, exactly, since the all-minus step is
+unique; it returns the two amplitude columns, which ``evolve_noparity`` makes a
+table of all-minus pairs.
 """
 
 from __future__ import annotations
@@ -452,42 +453,32 @@ def noparity_amplitudes(p: Params, m0: int, y0, z0, window: Tuple[int, int]) -> 
     if not (lo <= m0 <= hi):
         raise ValueError("initial index must lie inside the window")
     pm, q = p.mirrored, p.q
-    ys, zs = [y0], [z0]
-    m = m0
-    while m < hi:
-        y, z = ys[-1], zs[-1]
-        z1 = step_z_noparity(p, m, y, z)
-        y1 = step_z_noparity(pm, m, z1, y)  # the y-step, mirrored
-        ys.append(y1)
-        zs.append(z1)
-        m += 1
-        dy, dz = y1 - y, z1 - z
-        if m - m0 > 1 and dy == y - ys[-3] and dz == z - zs[-3] and dy + dz == q:
-            fit = (dz, y1 - dy * m, z1 - dz * m)
-            if ansatz_identity_holds(p, fit, False) and _ansatz_inequalities(p, fit, m, False):
-                end = affine_horizon(p, fit, True)
-                stop = hi if end is None else min(end + 1, hi)
-                ys += islice(count(y1 + dy, dy), stop - m)
-                zs += islice(count(z1 + dz, dz), stop - m)
-                m = stop
-    bys, bzs = [ys[0]], [zs[0]]
-    m = m0
-    while m > lo:
-        y, z = bys[-1], bzs[-1]
-        y1 = step_z_noparity(pm, m - 1, z, y)  # the y-relation at m-1 read for its earlier slot
-        z1 = step_z_noparity(p, m - 1, y1, z)
-        bys.append(y1)
-        bzs.append(z1)
-        m -= 1
-        dy, dz = y - y1, z - z1
-        if m0 - m > 1 and dy == bys[-3] - y and dz == bzs[-3] - z and dy == dz:
-            fit = (dy, y1 - dy * m, z1 - dz * m)
-            if ansatz_identity_holds(p, fit, True) and _ansatz_inequalities(p, fit, m - 1, True):
-                end = affine_horizon(p, fit, False)
-                stop = lo if end is None else max(end, lo)
-                bys += islice(count(y1 - dy, -dy), m - stop)
-                bzs += islice(count(z1 - dz, -dz), m - stop)
-                m = stop
+    walks = []
+    for d, stop, primed in ((1, hi, False), (-1, lo, True)):
+        ys, zs = [y0], [z0]
+        m = m0
+        while m != stop:
+            y, z = ys[-1], zs[-1]
+            if primed:  # the (y, z) pair at m-1, each relation read for its earlier slot
+                y1 = step_z_noparity(pm, m - 1, z, y)
+                z1 = step_z_noparity(p, m - 1, y1, z)
+            else:  # the (z, y) pair, the y-step mirrored
+                z1 = step_z_noparity(p, m, y, z)
+                y1 = step_z_noparity(pm, m, z1, y)
+            ys.append(y1)
+            zs.append(z1)
+            m += d
+            dy, dz = y1 - y, z1 - z  # the steps in the walk's direction
+            if len(ys) > 2 and dy == y - ys[-3] and dz == z - zs[-3] and (dy == dz if primed else dy + dz == q):
+                fit = (d * dz, y1 - d * dy * m, z1 - d * dz * m)
+                if ansatz_identity_holds(p, fit, primed) and _ansatz_inequalities(p, fit, m - primed, primed):
+                    end = affine_horizon(p, fit, not primed)
+                    n = d * (stop - m) if end is None else min(d * (end - m) + (not primed), d * (stop - m))
+                    ys += islice(count(y1 + dy, dy), n)
+                    zs += islice(count(z1 + dz, dz), n)
+                    m += d * n
+        walks.append((ys, zs))
+    (ys, zs), (bys, bzs) = walks
     return bys[:0:-1] + ys, bzs[:0:-1] + zs
 
 
@@ -505,10 +496,10 @@ def painleve_failures(p: Params, table: SolutionTable) -> List[Tuple[int, str]]:
 
     Parameter signs are admitted; the constraint is checked on entry.  The
     pairs of neighbouring rows split into maximal runs of equal signs and
-    equal steps (see the module docstring).  While ``_MIN_RUN`` or more pairs
-    of a run are left, ``residual_zz`` and ``residual_yy`` run once each on
-    ``Aff`` values and decide their relation at every index up to the
-    horizon; the rest of the run is checked index by index, on the cells.
+    equal steps (see the module docstring).  ``residual_zz`` and
+    ``residual_yy`` run once each on ``Aff`` values from a run's first index,
+    each row with its own signs, and decide their relation at every index up
+    to the horizon; then again from the next index, until the run is decided.
     """
     require_constraint(p)
     ys, zs, m_lo = table.ys, table.zs, table.m_lo
@@ -517,28 +508,17 @@ def painleve_failures(p: Params, table: SolutionTable) -> List[Tuple[int, str]]:
     # both relations at index m read the rows m and m+1 alone
     keys = zip(sy, sy[1:], sz, sz[1:], map(sub, ay[1:], ay), map(sub, az[1:], az))
     bad, k = [], 0
-    for (s_y, _, s_z, _, dy, dz), run in groupby(keys):
+    for (s_y, s_y1, s_z, s_z1, dy, dz), run in groupby(keys):
         end = k + sum(1 for _ in run)
-        while end - k >= _MIN_RUN:
+        while k < end:
             h = Horizon()
             m, y, z = Aff(1, m_lo + k, h), ParityPair(s_y, Aff(dy, ay[k], h)), ParityPair(s_z, Aff(dz, az[k], h))
-            z1 = ParityPair(s_z, z.amp + dz)
-            zz, yy = residual_zz(p, m, y, z, z1), residual_yy(p, m, y, ParityPair(s_y, y.amp + dy), z1)
+            # a run of one pair may change sign between its rows
+            z1 = ParityPair(s_z1, z.amp + dz)
+            zz, yy = residual_zz(p, m, y, z, z1), residual_yy(p, m, y, ParityPair(s_y1, y.amp + dy), z1)
             n = end - k if h.t is None else min(h.t + 1, end - k)
             failed = [rel for rel, ok in (("zz", zz), ("yy", yy)) if not ok]
             if failed:
                 bad += [(i, rel) for i in range(m_lo + k, m_lo + k + n) for rel in failed]
             k += n
-        for k in range(k, end):
-            m = m_lo + k
-            if not residual_zz(p, m, ys[k], zs[k], zs[k + 1]):
-                bad.append((m, "zz"))
-            if not residual_yy(p, m, ys[k], ys[k + 1], zs[k + 1]):
-                bad.append((m, "yy"))
-        k = end
     return bad
-
-
-# A decision on Aff values costs about seven index checks on ints (four to
-# five on Fractions), so a run of fewer than eight pairs is checked index by index.
-_MIN_RUN = 8

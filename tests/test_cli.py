@@ -489,6 +489,12 @@ def test_conjecture_rejects_n_below_one(n, capsys):
     assert (code, out, err) == (1, "", "error: --n must be at least 1\n")
 
 
+@pytest.mark.parametrize("window", ["5:40", "-40:-5", "1:1"])
+def test_conjecture_rejects_a_window_without_0(window, capsys):
+    code, out, err = run(capsys, "conjecture", "--n", "2", "--window", window, "--seed", "1")
+    assert (code, out, err) == (1, "", f"error: --window {window!r} must contain 0, the scan's initial index\n")
+
+
 def test_qlimit_subcommand(capsys, p42_file):
     code, out, _ = run(
         capsys, "qlimit", "--params", p42_file,

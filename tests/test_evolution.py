@@ -841,8 +841,18 @@ def _noparity_runs(draw):
     return _scan_params(draw, d), m0, _rat(draw, -150, 150, d), _rat(draw, -150, 150, d), window
 
 
+_P42 = Params.make(100, (32, 33, 37, 22), (53, 65, 8, 4))
+
+
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(run=_noparity_runs())
+# the golden state from each end of a window it jumps across, in a one-point
+# window, and on Fractions: the golden state and parameters over 3, off-centre
+@example(run=(_P42, 0, 43, 40, (0, 300)))
+@example(run=(_P42, 0, 43, 40, (-300, 0)))
+@example(run=(_P42, 7, 43, 40, (7, 7)))
+@example(run=(Params.make(F(100, 3), (F(32, 3), 11, F(37, 3), F(22, 3)), (F(53, 3), F(65, 3), F(8, 3), F(4, 3))),
+              5, F(43, 3), F(40, 3), (-295, 305)))
 def test_noparity_jumps_equal_stepping(run):
     assert evolve_noparity(*run) == evolve_noparity_stepping(*run)
 
@@ -1020,7 +1030,7 @@ def test_run_split_verdicts_equal_per_index_on_affine_tables():
         assert failures == painleve_failures_per_index(p, t)
         signed = any(s != 1 for s in p[9:])
         for first, n in pieces:
-            if n - 1 < evolution._MIN_RUN:
+            if n - 1 < 8:
                 continue
             for rel in ("zz", "yy"):
                 holds = [i for i in range(first, first + n - 1) if (t.m_lo + i, rel) not in failures]
@@ -1056,15 +1066,20 @@ def test_one_and_two_row_tables(p):
     golden = SolutionTable(0, (pp(-1, 43), pp(-1, 122)), (pp(-1, 40), pp(-1, -28)))
     one = SolutionTable(0, golden.ys[:1], golden.zs[:1])
     assert painleve_failures(p, one) == [] == painleve_failures_per_index(p, one)
-    for t in (golden, _moved(golden, 1, "z", 1), _moved(golden, 0, "y"), _moved(golden, 1, "y", F(1, 3))):
+    # the 16 sign patterns (sy_0, sy_1, sz_0, sz_1): a one-pair run may change sign between its rows
+    signed = [
+        SolutionTable(0, (pp(sy0, 43), pp(sy1, 122)), (pp(sz0, 40), pp(sz1, -28)))
+        for sy0 in (1, -1) for sy1 in (1, -1) for sz0 in (1, -1) for sz1 in (1, -1)
+    ]
+    for t in (golden, _moved(golden, 1, "z", 1), _moved(golden, 0, "y"), _moved(golden, 1, "y", F(1, 3)), *signed):
         assert painleve_failures(p, t) == painleve_failures_per_index(p, t)
 
 
 @pytest.mark.parametrize("rows", range(1, 10))
 def test_short_tables_equal_per_index_check(monkeypatch, p42, rows):
     # tables of 1-9 rows, intact and with each cell moved or its sign flipped:
-    # the per-index list, in its order.  Below _MIN_RUN pairs no check runs on
-    # Aff values; the constant table is one run, decided on Aff values at 8 pairs.
+    # the per-index list, in its order.  Every check of a table of two or more
+    # rows runs on Aff values, whatever the length of its runs.
     const = Params.make(2, (0, 2, -2, 0), (0, 2, 0, -4))
     window = (-(rows // 2), rows - 1 - rows // 2)
     cases = [
@@ -1081,7 +1096,7 @@ def test_short_tables_equal_per_index_check(monkeypatch, p42, rows):
         ]
         for v in variants:
             assert painleve_failures(p, v) == painleve_failures_per_index(p, v)
-    assert any(type(m) is Aff for _, m, *_ in log) == (rows - 1 >= evolution._MIN_RUN)
+    assert all(type(m) is Aff for _, m, *_ in log) and bool(log) == (rows >= 2)
 
 
 def test_golden_verify_decides_each_run_once(monkeypatch, p42):
