@@ -17,7 +17,10 @@ layer wraps them by name, until a benchmark change renames that group.
 The comparator seeds the q-system from a max-plus table via
 ``value = sign * exp(amplitude/eps)``, evolves it forward, and reports the
 amplitude error ``|eps*log|v| - V_m|`` and sign agreement per (m, eps); as
-eps decreases the errors must shrink.  No convergence rate is asserted.
+eps decreases the errors must shrink.  No convergence rate is asserted.  The
+error is eps*|log(|v|/X)|, X = exp(V_m/eps) the cell's own q-image, built by
+the power that builds a seed; so a seed row's error is exactly 0.0 at every
+precision, whether or not V/eps is an int.
 
 The working precision of each eps is always chosen by agreement (Ziv's
 strategy), and no caller can fix it: the run starts at 256 bits and is
@@ -124,36 +127,9 @@ def ls_from_amplitude(sign: int, amp, eps, prec: int) -> SignedMag:
     return SignedMag(sign, _exp_power(r.numerator, r.denominator, prec), prec)
 
 
-def amplitude_of(x: SignedMag, eps) -> mpmath.mpf:
-    """eps * log|x|, the quantity that ultradiscretizes to the amplitude."""
-    return mpmath.mp.make_mpf(mpmath.libmp.mpf_mul(_rational(Fraction(eps), x.prec), _log_abs(x), x.prec, "n"))
-
-
 def _rational(r: Fraction, prec: int) -> tuple:
     """The raw mpf of r rounded to ``prec`` bits."""
     return mpmath.libmp.from_rational(r.numerator, r.denominator, prec, "n")
-
-
-def _log_abs(x: SignedMag) -> tuple:
-    """log|x| as a raw mpf: k + log r, r = |x|/e^k for the int k nearest log|x|.  r nears
-    1 as errors shrink; log r to 2^-(prec+8) absolute, finer than r's rounding, keeps its
-    cost and mpmath's log-argument cache small.  Past |e| = 2^40, the binary exponent e
-    of |x|, a float e * ln 2 would miss log|x| by far more than 1, so it is taken to
-    e.bit_length() + 64 bits there."""
-    if x.sign == 0:
-        raise ValueError("amplitude of exact zero is undefined")
-    lib, prec = mpmath.libmp, x.prec
-    m, e = lib.mpf_frexp(x.mag._mpf_)
-    log_m = math.log(lib.to_float(m, rnd="n"))
-    if abs(e) < 1 << 40:
-        k = round(log_m + e * math.log(2))
-    else:
-        with mpmath.workprec(e.bit_length() + 64):
-            k = int(mpmath.nint(log_m + e * mpmath.ln2))
-    r = lib.mpf_div(x.mag._mpf_, _exp_power(k, 1, prec)._mpf_, prec, "n")
-    _, man, exp, bc = lib.mpf_sub(r, lib.fone, prec, "n")
-    log_r = lib.mpf_log(r, prec + 8 + (exp + bc if man else 0), "n")
-    return lib.mpf_add(log_r, lib.from_int(k), prec, "n")
 
 
 def ls_neg(x: SignedMag) -> SignedMag:
@@ -361,30 +337,38 @@ def _amp_bound(p: Params, table: SolutionTable, window: Tuple[int, int]) -> Frac
     return max(vals)
 
 
+# bits of a row error's log and product: a double's 53, and 64 more against a double rounding
+_ERROR_PREC = 128
+
+
+def _row_error(x: SignedMag, amp, eps: Fraction) -> float:
+    """|eps*log|x| - amp| as eps*|log(|x|/X)|, X = exp(amp/eps) as a seed builds it.
+    The ratio is taken at x's precision; ``mpf_log`` adds the bits that a ratio
+    near 1 cancels, so its log and the product need only ``_ERROR_PREC`` bits."""
+    lib, r = mpmath.libmp, amp / eps
+    ratio = lib.mpf_div(x.mag._mpf_, _exp_power(r.numerator, r.denominator, x.prec)._mpf_, x.prec, "n")
+    err = lib.mpf_mul(_rational(eps, _ERROR_PREC), lib.mpf_log(ratio, _ERROR_PREC, "n"), _ERROR_PREC, "n")
+    return abs(lib.to_float(err, rnd="n"))
+
+
 def _compare_rows(
     p: Params, table: SolutionTable, eps: Fraction, window: Tuple[int, int], prec: int
 ) -> Iterator[Union[CompareRow, CompareAbort]]:
     """The rows of one eps at one working precision, in index order, each
     computed when it is read; a pole or an exact zero ends them with a
     ``CompareAbort``.  Past the seed row, a row can raise nothing but the
-    ``PoleError`` caught here (a row's ``_log_abs`` only reads nonzero
-    values), so a run read only in part hides no exception of a full run."""
+    ``PoleError`` caught here, so a run read only in part hides no exception
+    of a full run."""
     lo, hi = window
     y = ls_from_amplitude(table.y(lo).sign, table.y(lo).amp, eps, prec)
     z = ls_from_amplitude(table.z(lo).sign, table.z(lo).amp, eps, prec)
-
-    lib, eps_mpf = mpmath.libmp, _rational(eps, prec)  # amplitude_of's eps, converted once
-
-    def err(x: SignedMag, amp: Fraction) -> float:
-        diff = lib.mpf_sub(lib.mpf_mul(eps_mpf, _log_abs(x), prec, "n"), _rational(amp, prec), prec, "n")
-        return lib.to_float(lib.mpf_abs(diff), rnd="n")
 
     def row(m: int, y: SignedMag, z: SignedMag) -> CompareRow:
         return CompareRow(
             m=m,
             eps=eps,
-            err_y=err(y, table.y(m).amp),
-            err_z=err(z, table.z(m).amp),
+            err_y=_row_error(y, table.y(m).amp, eps),
+            err_z=_row_error(z, table.z(m).amp, eps),
             sign_ok_y=y.sign == table.y(m).sign,
             sign_ok_z=z.sign == table.z(m).sign,
             warned=y.warn or z.warn,

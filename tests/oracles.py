@@ -28,14 +28,18 @@ evolution to hold the library's integer route against, and the first-order
 step of the q-system.  The q-system step is transcribed a second time in
 signed log-domain arithmetic (every value sign * exp(logmag), like signs added
 by log-sum-exp), the library's former representation, to hold its plain
-signed floats against.  Those signed floats' operations and ``amplitude_of``
-are transcribed a second time at mpmath's context level (``fadd`` and its kin
-with ``prec=``, ``workprec``), their former form, to hold the library's direct
-``mpmath.libmp`` calls against bit for bit.  The comparator is run once per eps at
+signed floats against.  Those signed floats' operations are transcribed a
+second time at mpmath's context level (``fadd`` and its kin with ``prec=``,
+``workprec``), their former form, to hold the library's direct
+``mpmath.libmp`` calls against bit for bit.  The comparator's former row
+error, eps*log|x| at full precision minus the amplitude (``amplitude_of``,
+also transcribed at the context level), is the reference of its error from
+the ratio to a cell's own image.  The comparator is run once per eps at
 a precision the caller fixes, unchecked, the reference its agreement search is
 held against; and its agreement search is run with every run computed in full
 before two runs are compared, the reference of the library's search, which
-decides row by row and stops a run at its first failing row.
+decides row by row and stops a run at its first failing row.  Both take the
+library's row error, so they are the reference of the search alone.
 """
 
 import csv
@@ -75,10 +79,11 @@ from udp6.qoracle import (
     _amp_bound,
     _cancels,
     _exp_inverse,
+    _exp_power,
     _images,
-    _log_abs,
     _nonzero,
     _rational,
+    _row_error,
     default_precision,
     ls_div,
     ls_from_amplitude,
@@ -797,6 +802,45 @@ def qriccati_step(p: Params, eps, m: int, y: SignedMag) -> Tuple[SignedMag, Sign
     return z_next, y_next
 
 
+# --- the comparator's former row error: eps*log|x| at full precision, minus the amplitude
+
+
+def amplitude_of(x: SignedMag, eps) -> mpmath.mpf:
+    """eps * log|x|, the quantity that ultradiscretizes to the amplitude."""
+    return mpmath.mp.make_mpf(mpmath.libmp.mpf_mul(_rational(Fraction(eps), x.prec), _log_abs(x), x.prec, "n"))
+
+
+def _log_abs(x: SignedMag) -> tuple:
+    """log|x| as a raw mpf: k + log r, r = |x|/e^k for the int k nearest log|x|.  r nears
+    1 as errors shrink; log r to 2^-(prec+8) absolute, finer than r's rounding, keeps its
+    cost and mpmath's log-argument cache small.  Past |e| = 2^40, the binary exponent e
+    of |x|, a float e * ln 2 would miss log|x| by far more than 1, so it is taken to
+    e.bit_length() + 64 bits there."""
+    if x.sign == 0:
+        raise ValueError("amplitude of exact zero is undefined")
+    lib, prec = mpmath.libmp, x.prec
+    m, e = lib.mpf_frexp(x.mag._mpf_)
+    log_m = math.log(lib.to_float(m, rnd="n"))
+    if abs(e) < 1 << 40:
+        k = round(log_m + e * math.log(2))
+    else:
+        with mpmath.workprec(e.bit_length() + 64):
+            k = int(mpmath.nint(log_m + e * mpmath.ln2))
+    r = lib.mpf_div(x.mag._mpf_, _exp_power(k, 1, prec)._mpf_, prec, "n")
+    _, man, exp, bc = lib.mpf_sub(r, lib.fone, prec, "n")
+    log_r = lib.mpf_log(r, prec + 8 + (exp + bc if man else 0), "n")
+    return lib.mpf_add(log_r, lib.from_int(k), prec, "n")
+
+
+def amplitude_error(x: SignedMag, amp, eps: Fraction) -> float:
+    """|eps*log|x| - amp| rounded at x's precision, the comparator's former row
+    error: the reference of ``_row_error``, which takes the log of |x| over its
+    cell's own image at 128 bits."""
+    lib = mpmath.libmp
+    diff = lib.mpf_sub(amplitude_of(x, eps)._mpf_, _rational(Fraction(amp), x.prec), x.prec, "n")
+    return lib.to_float(lib.mpf_abs(diff), rnd="n")
+
+
 # --- the comparator by full runs -----------------------------------------------------
 
 # rows and aborts of one eps at one working precision
@@ -804,26 +848,22 @@ _Run = Tuple[Tuple[CompareRow, ...], Tuple[CompareAbort, ...]]
 
 
 def _compare_run(
-    p: Params, table: SolutionTable, eps: Fraction, window: Tuple[int, int], prec: int
+    p: Params, table: SolutionTable, eps: Fraction, window: Tuple[int, int], prec: int,
+    error: Callable[[SignedMag, Fraction, Fraction], float] = _row_error,
 ) -> _Run:
     """Rows and aborts of one eps at one working precision, every row computed
-    before the run returns."""
+    before the run returns; a row's errors are ``error(value, amplitude, eps)``,
+    the library's row error unless a caller passes another."""
     lo, hi = window
     y = ls_from_amplitude(table.y(lo).sign, table.y(lo).amp, eps, prec)
     z = ls_from_amplitude(table.z(lo).sign, table.z(lo).amp, eps, prec)
-
-    lib, eps_mpf = mpmath.libmp, _rational(eps, prec)  # amplitude_of's eps, converted once
-
-    def err(x: SignedMag, amp: Fraction) -> float:
-        diff = lib.mpf_sub(lib.mpf_mul(eps_mpf, _log_abs(x), prec, "n"), _rational(amp, prec), prec, "n")
-        return lib.to_float(lib.mpf_abs(diff), rnd="n")
 
     def row(m: int, y: SignedMag, z: SignedMag) -> CompareRow:
         return CompareRow(
             m=m,
             eps=eps,
-            err_y=err(y, table.y(m).amp),
-            err_z=err(z, table.z(m).amp),
+            err_y=error(y, table.y(m).amp, eps),
+            err_z=error(z, table.z(m).amp, eps),
             sign_ok_y=y.sign == table.y(m).sign,
             sign_ok_z=z.sign == table.z(m).sign,
             warned=y.warn or z.warn,

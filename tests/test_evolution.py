@@ -1,5 +1,8 @@
+import json
+import random
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 from typing import NamedTuple, Tuple
 
 import pytest
@@ -13,6 +16,7 @@ from udp6.evolution import (
     evolve,
     evolve_noparity,
     grow_tables,
+    noparity_amplitudes,
     painleve_failures,
     step_y_noparity,
     step_y_parity,
@@ -866,6 +870,60 @@ def test_noparity_jumps_across_certified_stretches(monkeypatch, p42):
     monkeypatch.setattr(evolution, "step_z_noparity", lambda *a: calls.append(a[1]) or step(*a))
     assert evolve_noparity(p42, 0, 43, 40, (-300, 300)) == stepped
     assert 0 < len(calls) < 40
+
+
+_NOPARITY_STEPS = json.loads(Path(__file__).with_name("noparity_steps.json").read_text())
+
+
+def _step_indexes(text: str) -> list:
+    """The calls' index arguments from their recorded form: runs "a:b" (or "a")
+    of the indexes a, a+-1, ..., b, each called twice, once per relation."""
+    out = []
+    for part in text.split():
+        a, _, b = part.partition(":")
+        a, b = int(a), int(b or a)
+        d = 1 if b >= a else -1
+        out += [m for m in range(a, b + d, d) for _ in (0, 1)]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_noparity_steps_at_recorded_indexes(monkeypatch, seed):
+    # the index argument of every step_z_noparity call noparity_amplitudes makes
+    # on the conjecture scan's draws (40 a seed over -30:30), as recorded:
+    # where each jump starts and how far it goes.  A jump one step short, which
+    # still equals the stepping oracle, changes 183 of the 320 lists
+    lo, hi = _NOPARITY_STEPS["window"]
+    rng = random.Random(seed)
+    calls = []
+    step = evolution.step_z_noparity
+    monkeypatch.setattr(evolution, "step_z_noparity", lambda *a: calls.append(a[1]) or step(*a))
+    for i, want in enumerate(_NOPARITY_STEPS["steps"][str(seed)]):
+        p = random_constrained_params(rng)  # the scan's draw order: parameters, y0, z0
+        y0, z0 = rng.randint(-150, 150), rng.randint(-150, 150)
+        calls.clear()
+        noparity_amplitudes(p, 0, y0, z0, (lo, hi))
+        assert calls == _step_indexes(want), (seed, i)
+    assert i + 1 == _NOPARITY_STEPS["n"]
+
+
+def test_backward_jump_reads_its_inequalities_at_the_next_index(monkeypatch):
+    # the primed fit y = z = m (alpha = Q/2) meets its identity, and its
+    # inequalities fail at 1 and 0 and hold from -1 down.  At 1 and 0 the two
+    # failing maxes of each relation exceed their fit terms by equal amounts,
+    # so those steps still land on the fit.  The walk from m0 = 2 steps to 1
+    # and 0, finds the fit and reads the inequalities at -1, the index it
+    # would step to next, and jumps; read at 0, they fail and cost a step at
+    # -1.  (Read at m where they hold but fail at m-1, the horizon is m and
+    # the jump is 0 steps long, so no case tells that reading apart.)
+    p = Params.make(2, (-1, -1, 1, 1), (2, -1, 0, 3))
+    assert [ansatz_inequalities_at(p, LinearAnsatz(1, 0, 0), m, True) for m in (1, 0, -1)] == [False, False, True]
+    calls = []
+    step = evolution.step_z_noparity
+    monkeypatch.setattr(evolution, "step_z_noparity", lambda *a: calls.append(a[1]) or step(*a))
+    assert noparity_amplitudes(p, 2, 2, 2, (-20, 2)) == (list(range(-20, 3)), list(range(-20, 3)))
+    assert calls == [1, 1, 0, 0]
+    assert evolve_noparity(p, 2, 2, 2, (-20, 2)) == evolve_noparity_stepping(p, 2, 2, 2, (-20, 2))
 
 
 @st.composite

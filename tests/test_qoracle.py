@@ -18,7 +18,6 @@ from udp6.qoracle import (
     EpsSchedule,
     PoleError,
     SignedMag,
-    amplitude_of,
     default_precision,
     ls_add,
     ls_div,
@@ -30,6 +29,7 @@ from udp6.qoracle import (
     qp6_step,
     _amp_bound,
     _images,
+    _row_error,
     ud_limit_compare,
 )
 from udp6.system import ParityPair, Params, random_constrained_params
@@ -37,6 +37,9 @@ from udp6.tables import SolutionTable
 
 from oracles import (
     LogSigned,
+    _compare_run,
+    amplitude_error,
+    amplitude_of,
     compare_at_fixed_precision,
     compare_by_full_runs,
     dump_params,
@@ -691,6 +694,7 @@ def _qlimit_variant(p, i, window=(-5, 5)) -> SolutionTable:
 def _assert_search_equals_full_runs(p, table, sched, window) -> CompareReport:
     rep = ud_limit_compare(p, table, sched, window)
     assert rep == compare_by_full_runs(p, table, sched, window)
+    assert all(r.err_y == r.err_z == 0.0 for r in rep.rows if r.m == window[0])  # the seed rows
     return rep
 
 
@@ -702,22 +706,29 @@ def test_search_equals_full_runs_on_benchmark_inputs(p42, variant):
 _EPS = (F(1), F(1, 2), F(1, 3), F(1, 4), F(1, 8), F(1, 10**9), F(1, 10**50))
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
-@given(
+# the p42 state moved, then gauged and scaled with its table: schedules of
+# one to four eps, down to 1e-50
+_P42_FAMILY = dict(
     dy=st.integers(-6, 6), dz=st.integers(-6, 6), c=st.integers(-20, 20),
     lam=st.sampled_from((F(1), F(2), F(1, 2), F(3, 5))),
     lo=st.integers(-3, 0), hi=st.integers(0, 3),
     eps=st.lists(st.sampled_from(_EPS), min_size=1, max_size=4, unique=True),
 )
+
+
+def _p42_case(dy, dz, c, lam, lo, hi, eps):
+    """(params, table, schedule, window) of one member of the p42 family."""
+    p42 = Params.make(100, (32, 33, 37, 22), (53, 65, 8, 4))
+    table = scale(gauge(evolve_noparity(p42, 0, 43 + dy, 40 + dz, (lo, hi)), c), lam)
+    return scale(gauge(p42, c), lam), table, EpsSchedule(sorted(eps, reverse=True)), (lo, hi)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(**_P42_FAMILY)
 @example(dy=0, dz=0, c=0, lam=F(1), lo=-2, hi=2, eps=[F(1), F(1, 10**50)])
 @example(dy=2, dz=-3, c=7, lam=F(3, 5), lo=-3, hi=3, eps=[F(1, 10**9), F(1, 3), F(1), F(1, 8)])
 def test_search_equals_full_runs_on_p42_family(dy, dz, c, lam, lo, hi, eps):
-    # the p42 state moved, then gauged and scaled with its table: schedules of
-    # one to four eps, down to 1e-50
-    p42 = Params.make(100, (32, 33, 37, 22), (53, 65, 8, 4))
-    p = scale(gauge(p42, c), lam)
-    table = scale(gauge(evolve_noparity(p42, 0, 43 + dy, 40 + dz, (lo, hi)), c), lam)
-    _assert_search_equals_full_runs(p, table, EpsSchedule(sorted(eps, reverse=True)), (lo, hi))
+    _assert_search_equals_full_runs(*_p42_case(dy, dz, c, lam, lo, hi, eps))
 
 
 def test_search_equals_full_runs_when_an_abort_is_accepted_at_the_ceiling(p42):
@@ -803,3 +814,97 @@ def test_rejected_runs_stop_at_their_first_failing_row(monkeypatch, p42):
     steps = {bits: n for (_, bits), n in counts.items()}
     assert steps[256] <= 4 and steps[512] <= 4
     assert steps[1024] == steps[2048] == 10
+
+
+# --- the row error against eps*log|x| - amp -------------------------------------------
+
+
+def _assert_row_error_equals_former_formula(p, table, sched, window) -> int:
+    """At each precision the search visits for each eps, the library's row error
+    and the former eps*log|x| - amp (``amplitude_error``) give equal rows but for
+    their errors, the same verdict on err >= resolution past the seed row, and,
+    where it holds, errors within a relative 2^-64 (two doubles that close are
+    equal).  Returns the number of errors compared."""
+    rep = ud_limit_compare(p, table, sched, window)
+    scale_ = max(1.0, float(_amp_bound(p, table, window)))
+    compared = 0
+    for eps, accepted in rep.precisions:
+        ladder = [256]
+        while ladder[-1] < accepted:
+            ladder.append(min(2 * ladder[-1], accepted))
+        for prec in ladder:
+            (rows, aborts), (ref_rows, ref_aborts) = (
+                _compare_run(p, table, eps, window, prec, error) for error in (_row_error, amplitude_error))
+            assert aborts == ref_aborts and len(rows) == len(ref_rows)
+            resolution = math.ldexp(scale_, -(prec // 2))
+            for row, ref in zip(rows[1:], ref_rows[1:]):
+                assert row._replace(err_y=0.0, err_z=0.0) == ref._replace(err_y=0.0, err_z=0.0)
+                for got, want in ((row.err_y, ref.err_y), (row.err_z, ref.err_z)):
+                    assert (got >= resolution) == (want >= resolution), (prec, row, ref)
+                    if want >= resolution:
+                        assert abs(got - want) <= math.ldexp(want, -64), (prec, row, ref)
+                        compared += 1
+    return compared
+
+
+@pytest.mark.parametrize("variant", range(8))
+def test_row_error_equals_former_formula_on_benchmark_inputs(p42, variant):
+    compared = _assert_row_error_equals_former_formula(
+        p42, _qlimit_variant(p42, variant), EpsSchedule.from_string("1,1/2,1/4"), (-5, 5))
+    assert compared >= 3 * 2 * 10  # every eps's accepted run, both columns past the seed
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(**_P42_FAMILY)
+@example(dy=2, dz=-3, c=7, lam=F(3, 5), lo=-3, hi=3, eps=[F(1, 10**9), F(1, 3), F(1), F(1, 8)])
+def test_row_error_equals_former_formula_on_p42_family(dy, dz, c, lam, lo, hi, eps):
+    _assert_row_error_equals_former_formula(*_p42_case(dy, dz, c, lam, lo, hi, eps))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), sector=st.sampled_from((-1, 1)))
+def test_row_error_equals_former_formula_on_random_params(seed, sector):
+    # random constrained parameters and states, in the all-minus sector or
+    # evolved from (+1, +1) (the first table of the branches)
+    rng = random.Random(seed)
+    p = random_constrained_params(rng, -100, 100, (1, 100))
+    window = (rng.randint(-2, 0), rng.randint(0, 2))
+    y0, z0 = F(rng.randint(-150, 150), rng.randint(1, 3)), F(rng.randint(-150, 150))
+    table = evolve(p, 0, ParityPair(sector, y0), ParityPair(sector, z0), window, 1).tables[0]
+    sched = EpsSchedule(sorted(rng.sample((F(1), F(1, 2), F(1, 3), F(1, 4), F(2, 7)), 2), reverse=True))
+    _assert_row_error_equals_former_formula(p, table, sched, window)
+
+
+@pytest.mark.parametrize("lam,eps,window", [
+    (F(3, 5), "1/3", (-3, 3)),
+    (F(1, 3), "1/3,1/7", (-3, 3)),
+    (F(2, 7), "1/3", (0, 0)),
+    (F(2, 7), "1,1/2,1/4", (-3, 3)),
+])
+def test_seed_rows_have_error_exactly_0(p42, lam, eps, window):
+    # amp/eps with a denominator (p42 scaled by lam): the seed is its cell's own
+    # image, so the seed row's error is 0.0 in the report and at each precision
+    # of a search's ladder
+    p, table = scale(p42, lam), scale(evolve_noparity(p42, 0, 43, 40, window), lam)
+    sched = EpsSchedule.from_string(eps)
+    rep = ud_limit_compare(p, table, sched, window)
+    seeds = [r for r in rep.rows if r.m == window[0]]
+    assert len(seeds) == len(sched.eps_values) and all(r.err_y == r.err_z == 0.0 for r in seeds)
+    for e in sched.eps_values:
+        for prec in (256, 512, 1024, 1504):
+            (seed_row, *_), _ = _compare_run(p, table, e, window, prec)
+            assert seed_row.err_y == seed_row.err_z == 0.0
+
+
+def test_fractional_seed_row_settles_at_512_bits(p42):
+    # p42 scaled by 3/5 at eps 1/3 over the window 0:0, whose one row is the
+    # seed row: eps*log|x| - amp left noise there that differed from one
+    # precision to the next, and the search went up to its ceiling, 1,504 bits
+    lam, eps = F(3, 5), F(1, 3)
+    p, table = scale(p42, lam), scale(evolve_noparity(p42, 0, 43, 40, (0, 0)), lam)
+    noise = [_compare_run(p, table, eps, (0, 0), prec, amplitude_error)[0][0].err_y for prec in (256, 512, 1024)]
+    assert len(set(noise)) == 3 and all(noise)
+    rep = ud_limit_compare(p, table, EpsSchedule([eps]), (0, 0))
+    assert default_precision(eps, _amp_bound(p, table, (0, 0))) == 1504
+    assert rep.precisions == ((eps, 512),)
+    assert rep.rows == (CompareRow(0, eps, 0.0, 0.0, True, True, False),)
