@@ -260,9 +260,10 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="output path (default: stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    sp = sub.add_parser(
-        "evolve", help="evolve an initial state over a window: one table per path through "
-                       "the finite ends (corner solutions) of each step's solution interval")
+    text = ("evolve an initial state over a window: one table per path through the finite ends (corner "
+            "solutions) of each step's solution interval, a ray at a tie and the whole line at a double "
+            "tie, where only V-U is followed; solutions inside (the soln2 family) are not listed")
+    sp = sub.add_parser("evolve", help=text, description=text)
     sp.add_argument("--params", required=True)
     sp.add_argument("--y0", required=True, help="sign:amplitude, e.g. -1:43")
     sp.add_argument("--z0", required=True, help="sign:amplitude")

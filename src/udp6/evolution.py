@@ -7,10 +7,7 @@ solution set is one interval (``udp6.system.solve_lines``): a point, a ray or
 the whole line, more than a point only when the y amplitude hits one of {A3,
 A4, A1+mQ, A2+mQ} (or the z amplitude one of the B analogues).  The steppers
 return its finite end, the corner solution, validated against the exact
-residual; at a double tie (Y in both sets) the relation holds everywhere and
-the step gives one amplitude with each sign.  ``evolve`` follows the corners
-into a branch tree of complete solution tables over the window; it never
-visits the interior of a ray.
+residual, and ``evolve`` follows the corners (see there for the ties).
 
 In the sign(y) = +1 sector the four numbers are ``U = max(2Y, A3+A4)``,
 ``U' = max(A3,A4)+Y``, ``V = max(2mQ+A1+A2, 2Y)`` and ``V' =
@@ -58,18 +55,15 @@ one passes.
 
 ``painleve_failures`` decides the relations over the same stretches.  Both
 relations at index m read the rows m and m+1 alone, so it keys each pair of
-neighbouring rows by their four signs and their two steps, and splits the
-pairs into maximal runs of equal keys.  Every index is one pair, so the runs
-partition the relations: no relation reads rows of two runs, and none needs
-a check of its own.  Along a run the cells are affine in t = m - m_k from its
-first index m_k, with the signs of its key: constant along two or more pairs,
-each row's own in a run of one pair.  So the residuals run once on m and the
-cells as ``Aff`` values with one horizon: every comparison returns its outcome
-at t = 0 and lowers the horizon to the last t at which that outcome still
-holds, so up to the horizon the kernel takes the same path at every t, and its
-True or False is the verdict at every index from m_k to m_k plus the horizon.
-The run goes on after it; as the terms are affine, their order changes, and
-the run splits, only where two of them cross.
+neighbouring rows by their four signs and their two steps, read off the
+table's columns, and splits the pairs into maximal runs of equal keys, which
+partition the relations.  Along a run the cells are affine in t = m - m_k from
+its first index m_k, with the signs of its key: constant along two or more
+pairs, each row's own in a run of one pair.  So the residuals run once on m and
+the cells as ``Aff`` values, and, as in a jump, their True or False holds at
+every index from m_k to m_k plus the horizon.  The run goes on after it; as
+the terms are affine, their order changes, and the run splits, only where two
+of them cross.
 
 The all-minus sector has affine stretches ``Y = (Q-a)m + b, Z = a m + g``
 forward, ``Y = a m + b, Z = a m + g`` backward.  Where a fit (a, b, g) meets
@@ -154,8 +148,9 @@ def grow_tables(root: list, n: int, step, cap: int, m0: int, window: Tuple[int, 
     children but the last, which extends them in place, as no other frontier
     entry holds them.  Children keep the frontier's order; after each step
     only the first ``cap`` are kept, and the result is flagged truncated if
-    any step dropped children.  A leaf's columns are slices of it: the
-    backward part reversed, the root, the forward part.
+    any step dropped children.  A leaf's y and z cells are slices of it (the
+    backward part reversed, the root, the forward part), each split into its
+    sign and amplitude columns by one ``zip(*)``.
 
     While one partial table is live, ``single(i, table)``, if given, may take
     the steps from index i on itself while each has one child.  It returns
@@ -197,8 +192,10 @@ def grow_tables(root: list, n: int, step, cap: int, m0: int, window: Tuple[int, 
         partials, truncated = grown[:cap], truncated or len(grown) > cap
     lo, hi = window
     f = 2 * (hi - m0 + 1)  # the end of the forward part
-    tables = [SolutionTable(lo, tuple(t[f::2][::-1] + t[:1] + t[3:f:2]), tuple(t[f + 1::2][::-1] + t[1:2] + t[2:f:2]))
-              for t in partials]
+    tables = []
+    for t in partials:  # each column of pairs split into signs and amplitudes
+        ys, zs = t[f::2][::-1] + t[:1] + t[3:f:2], t[f + 1::2][::-1] + t[1:2] + t[2:f:2]
+        tables.append(SolutionTable(lo, *zip(*ys), *zip(*zs)))
     return BranchTree(tuple(tables), truncated)
 
 
@@ -326,7 +323,11 @@ def evolve(
     max_branches: int = 64,
 ) -> BranchTree:
     """The corner solutions through (y0, z0) at index m0 over the window
-    [lo, hi]: each step takes the finite ends of its solution intervals.
+    [lo, hi]: each step takes the finite ends of its solution intervals.  At
+    a tie (U = U' or V = V') each sign's interval is a ray, and at a double tie
+    the whole line solves the step; either way only V - U is followed.  So no
+    run lists a solution off those ends, such as the closed-form soln2 family
+    (``udp6.families``), which leaves them inside a ray.
 
     Alternates the z- and y-steppers forward from m0 and their backward
     mirrors down to the window start, jumping the certified affine stretches
@@ -484,27 +485,21 @@ def noparity_amplitudes(p: Params, m0: int, y0, z0, window: Tuple[int, int]) -> 
 
 def evolve_noparity(p: Params, m0: int, y0, z0, window: Tuple[int, int]) -> SolutionTable:
     """The all-minus evolution's table: ``noparity_amplitudes`` as all-minus pairs."""
-    cols = noparity_amplitudes(p, m0, y0, z0, window)
-    # tuple.__new__ builds each all-minus pair in C, as ParityPair._make does
-    ys, zs = (tuple(map(tuple.__new__, repeat(ParityPair), zip(repeat(-1), col))) for col in cols)
-    return SolutionTable(window[0], ys, zs)
+    ys, zs = noparity_amplitudes(p, m0, y0, z0, window)
+    return SolutionTable(window[0], (-1,) * len(ys), tuple(ys), (-1,) * len(zs), tuple(zs))
 
 
 def painleve_failures(p: Params, table: SolutionTable) -> List[Tuple[int, str]]:
     """All (index, relation) pairs where the table violates a residual, by
     index, with "zz" before "yy" at an index.
 
-    Parameter signs are admitted; the constraint is checked on entry.  The
-    pairs of neighbouring rows split into maximal runs of equal signs and
-    equal steps (see the module docstring).  ``residual_zz`` and
-    ``residual_yy`` run once each on ``Aff`` values from a run's first index,
-    each row with its own signs, and decide their relation at every index up
-    to the horizon; then again from the next index, until the run is decided.
+    Parameter signs are admitted; the constraint is checked on entry.  Each
+    run of equal signs and steps (see the module docstring) is decided by
+    ``residual_zz`` and ``residual_yy`` on ``Aff`` values from its first index
+    up to the horizon, then again from the next index, until it is decided.
     """
     require_constraint(p)
-    ys, zs, m_lo = table.ys, table.zs, table.m_lo
-    sy, ay = zip(*ys)
-    sz, az = zip(*zs)
+    m_lo, sy, ay, sz, az = table.m_lo, table.sy, table.ay, table.sz, table.az
     # both relations at index m read the rows m and m+1 alone
     keys = zip(sy, sy[1:], sz, sz[1:], map(sub, ay[1:], ay), map(sub, az[1:], az))
     bad, k = [], 0

@@ -33,7 +33,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .evolution import _ansatz_inequalities, ansatz_identity_holds
 from .riccati import require_riccati_conditions
-from .system import ParityPair, Params, require_unsigned
+from .system import Params, require_unsigned
 from .tables import SolutionTable
 
 __all__ = [
@@ -121,11 +121,11 @@ class FamilyResult(NamedTuple):
 Piece = Tuple[Optional[int], int, Callable[[int], Fraction]]
 
 
-def _piecewise(pieces: List[Piece], m: int) -> ParityPair:
-    """The cell at m of the last piece that starts at or before m; pieces are
-    listed by first index, so each covers the indexes up to the next one's."""
+def _piecewise(pieces: List[Piece], m: int) -> tuple:
+    """The (sign, amplitude) at m of the last piece that starts at or before m;
+    pieces are listed by first index, so each covers the indexes up to the next one's."""
     sign, amp_fn = next((s, f) for first, s, f in reversed(pieces) if first is None or first <= m)
-    return ParityPair(sign, amp_fn(m))
+    return sign, amp_fn(m)
 
 
 def _need(spec: FamilySpec, field: str):
@@ -295,11 +295,8 @@ def instantiate_family(
     else:  # pragma: no cover - guarded by FamilySpec validation
         raise ValueError(f"unhandled family {fam!r}")
 
-    table = SolutionTable(
-        lo,
-        tuple(_piecewise(ys, m) for m in range(lo, hi + 1)),
-        tuple(_piecewise(zs, m) for m in range(lo, hi + 1)),
-    )
+    (sy, ay), (sz, az) = (zip(*(_piecewise(col, m) for m in range(lo, hi + 1))) for col in (ys, zs))
+    table = SolutionTable(lo, sy, ay, sz, az)
     valid = all(cond.holds for cond in conds)
     return FamilyResult(spec=spec, table=table, valid=valid, conditions=tuple(conds))
 

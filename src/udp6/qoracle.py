@@ -331,10 +331,8 @@ def _amp_bound(p: Params, table: SolutionTable, window: Tuple[int, int]) -> Frac
     lo, hi = window
     vals = [abs(getattr(p, k)) for k in ("q", "a1", "a2", "a3", "a4", "b1", "b2", "b3", "b4")]
     vals += [abs(Fraction(m) * p.q) for m in (lo, hi)]
-    for m in range(lo, hi + 1):
-        vals.append(abs(table.y(m).amp))
-        vals.append(abs(table.z(m).amp))
-    return max(vals)
+    i, j = lo - table.m_lo, hi + 1 - table.m_lo
+    return max(vals + [*map(abs, table.ay[i:j]), *map(abs, table.az[i:j])])
 
 
 # bits of a row error's log and product: a double's 53, and 64 more against a double rounding
@@ -360,17 +358,19 @@ def _compare_rows(
     ``PoleError`` caught here, so a run read only in part hides no exception
     of a full run."""
     lo, hi = window
-    y = ls_from_amplitude(table.y(lo).sign, table.y(lo).amp, eps, prec)
-    z = ls_from_amplitude(table.z(lo).sign, table.z(lo).amp, eps, prec)
+    m_lo, sy, ay, sz, az = table.m_lo, table.sy, table.ay, table.sz, table.az
+    y = ls_from_amplitude(sy[lo - m_lo], ay[lo - m_lo], eps, prec)
+    z = ls_from_amplitude(sz[lo - m_lo], az[lo - m_lo], eps, prec)
 
     def row(m: int, y: SignedMag, z: SignedMag) -> CompareRow:
+        i = m - m_lo
         return CompareRow(
             m=m,
             eps=eps,
-            err_y=_row_error(y, table.y(m).amp, eps),
-            err_z=_row_error(z, table.z(m).amp, eps),
-            sign_ok_y=y.sign == table.y(m).sign,
-            sign_ok_z=z.sign == table.z(m).sign,
+            err_y=_row_error(y, ay[i], eps),
+            err_z=_row_error(z, az[i], eps),
+            sign_ok_y=y.sign == sy[i],
+            sign_ok_z=z.sign == sz[i],
             warned=y.warn or z.warn,
         )
 

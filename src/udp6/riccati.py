@@ -251,12 +251,7 @@ def riccati_failures(p: Params, table: SolutionTable) -> List[Tuple[int, str]]:
     m in [lo-1, hi-1] (it touches only indexes m+1).
     """
     require_riccati_conditions(p)
-    ys, zs = table.ys, table.zs
-    bad = []
-    for i, m in enumerate(range(table.m_lo, table.m_hi)):
-        if not residual_riccati2(p, m, ys[i], zs[i + 1]):
-            bad.append((m, "r2"))
-    for i, m in enumerate(range(table.m_lo - 1, table.m_hi)):
-        if not residual_riccati1(p, m, ys[i], zs[i]):
-            bad.append((m, "r1"))
-    return bad
+    y, z = table.y, table.z
+    lo, hi = table.m_lo, table.m_hi
+    bad = [(m, "r2") for m in range(lo, hi) if not residual_riccati2(p, m, y(m), z(m + 1))]
+    return bad + [(m, "r1") for m in range(lo - 1, hi) if not residual_riccati1(p, m, y(m + 1), z(m + 1))]

@@ -1,22 +1,23 @@
-"""Solution tables: m -> (y, z) over a contiguous integer window, with an
-exact CSV round-trip (columns m, sy, Y, sz, Z; amplitudes as rational
-strings).  The CSV reader reads amplitudes by ``parse_amp``, so integer text
-stays an int, as the evolutions keep integer cells.  The writer's own layout
-of an integer table (the header, then rows of ASCII integers with signs 1 or
--1, each ended by a newline) is matched by one regular expression and read
-in bulk: one ``int`` map over all its cells.  Any other text, and text whose
-bulk read fails (a cell over ``int``'s digit limit), is read row by row
-through the csv module, the one place that reports errors.  JSON is an
-output format only: ``to_json_obj`` and the branch writers have no reader.
-Rows of equal cells share one dict in ``branches_to_json_obj``, which must
-not be mutated."""
+"""Solution tables: m -> (y, z) over a contiguous integer window, held as four
+columns (the sign and amplitude of y, then of z), with an exact CSV round-trip
+(columns m, sy, Y, sz, Z; amplitudes as rational strings).  The CSV reader
+reads amplitudes by ``parse_amp``, so integer text stays an int, as the
+evolutions keep integer cells.  The writer's own layout of an integer table
+(the header, then rows of ASCII integers with signs 1 or -1, each ended by a
+newline) is matched by one regular expression and read in bulk: one ``int``
+map over all its cells, sliced into the columns.  Any other text, and text
+whose bulk read fails (a cell over ``int``'s digit limit), is read row by row
+through the csv module, the one place that reports errors.  JSON is an output
+format only: ``to_json_obj`` and the branch writers have no reader.  Rows of
+equal cells share one dict in ``branches_to_json_obj``, which holds its text
+for ``branches_json_text`` and must not be mutated."""
 
 from __future__ import annotations
 
 import csv
 import io
 import re
-from itertools import repeat
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Tuple
 
 from .system import ParityPair, check_sign, parse_amp, parse_int
@@ -31,18 +32,20 @@ _INT_TABLE = re.compile(re.escape(_HEADER) + r"(?:-?[0-9]+,-?1,-?[0-9]+,-?1,-?[0
 
 class SolutionTable:
     """The mapping m -> (y, z) over [m_lo, m_lo + len - 1]: ``m_lo`` and the
-    columns ``ys`` and ``zs``, tuples of equal, nonzero length.  Immutable:
-    its attributes cannot be assigned, and equal tables are equal values
-    that hash alike.  ``len`` counts rows."""
+    columns ``sy``, ``ay`` (the signs and amplitudes of y) and ``sz``, ``az``
+    (those of z), tuples of equal, nonzero length.  ``y(m)``, ``z(m)`` and
+    ``rows()`` give ``ParityPair`` cells.  Immutable: its attributes cannot be
+    assigned, and equal tables are equal values that hash alike.  ``len``
+    counts rows."""
 
-    __slots__ = ("m_lo", "ys", "zs")
+    __slots__ = ("m_lo", "sy", "ay", "sz", "az")
 
-    def __init__(self, m_lo: int, ys: Tuple[ParityPair, ...], zs: Tuple[ParityPair, ...]) -> None:
-        if len(ys) != len(zs):
-            raise ValueError("y and z columns must have equal length")
-        if not ys:
+    def __init__(self, m_lo: int, sy: tuple, ay: tuple, sz: tuple, az: tuple) -> None:
+        if not len(sy) == len(ay) == len(sz) == len(az):
+            raise ValueError("columns must have equal length")
+        if not sy:
             raise ValueError("empty table")
-        for name, value in zip(self.__slots__, (m_lo, ys, zs)):
+        for name, value in zip(self.__slots__, (m_lo, sy, ay, sz, az)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value=None):
@@ -51,7 +54,7 @@ class SolutionTable:
     __delattr__ = __setattr__
 
     def _key(self) -> tuple:
-        return self.m_lo, self.ys, self.zs
+        return self.m_lo, self.sy, self.ay, self.sz, self.az
 
     def __eq__(self, other):
         return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
@@ -60,48 +63,53 @@ class SolutionTable:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        return "SolutionTable(m_lo=%r, ys=%r, zs=%r)" % self._key()
+        return "SolutionTable(m_lo=%r, sy=%r, ay=%r, sz=%r, az=%r)" % self._key()
 
     @property
     def m_hi(self) -> int:
-        return self.m_lo + len(self.ys) - 1
+        return self.m_lo + len(self.sy) - 1
 
     def __len__(self) -> int:
-        return len(self.ys)
+        return len(self.sy)
 
     def indexes(self) -> range:
         return range(self.m_lo, self.m_hi + 1)
 
-    def _at(self, m: int) -> int:
+    def _cell(self, m: int, signs: tuple, amps: tuple) -> ParityPair:
         if not (self.m_lo <= m <= self.m_hi):
             raise KeyError(f"index {m} outside [{self.m_lo}, {self.m_hi}]")
-        return m - self.m_lo
+        return ParityPair(signs[m - self.m_lo], amps[m - self.m_lo])
 
     def y(self, m: int) -> ParityPair:
-        return self.ys[self._at(m)]
+        return self._cell(m, self.sy, self.ay)
 
     def z(self, m: int) -> ParityPair:
-        return self.zs[self._at(m)]
+        return self._cell(m, self.sz, self.az)
 
     def rows(self) -> Iterator[Tuple[int, ParityPair, ParityPair]]:
-        return zip(self.indexes(), self.ys, self.zs)
+        return zip(self.indexes(), map(ParityPair, self.sy, self.ay), map(ParityPair, self.sz, self.az))
+
+    def _column_rows(self) -> Iterator[tuple]:  # the rows (m, sy, Y, sz, Z)
+        return zip(self.indexes(), self.sy, self.ay, self.sz, self.az)
 
     @classmethod
-    def _from_rows(cls, ms: list, ys: list, zs: list) -> "SolutionTable":
-        """The table of the rows (ms[i], ys[i], zs[i]), at least one, in any
-        order; the indexes must be contiguous."""
-        order = sorted(range(len(ms)), key=ms.__getitem__)
-        m_lo = ms[order[0]]
-        if [ms[i] for i in order] != list(range(m_lo, m_lo + len(ms))):
-            raise ValueError("table window must be contiguous")
-        return cls(m_lo, tuple(ys[i] for i in order), tuple(zs[i] for i in order))
+    def _from_columns(cls, ms: list, *cols: list) -> "SolutionTable":
+        """The table of the rows (ms[i], sy[i], ay[i], sz[i], az[i]), at least
+        one, in any order; the indexes must be contiguous.  Rows in index
+        order, as the writer writes them, are taken as they are."""
+        if ms != list(range(ms[0], ms[0] + len(ms))):
+            order = sorted(range(len(ms)), key=ms.__getitem__)
+            ms = [ms[i] for i in order]
+            if ms != list(range(ms[0], ms[0] + len(ms))):
+                raise ValueError("table window must be contiguous")
+            cols = [[col[i] for i in order] for col in cols]
+        return cls(ms[0], *map(tuple, cols))
 
     # -- serialization --------------------------------------------------------
 
     def to_csv_text(self) -> str:
         """The text ``csv.writer`` writes, which quotes none of these fields."""
-        rows = ["%d,%d,%s,%d,%s\n" % (m, sy, y, sz, z) for m, (sy, y), (sz, z) in self.rows()]
-        return _HEADER + "".join(rows)
+        return _HEADER + "".join(map("%d,%d,%s,%d,%s\n".__mod__, self._column_rows()))
 
     @classmethod
     def from_csv_text(cls, text: str) -> "SolutionTable":
@@ -114,81 +122,85 @@ class SolutionTable:
                 cells = list(map(int, text[len(_HEADER):-1].replace("\n", ",").split(",")))
             except ValueError:  # a cell over int's digit limit: the row loop names it
                 pass
-            else:
-                # the regex admits signs 1 and -1 only; tuple.__new__ builds each pair in C
-                ys, zs = (list(map(tuple.__new__, repeat(ParityPair), zip(cells[k::5], cells[k + 1::5])))
-                          for k in (1, 3))
-                return cls._from_rows(cells[::5], ys, zs)
+            else:  # the regex admits signs 1 and -1 only
+                return cls._from_columns(*(cells[k::5] for k in range(5)))
         try:
             rows = list(csv.reader(io.StringIO(text)))
         except csv.Error as exc:
             raise ValueError(f"malformed CSV: {exc}") from None
         if not rows or tuple(rows[0]) != _COLUMNS:
             raise ValueError(f"expected header {','.join(_COLUMNS)}")
-        ms, ys, zs = [], [], []
+        cells = []
         for row in rows[1:]:
             if not row:
                 continue
             if len(row) != 5:
                 raise ValueError(f"malformed row: {row!r}")
-            m, sy, yv, sz, zv = row
-            ms.append(parse_int(m, "m"))
-            ys.append(ParityPair(check_sign(parse_int(sy, "sy")), parse_amp(yv, "Y")))
-            zs.append(ParityPair(check_sign(parse_int(sz, "sz")), parse_amp(zv, "Z")))
-        if not ms:
+            m, sy, y, sz, z = row
+            cells.append((parse_int(m, "m"), check_sign(parse_int(sy, "sy")), parse_amp(y, "Y"),
+                          check_sign(parse_int(sz, "sz")), parse_amp(z, "Z")))
+        if not cells:
             raise ValueError("table has no rows")
-        return cls._from_rows(ms, ys, zs)
+        return cls._from_columns(*map(list, zip(*cells)))
 
     def to_json_obj(self) -> dict:
-        return {"m_lo": self.m_lo, "rows": list(map(_JsonRows().__getitem__, self.rows()))}
+        return {"m_lo": self.m_lo, "rows": list(map(_JsonRows().__getitem__, self._column_rows()))}
+
+
+# a row's text, filled from its values in key order
+_ROW_JSON = (
+    '        {\n          "Y": "%s",\n          "Z": "%s",\n          "m": %s,\n'
+    '          "sy": %s,\n          "sz": %s\n        }'
+)
+_ROW_VALUES = itemgetter("Y", "Z", "m", "sy", "sz")
+
+
+class _JsonRow(dict):
+    """A JSON row dict that also holds its ``text`` as ``branches_json_text`` renders it."""
+
+    __slots__ = ("text",)
 
 
 class _JsonRows(dict):
-    """(m, y, z) -> its JSON row dict, built on the first lookup."""
+    """A column row (m, sy, Y, sz, Z) -> its JSON row, built and rendered on the first lookup."""
 
     def __missing__(self, key):
-        m, y, z = key
-        row = self[key] = {"m": m, "sy": y.sign, "Y": str(y.amp), "sz": z.sign, "Z": str(z.amp)}
+        m, sy, y, sz, z = key
+        row = self[key] = _JsonRow(m=m, sy=sy, Y=str(y), sz=sz, Z=str(z))
+        row.text = _ROW_JSON % _ROW_VALUES(row)
         return row
 
 
 def branches_to_json_obj(tables: Iterable[SolutionTable], truncated: bool) -> dict:
     """Each table as ``{"id": i, **t.to_json_obj()}``, but rows of equal cells
-    are one shared dict, built once per call, and must not be mutated.  Equal
-    amplitudes print alike (``str(Fraction(3)) == str(3)``)."""
+    are one shared dict, built and rendered once per call, and must not be
+    mutated.  Equal amplitudes print alike (``str(Fraction(3)) == str(3)``)."""
     rows = _JsonRows()
     return {
         "truncated": truncated,
         "branches": [
-            {"id": i, "m_lo": t.m_lo, "rows": list(map(rows.__getitem__, t.rows()))}
+            {"id": i, "m_lo": t.m_lo, "rows": list(map(rows.__getitem__, t._column_rows()))}
             for i, t in enumerate(tables)
         ],
     }
 
 
-_ROW_JSON = (
-    '        {{\n          "Y": "{Y}",\n          "Z": "{Z}",\n          "m": {m},\n'
-    '          "sy": {sy},\n          "sz": {sz}\n        }}'
-)
-
-
-def _json_list(items: list, indent: str) -> list:
-    """A JSON list of rendered items as the parts of its text, to be joined with
-    the text around it: concatenating a text of megabytes copies it each time."""
-    return ["[\n", ",\n".join(items), "\n" + indent + "]"] if items else ["[]"]
-
-
 def branches_json_text(obj: dict) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` for the fixed schema
     of ``branches_to_json_obj``, whose rational strings need no escaping;
-    with an indent, the standard encoder runs in pure Python.  Each distinct
-    row object is rendered once, keyed by its id (``obj`` holds every row)."""
-    rows = {id(r): r for b in obj["branches"] for r in b["rows"]}
-    texts = {k: _ROW_JSON.format_map(r) for k, r in rows.items()}
-    branches = [
-        '    {\n      "id": %d,\n      "m_lo": %d,\n      "rows": %s\n    }'
-        % (b["id"], b["m_lo"], "".join(_json_list([texts[id(r)] for r in b["rows"]], "      ")))
-        for b in obj["branches"]
-    ]
-    tail = ',\n  "truncated": %s\n}\n' % ("true" if obj["truncated"] else "false")
-    return "".join(['{\n  "branches": ', *_json_list(branches, "  "), tail])
+    with an indent, the standard encoder runs in pure Python.  A row built by
+    ``branches_to_json_obj`` brings its text, rendered once; any other row is
+    rendered where it stands.  The parts are joined once: concatenating a text
+    of megabytes copies it each time."""
+    parts = ['{\n  "branches": [']
+    for b in obj["branches"]:
+        try:
+            rows = ",\n".join(map(attrgetter("text"), b["rows"]))
+        except AttributeError:  # rows not built by branches_to_json_obj
+            rows = ",\n".join(map(_ROW_JSON.__mod__, map(_ROW_VALUES, b["rows"])))
+        parts.append('\n    {\n      "id": %d,\n      "m_lo": %d,\n      "rows": ' % (b["id"], b["m_lo"]))
+        parts += ("[\n", rows, "\n      ]\n    },") if rows else ("[]\n    },",)
+    # the last branch takes no comma; a list without branches is []
+    parts[-1] = parts[-1][:-1] + "\n  ]" if len(parts) > 1 else parts[-1] + "]"
+    parts.append(',\n  "truncated": %s\n}\n' % ("true" if obj["truncated"] else "false"))
+    return "".join(parts)

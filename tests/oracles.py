@@ -40,6 +40,10 @@ held against; and its agreement search is run with every run computed in full
 before two runs are compared, the reference of the library's search, which
 decides row by row and stops a run at its first failing row.  Both take the
 library's row error, so they are the reference of the search alone.
+Tables hold four columns (signs and amplitudes of y and z); the suites build
+them from columns of pairs and read them back as such here (``pair_table``,
+``pair_columns``), and ``PairTable``, a table's value as a pair of pair
+columns, is the reference its equality and hash are held against.
 """
 
 import csv
@@ -49,7 +53,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Tuple, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Tuple, Union
 
 import mpmath
 
@@ -115,6 +119,33 @@ from udp6.system import (
 from udp6.tables import SolutionTable
 
 
+# --- tables from and to pair columns ------------------------------------------------
+
+
+def pair_table(m_lo: int, ys, zs) -> SolutionTable:
+    """The table whose y and z columns are the ParityPairs ``ys`` and ``zs``."""
+    return SolutionTable(m_lo, *(tuple(cell[k] for cell in col) for col in (ys, zs) for k in (0, 1)))
+
+
+def pair_columns(table: SolutionTable) -> Tuple[tuple, tuple]:
+    """(ys, zs): the table's y and z columns as tuples of ParityPairs."""
+    return tuple(map(ParityPair, table.sy, table.ay)), tuple(map(ParityPair, table.sz, table.az))
+
+
+class PairTable(NamedTuple):
+    """The reference of a table's value: ``m_lo`` and its y and z columns of
+    ParityPairs, compared and hashed as a tuple, as tables were when they held
+    pairs."""
+
+    m_lo: int
+    ys: tuple
+    zs: tuple
+
+    @classmethod
+    def of(cls, table: SolutionTable) -> "PairTable":
+        return cls(table.m_lo, *pair_columns(table))
+
+
 class _MinusInfinity:
     """The max-plus zero: the identity of ``max`` and absorbing for ``+``."""
 
@@ -145,8 +176,7 @@ def _amps_mapped(x, f, with_q: bool):
         return x._replace(**{k: f(getattr(x, k)) for k in keys})
     if isinstance(x, ParityPair):
         return ParityPair(x.sign, f(x.amp))
-    cols = (tuple(ParityPair(c.sign, f(c.amp)) for c in col) for col in (x.ys, x.zs))
-    return SolutionTable(x.m_lo, *cols)
+    return SolutionTable(x.m_lo, x.sy, tuple(map(f, x.ay)), x.sz, tuple(map(f, x.az)))
 
 
 def gauge(x, c):
@@ -612,7 +642,7 @@ def evolve_noparity_stepping(p: Params, m0: int, y0, z0, window: Tuple[int, int]
         ys[m - 1] = step_back_y_noparity(p, m, ys[m], zs[m])
         zs[m - 1] = step_back_z_noparity(p, m, ys[m - 1], zs[m])
     ms = range(lo, hi + 1)
-    return SolutionTable(lo, tuple(ParityPair(-1, ys[m]) for m in ms), tuple(ParityPair(-1, zs[m]) for m in ms))
+    return pair_table(lo, [ParityPair(-1, ys[m]) for m in ms], [ParityPair(-1, zs[m]) for m in ms])
 
 
 def evolve_stepping(
@@ -670,7 +700,7 @@ def evolve_per_branch(
         partials, truncated = grown[:cap], truncated or len(grown) > cap
     ms = range(lo, hi + 1)
     return tuple(
-        SolutionTable(lo, tuple(t["y", k] for k in ms), tuple(t["z", k] for k in ms)) for t in partials
+        pair_table(lo, [t["y", k] for k in ms], [t["z", k] for k in ms]) for t in partials
     ), truncated
 
 
@@ -678,7 +708,7 @@ def painleve_failures_per_index(p: Params, table: SolutionTable) -> list:
     """``painleve_failures`` with no run split: both residuals at every index
     of the table, on its cells, in the library's order."""
     require_constraint(p)
-    ys, zs = table.ys, table.zs
+    ys, zs = pair_columns(table)
     bad = []
     for i, m in enumerate(range(table.m_lo, table.m_hi)):
         if not residual_zz(p, m, ys[i], zs[i], zs[i + 1]):
@@ -714,7 +744,7 @@ def table_from_csv_rows(text: str) -> SolutionTable:
     m_lo = cells[0][0]
     if [cell[0] for cell in cells] != list(range(m_lo, m_lo + len(cells))):
         raise ValueError("table window must be contiguous")
-    return SolutionTable(m_lo, tuple(cell[1] for cell in cells), tuple(cell[2] for cell in cells))
+    return pair_table(m_lo, [cell[1] for cell in cells], [cell[2] for cell in cells])
 
 
 def quantified_per_index(label: str, rng: range, pred: Callable[[int], bool]) -> Condition:
@@ -778,7 +808,7 @@ def riccati_evolve_fractions(
         partials, truncated = grown[:cap], truncated or len(grown) > cap
     ms = range(lo, hi + 1)
     return tuple(
-        SolutionTable(lo, tuple(t["y", k] for k in ms), tuple(t["z", k] for k in ms)) for t in partials
+        pair_table(lo, [t["y", k] for k in ms], [t["z", k] for k in ms]) for t in partials
     ), truncated
 
 

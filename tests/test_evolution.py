@@ -38,8 +38,8 @@ from udp6.tables import SolutionTable
 
 from goldens import golden1_y, golden1_z, golden2_y, golden2_z
 from oracles import (
-    ansatz_inequalities_at, evolve_noparity_stepping, evolve_per_branch, evolve_stepping, gauge,
-    painleve_failures_per_index, random_state, scale,
+    PairTable, ansatz_inequalities_at, evolve_noparity_stepping, evolve_per_branch, evolve_stepping, gauge,
+    pair_columns, pair_table, painleve_failures_per_index, random_state, scale,
     step_back_y_noparity, step_back_z_noparity, step_z_parity_by_cases, yy_by_cases, zz_by_cases,
 )
 
@@ -331,6 +331,26 @@ def test_evolve_equals_per_branch_oracle():
     assert any(flags) and not all(flags)
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=_tie_case())
+def test_leaf_columns_equal_the_pair_oracles(case):
+    # each leaf split into columns is the per-branch oracle's table of pairs as a
+    # pair value, and hashes alike; the all-minus table is noparity_amplitudes'
+    # two lists under all-minus signs
+    p, m0, y0, z0, window = case
+    tree = evolve(p, m0, y0, z0, window, max_branches=8)
+    oracle, truncated = evolve_per_branch(p, m0, y0, z0, window, 8)
+    assert len(tree.tables) == len(oracle) and tree.truncated == truncated
+    for leaf, ref in zip(tree.tables, oracle):
+        assert PairTable.of(leaf) == PairTable.of(ref) and hash(leaf) == hash(ref)
+        assert {type(col) for col in (leaf.sy, leaf.ay, leaf.sz, leaf.az)} == {tuple}
+    ys, zs = noparity_amplitudes(p, m0, y0.amp, z0.amp, window)
+    minus = (-1,) * len(ys)
+    flat = evolve_noparity(p, m0, y0.amp, z0.amp, window)
+    assert (flat.m_lo, flat.sy, flat.ay, flat.sz, flat.az) == (window[0], minus, tuple(ys), minus, tuple(zs))
+    assert flat == evolve_noparity_stepping(p, m0, y0.amp, z0.amp, window)
+
+
 def test_evolve_random_soundness_and_existence(rng):
     for _ in range(150):
         p = random_constrained_params(rng)
@@ -575,7 +595,7 @@ def _forward(m, children, calls=None):
 
 def _rows(tree):
     """Each table as its (y, z) amplitude rows."""
-    return [[(y.amp, z.amp) for y, z in zip(t.ys, t.zs)] for t in tree.tables]
+    return [list(zip(t.ay, t.az)) for t in tree.tables]
 
 
 def test_grow_tables_drops_only_the_childless_partials():
@@ -693,8 +713,8 @@ def test_grow_tables_one_point_window(d, amp):
     # no step: the root is the one leaf, its cells as they entered, an int or
     # a Fraction of denominator d
     tree = grow_tables([_cell(amp), _cell(-amp)], 0, [].__getitem__, 1, 5, (5, 5))
-    assert tree == ((SolutionTable(5, (_cell(amp),), (_cell(-amp),)),), False)
-    assert type(tree.tables[0].ys[0].amp) is type(amp) and amp.denominator == d
+    assert tree == ((pair_table(5, (_cell(amp),), (_cell(-amp),)),), False)
+    assert type(tree.tables[0].ay[0]) is type(amp) and amp.denominator == d
 
 
 def _y(m):
@@ -743,7 +763,7 @@ def test_grow_tables_leaf_holds_each_cell_at_its_row(m0, lo, hi, half):
     root = [_y(m0)] if half else [_y(m0), _z(m0)]
     tree = grow_tables(root, len(steps), steps.__getitem__, 1, m0, (lo, hi))
     rows = range(lo, hi + 1)
-    assert tree == ((SolutionTable(lo, tuple(map(_y, rows)), tuple(map(_z, rows))),), False)
+    assert tree == ((pair_table(lo, list(map(_y, rows)), list(map(_z, rows))),), False)
 
 
 # --- rational inputs ----------------------------------------------------------------
@@ -786,7 +806,7 @@ def test_rational_inputs_agree_with_case_oracles(case, cell):
         assert not _oracle_failures(p, t)
         assert not painleve_failures(p, t)
     assert all((t.y(m0), t.z(m0)) == (y0, z0) for t in tree.tables)
-    assert all(type(c.amp) is F for t in tree.tables + (flat,) for c in t.ys + t.zs)
+    assert all(type(a) is F for t in tree.tables + (flat,) for a in t.ay + t.az)
     # one cell moved by 1/k: its denominator need not divide the parameters'
     m, which, k = cell
     for t in tree.tables[:2] + (flat,):
@@ -796,7 +816,7 @@ def test_rational_inputs_agree_with_case_oracles(case, cell):
 
 def _golden_slice(p42):
     table = evolve(p42, 0, ParityPair(-1, 43), ParityPair(-1, 40), (-3, 3)).tables[0]
-    assert all(type(c.amp) is int for c in table.ys + table.zs)
+    assert all(type(a) is int for a in table.ay + table.az)
     return table
 
 
@@ -811,9 +831,9 @@ def test_table_image_of_an_int_table_with_fractional_parameters(p42):
 def test_table_image_of_a_table_with_a_single_fraction_cell(p42, amp):
     # one Fraction cell among int cells; F(40) is z_0's own value
     table = _golden_slice(p42)
-    zs = list(table.zs)
-    zs[3] = ParityPair(zs[3].sign, amp)
-    t = SolutionTable(table.m_lo, table.ys, tuple(zs))
+    az = list(table.az)
+    az[3] = amp
+    t = SolutionTable(table.m_lo, table.sy, table.ay, table.sz, tuple(az))
     failures = painleve_failures(p42, t)
     assert failures == _oracle_failures(p42, t) and bool(failures) == (amp.denominator > 1)
 
@@ -976,8 +996,7 @@ def test_certified_stretch_is_residual_clean(case):
         lo, hi = first, end + 1 if end is not None else first + 60
     ms = range(lo, hi + 1)
     slope_y = a if primed else p.q - a
-    table = SolutionTable(lo, tuple(ParityPair(-1, slope_y * m + b) for m in ms),
-                          tuple(ParityPair(-1, a * m + g) for m in ms))
+    table = pair_table(lo, [ParityPair(-1, slope_y * m + b) for m in ms], [ParityPair(-1, a * m + g) for m in ms])
     assert painleve_failures(p, table) == []
 
 
@@ -1001,10 +1020,10 @@ def _record_run_checks(monkeypatch) -> Tuple[list, list]:
 
 def _moved(t: SolutionTable, i: int, column: str, move=None) -> SolutionTable:
     """t with the amplitude of one cell moved by ``move``, or its sign flipped when None."""
-    cols = {"y": list(t.ys), "z": list(t.zs)}
+    cols = dict(zip("yz", map(list, pair_columns(t))))
     sign, amp = cols[column][i]
     cols[column][i] = ParityPair(-sign, amp) if move is None else ParityPair(sign, amp + move)
-    return SolutionTable(t.m_lo, tuple(cols["y"]), tuple(cols["z"]))
+    return pair_table(t.m_lo, cols["y"], cols["z"])
 
 
 def test_run_split_verdicts_equal_per_index_on_evolved_tables(monkeypatch):
@@ -1072,7 +1091,7 @@ def _affine_tables(draw):
             zs.append(ParityPair(sz, z))
             y, z = y + dy, z + dz
         y, z = y + draw(amp(2)), z + draw(amp(2))
-    return p, SolutionTable(draw(st.integers(-10, 10)), tuple(ys), tuple(zs)), pieces
+    return p, pair_table(draw(st.integers(-10, 10)), ys, zs), pieces
 
 
 def test_run_split_verdicts_equal_per_index_on_affine_tables():
@@ -1106,7 +1125,7 @@ def test_equality_at_one_index_inside_a_run(monkeypatch):
     # nowhere: an Aff check from m = 6 finds the equality and a horizon of 0,
     # and every check of the run is made on Aff values
     p = Params.make(2, (0, 2, -2, 0), (0, 2, 0, -4))
-    t = SolutionTable(0, (ParityPair(-1, 6),) * 30, (ParityPair(-1, 5),) * 30)
+    t = pair_table(0, (ParityPair(-1, 6),) * 30, (ParityPair(-1, 5),) * 30)
     log, on = _record_run_checks(monkeypatch)
     on.append(True)
     failures = painleve_failures(p, t)
@@ -1121,12 +1140,12 @@ def test_equality_at_one_index_inside_a_run(monkeypatch):
     Params.make(100, (32, 33, 37, 22), (53, 65, 8, 4), sa=(-1, 1, 1, 1), sb=(-1, 1, 1, 1)),
 ], ids=["p42", "fraction", "signed"])
 def test_one_and_two_row_tables(p):
-    golden = SolutionTable(0, (pp(-1, 43), pp(-1, 122)), (pp(-1, 40), pp(-1, -28)))
-    one = SolutionTable(0, golden.ys[:1], golden.zs[:1])
+    golden = pair_table(0, (pp(-1, 43), pp(-1, 122)), (pp(-1, 40), pp(-1, -28)))
+    one = SolutionTable(0, golden.sy[:1], golden.ay[:1], golden.sz[:1], golden.az[:1])
     assert painleve_failures(p, one) == [] == painleve_failures_per_index(p, one)
     # the 16 sign patterns (sy_0, sy_1, sz_0, sz_1): a one-pair run may change sign between its rows
     signed = [
-        SolutionTable(0, (pp(sy0, 43), pp(sy1, 122)), (pp(sz0, 40), pp(sz1, -28)))
+        pair_table(0, (pp(sy0, 43), pp(sy1, 122)), (pp(sz0, 40), pp(sz1, -28)))
         for sy0 in (1, -1) for sy1 in (1, -1) for sz0 in (1, -1) for sz1 in (1, -1)
     ]
     for t in (golden, _moved(golden, 1, "z", 1), _moved(golden, 0, "y"), _moved(golden, 1, "y", F(1, 3)), *signed):
@@ -1143,7 +1162,7 @@ def test_short_tables_equal_per_index_check(monkeypatch, p42, rows):
     cases = [
         (p42, evolve_noparity(p42, 0, 43, 40, window)),
         (p42, evolve(p42, 0, pp(1, 43), pp(1, 40), window).tables[0]),
-        (const, SolutionTable(0, (ParityPair(-1, 6),) * rows, (ParityPair(-1, 5),) * rows)),
+        (const, pair_table(0, (ParityPair(-1, 6),) * rows, (ParityPair(-1, 5),) * rows)),
     ]
     log, on = _record_run_checks(monkeypatch)
     on.append(True)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import udp6.evolution as evolution
 import udp6.families as families
-from udp6.evolution import evolve_noparity, painleve_failures
+from udp6.evolution import evolve_noparity, painleve_failures, step_y_parity, step_z_parity
 from udp6.families import (
     FAMILY_IDS,
     FamilySpec,
@@ -20,12 +20,11 @@ from udp6.families import (
 )
 from udp6.riccati import riccati_failures
 from udp6.system import ParityPair, Params, random_constrained_params, residual_yy, residual_zz
-from udp6.tables import SolutionTable
 
 from goldens import golden2_y, golden2_z
 from oracles import (
-    ansatz_inequalities_at, check_linear_ansatz, detect_per_index, gauge, quantified_per_index, scale,
-    theorem_check,
+    ansatz_inequalities_at, check_linear_ansatz, detect_per_index, gauge, pair_table, quantified_per_index,
+    scale, theorem_check,
 )
 
 F = Fraction
@@ -124,6 +123,61 @@ def test_r_families_valid_windows_pass_residuals(p41):
         assert res.valid, (spec.family, [c.expr for c in res.violated()])
         assert not riccati_failures(p41, res.table), spec.family
         assert theorem_check(p41, res.table)
+
+
+# the valid family tables of the tests above, on p41
+_FAMILY_TABLES = (
+    [(FamilySpec("sol0", c=F(c)), (-6, 6)) for c in (31, 40, 46)]
+    + [(FamilySpec("soln2", c_prime=F(c), m0=-2), (-6, 5)) for c in (193, 215, 237)]
+    + [(FamilySpec("solp", c=F(c), m0=2), (-5, 8)) for c in (97, 116, 135)]
+    + [(FamilySpec("r1", c=F(40)), (1, 5)), (FamilySpec("r2", c=F(59)), (1, 5)),
+       (FamilySpec("r3", c_prime=F(150)), (-6, -2)), (FamilySpec("r4", c_prime=F(150)), (-6, -2)),
+       (FamilySpec("pconst"), (2, 6))]
+)
+
+
+def _step_kind(holds, cell, corners):
+    """A step's cell as ``evolve`` sees it: one of its corner solutions, or a
+    cell inside the solution set of its sign, a ray or the whole line.  Each
+    side of a step relation is the max of lines of slope 0 and 1 in the cell's
+    amplitude, so beyond every breakpoint the relation holds on one side or
+    not: probes 10^9 out tell a ray from the line."""
+    assert holds(cell.amp)
+    if cell in corners:
+        return "corner"
+    ends = holds(cell.amp - 10**9), holds(cell.amp + 10**9)
+    assert any(ends), (cell, corners)  # a point would be a corner
+    return "line" if all(ends) else "ray"
+
+
+@pytest.mark.parametrize("spec,window", _FAMILY_TABLES,
+                         ids=[f"{s.family}-{s.c or s.c_prime or ''}" for s, _ in _FAMILY_TABLES])
+def test_family_tables_walked_forward_leave_the_corners_only_inside_a_ray(p41, spec, window):
+    # every valid family table solves both residual suites; walked forward, each
+    # z- and y-step's cell is a corner solution of the steppers or lies inside a
+    # ray.  sol0 and r1-r4 are corner solutions throughout; soln2, solp and
+    # pconst leave the corners at these steps, at a tie of U with U' or V with V',
+    # where both signs' rays end at V - U
+    res = instantiate_family(spec, p41, window)
+    t = res.table
+    assert res.valid and not painleve_failures(p41, t) and not riccati_failures(p41, t)
+    off = []
+    for m in range(t.m_lo, t.m_hi):
+        y, z, y1, z1 = t.y(m), t.z(m), t.y(m + 1), t.z(m + 1)
+        kinds = (
+            ("z", _step_kind(lambda a: residual_zz(p41, m, y, z, ParityPair(z1.sign, a)), z1,
+                             step_z_parity(p41, m, y, z))),
+            ("y", _step_kind(lambda a: residual_yy(p41, m, y, ParityPair(y1.sign, a), z1), y1,
+                             step_y_parity(p41, m, y, z1))),
+        )
+        off += [(m, which, kind) for which, kind in kinds if kind != "corner"]
+    first = {
+        ("soln2", F(193)): (-1, "z"), ("soln2", F(215)): (-2, "y"), ("soln2", F(237)): (-2, "y"),
+        ("solp", F(97)): (-1, "z"), ("solp", F(116)): (-1, "z"), ("solp", F(135)): (-1, "z"),
+        ("pconst", None): (2, "y"),
+    }.get((spec.family, spec.c if spec.c is not None else spec.c_prime))
+    assert [(m, which) for m, which, _ in off[:1]] == ([first] if first else [])
+    assert {kind for _, _, kind in off} <= {"ray"}
 
 
 def test_linear_ansatz_and_family_spec_convert_their_arguments():
@@ -240,7 +294,7 @@ def test_lin_families_instantiate(p42):
 
 def _columns(table):
     """A table as the detector reads it: its first index and its two amplitude columns."""
-    return table.m_lo, [c.amp for c in table.ys], [c.amp for c in table.zs]
+    return table.m_lo, list(table.ay), list(table.az)
 
 
 def test_detector_on_first_golden_table(p42):
@@ -272,7 +326,7 @@ def test_detector_on_second_golden_table(p42):
 def test_detector_on_exactly_affine_table(p42):
     rows_y = tuple(pp(-1, 11 * m + 111) for m in range(1, 12))
     rows_z = tuple(pp(-1, 89 * m - 117) for m in range(1, 12))
-    table = SolutionTable(1, rows_y, rows_z)
+    table = pair_table(1, rows_y, rows_z)
     rep = detect_asymptotic_linearity(p42, *_columns(table), 3)
     assert rep.forward is not None and rep.forward.m_edge == 1
     assert rep.backward is not None and rep.backward.m_edge == 11
@@ -335,7 +389,7 @@ def test_column_detector_equals_per_index_reference_on_scan_draws(seed):
 def test_column_detector_equals_per_index_reference_on_affine_tables(p42, w, third):
     # affine end to end, in ints and, divided by 3, in Fractions: each tail runs to the far edge
     ms = range(1, 14)
-    table = SolutionTable(1, tuple(ParityPair(-1, 11 * m + 111) for m in ms), tuple(ParityPair(-1, 89 * m - 117) for m in ms))
+    table = pair_table(1, [ParityPair(-1, 11 * m + 111) for m in ms], [ParityPair(-1, 89 * m - 117) for m in ms])
     p = p42
     if third:
         p, table = scale(p42, F(1, 3)), scale(table, F(1, 3))
@@ -357,7 +411,7 @@ def test_column_detector_equals_per_index_reference_at_a_break_near_the_edge(p42
         return tuple(ParityPair(-1, slope * m + icpt + (m in bend)) for m in ms)
 
     for ys, zs in ((col(11, 111), col(89, -117)), (col(11, 111), col(89, F(-351, 3))), (col(F(7, 2), 1), col(0, 0))):
-        rep = _detects_as_per_index(p42, SolutionTable(lo, ys, zs), w)
+        rep = _detects_as_per_index(p42, pair_table(lo, ys, zs), w)
         if off:
             assert (rep.forward.m_edge, rep.backward.m_edge) == (lo + n - 1 - w, lo + w)
         else:
@@ -369,7 +423,7 @@ def test_column_detector_equals_per_index_reference_on_short_tables(p42, w):
     # every length below 2w + 2 points, and the shortest accepted one
     for n in range(1, 2 * w + 3):
         ms = range(n)
-        table = SolutionTable(0, tuple(ParityPair(-1, 11 * m) for m in ms), tuple(ParityPair(-1, 89 * m) for m in ms))
+        table = pair_table(0, [ParityPair(-1, 11 * m) for m in ms], [ParityPair(-1, 89 * m) for m in ms])
         rep = _detects_as_per_index(p42, table, w)
         assert (rep is None) == (w < 2 or n < 2 * w + 2)
 
@@ -390,7 +444,7 @@ def _hand_tables(draw):
         steps[n - 1 - tail:] = [draw(_rationals(-6, 6, d))] * tail
         sign = draw(st.sampled_from((-1, 1)))
         cols.append(tuple(ParityPair(sign, v) for v in accumulate([draw(_rationals(-24, 24, d))] + steps)))
-    return p, SolutionTable(lo, *cols), draw(st.integers(1, 5))
+    return p, pair_table(lo, *cols), draw(st.integers(1, 5))
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
@@ -458,7 +512,7 @@ def test_end_fit_inequalities_equal_per_index_verdicts(case, lo, tail, rest, w):
         return ParityPair(-1, slope * m + icpt + bend)
 
     ms = range(lo, hi + 1)
-    table = SolutionTable(lo, tuple(cell(slope_y, b, m) for m in ms), tuple(cell(a, g, m) for m in ms))
+    table = pair_table(lo, [cell(slope_y, b, m) for m in ms], [cell(a, g, m) for m in ms])
     got = families._end_fit(p, *_columns(table), min(w, tail - 1), forward)
     assert (got.m_edge, got.alpha, got.beta, got.gamma) == (m_edge, a, b, g)
     steps = range(m_edge, hi) if forward else range(lo, m_edge)

@@ -51,6 +51,8 @@ from oracles import (
     mpf_ls_add,
     mpf_ls_div,
     mpf_ls_mul,
+    pair_columns,
+    pair_table,
     painleve_failures_per_index,
     qriccati_step,
     scale,
@@ -520,7 +522,7 @@ def test_compare_aborts_on_exact_cancellation_to_zero(precision):
     # at m = 0, t = 1 and y(0) = exp(A1/eps) exactly, so y - t a1 is an exact
     # zero and so is z(qt): the run stops there with its seed row
     p = Params.make(3, (1, 2, 5, 4), (6, -6, 2, 1))
-    table = SolutionTable(0, (ParityPair(1, 1), ParityPair(1, 1)), (ParityPair(1, 0), ParityPair(1, 0)))
+    table = SolutionTable(0, (1, 1), (1, 1), (1, 1), (0, 0))
     if precision is None:
         rep = ud_limit_compare(p, table, EpsSchedule([1]), (0, 1))
     else:
@@ -532,12 +534,10 @@ def test_compare_aborts_on_exact_cancellation_to_zero(precision):
 def test_compare_flags_wrong_table_value(p42):
     table = evolve_noparity(p42, 0, 43, 40, (0, 3))
     rows = list(table.rows())
-    broken = SolutionTable(
+    broken = pair_table(
         table.m_lo,
-        tuple(
-            ParityPair(y.sign, y.amp + (5 if m == 1 else 0)) for m, y, _ in rows
-        ),
-        tuple(z for _, _, z in rows),
+        [ParityPair(y.sign, y.amp + (5 if m == 1 else 0)) for m, y, _ in rows],
+        [z for _, _, z in rows],
     )
     rep = ud_limit_compare(p42, broken, EpsSchedule.from_string("1,0.5"), (0, 3))
     assert rep.table_failures  # the perturbed table is not a solution
@@ -591,10 +591,10 @@ def test_compare_reports_the_failures_of_the_per_index_check(p42):
     # run m >= 1 and one z sign flipped inside m <= -1: the report lists the
     # per-index check's failures, in its order
     table = evolve_noparity(p42, 0, 43, 40, (-30, 30))
-    ys, zs = list(table.ys), list(table.zs)
+    ys, zs = map(list, pair_columns(table))
     ys[40] = ParityPair(ys[40].sign, ys[40].amp + 1)
     zs[10] = ParityPair(-zs[10].sign, zs[10].amp)
-    broken = SolutionTable(table.m_lo, tuple(ys), tuple(zs))
+    broken = pair_table(table.m_lo, ys, zs)
     rep = ud_limit_compare(p42, broken, EpsSchedule([1]), (0, 1))
     assert rep.table_failures == tuple(painleve_failures_per_index(p42, broken))
     assert {m for m, _ in rep.table_failures} == {-21, -20, 9, 10}
@@ -627,8 +627,8 @@ def test_near_cancellation_escalates_to_ceiling_result(p42, offset_bits):
     # the ceiling run resolves the gap
     window = (0, 3)
     table = evolve_noparity(p42, 0, 43, 40, window)
-    ys = (ParityPair(1, p42.a3 + F(1, 2**offset_bits)),) + table.ys[1:]
-    table = SolutionTable(table.m_lo, ys, table.zs)
+    ay = (p42.a3 + F(1, 2**offset_bits),) + table.ay[1:]
+    table = SolutionTable(table.m_lo, (1,) + table.sy[1:], ay, table.sz, table.az)
     sched = EpsSchedule.from_string("1")
     ref = ceiling_report(p42, table, sched, window)
     low = compare_at_fixed_precision(p42, table, sched, window, lambda eps: 256)
@@ -736,8 +736,8 @@ def test_search_equals_full_runs_when_an_abort_is_accepted_at_the_ceiling(p42):
     # and a pole: y(0) = +a3 exactly.  Each eps aborts at every precision, and
     # its run at the ceiling (256 bits at eps 1, above 256 at 1/8 and 1/4) is accepted
     exact = Params.make(3, (1, 2, 5, 4), (6, -6, 2, 1))
-    zero = SolutionTable(0, (ParityPair(1, 1), ParityPair(1, 1)), (ParityPair(1, 0), ParityPair(1, 0)))
-    pole = SolutionTable(0, (ParityPair(1, 37),) * 3, (ParityPair(-1, 40),) * 3)
+    zero = SolutionTable(0, (1, 1), (1, 1), (1, 1), (0, 0))
+    pole = SolutionTable(0, (1,) * 3, (37,) * 3, (-1,) * 3, (40,) * 3)
     for p, table, window, sched, reason in (
         (exact, zero, (0, 1), "1,1/8", "exact cancellation to zero"),
         (p42, pole, (0, 2), "1,1/4", "pole: y - a3 vanished"),
@@ -759,7 +759,7 @@ def test_search_equals_full_runs_past_a_cancellation_warning(p42, offset_bits, e
     # keeps 512 bits from confirming 256
     window = (0, 3)
     table = evolve_noparity(p42, 0, 43, 40, window)
-    table = SolutionTable(0, (ParityPair(1, p42.a3 + F(1, 2**offset_bits)),) + table.ys[1:], table.zs)
+    table = SolutionTable(0, (1,) + table.sy[1:], (p42.a3 + F(1, 2**offset_bits),) + table.ay[1:], table.sz, table.az)
     sched = EpsSchedule.from_string(eps)
     low, mid = (compare_at_fixed_precision(p42, table, sched, window, lambda eps, bits=bits: bits) for bits in (256, 512))
     assert any(r.warned for r in low.rows)

@@ -24,6 +24,8 @@ from udp6.tables import SolutionTable
 
 from oracles import (
     gauge,
+    pair_columns,
+    pair_table,
     random_parity_pair,
     random_riccati_params,
     riccati_evolve_fractions,
@@ -56,7 +58,7 @@ def test_conditions_examples(p41):
 
 def test_residuals_require_conditions(p42):
     assert not check_riccati_conditions(p42)
-    table = SolutionTable(0, (pp(1, 0), pp(1, 0)), (pp(1, 0), pp(1, 0)))
+    table = pair_table(0, (pp(1, 0), pp(1, 0)), (pp(1, 0), pp(1, 0)))
     with pytest.raises(ConstraintViolation):
         riccati_failures(p42, table)
 
@@ -227,7 +229,7 @@ def test_riccati_evolve_is_exact_on_int_params(p41, policy):
     # exact int, never a float or a Fraction
     res = riccati_evolve(p41, 0, ParityPair(1, 23), (-2, 3), sampling=policy)
     assert res.tables
-    amps = [c.amp for t in res.tables for c in t.ys + t.zs]
+    amps = [a for t in res.tables for a in t.ay + t.az]
     assert all(type(a) is int for a in amps), amps
     for t in res.tables:
         assert not riccati_failures(p41, t)
@@ -310,7 +312,7 @@ def test_riccati_evolve_long_midpoint_window_matches_fraction_reference():
     assert (tree.tables, tree.truncated) == riccati_evolve_fractions(p, 0, y0, (-30, 30), "midpoint", 64)
     assert len(tree.tables) == 8 and not tree.truncated
     assert tree.tables != riccati_evolve(p, 0, y0, (-30, 30)).tables
-    assert any(c.amp.denominator > 1 for t in tree.tables for c in t.ys + t.zs)
+    assert any(a.denominator > 1 for t in tree.tables for a in t.ay + t.az)
     for t in tree.tables:
         assert not riccati_failures(p, t)
 
@@ -333,10 +335,10 @@ def test_riccati_failures_match_fraction_check(start, data):
     moves = st.sampled_from((0, 0, F(1, 6), F(-1, 2), F(1)))
     flips = st.sampled_from((1, 1, 1, -1))
     ys, zs = (
-        tuple(ParityPair(c.sign * data.draw(flips), c.amp + data.draw(moves)) for c in col)
-        for col in (table.ys, table.zs)
+        [ParityPair(c.sign * data.draw(flips), c.amp + data.draw(moves)) for c in col]
+        for col in pair_columns(table)
     )
-    moved = SolutionTable(table.m_lo, ys, zs)
+    moved = pair_table(table.m_lo, ys, zs)
     assert riccati_failures(p, table) == [] == _failures_on_fractions(p, table)
     assert riccati_failures(p, moved) == _failures_on_fractions(p, moved)
 
@@ -367,10 +369,10 @@ def test_int_cells_are_their_own_images(p41, move):
     # both failure checks give on int cells the verdicts of the same values
     # held as Fractions, and of the check on Fractions
     table = riccati_evolve(p41, 0, ParityPair(1, 30), (-4, 4)).tables[0]
-    ys = list(table.ys)
-    ys[5] = ParityPair(ys[5].sign, ys[5].amp + move)
-    t = SolutionTable(table.m_lo, tuple(ys), table.zs)
-    as_fractions = SolutionTable(t.m_lo, *(tuple(pp(c.sign, c.amp) for c in col) for col in (t.ys, t.zs)))
+    ay = list(table.ay)
+    ay[5] += move
+    t = SolutionTable(table.m_lo, table.sy, tuple(ay), table.sz, table.az)
+    as_fractions = SolutionTable(t.m_lo, t.sy, tuple(map(F, t.ay)), t.sz, tuple(map(F, t.az)))
     assert riccati_failures(p41, t) == riccati_failures(p41, as_fractions) == _failures_on_fractions(p41, t)
     assert painleve_failures(p41, t) == painleve_failures(p41, as_fractions)
     assert bool(riccati_failures(p41, t)) == bool(painleve_failures(p41, t)) == (move != 0)
@@ -378,7 +380,7 @@ def test_int_cells_are_their_own_images(p41, move):
 
 def test_theorem_vacuous_on_non_solution(p41):
     # a table violating the subsystem relations cannot be a counterexample
-    t = SolutionTable(
+    t = pair_table(
         0,
         (pp(-1, 0), pp(-1, 1)),
         (pp(-1, 0), pp(-1, 1)),

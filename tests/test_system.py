@@ -23,10 +23,10 @@ from udp6.system import (
     residual_zz,
     solve_lines,
 )
-from udp6.tables import SolutionTable
 
 from oracles import (
     gauge,
+    pair_table,
     parity_indicator,
     random_parity_pair,
     scale,
@@ -65,7 +65,7 @@ def test_constraint_includes_sign_condition(p42):
 
 def test_residuals_require_constraint(p42):
     bad = Params.make(100, (32, 33, 37, 22), (53, 65, 8, 5))
-    table = SolutionTable(0, (pp(-1, 43), pp(-1, 122)), (pp(-1, 40), pp(-1, -28)))
+    table = pair_table(0, (pp(-1, 43), pp(-1, 122)), (pp(-1, 40), pp(-1, -28)))
     assert not painleve_failures(p42, table)
     with pytest.raises(ConstraintViolation):
         painleve_failures(bad, table)
@@ -123,7 +123,7 @@ def test_signed_trivial_identity():
 
 def test_signed_requires_sign_constraint(p42):
     bad = Params.make(p42.q, (32, 33, 37, 22), (53, 65, 8, 4), sa=(-1, 1, 1, 1))
-    table = SolutionTable(0, (pp(1, 0), pp(1, 0)), (pp(1, 0), pp(1, 0)))
+    table = pair_table(0, (pp(1, 0), pp(1, 0)), (pp(1, 0), pp(1, 0)))
     with pytest.raises(ConstraintViolation):
         painleve_failures(bad, table)
 

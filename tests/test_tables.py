@@ -11,7 +11,7 @@ from udp6.evolution import evolve
 from udp6.system import ParityPair, parse_pair
 from udp6.tables import SolutionTable, branches_json_text, branches_to_json_obj
 
-from oracles import table_from_csv_rows
+from oracles import PairTable, pair_columns, pair_table, table_from_csv_rows
 
 _AMPS = st.one_of(
     st.integers(-10**6, 10**6),
@@ -22,10 +22,10 @@ _INT_PAIRS = st.builds(ParityPair, st.sampled_from((1, -1)), st.integers(-10**6,
 
 
 @st.composite
-def _tables(draw, pairs=_PAIRS):
-    n = draw(st.integers(1, 6))
-    cols = [tuple(draw(st.lists(pairs, min_size=n, max_size=n))) for _ in "yz"]
-    return SolutionTable(draw(st.integers(-40, 40)), *cols)
+def _tables(draw, pairs=_PAIRS, rows=st.integers(1, 6), m_lo=st.integers(-40, 40)):
+    n = draw(rows)
+    cols = [draw(st.lists(pairs, min_size=n, max_size=n)) for _ in "yz"]
+    return pair_table(draw(m_lo), *cols)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -41,7 +41,7 @@ def test_to_csv_text_equals_csv_writer(table):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("m", "sy", "Y", "sz", "Z"))
-    writer.writerows((m, y.sign, y.amp, z.sign, z.amp) for m, y, z in zip(table.indexes(), table.ys, table.zs))
+    writer.writerows((m, y.sign, y.amp, z.sign, z.amp) for m, y, z in table.rows())
     assert table.to_csv_text() == buf.getvalue()
 
 
@@ -51,7 +51,7 @@ def _siblings(draw):
     do: copies of one drawn table, each with a few cells replaced by a fresh
     pair or by the same value retyped (``Fraction(3)`` for ``3`` and back)."""
     base = draw(_tables())
-    cols = base.ys + base.zs
+    cols = sum(pair_columns(base), ())
     tables = []
     for _ in range(draw(st.integers(1, 6))):
         cells = list(cols)
@@ -59,7 +59,7 @@ def _siblings(draw):
             s, a = cells[i]
             retyped = Fraction(a) if type(a) is int else a.numerator if a.denominator == 1 else a
             cells[i] = draw(st.just(ParityPair(s, retyped)) | _PAIRS)
-        tables.append(SolutionTable(base.m_lo, tuple(cells[:len(base)]), tuple(cells[len(base):])))
+        tables.append(pair_table(base.m_lo, cells[:len(base)], cells[len(base):]))
     return tables
 
 
@@ -71,7 +71,7 @@ def test_branches_to_json_obj_shares_rows_of_equal_cells(tables, truncated):
     assert obj == {"truncated": truncated, "branches": per_table}
     assert per_table == [{"id": i, "m_lo": t.m_lo, "rows": [
         {"m": m, "sy": y.sign, "Y": str(y.amp), "sz": z.sign, "Z": str(z.amp)}
-        for m, y, z in zip(t.indexes(), t.ys, t.zs)
+        for m, y, z in t.rows()
     ]} for i, t in enumerate(tables)]
     rows = [r for b in obj["branches"] for r in b["rows"]]
     cells = {(m, y, z) for t in tables for m, y, z in t.rows()}
@@ -80,11 +80,15 @@ def test_branches_to_json_obj_shares_rows_of_equal_cells(tables, truncated):
 
 
 def test_branches_json_text_renders_shared_and_equal_rows():
-    # one row dict in two branches, and two equal but distinct dicts in one
+    # one row dict in two branches, two equal but distinct dicts in one, and a
+    # row of branches_to_json_obj beside plain dicts
     shared = {"m": 0, "sy": 1, "Y": "3", "sz": -1, "Z": "-1/2"}
+    built = branches_to_json_obj([SolutionTable(2, (1,), (Fraction(7, 2),), (-1,), (0,))], False)["branches"][0]["rows"][0]
     obj = {"truncated": True, "branches": [
         {"id": 0, "m_lo": 0, "rows": [shared, {"m": 1, "sy": -1, "Y": "4", "sz": 1, "Z": "0"}]},
         {"id": 1, "m_lo": 0, "rows": [shared, dict(shared, m=1), dict(shared, m=1)]},
+        {"id": 2, "m_lo": 1, "rows": [dict(shared, m=1), built]},
+        {"id": 3, "m_lo": 2, "rows": [built, dict(shared, m=3)]},
     ]}
     assert branches_json_text(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -98,23 +102,42 @@ def test_branches_json_text_without_branches():
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(table=_tables(), order=st.randoms(use_true_random=False))
+@given(table=st.sampled_from((_INT_PAIRS, _PAIRS)).flatmap(_tables), order=st.randoms(use_true_random=False))
 def test_csv_reader_reads_back_shuffled_rows_cell_by_cell(table, order):
+    # integer tables take the bulk read, the others the row loop; both sort rows out of order
     header, *rows = table.to_csv_text().splitlines()
     order.shuffle(rows)
     got = SolutionTable.from_csv_text("\n".join([header] + rows) + "\n")
-    assert got.m_lo == table.m_lo and len(got) == len(table)
-    for mine, theirs in zip(got.ys + got.zs, table.ys + table.zs):
-        assert mine == theirs
+    assert got == table and PairTable.of(got) == PairTable.of(table)
+    assert (got.sy, got.sz) == (table.sy, table.sz)
+    for mine, theirs in zip(got.ay + got.az, table.ay + table.az):
         # integer text reads back as an int, any other text as a Fraction
-        assert type(mine.amp) is (int if str(theirs.amp).lstrip("-").isdigit() else Fraction)
+        assert mine == theirs and type(mine) is (int if str(theirs).lstrip("-").isdigit() else Fraction)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(table=st.sampled_from((_INT_PAIRS, _PAIRS)).flatmap(lambda pairs: _tables(pairs, st.integers(2, 8))),
+       data=st.data())
+def test_csv_reader_refuses_non_contiguous_indexes(table, data):
+    # a row dropped from inside the window or repeated, in either reader, rows
+    # in order or shuffled: today's message
+    header, *rows = table.to_csv_text().splitlines()
+    if len(rows) > 2 and data.draw(st.booleans()):
+        del rows[data.draw(st.integers(1, len(rows) - 2))]
+    else:
+        rows.insert(data.draw(st.integers(0, len(rows))), data.draw(st.sampled_from(rows)))
+    if data.draw(st.booleans()):
+        data.draw(st.randoms(use_true_random=False)).shuffle(rows)
+    with pytest.raises(ValueError) as exc:
+        SolutionTable.from_csv_text("\n".join([header] + rows) + "\n")
+    assert str(exc.value) == "table window must be contiguous"
 
 
 def test_csv_reader_keeps_integer_text_as_int_and_parses_the_rest():
     got = SolutionTable.from_csv_text("m,sy,Y,sz,Z\n0,1,-0,-1,007\n1,1,+3,-1,7/2\n2,1, 4,1,1.5\n")
-    assert [type(c.amp) for c in got.ys] == [int, int, int]  # "+3" and " 4" are integral
-    assert [type(c.amp) for c in got.zs] == [int, Fraction, Fraction]
-    assert [c.amp for c in got.ys + got.zs] == [0, 3, 4, 7, Fraction(7, 2), Fraction(3, 2)]
+    assert list(map(type, got.ay)) == [int, int, int]  # "+3" and " 4" are integral
+    assert list(map(type, got.az)) == [int, Fraction, Fraction]
+    assert list(got.ay + got.az) == [0, 3, 4, 7, Fraction(7, 2), Fraction(3, 2)]
 
 
 @pytest.mark.parametrize("text,amp", [
@@ -205,7 +228,7 @@ def _read(reader, text):
         table = reader(text)
     except ValueError as exc:
         return str(exc)
-    return table, [type(cell.amp) for cell in table.ys + table.zs]
+    return table, list(map(type, table.ay + table.az))
 
 
 @settings(derandomize=True, max_examples=500, deadline=None)
@@ -224,37 +247,56 @@ def test_csv_reader_reads_the_writers_integer_layout_without_the_csv_module(monk
     monkeypatch.setattr(csv, "reader", lambda *args: calls.append(args) or reader(*args))
     got = SolutionTable.from_csv_text(text)
     assert got == golden and len(got) == 801 and not calls
-    assert {type(cell.amp) for cell in got.ys + got.zs} == {int}
+    assert set(map(type, got.ay + got.az)) == {int}
     text = text.replace("\n0,-1,43,", "\n0,-1,86/2,", 1)
     got = SolutionTable.from_csv_text(text)
     assert got == golden and len(calls) == 1
-    assert {type(cell.amp) for cell in got.ys + got.zs} == {int}
+    assert set(map(type, got.ay + got.az)) == {int}
 
 
 @pytest.mark.parametrize("m", [-2, 1])
 def test_solution_table_lookup_outside_its_window_is_key_error(m):
-    table = SolutionTable(-1, (ParityPair(1, 2), ParityPair(-1, 3)), (ParityPair(-1, 0), ParityPair(1, 5)))
+    table = SolutionTable(-1, (1, -1), (2, 3), (-1, 1), (0, 5))
     for column in (table.y, table.z):
         with pytest.raises(KeyError, match=rf"index {m} outside \[-1, 0\]"):
             column(m)
 
 
 def test_solution_table_is_an_immutable_value():
-    ys = (ParityPair(1, 2), ParityPair(-1, Fraction(1, 3)))
-    zs = (ParityPair(-1, 0), ParityPair(1, 5))
-    table = SolutionTable(-1, ys, zs)
-    for name in ("m_lo", "ys", "other"):
+    cols = sy, ay, sz, az = (1, -1), (2, Fraction(1, 3)), (-1, 1), (0, 5)
+    table = SolutionTable(-1, *cols)
+    for name in ("m_lo", "sy", "ay", "other"):
         with pytest.raises(AttributeError):
             setattr(table, name, 0)
     with pytest.raises(AttributeError):
-        del table.zs
-    assert (table.m_lo, table.ys, table.zs) == (-1, ys, zs)
-    twin = SolutionTable(-1, tuple(ys), tuple(zs))
+        del table.az
+    assert (table.m_lo, table.sy, table.ay, table.sz, table.az) == (-1, *cols)
+    assert table.y(0) == ParityPair(-1, Fraction(1, 3)) and table.z(-1) == ParityPair(-1, 0)
+    assert list(table.rows()) == [(-1, (1, 2), (-1, 0)), (0, (-1, Fraction(1, 3)), (1, 5))]
+    twin = SolutionTable(-1, *map(tuple, map(list, cols)))
     assert twin == table and hash(twin) == hash(table) and len({twin, table}) == 1
-    assert table != SolutionTable(0, ys, zs) and table != (-1, ys, zs)
+    assert table != SolutionTable(0, *cols) and table != (-1, *cols)
     assert len(table) == 2 and table.m_hi == 0
-    assert repr(table) == f"SolutionTable(m_lo=-1, ys={ys!r}, zs={zs!r})"
-    with pytest.raises(ValueError, match="equal length"):
-        SolutionTable(0, ys, zs[:1])
+    assert repr(table) == f"SolutionTable(m_lo=-1, sy={sy!r}, ay={ay!r}, sz={sz!r}, az={az!r})"
+    for short in range(4):
+        with pytest.raises(ValueError, match="equal length"):
+            SolutionTable(0, *(col[:1] if k == short else col for k, col in enumerate(cols)))
     with pytest.raises(ValueError, match="empty table"):
-        SolutionTable(0, (), ())
+        SolutionTable(0, (), (), (), ())
+
+
+# small tables over few values, so that drawn pairs are often equal
+_SMALL = _tables(st.builds(ParityPair, st.sampled_from((1, -1)), st.sampled_from((0, 1, Fraction(1), Fraction(1, 2)))),
+                 st.integers(1, 2), st.integers(0, 1))
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(a=_SMALL, b=_SMALL)
+def test_equality_and_hash_agree_with_the_pair_reference(a, b):
+    # columns compare and hash as the pair tables did: equal tables, Fraction(1)
+    # for 1 included, hash alike
+    ref_a, ref_b = PairTable.of(a), PairTable.of(b)
+    assert (a == b) == (ref_a == ref_b) and (a != b) == (ref_a != ref_b)
+    if a == b:
+        assert hash(a) == hash(b) and hash(ref_a) == hash(ref_b)
+    assert pair_table(*ref_a) == a and len({a, b}) == len({ref_a, ref_b})
