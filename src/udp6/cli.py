@@ -90,6 +90,26 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+# the conjecture summary and one of its candidates, keys sorted; the params are
+# ints and rational strings, which need no escaping
+_SUMMARY_JSON = ('{\n  "counterexample_candidates": %s,\n  "fraction": "%s",\n  "linear_detected": %d,\n  "n": %d,\n'
+                 '  "seed": %d,\n  "w": %d,\n  "window": [\n    %d,\n    %d\n  ]\n}\n')
+_CANDIDATE_JSON = ('    {\n      "backward_detected": %s,\n      "forward_detected": %s,\n      "params": {\n%s\n'
+                   '      },\n      "run": %d,\n      "y0": "%s",\n      "z0": "%s"\n    }')
+_PARAM_JSON, _BOOL_JSON = {int: '        "%s": %d', str: '        "%s": "%s"'}, ("false", "true")
+
+
+def _summary_json_text(s: dict) -> str:
+    """``_json_text(s)`` for the fixed schema of the conjecture summary s, by
+    templates: with an indent, the standard encoder runs in pure Python."""
+    cands = ",\n".join(_CANDIDATE_JSON % (
+        _BOOL_JSON[c["backward_detected"]], _BOOL_JSON[c["forward_detected"]],
+        ",\n".join(_PARAM_JSON[type(v)] % (k, v) for k, v in sorted(c["params"].items())), c["run"], c["y0"], c["z0"],
+    ) for c in s["counterexample_candidates"])
+    cands = "[\n%s\n  ]" % cands if cands else "[]"
+    return _SUMMARY_JSON % (cands, s["fraction"], s["linear_detected"], s["n"], s["seed"], s["w"], *s["window"])
+
+
 def _emit_tree(tree, args) -> int:
     """Write a branch tree's tables; the exit code, 2 when the branch cap truncated the tree."""
     tables, n = tree.tables, len(tree.tables)
@@ -187,6 +207,10 @@ def _cmd_conjecture(args) -> int:
     lo, hi = _parse_window(args.window)
     if not lo <= 0 <= hi:
         raise ValueError(f"--window {args.window!r} must contain 0, the scan's initial index")
+    if args.w < 2:
+        raise ValueError("--w must be at least 2")
+    if hi - lo + 1 < 2 * args.w + 2:
+        raise ValueError(f"--window {args.window!r} has {hi - lo + 1} points; --w {args.w} needs at least {2 * args.w + 2}")
     rng = random.Random(args.seed)
     detected = 0
     candidates = []
@@ -199,26 +223,12 @@ def _cmd_conjecture(args) -> int:
         if report.detected and report.verified:
             detected += 1
         else:
-            candidates.append(
-                {
-                    "run": i,
-                    "params": params_to_obj(p),
-                    "y0": str(y0),
-                    "z0": str(z0),
-                    "forward_detected": report.forward is not None,
-                    "backward_detected": report.backward is not None,
-                }
-            )
-    summary = {
-        "n": args.n,
-        "seed": args.seed,
-        "window": [lo, hi],
-        "w": args.w,
-        "linear_detected": detected,
-        "fraction": f"{detected}/{args.n}",
-        "counterexample_candidates": candidates,
-    }
-    _emit(_json_text(summary), args.out)
+            candidates.append({"run": i, "params": params_to_obj(p), "y0": str(y0), "z0": str(z0),
+                               "forward_detected": report.forward is not None,
+                               "backward_detected": report.backward is not None})
+    summary = {"n": args.n, "seed": args.seed, "window": [lo, hi], "w": args.w, "linear_detected": detected,
+               "fraction": f"{detected}/{args.n}", "counterexample_candidates": candidates}
+    _emit(_summary_json_text(summary), args.out)
     return 0
 
 

@@ -203,12 +203,15 @@ def grow_tables(root: list, n: int, step, cap: int, m0: int, window: Tuple[int, 
 
 
 def step_z_noparity(p: Params, m: int, y_amp, z_amp):
-    """Unique next z amplitude in the all-minus sector."""
+    """Unique next z amplitude in the all-minus sector.  Each ``max(u, y)`` is
+    spelled ``y if y > u else u``, as the builtin evaluates it: a tie keeps u,
+    and types and ``Aff`` horizons are the builtin's, without its call's cost."""
     y, z = y_amp, z_amp
     mq = m * p.q
+    u1, u2, u3, u4 = mq + p.a1, mq + p.a2, p.a3, p.a4
     return (
-        p.b3 + p.b4 + max(mq + p.a1, y) + max(mq + p.a2, y)
-        - z - max(p.a3, y) - max(p.a4, y)
+        p.b3 + p.b4 + (y if y > u1 else u1) + (y if y > u2 else u2)
+        - z - (y if y > u3 else u3) - (y if y > u4 else u4)
     )
 
 

@@ -12,7 +12,8 @@ former solvers: the four-case U/U'/V/V' split of the parity z-step and the
 candidate scan of the first-order solver.  The affine
 tail ansatz is checked here index by index, against the library's decision at
 the ends of a range, and the affine tail detector reads a table index by
-index, against the library's one walk along amplitude columns; the all-minus evolution is stepped index by index
+index, against the library's one walk along amplitude columns; the all-minus step is written with the builtin
+``max``, against the library's comparisons spelled out; the all-minus evolution is stepped index by index
 (with the backward steps read off the forward ones), against the library's
 jumps across affine stretches.  The branching evolution is run one branch
 at a time on Fractions, each child a copy of its parent's table, against the
@@ -616,6 +617,17 @@ def detect_per_index(p: Params, table: SolutionTable, w: int) -> LinearityReport
     if len(table) < 2 * w + 2:
         raise ValueError(f"table too short: need at least {2 * w + 2} points")
     return LinearityReport(end_fit_per_index(p, table, w, True), end_fit_per_index(p, table, w, False))
+
+
+def step_z_noparity_by_max(p: Params, m: int, y_amp, z_amp):
+    """The all-minus z-step as it was written with the builtin ``max``, the
+    reference of the library's spelled-out comparisons."""
+    y, z = y_amp, z_amp
+    mq = m * p.q
+    return (
+        p.b3 + p.b4 + max(mq + p.a1, y) + max(mq + p.a2, y)
+        - z - max(p.a3, y) - max(p.a4, y)
+    )
 
 
 def step_back_y_noparity(p: Params, m: int, y_amp, z_amp):

@@ -495,6 +495,64 @@ def test_conjecture_rejects_a_window_without_0(window, capsys):
     assert (code, out, err) == (1, "", f"error: --window {window!r} must contain 0, the scan's initial index\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--window", "-3:3"), "--window '-3:3' has 7 points; --w 4 needs at least 10"),
+    (("--window", "-4:4"), "--window '-4:4' has 9 points; --w 4 needs at least 10"),
+    (("--window", "-2:3", "--w", "3"), "--window '-2:3' has 6 points; --w 3 needs at least 8"),
+    (("--window", "-30:30", "--w", "1"), "--w must be at least 2"),
+    (("--window", "-30:30", "--w", "-1"), "--w must be at least 2"),
+    (("--window", "-3:3", "--w", "0"), "--w must be at least 2"),
+])
+def test_conjecture_refuses_w_and_window_before_any_draw(argv, message, monkeypatch, capsys):
+    # the window needs 2w+2 points, checked with w >= 2 on entry: the messages
+    # name the flags, and no draw is made
+    monkeypatch.setattr(cli, "random_constrained_params", lambda rng: pytest.fail("drew parameters"))
+    code, out, err = run(capsys, "conjecture", "--n", "2", "--seed", "1", *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("window, w", [("-4:5", "4"), ("-2:3", "2"), ("0:5", "2")])
+def test_conjecture_takes_a_window_of_2w_plus_2_points(window, w, capsys):
+    code, out, err = run(capsys, "conjecture", "--n", "2", "--seed", "1", "--window", window, "--w", w)
+    assert (code, err) == (0, "") and json.loads(out)["w"] == int(w)
+
+
+# (argv, the number of candidates): none, every run, one run of one
+_SUMMARY_CASES = {
+    "no-candidates": (("--n", "3", "--window", "-30:30", "--seed", "8"), 0),
+    "every-run": (("--n", "6", "--window", "-3:3", "--seed", "1", "--w", "2"), 6),
+    "n-1": (("--n", "1", "--window", "-30:30", "--seed", "1"), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SUMMARY_CASES))
+def test_conjecture_summary_equals_json_dumps(case, capsys):
+    # the templated summary is the standard encoder's text of its own value
+    argv, n_candidates = _SUMMARY_CASES[case]
+    code, out, err = run(capsys, "conjecture", *argv)
+    assert (code, err) == (0, "")
+    summary = json.loads(out)
+    assert len(summary["counterexample_candidates"]) == n_candidates
+    assert out == json.dumps(summary, sort_keys=True, indent=2) + "\n"
+    if not n_candidates:
+        assert '"counterexample_candidates": [],' in out
+
+
+def test_summary_writer_equals_json_dumps_on_rational_params():
+    # params_to_obj gives rational strings for fractional amplitudes, and ints
+    # for the integral ones and for parameter signs
+    thirds = Params.make(Fraction(100, 3), (Fraction(32, 3), 11, Fraction(-37, 3), 0), (1, Fraction(65, 3), -4, 7))
+    signed = Params.make(100, (32, 33, 37, 22), (53, 65, 8, 4), sa=(1, -1, 1, -1), sb=(-1, -1, 1, 1))
+    candidates = [
+        {"run": i, "params": params_to_obj(p), "y0": y0, "z0": z0, "forward_detected": fwd, "backward_detected": bwd}
+        for i, (p, y0, z0, fwd, bwd) in enumerate([(thirds, "-150", "7", True, False), (signed, "0", "-3", False, True)])
+    ]
+    assert "32/3" in candidates[0]["params"].values() and candidates[1]["params"]["sa2"] == -1
+    summary = {"n": 9, "seed": -5, "window": [-7, 7], "w": 3, "linear_detected": 7, "fraction": "7/9",
+               "counterexample_candidates": candidates}
+    assert cli._summary_json_text(summary) == json.dumps(summary, sort_keys=True, indent=2) + "\n"
+
+
 def test_qlimit_subcommand(capsys, p42_file):
     code, out, _ = run(
         capsys, "qlimit", "--params", p42_file,

@@ -40,7 +40,8 @@ from goldens import golden1_y, golden1_z, golden2_y, golden2_z
 from oracles import (
     PairTable, ansatz_inequalities_at, evolve_noparity_stepping, evolve_per_branch, evolve_stepping, gauge,
     pair_columns, pair_table, painleve_failures_per_index, random_state, scale,
-    step_back_y_noparity, step_back_z_noparity, step_z_parity_by_cases, yy_by_cases, zz_by_cases,
+    step_back_y_noparity, step_back_z_noparity, step_z_noparity_by_max, step_z_parity_by_cases, yy_by_cases,
+    zz_by_cases,
 )
 
 F = Fraction
@@ -87,6 +88,56 @@ def test_forward_backward_identity_random(rng):
         y1 = step_y_noparity(p, m, y, z1)
         assert step_back_y_noparity(p, m + 1, y1, z1) == y
         assert step_back_z_noparity(p, m + 1, y, z1) == z
+
+
+@st.composite
+def _noparity_step_inputs(draw, denominators=st.just(1)):
+    """Parameters, m, y and z for the all-minus step.  With denominators 1 the
+    amplitudes are ints, or each an int or an integral Fraction, and y is
+    often equal to one of mQ+A1, mQ+A2, A3, A4 with the other type: a tie of
+    an int and a Fraction."""
+    mixed = draw(st.booleans())
+
+    def amp():
+        x = Fraction(draw(st.integers(-40, 40)), draw(denominators))
+        return int(x) if x.denominator == 1 and (not mixed or draw(st.booleans())) else x
+
+    p = Params(draw(st.integers(1, 20)), *(amp() for _ in range(8)))
+    m, z = draw(st.integers(-3, 3)), amp()
+    slots = (m * p.q + p.a1, m * p.q + p.a2, p.a3, p.a4)
+    # a tie at the least slot alone decides the type of an integral result
+    y = draw(st.one_of(st.builds(amp), st.sampled_from(slots), st.just(min(slots))))
+    if y in slots and draw(st.booleans()):  # the tie's other operand type
+        y = Fraction(y) if type(y) is int else int(y) if y.denominator == 1 else y
+    return p, m, y, z
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(case=st.one_of(_noparity_step_inputs(), _noparity_step_inputs(st.integers(1, 6))))
+@example(case=(Params(5, 1, 2, 3, 4, 5, 6, 7, -1), 0, Fraction(1), 0))  # y ties mQ+A1, the least slot
+@example(case=(Params(5, 4, 3, 2, Fraction(1), 5, 6, 7, -1), 0, 1, 0))  # y ties A4, the least slot
+def test_step_z_noparity_equals_the_builtin_max(case):
+    # the same value and the same type as the former transcription with the
+    # builtin max: at a tie of an int and a Fraction the first operand is kept
+    p, m, y, z = case
+    got, ref = step_z_noparity(p, m, y, z), step_z_noparity_by_max(p, m, y, z)
+    assert (got, type(got)) == (ref, type(ref))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(case=_noparity_step_inputs(), slopes=st.tuples(*[st.one_of(st.none(), st.integers(-3, 3))] * 3))
+def test_step_z_noparity_equals_the_builtin_max_on_aff(case, slopes):
+    # m, y and z, each a plain value or an Aff of the given slope: the result's
+    # (s, c) and the horizon its comparisons lowered are the former
+    # transcription's
+    p, *values = case
+    results = []
+    for step in (step_z_noparity, step_z_noparity_by_max):
+        h = Horizon()
+        args = [v if s is None else Aff(s, v, h) for v, s in zip(values, slopes)]
+        r = step(p, *args)
+        results.append((type(r), (type(r.s), r.s, type(r.c), r.c) if type(r) is Aff else r, h.t))
+    assert results[0] == results[1]
 
 
 # --- parity steps --------------------------------------------------------------
