@@ -63,13 +63,21 @@ def _parse_window(text: str) -> Tuple[int, int]:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    """Write through a temporary file beside ``path``.  An OS error names
-    ``path`` and the reason, not the temporary file, which is removed."""
+    """Write through a temporary file beside ``path``, which keeps an existing
+    file's mode or, for a new one, takes 0o666 less the umask, as ``open`` does.
+    An OS error names ``path`` and the reason, not the temporary file, which is removed."""
     tmp = None
     try:
+        try:
+            mode = os.stat(path).st_mode & 0o7777
+        except FileNotFoundError:
+            umask = os.umask(0)  # read only by setting it
+            os.umask(umask)
+            mode = 0o666 & ~umask
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-udp6-")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):

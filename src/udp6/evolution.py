@@ -39,19 +39,19 @@ table (``grow_tables``).
 
 Solutions are piecewise affine in m, and ``evolve`` jumps the affine
 stretches in every sector by a certificate the steppers compute themselves.
-While its frontier holds one partial table, ``evolve`` steps it on its own,
-as long as each step has one child.  Where the last cells of both columns lie
-on lines with constant signs, it runs the step once more with m and the two
-amplitudes as ``udp6.system.Aff`` values s*t + c in the step count t.  Every
-comparison returns its outcome at t = 0 and lowers a shared horizon to the
-last t at which that outcome still holds, so up to the horizon the steppers
-take the same path at every t and return the affine result.  If the z- and
-the y-step each give one candidate, the fit's next cell with the same signs,
-then the fit is the evolution for horizon + 1 steps, which are filled from
-it.  The candidates' validation ran on the same values: ``step_z_parity``
-decides ``residual_zz`` (and, mirrored, the y-relation) on the fit at every t
-up to the horizon, exactly, so each filled cell passes the residual a stepped
-one passes.
+Every concrete step, for one branch or many, is a step of ``grow_tables``'
+frontier.  While it holds one partial table and its last step was not a jump,
+where the table's last five rows lie on lines with constant signs in both
+columns, ``evolve`` runs its step once more with m and the two amplitudes as
+``udp6.system.Aff`` values s*t + c in the step count t.  Every comparison
+returns its outcome at t = 0 and lowers a shared horizon to the last t at which
+that outcome still holds, so up to the horizon the steppers take the same path
+at every t and return the affine result.  If the step gives one child, the
+fits' next cells with the same signs, then the fit is the evolution for
+horizon + 1 steps, which are filled from it.  The candidates' validation ran
+on the same values: ``step_z_parity`` decides ``residual_zz`` (and, mirrored,
+the y-relation) on the fit at every t up to the horizon, exactly, so each
+filled cell passes the residual a stepped one passes.
 
 ``painleve_failures`` decides the relations over the same stretches.  Both
 relations at index m read the rows m and m+1 alone, so it keys each pair of
@@ -133,7 +133,7 @@ def cell_positions(m0: int, hi: int, m: int) -> Tuple[int, int]:
     return k, k + 1
 
 
-def grow_tables(root: list, n: int, step, cap: int, m0: int, window: Tuple[int, int], single=None) -> BranchTree:
+def grow_tables(root: list, n: int, step, cap: int, m0: int, window: Tuple[int, int], jump=None) -> BranchTree:
     """The branching frontier shared by ``evolve`` and ``riccati_evolve``.
 
     A partial table is a flat list of cells, each at one position in all of
@@ -152,30 +152,27 @@ def grow_tables(root: list, n: int, step, cap: int, m0: int, window: Tuple[int, 
     backward part reversed, the root, the forward part), each split into its
     sign and amplitude columns by one ``zip(*)``.
 
-    While one partial table is live, ``single(i, table)``, if given, may take
-    the steps from index i on itself while each has one child.  It returns
-    the number k of steps it took, their cells as one list in order, and the
-    children of step i + k if it expanded that step and found another number
-    of them (else None), which the frontier then takes as that step's
+    While one partial table is live and the last step was not a jump (which
+    ends where its certificate does), ``jump(i, table)``, if given, may take
+    the steps from index i on at once.  It returns the number k of steps it
+    took, none or more, and their cells as one list in order, which extend the
+    table.  Every other step, for one table or many, is the frontier's own
     expansion.
     """
     partials, truncated = [list(root)], False
-    i = 0
+    i, jumped = 0, False
     while i < n:
-        known = None
-        if single is not None and len(partials) == 1:
-            t = partials[0]
-            k, cells, known = single(i, t)
+        if not jumped and jump is not None and len(partials) == 1:
+            k, cells = jump(i, partials[0])
             if k:
-                t += cells
-                i += k
-                if known is None:
-                    continue
+                partials[0] += cells
+                i, jumped = i + k, True
+                continue
+        jumped = False
         reads, expand = step(i)
         i += 1
         state_of = itemgetter(*reads)
-        children = {} if known is None else {state_of(partials[0]): known}
-        grown = []
+        children, grown = {}, []
         for t in partials:
             state = state_of(t)
             kids = children.get(state)
@@ -348,52 +345,36 @@ def evolve(
 
     ahead = hi - m0
 
-    def step(i):
-        # one step per (z, y) pair forward from m0 to hi, then per (y, z) pair
-        # backward to lo, so the cap applies after each pair.  A step reads
-        # (y_m, z_m) and nothing else; it calls the steppers as module
-        # globals, where tracing and tests can replace them.
-        if i < ahead:
-            m = m0 + i
-            return cell_positions(m0, hi, m), lambda yz: (
+    def expand(m, d):
+        # the children of (y_m, z_m): forward the (z, y) pairs at m+1, backward
+        # the (y, z) pairs at m-1.  It calls the steppers as module globals,
+        # where tracing and tests can replace them.
+        if d > 0:
+            return lambda yz: (
                 [z1, y1] for z1 in step_z_parity(p, m, *yz) for y1 in step_y_parity(p, m, yz[0], z1))
-        m = hi - i
-        return cell_positions(m0, hi, m), lambda yz: (
+        return lambda yz: (
             [yp, zp] for yp in step_back_y_parity(p, m, *yz) for zp in step_back_z_parity(p, m, yp, yz[1]))
 
-    def single(i, t):
-        # the steps of one direction from step i while each has one child,
-        # jumping the stretches the steppers certify; step i starts at m, and
-        # the table holds m0..m forward and m..hi backward
-        d, m, stop = (1, m0 + i, ahead) if i < ahead else (-1, hi - i, hi - lo)
-        back = min(_FIT_CELLS - 1, (m - (m0 if d > 0 else hi)) * d)
-        at = [cell_positions(m0, hi, m - d * k) for k in range(back, -1, -1)]  # the last rows, oldest first
-        ys, zs = [t[a] for a, _ in at], [t[b] for _, b in at]
-        taken, j, jumped = [], i, False
-        while j < stop:
-            n = 0
-            # the step after a jump, which stopped at its horizon, is concrete
-            if not jumped and len(ys) >= _FIT_CELLS and stop - j >= _MIN_STEPS:
-                n, cells = _affine_jump(p, m, d, stop - j, ys[-_FIT_CELLS:], zs[-_FIT_CELLS:])
-            jumped = n > 0
-            if not n:
-                kids = list(step(j)[1]((ys[-1], zs[-1])))
-                if len(kids) != 1:
-                    return j - i, taken, kids
-                n, cells = 1, kids[0]
-            taken += cells
-            # forward steps write (z, y), backward ones (y, z)
-            ys += cells[1::2] if d > 0 else cells[::2]
-            zs += cells[::2] if d > 0 else cells[1::2]
-            j, m = j + n, m + d * n
-        return j - i, taken, None
+    def step(i):
+        # one step per (z, y) pair forward from m0 to hi, then per (y, z) pair
+        # backward to lo, so the cap applies after each pair
+        d, m = (1, m0 + i) if i < ahead else (-1, hi - i)
+        return cell_positions(m0, hi, m), expand(m, d)
 
-    return grow_tables([y0, z0], hi - lo, step, max_branches, m0, window, single)
+    def jump(i, t):
+        # the table's last ten cells are its last five rows in write order once
+        # they all lie on the step's side of m0, which they do from |m - m0| = 5
+        d, m, left = (1, m0 + i, ahead - i) if i < ahead else (-1, hi - i, hi - lo - i)
+        if d * (m - m0) < _FIT_CELLS or left < _MIN_STEPS:
+            return 0, ()
+        return _affine_jump(expand, m, d, left, t[-2 * _FIT_CELLS:])
+
+    return grow_tables([y0, z0], hi - lo, step, max_branches, m0, window, jump)
 
 
-# An attempt costs about five concrete steps.  It waits for five cells on a
+# An attempt costs about five concrete steps.  It waits for five rows on a
 # line, which the concrete step from four gives: most lines of four do not
-# reach a fifth cell.  And it is not made when fewer steps than it costs are left.
+# reach a fifth row.  And it is not made when fewer steps than it costs are left.
 _FIT_CELLS = 5
 _MIN_STEPS = 4
 
@@ -408,37 +389,24 @@ def _fit(cells: List[ParityPair]) -> Optional[tuple]:
     return None
 
 
-def _continues(cands: List[ParityPair], sign: int, step, amp) -> bool:
-    """Whether the step gave one candidate, the fit's next cell after (sign, amp):
-    a structural test of the ``Aff``, as ``==`` would record a comparison."""
-    return len(cands) == 1 and cands[0].sign == sign and (cands[0].amp.s, cands[0].amp.c) == (step, amp + step)
-
-
-def _affine_jump(p: Params, m: int, d: int, left: int, ys: list, zs: list) -> Tuple[int, list]:
+def _affine_jump(expand_at, m: int, d: int, left: int, rows: list) -> Tuple[int, list]:
     """The number of the steps from index m in direction d (+1 forward, -1
     backward), up to ``left``, that the steppers certify, and their cells in
-    ``evolve``'s write order; none unless the cells ``ys`` and ``zs`` of each
-    column up to m, oldest first, share a sign and lie on a line.
+    write order; none unless both columns of ``rows``, the last five rows as
+    ten cells in write order, share a sign and lie on a line.
 
-    The steppers run once on the fits, ``Aff`` values in t = (m' - m)*d: if
-    each gives one candidate, the fit's next cell, then every step from t = 0
-    to the horizon does, as its comparisons all go the same way."""
-    fy = _fit(ys)
-    fz = fy and _fit(zs)
-    if not fz:
+    ``expand_at(m, d)`` is ``evolve``'s expansion.  It runs once on the fits,
+    ``Aff`` values in t = (m' - m)*d: if it gives one child, the fits' next
+    cells by (s, c), as ``==`` would record a comparison, then every step from
+    t = 0 to the horizon does, as its comparisons all go the same way."""
+    lines = _fit(rows[::2]), _fit(rows[1::2])
+    if not all(lines):
         return 0, ()
-    (sy, dy, y0), (sz, dz, z0) = fy, fz
     h = Horizon()
-    y, z, mt = ParityPair(sy, Aff(dy, y0, h)), ParityPair(sz, Aff(dz, z0, h)), Aff(d, m, h)
-    if d > 0:
-        z1 = step_z_parity(p, mt, y, z)
-        lines = (sz, dz, z0), (sy, dy, y0)
-        ok = _continues(z1, sz, dz, z0) and _continues(step_y_parity(p, mt, y, z1[0]), sy, dy, y0)
-    else:
-        y1 = step_back_y_parity(p, mt, y, z)
-        lines = (sy, dy, y0), (sz, dz, z0)
-        ok = _continues(y1, sy, dy, y0) and _continues(step_back_z_parity(p, mt, y1[0], z), sz, dz, z0)
-    if not ok:
+    first, second = (ParityPair(sign, Aff(step, amp, h)) for sign, step, amp in lines)
+    kids = list(expand_at(Aff(d, m, h), d)((second, first) if d > 0 else (first, second)))
+    if len(kids) != 1 or any(
+            (c.sign, c.amp.s, c.amp.c) != (sign, step, amp + step) for c, (sign, step, amp) in zip(kids[0], lines)):
         return 0, ()
     n = left if h.t is None else min(h.t + 1, left)
     cells = [None] * (2 * n)

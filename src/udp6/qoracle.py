@@ -444,7 +444,10 @@ def ud_limit_compare(
     bad = tuple(painleve_failures(p, table))
 
     bound = _amp_bound(p, table, window)
-    scale = max(1.0, float(bound))
+    try:
+        scale = max(1.0, float(bound))
+    except OverflowError:
+        raise ValueError(f"amplitude bound of {len(str(int(bound)))} digits is past a double's range") from None
     rows: List[CompareRow] = []
     aborts: List[CompareAbort] = []
     precisions: List[Tuple[Fraction, int]] = []

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -190,6 +191,26 @@ def test_failed_out_write_names_the_out_path(capsys, tmp_path, p42_file, target)
     assert sorted(os.listdir(tmp_path)) == before
     if target == "directory":
         assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("umask, existing, mode", [
+    (0o022, None, 0o644), (0o027, None, 0o640), (0o022, 0o644, 0o644), (0o022, 0o600, 0o600), (0o077, 0o664, 0o664),
+], ids=["new-022", "new-027", "kept-644", "kept-600", "kept-664-under-077"])
+def test_out_file_mode_is_kept_or_taken_from_the_umask(capsys, tmp_path, p42_file, umask, existing, mode):
+    # the table goes through a 0o600 temporary file; the file it replaces keeps
+    # its mode, and a new file gets 0o666 less the umask, as open() gives it
+    out = tmp_path / "out.csv"
+    if existing is not None:
+        out.write_text("old\n")
+        out.chmod(existing)
+    old = os.umask(umask)
+    try:
+        code, stdout, _ = run(capsys, "evolve", "--params", p42_file, "--y0", "-1:43", "--z0", "-1:40",
+                              "--window", "-5:5", "--out", str(out))
+    finally:
+        os.umask(old)
+    assert (code, stdout) == (0, "") and out.read_text().startswith("m,sy,Y,sz,Z\n")
+    assert stat.S_IMODE(out.stat().st_mode) == mode
 
 
 def test_verify_roundtrip(tmp_path, capsys, p42_file):
@@ -721,6 +742,19 @@ def test_qlimit_abort_is_reported_with_exit_3(capsys, tmp_path):
         "input table violates zz at m=0",
         "input table violates yy at m=0",
     ]
+
+
+@pytest.mark.parametrize("start", ["table", "y0-z0"])
+def test_qlimit_amplitude_past_a_doubles_range_is_input_error(capsys, tmp_path, p42_file, start):
+    # the error scale of the precision search is a double; a bound past its
+    # range is refused by name, with exit 1 and no traceback
+    big = 10 ** 400
+    table = tmp_path / "big.csv"
+    table.write_text(f"m,sy,Y,sz,Z\n0,-1,{big},-1,40\n")
+    given = ["--table", str(table)] if start == "table" else ["--y0", f"-1:{big}", "--z0", "-1:40"]
+    code, out, err = run(capsys, "qlimit", "--params", p42_file, *given, "--window", "0:0", "--eps", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: amplitude bound of 401 digits is past a double's range\n"
 
 
 @pytest.mark.parametrize("start", [(), ("--y0", "-1:43"), ("--z0", "-1:40")], ids=["none", "y0-only", "z0-only"])

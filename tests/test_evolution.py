@@ -487,10 +487,10 @@ def _record_jumps(monkeypatch) -> list:
 
     attempt = evolution._affine_jump
 
-    def recording(p, m, d, left, ys, zs):
+    def recording(expand_at, m, d, left, rows):
         horizons.clear()
-        n, cells = attempt(p, m, d, left, ys, zs)
-        y, z = ys[-1], zs[-1]
+        n, cells = attempt(expand_at, m, d, left, rows)
+        y, z = (rows[-1], rows[-2]) if d > 0 else (rows[-2], rows[-1])
         log.append(_Jump(m, d, (y.sign, z.sign), type(y.amp), n, horizons[0].t if horizons else "none", left))
         return n, cells
 
@@ -565,22 +565,60 @@ def test_jump_stops_exactly_at_its_horizon(monkeypatch, p, y0, z0, at, steps, le
     assert end not in [j.m for j in log]
 
 
-def test_fit_check_is_structural():
-    # a candidate continues the fit when its sign, slope and intercept are the
-    # fit's; one that meets the fit's next cell at t = 0 with another slope
-    # leaves it after one step.  The check compares no Aff, so it records nothing.
-    h = Horizon()
-    assert evolution._continues([ParityPair(1, Aff(3, 7, h))], 1, 3, 4)
-    for cands in ([ParityPair(1, Aff(2, 7, h))], [ParityPair(-1, Aff(3, 7, h))],
-                  [ParityPair(1, Aff(3, 8, h))], [ParityPair(1, Aff(3, 7, h))] * 2):
-        assert not evolution._continues(cands, 1, 3, 4)
-    assert h.t is None
+def _rows_on_lines(d):
+    """Five rows as ten cells in ``evolve``'s write order for direction d: y
+    of sign +1 on the line 3t + 4 and z of sign -1 on 2t, t = -4..0."""
+    rows = []
+    for t in range(-4, 1):
+        y, z = ParityPair(1, 3 * t + 4), ParityPair(-1, 2 * t)
+        rows += [z, y] if d > 0 else [y, z]
+    return rows
+
+
+@pytest.mark.parametrize("d", [1, -1], ids=["forward", "backward"])
+def test_jump_takes_one_child_that_continues_both_fits(d):
+    # the step runs once on the fits, (y, z) in that order and m as an Aff of
+    # slope d; it is taken only if it gives one child whose cells, in write
+    # order, have each fit's sign, slope and next intercept.  A child that meets
+    # the fit's next cell at t = 0 with another slope leaves it after one step.
+    # The check compares no Aff, so it records nothing.
+    seen = []
+
+    def expanding(child):
+        """An ``expand_at`` whose one expansion logs its input and gives
+        ``child``, a list of children of (sign, slope, intercept) cells."""
+        def expand_at(m, d_step):
+            def expand(yz):
+                seen.append(((m.s, m.c), d_step, [(c.sign, c.amp.s, c.amp.c) for c in yz], m.horizon))
+                return [[ParityPair(s, Aff(k, c, m.horizon)) for s, k, c in cells] for cells in child]
+            return expand
+        return expand_at
+
+    def in_order(y, z):
+        return [z, y] if d > 0 else [y, z]
+
+    y1, z1 = (1, 3, 7), (-1, 2, 2)
+    n, cells = evolution._affine_jump(expanding([in_order(y1, z1)]), 10, d, 3, _rows_on_lines(d))
+    assert n == 3
+    assert cells == [c for k in range(3) for c in in_order(ParityPair(1, 7 + 3 * k), ParityPair(-1, 2 + 2 * k))]
+    assert seen[0][:3] == ((d, 10), d, [(1, 3, 4), (-1, 2, 0)])
+    for child in ([in_order((1, 2, 7), z1)], [in_order((-1, 3, 7), z1)], [in_order((1, 3, 8), z1)],
+                  [in_order(y1, (-1, 1, 2))], [in_order(y1, z1)] * 2, [], [in_order(z1, y1)]):
+        del seen[:]
+        assert evolution._affine_jump(expanding(child), 10, d, 3, _rows_on_lines(d)) == (0, ())
+        assert seen[0][3].t is None
+    # rows off a line are not stepped
+    rows = _rows_on_lines(d)
+    rows[0] = ParityPair(rows[0].sign, 99)
+    del seen[:]
+    assert evolution._affine_jump(expanding([in_order(y1, z1)]), 10, d, 3, rows) == (0, ()) and seen == []
 
 
 def test_golden_jumps_take_the_window_in_few_steps(monkeypatch, p42):
     # from the golden state both columns are affine on m >= 1 and on m <= -1
-    # in either sector: five concrete steps each way reach five cells on a
-    # line, then one jump each way fills the rest of the window
+    # in either sector: five concrete steps each way reach five rows on a line
+    # on the step's side of m0, where the first attempt of each direction is
+    # made, and that one jump fills the rest of the window
     log = _record_jumps(monkeypatch)
     calls = []
     step = evolution.step_z_parity
@@ -593,7 +631,7 @@ def test_golden_jumps_take_the_window_in_few_steps(monkeypatch, p42):
     for sign in (1, -1):
         del log[:], calls[:]
         tree = evolve(p42, 0, pp(sign, 43), pp(sign, 40), (-400, 400))
-        assert [(j.m, j.d, j.steps, j.horizon) for j in log if j.steps] == [(5, 1, 395, None), (-5, -1, 395, None)]
+        assert [(j.m, j.d, j.steps, j.horizon) for j in log] == [(5, 1, 395, None), (-5, -1, 395, None)]
         assert len(calls) == 2 * (10 + 2)  # a z- and a y-step each, as step_y_parity mirrors step_z_parity
         assert tree == evolve_stepping(p42, 0, pp(sign, 43), pp(sign, 40), (-400, 400))
 
@@ -622,9 +660,9 @@ def _cell(n):
 _ROOT = [_cell(0), _cell(0)]
 
 
-def _grow(steps, cap, window, single=None):
+def _grow(steps, cap, window, jump=None):
     """``grow_tables`` from ``_ROOT`` at index 0 over the listed steps."""
-    return grow_tables(_ROOT, len(steps), steps.__getitem__, cap, 0, window, single)
+    return grow_tables(_ROOT, len(steps), steps.__getitem__, cap, 0, window, jump)
 
 
 def _at(m):
@@ -728,34 +766,35 @@ def test_grow_tables_backward_and_one_cell_steps():
     assert _rows(tree) == [[(7, 8), (0, 0), (-1, 1)], [(7, 8), (0, 0), (-1, 2)]]
 
 
-def test_grow_tables_offers_single_runs_only_while_one_table_is_live():
-    # two tables from step 0 on; one dies at step 3, so the hook is offered
-    # step 4: it takes it, expands step 5 and hands its two children over, and
-    # the frontier grows from them without expanding step 5 again
+def test_grow_tables_offers_a_jump_only_while_one_table_is_live():
+    # two tables from step 0 on; one dies at step 2, so the jump is offered at
+    # step 3: it takes steps 3 and 4, whose cells land at rows 4 and 5, and the
+    # frontier expands step 5 from them without offering it.  Step 5 branches,
+    # step 6 leaves one table, and the jump is offered again at 7, which it
+    # declines, and at 8, which it takes
     calls = []
     steps = [
         _forward(0, {(0, 0): [(1, 1), (2, 2)]}, calls),
         _forward(1, {(1, 1): [(1, 1)], (2, 2): [(2, 2)]}, calls),
-        _forward(2, {(1, 1): [(1, 1)], (2, 2): [(2, 2)]}, calls),
-        _forward(3, {(1, 1): [(4, 4)], (2, 2): []}, calls),
+        _forward(2, {(1, 1): [(4, 4)], (2, 2): []}, calls),
+        _forward(3, {}, calls),
         _forward(4, {}, calls),
-        _forward(5, {}, calls),
-        _forward(6, {(6, 6): [(8, 8)], (7, 7): [(9, 9)]}, calls),
-        _forward(7, {(8, 8): [(10, 10)], (9, 9): [(11, 11)]}, calls),
+        _forward(5, {(6, 6): [(7, 7), (8, 8)]}, calls),
+        _forward(6, {(7, 7): [(9, 9)], (8, 8): []}, calls),
+        _forward(7, {(9, 9): [(10, 10)]}, calls),
+        _forward(8, {}, calls),
     ]
-    offered = []
+    offered, jumps = [], {3: [5, 6], 8: [10]}  # the amplitudes of the rows each jump writes
 
-    def single(i, t):
-        offered.append((i, t[_at(i)[0]].amp))
-        if i != 4:
-            return 0, [], None
-        return 1, [_cell(5), _cell(5)], [[_cell(6), _cell(6)], [_cell(7), _cell(7)]]
+    def jump(i, t):
+        offered.append((i, t[_at(i)[0]].amp, len(t)))
+        amps = jumps.get(i, [])
+        return len(amps), [cell for a in amps for cell in (_cell(a), _cell(a))]
 
-    tree = _grow(steps, 64, (0, 8), single)
-    assert offered == [(0, 0), (4, 4)]
-    assert calls == [(0, 0), (1, 1), (2, 2), (1, 1), (2, 2), (1, 1), (2, 2), (6, 6), (7, 7), (8, 8), (9, 9)]
-    head = [(0, 0), (1, 1), (1, 1), (1, 1), (4, 4), (5, 5)]
-    assert _rows(tree) == [head + [(6, 6), (8, 8), (10, 10)], head + [(7, 7), (9, 9), (11, 11)]]
+    tree = _grow(steps, 64, (0, 9), jump)
+    assert offered == [(0, 0, 2), (3, 4, 8), (7, 9, 16), (8, 10, 18)]
+    assert calls == [(0, 0), (1, 1), (2, 2), (1, 1), (2, 2), (6, 6), (7, 7), (8, 8), (9, 9)]
+    assert _rows(tree) == [[(0, 0), (1, 1), (1, 1), (4, 4), (5, 5), (6, 6), (7, 7), (9, 9), (10, 10), (10, 10)]]
     assert not tree.truncated
 
 
