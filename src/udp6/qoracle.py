@@ -3,16 +3,18 @@ arbitrary-precision arithmetic, and the ultradiscretization comparator.
 
 Values of the q-system scale like exp(X/eps), far beyond hardware floats, but an
 mpmath float's binary exponent is an unbounded int that cannot overflow, so each
-value is a plain ``sign * mag``.  A seed exp(amp/eps), amp/eps = num/den, is the
-power exp(1/den)^num of a cached base.  A step takes one such power, t = exp(mQ/eps),
-and one lookup of ``_images``, the images exp(A/eps) cached per (params, eps, prec):
-a3, a4, b3, b4 enter as they are and a1, a2, b1, b2 times t.  The operations call
-``mpmath.libmp`` on the mags' raw values, rounding to nearest at ``prec`` bits, as
-mpmath's ``fadd(..., prec=prec)`` and its kin do, without their per-call context
-overhead.  Opposite signs warn of cancellation when
+value is a plain ``sign * mag``.  A power exp(num/den), as a seed exp(amp/eps) needs,
+is a product of cached exp(2^j/den) over the set bits of num.  A step takes one such
+power, t = exp(mQ/eps), and one lookup of ``_images``, the images exp(A/eps) cached
+per (params, eps, prec): a3, a4, b3, b4 enter as they are and a1, a2, b1, b2 times t.
+``qp6_step`` takes and returns ``SignedMag``s but computes on ``mpmath.libmp``'s raw
+signed values, rounding to nearest at ``prec`` bits, as mpmath's ``fadd(..., prec=prec)``
+and its kin do; rounding to nearest is symmetric, so a signed result has the bits of
+its magnitude rounded alone.  A difference of like signs warns of cancellation when
 ln(hi/lo) < 2^(-prec/2) * max(1, |ln hi|), and warnings propagate.  The ``ls_*``
-names are the former log-domain arithmetic's: the benchmark's ``qoracle.ls_op``
-layer wraps them by name, until a benchmark change renames that group.
+operations on ``SignedMag``s share the step's raw helpers; their names are the former
+log-domain arithmetic's: the benchmark's ``qoracle.ls_op`` layer wraps them by name,
+until a benchmark change renames that group.
 
 The comparator seeds the q-system from a max-plus table via
 ``value = sign * exp(amplitude/eps)``, evolves it forward, and reports the
@@ -106,25 +108,46 @@ def ls_zero(prec: int, warn: bool = False) -> SignedMag:
 
 
 @functools.lru_cache(maxsize=32)
-def _exp_inverse(den: int, prec: int) -> mpmath.mpf:
-    """exp(1/den) at ``prec`` bits: the base of the seeds of denominator den."""
-    return mpmath.exp(mpmath.fdiv(1, den, prec=prec), prec=prec)
+def _exp_table(den: int, wp: int) -> list:
+    """exp(2^j/den) for j = 0, 1, ... as raw mpfs at ``wp`` bits, each entry the
+    square of the one before; ``_exp_power`` appends the entries it needs."""
+    lib = mpmath.libmp
+    return [lib.mpf_exp(lib.from_rational(1, den, wp, "n"), wp, "n")]
 
 
-def _exp_power(num: int, den: int, prec: int) -> mpmath.mpf:
-    """exp(num/den) = exp(1/den)^num.  The power grows the base's relative error by
-    bitlen(num) bits, so the base has bitlen(num) + 8 guard bits, rounded up to 64s."""
-    base = _exp_inverse(den, prec + (num.bit_length() + 71) // 64 * 64)
-    return mpmath.mp.make_mpf(mpmath.libmp.mpf_pow_int(base._mpf_, num, prec, "n"))
+def _exp_power(num: int, den: int, prec: int) -> tuple:
+    """exp(num/den) as a raw mpf: the product of the table's exp(2^j/den) over the
+    set bits j of n = |num| at wp bits, rounded to ``prec`` bits once (for num < 0,
+    its reciprocal is).  Guard bits: wp - prec is bitlen(n) + 8 rounded up to 64s.
+    Error, relative, with u = 2^-wp: entry 0 is good to 3u, and a square doubles an
+    error and adds u, so entry j is good to 2^(j+2) u and the product to
+    (4n + bitlen(n)) u < 2^(bitlen(n)+3) u <= 2^-(prec+5); the rounding adds
+    2^-prec, so the power is good to 2^-(prec-1)."""
+    lib, n = mpmath.libmp, abs(num)
+    if not n:
+        return lib.fone
+    wp = prec + (n.bit_length() + 71) // 64 * 64
+    table = _exp_table(den, wp)
+    while len(table) < n.bit_length():
+        table.append(lib.mpf_mul(table[-1], table[-1], wp, "n"))
+    product, *rest = (e for e, bit in zip(table, reversed(format(n, "b"))) if bit == "1")
+    for e in rest:
+        product = lib.mpf_mul(product, e, wp, "n")
+    return lib.mpf_div(lib.fone, product, prec, "n") if num < 0 else lib.mpf_pos(product, prec, "n")
+
+
+def _image(amp, eps, prec: int) -> tuple:
+    """exp(amp/eps) as a raw mpf: a seed's, t's and a row error's X's one construction."""
+    # the comparator's eps is a Fraction already: one division, no conversion
+    r = amp / (eps if type(eps) is Fraction else Fraction(eps))
+    return _exp_power(r.numerator, r.denominator, prec)
 
 
 def ls_from_amplitude(sign: int, amp, eps, prec: int) -> SignedMag:
     """The q-side image of a parity pair: sign * exp(amp/eps)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    # the comparator's eps is a Fraction already: one division, no conversion
-    r = amp / (eps if type(eps) is Fraction else Fraction(eps))
-    return SignedMag(sign, _exp_power(r.numerator, r.denominator, prec), prec)
+    return SignedMag(sign, mpmath.mp.make_mpf(_image(amp, eps, prec)), prec)
 
 
 def _rational(r: Fraction, prec: int) -> tuple:
@@ -136,55 +159,63 @@ def ls_neg(x: SignedMag) -> SignedMag:
     return SignedMag(-x.sign, x.mag, x.prec, x.warn)
 
 
-def _cancels(hi: mpmath.mpf, lo: mpmath.mpf, diff: mpmath.mpf, prec: int) -> bool:
-    """The flag of diff = hi - lo, ln(hi/lo) < 2^(-prec//2) * max(1, |ln hi|); its logs are
-    taken only if diff < hi * 2^(k+1-prec//2), which it implies: ln(hi/lo) >= diff/hi,
+def _signed(x: SignedMag) -> tuple:
+    """x as a raw signed mpf."""
+    return mpmath.libmp.mpf_neg(x.mag._mpf_) if x.sign < 0 else x.mag._mpf_
+
+
+def _signed_mag(v: tuple, prec: int, warn: bool) -> SignedMag:
+    """The raw signed mpf v, rounded to ``prec`` bits, as a SignedMag."""
+    return SignedMag(-1 if v[0] else 1 if v[1] else 0, mpmath.mp.make_mpf(mpmath.libmp.mpf_abs(v)), prec, warn)
+
+
+def _cancels(hi: tuple, lo: tuple, diff: tuple, prec: int) -> bool:
+    """The flag of the raw positive diff = hi - lo, ln(hi/lo) < 2^(-prec//2) * max(1, |ln hi|);
+    its logs are taken only if diff < hi * 2^(k+1-prec//2), which it implies: ln(hi/lo) >= diff/hi,
     2^k > |mag(hi)| + 1 > max(1, |ln hi|), and the factor 2 covers the rounding of diff."""
     half = prec // 2
-    k = (abs(mpmath.mag(hi)) + 1).bit_length()
-    if diff >= mpmath.ldexp(hi, k + 1 - half):
+    k = (abs(hi[2] + hi[3]) + 1).bit_length()
+    if mpmath.libmp.mpf_cmp(diff, mpmath.libmp.mpf_shift(hi, k + 1 - half)) >= 0:
         return False
+    hi, lo, diff = map(mpmath.mp.make_mpf, (hi, lo, diff))
     with mpmath.workprec(prec):
         return mpmath.log1p(diff / lo) < mpmath.ldexp(max(1, abs(mpmath.log(hi))), -half)
 
 
-def ls_add(x: SignedMag, y: SignedMag) -> SignedMag:
-    prec = min(x.prec, y.prec)
-    warn = x.warn or y.warn
-    if x.sign == 0 or y.sign == 0:
-        return (y if x.sign == 0 else x)._replace(prec=prec, warn=warn)
-    lib, mpf = mpmath.libmp, mpmath.mp.make_mpf
-    if x.sign == y.sign:
-        return SignedMag(x.sign, mpf(lib.mpf_add(x.mag._mpf_, y.mag._mpf_, prec, "n")), prec, warn)
-    order = lib.mpf_cmp(x.mag._mpf_, y.mag._mpf_)
-    if order == 0:
-        return ls_zero(prec, warn=True)
-    hi, lo = (x, y) if order > 0 else (y, x)
-    diff = mpf(lib.mpf_sub(hi.mag._mpf_, lo.mag._mpf_, prec, "n"))
-    return SignedMag(hi.sign, diff, prec, warn or _cancels(hi.mag, lo.mag, diff, prec))
+def _sub(a: tuple, b: tuple, prec: int) -> Tuple[tuple, bool]:
+    """a - b of raw signed mpfs at ``prec`` bits, and whether it cancels.  Rounding to
+    nearest is symmetric, so the bits are those of the magnitudes' rounded sum or
+    difference, signed.  Only nonzero values of like signs cancel, equal ones exactly."""
+    lib = mpmath.libmp
+    d = lib.mpf_sub(a, b, prec, "n")
+    if a[0] != b[0] or a == lib.fzero or b == lib.fzero:
+        return d, False
+    if d == lib.fzero:
+        return d, True
+    hi, lo = (a, b) if d[0] == a[0] else (b, a)
+    return d, _cancels(lib.mpf_abs(hi), lib.mpf_abs(lo), lib.mpf_abs(d), prec)
 
 
 def ls_sub(x: SignedMag, y: SignedMag) -> SignedMag:
-    return ls_add(x, ls_neg(y))
-
-
-def _scale(x: SignedMag, y: SignedMag, op) -> SignedMag:
-    """x * y or x / y by the libmp product or quotient ``op``; y is nonzero for a quotient."""
     prec = min(x.prec, y.prec)
-    warn = x.warn or y.warn
-    if x.sign == 0 or y.sign == 0:
-        return ls_zero(prec, warn)
-    return SignedMag(x.sign * y.sign, mpmath.mp.make_mpf(op(x.mag._mpf_, y.mag._mpf_, prec, "n")), prec, warn)
+    d, cancelled = _sub(_signed(x), _signed(y), prec)
+    return _signed_mag(d, prec, x.warn or y.warn or cancelled)
+
+
+def ls_add(x: SignedMag, y: SignedMag) -> SignedMag:
+    return ls_sub(x, ls_neg(y))
 
 
 def ls_mul(x: SignedMag, y: SignedMag) -> SignedMag:
-    return _scale(x, y, mpmath.libmp.mpf_mul)
+    prec = min(x.prec, y.prec)
+    return _signed_mag(mpmath.libmp.mpf_mul(_signed(x), _signed(y), prec, "n"), prec, x.warn or y.warn)
 
 
 def ls_div(x: SignedMag, y: SignedMag) -> SignedMag:
     if y.sign == 0:
         raise PoleError("division by zero value")
-    return _scale(x, y, mpmath.libmp.mpf_div)
+    prec = min(x.prec, y.prec)
+    return _signed_mag(mpmath.libmp.mpf_div(_signed(x), _signed(y), prec, "n"), prec, x.warn or y.warn)
 
 
 # first working precision of the agreement search, in bits, and the floor of its ceiling
@@ -211,22 +242,19 @@ def _images(p: Params, eps, prec: int) -> Tuple[SignedMag, ...]:
     return tuple(ls_from_amplitude(1, amp, eps, prec) for amp in amps)
 
 
-def _nonzero(x: SignedMag, what: str) -> SignedMag:
-    if x.sign == 0:
-        raise PoleError(f"pole: {what} vanished")
-    return x
-
-
-def _half_step(u, v, c1t, c2t, c3, c4, d3, d4, names) -> SignedMag:
-    """d3 d4 (u - c1t)(u - c2t) / (v (u - c3)(u - c4)), the pole checks of v,
-    u - c3 and u - c4 named by ``names``: the z-update of ``qp6_step``, and
-    its y-update with A and B exchanged and y and z exchanged."""
-    num = ls_mul(ls_mul(d3, d4), ls_mul(ls_sub(u, c1t), ls_sub(u, c2t)))
-    den = ls_mul(
-        _nonzero(v, names[0]),
-        ls_mul(_nonzero(ls_sub(u, c3), names[1]), _nonzero(ls_sub(u, c4), names[2])),
-    )
-    return ls_div(num, den)
+def _half_step(u, v, c1t, c2t, c3, c4, d34, prec: int, names) -> Tuple[tuple, bool]:
+    """d3 d4 (u - c1t)(u - c2t) / (v (u - c3)(u - c4)) on raw signed mpfs at ``prec``
+    bits, d34 = d3 d4, and whether a difference cancelled; the pole checks of v,
+    u - c3 and u - c4 are named by ``names``: the z-update of ``qp6_step``, and its
+    y-update with A and B exchanged and y and z exchanged."""
+    lib = mpmath.libmp
+    mul = lib.mpf_mul
+    (n1, w1), (n2, w2), (e3, w3), (e4, w4) = (_sub(u, c, prec) for c in (c1t, c2t, c3, c4))
+    for x, what in zip((v, e3, e4), names):
+        if x == lib.fzero:
+            raise PoleError(f"pole: {what} vanished")
+    num = mul(d34, mul(n1, n2, prec, "n"), prec, "n")
+    return lib.mpf_div(num, mul(v, mul(e3, e4, prec, "n"), prec, "n"), prec, "n"), w1 or w2 or w3 or w4
 
 
 def qp6_step(
@@ -238,15 +266,21 @@ def qp6_step(
     y' = a3 a4 (z' - t b1)(z' - t b2) / (y (z' - b3)(z' - b4)).
 
     The parameter constraint is checked exactly where the parameter images are
-    built.  Poles raise; cancellation warnings propagate into the results.
+    built.  Poles raise; cancellation warnings propagate into the results: z'
+    carries the inputs' and its own half-step's, and y' those and its own.
     """
     prec = min(y.prec, z.prec)
-    a3, a4, b3, b4, *factors = _images(p, eps, prec)
-    t = ls_from_amplitude(1, m * p.q, eps, prec)
-    a1t, a2t, b1t, b2t = (ls_mul(t, c) for c in factors)
-    z_next = _half_step(y, z, a1t, a2t, a3, a4, b3, b4, ("z(t)", "y - a3", "y - a4"))
-    y_next = _half_step(z_next, y, b1t, b2t, b3, b4, a3, a4, ("y(t)", "z(qt) - b3", "z(qt) - b4"))
-    return y_next, z_next
+    mul = mpmath.libmp.mpf_mul
+    a3, a4, b3, b4, *factors = (c.mag._mpf_ for c in _images(p, eps, prec))
+    t = _image(m * p.q, eps, prec)
+    a1t, a2t, b1t, b2t = (mul(t, c, prec, "n") for c in factors)
+    yv = _signed(y)
+    z_next, cancelled = _half_step(
+        yv, _signed(z), a1t, a2t, a3, a4, mul(b3, b4, prec, "n"), prec, ("z(t)", "y - a3", "y - a4"))
+    warn = y.warn or z.warn or cancelled
+    y_next, cancelled = _half_step(
+        z_next, yv, b1t, b2t, b3, b4, mul(a3, a4, prec, "n"), prec, ("y(t)", "z(qt) - b3", "z(qt) - b4"))
+    return _signed_mag(y_next, prec, warn or cancelled), _signed_mag(z_next, prec, warn)
 
 
 # --- the ultradiscretization comparator ----------------------------------------
@@ -343,8 +377,8 @@ def _row_error(x: SignedMag, amp, eps: Fraction) -> float:
     """|eps*log|x| - amp| as eps*|log(|x|/X)|, X = exp(amp/eps) as a seed builds it.
     The ratio is taken at x's precision; ``mpf_log`` adds the bits that a ratio
     near 1 cancels, so its log and the product need only ``_ERROR_PREC`` bits."""
-    lib, r = mpmath.libmp, amp / eps
-    ratio = lib.mpf_div(x.mag._mpf_, _exp_power(r.numerator, r.denominator, x.prec)._mpf_, x.prec, "n")
+    lib = mpmath.libmp
+    ratio = lib.mpf_div(x.mag._mpf_, _image(amp, eps, x.prec), x.prec, "n")
     err = lib.mpf_mul(_rational(eps, _ERROR_PREC), lib.mpf_log(ratio, _ERROR_PREC, "n"), _ERROR_PREC, "n")
     return abs(lib.to_float(err, rnd="n"))
 

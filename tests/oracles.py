@@ -32,10 +32,14 @@ by log-sum-exp), the library's former representation, to hold its plain
 signed floats against.  Those signed floats' operations are transcribed a
 second time at mpmath's context level (``fadd`` and its kin with ``prec=``,
 ``workprec``), their former form, to hold the library's direct
-``mpmath.libmp`` calls against bit for bit.  The comparator's former row
+``mpmath.libmp`` calls against bit for bit; the q-step composed of them, a
+``SignedMag`` and a flag per operation, is the reference of the library's step
+on raw signed values, bit for bit.  A power exp(num/den) is taken from exp(1/den)
+by ``mpf_pow_int``, the former power, to hold the library's products of cached
+exp(2^j/den) against.  The comparator's former row
 error, eps*log|x| at full precision minus the amplitude (``amplitude_of``,
-also transcribed at the context level), is the reference of its error from
-the ratio to a cell's own image.  The comparator is run once per eps at
+also transcribed at the context level, both on the former power), is the
+reference of its error from the ratio to a cell's own image.  The comparator is run once per eps at
 a precision the caller fixes, unchecked, the reference its agreement search is
 held against; and its agreement search is run with every run computed in full
 before two runs are compared, the reference of the library's search, which
@@ -48,6 +52,7 @@ columns, is the reference its equality and hash are held against.
 """
 
 import csv
+import functools
 import io
 import json
 import math
@@ -83,16 +88,14 @@ from udp6.qoracle import (
     SignedMag,
     _amp_bound,
     _cancels,
-    _exp_inverse,
-    _exp_power,
     _images,
-    _nonzero,
     _rational,
     _row_error,
     default_precision,
     ls_div,
     ls_from_amplitude,
     ls_mul,
+    ls_neg,
     ls_sub,
     ls_zero,
     qp6_step,
@@ -824,6 +827,12 @@ def riccati_evolve_fractions(
     ), truncated
 
 
+def _nonzero(x: SignedMag, what: str) -> SignedMag:
+    if x.sign == 0:
+        raise PoleError(f"pole: {what} vanished")
+    return x
+
+
 def qriccati_step(p: Params, eps, m: int, y: SignedMag) -> Tuple[SignedMag, SignedMag]:
     """One step of the first-order q-map: y(t) -> (z(qt), y(qt)).
 
@@ -842,6 +851,46 @@ def qriccati_step(p: Params, eps, m: int, y: SignedMag) -> Tuple[SignedMag, Sign
         ls_mul(a3, ls_sub(z_next, b1t)), _nonzero(ls_sub(z_next, b3), "z(qt) - b3")
     )
     return z_next, y_next
+
+
+# --- the former powers and q-step: mpf_pow_int, and SignedMag operations composed ------
+
+
+@functools.lru_cache(maxsize=32)
+def _exp_inverse(den: int, prec: int) -> mpmath.mpf:
+    """exp(1/den) at ``prec`` bits: the base of the powers of denominator den."""
+    return mpmath.exp(mpmath.fdiv(1, den, prec=prec), prec=prec)
+
+
+def exp_power_by_squaring(num: int, den: int, prec: int) -> tuple:
+    """exp(num/den) = exp(1/den)^num as a raw mpf by ``mpf_pow_int``, the library's former
+    power.  The power grows the base's relative error by bitlen(num) bits, so the base has
+    bitlen(num) + 8 guard bits, rounded up to 64s; good to 2^-(prec-2) relative."""
+    base = _exp_inverse(den, prec + (num.bit_length() + 71) // 64 * 64)
+    return mpmath.libmp.mpf_pow_int(base._mpf_, num, prec, "n")
+
+
+def _half_step_by_signed_ops(u, v, c1t, c2t, c3, c4, d3, d4, names) -> SignedMag:
+    """``qp6_step``'s half-step with a SignedMag per operation, the operations those of
+    mpmath's context level below; each operation carries its own warning flag."""
+    num = mpf_ls_mul(mpf_ls_mul(d3, d4), mpf_ls_mul(mpf_ls_sub(u, c1t), mpf_ls_sub(u, c2t)))
+    den = mpf_ls_mul(
+        _nonzero(v, names[0]),
+        mpf_ls_mul(_nonzero(mpf_ls_sub(u, c3), names[1]), _nonzero(mpf_ls_sub(u, c4), names[2])),
+    )
+    return mpf_ls_div(num, den)
+
+
+def qp6_step_by_signed_ops(p: Params, eps, m: int, y: SignedMag, z: SignedMag) -> Tuple[SignedMag, SignedMag]:
+    """``qp6_step`` composed of SignedMag operations, its former form: the reference of
+    the library's step on raw signed values, bit for bit, flags and pole messages included."""
+    prec = min(y.prec, z.prec)
+    a3, a4, b3, b4, *factors = _images(p, eps, prec)
+    t = ls_from_amplitude(1, m * p.q, eps, prec)
+    a1t, a2t, b1t, b2t = (mpf_ls_mul(t, c) for c in factors)
+    z_next = _half_step_by_signed_ops(y, z, a1t, a2t, a3, a4, b3, b4, ("z(t)", "y - a3", "y - a4"))
+    y_next = _half_step_by_signed_ops(z_next, y, b1t, b2t, b3, b4, a3, a4, ("y(t)", "z(qt) - b3", "z(qt) - b4"))
+    return y_next, z_next
 
 
 # --- the comparator's former row error: eps*log|x| at full precision, minus the amplitude
@@ -868,7 +917,7 @@ def _log_abs(x: SignedMag) -> tuple:
     else:
         with mpmath.workprec(e.bit_length() + 64):
             k = int(mpmath.nint(log_m + e * mpmath.ln2))
-    r = lib.mpf_div(x.mag._mpf_, _exp_power(k, 1, prec)._mpf_, prec, "n")
+    r = lib.mpf_div(x.mag._mpf_, exp_power_by_squaring(k, 1, prec), prec, "n")
     _, man, exp, bc = lib.mpf_sub(r, lib.fone, prec, "n")
     log_r = lib.mpf_log(r, prec + 8 + (exp + bc if man else 0), "n")
     return lib.mpf_add(log_r, lib.from_int(k), prec, "n")
@@ -1104,14 +1153,19 @@ def mpf_ls_add(x: SignedMag, y: SignedMag) -> SignedMag:
     prec = min(x.prec, y.prec)
     warn = x.warn or y.warn
     if x.sign == 0 or y.sign == 0:
-        return (y if x.sign == 0 else x)._replace(prec=prec, warn=warn)
+        nonzero = y if x.sign == 0 else x
+        return SignedMag(nonzero.sign, mpmath.fadd(nonzero.mag, 0, prec=prec), prec, warn)
     if x.sign == y.sign:
         return SignedMag(x.sign, mpmath.fadd(x.mag, y.mag, prec=prec), prec, warn)
     hi, lo = (x, y) if x.mag >= y.mag else (y, x)
     if hi.mag == lo.mag:
         return ls_zero(prec, warn=True)
     diff = mpmath.fsub(hi.mag, lo.mag, prec=prec)
-    return SignedMag(hi.sign, diff, prec, warn or _cancels(hi.mag, lo.mag, diff, prec))
+    return SignedMag(hi.sign, diff, prec, warn or _cancels(hi.mag._mpf_, lo.mag._mpf_, diff._mpf_, prec))
+
+
+def mpf_ls_sub(x: SignedMag, y: SignedMag) -> SignedMag:
+    return mpf_ls_add(x, ls_neg(y))
 
 
 def mpf_ls_mul(x: SignedMag, y: SignedMag) -> SignedMag:

@@ -28,6 +28,7 @@ from udp6.qoracle import (
     ls_zero,
     qp6_step,
     _amp_bound,
+    _exp_power,
     _images,
     _row_error,
     ud_limit_compare,
@@ -43,6 +44,7 @@ from oracles import (
     compare_at_fixed_precision,
     compare_by_full_runs,
     dump_params,
+    exp_power_by_squaring,
     gauge,
     log_amplitude_of,
     log_from_amplitude,
@@ -51,9 +53,11 @@ from oracles import (
     mpf_ls_add,
     mpf_ls_div,
     mpf_ls_mul,
+    mpf_ls_sub,
     pair_columns,
     pair_table,
     painleve_failures_per_index,
+    qp6_step_by_signed_ops,
     qriccati_step,
     scale,
 )
@@ -97,10 +101,21 @@ def test_signed_mag_checks_and_replace_keeps_the_type():
         with pytest.raises(ValueError, match="precision at least 2 bits"):
             SignedMag(sign, mpmath.mpf(1), prec)
     assert SignedMag(0, mpmath.mpf(0), 2) == (0, 0, 2, False)
-    # ls_add returns the nonzero operand through _replace, at the lower precision
+    # ls_add returns the nonzero operand as a SignedMag, at the lower precision
     x = mk(-1, 3, prec=512)
     out = ls_add(ls_zero(256, warn=True), x)
     assert type(out) is SignedMag and out == (-1, x.mag, 256, True)
+
+
+def test_zero_operand_rounds_the_other_to_the_common_precision(rng):
+    # a SignedMag's mag is rounded to its prec: adding an exact zero at 256 bits
+    # to a 512-bit mantissa rounds it to 256 bits, whichever side the zero is on
+    x = SignedMag(-1, _rounded(rng, 512, 5), 512)
+    want = mpmath.libmp.mpf_pos(x.mag._mpf_, 256, "n")
+    assert x.mag._mpf_[3] > 256 and want[3] <= 256
+    zero = ls_zero(256)
+    for out in (ls_add(zero, x), ls_add(x, zero), ls_sub(x, zero), ls_sub(zero, ls_neg(x))):
+        assert (out.sign, out.mag._mpf_, out.prec, out.warn) == (-1, want, 256, False)
 
 
 def test_ls_mul_and_div():
@@ -176,6 +191,33 @@ def test_ls_from_amplitude_matches_exp(rng, prec):
             amp_mpf = mpmath.mpf(amp.numerator) / amp.denominator
             back = abs(amplitude_of(got, eps) - amp_mpf)
             assert back <= mpmath.ldexp(max(1, abs(amp_mpf)), -(prec - 4)), (amp, eps)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bits=st.integers(0, 1400),
+    negative=st.booleans(),
+    den=st.one_of(st.sampled_from([1, 2, 3, 7, 10**6]), st.integers(1, 10**6)),
+    prec=st.sampled_from([64, 65, 100, 256, 1024, 4096]),
+)
+@example(seed=0, bits=1400, negative=True, den=10**6, prec=4096)
+@example(seed=0, bits=1, negative=False, den=1, prec=64)
+def test_tabulated_power_is_good_to_its_bound(seed, bits, negative, den, prec):
+    # _exp_power multiplies cached exp(2^j/den) over the set bits of num: within
+    # 2^-(prec-1) of exp(num/den), and so within 2^-(prec-1) + 2^-(prec-2) of the
+    # former mpf_pow_int power; num has ``bits`` bits, 0 to 1,400
+    num = random.Random(seed).getrandbits(bits) | (1 << bits >> 1)
+    num = -num if negative else num
+    got = _exp_power(num, den, prec)
+    assert got[3] <= prec and (got == mpmath.libmp.fone) == (num == 0)
+    wp = prec + bits + 64
+    exact = mpmath.exp(mpmath.fdiv(num, den, prec=wp), prec=wp)
+    with mpmath.workprec(wp):
+        got = mpmath.mp.make_mpf(got)
+        assert rel_err(got, exact) <= mpmath.ldexp(1, -(prec - 1))
+        former = mpmath.mp.make_mpf(exp_power_by_squaring(num, den, prec))
+        assert rel_err(got, former) <= mpmath.ldexp(3, -prec)
 
 
 def _flag_by_two_logs(hi, lo, prec):
@@ -255,7 +297,7 @@ def test_libmp_operations_equal_context_level_oracle_bit_for_bit(seed, prec):
     x, y = _operands(rng, prec)
     ops = (
         (ls_add, mpf_ls_add),
-        (ls_sub, lambda u, v: mpf_ls_add(u, ls_neg(v))),
+        (ls_sub, mpf_ls_sub),
         (ls_mul, mpf_ls_mul),
         (ls_div, mpf_ls_div),
     )
@@ -373,6 +415,94 @@ def test_plain_step_agrees_with_log_domain_oracle(seed, eps, prec, near):
             with mpmath.workprec(prec):
                 gap = abs(amplitude_of(got, eps) - log_amplitude_of(ref, eps))
                 assert gap < mpmath.ldexp(scale, -(prec // 2))
+
+
+_NEAR = (None, "a3", "a4", "on a3", "b3", "b4", "t b1", "zero y", "zero z")
+
+
+def _z_for_landing(p, eps, m, y, target, prec, bits, j):
+    """z at ``bits`` bits such that z' = target * (1 + 2^-j) but for the step's
+    rounding at ``prec`` bits: so z' - target nearly cancels in the y-half-step."""
+    a3, a4, b3, b4, a1, a2, b1, b2 = (c.mag for c in _images(p, eps, prec))
+    t = ls_from_amplitude(1, m * p.q, eps, prec).mag
+    with mpmath.workprec(4 * prec + 64):
+        yv = y.sign * y.mag
+        if yv in (a3, a4):
+            return None
+        aim = {"b3": b3, "b4": b4, "t b1": t * b1}[target] * (1 + mpmath.ldexp(1, -j))
+        zv = b3 * b4 * (yv - t * a1) * (yv - t * a2) / ((yv - a3) * (yv - a4) * aim)
+        if not zv:
+            return None
+        with mpmath.workprec(bits):
+            return SignedMag(1 if zv > 0 else -1, +abs(zv), bits, False)
+
+
+def _step_case(rng, p, eps, prec, near, z_bits):
+    """(m, y, z) of one step: random seeds, or y just above a3 or a4 (so y - a3 or
+    y - a4 nearly cancels), y on a3 (a pole), z chosen so that z' lands just off
+    b3, b4 or t b1 (so the y-half-step alone nearly cancels), or an exact zero;
+    z at ``z_bits`` bits, and a warning on either input now and then."""
+    m = rng.randint(-3, 3)
+    ys, zs = rng.choice((1, -1)), rng.choice((1, -1))
+    ya, za = F(rng.randint(-150, 150), rng.randint(1, 3)), F(rng.randint(-150, 150))
+    j = rng.randint(max(1, prec // 2 - 40), prec // 2 + 40)
+    if near in ("a3", "a4"):
+        ys, ya = 1, getattr(p, near) + F(1, 2**j)
+    elif near == "on a3":
+        ys, ya = 1, p.a3
+    y = ls_zero(prec) if near == "zero y" else ls_from_amplitude(ys, ya, eps, prec)
+    z = ls_zero(z_bits) if near == "zero z" else ls_from_amplitude(zs, za, eps, z_bits)
+    if near in ("b3", "b4", "t b1"):
+        z = _z_for_landing(p, eps, m, y, near, min(prec, z_bits), z_bits, j) or z
+    flags = (rng.random() < 0.15, rng.random() < 0.15)
+    return m, y._replace(warn=flags[0]), z._replace(warn=flags[1])
+
+
+def _step_outcome(step, p, eps, m, y, z):
+    """The bits of both results of a step, flags included, or its pole message."""
+    try:
+        return tuple(_bits(v) for v in step(p, eps, m, y, z))
+    except PoleError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    eps=st.sampled_from([F(1), F(1, 2), F(1, 3), F(1, 4), F(2, 7)]),
+    prec=st.sampled_from([64, 256, 512]),
+    near=st.sampled_from(_NEAR),
+    z_scale=st.sampled_from([F(1), F(1, 2), F(2)]),
+)
+def test_raw_step_equals_signed_operations_bit_for_bit(seed, eps, prec, near, z_scale):
+    # qp6_step on raw signed mpfs against its former form, a SignedMag per
+    # operation (tests/oracles.py): equal signs, raw mags, precisions and flags,
+    # or equal pole messages; y and z at equal or different precisions
+    rng = random.Random(seed)
+    p = random_constrained_params(rng, -100, 100, (1, 100))
+    m, y, z = _step_case(rng, p, eps, prec, near, int(prec * z_scale))
+    assert _step_outcome(qp6_step, p, eps, m, y, z) == _step_outcome(qp6_step_by_signed_ops, p, eps, m, y, z)
+
+
+def test_step_cases_reach_every_flag_and_pole():
+    # the cases of the bit-for-bit test reach each way a step can end: a warning
+    # from the y-half-step alone, one from the z-half-step, none, and every pole
+    rng, seen = random.Random(7), Counter()
+    for i in range(400):
+        p = random_constrained_params(rng, -100, 100, (1, 100))
+        eps, prec = rng.choice((F(1), F(1, 2), F(1, 3))), rng.choice((64, 256))
+        near = _NEAR[i % len(_NEAR)]
+        m, y, z = _step_case(rng, p, eps, prec, near, prec)
+        if y.warn or z.warn:
+            continue
+        out = _step_outcome(qp6_step, p, eps, m, y, z)
+        if isinstance(out, str):
+            seen[out] += 1
+        else:
+            (_, _, _, warn_y), (_, _, _, warn_z) = out
+            seen["y-half warns alone" if warn_y and not warn_z else "z-half warns" if warn_z else "no warning"] += 1
+    assert {"y-half warns alone", "z-half warns", "no warning", "pole: z(t) vanished",
+            "pole: y - a3 vanished", "pole: y(t) vanished"} <= set(seen), seen
 
 
 @pytest.mark.parametrize("prec", [64, 256, 1024])
