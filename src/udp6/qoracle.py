@@ -3,10 +3,14 @@ arbitrary-precision arithmetic, and the ultradiscretization comparator.
 
 Values of the q-system scale like exp(X/eps), far beyond hardware floats, but an
 mpmath float's binary exponent is an unbounded int that cannot overflow, so each
-value is a plain ``sign * mag``.  A power exp(num/den), as a seed exp(amp/eps) needs,
-is a product of cached exp(2^j/den) over the set bits of num.  A step takes one such
-power, t = exp(mQ/eps), and one lookup of ``_images``, the images exp(A/eps) cached
-per (params, eps, prec): a3, a4, b3, b4 enter as they are and a1, a2, b1, b2 times t.
+value is a plain ``sign * mag``.  A power exp(num/den) is a product of cached
+exp(2^j/den) over the set bits of num.  A comparator run, one eps at one precision,
+builds its images by running products along the window: each cell's exp(V_m/eps) and
+each step's t = exp(mQ/eps) is the one before times the run's cached power of the
+amplitude step between them, so an affine stretch costs one multiplication an image.
+A step takes its t and one lookup of ``_images``, the images exp(A/eps) and the
+products b3 b4 and a3 a4 cached per (params, eps, prec): a3, a4, b3, b4 enter as
+they are and a1, a2, b1, b2 times t.
 ``qp6_step`` takes and returns ``SignedMag``s but computes on ``mpmath.libmp``'s raw
 signed values, rounding to nearest at ``prec`` bits, as mpmath's ``fadd(..., prec=prec)``
 and its kin do; rounding to nearest is symmetric, so a signed result has the bits of
@@ -20,9 +24,9 @@ The comparator seeds the q-system from a max-plus table via
 ``value = sign * exp(amplitude/eps)``, evolves it forward, and reports the
 amplitude error ``|eps*log|v| - V_m|`` and sign agreement per (m, eps); as
 eps decreases the errors must shrink.  No convergence rate is asserted.  The
-error is eps*|log(|v|/X)|, X = exp(V_m/eps) the cell's own q-image, built by
-the power that builds a seed; so a seed row's error is exactly 0.0 at every
-precision, whether or not V/eps is an int.
+error is eps*|log(|v|/X)|, X = exp(V_m/eps) the run's image of the cell, and a
+seed is its sign times its cell's X; so a seed row's error is exactly 0.0 at
+every precision, whether or not V/eps is an int.
 
 The working precision of each eps is always chosen by agreement (Ziv's
 strategy), and no caller can fix it: the run starts at 256 bits and is
@@ -48,7 +52,7 @@ import math
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, Iterator, List, NamedTuple, Tuple, Union
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .evolution import painleve_failures
 from .system import Params, parse_rational, require_unsigned
@@ -110,34 +114,63 @@ def ls_zero(prec: int, warn: bool = False) -> SignedMag:
 @functools.lru_cache(maxsize=32)
 def _exp_table(den: int, wp: int) -> list:
     """exp(2^j/den) for j = 0, 1, ... as raw mpfs at ``wp`` bits, each entry the
-    square of the one before; ``_exp_power`` appends the entries it needs."""
+    square of the one before; ``_exp_product`` appends the entries it needs."""
     lib = mpmath.libmp
     return [lib.mpf_exp(lib.from_rational(1, den, wp, "n"), wp, "n")]
 
 
-def _exp_power(num: int, den: int, prec: int) -> tuple:
-    """exp(num/den) as a raw mpf: the product of the table's exp(2^j/den) over the
-    set bits j of n = |num| at wp bits, rounded to ``prec`` bits once (for num < 0,
-    its reciprocal is).  Guard bits: wp - prec is bitlen(n) + 8 rounded up to 64s.
-    Error, relative, with u = 2^-wp: entry 0 is good to 3u, and a square doubles an
-    error and adds u, so entry j is good to 2^(j+2) u and the product to
-    (4n + bitlen(n)) u < 2^(bitlen(n)+3) u <= 2^-(prec+5); the rounding adds
-    2^-prec, so the power is good to 2^-(prec-1)."""
-    lib, n = mpmath.libmp, abs(num)
+def _exp_product(n: int, den: int, wp: int) -> tuple:
+    """exp(n/den), n >= 0, as a raw mpf at ``wp`` bits: the product of the table's
+    exp(2^j/den) over the set bits j of n.  Error, relative, with u = 2^-wp: entry 0
+    is good to 3u, and a square doubles an error and adds u, so entry j is good to
+    2^(j+2) u and the product to (4n + bitlen(n)) u < 2^(bitlen(n)+3) u."""
+    lib = mpmath.libmp
     if not n:
         return lib.fone
-    wp = prec + (n.bit_length() + 71) // 64 * 64
     table = _exp_table(den, wp)
     while len(table) < n.bit_length():
         table.append(lib.mpf_mul(table[-1], table[-1], wp, "n"))
     product, *rest = (e for e, bit in zip(table, reversed(format(n, "b"))) if bit == "1")
     for e in rest:
         product = lib.mpf_mul(product, e, wp, "n")
+    return product
+
+
+def _exp_power(num: int, den: int, prec: int) -> tuple:
+    """exp(num/den) as a raw mpf: ``_exp_product`` of n = |num| at wp bits, rounded
+    to ``prec`` bits once (for num < 0, its reciprocal is).  Guard bits: wp - prec
+    is bitlen(n) + 8 rounded up to 64s, so the product is good to 2^-(prec+5); the
+    rounding adds 2^-prec, so the power is good to 2^-(prec-1)."""
+    lib, n = mpmath.libmp, abs(num)
+    product = _exp_product(n, den, prec + (n.bit_length() + 71) // 64 * 64)
     return lib.mpf_div(lib.fone, product, prec, "n") if num < 0 else lib.mpf_pos(product, prec, "n")
 
 
+def _run_images(amps, eps: Fraction, prec: int) -> Iterator[tuple]:
+    """exp(a_k/eps) for the a_k of ``amps`` in turn as raw mpfs: X_k = X_(k-1) exp(d_k/eps)
+    at wp bits, X_(-1) = 1, d_k = a_k - a_(k-1), a_(-1) = 0, rounded to ``prec`` bits once;
+    one ``_exp_product`` per distinct d, cached for the run, and a negative d divides.
+    Guard bits: wp - prec is b + bitlen(L) + 9 rounded up to 64s, b the largest bitlen
+    of a numerator of d/eps, L = len(amps).  Error, relative, with u = 2^-wp: a power
+    is good to (2^(b+2) + b) u, its product or quotient adds u, so X_k, k + 1 factors,
+    is good to (k+1) 2^(b+3) u <= 2^-(prec+6) to first order, 2^-(prec+5) in all; the
+    rounding adds 2^-prec, so each image is good to 2^-(prec-1), as ``_exp_power``."""
+    lib = mpmath.libmp
+    steps = [b - a for a, b in zip((0, *amps), amps)]
+    ratios = {d: d / eps for d in set(steps)}
+    bits = max(abs(r.numerator).bit_length() for r in ratios.values())
+    wp = prec + (bits + len(amps).bit_length() + 72) // 64 * 64
+    powers, x = {}, lib.fone
+    for d in steps:
+        if d not in powers:
+            powers[d] = _exp_product(abs(ratios[d].numerator), ratios[d].denominator, wp)
+        x = (lib.mpf_div if d < 0 else lib.mpf_mul)(x, powers[d], wp, "n")
+        yield lib.mpf_pos(x, prec, "n")
+
+
 def _image(amp, eps, prec: int) -> tuple:
-    """exp(amp/eps) as a raw mpf: a seed's, t's and a row error's X's one construction."""
+    """exp(amp/eps) as a raw mpf by one power: ``ls_from_amplitude``'s, the parameter
+    images' and the t of a step that is given none."""
     # the comparator's eps is a Fraction already: one division, no conversion
     r = amp / (eps if type(eps) is Fraction else Fraction(eps))
     return _exp_power(r.numerator, r.denominator, prec)
@@ -145,9 +178,14 @@ def _image(amp, eps, prec: int) -> tuple:
 
 def ls_from_amplitude(sign: int, amp, eps, prec: int) -> SignedMag:
     """The q-side image of a parity pair: sign * exp(amp/eps)."""
+    return _signed_image(sign, _image(amp, eps, prec), prec)
+
+
+def _signed_image(sign: int, image: tuple, prec: int) -> SignedMag:
+    """sign * image, a raw positive mpf at ``prec`` bits, for a parity's sign, +1 or -1."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return SignedMag(sign, mpmath.mp.make_mpf(_image(amp, eps, prec)), prec)
+    return SignedMag(sign, mpmath.mp.make_mpf(image), prec)
 
 
 def _rational(r: Fraction, prec: int) -> tuple:
@@ -235,11 +273,13 @@ def default_precision(eps, amp_bound) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def _images(p: Params, eps, prec: int) -> Tuple[SignedMag, ...]:
-    """exp(A/eps) for A = a3, a4, b3, b4, a1, a2, b1, b2, built once per key after the parameter check."""
+def _images(p: Params, eps, prec: int) -> tuple:
+    """The raw images exp(A/eps) of A = a3, a4, b3, b4, the tuple of those of a1, a2,
+    b1, b2, then the products b3 b4 and a3 a4, built once per key after the parameter check."""
     require_unsigned(p)
-    amps = (p.a3, p.a4, p.b3, p.b4, p.a1, p.a2, p.b1, p.b2)
-    return tuple(ls_from_amplitude(1, amp, eps, prec) for amp in amps)
+    a3, a4, b3, b4, *factors = (_image(amp, eps, prec) for amp in (p.a3, p.a4, p.b3, p.b4, p.a1, p.a2, p.b1, p.b2))
+    mul = mpmath.libmp.mpf_mul
+    return a3, a4, b3, b4, tuple(factors), mul(b3, b4, prec, "n"), mul(a3, a4, prec, "n")
 
 
 def _half_step(u, v, c1t, c2t, c3, c4, d34, prec: int, names) -> Tuple[tuple, bool]:
@@ -258,7 +298,7 @@ def _half_step(u, v, c1t, c2t, c3, c4, d34, prec: int, names) -> Tuple[tuple, bo
 
 
 def qp6_step(
-    p: Params, eps, m: int, y: SignedMag, z: SignedMag
+    p: Params, eps, m: int, y: SignedMag, z: SignedMag, t: Optional[tuple] = None
 ) -> Tuple[SignedMag, SignedMag]:
     """One step of the q-Painleve VI map at t = q^m: (y, z) -> (y', z').
 
@@ -268,18 +308,19 @@ def qp6_step(
     The parameter constraint is checked exactly where the parameter images are
     built.  Poles raise; cancellation warnings propagate into the results: z'
     carries the inputs' and its own half-step's, and y' those and its own.
+    ``t`` is the comparator's: a run passes its own image of exp(mQ/eps), a raw
+    mpf at the inputs' precision, and without it the step takes that power.
     """
     prec = min(y.prec, z.prec)
     mul = mpmath.libmp.mpf_mul
-    a3, a4, b3, b4, *factors = (c.mag._mpf_ for c in _images(p, eps, prec))
-    t = _image(m * p.q, eps, prec)
+    a3, a4, b3, b4, factors, b34, a34 = _images(p, eps, prec)
+    if t is None:
+        t = _image(m * p.q, eps, prec)
     a1t, a2t, b1t, b2t = (mul(t, c, prec, "n") for c in factors)
     yv = _signed(y)
-    z_next, cancelled = _half_step(
-        yv, _signed(z), a1t, a2t, a3, a4, mul(b3, b4, prec, "n"), prec, ("z(t)", "y - a3", "y - a4"))
+    z_next, cancelled = _half_step(yv, _signed(z), a1t, a2t, a3, a4, b34, prec, ("z(t)", "y - a3", "y - a4"))
     warn = y.warn or z.warn or cancelled
-    y_next, cancelled = _half_step(
-        z_next, yv, b1t, b2t, b3, b4, mul(a3, a4, prec, "n"), prec, ("y(t)", "z(qt) - b3", "z(qt) - b4"))
+    y_next, cancelled = _half_step(z_next, yv, b1t, b2t, b3, b4, a34, prec, ("y(t)", "z(qt) - b3", "z(qt) - b4"))
     return _signed_mag(y_next, prec, warn or cancelled), _signed_mag(z_next, prec, warn)
 
 
@@ -373,13 +414,14 @@ def _amp_bound(p: Params, table: SolutionTable, window: Tuple[int, int]) -> Frac
 _ERROR_PREC = 128
 
 
-def _row_error(x: SignedMag, amp, eps: Fraction) -> float:
-    """|eps*log|x| - amp| as eps*|log(|x|/X)|, X = exp(amp/eps) as a seed builds it.
-    The ratio is taken at x's precision; ``mpf_log`` adds the bits that a ratio
+def _row_error(x: SignedMag, image: tuple, eps: tuple) -> float:
+    """|eps*log|x| - amp| as eps*|log(|x|/X)|, X = ``image``, the run's raw image
+    exp(amp/eps) of the cell at x's precision, and ``eps`` a raw mpf at ``_ERROR_PREC``
+    bits.  The ratio is taken at x's precision; ``mpf_log`` adds the bits that a ratio
     near 1 cancels, so its log and the product need only ``_ERROR_PREC`` bits."""
     lib = mpmath.libmp
-    ratio = lib.mpf_div(x.mag._mpf_, _image(amp, eps, x.prec), x.prec, "n")
-    err = lib.mpf_mul(_rational(eps, _ERROR_PREC), lib.mpf_log(ratio, _ERROR_PREC, "n"), _ERROR_PREC, "n")
+    ratio = lib.mpf_div(x.mag._mpf_, image, x.prec, "n")
+    err = lib.mpf_mul(eps, lib.mpf_log(ratio, _ERROR_PREC, "n"), _ERROR_PREC, "n")
     return abs(lib.to_float(err, rnd="n"))
 
 
@@ -390,35 +432,33 @@ def _compare_rows(
     computed when it is read; a pole or an exact zero ends them with a
     ``CompareAbort``.  Past the seed row, a row can raise nothing but the
     ``PoleError`` caught here, so a run read only in part hides no exception
-    of a full run."""
+    of a full run.  The cells' images X and the steps' t come from ``_run_images``,
+    and a seed is its sign times its cell's X."""
     lo, hi = window
-    m_lo, sy, ay, sz, az = table.m_lo, table.sy, table.ay, table.sz, table.az
-    y = ls_from_amplitude(sy[lo - m_lo], ay[lo - m_lo], eps, prec)
-    z = ls_from_amplitude(sz[lo - m_lo], az[lo - m_lo], eps, prec)
+    m_lo, sy, sz = table.m_lo, table.sy, table.sz
+    i, j = lo - m_lo, hi + 1 - m_lo
+    images = zip(_run_images(table.ay[i:j], eps, prec), _run_images(table.az[i:j], eps, prec))
+    ts = _run_images([m * p.q for m in range(lo, hi + 1)], eps, prec)
+    eps_bits = _rational(eps, _ERROR_PREC)
+    x_y, x_z = next(images)
+    y, z = _signed_image(sy[i], x_y, prec), _signed_image(sz[i], x_z, prec)
 
-    def row(m: int, y: SignedMag, z: SignedMag) -> CompareRow:
-        i = m - m_lo
-        return CompareRow(
-            m=m,
-            eps=eps,
-            err_y=_row_error(y, ay[i], eps),
-            err_z=_row_error(z, az[i], eps),
-            sign_ok_y=y.sign == sy[i],
-            sign_ok_z=z.sign == sz[i],
-            warned=y.warn or z.warn,
-        )
+    def row(m: int, y: SignedMag, z: SignedMag, x_y: tuple, x_z: tuple) -> CompareRow:
+        k = m - m_lo
+        return CompareRow(m, eps, _row_error(y, x_y, eps_bits), _row_error(z, x_z, eps_bits),
+                          y.sign == sy[k], z.sign == sz[k], y.warn or z.warn)
 
-    yield row(lo, y, z)
-    for m in range(lo, hi):
+    yield row(lo, y, z, x_y, x_z)
+    for m, t, (x_y, x_z) in zip(range(lo, hi), ts, images):
         try:
-            y, z = qp6_step(p, eps, m, y, z)
+            y, z = qp6_step(p, eps, m, y, z, t)
         except PoleError as exc:
             yield CompareAbort(eps=eps, m=m, reason=str(exc))
             return
         if y.sign == 0 or z.sign == 0:
             yield CompareAbort(eps=eps, m=m, reason="exact cancellation to zero")
             return
-        yield row(m + 1, y, z)
+        yield row(m + 1, y, z, x_y, x_z)
 
 
 def _settled(run: Iterable, last: Iterable, prec: int, scale: float) -> bool:

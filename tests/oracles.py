@@ -79,6 +79,7 @@ from udp6.evolution import (
 )
 from udp6.families import AffineFit, Condition, LinearAnsatz, LinearityReport, _holds_on
 from udp6.qoracle import (
+    _ERROR_PREC,
     _START_PRECISION,
     CompareAbort,
     CompareReport,
@@ -88,6 +89,7 @@ from udp6.qoracle import (
     SignedMag,
     _amp_bound,
     _cancels,
+    _image,
     _images,
     _rational,
     _row_error,
@@ -827,6 +829,13 @@ def riccati_evolve_fractions(
     ), truncated
 
 
+def signed_images(p: Params, eps, prec: int) -> Tuple[SignedMag, ...]:
+    """The library's cached parameter images as SignedMags: exp(A/eps) for A = a3,
+    a4, b3, b4, a1, a2, b1, b2."""
+    a3, a4, b3, b4, factors, _, _ = _images(p, eps, prec)
+    return tuple(SignedMag(1, mpmath.mp.make_mpf(v), prec) for v in (a3, a4, b3, b4, *factors))
+
+
 def _nonzero(x: SignedMag, what: str) -> SignedMag:
     if x.sign == 0:
         raise PoleError(f"pole: {what} vanished")
@@ -842,7 +851,7 @@ def qriccati_step(p: Params, eps, m: int, y: SignedMag) -> Tuple[SignedMag, Sign
     require_riccati_conditions(p)
     eps = Fraction(eps)
     prec = y.prec
-    a3, a4, b3, b4, *_ = _images(p, eps, prec)
+    a3, a4, b3, b4, *_ = signed_images(p, eps, prec)
     a2t = ls_from_amplitude(1, m * p.q + p.a2, eps, prec)
     b1t = ls_from_amplitude(1, m * p.q + p.b1, eps, prec)
 
@@ -885,7 +894,7 @@ def qp6_step_by_signed_ops(p: Params, eps, m: int, y: SignedMag, z: SignedMag) -
     """``qp6_step`` composed of SignedMag operations, its former form: the reference of
     the library's step on raw signed values, bit for bit, flags and pole messages included."""
     prec = min(y.prec, z.prec)
-    a3, a4, b3, b4, *factors = _images(p, eps, prec)
+    a3, a4, b3, b4, *factors = signed_images(p, eps, prec)
     t = ls_from_amplitude(1, m * p.q, eps, prec)
     a1t, a2t, b1t, b2t = (mpf_ls_mul(t, c) for c in factors)
     z_next = _half_step_by_signed_ops(y, z, a1t, a2t, a3, a4, b3, b4, ("z(t)", "y - a3", "y - a4"))
@@ -934,17 +943,26 @@ def amplitude_error(x: SignedMag, amp, eps: Fraction) -> float:
 
 # --- the comparator by full runs -----------------------------------------------------
 
+
+def image_row_error(x: SignedMag, amp, eps: Fraction) -> float:
+    """The library's row error with the cell's image X = exp(amp/eps) built by its own
+    power, ``_image``, one per row, in place of the run's running product."""
+    return _row_error(x, _image(amp, eps, x.prec), _rational(eps, _ERROR_PREC))
+
+
 # rows and aborts of one eps at one working precision
 _Run = Tuple[Tuple[CompareRow, ...], Tuple[CompareAbort, ...]]
 
 
 def _compare_run(
     p: Params, table: SolutionTable, eps: Fraction, window: Tuple[int, int], prec: int,
-    error: Callable[[SignedMag, Fraction, Fraction], float] = _row_error,
+    error: Callable[[SignedMag, Fraction, Fraction], float] = image_row_error,
 ) -> _Run:
     """Rows and aborts of one eps at one working precision, every row computed
     before the run returns; a row's errors are ``error(value, amplitude, eps)``,
-    the library's row error unless a caller passes another."""
+    the library's row error on a per-row image unless a caller passes another.
+    Each image, seeds included, is one power and each step takes its own t, so
+    these runs are a reference of the library's running products."""
     lo, hi = window
     y = ls_from_amplitude(table.y(lo).sign, table.y(lo).amp, eps, prec)
     z = ls_from_amplitude(table.z(lo).sign, table.z(lo).amp, eps, prec)

@@ -1,7 +1,10 @@
+import importlib.util
+import itertools
 import math
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -28,9 +31,10 @@ from udp6.qoracle import (
     ls_zero,
     qp6_step,
     _amp_bound,
+    _compare_rows,
     _exp_power,
     _images,
-    _row_error,
+    _run_images,
     ud_limit_compare,
 )
 from udp6.system import ParityPair, Params, random_constrained_params
@@ -60,6 +64,7 @@ from oracles import (
     qp6_step_by_signed_ops,
     qriccati_step,
     scale,
+    signed_images,
 )
 
 F = Fraction
@@ -218,6 +223,61 @@ def test_tabulated_power_is_good_to_its_bound(seed, bits, negative, den, prec):
         assert rel_err(got, exact) <= mpmath.ldexp(1, -(prec - 1))
         former = mpmath.mp.make_mpf(exp_power_by_squaring(num, den, prec))
         assert rel_err(got, former) <= mpmath.ldexp(3, -prec)
+
+
+def _run_wp(amps, eps, prec):
+    """The working precision of ``_run_images`` on ``amps``, by its docstring's rule."""
+    bits = max(abs((d / eps).numerator).bit_length() for d in {b - a for a, b in zip((0, *amps), amps)})
+    return prec + (bits + len(amps).bit_length() + 72) // 64 * 64
+
+
+def _power_wp(r, prec):
+    """The working precision of ``_exp_power`` on exp(r), by its docstring's rule."""
+    return prec + (abs(r.numerator).bit_length() + 71) // 64 * 64
+
+
+def _column(rng, length, affine, fractions, bits):
+    """``length`` amplitudes of up to ``bits`` bits, either sign, ints or Fractions
+    with denominators up to 12, affine or drawn one by one."""
+    def amp():
+        n = rng.randint(-(1 << bits), 1 << bits)
+        return F(n, rng.randint(1, 12)) if fractions else n
+
+    if affine:
+        a0, d = amp(), amp()
+        return [a0 + k * d for k in range(length)]
+    return [amp() for _ in range(length)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    length=st.one_of(st.integers(1, 40), st.integers(1, 4096)),
+    affine=st.booleans(),
+    fractions=st.booleans(),
+    bits=st.integers(0, 100),
+    eps=st.sampled_from((F(1), F(1, 3), F(2, 7), F(1, 10**6))),
+    prec=st.sampled_from((64, 256, 1024)),
+)
+# guard bits across a 64-bit step: the run's are 50 + bitlen(100) + 9 -> 128 and
+# the first image's power's 50 + 8 -> 64, so the run works at 64 bits more
+@example(seed=0, length=100, affine=True, fractions=False, bits=50, eps=F(1), prec=256)
+@example(seed=1, length=4096, affine=True, fractions=True, bits=20, eps=F(2, 7), prec=256)
+def test_run_images_are_good_to_the_powers_bound(seed, length, affine, fractions, bits, eps, prec):
+    # a running product X_k = X_(k-1) * exp((a_k - a_(k-1))/eps) at the run's wp:
+    # each image within 2^-(prec-1) of exp(a_k/eps), taken at wp + 64 bits, and so
+    # within 3 * 2^-prec of _exp_power's, each rounded alike to prec bits
+    amps = _column(random.Random(seed), length, affine, fractions, bits)
+    images = list(_run_images(amps, eps, prec))
+    assert len(images) == length
+    with mpmath.workprec(_run_wp(amps, eps, prec) + 64):
+        for amp, image in zip(amps, images):
+            r = amp / eps
+            got = mpmath.mp.make_mpf(image)
+            assert image[3] <= prec and got > 0
+            assert rel_err(got, mpmath.exp(mpmath.fdiv(r.numerator, r.denominator))) <= mpmath.ldexp(1, -(prec - 1))
+            power = mpmath.mp.make_mpf(_exp_power(r.numerator, r.denominator, prec))
+            assert rel_err(got, power) <= mpmath.ldexp(3, -prec), (amp, eps)
 
 
 def _flag_by_two_logs(hi, lo, prec):
@@ -423,7 +483,7 @@ _NEAR = (None, "a3", "a4", "on a3", "b3", "b4", "t b1", "zero y", "zero z")
 def _z_for_landing(p, eps, m, y, target, prec, bits, j):
     """z at ``bits`` bits such that z' = target * (1 + 2^-j) but for the step's
     rounding at ``prec`` bits: so z' - target nearly cancels in the y-half-step."""
-    a3, a4, b3, b4, a1, a2, b1, b2 = (c.mag for c in _images(p, eps, prec))
+    a3, a4, b3, b4, a1, a2, b1, b2 = (c.mag for c in signed_images(p, eps, prec))
     t = ls_from_amplitude(1, m * p.q, eps, prec).mag
     with mpmath.workprec(4 * prec + 64):
         yv = y.sign * y.mag
@@ -511,7 +571,7 @@ def test_t_images_are_one_power_times_cached_factors(p42, prec):
     # a1, a2, b1, b2; each product is the direct image exp((mQ + A)/eps) to 2^-(prec-4)
     amps = (p42.a1, p42.a2, p42.b1, p42.b2)
     for eps in (F(1), F(1, 2), F(1, 3), F(1, 8)):
-        factors = _images(p42, eps, prec)[4:]
+        factors = signed_images(p42, eps, prec)[4:]
         for m in range(-50, 51):
             t = ls_from_amplitude(1, m * p42.q, eps, prec)
             for amp, factor in zip(amps, factors):
@@ -909,13 +969,26 @@ def test_search_equals_full_runs_when_the_ceiling_is_256_bits(p42):
     assert not rep.aborts and len(rep.rows) == 6
 
 
-def _count_steps(monkeypatch) -> Counter:
-    """Count qp6_step calls by (eps, precision) from here on."""
-    counts, step = Counter(), qoracle.qp6_step
+def _perfbench_precision():
+    """The argument counter of perfbench's ``qoracle.qp6_step`` group, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.GROUPS["qoracle.qp6_step"][2]
 
-    def counting(p, eps, m, y, z):
+
+def _count_steps(monkeypatch) -> Counter:
+    """Count qp6_step calls by (eps, precision) from here on.  The run calls the
+    module global with y and z at positions 3 and 4, where perfbench's counter
+    reads the precision, and its own t sixth, which is passed through."""
+    counts, step, precision = Counter(), qoracle.qp6_step, _perfbench_precision()
+
+    def counting(*args):
+        p, eps, m, y, z, t = args
+        assert type(y) is type(z) is SignedMag and precision(args)["prec_sum"] == min(y.prec, z.prec)
         counts[eps, min(y.prec, z.prec)] += 1
-        return step(p, eps, m, y, z)
+        return step(*args)
 
     monkeypatch.setattr(qoracle, "qp6_step", counting)
     return counts
@@ -950,11 +1023,12 @@ def test_rejected_runs_stop_at_their_first_failing_row(monkeypatch, p42):
 
 
 def _assert_row_error_equals_former_formula(p, table, sched, window) -> int:
-    """At each precision the search visits for each eps, the library's row error
-    and the former eps*log|x| - amp (``amplitude_error``) give equal rows but for
-    their errors, the same verdict on err >= resolution past the seed row, and,
-    where it holds, errors within a relative 2^-64 (two doubles that close are
-    equal).  Returns the number of errors compared."""
+    """At each precision the search visits for each eps, the library's run, whose
+    row error divides by the run's images, and the former eps*log|x| - amp
+    (``amplitude_error``) give equal rows but for their errors, the same verdict
+    on err >= resolution past the seed row, and, where it holds, errors within a
+    relative 2^-64 (two doubles that close are equal).  Returns the number of
+    errors compared."""
     rep = ud_limit_compare(p, table, sched, window)
     scale_ = max(1.0, float(_amp_bound(p, table, window)))
     compared = 0
@@ -963,8 +1037,9 @@ def _assert_row_error_equals_former_formula(p, table, sched, window) -> int:
         while ladder[-1] < accepted:
             ladder.append(min(2 * ladder[-1], accepted))
         for prec in ladder:
-            (rows, aborts), (ref_rows, ref_aborts) = (
-                _compare_run(p, table, eps, window, prec, error) for error in (_row_error, amplitude_error))
+            run = list(_compare_rows(p, table, eps, window, prec))
+            rows, aborts = [r for r in run if type(r) is CompareRow], tuple(r for r in run if type(r) is CompareAbort)
+            ref_rows, ref_aborts = _compare_run(p, table, eps, window, prec, amplitude_error)
             assert aborts == ref_aborts and len(rows) == len(ref_rows)
             resolution = math.ldexp(scale_, -(prec // 2))
             for row, ref in zip(rows[1:], ref_rows[1:]):
@@ -1023,7 +1098,45 @@ def test_seed_rows_have_error_exactly_0(p42, lam, eps, window):
     for e in sched.eps_values:
         for prec in (256, 512, 1024, 1504):
             (seed_row, *_), _ = _compare_run(p, table, e, window, prec)
-            assert seed_row.err_y == seed_row.err_z == 0.0
+            library_seed_row = next(_compare_rows(p, table, e, window, prec))
+            assert seed_row.err_y == seed_row.err_z == library_seed_row.err_y == library_seed_row.err_z == 0.0
+
+
+@pytest.mark.parametrize("eps,window,crosses", [
+    (F(1, 10**14), (-2, 2), True), (F(2, 7 * 10**14), (-2, 2), True), (F(1, 3), (-30, 30), False)])
+def test_seed_is_the_runs_first_image(monkeypatch, p42, eps, window, crosses):
+    # the run seeds y and z with their signs times their cells' first images, and a
+    # seed row's error is exactly 0.0 at every precision; at eps 1e-14 and 2/7e-14
+    # the run's working precision, past a 64-bit step, exceeds the seed's power's
+    table = evolve_noparity(p42, 0, 43, 40, window)
+    seeds, step = [], qoracle.qp6_step
+
+    def first_step(*args):
+        seeds.append(args[3:5])
+        return step(*args)
+
+    monkeypatch.setattr(qoracle, "qp6_step", first_step)
+    crossed = []
+    for prec in (256, 512, 1024):
+        for amps in (table.ay, table.az):
+            crossed.append(_run_wp(amps, eps, prec) > _power_wp(amps[0] / eps, prec))
+        seeds.clear()
+        seed_row, _ = itertools.islice(_compare_rows(p42, table, eps, window, prec), 2)
+        (y, z), = seeds
+        assert (y.sign, y.mag._mpf_, y.prec) == (table.sy[0], next(_run_images(table.ay, eps, prec)), prec)
+        assert (z.sign, z.mag._mpf_, z.prec) == (table.sz[0], next(_run_images(table.az, eps, prec)), prec)
+        assert (y.warn, z.warn) == (False, False) and seed_row.err_y == seed_row.err_z == 0.0
+    assert all(crossed) == crosses and any(crossed) == crosses
+
+
+def test_a_seed_sign_outside_plus_minus_1_raises(p42):
+    # SignedMag admits 0, so the run checks a seed's sign as ls_from_amplitude does
+    for sy, sz in ((0, -1), (-1, 0), (2, -1), (-1, -2)):
+        table = SolutionTable(0, (sy, -1), (43, 43), (sz, -1), (40, 40))
+        with pytest.raises(ValueError, match="sign must be"):
+            next(_compare_rows(p42, table, F(1), (0, 1), 256))
+        with pytest.raises(ValueError, match="sign must be"):
+            ls_from_amplitude(sy * sz, 43, 1, 256)
 
 
 def test_fractional_seed_row_settles_at_512_bits(p42):
