@@ -48,10 +48,12 @@ returns its outcome at t = 0 and lowers a shared horizon to the last t at which
 that outcome still holds, so up to the horizon the steppers take the same path
 at every t and return the affine result.  If the step gives one child, the
 fits' next cells with the same signs, then the fit is the evolution for
-horizon + 1 steps, which are filled from it.  The candidates' validation ran
-on the same values: ``step_z_parity`` decides ``residual_zz`` (and, mirrored,
-the y-relation) on the fit at every t up to the horizon, exactly, so each
-filled cell passes the residual a stepped one passes.
+horizon + 1 steps, which are filled from it: the rows before the last five
+as one run of the fit, which only a leaf's columns expand, once for all
+leaves.  The candidates' validation ran on the same values: ``step_z_parity``
+decides ``residual_zz`` (and, mirrored, the y-relation) on the fit at every t
+up to the horizon, exactly, so each filled cell passes the residual a stepped
+one passes.
 
 ``painleve_failures`` decides the relations over the same stretches.  Both
 relations at index m read the rows m and m+1 alone, so it keys each pair of
@@ -148,23 +150,28 @@ def grow_tables(root: list, n: int, step, cap: int, m0: int, window: Tuple[int, 
     children but the last, which extends them in place, as no other frontier
     entry holds them.  Children keep the frontier's order; after each step
     only the first ``cap`` are kept, and the result is flagged truncated if
-    any step dropped children.  A leaf's y and z cells are slices of it (the
-    backward part reversed, the root, the forward part), each split into its
-    sign and amplitude columns by one ``zip(*)``.
+    any step dropped children.
 
     While one partial table is live and the last step was not a jump (which
     ends where its certificate does), ``jump(i, table)``, if given, may take
     the steps from index i on at once.  It returns the number k of steps it
     took, none or more, and their cells as one list in order, which extend the
-    table.  Every other step, for one table or many, is the frontier's own
-    expansion.
+    table; the list may start with a ``_Run`` of r rows in place of their 2r
+    cells, which no step reads.  Every other step, for one table or many, is
+    the frontier's own expansion.
+
+    A leaf's y and z cells are slices of it (the backward part reversed, the
+    root, the forward part), each split into its sign and amplitude columns by
+    one ``zip(*)``, with each run's rows cut out and its columns put in.
     """
     partials, truncated = [list(root)], False
-    i, jumped = 0, False
+    i, jumped, runs = 0, False, []
     while i < n:
         if not jumped and jump is not None and len(partials) == 1:
             k, cells = jump(i, partials[0])
             if k:
+                if type(cells[0]) is _Run:
+                    runs.append((len(partials[0]), cells[0]))
                 partials[0] += cells
                 i, jumped = i + k, True
                 continue
@@ -189,10 +196,22 @@ def grow_tables(root: list, n: int, step, cap: int, m0: int, window: Tuple[int, 
         partials, truncated = grown[:cap], truncated or len(grown) > cap
     lo, hi = window
     f = 2 * (hi - m0 + 1)  # the end of the forward part
+    placed = []  # (k, r, columns): the r rows of a run from offset k, in index order
+    for at, run in runs:  # written to the one live table: every leaf holds it at ``at``
+        r = run.rows
+        (s1, a1), (s2, a2) = (((sign,) * r, tuple(islice(count(amp, step), r))) for sign, step, amp in run[1:])
+        placed.append((m0 + at // 2 - lo, r, (s2, a2, s1, a1)) if at < f  # (z, y) as m rises
+                      else (hi - at // 2 - r + 1 - lo, r, (s1, a1[::-1], s2, a2[::-1])))  # (y, z) as m falls
+    placed.sort()
     tables = []
     for t in partials:  # each column of pairs split into signs and amplitudes
         ys, zs = t[f::2][::-1] + t[:1] + t[3:f:2], t[f + 1::2][::-1] + t[1:2] + t[2:f:2]
-        tables.append(SolutionTable(lo, *zip(*ys), *zip(*zs)))
+        for k, r, _ in placed[::-1]:
+            del ys[k:k + r], zs[k:k + r]
+        cols = [*zip(*ys), *zip(*zs)]
+        for k, r, run in placed:
+            cols = [c[:k] + x + c[k:] for c, x in zip(cols, run)]
+        tables.append(SolutionTable(lo, *cols))
     return BranchTree(tuple(tables), truncated)
 
 
@@ -379,6 +398,15 @@ _FIT_CELLS = 5
 _MIN_STEPS = 4
 
 
+class _Run(NamedTuple):
+    """Jumped rows: their number, and the line of the first and of the second
+    cell of each row in write order as (sign, slope, first amplitude)."""
+
+    rows: int
+    first: tuple
+    second: tuple
+
+
 def _fit(cells: List[ParityPair]) -> Optional[tuple]:
     """(sign, step, last amplitude) of five cells, oldest first, that share a
     sign and lie on a line; else None."""
@@ -393,7 +421,8 @@ def _affine_jump(expand_at, m: int, d: int, left: int, rows: list) -> Tuple[int,
     """The number of the steps from index m in direction d (+1 forward, -1
     backward), up to ``left``, that the steppers certify, and their cells in
     write order; none unless both columns of ``rows``, the last five rows as
-    ten cells in write order, share a sign and lie on a line.
+    ten cells in write order, share a sign and lie on a line.  The rows before
+    the last five (which the next step and fit read) are one ``_Run``.
 
     ``expand_at(m, d)`` is ``evolve``'s expansion.  It runs once on the fits,
     ``Aff`` values in t = (m' - m)*d: if it gives one child, the fits' next
@@ -409,10 +438,14 @@ def _affine_jump(expand_at, m: int, d: int, left: int, rows: list) -> Tuple[int,
             (c.sign, c.amp.s, c.amp.c) != (sign, step, amp + step) for c, (sign, step, amp) in zip(kids[0], lines)):
         return 0, ()
     n = left if h.t is None else min(h.t + 1, left)
+    r = max(n - _FIT_CELLS, 0)  # the run's rows
     cells = [None] * (2 * n)
     # tuple.__new__ builds each pair in C, as ParityPair._make does
     for k, (sign, step, amp) in enumerate(lines):
-        cells[k::2] = map(tuple.__new__, repeat(ParityPair), zip(repeat(sign), islice(count(amp + step, step), n)))
+        cells[2 * r + k::2] = map(
+            tuple.__new__, repeat(ParityPair), zip(repeat(sign), islice(count(amp + (r + 1) * step, step), n - r)))
+    if r:
+        cells[0] = _Run(r, *((sign, step, amp + step) for sign, step, amp in lines))
     return n, cells
 
 
@@ -464,7 +497,8 @@ def painleve_failures(p: Params, table: SolutionTable) -> List[Tuple[int, str]]:
     """All (index, relation) pairs where the table violates a residual, by
     index, with "zz" before "yy" at an index.
 
-    Parameter signs are admitted; the constraint is checked on entry.  Each
+    Parameter signs are admitted; the constraint is checked on entry.  A
+    table sign other than +1 or -1 is a ValueError that names its cell.  Each
     run of equal signs and steps (see the module docstring) is decided by
     ``residual_zz`` and ``residual_yy`` on ``Aff`` values from its first index
     up to the horizon, then again from the next index, until it is decided.
@@ -475,6 +509,10 @@ def painleve_failures(p: Params, table: SolutionTable) -> List[Tuple[int, str]]:
     keys = zip(sy, sy[1:], sz, sz[1:], map(sub, ay[1:], ay), map(sub, az[1:], az))
     bad, k = [], 0
     for (s_y, s_y1, s_z, s_z1, dy, dz), run in groupby(keys):
+        # a run's keys are equal: the first holds every sign of its rows
+        for m, col, s in ((k, "sy", s_y), (k, "sz", s_z), (k + 1, "sy", s_y1), (k + 1, "sz", s_z1)):
+            if s != 1 and s != -1:
+                raise ValueError(f"{col} at index {m_lo + m}: sign must be +1 or -1, got {s!r}")
         end = k + sum(1 for _ in run)
         while k < end:
             h = Horizon()

@@ -4,9 +4,10 @@ columns (the sign and amplitude of y, then of z), with an exact CSV round-trip
 reads amplitudes by ``parse_amp``, so integer text stays an int, as the
 evolutions keep integer cells.  The writer's own layout of an integer table
 (the header, then rows of ASCII integers with signs 1 or -1, each ended by a
-newline) is matched by one regular expression and read in bulk: one ``int``
-map over all its cells, sliced into the columns.  Any other text, and text
-whose bulk read fails (a cell over ``int``'s digit limit), is read row by row
+newline) is matched by one regular expression and read in bulk: one
+``json.loads`` of all its cells as one JSON array, sliced into the columns.
+Any other text, and text whose bulk read fails (a cell with a leading zero,
+which JSON does not admit, or over ``int``'s digit limit), is read row by row
 through the csv module, the one place that reports errors.  JSON is an output
 format only: ``to_json_obj`` and the branch writers have no reader.  Rows of
 equal cells share one dict in ``branches_to_json_obj``, which holds its text
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import re
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Tuple
@@ -119,8 +121,8 @@ class SolutionTable:
         too."""
         if _INT_TABLE.fullmatch(text):
             try:
-                cells = list(map(int, text[len(_HEADER):-1].replace("\n", ",").split(",")))
-            except ValueError:  # a cell over int's digit limit: the row loop names it
+                cells = json.loads("[" + text[len(_HEADER):-1].replace("\n", ",") + "]")
+            except ValueError:  # a leading zero, or a cell over int's digit limit: the row loop reads it
                 pass
             else:  # the regex admits signs 1 and -1 only
                 return cls._from_columns(*(cells[k::5] for k in range(5)))

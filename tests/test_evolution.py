@@ -472,12 +472,14 @@ class _Jump(NamedTuple):
     steps: int
     horizon: object
     left: int
+    run: object  # the ``_Run`` the jump wrote, or None
 
 
 def _record_jumps(monkeypatch) -> list:
     """Patch ``evolve``'s jump attempts to log each one as a ``_Jump``: where
     it starts, the signs and amplitude type there, the steps it took, the
-    horizon of its ``Aff`` values (absent when no stepper ran) and the steps left."""
+    horizon of its ``Aff`` values (absent when no stepper ran), the steps left
+    and the run it wrote."""
     log, horizons = [], []
 
     class Recorded(Horizon):
@@ -491,7 +493,8 @@ def _record_jumps(monkeypatch) -> list:
         horizons.clear()
         n, cells = attempt(expand_at, m, d, left, rows)
         y, z = (rows[-1], rows[-2]) if d > 0 else (rows[-2], rows[-1])
-        log.append(_Jump(m, d, (y.sign, z.sign), type(y.amp), n, horizons[0].t if horizons else "none", left))
+        run = cells[0] if n and type(cells[0]) is evolution._Run else None
+        log.append(_Jump(m, d, (y.sign, z.sign), type(y.amp), n, horizons[0].t if horizons else "none", left, run))
         return n, cells
 
     monkeypatch.setattr(evolution, "Horizon", Recorded)
@@ -538,6 +541,44 @@ def test_jumps_equal_stepping_in_every_sector_and_direction(monkeypatch):
     assert {j.amp_type for j in jumps} == {int, F}
     assert truncated_with_jumps
     assert sum(j.steps for j in jumps) > 3 * len(jumps) and max(j.steps for j in jumps) >= 30
+
+
+def test_runs_give_the_tables_of_the_per_branch_oracle(monkeypatch):
+    # a jump keeps the rows before its last five as one run until the leaves'
+    # columns are built; the tables, their order and the truncation flag are
+    # those of the per-branch oracle, which has no frontier and no jump.  The
+    # cases hold a run shared by several leaves, two runs in one direction
+    # (the first ends at a finite horizon), backward runs, jumps too short for
+    # a run, runs to the window's edge, slope-0 lines and Fraction amplitudes
+    log = _record_jumps(monkeypatch)
+    seen = set()
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(case=_jump_case(), cap=st.sampled_from((1, 2, 8, 64)))
+    def check(case, cap):
+        p, m0, y0, z0, window = case
+        start = len(log)
+        tree = evolve(p, m0, y0, z0, window, max_branches=cap)
+        assert (tree.tables, tree.truncated) == evolve_per_branch(p, m0, y0, z0, window, cap)
+        assert {type(a) for t in tree.tables for a in t.ay + t.az} <= {type(y0.amp)}
+        jumps = [j for j in log[start:] if j.steps]
+        runs = [j for j in jumps if j.run]
+        assert all(j.steps > evolution._FIT_CELLS and j.run.rows == j.steps - evolution._FIT_CELLS for j in runs)
+        assert all(j.steps <= evolution._FIT_CELLS for j in jumps if not j.run)
+        seen.update(
+            [("shared",)] * (len(tree.tables) > 1 and bool(runs))
+            + [("short",)] * any(not j.run for j in jumps)
+            + [("two in one direction", d) for d in (1, -1)
+               if len([j for j in runs if j.d == d]) > 1 and next(j for j in runs if j.d == d).horizon is not None]
+            + [("to the edge", j.d) for j in runs if j.steps == j.left]
+            + [("slope 0",) for j in runs if 0 in (j.run.first[1], j.run.second[1])]
+            + [("amplitudes", j.d, j.amp_type) for j in runs]
+        )
+
+    check()
+    assert seen == {("shared",), ("short",), ("slope 0",)} | {
+        (kind, d) for kind in ("two in one direction", "to the edge") for d in (1, -1)
+    } | {("amplitudes", d, t) for d in (1, -1) for t in (int, F)}
 
 
 @pytest.mark.parametrize("p, y0, z0, at, steps, leaves", [
@@ -601,6 +642,13 @@ def test_jump_takes_one_child_that_continues_both_fits(d):
     n, cells = evolution._affine_jump(expanding([in_order(y1, z1)]), 10, d, 3, _rows_on_lines(d))
     assert n == 3
     assert cells == [c for k in range(3) for c in in_order(ParityPair(1, 7 + 3 * k), ParityPair(-1, 2 + 2 * k))]
+    # eight steps: the first three are one run, its lines in write order, then
+    # None in the run's other slots and the last five rows as cells
+    n, cells = evolution._affine_jump(expanding([in_order(y1, z1)]), 10, d, 8, _rows_on_lines(d))
+    assert n == 8
+    assert cells[0] == (3, *in_order((1, 3, 7), (-1, 2, 2))) and type(cells[0]) is evolution._Run
+    assert cells[1:6] == [None] * 5
+    assert cells[6:] == [c for k in range(3, 8) for c in in_order(ParityPair(1, 7 + 3 * k), ParityPair(-1, 2 + 2 * k))]
     assert seen[0][:3] == ((d, 10), d, [(1, 3, 4), (-1, 2, 0)])
     for child in ([in_order((1, 2, 7), z1)], [in_order((-1, 3, 7), z1)], [in_order((1, 3, 8), z1)],
                   [in_order(y1, (-1, 1, 2))], [in_order(y1, z1)] * 2, [], [in_order(z1, y1)]):
@@ -1240,6 +1288,36 @@ def test_one_and_two_row_tables(p):
     ]
     for t in (golden, _moved(golden, 1, "z", 1), _moved(golden, 0, "y"), _moved(golden, 1, "y", F(1, 3)), *signed):
         assert painleve_failures(p, t) == painleve_failures_per_index(p, t)
+
+
+def _signed_at(table, edits):
+    """The table with each (column, index, sign) of ``edits`` set."""
+    cols = {"sy": list(table.sy), "sz": list(table.sz)}
+    for column, m, sign in edits:
+        cols[column][m - table.m_lo] = sign
+    return SolutionTable(table.m_lo, tuple(cols["sy"]), table.ay, tuple(cols["sz"]), table.az)
+
+
+@pytest.mark.parametrize("edits, message", [
+    (None, "sy at index 0: sign must be +1 or -1, got 0"),
+    ([("sy", 0, 0)], "sy at index 0: sign must be +1 or -1, got 0"),
+    ([("sz", -20, 2)], "sz at index -20: sign must be +1 or -1, got 2"),
+    ([("sz", 20, -2)], "sz at index 20: sign must be +1 or -1, got -2"),
+    ([("sy", 7, 0)], "sy at index 7: sign must be +1 or -1, got 0"),
+    ([("sz", 7, 0), ("sy", 7, 3)], "sy at index 7: sign must be +1 or -1, got 3"),
+    ([("sy", 8, 0), ("sz", 7, 5)], "sz at index 7: sign must be +1 or -1, got 5"),
+], ids=["two-rows", "root-row", "first-index", "last-index", "inside-a-run", "sy-before-sz", "lowest-index"])
+def test_a_table_sign_outside_plus_minus_1_names_its_cell(p42, edits, message):
+    # a ValueError for the lowest index with a bad sign, sy before sz, in place
+    # of the kernel's KeyError((0, 1)): a two-row table, and the golden table
+    # over +-20, whose runs are long
+    if edits is None:
+        table = SolutionTable(0, (0, 1), (43, 43), (-1, -1), (40, 40))
+    else:
+        table = _signed_at(evolve(p42, 0, pp(-1, 43), pp(-1, 40), (-20, 20)).tables[0], edits)
+    with pytest.raises(ValueError) as exc:
+        painleve_failures(p42, table)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("rows", range(1, 10))

@@ -1139,6 +1139,14 @@ def test_a_seed_sign_outside_plus_minus_1_raises(p42):
             ls_from_amplitude(sy * sz, 43, 1, 256)
 
 
+def test_a_table_sign_outside_plus_minus_1_is_named_before_the_run(p42):
+    # the table check names the cell in place of the kernel's KeyError((0, 1))
+    table = SolutionTable(0, (0, 1), (43, 43), (-1, -1), (40, 40))
+    with pytest.raises(ValueError) as exc:
+        ud_limit_compare(p42, table, EpsSchedule.from_string("1"), (0, 1))
+    assert str(exc.value) == "sy at index 0: sign must be +1 or -1, got 0"
+
+
 def test_fractional_seed_row_settles_at_512_bits(p42):
     # p42 scaled by 3/5 at eps 1/3 over the window 0:0, whose one row is the
     # seed row: eps*log|x| - amp left noise there that differed from one

@@ -254,6 +254,29 @@ def test_csv_reader_reads_the_writers_integer_layout_without_the_csv_module(monk
     assert set(map(type, got.ay + got.az)) == {int}
 
 
+@pytest.mark.parametrize("column", [0, 2, 4], ids=["m", "Y", "Z"])
+@pytest.mark.parametrize("cell, bulk", [
+    ("-0", True), ("007", False), ("-007", False), ("4" * 5000, False), ("-" + "9" * 5000, False),
+], ids=["minus-zero", "leading-zeros", "minus-leading-zeros", "5000-digits", "minus-5000-digits"])
+def test_csv_reader_reads_integer_layout_cells_as_the_row_loop_does(monkeypatch, column, cell, bulk):
+    # every such text is in the writer's integer layout, read in bulk by one
+    # json.loads; JSON admits -0 but no leading zero, and int's digit limit
+    # refuses 5,000 digits, so those texts are read by the row loop: the same
+    # values, types or message as the row-by-row oracle either way
+    rows = [["0", "-1", "43", "-1", "40"], ["1", "1", "-0", "1", "7"]]
+    rows[1][column] = cell
+    if column == 0 and len(cell) < 10:  # the window stays contiguous
+        rows[0][0] = str(int(cell) - 1)
+    text = "m,sy,Y,sz,Z\n" + "".join(",".join(row) + "\n" for row in rows)
+    calls = []
+    reader = csv.reader
+    monkeypatch.setattr(csv, "reader", lambda *args: calls.append(args) or reader(*args))
+    got = _read(SolutionTable.from_csv_text, text)
+    assert got == _read(table_from_csv_rows, text)
+    assert len(calls) == (0 if bulk else 1) + 1  # the oracle's own read is the last
+    assert type(got) is (tuple if len(cell) < 10 else str)  # a table, or the digit limit's message
+
+
 @pytest.mark.parametrize("m", [-2, 1])
 def test_solution_table_lookup_outside_its_window_is_key_error(m):
     table = SolutionTable(-1, (1, -1), (2, 3), (-1, 1), (0, 5))
