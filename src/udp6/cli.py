@@ -247,6 +247,8 @@ def _cmd_qlimit(args) -> int:
     if args.table is not None:
         if args.y0 is not None or args.z0 is not None:
             raise ValueError("qlimit takes either --table or --y0/--z0, not both")
+        if args.m0 is not None:
+            raise ValueError("qlimit takes --m0 only with --y0/--z0, not with --table")
         with open(args.table, "r", encoding="utf-8") as fh:
             table = SolutionTable.from_csv_text(fh.read())
     else:
@@ -256,7 +258,7 @@ def _cmd_qlimit(args) -> int:
         z0 = _parse_pair(args.z0, "--z0")
         if y0.sign != -1 or z0.sign != -1:
             raise ValueError("--y0/--z0 evolution uses the all-minus sector; signs must be -1")
-        table = evolve_noparity(p, args.m0, y0.amp, z0.amp, (lo, hi))
+        table = evolve_noparity(p, 0 if args.m0 is None else args.m0, y0.amp, z0.amp, (lo, hi))
     report = ud_limit_compare(p, table, schedule, (lo, hi))
     _emit(report.to_csv_text(), args.out)
     flagged = report.nonmonotone()
@@ -336,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--table", help="CSV table to compare (alternative to --y0/--z0)")
     sp.add_argument("--y0", help="sign:amplitude (all-minus evolution seed)")
     sp.add_argument("--z0", help="sign:amplitude")
-    sp.add_argument("--m0", type=int, default=0)
+    sp.add_argument("--m0", type=int, help="index of --y0/--z0 (default 0)")
     sp.add_argument("--window", required=True)
     sp.add_argument("--eps", required=True, help="comma-separated decreasing eps values")
     sp.add_argument("--out")

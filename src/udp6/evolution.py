@@ -37,12 +37,23 @@ expands each distinct state read once per step.  The steps write their
 cells in one order, so one position rule places each cell in every partial
 table (``grow_tables``).
 
+Both relations at index m read the rows m and m+1 alone, so a solution is a
+forward half and a backward half that share the start.  ``grow_tables``
+grows the forward half, then one backward half per value of the cells that
+the first backward step reads (``evolve``'s start pair, one for all forward
+leaves; ``riccati_evolve``'s z_m0), and pairs each forward leaf with the
+backward leaves of its group, forward-major, up to the cap.  No state of
+either evolution is without children, so these are the first ``cap`` paths
+of one frontier stepped forward and then backward, with its truncation
+flag, while each backward step runs once per group, not per forward leaf.
+
 Solutions are piecewise affine in m, and ``evolve`` jumps the affine
 stretches in every sector by a certificate the steppers compute themselves.
 Every concrete step, for one branch or many, is a step of ``grow_tables``'
-frontier.  While it holds one partial table and its last step was not a jump,
-where the table's last five rows lie on lines with constant signs in both
-columns, ``evolve`` runs its step once more with m and the two amplitudes as
+frontier.  While it holds one partial table (backward, while the forward
+half also ended with one) and its last step was not a jump, where the
+table's last five rows lie on lines with constant signs in both columns,
+``evolve`` runs its step once more with m and the two amplitudes as
 ``udp6.system.Aff`` values s*t + c in the step count t.  Every comparison
 returns its outcome at t = 0 and lowers a shared horizon to the last t at which
 that outcome still holds, so up to the horizon the steppers take the same path
@@ -82,7 +93,7 @@ table of all-minus pairs.
 from __future__ import annotations
 
 from itertools import count, groupby, islice, repeat
-from operator import itemgetter, sub
+from operator import add, itemgetter, sub
 from typing import List, NamedTuple, Optional, Tuple
 
 from .system import (
@@ -135,22 +146,74 @@ def cell_positions(m0: int, hi: int, m: int) -> Tuple[int, int]:
     return k, k + 1
 
 
-def grow_tables(root: list, n: int, step, cap: int, m0: int, window: Tuple[int, int], jump=None) -> BranchTree:
+def grow_tables(root: list, step, cap: int, m0: int, window: Tuple[int, int], jump=None) -> BranchTree:
     """The branching frontier shared by ``evolve`` and ``riccati_evolve``.
 
     A partial table is a flat list of cells, each at one position in all of
     them: y_m0 at 0 and z_m0 at 1; forward, for m > m0, z_m at 2(m-m0) and
     y_m at 2(m-m0)+1; backward, for m < m0, y_m at 2(hi-m) and z_m at
-    2(hi-m)+1 (``cell_positions``).  ``root`` holds the first one or two.
-    Step i of the n is ``step(i)``, ``(reads, expand)``: the positions it
-    reads, and a map from the state read to its children, each a list of the
-    cells it appends in that order.  The children must be a function of the
-    state alone: each distinct state is expanded once per step.  A partial
-    table with no children is dropped; the others are copied for all their
-    children but the last, which extends them in place, as no other frontier
-    entry holds them.  Children keep the frontier's order; after each step
-    only the first ``cap`` are kept, and the result is flagged truncated if
-    any step dropped children.
+    2(hi-m)+1 (``cell_positions``).  So the forward part ends at f = 2(hi-m0+1).
+    ``root`` holds the first one or two cells.  Step i is ``step(i)``,
+    ``(reads, expand)``: the positions it reads, and a map from the state read
+    to its children, each a list of the cells it appends in that order.  The
+    steps fill the forward part first.  The children must be a function of
+    the state alone: each distinct state is expanded once per step, in
+    whichever half it is read, so equal states of two types, an int and a
+    Fraction, all get the children of the first, as in one stepped frontier.
+
+    The tables grow in two halves (see the module docstring), each by
+    ``_frontier``'s loop and cap: the forward half from ``root`` to f, then
+    one backward half for each group of its leaves that agree on the cells
+    the first backward step reads, which lie below f (every later backward
+    step reads backward cells alone), grown from the group's first leaf.  The
+    tables are the first ``cap`` pairs of a forward leaf and a backward leaf
+    of its group, forward-major, flagged truncated when a half was truncated
+    or more pairs exist.  When every state has a child, that is the stepped
+    frontier's result: each partial table then leads to a complete one, so a
+    cut after a step keeps the prefixes of the first ``cap`` paths, and some
+    step cuts exactly when more than ``cap`` paths exist.  Where a backward
+    state has no children after a cut, the pairs are those of the halves as
+    each was cut, which the stepped frontier, cutting across all forward
+    leaves at once, may not keep.
+
+    The jump is offered in the forward half, and in the backward half when
+    the forward half ended with one leaf: the rule that one partial table is
+    live (``_frontier``).  Each half's leaves are split into columns once
+    (``_half_columns``), and a table's columns are the backward half's
+    followed by the forward half's.
+    """
+    lo, hi = window
+    f, end = 2 * (hi - m0 + 1), 2 * (hi - lo + 1)
+    memo = {}  # step index -> state -> children, shared by the halves
+    ahead, i, truncated, runs = _frontier([list(root)], 0, f, step, cap, jump, memo)
+    head_of = _half_columns(runs, 0, f)
+    # the group of a forward leaf: the cells the first backward step reads, or
+    # with no backward step its length, the same for all
+    key = itemgetter(*step(i)[0]) if f < end else len
+    tails_of, pairs = {}, []
+    for t in ahead:
+        head = head_of(t)
+        tails = tails_of.get(key(t))
+        if tails is None:  # the half grows from t in place: its forward cells are read
+            back, _, cut, runs = _frontier([t], i, end, step, cap, jump if len(ahead) == 1 else None, memo)
+            tails = tails_of[key(t)] = list(map(_half_columns(runs, f, end), back))
+            truncated = truncated or cut
+        pairs += ((tail, head) for tail in tails)
+        if len(pairs) > cap:
+            break
+    tables = tuple(SolutionTable(lo, *map(add, tail, head)) for tail, head in pairs[:cap])
+    return BranchTree(tables, truncated or len(pairs) > cap)
+
+
+def _frontier(partials: list, i: int, end: int, step, cap: int, jump, memo: dict) -> tuple:
+    """The partial tables grown from ``partials`` by the steps from index i
+    until they reach length ``end``: the leaves, the index of the next step,
+    whether a step dropped children, and the (position, ``_Run``) of each run.
+
+    A partial table with no children is dropped; the others are copied for
+    all their children but the last, which extends them in place, as no other
+    frontier entry holds them.  Children keep the frontier's order; after
+    each step only the first ``cap`` are kept.
 
     While one partial table is live and the last step was not a jump (which
     ends where its certificate does), ``jump(i, table)``, if given, may take
@@ -159,14 +222,9 @@ def grow_tables(root: list, n: int, step, cap: int, m0: int, window: Tuple[int, 
     table; the list may start with a ``_Run`` of r rows in place of their 2r
     cells, which no step reads.  Every other step, for one table or many, is
     the frontier's own expansion.
-
-    A leaf's y and z cells are slices of it (the backward part reversed, the
-    root, the forward part), each split into its sign and amplitude columns by
-    one ``zip(*)``, with each run's rows cut out and its columns put in.
     """
-    partials, truncated = [list(root)], False
-    i, jumped, runs = 0, False, []
-    while i < n:
+    truncated, jumped, runs = False, False, []
+    while partials and len(partials[0]) < end:
         if not jumped and jump is not None and len(partials) == 1:
             k, cells = jump(i, partials[0])
             if k:
@@ -177,9 +235,9 @@ def grow_tables(root: list, n: int, step, cap: int, m0: int, window: Tuple[int, 
                 continue
         jumped = False
         reads, expand = step(i)
+        children, grown = memo.setdefault(i, {}), []
         i += 1
         state_of = itemgetter(*reads)
-        children, grown = {}, []
         for t in partials:
             state = state_of(t)
             kids = children.get(state)
@@ -194,25 +252,37 @@ def grow_tables(root: list, n: int, step, cap: int, m0: int, window: Tuple[int, 
             if len(grown) > cap:
                 break
         partials, truncated = grown[:cap], truncated or len(grown) > cap
-    lo, hi = window
-    f = 2 * (hi - m0 + 1)  # the end of the forward part
-    placed = []  # (k, r, columns): the r rows of a run from offset k, in index order
-    for at, run in runs:  # written to the one live table: every leaf holds it at ``at``
+    return partials, i, truncated, runs
+
+
+def _half_columns(runs: list, start: int, stop: int):
+    """The map from a leaf to the columns (sy, ay, sz, az) of its half, the
+    cells from ``start`` to ``stop``, in index order: from 0 the forward
+    half, rows m0 to hi, else the backward half, rows lo to m0-1.  Each
+    (position, ``_Run``) of ``runs`` lies in that half in every leaf: its
+    rows are cut out of the cells, the rest split by one ``zip(*)``, and its
+    columns put in."""
+    placed = []  # (k, r, columns): the r rows of a run from the half's row k, in index order
+    for at, run in runs:
         r = run.rows
         (s1, a1), (s2, a2) = (((sign,) * r, tuple(islice(count(amp, step), r))) for sign, step, amp in run[1:])
-        placed.append((m0 + at // 2 - lo, r, (s2, a2, s1, a1)) if at < f  # (z, y) as m rises
-                      else (hi - at // 2 - r + 1 - lo, r, (s1, a1[::-1], s2, a2[::-1])))  # (y, z) as m falls
+        placed.append((at // 2, r, (s2, a2, s1, a1)) if not start  # (z, y) as m rises
+                      else ((stop - at) // 2 - r, r, (s1, a1[::-1], s2, a2[::-1])))  # (y, z) as m falls
     placed.sort()
-    tables = []
-    for t in partials:  # each column of pairs split into signs and amplitudes
-        ys, zs = t[f::2][::-1] + t[:1] + t[3:f:2], t[f + 1::2][::-1] + t[1:2] + t[2:f:2]
+
+    def columns(t: list) -> list:
+        if start:
+            ys, zs = t[start::2][::-1], t[start + 1::2][::-1]
+        else:
+            ys, zs = t[:1] + t[3:stop:2], t[1:2] + t[2:stop:2]
         for k, r, _ in placed[::-1]:
             del ys[k:k + r], zs[k:k + r]
-        cols = [*zip(*ys), *zip(*zs)]
+        cols = [*zip(*ys), *zip(*zs)] or [()] * 4
         for k, r, run in placed:
             cols = [c[:k] + x + c[k:] for c, x in zip(cols, run)]
-        tables.append(SolutionTable(lo, *cols))
-    return BranchTree(tuple(tables), truncated)
+        return cols
+
+    return columns
 
 
 # --- deterministic closed-form steps (all-minus parity sector) ---------------
@@ -388,7 +458,7 @@ def evolve(
             return 0, ()
         return _affine_jump(expand, m, d, left, t[-2 * _FIT_CELLS:])
 
-    return grow_tables([y0, z0], hi - lo, step, max_branches, m0, window, jump)
+    return grow_tables([y0, z0], step, max_branches, m0, window, jump)
 
 
 # An attempt costs about five concrete steps.  It waits for five rows on a

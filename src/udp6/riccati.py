@@ -241,7 +241,7 @@ def riccati_evolve(
         steps += fill(riccati_step_z, m, at(m)[0]), fill(riccati_step_y, m, at(m + 1)[1])
     for m in range(m0, lo, -1):
         steps += fill(riccati_step_back_y, m, at(m)[1]), fill(riccati_close_z, m - 1, at(m - 1)[0])
-    return grow_tables([y0], len(steps), steps.__getitem__, max_branches, m0, window)
+    return grow_tables([y0], steps.__getitem__, max_branches, m0, window)
 
 
 def riccati_failures(p: Params, table: SolutionTable) -> List[Tuple[int, str]]:

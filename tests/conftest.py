@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from udp6 import Params
+from udp6 import Params, evolution
 
 
 @pytest.fixture
@@ -20,3 +20,18 @@ def p42() -> Params:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20130719)
+
+
+@pytest.fixture
+def halves(monkeypatch) -> list:
+    """The halves ``grow_tables`` grows, each logged as (leaves, truncated):
+    the forward half first, then one backward half per group."""
+    log, grow = [], evolution._frontier
+
+    def recording(*args):
+        out = grow(*args)
+        log.append((len(out[0]), out[2]))
+        return out
+
+    monkeypatch.setattr(evolution, "_frontier", recording)
+    return log

@@ -54,8 +54,10 @@ columns, is the reference its equality and hash are held against.
 import csv
 import functools
 import io
+import itertools
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,6 +67,7 @@ import mpmath
 
 from udp6.evolution import (
     BranchTree,
+    _Run as _JumpRun,
     _ansatz_inequalities,
     ansatz_identity_holds,
     cell_positions,
@@ -198,6 +201,23 @@ def scale(x, lam):
     lam = Fraction(lam)
     assert lam > 0
     return _amps_mapped(x, lambda a: a * lam, with_q=True)
+
+
+def reflect(x):
+    """R, the reflection m -> -m: of Params, Q' = -Q, A1' = B1-Q, A2' = B2-Q,
+    A3' = B3, A4' = B4, and B' likewise from A (each sign follows its
+    amplitude); of a SolutionTable over [lo, hi], the table over [-hi, -lo]
+    whose y at -m is z at m and whose z at -m is y at m.  R is an involution,
+    keeps the constraint and both first-order conditions, and maps each
+    relation at index m to the same relation at index -m-1, read in the
+    other order."""
+    if isinstance(x, Params):
+        q = x.q
+        return Params.make(
+            -q, (x.b1 - q, x.b2 - q, x.b3, x.b4), (x.a1 - q, x.a2 - q, x.a3, x.a4),
+            (x.sb1, x.sb2, x.sb3, x.sb4), (x.sa1, x.sa2, x.sa3, x.sa4),
+        )
+    return SolutionTable(-x.m_hi, x.sz[::-1], x.az[::-1], x.sy[::-1], x.ay[::-1])
 
 
 # --- max-plus primitives with an explicit minus infinity ------------------------
@@ -684,7 +704,69 @@ def evolve_stepping(
             for zp in step_back_z_parity(p, m, yp, yz[1])
         )
 
-    return grow_tables([y0, z0], hi - lo, step, max_branches, m0, window)
+    return grow_tables([y0, z0], step, max_branches, m0, window)
+
+
+def grow_tables_per_step(
+    root: list, step, cap: int, m0: int, window: Tuple[int, int], jump=None
+) -> BranchTree:
+    """``grow_tables`` as one frontier stepped at every step, forward and then
+    backward: the backward steps run once per forward leaf, the cap applies
+    across all partial tables after each step, and the jump is offered
+    whenever one partial table is live and the last step was not a jump.
+    Each leaf is split into columns by one ``zip(*)`` of its y and of its z
+    cells, with each run's rows cut out and its columns put in."""
+    lo, hi = window
+    f, end = 2 * (hi - m0 + 1), 2 * (hi - lo + 1)
+    partials, truncated = [list(root)], False
+    i, jumped, runs = 0, False, []
+    while partials and len(partials[0]) < end:
+        if not jumped and jump is not None and len(partials) == 1:
+            k, cells = jump(i, partials[0])
+            if k:
+                if type(cells[0]) is _JumpRun:
+                    runs.append((len(partials[0]), cells[0]))
+                partials[0] += cells
+                i, jumped = i + k, True
+                continue
+        jumped = False
+        reads, expand = step(i)
+        i += 1
+        state_of = operator.itemgetter(*reads)
+        children, grown = {}, []
+        for t in partials:
+            state = state_of(t)
+            kids = children.get(state)
+            if kids is None:
+                kids = children[state] = list(expand(state))
+            if not kids:
+                continue
+            if len(kids) > 1:
+                grown += [t + c for c in kids[:-1]]
+            t += kids[-1]
+            grown.append(t)
+            if len(grown) > cap:
+                break
+        partials, truncated = grown[:cap], truncated or len(grown) > cap
+    placed = []  # (k, r, columns): the r rows of a run from offset k, in index order
+    for at, run in runs:  # written to the one live table: every leaf holds it at ``at``
+        r = run.rows
+        (s1, a1), (s2, a2) = (
+            ((sign,) * r, tuple(itertools.islice(itertools.count(amp, slope), r))) for sign, slope, amp in run[1:]
+        )
+        placed.append((m0 + at // 2 - lo, r, (s2, a2, s1, a1)) if at < f  # (z, y) as m rises
+                      else (hi - at // 2 - r + 1 - lo, r, (s1, a1[::-1], s2, a2[::-1])))  # (y, z) as m falls
+    placed.sort()
+    tables = []
+    for t in partials:
+        ys, zs = t[f::2][::-1] + t[:1] + t[3:f:2], t[f + 1::2][::-1] + t[1:2] + t[2:f:2]
+        for k, r, _ in placed[::-1]:
+            del ys[k:k + r], zs[k:k + r]
+        cols = [*zip(*ys), *zip(*zs)]
+        for k, r, run in placed:
+            cols = [c[:k] + x + c[k:] for c, x in zip(cols, run)]
+        tables.append(SolutionTable(lo, *cols))
+    return BranchTree(tuple(tables), truncated)
 
 
 def evolve_per_branch(

@@ -765,6 +765,29 @@ def test_qlimit_without_a_start_is_input_error(capsys, p42_file, start):
     assert (code, out, err) == (1, "", "error: qlimit needs either --table or --y0/--z0\n")
 
 
+@pytest.mark.parametrize("m0", ["7", "0"])
+def test_qlimit_m0_with_a_table_is_input_error(capsys, tmp_path, p42_file, m0):
+    # --m0 places the --y0/--z0 start; a table carries its own indexes, so
+    # with --table it would be ignored, even at 0 or outside the window
+    table = tmp_path / "t.csv"
+    table.write_text(_GOLDEN_ROWS)
+    code, out, err = run(
+        capsys, "qlimit", "--params", p42_file, "--table", str(table), "--m0", m0, "--window", "-2:2", "--eps", "1",
+    )
+    assert (code, out, err) == (1, "", "error: qlimit takes --m0 only with --y0/--z0, not with --table\n")
+
+
+def test_qlimit_m0_places_the_y0_z0_start(capsys, tmp_path, p42, p42_file):
+    # the start at --m0 1 is the all-minus table from index 1, given as --table
+    table = tmp_path / "t.csv"
+    table.write_text(evolve_noparity(p42, 1, 43, 40, (0, 2)).to_csv_text())
+    common = ("--window", "0:2", "--eps", "1,1/2")
+    started = run(capsys, "qlimit", "--params", p42_file, "--y0", "-1:43", "--z0", "-1:40", "--m0", "1", *common)
+    assert started == run(capsys, "qlimit", "--params", p42_file, "--table", str(table), *common)
+    at_0 = run(capsys, "qlimit", "--params", p42_file, "--y0", "-1:43", "--z0", "-1:40", *common)
+    assert started[0] == 0 and started != at_0
+
+
 def test_qlimit_start_outside_the_all_minus_sector_is_input_error(capsys, p42_file):
     code, out, err = run(
         capsys, "qlimit", "--params", p42_file, "--y0", "1:43", "--z0", "-1:40", "--window", "0:2", "--eps", "1",
@@ -937,6 +960,8 @@ _IGNORED_FLAG_CASES = {
     "qlimit-table-and-y0": ("qlimit", "--params", "{params}", "--table", "{table}", "--y0", "2:5",
                             "--window", "0:1", "--eps", "1"),
     "families-list-and-c": ("families", "--list", "--c", "x"),
+    "qlimit-table-and-m0": ("qlimit", "--params", "{params}", "--table", "{table}", "--m0", "7",
+                            "--window", "-2:2", "--eps", "1"),
 }
 
 

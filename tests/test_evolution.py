@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple, Tuple
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -18,6 +19,8 @@ from udp6.evolution import (
     grow_tables,
     noparity_amplitudes,
     painleve_failures,
+    step_back_y_parity,
+    step_back_z_parity,
     step_y_noparity,
     step_y_parity,
     step_z_noparity,
@@ -39,6 +42,7 @@ from udp6.tables import SolutionTable
 from goldens import golden1_y, golden1_z, golden2_y, golden2_z
 from oracles import (
     PairTable, ansatz_inequalities_at, evolve_noparity_stepping, evolve_per_branch, evolve_stepping, gauge,
+    grow_tables_per_step,
     pair_columns, pair_table, painleve_failures_per_index, random_state, scale,
     step_back_y_noparity, step_back_z_noparity, step_z_noparity_by_max, step_z_parity_by_cases, yy_by_cases,
     zz_by_cases,
@@ -260,6 +264,22 @@ def test_parity_steps_equal_the_case_split(case):
     assert zs == step_z_parity_by_cases(p, m, y, z)
     for z1 in zs:
         assert step_y_parity(p, m, y, z1) == step_z_parity_by_cases(p.mirrored, m, z1, y)
+
+
+@settings(derandomize=True, max_examples=1500, deadline=None)
+@given(case=st.one_of(_small_z_states(2), _small_z_states(4), _small_z_states(8)), d=st.sampled_from((1, 2, 6)))
+def test_no_parity_state_is_childless(case, d):
+    # the premise of grow_tables' product of halves: each step of evolve, the
+    # z- then the y-step forward and the y- then the z-step backward, gives
+    # every state at least one pair, on int and Fraction lattices, at ties
+    # and double ties
+    p, m, y, z = case
+    if d > 1:
+        p, y, z = (scale(x, F(1, d)) for x in (p, y, z))
+    forward = step_z_parity(p, m, y, z)
+    assert forward and all(step_y_parity(p, m, y, z1) for z1 in forward)
+    backward = step_back_y_parity(p, m, y, z)
+    assert backward and all(step_back_z_parity(p, m, yp, z) for yp in backward)
 
 
 # --- window evolution ------------------------------------------------------------
@@ -581,6 +601,54 @@ def test_runs_give_the_tables_of_the_per_branch_oracle(monkeypatch):
     } | {("amplitudes", d, t) for d in (1, -1) for t in (int, F)}
 
 
+def _amp_types(tree):
+    """The type of every amplitude of every table, in order."""
+    return [tuple(map(type, t.ay + t.az)) for t in tree.tables]
+
+
+def test_grow_tables_equals_the_per_step_frontier(monkeypatch, halves):
+    # the product of the forward and backward halves gives the tables, order,
+    # truncation flag and amplitude types of one frontier stepped forward and
+    # then backward, whose backward steps run once per forward leaf.  The
+    # cases hold halves of several leaves each, cuts inside the product (no
+    # half cut), the start at either edge of the window, and jumps with runs
+    # in both halves, on int and Fraction lattices at every cap
+    jumps = _record_jumps(monkeypatch)
+    seen = set()
+
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(case=st.one_of(_tie_case(), _jump_case()), cap=st.sampled_from((1, 2, 8, 64, 256)))
+    # two forward and two backward leaves at cap 2; a forward run, then forward
+    # branches; a backward run, then backward branches
+    @example(case=(Params.make(2, (0, -2, -3, -1), (3, 3, 1, 1)), 0, pp(-1, -3), pp(1, -2), (-12, 19)), cap=2)
+    @example(case=(Params.make(6, (4, 0, 2, -6), (3, -3, -4, -10)), 0, pp(1, -4), pp(1, 0), (-9, 18)), cap=8)
+    @example(case=(Params.make(11, (-4, -12, -4, -10), (2, -2, -6, -3)), 0, pp(-1, 5), pp(1, 2), (-19, 15)), cap=2)
+    def check(case, cap):
+        p, m0, y0, z0, window = case
+        del halves[:]
+        start = len(jumps)
+        tree = evolve(p, m0, y0, z0, window, max_branches=cap)
+        (ahead, cut), *behind = halves
+        runs = [j.d for j in jumps[start:] if j.run]
+        with mock.patch.object(evolution, "grow_tables", grow_tables_per_step):
+            reference = evolve(p, m0, y0, z0, window, max_branches=cap)
+        assert (tree.tables, tree.truncated) == (reference.tables, reference.truncated)
+        assert _amp_types(tree) == _amp_types(reference)
+        several = ahead > 1 and any(n > 1 for n, _ in behind)
+        seen.update(
+            [("several leaves", type(y0.amp))] * several
+            + [("cut in the product", cap)] * (tree.truncated and not cut and not any(c for _, c in behind))
+            + [("edge", m0 == window[0]) for _ in [0] if m0 in window and len(tree.tables) > 1]
+            + [("run", d, len(tree.tables) > 1) for d in runs]
+            + [("forward run, then forward branches",)] * (1 in runs and ahead > 1)
+        )
+
+    check()
+    assert seen == {("several leaves", t) for t in (int, F)} | {("cut in the product", c) for c in (2, 8, 64, 256)} | {
+        ("edge", True), ("edge", False), ("forward run, then forward branches",)} | {
+        ("run", d, shared) for d in (1, -1) for shared in (False, True)}
+
+
 @pytest.mark.parametrize("p, y0, z0, at, steps, leaves", [
     (Params.make(3, (3, 1, -2, 0), (1, -1, 3, -12)), pp(-1, 0), pp(-1, 2), 9, 1, "y"),
     (Params.make(6, (1, 6, 6, -4), (2, -1, 1, -11)), pp(-1, -5), pp(1, 3), 10, 2, "y"),
@@ -710,7 +778,7 @@ _ROOT = [_cell(0), _cell(0)]
 
 def _grow(steps, cap, window, jump=None):
     """``grow_tables`` from ``_ROOT`` at index 0 over the listed steps."""
-    return grow_tables(_ROOT, len(steps), steps.__getitem__, cap, 0, window, jump)
+    return grow_tables(_ROOT, steps.__getitem__, cap, 0, window, jump)
 
 
 def _at(m):
@@ -763,6 +831,30 @@ def test_grow_tables_keeps_truncated_after_a_later_dead_end():
     # every state a dead end: no table, and still truncated
     tree = _grow(steps[:1] + [_forward(1, {(1, 1): [], (2, 2): []})], 2, (0, 2))
     assert tree.tables == () and tree.truncated
+
+
+def test_grow_tables_pairs_the_halves_as_each_was_cut():
+    # the one case where the product of the halves and the per-step frontier
+    # differ: a backward state with no children after a cut.  Two forward
+    # leaves, 1 and 2; the backward half has the children 1, 2 and 3 of the
+    # start, and 1 has none at the next step.  The half is cut nowhere, so
+    # the four pairs of its two leaves fill the cap of 4 without truncation;
+    # stepped per step, the cap keeps 1-1, 1-2, 1-3 and 2-1, two of which die
+    def backward(m, children):
+        return cell_positions(0, 1, m), lambda yz: ([_cell(a), _cell(a)] for a in children[yz[0].amp])
+
+    steps = [
+        _forward(0, {(0, 0): [(1, 1), (2, 2)]}),
+        backward(0, {0: [-1, -2, -3]}),
+        backward(-1, {-1: [], -2: [-4], -3: [-5]}),
+    ]
+    tree = _grow(steps, 4, (-2, 1))
+    assert _rows(tree) == [[(b, b), (a, a), (0, 0), (f, f)] for f in (1, 2) for a, b in ((-2, -4), (-3, -5))]
+    assert not tree.truncated
+    stepped = grow_tables_per_step(_ROOT, steps.__getitem__, 4, 0, (-2, 1))
+    assert _rows(stepped) == _rows(tree)[:2] and stepped.truncated
+    # with room for every path the two agree
+    assert _grow(steps, 6, (-2, 1)) == grow_tables_per_step(_ROOT, steps.__getitem__, 6, 0, (-2, 1)) == tree
 
 
 def test_grow_tables_siblings_keep_separate_cells():
@@ -850,7 +942,7 @@ def test_grow_tables_offers_a_jump_only_while_one_table_is_live():
 def test_grow_tables_one_point_window(d, amp):
     # no step: the root is the one leaf, its cells as they entered, an int or
     # a Fraction of denominator d
-    tree = grow_tables([_cell(amp), _cell(-amp)], 0, [].__getitem__, 1, 5, (5, 5))
+    tree = grow_tables([_cell(amp), _cell(-amp)], [].__getitem__, 1, 5, (5, 5))
     assert tree == ((pair_table(5, (_cell(amp),), (_cell(-amp),)),), False)
     assert type(tree.tables[0].ay[0]) is type(amp) and amp.denominator == d
 
@@ -899,7 +991,7 @@ def test_grow_tables_leaf_holds_each_cell_at_its_row(m0, lo, hi, half):
     # row m, whichever end of the window the root is at
     steps = _labelled_steps(m0, lo, hi, half)
     root = [_y(m0)] if half else [_y(m0), _z(m0)]
-    tree = grow_tables(root, len(steps), steps.__getitem__, 1, m0, (lo, hi))
+    tree = grow_tables(root, steps.__getitem__, 1, m0, (lo, hi))
     rows = range(lo, hi + 1)
     assert tree == ((pair_table(lo, list(map(_y, rows)), list(map(_z, rows))),), False)
 

@@ -1,12 +1,14 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from udp6 import riccati
 from udp6.evolution import painleve_failures
 from udp6.riccati import (
+    SAMPLINGS,
     _samples,
     check_riccati_conditions,
     residual_riccati1,
@@ -24,11 +26,13 @@ from udp6.tables import SolutionTable
 
 from oracles import (
     gauge,
+    grow_tables_per_step,
     pair_columns,
     pair_table,
     random_parity_pair,
     random_riccati_params,
     riccati_evolve_fractions,
+    scale,
     theorem_check,
 )
 
@@ -274,6 +278,43 @@ def test_riccati_evolve_matches_fraction_reference(policy, start, cap):
         assert not riccati_failures(p, t)
 
 
+def test_riccati_grow_tables_equals_the_per_step_frontier(halves):
+    # the close step at m0 branches z_m0, so the forward leaves fall into one
+    # group per value of z_m0, each with its own backward half; the product
+    # gives the tables, order, truncation flag and amplitude types of one
+    # frontier stepped forward and then backward.  The cases hold two or more
+    # groups under every sampling, halves of several leaves, cuts inside the
+    # product and the start at either edge of the window
+    seen = set()
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(start=riccati_starts(), sides=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+           policy=st.sampled_from(SAMPLINGS), cap=st.sampled_from((1, 2, 8, 64, 256)))
+    # z_m0 takes four values, each with a backward half of one leaf
+    @example(start=(Params.make(12, (5, 12, -3, 9), (30, 4, 10, 1)), 0, pp(1, -3)), sides=(1, 2),
+             policy="all-breakpoints", cap=64)
+    def check(start, sides, policy, cap):
+        p, m0, y0 = start
+        window = (m0 - sides[0], m0 + sides[1])
+        del halves[:]
+        tree = riccati_evolve(p, m0, y0, window, sampling=policy, max_branches=cap)
+        (ahead, cut), *behind = halves
+        with mock.patch.object(riccati, "grow_tables", grow_tables_per_step):
+            reference = riccati_evolve(p, m0, y0, window, sampling=policy, max_branches=cap)
+        assert (tree.tables, tree.truncated) == (reference.tables, reference.truncated)
+        assert [[*map(type, t.ay + t.az)] for t in tree.tables] == [[*map(type, t.ay + t.az)] for t in reference.tables]
+        seen.update(
+            [("groups", policy)] * (len(behind) > 1 and sides[0] > 0)
+            + [("several leaves",)] * (ahead > 1 and any(n > 1 for n, _ in behind))
+            + [("cut in the product",)] * (tree.truncated and not cut and not any(c for _, c in behind))
+            + [("edge", m0 == window[0]) for _ in [0] if m0 in window and len(tree.tables) > 1]
+        )
+
+    check()
+    assert seen == {("groups", policy) for policy in SAMPLINGS} | {
+        ("several leaves",), ("cut in the product",), ("edge", True), ("edge", False)}
+
+
 @st.composite
 def small_riccati_states(draw, r=4):
     """Int parameters within +-r meeting both first-order conditions, with Q
@@ -298,6 +339,20 @@ def test_every_riccati_step_has_a_child(state, policy):
         assert step(p, m, known), step.__name__
     tree = riccati_evolve(p, m, known, (m - 3, m + 3), sampling=policy, max_branches=1)
     assert len(tree.tables) == 1
+
+
+@settings(derandomize=True, max_examples=1500, deadline=None)
+@given(state=st.one_of(small_riccati_states(2), small_riccati_states(4), small_riccati_states(12)),
+       d=st.sampled_from((1, 2, 6)), policy=st.sampled_from(SAMPLINGS))
+def test_no_riccati_state_is_childless(state, d, policy):
+    # the premise of grow_tables' product of halves: each of the four steps
+    # gives every known cell at least one child under every sampling policy,
+    # on int and Fraction lattices
+    p, m, known = state
+    if d > 1:
+        p, known = scale(p, F(1, d)), scale(known, F(1, d))
+    for step in (riccati_step_z, riccati_step_y, riccati_close_z, riccati_step_back_y):
+        assert [x for _, iv in step(p, m, known) for x in _samples(iv, policy)], step.__name__
 
 
 # Riccati-conditioned parameters with denominators up to 6
