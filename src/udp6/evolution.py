@@ -19,10 +19,11 @@ amplitude is solved in closed form.
 
 Only the z-steppers are written out.  A y-stepper is the z-stepper on the
 mirrored parameters (A and B exchanged) with y and z exchanged, as the
-y-relation is the mirrored z-relation.  Backward stepping reuses the forward
-solvers: each relation is symmetric in its two same-letter variables, so
-solving for the earlier one is the forward solve at index m-1 with the known
-value in the other slot.
+y-relation is the mirrored z-relation.  Nothing steps backward: each
+relation is symmetric in its two same-letter values, so at index m it is the
+same relation of the reflected parameters R(p) (``Params.reflected``) at
+-m-1 with y and z exchanged, and the evolution below m0 is R(p)'s above -m0,
+its rows reversed and its columns exchanged.
 
 Steppers check nothing.  ``evolve``, ``noparity_amplitudes`` and
 ``painleve_failures`` validate the parameters once on entry and run the
@@ -38,20 +39,21 @@ cells in one order, so one position rule places each cell in every partial
 table (``grow_tables``).
 
 Both relations at index m read the rows m and m+1 alone, so a solution is a
-forward half and a backward half that share the start.  ``grow_tables``
-grows the forward half, then one backward half per value of the cells that
-the first backward step reads (``evolve``'s start pair, one for all forward
-leaves; ``riccati_evolve``'s z_m0), and pairs each forward leaf with the
-backward leaves of its group, forward-major, up to the cap.  No state of
-either evolution is without children, so these are the first ``cap`` paths
-of one frontier stepped forward and then backward, with its truncation
-flag, while each backward step runs once per group, not per forward leaf.
+forward half and a backward half that share the start row.  ``grow_tables``
+grows the forward half on p, then one backward half per start row of its
+leaves (``evolve``'s start pair, one for all leaves; ``riccati_evolve``'s y0
+and z_m0, one per value of z_m0) as a forward half on R(p) from -m0, and
+pairs each forward leaf with the backward leaves of its start row,
+forward-major, up to the cap.  No state of either evolution is without
+children, so these are the first ``cap`` paths of one frontier stepped
+forward and then backward, with its truncation flag, while each backward
+step runs once per start row, not per forward leaf.
 
 Solutions are piecewise affine in m, and ``evolve`` jumps the affine
 stretches in every sector by a certificate the steppers compute themselves.
 Every concrete step, for one branch or many, is a step of ``grow_tables``'
-frontier.  While it holds one partial table (backward, while the forward
-half also ended with one) and its last step was not a jump, where the
+frontier.  While it holds one partial table (in a backward half, while the
+forward half also ended with one) and its last step was not a jump, where the
 table's last five rows lie on lines with constant signs in both columns,
 ``evolve`` runs its step once more with m and the two amplitudes as
 ``udp6.system.Aff`` values s*t + c in the step count t.  Every comparison
@@ -137,67 +139,57 @@ class BranchTree(NamedTuple):
     truncated: bool
 
 
-def cell_positions(m0: int, hi: int, m: int) -> Tuple[int, int]:
-    """The positions of (y_m, z_m) in the partial tables of ``grow_tables``."""
-    if m > m0:
-        k = 2 * (m - m0)
-        return k + 1, k
-    k = 2 * (hi - m) if m < m0 else 0
-    return k, k + 1
+def cell_positions(k: int) -> Tuple[int, int]:
+    """The positions of y and z at row k of a half in ``grow_tables``."""
+    return (2 * k + 1, 2 * k) if k else (0, 1)
 
 
-def grow_tables(root: list, step, cap: int, m0: int, window: Tuple[int, int], jump=None) -> BranchTree:
+def grow_tables(root: list, forward: tuple, backward: tuple, cap: int, m0: int, window: tuple) -> BranchTree:
     """The branching frontier shared by ``evolve`` and ``riccati_evolve``.
 
-    A partial table is a flat list of cells, each at one position in all of
-    them: y_m0 at 0 and z_m0 at 1; forward, for m > m0, z_m at 2(m-m0) and
-    y_m at 2(m-m0)+1; backward, for m < m0, y_m at 2(hi-m) and z_m at
-    2(hi-m)+1 (``cell_positions``).  So the forward part ends at f = 2(hi-m0+1).
-    ``root`` holds the first one or two cells.  Step i is ``step(i)``,
-    ``(reads, expand)``: the positions it reads, and a map from the state read
-    to its children, each a list of the cells it appends in that order.  The
-    steps fill the forward part first.  The children must be a function of
-    the state alone: each distinct state is expanded once per step, in
-    whichever half it is read, so equal states of two types, an int and a
-    Fraction, all get the children of the first, as in one stepped frontier.
+    Each half, ``forward`` from m0 and ``backward`` from -m0 on R(p) (see the
+    module docstring), is a ``(step, jump)`` pair.  A partial table of a half
+    is a flat list of cells, each at one position in all of them: y and z of
+    the start row at 0 and 1, z and y of row k > 0 at 2k and 2k+1
+    (``cell_positions``).  ``root`` holds the first one or two forward cells.
+    Step i is ``step(i)``, ``(reads, expand)``: the positions it reads, and a
+    map from the state read to its children, each a list of the cells it
+    appends in that order.  The children must be a function of the state
+    alone: each distinct state is expanded once per step and half, so equal
+    states of two types, an int and a Fraction, all get the children of the
+    first, as in one stepped frontier.
 
-    The tables grow in two halves (see the module docstring), each by
-    ``_frontier``'s loop and cap: the forward half from ``root`` to f, then
-    one backward half for each group of its leaves that agree on the cells
-    the first backward step reads, which lie below f (every later backward
-    step reads backward cells alone), grown from the group's first leaf.  The
-    tables are the first ``cap`` pairs of a forward leaf and a backward leaf
-    of its group, forward-major, flagged truncated when a half was truncated
-    or more pairs exist.  When every state has a child, that is the stepped
-    frontier's result: each partial table then leads to a complete one, so a
-    cut after a step keeps the prefixes of the first ``cap`` paths, and some
-    step cuts exactly when more than ``cap`` paths exist.  Where a backward
-    state has no children after a cut, the pairs are those of the halves as
-    each was cut, which the stepped frontier, cutting across all forward
-    leaves at once, may not keep.
+    The forward half grows from ``root`` to row hi-m0, then one backward half
+    per start row of its leaves to row m0-lo, from that row with y and z
+    exchanged, each by ``_frontier``'s loop and cap.  The tables are the
+    first ``cap`` pairs of a forward leaf and a backward leaf of its start
+    row, forward-major, flagged truncated when a half was or more pairs
+    exist.  When every state has a child, that is the stepped frontier's
+    result: a cut after a step keeps the prefixes of the first ``cap`` paths,
+    and some step cuts exactly when more than ``cap`` paths exist.  Where a
+    backward state has no children after a cut, the pairs are those of the
+    halves as each was cut, which the stepped frontier may not keep.
 
-    The jump is offered in the forward half, and in the backward half when
-    the forward half ended with one leaf: the rule that one partial table is
-    live (``_frontier``).  Each half's leaves are split into columns once
-    (``_half_columns``), and a table's columns are the backward half's
-    followed by the forward half's.
+    The backward jump is offered when the forward half ended with one leaf
+    (``_frontier``).  A table's columns are the backward half's
+    (``_half_columns``) reversed, exchanged and without the start row, then
+    the forward half's.
     """
     lo, hi = window
-    f, end = 2 * (hi - m0 + 1), 2 * (hi - lo + 1)
-    memo = {}  # step index -> state -> children, shared by the halves
-    ahead, i, truncated, runs = _frontier([list(root)], 0, f, step, cap, jump, memo)
-    head_of = _half_columns(runs, 0, f)
-    # the group of a forward leaf: the cells the first backward step reads, or
-    # with no backward step its length, the same for all
-    key = itemgetter(*step(i)[0]) if f < end else len
-    tails_of, pairs = {}, []
+    ahead, truncated, runs = _frontier(list(root), *forward, 2 * (hi - m0 + 1), cap, {})
+    head_of = _half_columns(runs)
+    step, jump = backward[0], backward[1] if len(ahead) == 1 else None
+    memo, tails_of, pairs = {}, {}, []  # the backward steps' memo, shared by the halves
     for t in ahead:
-        head = head_of(t)
-        tails = tails_of.get(key(t))
-        if tails is None:  # the half grows from t in place: its forward cells are read
-            back, _, cut, runs = _frontier([t], i, end, step, cap, jump if len(ahead) == 1 else None, memo)
-            tails = tails_of[key(t)] = list(map(_half_columns(runs, f, end), back))
+        start = t[1], t[0]
+        tails = tails_of.get(start)
+        if tails is None:
+            behind, cut, runs = _frontier(list(start), step, jump, 2 * (m0 - lo + 1), cap, memo)
+            # row k of a backward half is row m0-k: (z, y) reversed, the start row dropped
+            tails = tails_of[start] = [[c[:0:-1] for c in cols[2:] + cols[:2]]
+                                       for cols in map(_half_columns(runs), behind)]
             truncated = truncated or cut
+        head = head_of(t)
         pairs += ((tail, head) for tail in tails)
         if len(pairs) > cap:
             break
@@ -205,10 +197,11 @@ def grow_tables(root: list, step, cap: int, m0: int, window: Tuple[int, int], ju
     return BranchTree(tables, truncated or len(pairs) > cap)
 
 
-def _frontier(partials: list, i: int, end: int, step, cap: int, jump, memo: dict) -> tuple:
-    """The partial tables grown from ``partials`` by the steps from index i
-    until they reach length ``end``: the leaves, the index of the next step,
-    whether a step dropped children, and the (position, ``_Run``) of each run.
+def _frontier(root: list, step, jump, end: int, cap: int, memo: dict) -> tuple:
+    """The partial tables of one half grown from ``root`` by its steps until
+    they reach length ``end``: the leaves, whether a step dropped children,
+    and the (position, ``_Run``) of each run.  ``memo`` maps a step index
+    and a state to its children; the backward halves share theirs.
 
     A partial table with no children is dropped; the others are copied for
     all their children but the last, which extends them in place, as no other
@@ -223,7 +216,7 @@ def _frontier(partials: list, i: int, end: int, step, cap: int, jump, memo: dict
     cells, which no step reads.  Every other step, for one table or many, is
     the frontier's own expansion.
     """
-    truncated, jumped, runs = False, False, []
+    partials, i, truncated, jumped, runs = [root], 0, False, False, []
     while partials and len(partials[0]) < end:
         if not jumped and jump is not None and len(partials) == 1:
             k, cells = jump(i, partials[0])
@@ -252,32 +245,25 @@ def _frontier(partials: list, i: int, end: int, step, cap: int, jump, memo: dict
             if len(grown) > cap:
                 break
         partials, truncated = grown[:cap], truncated or len(grown) > cap
-    return partials, i, truncated, runs
+    return partials, truncated, runs
 
 
-def _half_columns(runs: list, start: int, stop: int):
-    """The map from a leaf to the columns (sy, ay, sz, az) of its half, the
-    cells from ``start`` to ``stop``, in index order: from 0 the forward
-    half, rows m0 to hi, else the backward half, rows lo to m0-1.  Each
-    (position, ``_Run``) of ``runs`` lies in that half in every leaf: its
+def _half_columns(runs: list):
+    """The map from a leaf of a half to its columns (sy, ay, sz, az), row 0
+    first.  Each (position, ``_Run``) of ``runs`` lies in every leaf: its
     rows are cut out of the cells, the rest split by one ``zip(*)``, and its
     columns put in."""
-    placed = []  # (k, r, columns): the r rows of a run from the half's row k, in index order
+    placed = []  # (k, r, columns): the r rows of a run from row k, in row order
     for at, run in runs:
         r = run.rows
         (s1, a1), (s2, a2) = (((sign,) * r, tuple(islice(count(amp, step), r))) for sign, step, amp in run[1:])
-        placed.append((at // 2, r, (s2, a2, s1, a1)) if not start  # (z, y) as m rises
-                      else ((stop - at) // 2 - r, r, (s1, a1[::-1], s2, a2[::-1])))  # (y, z) as m falls
-    placed.sort()
+        placed.append((at // 2, r, (s2, a2, s1, a1)))  # a row's cells are (z, y)
 
     def columns(t: list) -> list:
-        if start:
-            ys, zs = t[start::2][::-1], t[start + 1::2][::-1]
-        else:
-            ys, zs = t[:1] + t[3:stop:2], t[1:2] + t[2:stop:2]
+        ys, zs = t[:1] + t[3::2], t[1:2] + t[2::2]
         for k, r, _ in placed[::-1]:
             del ys[k:k + r], zs[k:k + r]
-        cols = [*zip(*ys), *zip(*zs)] or [()] * 4
+        cols = [*zip(*ys), *zip(*zs)]
         for k, r, run in placed:
             cols = [c[:k] + x + c[k:] for c, x in zip(cols, run)]
         return cols
@@ -390,13 +376,17 @@ def step_back_y_parity(p: Params, m: int, y: ParityPair, z: ParityPair) -> List[
     """The corner solutions for y at index m-1, given (y, z) at m.
 
     The y-relation at index m-1 is symmetric in its two y slots, so this is
-    the forward y solver with the known pair in the other slot.
+    the forward y solver with the known pair in the other slot.  Only tests
+    and the tracer call it: ``evolve`` runs ``step_z_parity(p.reflected, -m,
+    z, y)``.
     """
     return step_y_parity(p, m - 1, y, z)
 
 
 def step_back_z_parity(p: Params, m: int, y_prev: ParityPair, z: ParityPair) -> List[ParityPair]:
-    """The corner solutions for z at index m-1, given y at m-1 and z at m."""
+    """The corner solutions for z at index m-1, given y at m-1 and z at m;
+    only tests and the tracer call it (``evolve``: ``step_y_parity(p.reflected,
+    -m, z, y_prev)``)."""
     return step_z_parity(p, m - 1, y_prev, z)
 
 
@@ -418,9 +408,10 @@ def evolve(
     run lists a solution off those ends, such as the closed-form soln2 family
     (``udp6.families``), which leaves them inside a ray.
 
-    Alternates the z- and y-steppers forward from m0 and their backward
-    mirrors down to the window start, jumping the certified affine stretches
-    of a single live branch.  Every leaf is a complete SolutionTable
+    Alternates the z- and y-steppers forward from m0 to the window end, and
+    on the reflected parameters from -m0 to minus the window start (the
+    backward half, see the module docstring), jumping the certified affine
+    stretches of a single live branch.  Every leaf is a complete SolutionTable
     satisfying both residuals at every interior index.  When the number of
     live branches exceeds ``max_branches`` after a (z, y) step the surplus (in
     deterministic order) is dropped and the result is flagged truncated.
@@ -432,33 +423,27 @@ def evolve(
     if not (lo <= m0 <= hi):
         raise ValueError("initial index must lie inside the window")
 
-    ahead = hi - m0
-
-    def expand(m, d):
-        # the children of (y_m, z_m): forward the (z, y) pairs at m+1, backward
-        # the (y, z) pairs at m-1.  It calls the steppers as module globals,
-        # where tracing and tests can replace them.
-        if d > 0:
+    def half(q, start, stop):
+        # the steps from start to stop on the parameters q: p forward, R(p) backward
+        def expand(m):
+            # the children of (y_m, z_m), the (z, y) pairs at m+1.  It calls the
+            # steppers as module globals, where tracing and tests can replace them.
             return lambda yz: (
-                [z1, y1] for z1 in step_z_parity(p, m, *yz) for y1 in step_y_parity(p, m, yz[0], z1))
-        return lambda yz: (
-            [yp, zp] for yp in step_back_y_parity(p, m, *yz) for zp in step_back_z_parity(p, m, yp, yz[1]))
+                [z1, y1] for z1 in step_z_parity(q, m, *yz) for y1 in step_y_parity(q, m, yz[0], z1))
 
-    def step(i):
-        # one step per (z, y) pair forward from m0 to hi, then per (y, z) pair
-        # backward to lo, so the cap applies after each pair
-        d, m = (1, m0 + i) if i < ahead else (-1, hi - i)
-        return cell_positions(m0, hi, m), expand(m, d)
+        def step(i):
+            return cell_positions(i), expand(start + i)
 
-    def jump(i, t):
-        # the table's last ten cells are its last five rows in write order once
-        # they all lie on the step's side of m0, which they do from |m - m0| = 5
-        d, m, left = (1, m0 + i, ahead - i) if i < ahead else (-1, hi - i, hi - lo - i)
-        if d * (m - m0) < _FIT_CELLS or left < _MIN_STEPS:
-            return 0, ()
-        return _affine_jump(expand, m, d, left, t[-2 * _FIT_CELLS:])
+        def jump(i, t):
+            # the table's last ten cells are its last five rows in write order
+            # once they all lie past the start row, which they do from row 5
+            left = stop - start - i
+            fits = i >= _FIT_CELLS and left >= _MIN_STEPS
+            return _affine_jump(expand, start + i, left, t[-2 * _FIT_CELLS:]) if fits else (0, ())
 
-    return grow_tables([y0, z0], step, max_branches, m0, window, jump)
+        return step, jump
+
+    return grow_tables([y0, z0], half(p, m0, hi), half(p.reflected, -m0, -lo), max_branches, m0, window)
 
 
 # An attempt costs about five concrete steps.  It waits for five rows on a
@@ -487,23 +472,24 @@ def _fit(cells: List[ParityPair]) -> Optional[tuple]:
     return None
 
 
-def _affine_jump(expand_at, m: int, d: int, left: int, rows: list) -> Tuple[int, list]:
-    """The number of the steps from index m in direction d (+1 forward, -1
-    backward), up to ``left``, that the steppers certify, and their cells in
-    write order; none unless both columns of ``rows``, the last five rows as
-    ten cells in write order, share a sign and lie on a line.  The rows before
-    the last five (which the next step and fit read) are one ``_Run``.
+def _affine_jump(expand_at, m: int, left: int, rows: list) -> Tuple[int, list]:
+    """The number of the steps from index m, up to ``left``, that the
+    steppers certify, and their cells in write order; none unless both
+    columns of ``rows``, the last five rows as ten cells in write order (z, y),
+    share a sign and lie on a line.  The rows before the last five (which the
+    next step and fit read) are one ``_Run``.
 
-    ``expand_at(m, d)`` is ``evolve``'s expansion.  It runs once on the fits,
-    ``Aff`` values in t = (m' - m)*d: if it gives one child, the fits' next
-    cells by (s, c), as ``==`` would record a comparison, then every step from
-    t = 0 to the horizon does, as its comparisons all go the same way."""
+    ``expand_at(m)`` is ``evolve``'s expansion at m, of p or of R(p).  It runs
+    once on the fits, ``Aff`` values in t = m' - m: if it gives one child,
+    the fits' next cells by (s, c), as ``==`` would record a comparison, then
+    every step from t = 0 to the horizon does, as its comparisons all go the
+    same way."""
     lines = _fit(rows[::2]), _fit(rows[1::2])
     if not all(lines):
         return 0, ()
     h = Horizon()
     first, second = (ParityPair(sign, Aff(step, amp, h)) for sign, step, amp in lines)
-    kids = list(expand_at(Aff(d, m, h), d)((second, first) if d > 0 else (first, second)))
+    kids = list(expand_at(Aff(1, m, h))((second, first)))
     if len(kids) != 1 or any(
             (c.sign, c.amp.s, c.amp.c) != (sign, step, amp + step) for c, (sign, step, amp) in zip(kids[0], lines)):
         return 0, ()

@@ -35,7 +35,6 @@ amplitudes as they entered, ints or Fractions, never floats (see
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from typing import List, Optional, Tuple, Union
 
 from .evolution import BranchTree, cell_positions, grow_tables
@@ -191,7 +190,9 @@ def riccati_close_z(p: Params, m: int, y_m: ParityPair) -> Branches:
 
 
 def riccati_step_back_y(p: Params, m: int, z_m: ParityPair) -> Branches:
-    """Solve for y_{m-1} given z_m (the z-relation at index m-1, unknown y)."""
+    """Solve for y_{m-1} given z_m (the z-relation at index m-1, unknown y);
+    only tests and the tracer call it (``riccati_evolve``:
+    ``riccati_step_z(p.reflected, -m, z_m)``)."""
     return _solve(p, "r2", m - 1, z_m, "y")
 
 
@@ -208,9 +209,11 @@ def riccati_evolve(
 ) -> BranchTree:
     """Build concrete solution tables of the first-order subsystem.
 
-    Starting from y at index m0, alternate the one-unknown solves forward to
-    the window end and backward to its start; interval-valued solution sets
-    are made concrete by the ``sampling`` policy of ``_samples``:
+    Starting from y at index m0, solve for z_m0, then alternate the
+    one-unknown solves forward to the window end, and the same solves on the
+    reflected parameters from -m0 to minus the window start (the backward
+    half, see ``udp6.evolution``); interval-valued solution sets are made
+    concrete by the ``sampling`` policy of ``_samples``:
     ``endpoints`` (the default), ``midpoint`` or ``all-breakpoints``.
     Every emitted table satisfies both subsystem relations at every checkable
     index.  Branch counts beyond ``max_branches`` are pruned deterministically
@@ -225,23 +228,23 @@ def riccati_evolve(
     if sampling not in SAMPLINGS:
         raise ValueError(f"unknown sampling policy {sampling!r}")
 
-    def fill(step, m, known):
-        # one half step: a cell from each sample of ``step`` at the value of
-        # the cell at position ``known``, the one cell it reads
+    def fill(q, step, m, known):
+        # one half step: a cell from each sample of ``step`` on the parameters
+        # q at the value of the cell at position ``known``, the one cell it reads
         return (known,), lambda cell: (
             [ParityPair(sign, x)]
-            for sign, iv in step(p, m, cell)
+            for sign, iv in step(q, m, cell)
             for x in _samples(iv, sampling)
         )
 
-    # z_m0, then (z, y) per index forward and (y, z) backward: ``grow_tables``' order
-    at = partial(cell_positions, m0, hi)
-    steps = [fill(riccati_close_z, m0, 0)]
-    for m in range(m0, hi):
-        steps += fill(riccati_step_z, m, at(m)[0]), fill(riccati_step_y, m, at(m + 1)[1])
-    for m in range(m0, lo, -1):
-        steps += fill(riccati_step_back_y, m, at(m)[1]), fill(riccati_close_z, m - 1, at(m - 1)[0])
-    return grow_tables([y0], steps.__getitem__, max_branches, m0, window)
+    def half(q, start, stop):
+        # the rows from start to stop on q (p forward, R(p) backward): z of row k+1 from y at row k, then y from it
+        return [fill(q, step, m, cell_positions(k + j)[j]) for k, m in enumerate(range(start, stop))
+                for j, step in enumerate((riccati_step_z, riccati_step_y))]
+
+    forward = [fill(p, riccati_close_z, m0, 0)] + half(p, m0, hi)  # z_m0 first
+    backward = half(p.reflected, -m0, -lo)
+    return grow_tables([y0], (forward.__getitem__, None), (backward.__getitem__, None), max_branches, m0, window)
 
 
 def riccati_failures(p: Params, table: SolutionTable) -> List[Tuple[int, str]]:

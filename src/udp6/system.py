@@ -135,6 +135,15 @@ class Params(namedtuple("Params", _AMP_KEYS + _SIGN_KEYS, defaults=(1,) * 8)):
         return self._make(getattr(self, _MIRROR[k]) for k in self._fields)
 
     @cached_property
+    def reflected(self) -> "Params":
+        """R(p), the reflection m -> -m, built once per instance: Q' = -Q,
+        A1' = B1-Q, A2' = B2-Q, A3' = B3, A4' = B4, and B' likewise from A,
+        each sign following its amplitude.  Each relation at index m is the
+        same relation of R(p) at -m-1 with y and z exchanged."""
+        q, a1, a2, a3, a4, b1, b2, b3, b4 = self[:9]
+        return self._make((-q, b1 - q, b2 - q, b3, b4, a1 - q, a2 - q, a3, a4, *self[13:], *self[9:13]))
+
+    @cached_property
     def _zz_parts(self) -> tuple:
         """``residual_zz``'s sign sectors, Q, A3, A4 and parameter sums, built once per instance."""
         a1, a2, a3, a4, b34 = self.a1, self.a2, self.a3, self.a4, self.b3 + self.b4

@@ -30,7 +30,7 @@ def halves(monkeypatch) -> list:
 
     def recording(*args):
         out = grow(*args)
-        log.append((len(out[0]), out[2]))
+        log.append((len(out[0]), out[1]))
         return out
 
     monkeypatch.setattr(evolution, "_frontier", recording)

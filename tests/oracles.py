@@ -686,86 +686,87 @@ def evolve_stepping(
     p: Params, m0: int, y0: ParityPair, z0: ParityPair, window: Tuple[int, int], max_branches: int = 64
 ) -> BranchTree:
     """``evolve`` with no jump: the shared frontier runs the steppers at every
-    index, (z, y) forward, then (y, z) backward, with the same cap."""
+    index, (z, y) forward, then the backward steppers in the backward halves,
+    whose rows hold (z, y) of index m0-k as (y, z) of -m0+k, with the same cap."""
     lo, hi = window
 
-    def step(i):
-        if i < hi - m0:
-            m = m0 + i
-            return cell_positions(m0, hi, m), lambda yz: (
-                [z1, y1]
-                for z1 in step_z_parity(p, m, *yz)
-                for y1 in step_y_parity(p, m, yz[0], z1)
-            )
-        m = hi - i
-        return cell_positions(m0, hi, m), lambda yz: (
-            [yp, zp]
-            for yp in step_back_y_parity(p, m, *yz)
-            for zp in step_back_z_parity(p, m, yp, yz[1])
+    def forward(i):
+        m = m0 + i
+        return cell_positions(i), lambda yz: (
+            [z1, y1]
+            for z1 in step_z_parity(p, m, *yz)
+            for y1 in step_y_parity(p, m, yz[0], z1)
         )
 
-    return grow_tables([y0, z0], step, max_branches, m0, window)
+    def backward(i):
+        m = m0 - i
+        return cell_positions(i), lambda zy: (
+            [yp, zp]
+            for yp in step_back_y_parity(p, m, zy[1], zy[0])
+            for zp in step_back_z_parity(p, m, yp, zy[0])
+        )
+
+    return grow_tables([y0, z0], (forward, None), (backward, None), max_branches, m0, window)
 
 
 def grow_tables_per_step(
-    root: list, step, cap: int, m0: int, window: Tuple[int, int], jump=None
+    root: list, forward: tuple, backward: tuple, cap: int, m0: int, window: Tuple[int, int]
 ) -> BranchTree:
     """``grow_tables`` as one frontier stepped at every step, forward and then
-    backward: the backward steps run once per forward leaf, the cap applies
-    across all partial tables after each step, and the jump is offered
-    whenever one partial table is live and the last step was not a jump.
-    Each leaf is split into columns by one ``zip(*)`` of its y and of its z
-    cells, with each run's rows cut out and its columns put in."""
+    backward: a partial table is the forward half's cells, then the backward
+    half's, which start with its start row, y and z exchanged.  The backward
+    steps run once per forward leaf, the cap applies across all partial
+    tables after each step, and a half's jump is offered whenever one partial
+    table is live and the last step was not a jump.  Each leaf's runs are
+    written out as cells, and each half's y and z cells read by position; the
+    backward half's rows, reversed and without the start row, are the rows
+    below m0 with y and z exchanged."""
     lo, hi = window
-    f, end = 2 * (hi - m0 + 1), 2 * (hi - lo + 1)
-    partials, truncated = [list(root)], False
-    i, jumped, runs = 0, False, []
-    while partials and len(partials[0]) < end:
-        if not jumped and jump is not None and len(partials) == 1:
-            k, cells = jump(i, partials[0])
-            if k:
-                if type(cells[0]) is _JumpRun:
-                    runs.append((len(partials[0]), cells[0]))
-                partials[0] += cells
-                i, jumped = i + k, True
-                continue
-        jumped = False
-        reads, expand = step(i)
-        i += 1
-        state_of = operator.itemgetter(*reads)
-        children, grown = {}, []
-        for t in partials:
-            state = state_of(t)
-            kids = children.get(state)
-            if kids is None:
-                kids = children[state] = list(expand(state))
-            if not kids:
-                continue
-            if len(kids) > 1:
-                grown += [t + c for c in kids[:-1]]
-            t += kids[-1]
-            grown.append(t)
-            if len(grown) > cap:
-                break
-        partials, truncated = grown[:cap], truncated or len(grown) > cap
-    placed = []  # (k, r, columns): the r rows of a run from offset k, in index order
-    for at, run in runs:  # written to the one live table: every leaf holds it at ``at``
-        r = run.rows
-        (s1, a1), (s2, a2) = (
-            ((sign,) * r, tuple(itertools.islice(itertools.count(amp, slope), r))) for sign, slope, amp in run[1:]
-        )
-        placed.append((m0 + at // 2 - lo, r, (s2, a2, s1, a1)) if at < f  # (z, y) as m rises
-                      else (hi - at // 2 - r + 1 - lo, r, (s1, a1[::-1], s2, a2[::-1])))  # (y, z) as m falls
-    placed.sort()
+    f = 2 * (hi - m0 + 1)
+    partials, truncated, jumped, runs = [list(root)], False, False, []
+    for (step, jump), base, end in ((forward, 0, f), (backward, f, f + 2 * (m0 - lo + 1))):
+        if base:
+            for t in partials:
+                t += t[1], t[0]
+        i = 0
+        while partials and len(partials[0]) < end:
+            if not jumped and jump is not None and len(partials) == 1:
+                k, cells = jump(i, partials[0][base:])
+                if k:
+                    if type(cells[0]) is _JumpRun:
+                        runs.append((len(partials[0]), cells[0]))
+                    partials[0] += cells
+                    i, jumped = i + k, True
+                    continue
+            jumped = False
+            reads, expand = step(i)
+            i += 1
+            state_of = operator.itemgetter(*(base + r for r in reads))
+            children, grown = {}, []
+            for t in partials:
+                state = state_of(t)
+                kids = children.get(state)
+                if kids is None:
+                    kids = children[state] = list(expand(state))
+                if not kids:
+                    continue
+                if len(kids) > 1:
+                    grown += [t + c for c in kids[:-1]]
+                t += kids[-1]
+                grown.append(t)
+                if len(grown) > cap:
+                    break
+            partials, truncated = grown[:cap], truncated or len(grown) > cap
     tables = []
     for t in partials:
-        ys, zs = t[f::2][::-1] + t[:1] + t[3:f:2], t[f + 1::2][::-1] + t[1:2] + t[2:f:2]
-        for k, r, _ in placed[::-1]:
-            del ys[k:k + r], zs[k:k + r]
-        cols = [*zip(*ys), *zip(*zs)]
-        for k, r, run in placed:
-            cols = [c[:k] + x + c[k:] for c, x in zip(cols, run)]
-        tables.append(SolutionTable(lo, *cols))
+        for at, run in runs:  # written to the one live table: every leaf holds it at ``at``
+            for k, (sign, slope, amp) in enumerate(run[1:]):
+                t[at + k:at + k + 2 * run.rows:2] = [
+                    ParityPair(sign, a) for a in itertools.islice(itertools.count(amp, slope), run.rows)]
+        ahead, behind = t[:f], t[f:]
+        ys = behind[2::2][::-1] + ahead[:1] + ahead[3::2]
+        zs = behind[3::2][::-1] + ahead[1:2] + ahead[2::2]
+        tables.append(pair_table(lo, ys, zs))
     return BranchTree(tuple(tables), truncated)
 
 

@@ -686,6 +686,30 @@ def test_fractional_input_output_matches_pinned_digests(case, capsys, fractional
     assert (code, digest(out), digest(err)) == (spec["rc"], spec["stdout"], spec["stderr"])
 
 
+# Riccati-conditioned parameters whose A2+B4 (two ints) and B2+A4 (two halves)
+# are equal values of two types.  A step below m0 runs on R(p), whose y->z
+# constant at -m is mQ + (B2-Q) + A4 where p's at m-1 is (m-1)Q + A2 + B4, so
+# an integral amplitude there may be an int or a Fraction of denominator 1;
+# the text is the same.  The digests were recorded when the library stepped
+# backward on p.
+_MIXED_SUMS = {"q": 1, "a1": -5, "a2": 2, "a3": 0, "a4": "-3/2", "b1": -4, "b2": "7/2", "b3": 0, "b4": 0}
+_MIXED_SUMS_DIGESTS = {
+    "csv": "e88dad95e12d6c0a0968144c070344f8e3400097b47c56f56adb701a8d009e52",
+    "json": "8ccc7c22ac34d1cd29797f6174a7a9b91c2f598de473972d664aa625746deaab",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_riccati_output_on_sums_of_two_types_matches_pinned_digest(fmt, tmp_path, capsys):
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(_MIXED_SUMS))
+    p = load_params(str(path))
+    assert p.a2 + p.b4 == p.b2 + p.a4 and type(p.a2 + p.b4) is not type(p.b2 + p.a4)
+    code, out, err = run(capsys, "riccati", "--params", str(path), "--y0", "1:-1", "--window", "-3:3",
+                         "--sampling", "all-breakpoints", "--format", fmt)
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, _MIXED_SUMS_DIGESTS[fmt], "")
+
+
 def test_qlimit_tiny_eps_exits_without_traceback(p42_file):
     # at eps = 10^-50 the seeds' binary exponents pass 2^53, beyond a float's
     # integer resolution; the run still ends in rows, and the eps = 1 rows are

@@ -1,7 +1,6 @@
 import json
 import random
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 from typing import NamedTuple, Tuple
 from unittest import mock
@@ -350,15 +349,17 @@ def test_evolve_branch_cap_flags_truncation():
 @pytest.mark.parametrize("window, first", [((0, 6), "z"), ((-6, 0), "y")])
 def test_evolve_expands_each_state_once(monkeypatch, window, first):
     # a step's children depend on (y_m, z_m) alone, so each distinct state is
-    # expanded once per step: the step's first stepper (the z-step forward;
-    # backward the y-step, step_z_parity on the mirrored parameters) never
-    # sees the same input twice, though the frontier holds up to 64 tables.
-    # The second may: two states that share y_m can share a z_{m+1}.
+    # expanded once per step: the step's first stepper, the z-step, never sees
+    # the same input twice, though the frontier holds up to 64 tables.
+    # Forward it runs on p and gives z_{m+1}; backward on R(p), which for these
+    # all-zero parameters equals p in value but is another instance, and gives
+    # y_{m-1}.  The second stepper may: two states that share y_m can share a
+    # z_{m+1}.
     p = Params.make(0, (0, 0, 0, 0), (0, 0, 0, 0))
     step, seen = evolution.step_z_parity, []
 
     def counting(q, m, y, z):
-        if (q is p) == (first == "z"):
+        if q is (p if first == "z" else p.reflected):
             seen.append((m, y, z))
         return step(q, m, y, z)
 
@@ -496,29 +497,44 @@ class _Jump(NamedTuple):
 
 
 def _record_jumps(monkeypatch) -> list:
-    """Patch ``evolve``'s jump attempts to log each one as a ``_Jump``: where
-    it starts, the signs and amplitude type there, the steps it took, the
+    """Patch ``evolve``'s jump attempts to log each one as a ``_Jump``: the
+    index of p where it starts (a backward half's index on R(p), negated), its
+    direction, the signs and amplitude type there, the steps it took, the
     horizon of its ``Aff`` values (absent when no stepper ran), the steps left
     and the run it wrote."""
-    log, horizons = [], []
+    log, horizons, direction = [], [], [1]
 
     class Recorded(Horizon):
         def __init__(self):
             super().__init__()
             horizons.append(self)
 
-    attempt = evolution._affine_jump
+    attempt, grow = evolution._affine_jump, evolution.grow_tables
 
-    def recording(expand_at, m, d, left, rows):
+    def recording(expand_at, m, left, rows):
         horizons.clear()
-        n, cells = attempt(expand_at, m, d, left, rows)
+        n, cells = attempt(expand_at, m, left, rows)
+        # a row's cells are (z, y), on R(p) the cells (y, z) of p
+        d = direction[0]
         y, z = (rows[-1], rows[-2]) if d > 0 else (rows[-2], rows[-1])
         run = cells[0] if n and type(cells[0]) is evolution._Run else None
-        log.append(_Jump(m, d, (y.sign, z.sign), type(y.amp), n, horizons[0].t if horizons else "none", left, run))
+        log.append(_Jump(d * m, d, (y.sign, z.sign), type(y.amp), n, horizons[0].t if horizons else "none", left, run))
         return n, cells
+
+    def directed(root, forward, backward, *rest):
+        # each half's jump sets the direction of the attempts it makes
+        def tagged(half, d):
+            step, jump = half
+
+            def tagging(i, t):
+                direction[0] = d
+                return jump(i, t)
+            return step, tagging
+        return grow(root, tagged(forward, 1), tagged(backward, -1), *rest)
 
     monkeypatch.setattr(evolution, "Horizon", Recorded)
     monkeypatch.setattr(evolution, "_affine_jump", recording)
+    monkeypatch.setattr(evolution, "grow_tables", directed)
     return log
 
 
@@ -674,60 +690,56 @@ def test_jump_stops_exactly_at_its_horizon(monkeypatch, p, y0, z0, at, steps, le
     assert end not in [j.m for j in log]
 
 
-def _rows_on_lines(d):
-    """Five rows as ten cells in ``evolve``'s write order for direction d: y
-    of sign +1 on the line 3t + 4 and z of sign -1 on 2t, t = -4..0."""
+def _rows_on_lines():
+    """Five rows as ten cells in a half's write order (z, y): y of sign +1 on
+    the line 3t + 4 and z of sign -1 on 2t, t = -4..0."""
     rows = []
     for t in range(-4, 1):
-        y, z = ParityPair(1, 3 * t + 4), ParityPair(-1, 2 * t)
-        rows += [z, y] if d > 0 else [y, z]
+        rows += [ParityPair(-1, 2 * t), ParityPair(1, 3 * t + 4)]
     return rows
 
 
-@pytest.mark.parametrize("d", [1, -1], ids=["forward", "backward"])
-def test_jump_takes_one_child_that_continues_both_fits(d):
+def test_jump_takes_one_child_that_continues_both_fits():
     # the step runs once on the fits, (y, z) in that order and m as an Aff of
-    # slope d; it is taken only if it gives one child whose cells, in write
+    # slope 1; it is taken only if it gives one child whose cells, in write
     # order, have each fit's sign, slope and next intercept.  A child that meets
     # the fit's next cell at t = 0 with another slope leaves it after one step.
-    # The check compares no Aff, so it records nothing.
+    # The check compares no Aff, so it records nothing.  A backward half's
+    # jump is this one on R(p)
     seen = []
 
     def expanding(child):
         """An ``expand_at`` whose one expansion logs its input and gives
         ``child``, a list of children of (sign, slope, intercept) cells."""
-        def expand_at(m, d_step):
+        def expand_at(m):
             def expand(yz):
-                seen.append(((m.s, m.c), d_step, [(c.sign, c.amp.s, c.amp.c) for c in yz], m.horizon))
+                seen.append(((m.s, m.c), [(c.sign, c.amp.s, c.amp.c) for c in yz], m.horizon))
                 return [[ParityPair(s, Aff(k, c, m.horizon)) for s, k, c in cells] for cells in child]
             return expand
         return expand_at
 
-    def in_order(y, z):
-        return [z, y] if d > 0 else [y, z]
-
     y1, z1 = (1, 3, 7), (-1, 2, 2)
-    n, cells = evolution._affine_jump(expanding([in_order(y1, z1)]), 10, d, 3, _rows_on_lines(d))
+    n, cells = evolution._affine_jump(expanding([[z1, y1]]), 10, 3, _rows_on_lines())
     assert n == 3
-    assert cells == [c for k in range(3) for c in in_order(ParityPair(1, 7 + 3 * k), ParityPair(-1, 2 + 2 * k))]
+    assert cells == [c for k in range(3) for c in (ParityPair(-1, 2 + 2 * k), ParityPair(1, 7 + 3 * k))]
     # eight steps: the first three are one run, its lines in write order, then
     # None in the run's other slots and the last five rows as cells
-    n, cells = evolution._affine_jump(expanding([in_order(y1, z1)]), 10, d, 8, _rows_on_lines(d))
+    n, cells = evolution._affine_jump(expanding([[z1, y1]]), 10, 8, _rows_on_lines())
     assert n == 8
-    assert cells[0] == (3, *in_order((1, 3, 7), (-1, 2, 2))) and type(cells[0]) is evolution._Run
+    assert cells[0] == (3, (-1, 2, 2), (1, 3, 7)) and type(cells[0]) is evolution._Run
     assert cells[1:6] == [None] * 5
-    assert cells[6:] == [c for k in range(3, 8) for c in in_order(ParityPair(1, 7 + 3 * k), ParityPair(-1, 2 + 2 * k))]
-    assert seen[0][:3] == ((d, 10), d, [(1, 3, 4), (-1, 2, 0)])
-    for child in ([in_order((1, 2, 7), z1)], [in_order((-1, 3, 7), z1)], [in_order((1, 3, 8), z1)],
-                  [in_order(y1, (-1, 1, 2))], [in_order(y1, z1)] * 2, [], [in_order(z1, y1)]):
+    assert cells[6:] == [c for k in range(3, 8) for c in (ParityPair(-1, 2 + 2 * k), ParityPair(1, 7 + 3 * k))]
+    assert seen[0][:2] == ((1, 10), [(1, 3, 4), (-1, 2, 0)])
+    for child in ([[z1, (1, 2, 7)]], [[z1, (-1, 3, 7)]], [[z1, (1, 3, 8)]],
+                  [[(-1, 1, 2), y1]], [[z1, y1]] * 2, [], [[y1, z1]]):
         del seen[:]
-        assert evolution._affine_jump(expanding(child), 10, d, 3, _rows_on_lines(d)) == (0, ())
-        assert seen[0][3].t is None
+        assert evolution._affine_jump(expanding(child), 10, 3, _rows_on_lines()) == (0, ())
+        assert seen[0][2].t is None
     # rows off a line are not stepped
-    rows = _rows_on_lines(d)
+    rows = _rows_on_lines()
     rows[0] = ParityPair(rows[0].sign, 99)
     del seen[:]
-    assert evolution._affine_jump(expanding([in_order(y1, z1)]), 10, d, 3, rows) == (0, ()) and seen == []
+    assert evolution._affine_jump(expanding([[z1, y1]]), 10, 3, rows) == (0, ()) and seen == []
 
 
 def test_golden_jumps_take_the_window_in_few_steps(monkeypatch, p42):
@@ -776,14 +788,20 @@ def _cell(n):
 _ROOT = [_cell(0), _cell(0)]
 
 
-def _grow(steps, cap, window, jump=None):
-    """``grow_tables`` from ``_ROOT`` at index 0 over the listed steps."""
-    return grow_tables(_ROOT, steps.__getitem__, cap, 0, window, jump)
+def _grow(steps, cap, window, jump=None, back=()):
+    """``grow_tables`` from ``_ROOT`` at index 0 over the listed forward
+    steps, with ``jump``, and backward steps ``back``."""
+    return grow_tables(_ROOT, (steps.__getitem__, jump), (back.__getitem__, None), cap, 0, window)
 
 
 def _at(m):
     """The positions of (y_m, z_m), m >= 0, in a frontier rooted at 0."""
     return (2 * m + 1, 2 * m) if m else (0, 1)
+
+
+def test_cell_positions_of_a_half():
+    # the start row is (y, z), every later row (z, y)
+    assert [cell_positions(k) for k in range(4)] == [_at(k) for k in range(4)] == [(0, 1), (3, 2), (5, 4), (7, 6)]
 
 
 def _forward(m, children, calls=None):
@@ -840,21 +858,19 @@ def test_grow_tables_pairs_the_halves_as_each_was_cut():
     # start, and 1 has none at the next step.  The half is cut nowhere, so
     # the four pairs of its two leaves fill the cap of 4 without truncation;
     # stepped per step, the cap keeps 1-1, 1-2, 1-3 and 2-1, two of which die
-    def backward(m, children):
-        return cell_positions(0, 1, m), lambda yz: ([_cell(a), _cell(a)] for a in children[yz[0].amp])
+    def backward(k, children):
+        return cell_positions(k), lambda zy: ([_cell(a), _cell(a)] for a in children[zy[0].amp])
 
-    steps = [
-        _forward(0, {(0, 0): [(1, 1), (2, 2)]}),
-        backward(0, {0: [-1, -2, -3]}),
-        backward(-1, {-1: [], -2: [-4], -3: [-5]}),
-    ]
-    tree = _grow(steps, 4, (-2, 1))
+    steps = [_forward(0, {(0, 0): [(1, 1), (2, 2)]})]
+    back = [backward(0, {0: [-1, -2, -3]}), backward(1, {-1: [], -2: [-4], -3: [-5]})]
+    tree = _grow(steps, 4, (-2, 1), back=back)
     assert _rows(tree) == [[(b, b), (a, a), (0, 0), (f, f)] for f in (1, 2) for a, b in ((-2, -4), (-3, -5))]
     assert not tree.truncated
-    stepped = grow_tables_per_step(_ROOT, steps.__getitem__, 4, 0, (-2, 1))
+    halves = (steps.__getitem__, None), (back.__getitem__, None)
+    stepped = grow_tables_per_step(_ROOT, *halves, 4, 0, (-2, 1))
     assert _rows(stepped) == _rows(tree)[:2] and stepped.truncated
     # with room for every path the two agree
-    assert _grow(steps, 6, (-2, 1)) == grow_tables_per_step(_ROOT, steps.__getitem__, 6, 0, (-2, 1)) == tree
+    assert _grow(steps, 6, (-2, 1), back=back) == grow_tables_per_step(_ROOT, *halves, 6, 0, (-2, 1)) == tree
 
 
 def test_grow_tables_siblings_keep_separate_cells():
@@ -894,16 +910,21 @@ def test_grow_tables_children_keep_the_frontier_order():
 
 
 def test_grow_tables_backward_and_one_cell_steps():
-    # a riccati-style half step reads one cell, and a backward step writes
-    # cells below the root; the columns are read by position, z_1 before y_1
-    # and y_-1 before z_-1
+    # a riccati-style half step reads one cell, and the backward half starts
+    # from the start row with y and z exchanged and writes (z, y) of its own
+    # rows, which are (y, z) of the rows below the start; the columns are read
+    # by position, z_1 before y_1 and y_-1 before z_-1
+    def backward(zy):
+        assert zy == (_cell(5), _cell(0))
+        return [[_cell(7), _cell(8)]]
+
     steps = [
         ((0,), lambda y: ([_cell(y.amp + k)] for k in (1, 2))),
         ((0,), lambda y: [[_cell(y.amp - 1)]]),
-        ((0, 1), lambda yz: [[_cell(7), _cell(8)]]),
     ]
-    tree = _grow(steps, 64, (-1, 1))
-    assert _rows(tree) == [[(7, 8), (0, 0), (-1, 1)], [(7, 8), (0, 0), (-1, 2)]]
+    tree = grow_tables([_cell(0), _cell(5)], (steps.__getitem__, None), ([((0, 1), backward)].__getitem__, None),
+                       64, 0, (-1, 1))
+    assert _rows(tree) == [[(7, 8), (0, 5), (-1, 1)], [(7, 8), (0, 5), (-1, 2)]]
 
 
 def test_grow_tables_offers_a_jump_only_while_one_table_is_live():
@@ -942,7 +963,7 @@ def test_grow_tables_offers_a_jump_only_while_one_table_is_live():
 def test_grow_tables_one_point_window(d, amp):
     # no step: the root is the one leaf, its cells as they entered, an int or
     # a Fraction of denominator d
-    tree = grow_tables([_cell(amp), _cell(-amp)], [].__getitem__, 1, 5, (5, 5))
+    tree = grow_tables([_cell(amp), _cell(-amp)], ([].__getitem__, None), ([].__getitem__, None), 1, 5, (5, 5))
     assert tree == ((pair_table(5, (_cell(amp),), (_cell(-amp),)),), False)
     assert type(tree.tables[0].ay[0]) is type(amp) and amp.denominator == d
 
@@ -956,12 +977,13 @@ def _z(m):
 
 
 def _labelled_steps(m0, lo, hi, half):
-    """Synthetic steps over [lo, hi] from m0 whose cells name their column (y
-    sign +1, z sign -1) and index (the amplitude), read by ``cell_positions``:
-    (z, y) pairs forward and (y, z) pairs backward, or with ``half`` the
-    riccati order of one cell a step, z_m0 first.  Each step checks that it
-    reads the cells it names."""
-    at = partial(cell_positions, m0, hi)
+    """Synthetic forward and backward steps over [lo, hi] from m0 whose cells
+    name their column (y sign +1, z sign -1) and index (the amplitude), read by
+    ``cell_positions``: (z, y) pairs of a row, or with ``half`` the riccati
+    order of one cell a step, z_m0 first.  A backward half's rows hold (z, y)
+    of R(p), so its cells of index m0-k name y and z of row k exchanged.  Each
+    step checks that it reads the cells it names."""
+    at = cell_positions
 
     def write(reads, named, cells):
         def expand(state):
@@ -969,18 +991,19 @@ def _labelled_steps(m0, lo, hi, half):
             return [cells]
         return reads, expand
 
-    steps = [write((at(m0)[0],), _y(m0), [_z(m0)])] if half else []
-    for m in range(m0, hi):
+    forward = [write((at(0)[0],), _y(m0), [_z(m0)])] if half else []
+    for k, m in enumerate(range(m0, hi)):
         if half:
-            steps += write((at(m)[0],), _y(m), [_z(m + 1)]), write((at(m + 1)[1],), _z(m + 1), [_y(m + 1)])
+            forward += write((at(k)[0],), _y(m), [_z(m + 1)]), write((at(k + 1)[1],), _z(m + 1), [_y(m + 1)])
         else:
-            steps.append(write(at(m), (_y(m), _z(m)), [_z(m + 1), _y(m + 1)]))
-    for m in range(m0, lo, -1):
+            forward.append(write(at(k), (_y(m), _z(m)), [_z(m + 1), _y(m + 1)]))
+    backward = []
+    for k, m in enumerate(range(m0, lo, -1)):
         if half:
-            steps += write((at(m)[1],), _z(m), [_y(m - 1)]), write((at(m - 1)[0],), _y(m - 1), [_z(m - 1)])
+            backward += write((at(k)[0],), _z(m), [_y(m - 1)]), write((at(k + 1)[1],), _y(m - 1), [_z(m - 1)])
         else:
-            steps.append(write(at(m), (_y(m), _z(m)), [_y(m - 1), _z(m - 1)]))
-    return steps
+            backward.append(write(at(k), (_z(m), _y(m)), [_y(m - 1), _z(m - 1)]))
+    return forward, backward
 
 
 @pytest.mark.parametrize("half", [False, True], ids=["two-cell", "one-cell"])
@@ -989,9 +1012,9 @@ def _labelled_steps(m0, lo, hi, half):
 def test_grow_tables_leaf_holds_each_cell_at_its_row(m0, lo, hi, half):
     # the position rule at the window's edges: the leaf holds y_m and z_m at
     # row m, whichever end of the window the root is at
-    steps = _labelled_steps(m0, lo, hi, half)
+    forward, backward = _labelled_steps(m0, lo, hi, half)
     root = [_y(m0)] if half else [_y(m0), _z(m0)]
-    tree = grow_tables(root, steps.__getitem__, 1, m0, (lo, hi))
+    tree = grow_tables(root, (forward.__getitem__, None), (backward.__getitem__, None), 1, m0, (lo, hi))
     rows = range(lo, hi + 1)
     assert tree == ((pair_table(lo, list(map(_y, rows)), list(map(_z, rows))),), False)
 

@@ -1,16 +1,27 @@
-"""The reflection R, m -> -m with y and z exchanged (``oracles.reflect``).
+"""The reflection R, m -> -m with y and z exchanged (``oracles.reflect``,
+the library's ``Params.reflected``).
 
 Each relation is symmetric in its two consecutive same-letter values, so the
-backward step at m is the forward step of the reflected system at -m: every
-evolution is equivariant under R, and both residual suites report a
-reflected table's failures at the reflected indexes.  These tests fail if a
-backward stepper drifts from the forward one."""
+backward step at m is the forward step of the reflected system at -m, which
+is how the evolutions step backward: every evolution is equivariant under R,
+and both residual suites report a reflected table's failures at the
+reflected indexes.  These tests fail if a backward stepper drifts from the
+reflected forward one."""
 
 from fractions import Fraction
 
-from udp6.evolution import evolve, noparity_amplitudes, painleve_failures
-from udp6.riccati import SAMPLINGS, check_riccati_conditions, riccati_evolve, riccati_failures
-from udp6.system import ParityPair, check_constraint, random_constrained_params
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from udp6.evolution import (
+    evolve, noparity_amplitudes, painleve_failures, step_back_y_parity, step_back_z_parity, step_y_parity,
+    step_z_parity,
+)
+from udp6.riccati import (
+    SAMPLINGS, check_riccati_conditions, riccati_close_z, riccati_evolve, riccati_failures, riccati_step_back_y,
+    riccati_step_y, riccati_step_z,
+)
+from udp6.system import ParityPair, Params, check_constraint, random_constrained_params
 
 from oracles import pair_columns, pair_table, random_riccati_params, random_state, reflect
 
@@ -33,6 +44,99 @@ def _moved(rng, table):
         k = rng.randrange(len(col))
         col[k] = ParityPair(col[k].sign * rng.choice((1, -1)), col[k].amp + rng.choice((0, 1, -2)))
     return pair_table(table.m_lo, ys, zs)
+
+
+@st.composite
+def _amps(draw, n, r=4):
+    """n amplitudes k/d, k within +-r*d, on one lattice d in {1, 2, 6}: on
+    d = 1 each an int or a Fraction, so sums of both types occur."""
+    d = draw(st.sampled_from((1, 1, 2, 6)))
+    ks = draw(st.lists(st.integers(-r * d, r * d), min_size=n, max_size=n))
+    kinds = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return [k if d == 1 and kind else Fraction(k, d) for k, kind in zip(ks, kinds)]
+
+
+@st.composite
+def _parity_states(draw):
+    """Constrained parameters (Q of either sign or 0), m in -3..3 and a state
+    (y_m, z_m) whose amplitudes are often ties of the backward steps: z of
+    B3, B4, B1+(m-1)Q or B2+(m-1)Q, y of their A analogues."""
+    q, a1, a2, a3, a4, b1, b2, b3 = draw(_amps(8))
+    p = Params.make(q, (a1, a2, a3, a4), (b1, b2, b3, b1 + b2 + a3 + a4 - q - a1 - a2 - b3))
+    m = draw(st.integers(-3, 3))
+    mq = (m - 1) * q
+    y = draw(st.one_of(st.sampled_from((a3, a4, a1 + mq, a2 + mq)), _amps(1).map(lambda x: x[0])))
+    z = draw(st.one_of(st.sampled_from((b3, p.b4, b1 + mq, b2 + mq)), _amps(1).map(lambda x: x[0])))
+    sign = st.sampled_from((1, -1))
+    return p, m, ParityPair(draw(sign), y), ParityPair(draw(sign), z)
+
+
+def _typed(cells):
+    return [(c.sign, c.amp, type(c.amp)) for c in cells]
+
+
+@settings(derandomize=True, max_examples=1500, deadline=None)
+@given(state=_parity_states(), y_prev=_amps(1))
+def test_backward_parity_steps_are_the_reflected_forward_steps(state, y_prev):
+    # the identities that evolve's backward half rests on, in value and type:
+    # y_{m-1} is R(p)'s z-step at -m from (z_m, y_m), and z_{m-1} its y-step
+    # given y_{m-1} in the z slot
+    p, m, y, z = state
+    r = p.reflected
+    backs = step_back_y_parity(p, m, y, z)
+    assert _typed(backs) == _typed(step_z_parity(r, -m, z, y))
+    for yp in backs + [ParityPair(-y.sign, y_prev[0])]:
+        assert _typed(step_back_z_parity(p, m, yp, z)) == _typed(step_y_parity(r, -m, z, yp))
+
+
+@st.composite
+def _riccati_states(draw):
+    """Parameters meeting both first-order conditions on the lattices of
+    ``_amps``, Q of either sign or 0, an index and a known cell."""
+    q, a1, a2, a3, a4, b3, b4, amp = draw(_amps(8))
+    p = Params.make(q, (a1, a2, a3, a4), (q + a1 + b3 - a3, a2 + b4 - a4, b3, b4))
+    return p, draw(st.integers(-3, 3)), ParityPair(draw(st.sampled_from((1, -1))), amp)
+
+
+@settings(derandomize=True, max_examples=1500, deadline=None)
+@given(state=_riccati_states())
+def test_backward_riccati_steps_are_the_reflected_forward_steps(state):
+    # riccati_evolve's backward half: y_{m-1} from z_m is R(p)'s z-step at -m,
+    # and z_{m-1} from y_{m-1} is its y-step, by value (an integral constant may
+    # be an int on one side and a Fraction on the other)
+    p, m, known = state
+    r = p.reflected
+    assert riccati_step_back_y(p, m, known) == riccati_step_z(r, -m, known)
+    assert riccati_close_z(p, m - 1, known) == riccati_step_y(r, -m, known)
+
+
+def _signed_params(rng):
+    """Constrained parameters with amplitudes k/d, d in {1, 3}, Q within
+    +-12 (0 and negative included), and random parameter signs meeting the
+    product condition."""
+    d = rng.choice((1, 3))
+    q, a1, a2, a3, a4, b1, b2, b3 = (Fraction(rng.randint(-12 * d, 12 * d), d) if d > 1 else rng.randint(-12, 12)
+                                     for _ in range(8))
+    sa = [rng.choice((1, -1)) for _ in range(4)]
+    sb = [rng.choice((1, -1)) for _ in range(3)]
+    sb.append(sa[0] * sa[1] * sa[2] * sa[3] * sb[0] * sb[1] * sb[2])
+    return Params.make(q, (a1, a2, a3, a4), (b1, b2, b3, b1 + b2 + a3 + a4 - q - a1 - a2 - b3), sa, sb)
+
+
+def test_params_reflected_equals_the_oracle(rng):
+    # the library's R(p), built once per instance, is the oracle's field by
+    # field, types and signs included; it is an involution and keeps the
+    # constraint and both first-order conditions
+    for _ in range(300):
+        p = _signed_params(rng)
+        rp = p.reflected
+        assert [(v, type(v)) for v in rp] == [(v, type(v)) for v in reflect(p)]
+        assert p.reflected is rp and rp.reflected == p and [*map(type, rp.reflected)] == [*map(type, p)]
+        assert check_constraint(p) and check_constraint(rp)
+        q = p.q
+        p = Params.make(q, p[1:5], (q + p.a1 + p.b3 - p.a3, p.a2 + p.b4 - p.a4, p.b3, p.b4), p[9:13], p[13:])
+        assert check_riccati_conditions(p) and check_riccati_conditions(p.reflected)
+        assert p.reflected == reflect(p)
 
 
 def test_reflection_is_an_involution_that_keeps_the_conditions(rng):

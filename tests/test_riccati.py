@@ -400,23 +400,28 @@ def test_riccati_failures_match_fraction_check(start, data):
 
 def test_riccati_evolve_expands_each_state_once(monkeypatch):
     # each step reads one cell, so with the frontier expanding each distinct
-    # state once per step no step sees the same (m, known) input twice
+    # state once per step no step sees the same (m, known) input twice in a
+    # half: the forward half on p, the backward one on R(p), which for these
+    # all-zero parameters equals p in value but is another instance
     seen = []
 
     def counting(name):
         step = getattr(riccati, name)
 
-        def wrapper(p, m, known):
-            seen.append((name, m, known))
-            return step(p, m, known)
+        def wrapper(q, m, known):
+            seen.append((name, q is p, m, known))
+            return step(q, m, known)
         return wrapper
 
-    for name in ("riccati_step_z", "riccati_step_y", "riccati_close_z", "riccati_step_back_y"):
+    for name in ("riccati_step_z", "riccati_step_y", "riccati_close_z"):
         monkeypatch.setattr(riccati, name, counting(name))
     p = Params.make(0, (0, 0, 0, 0), (0, 0, 0, 0))
     tree = riccati_evolve(p, 0, pp(1, 0), (-5, 5), sampling="all-breakpoints")
     assert len(tree.tables) == 64 and tree.truncated
     assert len(seen) > 21 and len(seen) == len(set(seen))
+    assert {(name, forward) for name, forward, *_ in seen} == {
+        ("riccati_close_z", True), ("riccati_step_z", True), ("riccati_step_y", True),
+        ("riccati_step_z", False), ("riccati_step_y", False)}
 
 
 @pytest.mark.parametrize("move", [0, 1, F(1, 2)], ids=["solution", "int-moved", "rational"])
