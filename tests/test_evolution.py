@@ -690,22 +690,27 @@ def test_jump_stops_exactly_at_its_horizon(monkeypatch, p, y0, z0, at, steps, le
     assert end not in [j.m for j in log]
 
 
-def _rows_on_lines():
-    """Five rows as ten cells in a half's write order (z, y): y of sign +1 on
-    the line 3t + 4 and z of sign -1 on 2t, t = -4..0."""
+def _rows_on_lines(d):
+    """Five rows as ten cells in the write order of a half in direction d,
+    with y and z of p: y of sign +1 on the line 3t + 4 and z of sign -1 on 2t,
+    t = -4..0.  Forward a row is (z, y); backward it is (y, z), which are
+    (z, y) of R(p)."""
     rows = []
     for t in range(-4, 1):
-        rows += [ParityPair(-1, 2 * t), ParityPair(1, 3 * t + 4)]
+        y, z = ParityPair(1, 3 * t + 4), ParityPair(-1, 2 * t)
+        rows += [z, y] if d > 0 else [y, z]
     return rows
 
 
-def test_jump_takes_one_child_that_continues_both_fits():
-    # the step runs once on the fits, (y, z) in that order and m as an Aff of
-    # slope 1; it is taken only if it gives one child whose cells, in write
-    # order, have each fit's sign, slope and next intercept.  A child that meets
-    # the fit's next cell at t = 0 with another slope leaves it after one step.
-    # The check compares no Aff, so it records nothing.  A backward half's
-    # jump is this one on R(p)
+@pytest.mark.parametrize("d", [1, -1], ids=["forward", "backward"])
+def test_jump_takes_one_child_that_continues_both_fits(d):
+    # the step runs once on the fits, (y, z) of its half in that order and m
+    # as an Aff of slope 1; it is taken only if it gives one child whose cells,
+    # in write order, have each fit's sign, slope and next intercept.  A child
+    # that meets the fit's next cell at t = 0 with another slope leaves it
+    # after one step.  The check compares no Aff, so it records nothing.  A
+    # backward half's jump is the same call on R(p): from index -m, with p's
+    # y and z exchanged, so its step gets (z, y) of p
     seen = []
 
     def expanding(child):
@@ -718,28 +723,31 @@ def test_jump_takes_one_child_that_continues_both_fits():
             return expand
         return expand_at
 
+    def in_order(y, z):
+        return [z, y] if d > 0 else [y, z]
+
     y1, z1 = (1, 3, 7), (-1, 2, 2)
-    n, cells = evolution._affine_jump(expanding([[z1, y1]]), 10, 3, _rows_on_lines())
+    n, cells = evolution._affine_jump(expanding([in_order(y1, z1)]), 10 * d, 3, _rows_on_lines(d))
     assert n == 3
-    assert cells == [c for k in range(3) for c in (ParityPair(-1, 2 + 2 * k), ParityPair(1, 7 + 3 * k))]
+    assert cells == [c for k in range(3) for c in in_order(ParityPair(1, 7 + 3 * k), ParityPair(-1, 2 + 2 * k))]
     # eight steps: the first three are one run, its lines in write order, then
     # None in the run's other slots and the last five rows as cells
-    n, cells = evolution._affine_jump(expanding([[z1, y1]]), 10, 8, _rows_on_lines())
+    n, cells = evolution._affine_jump(expanding([in_order(y1, z1)]), 10 * d, 8, _rows_on_lines(d))
     assert n == 8
-    assert cells[0] == (3, (-1, 2, 2), (1, 3, 7)) and type(cells[0]) is evolution._Run
+    assert cells[0] == (3, *in_order((1, 3, 7), (-1, 2, 2))) and type(cells[0]) is evolution._Run
     assert cells[1:6] == [None] * 5
-    assert cells[6:] == [c for k in range(3, 8) for c in (ParityPair(-1, 2 + 2 * k), ParityPair(1, 7 + 3 * k))]
-    assert seen[0][:2] == ((1, 10), [(1, 3, 4), (-1, 2, 0)])
-    for child in ([[z1, (1, 2, 7)]], [[z1, (-1, 3, 7)]], [[z1, (1, 3, 8)]],
-                  [[(-1, 1, 2), y1]], [[z1, y1]] * 2, [], [[y1, z1]]):
+    assert cells[6:] == [c for k in range(3, 8) for c in in_order(ParityPair(1, 7 + 3 * k), ParityPair(-1, 2 + 2 * k))]
+    assert seen[0][:2] == ((1, 10 * d), in_order((-1, 2, 0), (1, 3, 4)))
+    for child in ([in_order((1, 2, 7), z1)], [in_order((-1, 3, 7), z1)], [in_order((1, 3, 8), z1)],
+                  [in_order(y1, (-1, 1, 2))], [in_order(y1, z1)] * 2, [], [in_order(z1, y1)]):
         del seen[:]
-        assert evolution._affine_jump(expanding(child), 10, 3, _rows_on_lines()) == (0, ())
+        assert evolution._affine_jump(expanding(child), 10 * d, 3, _rows_on_lines(d)) == (0, ())
         assert seen[0][2].t is None
     # rows off a line are not stepped
-    rows = _rows_on_lines()
+    rows = _rows_on_lines(d)
     rows[0] = ParityPair(rows[0].sign, 99)
     del seen[:]
-    assert evolution._affine_jump(expanding([[z1, y1]]), 10, 3, rows) == (0, ()) and seen == []
+    assert evolution._affine_jump(expanding([in_order(y1, z1)]), 10 * d, 3, rows) == (0, ()) and seen == []
 
 
 def test_golden_jumps_take_the_window_in_few_steps(monkeypatch, p42):
